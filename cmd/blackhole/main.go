@@ -35,13 +35,9 @@ func run() error {
 		prof    = cliutil.AddProfileFlags(flag.CommandLine)
 	)
 	applyShards := cliutil.AddShardsFlag(flag.CommandLine)
-	applyQueue := cliutil.AddQueueFlag(flag.CommandLine)
 	writeManifest := cliutil.AddManifestFlag(flag.CommandLine)
 	flag.Parse()
 	if err := applyShards(); err != nil {
-		return err
-	}
-	if err := applyQueue(); err != nil {
 		return err
 	}
 

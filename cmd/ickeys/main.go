@@ -86,15 +86,7 @@ func run() error {
 		reshareKN = flag.String("reshare", "", "demonstrate a quorum reshare to k:n after signing, e.g. 3:7")
 		prof      = cliutil.AddProfileFlags(flag.CommandLine)
 	)
-	applyShards := cliutil.AddShardsFlag(flag.CommandLine)
-	applyQueue := cliutil.AddQueueFlag(flag.CommandLine)
 	flag.Parse()
-	if err := applyShards(); err != nil {
-		return err
-	}
-	if err := applyQueue(); err != nil {
-		return err
-	}
 
 	stop, err := prof.Start()
 	if err != nil {

@@ -48,12 +48,8 @@ func run() error {
 		queueCap = flag.Int("queue", 64, "bounded job-queue capacity")
 	)
 	applyShards := cliutil.AddShardsFlag(flag.CommandLine)
-	applyQueue := cliutil.AddQueueFlag(flag.CommandLine)
 	flag.Parse()
 	if err := applyShards(); err != nil {
-		return err
-	}
-	if err := applyQueue(); err != nil {
 		return err
 	}
 

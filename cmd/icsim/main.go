@@ -34,12 +34,8 @@ func run() error {
 		prof      = cliutil.AddProfileFlags(flag.CommandLine)
 	)
 	applyShards := cliutil.AddShardsFlag(flag.CommandLine)
-	applyQueue := cliutil.AddQueueFlag(flag.CommandLine)
 	flag.Parse()
 	if err := applyShards(); err != nil {
-		return err
-	}
-	if err := applyQueue(); err != nil {
 		return err
 	}
 

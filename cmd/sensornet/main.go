@@ -35,14 +35,10 @@ func run() error {
 		prof      = cliutil.AddProfileFlags(flag.CommandLine)
 	)
 	applyShards := cliutil.AddShardsFlag(flag.CommandLine)
-	applyQueue := cliutil.AddQueueFlag(flag.CommandLine)
 	applyShardStats := cliutil.AddShardStatsFlag(flag.CommandLine)
 	writeManifest := cliutil.AddManifestFlag(flag.CommandLine)
 	flag.Parse()
 	if err := applyShards(); err != nil {
-		return err
-	}
-	if err := applyQueue(); err != nil {
 		return err
 	}
 	if err := applyShardStats(); err != nil {

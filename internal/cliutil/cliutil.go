@@ -10,18 +10,39 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"innercircle/internal/artifact"
 	"innercircle/internal/experiment"
-	"innercircle/internal/sim"
 )
 
+// knobs are the IC_* environment settings the program reads: three
+// resource settings and one diagnostic switch. Which implementation of a
+// mechanism runs is never configurable.
+var knobs = []string{"IC_WORKERS", "IC_SHARDS", "IC_CORE_BUDGET", "IC_SHARD_STATS"}
+
+// warnUnknownKnobs writes one line to w per IC_* variable in environ that
+// nothing reads — a retired selector left in a CI file, or a typo such as
+// IC_WORKER=4. Such a variable changes nothing, yet artifact.KnobSnapshot
+// still records it in manifests, so say so once at startup.
+func warnUnknownKnobs(w io.Writer, name string, environ []string) {
+	for _, kv := range environ {
+		key, _, _ := strings.Cut(kv, "=")
+		if strings.HasPrefix(key, "IC_") && !slices.Contains(knobs, key) {
+			fmt.Fprintf(w, "%s: warning: %s is set but is not a setting this program reads (known: %s)\n",
+				name, key, strings.Join(knobs, ", "))
+		}
+	}
+}
+
 // Main runs a tool body and turns its error into the conventional
-// "name: err" + exit(1) epilogue every cmd/ tool shares.
+// "name: err" + exit(1) epilogue every cmd/ tool shares. It first warns
+// about IC_* variables that have no effect.
 func Main(name string, run func() error) {
+	warnUnknownKnobs(os.Stderr, name, os.Environ())
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, name+":", err)
 		os.Exit(1)
@@ -134,8 +155,7 @@ func writeLookupProfile(name, path string) error {
 // runner's only configuration channel — so tools need no direct coupling
 // to the sharded kernel: 0 (the default) leaves IC_SHARDS untouched,
 // anything else overrides it for this process. Tools whose work never
-// reaches the event kernel (ickeys) still accept the flag as a harmless
-// no-op, keeping the cmd/ flag surface uniform.
+// reaches the event kernel (ickeys) do not register it.
 func AddShardsFlag(fs *flag.FlagSet) (apply func() error) {
 	n := fs.Int("shards", 0, "partition each replica across N event-kernel shards (0 = honor IC_SHARDS env)")
 	return func() error {
@@ -146,27 +166,6 @@ func AddShardsFlag(fs *flag.FlagSet) (apply func() error) {
 			return nil
 		}
 		return os.Setenv("IC_SHARDS", strconv.Itoa(*n))
-	}
-}
-
-// AddQueueFlag registers the shared -kernelqueue flag on fs and returns
-// an apply function to call once fs is parsed. Like AddShardsFlag it
-// routes through an environment knob (IC_KERNEL_QUEUE): empty (the
-// default) leaves the knob untouched, "wheel" or "heap" pins that queue
-// implementation for every kernel the process builds. The flag is an A/B
-// switch only — results are byte-identical either way; solely
-// schedule/pop cost differs (see DESIGN.md §14).
-func AddQueueFlag(fs *flag.FlagSet) (apply func() error) {
-	q := fs.String("kernelqueue", "", `event-queue implementation: "wheel" or "heap" (empty = honor IC_KERNEL_QUEUE env)`)
-	return func() error {
-		switch *q {
-		case "":
-			return nil
-		case "wheel", "heap":
-			return os.Setenv(sim.QueueEnvVar, *q)
-		default:
-			return fmt.Errorf("-kernelqueue %q: want wheel or heap", *q)
-		}
 	}
 }
 

@@ -1,10 +1,12 @@
 package cliutil
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -89,41 +91,29 @@ func TestParseLevels(t *testing.T) {
 	}
 }
 
-func TestAddQueueFlag(t *testing.T) {
-	t.Setenv("IC_KERNEL_QUEUE", "heap") // restore after; also pins the no-override case
-
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	apply := AddQueueFlag(fs)
-	if err := fs.Parse([]string{"-kernelqueue", "wheel"}); err != nil {
-		t.Fatal(err)
+func TestWarnUnknownKnobs(t *testing.T) {
+	var buf bytes.Buffer
+	warnUnknownKnobs(&buf, "tool", []string{
+		"PATH=/bin", "IC_WORKERS=4", "IC_SHARDS=2", "IC_CORE_BUDGET=8", "IC_SHARD_STATS=1",
+		"IC_SHARD_EXEC=par", // a retired selector
+		"IC_WORKER=4",       // a typo
+		"IC_EMPTY=",
+		"MAGIC_IC_WORKERS=1",
+	})
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("want one warning per unknown IC_* variable (3), got %d:\n%s", len(lines), buf.String())
 	}
-	if err := apply(); err != nil {
-		t.Fatal(err)
-	}
-	if got := os.Getenv("IC_KERNEL_QUEUE"); got != "wheel" {
-		t.Fatalf("IC_KERNEL_QUEUE = %q after -kernelqueue wheel", got)
-	}
-
-	t.Setenv("IC_KERNEL_QUEUE", "heap")
-	fs = flag.NewFlagSet("t", flag.ContinueOnError)
-	apply = AddQueueFlag(fs)
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := apply(); err != nil {
-		t.Fatal(err)
-	}
-	if got := os.Getenv("IC_KERNEL_QUEUE"); got != "heap" {
-		t.Fatalf("default -kernelqueue clobbered IC_KERNEL_QUEUE: %q", got)
+	for i, key := range []string{"IC_SHARD_EXEC", "IC_WORKER", "IC_EMPTY"} {
+		if !strings.HasPrefix(lines[i], "tool: warning: "+key+" is set") {
+			t.Errorf("line %d = %q, want a warning naming %s", i, lines[i], key)
+		}
 	}
 
-	fs = flag.NewFlagSet("t", flag.ContinueOnError)
-	apply = AddQueueFlag(fs)
-	if err := fs.Parse([]string{"-kernelqueue", "fibheap"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := apply(); err == nil {
-		t.Error("unknown queue kind accepted")
+	buf.Reset()
+	warnUnknownKnobs(&buf, "tool", []string{"HOME=/root", "IC_WORKERS=4", "IC_SHARDS=2", "IC_CORE_BUDGET=8", "IC_SHARD_STATS=1"})
+	if buf.Len() != 0 {
+		t.Fatalf("the settings the program reads must not warn:\n%s", buf.String())
 	}
 }
 

@@ -9,9 +9,8 @@
 // refreshed key can never serve a stale verdict.
 //
 // The cache memoizes the *verdict only*. Simulation-side accounting
-// (energy, delay) is charged by the caller unconditionally, so enabling
-// the memo never changes experiment tables — only wall-clock time. The
-// IC_CRYPTO_MEMO environment knob (FromEnv) turns it off for A/B runs.
+// (energy, delay) is charged by the caller unconditionally, so the memo
+// never changes experiment tables — only wall-clock time.
 //
 // A cache instance is not safe for concurrent use. Replicas are
 // single-threaded event loops and each replica owns one cache, so the
@@ -22,7 +21,6 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"os"
 )
 
 // Kind namespaces cache keys by verification flavor.
@@ -93,19 +91,6 @@ func New(capacity int) *Cache {
 		capacity = DefaultCap
 	}
 	return &Cache{cap: capacity, ll: list.New(), m: make(map[Key]*list.Element)}
-}
-
-// EnvVar is the environment knob read by FromEnv.
-const EnvVar = "IC_CRYPTO_MEMO"
-
-// FromEnv returns a default-capacity cache, or nil (memo disabled) when
-// IC_CRYPTO_MEMO is set to "off" or "0". The memo is on by default.
-func FromEnv() *Cache {
-	switch os.Getenv(EnvVar) {
-	case "off", "0":
-		return nil
-	}
-	return New(DefaultCap)
 }
 
 // Get returns the memoized verdict for k, marking it recently used.

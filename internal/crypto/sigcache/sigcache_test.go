@@ -45,6 +45,11 @@ func TestCacheLRUEviction(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
+	// A nil receiver (services built without a memo) has length zero.
+	var none *Cache
+	if none.Len() != 0 {
+		t.Fatal("nil cache Len")
+	}
 }
 
 func TestHashPartsLengthPrefixed(t *testing.T) {
@@ -52,21 +57,5 @@ func TestHashPartsLengthPrefixed(t *testing.T) {
 	b := HashParts([]byte("a"), []byte("bc"))
 	if a == b {
 		t.Fatal("length prefixing failed: concatenation aliases collide")
-	}
-}
-
-func TestFromEnv(t *testing.T) {
-	t.Setenv(EnvVar, "off")
-	if FromEnv() != nil {
-		t.Fatal("IC_CRYPTO_MEMO=off must disable the memo")
-	}
-	t.Setenv(EnvVar, "")
-	if FromEnv() == nil {
-		t.Fatal("memo should default to on")
-	}
-	// nil receiver Len is safe (disabled-memo path).
-	var nilCache *Cache
-	if nilCache.Len() != 0 {
-		t.Fatal("nil cache Len")
 	}
 }

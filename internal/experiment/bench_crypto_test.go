@@ -1,12 +1,14 @@
 package experiment
 
-import (
-	"testing"
+import "testing"
 
-	"innercircle/internal/crypto/sigcache"
-)
-
-func benchSensorReplica(b *testing.B) {
+// BenchmarkSensorReplica measures one full Fig. 8-style IC replica — the
+// per-point unit of work of SensorSweep — with statistical voting (real
+// RSA value signatures and verification) over 60 nodes for 120 virtual
+// seconds. This is the replica-level view of the crypto hot path: value
+// signing, propose/ack verification (through the verification memo), and
+// agreed-message flooding.
+func BenchmarkSensorReplica(b *testing.B) {
 	cfg := PaperSensorConfig()
 	cfg.Nodes = 60
 	cfg.SimTime = 120
@@ -23,23 +25,4 @@ func benchSensorReplica(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSensorReplica measures one full Fig. 8-style IC replica — the
-// per-point unit of work of SensorSweep — with statistical voting (real
-// RSA value signatures and verification) over 60 nodes for 60 virtual
-// seconds. This is the replica-level view of the crypto hot path: value
-// signing, propose/ack verification, and agreed-message flooding. The
-// verification memo runs at its default (on).
-func BenchmarkSensorReplica(b *testing.B) {
-	b.Setenv(sigcache.EnvVar, "")
-	benchSensorReplica(b)
-}
-
-// BenchmarkSensorReplicaMemoOff is the same replica with the
-// verification memo disabled: the A/B pair quantifies the memo's
-// replica-level wall-clock win (tables are identical either way).
-func BenchmarkSensorReplicaMemoOff(b *testing.B) {
-	b.Setenv(sigcache.EnvVar, "off")
-	benchSensorReplica(b)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"innercircle/internal/scenario"
+	"innercircle/internal/sim"
 )
 
 // BenchmarkShardedField measures one full sensor-field replica at the
@@ -51,6 +52,27 @@ func BenchmarkShardedField(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkStripePartition isolates the partitioner itself — the weighted
+// boundary walk is a two-pass O(nodes + cols) scan and must stay invisible
+// next to replica construction.
+func BenchmarkStripePartition(b *testing.B) {
+	cfg := ScaledSensorConfig(40000)
+	cfg.Seed = 1
+	spec, err := sensorSpec(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	positions := spec.Topology.Place(spec.Nodes, sim.NewRNG(cfg.Seed).Split("placement"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, eff := scenario.StripePartition(positions, cfg.Range, 8)
+		if eff != 8 {
+			b.Fatalf("effective = %d, want 8", eff)
 		}
 	}
 }

@@ -106,9 +106,8 @@ type BlackholeResult struct {
 	FaultsLeaked     uint64
 
 	// VerifiesAvoided counts signature verifications answered from the
-	// replica's shared verification memo (zero with IC off or
-	// IC_CRYPTO_MEMO=off). Pure wall-clock accounting: it feeds no modeled
-	// metric, so every other field is identical with the memo on or off.
+	// replica's shared verification memo (zero with IC off). Pure
+	// wall-clock accounting: it feeds no modeled metric.
 	VerifiesAvoided uint64
 }
 

@@ -19,9 +19,8 @@ type CampaignTables struct {
 	Suppressed *stats.Table // neutralized by the inner circle per run
 	Leaked     *stats.Table // corrupted payloads delivered per run
 	// VerifiesAvoided is diagnostic, not modeled: signature checks served
-	// by the per-replica verification memo. It is the one table allowed to
-	// differ between IC_CRYPTO_MEMO settings (it reads zero with the memo
-	// off); the five modeled tables above must stay byte-identical.
+	// by the per-replica verification memo. It feeds none of the five
+	// modeled tables above.
 	VerifiesAvoided *stats.Table
 }
 

@@ -255,3 +255,33 @@ func TestCampaignDropDegradesGracefully(t *testing.T) {
 		t.Fatal("network did not survive lossy nodes")
 	}
 }
+
+// The signature-verification memo (internal/crypto/sigcache) caches
+// verdicts only; modeled energy and delay are charged per check whether or
+// not the memo answers it (vote.TestMemoDoesNotChangeOutcomes pins that at
+// the service). What is left to check at the top of the stack is that the
+// memo is wired in: the diagnostic verifications-avoided table must show
+// avoided work under an IC configuration, and none without a voting service.
+func TestSweepReportsVerifiesAvoided(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full sweep")
+	}
+	base := PaperBlackholeConfig()
+	base.Nodes = 25
+	base.SimTime = 25
+	base.Seed = 79
+	tables, err := CampaignSweep(base, []faults.Campaign{faults.BlackholePreset(2)}, []int{1}, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avoided := tables.VerifiesAvoided
+	for _, row := range avoided.Rows() {
+		var sum float64
+		for _, col := range avoided.Cols() {
+			sum += avoided.Mean(row, col)
+		}
+		if ic := row != "No IC"; ic != (sum > 0) {
+			t.Errorf("row %q: %g verifications avoided", row, sum)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"runtime"
 	"testing"
 
 	"innercircle/internal/scenario"
@@ -27,19 +28,21 @@ func shardSensorTables(t *testing.T, shards int) []string {
 	return out
 }
 
-// sweepKnobs is every environment knob that selects a sweep execution
-// strategy. Each invariance subtest pins all of them so variants cannot
-// leak into each other or inherit strategy from the ambient environment.
-var sweepKnobs = []string{"IC_SHARD_EXEC", "IC_SHARD_GROUPS", "IC_SHARD_PART", "IC_WORKERS", "IC_CORE_BUDGET", "IC_SHARD_STATS", "IC_KERNEL_QUEUE"}
+// sweepKnobs is every environment setting that shapes how a sweep executes.
+// Each invariance subtest pins all of them so variants cannot leak into
+// each other or inherit strategy from the ambient environment.
+var sweepKnobs = []string{"IC_WORKERS", "IC_CORE_BUDGET", "IC_SHARD_STATS"}
 
 // TestSweepShardCountInvariant pins the sharded kernel's determinism
 // contract end to end: sweep tables are byte-identical at every shard
-// count, under every executor (sequential, goroutine-per-shard, grouped,
-// and the core-budgeted default), at every (workers, shards) combination,
-// and under both the weighted and legacy stripe partitions. Ambiguous
-// cross-shard timestamp ties are allowed to occur — the runner then reruns
-// the replica on one kernel — so the equality below holds unconditionally,
-// not just on tie-free runs.
+// count, under both executors, and at every (workers, budget) combination.
+// Which executor runs is the code's choice from what it observes, so the
+// variants drive exactly that: at GOMAXPROCS=1 every sharded replica runs
+// the sequential executor; at GOMAXPROCS=4 with one pool worker three core
+// tokens are spare and the replica runs the threaded executor on
+// min(shards, 4) slots. Ambiguous cross-shard timestamp ties are allowed to
+// occur — the runner then reruns the replica on one kernel — so the
+// equality below holds unconditionally, not just on tie-free runs.
 func TestSweepShardCountInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute sweep matrix")
@@ -47,25 +50,18 @@ func TestSweepShardCountInvariant(t *testing.T) {
 	variants := []struct {
 		name   string
 		shards int
+		procs  int // GOMAXPROCS for the variant; 0 leaves the host's
 		env    map[string]string
 	}{
-		{"seq/shards=2", 2, map[string]string{"IC_SHARD_EXEC": "seq"}},
-		{"seq/shards=4", 4, map[string]string{"IC_SHARD_EXEC": "seq"}},
-		{"seq/shards=8", 8, map[string]string{"IC_SHARD_EXEC": "seq"}},
-		{"par/shards=2", 2, map[string]string{"IC_SHARD_EXEC": "par"}},
-		{"par/shards=4", 4, map[string]string{"IC_SHARD_EXEC": "par"}},
-		{"par/shards=8", 8, map[string]string{"IC_SHARD_EXEC": "par"}},
-		{"budgeted/groups=2/shards=4", 4, map[string]string{"IC_SHARD_GROUPS": "2"}},
-		{"budgeted/workers=1/shards=4", 4, map[string]string{"IC_WORKERS": "1"}},
-		{"budgeted/workers=4/shards=4", 4, map[string]string{"IC_WORKERS": "4", "IC_CORE_BUDGET": "4"}},
-		{"legacy-partition/par/shards=4", 4, map[string]string{"IC_SHARD_EXEC": "par", "IC_SHARD_PART": "legacy"}},
-		{"shardstats/par/shards=4", 4, map[string]string{"IC_SHARD_EXEC": "par", "IC_SHARD_STATS": "1"}},
-		// The queue axis: the binary heap must reproduce the timer wheel's
-		// (default) tables byte-for-byte, unsharded and under both executors.
-		{"heap/shards=1", 1, map[string]string{"IC_KERNEL_QUEUE": "heap"}},
-		{"heap/seq/shards=4", 4, map[string]string{"IC_KERNEL_QUEUE": "heap", "IC_SHARD_EXEC": "seq"}},
-		{"heap/par/shards=4", 4, map[string]string{"IC_KERNEL_QUEUE": "heap", "IC_SHARD_EXEC": "par"}},
-		{"wheel/par/shards=4", 4, map[string]string{"IC_KERNEL_QUEUE": "wheel", "IC_SHARD_EXEC": "par"}},
+		{"seq/shards=2", 2, 1, nil},
+		{"seq/shards=4", 4, 1, nil},
+		{"seq/shards=8", 8, 1, nil},
+		{"par/shards=2", 2, 4, map[string]string{"IC_WORKERS": "1"}},
+		{"par/shards=4", 4, 4, map[string]string{"IC_WORKERS": "1"}},
+		{"par/shards=8", 8, 4, map[string]string{"IC_WORKERS": "1"}},
+		{"budgeted/workers=1/shards=4", 4, 0, map[string]string{"IC_WORKERS": "1"}},
+		{"budgeted/workers=4/shards=4", 4, 0, map[string]string{"IC_WORKERS": "4", "IC_CORE_BUDGET": "4"}},
+		{"shardstats/par/shards=4", 4, 4, map[string]string{"IC_WORKERS": "1", "IC_SHARD_STATS": "1"}},
 	}
 	for _, knob := range sweepKnobs {
 		t.Setenv(knob, "")
@@ -75,6 +71,10 @@ func TestSweepShardCountInvariant(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			for _, knob := range sweepKnobs {
 				t.Setenv(knob, v.env[knob])
+			}
+			if v.procs > 0 {
+				prev := runtime.GOMAXPROCS(v.procs)
+				t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 			}
 			got := shardSensorTables(t, v.shards)
 			for i := range want {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	mrand "math/rand"
-	"os"
 
 	"innercircle/internal/crypto/nsl"
 	"innercircle/internal/crypto/sigcache"
@@ -97,7 +96,7 @@ type Network struct {
 	// node's K is its home shard's.
 	Set *sim.ShardSet
 	// Memo is the signature-verification memo shared by all voting services
-	// on the same kernel (nil when IC is off or IC_CRYPTO_MEMO=off). Under
+	// on the same kernel (nil when IC is off). Under
 	// sharding each shard gets its own memo (Memos[i]; Memo aliases shard
 	// 0's): the cache is unsynchronized, and since it only memoizes a pure
 	// function, per-shard caches cannot change results.
@@ -254,18 +253,14 @@ func Build(cfg Config) (*Network, error) {
 		ch = radio.NewChannelSharded(set, cfg.Radio, func(p geo.Point) (int, bool) {
 			return cfg.ShardOf(p), cfg.ShardBorder(p)
 		})
-		if os.Getenv("IC_SHARD_MSGLA") != "off" {
-			// A cross-shard message is a frame registration posted at the
-			// send instant; the receiving side's only event chain starts
-			// when the frame's airtime elapses, and every MAC frame carries
-			// at least the header overhead on the air. Any transmission the
-			// message triggers therefore waits the frame airtime plus the
-			// MAC turnaround — so the message lookahead, the bound null
-			// messages propagate at, is the base lookahead plus the minimum
-			// frame airtime. IC_SHARD_MSGLA=off pins the conservative base
-			// bound for A/B attribution.
-			set.SetMsgLookahead(lookahead + ch.TxDuration(cfg.MAC.HeaderBytes))
-		}
+		// A cross-shard message is a frame registration posted at the send
+		// instant; the receiving side's only event chain starts when the
+		// frame's airtime elapses, and every MAC frame carries at least the
+		// header overhead on the air. Any transmission the message triggers
+		// therefore waits the frame airtime plus the MAC turnaround — so the
+		// message lookahead, the bound null messages propagate at, is the
+		// base lookahead plus the minimum frame airtime.
+		set.SetMsgLookahead(lookahead + ch.TxDuration(cfg.MAC.HeaderBytes))
 	} else {
 		k = sim.NewKernel()
 		ch = radio.NewChannel(k, cfg.Radio)
@@ -401,7 +396,7 @@ func Build(cfg Config) (*Network, error) {
 	if cfg.IC {
 		net.Memos = make([]*sigcache.Cache, shards)
 		for s := range net.Memos {
-			net.Memos[s] = sigcache.FromEnv()
+			net.Memos[s] = sigcache.New(sigcache.DefaultCap)
 		}
 		net.Memo = net.Memos[0]
 		for i, nd := range net.Nodes {

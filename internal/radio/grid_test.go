@@ -196,16 +196,16 @@ func TestIndexCandidatesSortedAndLateAttach(t *testing.T) {
 	}
 }
 
-// TestIndexDisabledByEnv checks the IC_RADIO_INDEX=off cross-check knob.
-func TestIndexDisabledByEnv(t *testing.T) {
-	t.Setenv("IC_RADIO_INDEX", "off")
+// TestSetIndexEnabledPins checks the typed cross-check pin.
+func TestSetIndexEnabledPins(t *testing.T) {
 	k := sim.NewKernel()
 	ch := NewChannel(k, Default80211())
+	ch.SetIndexEnabled(false)
 	if ch.useIndex {
-		t.Fatal("IC_RADIO_INDEX=off did not disable the index")
+		t.Fatal("SetIndexEnabled(false) did not disable the index")
 	}
 	if ch.adaptive {
-		t.Fatal("IC_RADIO_INDEX=off should pin the choice, not leave it adaptive")
+		t.Fatal("SetIndexEnabled should pin the choice, not leave it adaptive")
 	}
 	// The grid is still maintained, so re-enabling works.
 	ch.SetIndexEnabled(true)

@@ -8,7 +8,6 @@ package radio
 
 import (
 	"errors"
-	"os"
 
 	"innercircle/internal/energy"
 	"innercircle/internal/geo"
@@ -101,8 +100,9 @@ type Channel struct {
 	trs    []*Transceiver
 
 	// grid is the spatial neighbor index (nil when Range <= 0); useIndex
-	// gates queries so the linear scan stays available as a cross-check
-	// (IC_RADIO_INDEX=off, or SetIndexEnabled).
+	// gates queries on the unsharded send path, where the linear scan is
+	// both the adaptive fallback and the tests' cross-check
+	// (SetIndexEnabled).
 	grid     *gridIndex
 	useIndex bool
 
@@ -112,8 +112,8 @@ type Channel struct {
 	// the first probeSends indexed sends sample the candidate count, and the
 	// index is dropped for the rest of the run if the observed pruning
 	// (scanned − candidates) does not exceed the mobile population it has to
-	// re-bin each epoch. IC_RADIO_INDEX=on|off and SetIndexEnabled pin the
-	// choice and skip the probe.
+	// re-bin each epoch. SetIndexEnabled pins the choice and skips the
+	// probe.
 	adaptive  bool
 	probes    int
 	probeCand uint64
@@ -148,23 +148,15 @@ type Stats struct {
 const probeSends = 128
 
 // NewChannel returns an empty channel on kernel k. The spatial neighbor
-// index is on by default in adaptive mode (it is behaviorally invisible,
-// and the channel falls back to the linear scan if the deployment geometry
-// defeats pruning). The environment knob IC_RADIO_INDEX=off forces the
-// full-scan path for cross-checking; IC_RADIO_INDEX=on pins the index on.
+// index starts on in adaptive mode: it is behaviorally invisible, and the
+// channel falls back to the linear scan if the probe finds the deployment
+// geometry defeats pruning.
 func NewChannel(k *sim.Kernel, params Params) *Channel {
 	c := &Channel{k: k, params: params}
 	if params.Range > 0 {
 		c.grid = newGridIndex(params.Range)
-		switch os.Getenv("IC_RADIO_INDEX") {
-		case "off":
-			c.useIndex = false
-		case "on":
-			c.useIndex = true
-		default:
-			c.useIndex = true
-			c.adaptive = true
-		}
+		c.useIndex = true
+		c.adaptive = true
 	}
 	c.finishFn = func(x any) {
 		arr := x.(*arrival)
@@ -176,7 +168,8 @@ func NewChannel(k *sim.Kernel, params Params) *Channel {
 // SetIndexEnabled turns the spatial neighbor index on or off, pinning the
 // choice (no adaptive fallback). The index is maintained either way, so
 // toggling is valid at any point; equivalence tests use this to compare
-// indexed and full-scan runs in-process.
+// indexed and full-scan runs in-process. It has no effect on a sharded
+// channel, whose send path is always the indexed one.
 func (c *Channel) SetIndexEnabled(on bool) {
 	c.useIndex = on && c.grid != nil
 	c.adaptive = false

@@ -67,9 +67,8 @@ type remoteArrival struct {
 // NewChannelSharded returns a channel whose transceivers are partitioned
 // across the kernels of set. ownerOf maps a (static) position to its home
 // shard index and whether it lies within one transmission range of a stripe
-// boundary. The spatial index is pinned on (no adaptive probe: the sharded
-// send path is built around cell-neighborhood iteration); IC_RADIO_INDEX=off
-// still forces the full-scan cross-check path.
+// boundary. The spatial index is always used (no adaptive probe: the
+// sharded send path is built around cell-neighborhood iteration).
 func NewChannelSharded(set *sim.ShardSet, params Params, ownerOf func(geo.Point) (shard int, border bool)) *Channel {
 	if params.Range <= 0 {
 		panic("radio: NewChannelSharded requires a positive transmission range")
@@ -171,14 +170,8 @@ func (c *Channel) sendSharded(tr *Transceiver, f Frame) error {
 		}
 	}
 	src := tr.cachedPos
-	if c.useIndex {
-		for _, i := range sc.candidates(c.grid, src) {
-			c.propagateSharded(sc, c.trs[i], tr, f, src, now, d)
-		}
-	} else {
-		for _, r := range c.trs {
-			c.propagateSharded(sc, r, tr, f, src, now, d)
-		}
+	for _, i := range sc.candidates(c.grid, src) {
+		c.propagateSharded(sc, c.trs[i], tr, f, src, now, d)
 	}
 	return nil
 }

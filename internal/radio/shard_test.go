@@ -2,6 +2,7 @@ package radio
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"innercircle/internal/geo"
@@ -59,12 +60,19 @@ func runShardReference(t *testing.T) ([][]any, Stats) {
 // TestShardedChannelMatchesSequential: the same send schedule on a
 // two-shard channel must deliver the same payloads to the same nodes and
 // produce the same channel totals as the sequential path, under both
-// executors.
+// executors. ShardSet.Run picks the executor from the cores it observes, so
+// the test drives GOMAXPROCS: one core is the sequential executor, four
+// (with an idle core budget) one slot per shard.
 func TestShardedChannelMatchesSequential(t *testing.T) {
 	wantGot, wantStats := runShardReference(t)
-	for _, exec := range []string{"seq", "par"} {
-		t.Run(exec, func(t *testing.T) {
-			t.Setenv("IC_SHARD_EXEC", exec)
+	t.Setenv("IC_CORE_BUDGET", "")
+	for _, tc := range []struct {
+		exec  string
+		procs int
+	}{{"seq", 1}, {"par", 4}} {
+		t.Run(tc.exec, func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(tc.procs)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 			set := sim.NewShardSet(2, shardLookahead)
 			ownerOf := func(p geo.Point) (int, bool) {
 				shard := 0
@@ -111,48 +119,6 @@ func TestShardedChannelMatchesSequential(t *testing.T) {
 				t.Fatalf("sharded stats = %+v, want %+v", ch.Stats, wantStats)
 			}
 		})
-	}
-}
-
-// TestShardedChannelFullScanPath: IC_RADIO_INDEX=off must route sharded
-// sends through the all-transceivers scan and still match the reference.
-func TestShardedChannelFullScanPath(t *testing.T) {
-	wantGot, wantStats := runShardReference(t)
-	t.Setenv("IC_RADIO_INDEX", "off")
-	t.Setenv("IC_SHARD_EXEC", "seq")
-	set := sim.NewShardSet(2, shardLookahead)
-	ch := NewChannelSharded(set, Default80211(), func(p geo.Point) (int, bool) {
-		if p.X >= 250 {
-			return 1, true
-		}
-		return 0, true
-	})
-	if ch.useIndex {
-		t.Fatal("IC_RADIO_INDEX=off did not disable the index")
-	}
-	trs := make([]*Transceiver, len(shardTestPositions))
-	got := make([][]any, len(shardTestPositions))
-	for i, p := range shardTestPositions {
-		i := i
-		trs[i] = ch.Attach(mobility.Static(p), nil, func(f Frame, _ ID) {
-			got[i] = append(got[i], f.Payload)
-		})
-	}
-	for _, s := range shardTestSends {
-		s := s
-		set.Kernel(int(trs[s.node].owner)).ScheduleFireTx(s.at, func() {
-			_ = ch.Send(trs[s.node], Frame{Bytes: 512, Payload: s.pay})
-		}, true)
-	}
-	if err := set.Run(20 * sim.Millisecond); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	ch.MergeShardStats()
-	if !reflect.DeepEqual(got, wantGot) {
-		t.Fatalf("full-scan sharded deliveries diverged:\ngot  %v\nwant %v", got, wantGot)
-	}
-	if ch.Stats != wantStats {
-		t.Fatalf("full-scan sharded stats = %+v, want %+v", ch.Stats, wantStats)
 	}
 }
 

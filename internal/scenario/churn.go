@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"os"
 
 	"innercircle/internal/node"
 	"innercircle/internal/sim"
@@ -36,9 +35,6 @@ const (
 // placement, traffic, or fault draws. Churn forces the replica onto a
 // single kernel: a membership transition swaps every node's signer set at
 // one instant, which a sharded run cannot order.
-//
-// The IC_CHURN environment knob ("off" or "0") disables churn at run
-// time without touching the spec — the A/B switch for attribution runs.
 type Churn struct {
 	// CrashRejoin is the number of crash-and-rejoin cycles drawn over the
 	// window: the victim crashes (open rounds drained, signers revoked,
@@ -78,18 +74,12 @@ const (
 )
 
 // active reports whether this churn config schedules anything at run
-// time, honouring the IC_CHURN kill switch.
+// time.
 func (c *Churn) active() bool {
-	if c == nil || (c.CrashRejoin <= 0 && c.Leaves <= 0 && c.RefreshInterval <= 0) {
-		return false
-	}
-	if v := os.Getenv("IC_CHURN"); v == "off" || v == "0" {
-		return false
-	}
-	return true
+	return c != nil && (c.CrashRejoin > 0 || c.Leaves > 0 || c.RefreshInterval > 0)
 }
 
-// validate checks the static shape (independent of environment knobs).
+// validate checks the static shape.
 func (c *Churn) validate(s *Spec) error {
 	if c == nil {
 		return nil

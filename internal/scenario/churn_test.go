@@ -154,10 +154,9 @@ func TestChurnRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestChurnOffMatchesNoChurn: churn disabled — whether by a nil field, a
-// zero schedule, or the IC_CHURN kill switch over a live schedule — runs
-// byte-identically to a spec that predates the churn axis. The churn=0
-// sweep column is the seed sweep.
+// TestChurnOffMatchesNoChurn: churn disabled — by a nil field or a zero
+// schedule — runs byte-identically to a spec that predates the churn axis.
+// The churn=0 sweep column is the seed sweep.
 func TestChurnOffMatchesNoChurn(t *testing.T) {
 	run := func(mutate func(s *Spec)) *Result {
 		s := icSpec()
@@ -170,12 +169,8 @@ func TestChurnOffMatchesNoChurn(t *testing.T) {
 	}
 	base := run(func(s *Spec) {})
 	zero := run(func(s *Spec) { s.Churn = &Churn{} })
-	t.Setenv("IC_CHURN", "off")
-	killed := run(func(s *Spec) { s.Churn = &Churn{CrashRejoin: 3, Leaves: 2} })
-	for name, res := range map[string]*Result{"zero-schedule": zero, "IC_CHURN=off": killed} {
-		if base.Counters.String() != res.Counters.String() || base.Gauges.String() != res.Gauges.String() {
-			t.Fatalf("%s diverged from the churn-free replica:\n%s | %s\nvs\n%s | %s",
-				name, base.Counters, base.Gauges, res.Counters, res.Gauges)
-		}
+	if base.Counters.String() != zero.Counters.String() || base.Gauges.String() != zero.Gauges.String() {
+		t.Fatalf("zero schedule diverged from the churn-free replica:\n%s | %s\nvs\n%s | %s",
+			base.Counters, base.Gauges, zero.Counters, zero.Gauges)
 	}
 }

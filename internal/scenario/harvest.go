@@ -23,8 +23,8 @@ const (
 	// Crypto fast-path accounting (IC replicas only). Hits count signature
 	// verifications answered from the replica's shared verification memo —
 	// each one a modular exponentiation avoided; misses count checks
-	// actually performed. Both stay zero with IC_CRYPTO_MEMO=off, and
-	// neither feeds any modeled metric: they expose the wall-clock win.
+	// actually performed. Neither feeds any modeled metric: they expose
+	// the wall-clock win.
 	CtrVoteMemoHits   = "vote_memo_hits"
 	CtrVoteMemoMisses = "vote_memo_misses"
 

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"innercircle/internal/geo"
@@ -131,41 +133,42 @@ func TestStripePartitionBalanceBound(t *testing.T) {
 	}
 }
 
+// evenColumnOwner is the even-column-count split the weighted partitioner
+// replaced: column c of cols belongs to shard c·shards/cols, whatever the
+// columns hold. It is the reference the weighted rule must match at uniform
+// density and beat under skew. Placements from partitionPlacements start at
+// column 0.
+func evenColumnOwner(rangeM float64, cols, shards int) func(geo.Point) int {
+	return func(p geo.Point) int {
+		col := min(max(int(math.Floor(p.X/rangeM)), 0), cols-1)
+		return col * shards / cols
+	}
+}
+
 // TestStripePartitionWeightedBeatsLegacyOnSkew: the motivating case — all
-// the density in one half of the region. The legacy even-column split puts
-// nearly everything in half the shards; the weighted split must strictly
-// reduce the heaviest shard.
+// the density in one half of the region. An even-column split puts nearly
+// everything in half the shards; the weighted split must strictly reduce
+// the heaviest shard.
 func TestStripePartitionWeightedBeatsLegacyOnSkew(t *testing.T) {
 	const rangeM = 100.0
 	counts := []int{300, 280, 310, 290, 2, 1, 2, 1}
 	pts := partitionPlacements(counts, rangeM)
 
-	maxLoad := func(env string) int {
-		t.Setenv("IC_SHARD_PART", env)
-		ownerOf, _, eff := StripePartition(pts, rangeM, 4)
-		if eff != 4 {
-			t.Fatalf("effective = %d, want 4", eff)
-		}
-		m := 0
-		for _, l := range shardLoads(pts, ownerOf, eff) {
-			if l > m {
-				m = l
-			}
-		}
-		return m
+	ownerOf, _, eff := StripePartition(pts, rangeM, 4)
+	if eff != 4 {
+		t.Fatalf("effective = %d, want 4", eff)
 	}
-	legacy := maxLoad("legacy")
-	weighted := maxLoad("")
-	if weighted >= legacy {
-		t.Fatalf("weighted max load %d not below legacy %d on a half-empty field", weighted, legacy)
+	even := slices.Max(shardLoads(pts, evenColumnOwner(rangeM, len(counts), 4), 4))
+	weighted := slices.Max(shardLoads(pts, ownerOf, eff))
+	if weighted >= even {
+		t.Fatalf("weighted max load %d not below the even split's %d on a half-empty field", weighted, even)
 	}
 }
 
 // TestStripePartitionUniformMatchesLegacy: with exactly uniform per-column
-// node counts the weighted boundary rule degenerates to the legacy
-// even-column split — every node keeps its owner and border classification
-// bit for bit, which is what lets the weighted partitioner ship as the
-// default without perturbing uniform-density sweeps' shard shapes.
+// node counts the weighted boundary rule degenerates to the even-column
+// split — every node gets the same owner and border classification, so
+// uniform-density sweeps keep the shard shapes they always had.
 func TestStripePartitionUniformMatchesLegacy(t *testing.T) {
 	const rangeM = 75.0
 	for _, tc := range []struct{ cols, perCol, shards int }{
@@ -177,22 +180,21 @@ func TestStripePartitionUniformMatchesLegacy(t *testing.T) {
 		}
 		pts := partitionPlacements(counts, rangeM)
 
-		t.Setenv("IC_SHARD_PART", "legacy")
-		legacyOwner, legacyBorder, legacyEff := StripePartition(pts, rangeM, tc.shards)
-		t.Setenv("IC_SHARD_PART", "")
-		weightedOwner, weightedBorder, weightedEff := StripePartition(pts, rangeM, tc.shards)
-
-		if legacyEff != weightedEff {
-			t.Fatalf("cols=%d shards=%d: effective %d (legacy) vs %d (weighted)", tc.cols, tc.shards, legacyEff, weightedEff)
+		evenOwner := evenColumnOwner(rangeM, tc.cols, tc.shards)
+		ownerOf, borderOf, eff := StripePartition(pts, rangeM, tc.shards)
+		if eff != tc.shards {
+			t.Fatalf("cols=%d shards=%d: effective %d", tc.cols, tc.shards, eff)
 		}
 		for _, p := range pts {
-			if legacyOwner(p) != weightedOwner(p) {
-				t.Fatalf("cols=%d shards=%d: node at x=%.1f owned by %d (legacy) vs %d (weighted)",
-					tc.cols, tc.shards, p.X, legacyOwner(p), weightedOwner(p))
+			own := evenOwner(p)
+			if ownerOf(p) != own {
+				t.Fatalf("cols=%d shards=%d: node at x=%.1f owned by %d, even split says %d",
+					tc.cols, tc.shards, p.X, ownerOf(p), own)
 			}
-			if legacyBorder(p) != weightedBorder(p) {
-				t.Fatalf("cols=%d shards=%d: node at x=%.1f border %v (legacy) vs %v (weighted)",
-					tc.cols, tc.shards, p.X, legacyBorder(p), weightedBorder(p))
+			evenBorder := evenOwner(geo.Point{X: p.X - rangeM}) != own || evenOwner(geo.Point{X: p.X + rangeM}) != own
+			if borderOf(p) != evenBorder {
+				t.Fatalf("cols=%d shards=%d: node at x=%.1f border %v, even split says %v",
+					tc.cols, tc.shards, p.X, borderOf(p), evenBorder)
 			}
 		}
 	}

@@ -34,11 +34,10 @@ type ShardSafe interface {
 // column. Under density skew this caps the heaviest shard at
 // total/shards + heaviest-column — the straggler that would otherwise gate
 // every neighbor's horizon — while a deployment with exactly uniform
-// per-column counts reproduces the legacy even-column-count boundaries
-// bit for bit. IC_SHARD_PART=legacy pins the old even-column split; either
-// way consecutive columns map to the same or the next shard (|Δcol| <= 1
-// adjacency), and sweep results are partition-independent by the kernel's
-// determinism contract.
+// per-column counts gets the even-column-count boundaries
+// (col·shards/cols). Consecutive columns map to the same or the next shard
+// (|Δcol| <= 1 adjacency), and sweep results are partition-independent by
+// the kernel's determinism contract.
 //
 // It returns the owner and border classifiers plus the effective shard
 // count, clamped to the number of occupied columns (a deployment narrower
@@ -67,46 +66,40 @@ func StripePartition(positions []geo.Point, rangeM float64, shards int) (ownerOf
 		return nil, nil, 1
 	}
 	colOwner := make([]int, cols)
-	if os.Getenv("IC_SHARD_PART") == "legacy" {
-		for c := range colOwner {
-			colOwner[c] = c * shards / cols
+	// cum[b] is the node count of columns [0, b); boundary i is the
+	// smallest b with cum[b]·shards >= i·total, kept within
+	// [prev+1, cols-(shards-i)] so every shard owns >= 1 column. The
+	// unclamped rule bounds every shard's load by total/shards +
+	// max-column (the prefix overshoots its target by less than one
+	// column); a binding clamp only ever pins single-column shards.
+	cum := make([]int, cols+1)
+	for _, p := range positions {
+		col := int(math.Floor(p.X / rangeM))
+		if col < cmin {
+			col = cmin
 		}
-	} else {
-		// cum[b] is the node count of columns [0, b); boundary i is the
-		// smallest b with cum[b]·shards >= i·total, kept within
-		// [prev+1, cols-(shards-i)] so every shard owns >= 1 column. The
-		// unclamped rule bounds every shard's load by total/shards +
-		// max-column (the prefix overshoots its target by less than one
-		// column); a binding clamp only ever pins single-column shards.
-		cum := make([]int, cols+1)
-		for _, p := range positions {
-			col := int(math.Floor(p.X / rangeM))
-			if col < cmin {
-				col = cmin
-			}
-			if col > cmax {
-				col = cmax
-			}
-			cum[col-cmin+1]++
+		if col > cmax {
+			col = cmax
 		}
-		for c := 0; c < cols; c++ {
-			cum[c+1] += cum[c]
+		cum[col-cmin+1]++
+	}
+	for c := 0; c < cols; c++ {
+		cum[c+1] += cum[c]
+	}
+	total := cum[cols]
+	prev := 0
+	for i := 1; i < shards; i++ {
+		b := prev + 1
+		for b < cols-(shards-i) && cum[b]*shards < i*total {
+			b++
 		}
-		total := cum[cols]
-		prev := 0
-		for i := 1; i < shards; i++ {
-			b := prev + 1
-			for b < cols-(shards-i) && cum[b]*shards < i*total {
-				b++
-			}
-			for c := prev; c < b; c++ {
-				colOwner[c] = i - 1
-			}
-			prev = b
+		for c := prev; c < b; c++ {
+			colOwner[c] = i - 1
 		}
-		for c := prev; c < cols; c++ {
-			colOwner[c] = shards - 1
-		}
+		prev = b
+	}
+	for c := prev; c < cols; c++ {
+		colOwner[c] = shards - 1
 	}
 	ownerOf = func(p geo.Point) int {
 		col := int(math.Floor(p.X / rangeM))

@@ -82,6 +82,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j)
 }
 
+// eventsPoll is how often a following events request looks for new lines.
+const eventsPoll = 100 * time.Millisecond
+
 // handleEvents serves a job's JSONL stream. By default it follows: lines
 // are flushed as they land and the response ends when the terminal "end"
 // line is written (or the client goes away). ?follow=0 returns whatever
@@ -96,25 +99,35 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	follow := r.URL.Query().Get("follow") != "0"
 	flusher, _ := w.(http.Flusher)
 	var offset int64
+	final := false
 	for {
 		n, terminal, err := s.copyEvents(w, id, offset)
 		offset += n
 		if n > 0 && flusher != nil {
 			flusher.Flush()
 		}
-		if err != nil || terminal || !follow {
+		if err != nil || terminal || !follow || final {
 			return
 		}
 		// A queued/running job may simply not have produced its next line
-		// yet; a failed/done job without a terminal line (legacy stream)
-		// must not hang the client forever.
-		if j, ok := s.Job(id); !ok || (j.State != JobQueued && j.State != JobRunning && n == 0) {
+		// yet. A job found done or failed has its whole stream on disk —
+		// "end" is written before the terminal state becomes visible
+		// (Server.finish) — but this pass's read may have come just before
+		// it, so read once more without waiting and stop; a stream that
+		// still has no terminal line (legacy) must not hang the client
+		// forever.
+		j, ok := s.Job(id)
+		if !ok {
 			return
+		}
+		if j.State != JobQueued && j.State != JobRunning && n == 0 {
+			final = true
+			continue
 		}
 		select {
 		case <-r.Context().Done():
 			return
-		case <-time.After(100 * time.Millisecond):
+		case <-time.After(eventsPoll):
 		}
 	}
 }

@@ -511,23 +511,38 @@ func (s *Server) runJob(ctx context.Context, id string) {
 	}
 	computed := len(misses)
 	cached := len(points) - computed
-	s.setState(id, JobDone, func(j *JobInfo) {
-		j.Computed = computed
-		j.Cached = cached
-		j.TablesSHA256 = tablesSHA
-		j.Error = ""
-	})
-	ev.Emit(Event{Type: "end", State: JobDone, Computed: computed, Cached: cached, TablesSHA256: tablesSHA})
+	s.finish(id, ev, Event{Type: "end", State: JobDone, Computed: computed, Cached: cached, TablesSHA256: tablesSHA},
+		func(j *JobInfo) {
+			j.Computed = computed
+			j.Cached = cached
+			j.TablesSHA256 = tablesSHA
+			j.Error = ""
+		})
 	s.opts.Logf("serve: job %s done (%d computed, %d cached, tables %s)", id, computed, cached, tablesSHA[:12])
 }
 
 // fail marks a job failed and terminates its event stream.
 func (s *Server) fail(id string, ev *eventLog, err error) {
 	s.opts.Logf("serve: job %s failed: %v", id, err)
-	s.setState(id, JobFailed, func(j *JobInfo) { j.Error = err.Error() })
-	if ev != nil {
-		ev.Emit(Event{Type: "end", State: JobFailed, Error: err.Error()})
-	}
+	s.finish(id, ev, Event{Type: "end", State: JobFailed, Error: err.Error()},
+		func(j *JobInfo) { j.Error = err.Error() })
+}
+
+// finish moves a job to the terminal state end names and terminates its
+// event stream (ev may be nil when the stream could not be opened). The
+// "end" line is written before the job record: a crash between the two
+// leaves a running record, and the rerun truncates the stream. Both happen
+// inside one setState, so under s.mu with the in-memory state already
+// terminal — a reader that has seen "end" finds a terminal record
+// (Client.Wait fetches it next), and a reader that finds a terminal record
+// finds "end" in the stream (handleEvents reads once more and stops).
+func (s *Server) finish(id string, ev *eventLog, end Event, mut func(*JobInfo)) {
+	s.setState(id, end.State, func(j *JobInfo) {
+		mut(j)
+		if ev != nil {
+			ev.Emit(end)
+		}
+	})
 }
 
 // eventLog appends JSONL events to a job's stream file. Emit is

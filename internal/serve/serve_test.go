@@ -1,13 +1,16 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -318,5 +321,90 @@ func TestSubmitRejectsBadGrids(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("unknown-field submission got %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestEventStreamEndsWithEndLine is the regression test for a followed
+// event stream closing without its "end" line. The follower returns when a
+// poll finds no new line and the job is no longer queued or running; a job
+// used to turn done/failed before its "end" line was written, so a poll
+// landing in between (after an earlier poll had consumed the last "point"
+// line) closed the stream early. The test forces exactly that poll: the
+// job is made to fail after its last point (its tables path is a
+// directory), the service's log hook first lets the follower consume every
+// point line, then — called from inside the terminal state transition,
+// because the job record's path is a directory too and the persist fails —
+// holds the transition open across several polls.
+func TestEventStreamEndsWithEndLine(t *testing.T) {
+	var failing atomic.Bool
+	consumed := make(chan struct{})
+	srv, err := New(Options{Dir: t.TempDir(), Logf: func(format string, args ...any) {
+		t.Logf(format, args...)
+		switch {
+		case strings.Contains(format, "failed:"):
+			<-consumed
+			failing.Store(true)
+		case strings.Contains(format, "persisting job") && failing.Load():
+			time.Sleep(3 * eventsPoll)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := srv.Submit(quickGrid("early-close", 41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(srv.tablesPath(job.ID), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(srv.jobPath(job.ID)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(srv.jobPath(job.ID), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Run(ctx)
+	}()
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		cancel()
+		<-done
+	})
+
+	resp, err := http.Get(hs.URL + "/jobs/" + job.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var last Event
+	points := 0
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		last = Event{}
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatalf("event line %q: %v", sc.Text(), err)
+		}
+		if last.Type == "point" {
+			if points++; points == job.Total {
+				close(consumed)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if last.Type != "end" || last.State != JobFailed {
+		t.Fatalf("stream closed after %d of %d point lines with last line %+v, want the failed job's end line", points, job.Total, last)
+	}
+	// Whoever has read "end" must find the terminal record (Client.Wait
+	// fetches it next).
+	if j, _ := srv.Job(job.ID); j.State != JobFailed {
+		t.Fatalf("job state %q after the end line, want %q", j.State, JobFailed)
 	}
 }

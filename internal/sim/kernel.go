@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 )
 
 // Time is a point in virtual simulation time, measured in seconds since the
@@ -60,10 +59,8 @@ type event struct {
 // kernel's hottest path, and going through container/heap's interface
 // costs an uninlinable Less/Swap call per level. (at, seq) is a strict
 // total order — seq is unique — so the pop sequence is identical to any
-// correct heap's; only the constant factor changes. The same type also
-// serves as the wheel queue's same-bucket run and overflow store, where
-// the identical comparator keeps the merged pop order byte-identical to
-// the pure-heap kernel's.
+// correct heap's; only the constant factor changes. It is the wheel
+// queue's same-bucket run and overflow store (wheel.go).
 type eventHeap []*event
 
 // before reports whether a sorts strictly before b.
@@ -135,11 +132,8 @@ var ErrPastEvent = errors.New("sim: event scheduled in the past")
 // reproducible.
 type Kernel struct {
 	now Time
-	// Exactly one queue implementation is active, chosen at construction
-	// (IC_KERNEL_QUEUE): heap is the classic binary heap, wheel the
-	// hierarchical timer wheel (wheel.go). Both pop in the identical
-	// (time, seq) total order; only schedule/pop cost differs.
-	heap    eventHeap
+	// wheel is the event queue: a hierarchical timer wheel popping in exact
+	// (time, seq) order (wheel.go).
 	wheel   *wheelQueue
 	nextSeq uint64
 	nextID  EventID
@@ -217,90 +211,9 @@ func (k *Kernel) putEvent(ev *event) {
 	k.pool = append(k.pool, ev)
 }
 
-// QueueKind selects the kernel's event-queue implementation.
-type QueueKind int
-
-const (
-	// QueueWheel is the hierarchical timer wheel backed by an overflow
-	// heap (wheel.go): amortized O(1) schedule and fire. The default.
-	QueueWheel QueueKind = iota
-	// QueueHeap is the binary heap: O(log n) schedule and fire. Retained
-	// as the A/B reference; results are byte-identical either way.
-	QueueHeap
-)
-
-// QueueEnvVar is the environment knob pinning the queue implementation.
-const QueueEnvVar = "IC_KERNEL_QUEUE"
-
-// QueueFromEnv maps IC_KERNEL_QUEUE onto a QueueKind: "heap" pins the
-// binary heap, anything else (including unset and "wheel") selects the
-// timer wheel.
-func QueueFromEnv() QueueKind {
-	if os.Getenv(QueueEnvVar) == "heap" {
-		return QueueHeap
-	}
-	return QueueWheel
-}
-
-// NewKernel returns a kernel with the clock at time zero, using the queue
-// implementation IC_KERNEL_QUEUE selects.
+// NewKernel returns a kernel with the clock at time zero.
 func NewKernel() *Kernel {
-	return NewKernelQueue(QueueFromEnv())
-}
-
-// NewKernelQueue returns a kernel with the clock at time zero and the
-// given queue implementation, regardless of IC_KERNEL_QUEUE.
-func NewKernelQueue(q QueueKind) *Kernel {
-	k := &Kernel{byID: make(map[EventID]*event), lastLocalAt: -1}
-	if q == QueueWheel {
-		k.wheel = newWheelQueue()
-	}
-	return k
-}
-
-// Queue reports which queue implementation this kernel runs on.
-func (k *Kernel) Queue() QueueKind {
-	if k.wheel != nil {
-		return QueueWheel
-	}
-	return QueueHeap
-}
-
-// qpush, qpop, qpeek and qlen are the kernel's only queue access points;
-// each branches to the active implementation. A branch (rather than an
-// interface) keeps the heap path free of dynamic dispatch on the hottest
-// loop in the simulator.
-
-func (k *Kernel) qpush(ev *event) {
-	if k.wheel != nil {
-		k.wheel.push(ev)
-		return
-	}
-	k.heap.push(ev)
-}
-
-func (k *Kernel) qpop() *event {
-	if k.wheel != nil {
-		return k.wheel.pop()
-	}
-	return k.heap.pop()
-}
-
-func (k *Kernel) qpeek() *event {
-	if k.wheel != nil {
-		return k.wheel.peek()
-	}
-	if len(k.heap) == 0 {
-		return nil
-	}
-	return k.heap[0]
-}
-
-func (k *Kernel) qlen() int {
-	if k.wheel != nil {
-		return k.wheel.len()
-	}
-	return len(k.heap)
+	return &Kernel{byID: make(map[EventID]*event), lastLocalAt: -1, wheel: newWheelQueue()}
 }
 
 // Now returns the current virtual time.
@@ -327,7 +240,7 @@ func (k *Kernel) ScheduleAt(at Time, fn func()) (EventID, error) {
 	k.nextID++
 	ev.id = k.nextID
 	ev.fn = fn
-	k.qpush(ev)
+	k.wheel.push(ev)
 	k.byID[ev.id] = ev
 	return ev.id, nil
 }
@@ -343,7 +256,7 @@ func (k *Kernel) ScheduleFire(delay Duration, fn func()) {
 	}
 	ev := k.getEvent(k.now + delay)
 	ev.fn = fn
-	k.qpush(ev)
+	k.wheel.push(ev)
 }
 
 // ScheduleFireArg is ScheduleFire for callbacks taking one argument. Hot
@@ -357,7 +270,7 @@ func (k *Kernel) ScheduleFireArg(delay Duration, fn func(any), arg any) {
 	ev := k.getEvent(k.now + delay)
 	ev.fnArg = fn
 	ev.arg = arg
-	k.qpush(ev)
+	k.wheel.push(ev)
 }
 
 // TimerHandle is a direct reference to a scheduled event — the O(1)
@@ -388,7 +301,7 @@ func (k *Kernel) ScheduleFireHandle(delay Duration, fn func()) TimerHandle {
 	}
 	ev := k.getEvent(k.now + delay)
 	ev.fn = fn
-	k.qpush(ev)
+	k.wheel.push(ev)
 	return TimerHandle{ev: ev, seq: ev.seq}
 }
 
@@ -430,7 +343,7 @@ func (k *Kernel) ScheduleFireTx(delay Duration, fn func(), border bool) {
 	ev := k.getEvent(k.now + delay)
 	ev.fn = fn
 	ev.tx = true
-	k.qpush(ev)
+	k.wheel.push(ev)
 	k.shard.pushBorder(ev.at)
 }
 
@@ -450,18 +363,18 @@ func (k *Kernel) scheduleMsg(at Time, seq uint64, fn func(any), arg any) {
 	ev.seq = seq
 	ev.fnArg = fn
 	ev.arg = arg
-	k.qpush(ev)
+	k.wheel.push(ev)
 }
 
 // peekLive returns the next non-cancelled event without executing it, or nil
 // when the queue is empty. Cancelled events encountered on top are retired.
 func (k *Kernel) peekLive() *event {
 	for {
-		ev := k.qpeek()
+		ev := k.wheel.peek()
 		if ev == nil || !ev.cancel {
 			return ev
 		}
-		k.putEvent(k.qpop())
+		k.putEvent(k.wheel.pop())
 	}
 }
 
@@ -510,8 +423,8 @@ func (k *Kernel) Stop() {
 // Step executes the next pending event, advancing the clock to its
 // timestamp. It reports false when the queue is empty.
 func (k *Kernel) Step() bool {
-	for k.qlen() > 0 {
-		ev := k.qpop()
+	for k.wheel.len() > 0 {
+		ev := k.wheel.pop()
 		if ev.cancel {
 			k.putEvent(ev)
 			continue

@@ -5,89 +5,78 @@ import (
 	"testing"
 )
 
-// benchQueues names the two queue implementations for sub-benchmarks.
-var benchQueues = []struct {
-	name string
-	kind QueueKind
-}{{"heap", QueueHeap}, {"wheel", QueueWheel}}
-
 // BenchmarkKernelSchedule measures one schedule+dispatch cycle through the
-// event queue — the kernel's innermost loop — for both queue
-// implementations. Run with -benchmem: the free-list pool and the
-// ScheduleFire fast path exist to drive allocs/op toward zero (the seed
-// spent 1 alloc and ~103 ns per cycle on the cancellable path; see
-// BENCH_hotpath.json).
+// event queue — the kernel's innermost loop. Run with -benchmem: the
+// free-list pool and the ScheduleFire fast path exist to drive allocs/op
+// toward zero (the seed spent 1 alloc and ~103 ns per cycle on the
+// cancellable path; see BENCH_hotpath.json).
 func BenchmarkKernelSchedule(b *testing.B) {
-	for _, q := range benchQueues {
-		b.Run("schedule/"+q.name, func(b *testing.B) {
-			k := NewKernelQueue(q.kind)
-			fn := func() {}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.MustSchedule(1, fn)
-				k.Step()
-			}
-		})
-		b.Run("fire/"+q.name, func(b *testing.B) {
-			k := NewKernelQueue(q.kind)
-			fn := func() {}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.ScheduleFire(1, fn)
-				k.Step()
-			}
-		})
-		b.Run("firearg/"+q.name, func(b *testing.B) {
-			k := NewKernelQueue(q.kind)
-			fn := func(any) {}
-			arg := &struct{}{}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.ScheduleFireArg(1, fn, arg)
-				k.Step()
-			}
-		})
-		b.Run("timer/"+q.name, func(b *testing.B) {
-			// Timer Reset/fire cycle — the handle fast path protocol
-			// timeouts ride (MAC ACK, vote rounds, route expiry).
-			k := NewKernelQueue(q.kind)
-			tm := NewTimer(k, func() {})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tm.Reset(1)
-				k.Step()
-			}
-		})
-	}
+	b.Run("schedule", func(b *testing.B) {
+		k := NewKernel()
+		fn := func() {}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k.MustSchedule(1, fn)
+			k.Step()
+		}
+	})
+	b.Run("fire", func(b *testing.B) {
+		k := NewKernel()
+		fn := func() {}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k.ScheduleFire(1, fn)
+			k.Step()
+		}
+	})
+	b.Run("firearg", func(b *testing.B) {
+		k := NewKernel()
+		fn := func(any) {}
+		arg := &struct{}{}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k.ScheduleFireArg(1, fn, arg)
+			k.Step()
+		}
+	})
+	b.Run("timer", func(b *testing.B) {
+		// Timer Reset/fire cycle — the handle fast path protocol
+		// timeouts ride (MAC ACK, vote rounds, route expiry).
+		k := NewKernel()
+		tm := NewTimer(k, func() {})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tm.Reset(1)
+			k.Step()
+		}
+	})
 }
 
 // BenchmarkKernelQueueChurn measures a schedule+dispatch cycle against a
 // standing population of pending timers — the regime a 100k-node field
 // puts the kernel in, where every node holds beacons, backoffs, and epoch
-// timers. The heap pays O(log n) per operation against the whole standing
-// set; the wheel pays amortized O(1), so the gap widens with n.
+// timers. The wheel pays amortized O(1) per operation, so the cost must
+// stay flat as the standing set grows.
 func BenchmarkKernelQueueChurn(b *testing.B) {
 	for _, standing := range []int{1000, 10000, 100000} {
-		for _, q := range benchQueues {
-			b.Run(fmt.Sprintf("standing=%d/%s", standing, q.name), func(b *testing.B) {
-				k := NewKernelQueue(q.kind)
-				fn := func() {}
-				// The standing population: far-future timers that never
-				// fire during the measurement window.
-				for i := 0; i < standing; i++ {
-					k.ScheduleFire(1e6+Duration(i), fn)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					k.ScheduleFire(1e-5, fn)
-					k.Step()
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("standing=%d", standing), func(b *testing.B) {
+			k := NewKernel()
+			fn := func() {}
+			// The standing population: far-future timers that never
+			// fire during the measurement window.
+			for i := 0; i < standing; i++ {
+				k.ScheduleFire(1e6+Duration(i), fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.ScheduleFire(1e-5, fn)
+				k.Step()
+			}
+		})
 	}
 }

@@ -31,7 +31,7 @@ package sim
 // every source of nondeterminism is pinned:
 //
 //   - Message events carry the sequence key msgSeqBit | srcShard<<48 |
-//     srcSeq. The existing (time, seq) heap comparator then orders them
+//     srcSeq. The event queue's (time, seq) comparator then orders them
 //     after all locally scheduled events at the same timestamp, and between
 //     themselves by (source shard, source posting order) — both independent
 //     of goroutine scheduling.
@@ -53,22 +53,19 @@ package sim
 // while the sharded radio's per-region candidate iteration still does (see
 // radio.sendSharded). The threaded executor runs the shards on G slot
 // goroutines (1 < G <= S), each slot round-robining a contiguous group of
-// shards; G = S is classic goroutine-per-shard. Unless IC_SHARD_EXEC pins
-// an executor, Run sizes G to the core tokens actually spare (see
-// budget.go) so concurrent sharded replicas divide GOMAXPROCS instead of
-// oversubscribing it — with no spare tokens the replica degrades to the
-// sequential executor. All executors produce identical results;
-// IC_SHARD_EXEC=seq|par pins the choice for tests and race checks, and
-// IC_SHARD_GROUPS=N pins the slot count.
+// shards; G = S is classic goroutine-per-shard. Run sizes G to the core
+// tokens actually spare (see budget.go), capped at GOMAXPROCS, so
+// concurrent sharded replicas divide the machine instead of
+// oversubscribing it — with no spare tokens, or at GOMAXPROCS=1, the
+// replica runs on the sequential executor. Both executors produce
+// identical results; which one ran is never a caller's choice.
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -221,7 +218,7 @@ func (sh *Shard) storeHorizon(t Time) {
 }
 
 // drain moves inbox messages into the event queue. Encoded sequence keys
-// make the resulting heap order independent of the real-time order in which
+// make the resulting queue order independent of the real-time order in which
 // senders appended to the inbox.
 func (sh *Shard) drain() {
 	if !sh.mail.Load() {
@@ -527,14 +524,26 @@ func (s *ShardSet) countEvent(sh *Shard) bool {
 // a limit trips, or an ambiguous timestamp tie is detected (ErrShardTie).
 // With one shard it is exactly Kernel.Run.
 //
-// Executor selection: IC_SHARD_EXEC=seq pins the sequential executor,
-// IC_SHARD_EXEC=par pins one slot goroutine per shard, and
-// IC_SHARD_GROUPS=N pins N slots. Unset, Run asks the core-token budget
-// for extra slots beyond the calling goroutine's and sizes the executor to
+// The calling goroutine is one executor slot; Run asks the core-token
+// budget for more (at most one slot per shard) and sizes the executor to
 // what is spare, capped at GOMAXPROCS — so a lone replica on an idle
 // multi-core host parallelizes fully, while replicas racing a saturated
-// worker pool degrade to the sequential executor instead of thrashing.
+// worker pool (or any replica at GOMAXPROCS=1) run on the sequential
+// executor instead of thrashing.
 func (s *ShardSet) Run(until Time) error {
+	groups := 1
+	if n := len(s.shards); n > 1 {
+		extra := AcquireCores(n - 1)
+		groups = min(1+extra, runtime.GOMAXPROCS(0))
+		ReleaseCores(1 + extra - groups)
+		defer ReleaseCores(groups - 1)
+	}
+	return s.run(until, groups)
+}
+
+// run is Run on a given number of executor slots, at most one per shard:
+// one selects the sequential executor, more the threaded one.
+func (s *ShardSet) run(until Time, groups int) error {
 	s.stopped.Store(false)
 	s.errMu.Lock()
 	s.err = nil
@@ -545,41 +554,6 @@ func (s *ShardSet) Run(until Time) error {
 	}
 	if len(s.shards) == 1 {
 		return s.shards[0].k.Run(until)
-	}
-	groups := 0
-	release := 0
-	switch os.Getenv("IC_SHARD_EXEC") {
-	case "seq":
-		groups = 1
-	case "par":
-		groups = len(s.shards)
-	default:
-		if v := os.Getenv("IC_SHARD_GROUPS"); v != "" {
-			if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
-				groups = parsed
-			}
-		}
-		if groups == 0 {
-			// Budgeted: the calling goroutine is one slot; take spare core
-			// tokens for the rest and return what the GOMAXPROCS cap or the
-			// shard count leaves unused.
-			extra := AcquireCores(len(s.shards) - 1)
-			groups = 1 + extra
-			if procs := runtime.GOMAXPROCS(0); groups > procs {
-				groups = procs
-			}
-			if groups > len(s.shards) {
-				groups = len(s.shards)
-			}
-			release = 1 + extra - groups
-			if release > 0 {
-				ReleaseCores(release)
-			}
-			defer ReleaseCores(groups - 1)
-		}
-		if groups > len(s.shards) {
-			groups = len(s.shards)
-		}
 	}
 	if groups <= 1 {
 		return s.runSeq(until)

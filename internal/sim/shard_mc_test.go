@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -11,22 +12,20 @@ import (
 // goroutine-per-shard must produce the sequential transcript.
 func TestShardSetDeterministicAcrossGroups(t *testing.T) {
 	const until = Millisecond
-	run := func(exec, groups string) string {
-		t.Setenv("IC_SHARD_EXEC", exec)
-		t.Setenv("IC_SHARD_GROUPS", groups)
+	run := func(groups int) string {
 		cs := newChainSpec(4)
-		if err := cs.set.Run(until); err != nil {
-			t.Fatalf("Run(exec=%q groups=%q): %v", exec, groups, err)
+		if err := cs.set.run(until, groups); err != nil {
+			t.Fatalf("run(groups=%d): %v", groups, err)
 		}
 		return cs.transcript()
 	}
-	seq := run("seq", "")
+	seq := run(1)
 	if !strings.Contains(seq, "rx s1<-s0") {
 		t.Fatalf("sequential transcript did not exercise cross-shard posts:\n%s", seq)
 	}
-	for _, groups := range []string{"1", "2", "3", "4", "9"} {
-		if got := run("", groups); got != seq {
-			t.Fatalf("groups=%s diverged from sequential run:\nseq:\n%s\ngot:\n%s", groups, seq, got)
+	for _, groups := range []int{2, 3, 4} {
+		if got := run(groups); got != seq {
+			t.Fatalf("groups=%d diverged from sequential run:\nseq:\n%s\ngot:\n%s", groups, seq, got)
 		}
 	}
 }
@@ -37,13 +36,12 @@ func TestShardSetDeterministicAcrossGroups(t *testing.T) {
 func TestShardSetDeterministicWithMsgLookahead(t *testing.T) {
 	const until = Millisecond
 	run := func(exec string, msgLA Duration) string {
-		t.Setenv("IC_SHARD_EXEC", exec)
 		cs := newChainSpec(3)
 		if msgLA > 0 {
 			cs.set.SetMsgLookahead(msgLA)
 		}
-		if err := cs.set.Run(until); err != nil {
-			t.Fatalf("Run(%s, msgLA=%v): %v", exec, msgLA, err)
+		if err := cs.set.run(until, execSlots(exec, cs.set)); err != nil {
+			t.Fatalf("run(%s, msgLA=%v): %v", exec, msgLA, err)
 		}
 		return cs.transcript()
 	}
@@ -81,7 +79,6 @@ func TestSetMsgLookaheadValidation(t *testing.T) {
 // violates horizons already published on the strength of that promise, so
 // the kernel must panic rather than corrupt the run.
 func TestMsgLookaheadContractSpotCheck(t *testing.T) {
-	t.Setenv("IC_SHARD_EXEC", "seq")
 	set := NewShardSet(2, testLookahead)
 	set.SetMsgLookahead(4 * testLookahead)
 	k0, k1 := set.Kernel(0), set.Kernel(1)
@@ -100,7 +97,7 @@ func TestMsgLookaheadContractSpotCheck(t *testing.T) {
 			t.Fatalf("panic = %v, want a SetMsgLookahead contract violation", r)
 		}
 	}()
-	_ = set.Run(Millisecond)
+	_ = set.run(Millisecond, 1)
 }
 
 // TestShardUtilization: per-shard utilization must account every executed
@@ -108,10 +105,9 @@ func TestMsgLookaheadContractSpotCheck(t *testing.T) {
 func TestShardUtilization(t *testing.T) {
 	for _, exec := range []string{"seq", "par"} {
 		t.Run(exec, func(t *testing.T) {
-			t.Setenv("IC_SHARD_EXEC", exec)
 			cs := newChainSpec(3)
-			if err := cs.set.Run(Millisecond); err != nil {
-				t.Fatalf("Run: %v", err)
+			if err := cs.set.run(Millisecond, execSlots(exec, cs.set)); err != nil {
+				t.Fatalf("run: %v", err)
 			}
 			util := cs.set.Utilization()
 			if len(util) != 3 {
@@ -158,8 +154,6 @@ func TestCoreBudget(t *testing.T) {
 // every token it took, including the surplus released up front when
 // GOMAXPROCS caps the slot count below the grant.
 func TestShardSetRunReleasesCoreTokens(t *testing.T) {
-	t.Setenv("IC_SHARD_EXEC", "")
-	t.Setenv("IC_SHARD_GROUPS", "")
 	t.Setenv("IC_CORE_BUDGET", "8")
 	if used := coreUsed.Load(); used != 0 {
 		t.Fatalf("core tokens leaked from a previous test: %d in use", used)
@@ -170,5 +164,37 @@ func TestShardSetRunReleasesCoreTokens(t *testing.T) {
 	}
 	if used := coreUsed.Load(); used != 0 {
 		t.Fatalf("coreUsed = %d after Run, want 0", used)
+	}
+}
+
+// TestShardSetRunSizesExecutorFromBudget: Run picks its executor from what
+// it observes — spare core tokens capped at GOMAXPROCS — and nothing else.
+// The threaded executor leaves every shard's horizon at Never when it
+// finishes; the sequential one never publishes a horizon.
+func TestShardSetRunSizesExecutorFromBudget(t *testing.T) {
+	t.Setenv("IC_CORE_BUDGET", "")
+	threaded := func(procs, held int) bool {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		if got := AcquireCores(held); got != held {
+			t.Fatalf("AcquireCores(%d) = %d", held, got)
+		}
+		defer ReleaseCores(held)
+		cs := newChainSpec(4)
+		if err := cs.set.Run(Millisecond); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return cs.set.shards[0].loadHorizon() == Never
+	}
+	if threaded(1, 0) {
+		t.Error("GOMAXPROCS=1 ran the threaded executor")
+	}
+	if !threaded(4, 0) {
+		t.Error("GOMAXPROCS=4 with an idle budget ran the sequential executor")
+	}
+	if threaded(4, 4) {
+		t.Error("a saturated budget (every token held by pool workers) ran the threaded executor")
+	}
+	if used := coreUsed.Load(); used != 0 {
+		t.Fatalf("coreUsed = %d afterwards, want 0", used)
 	}
 }

@@ -50,6 +50,15 @@ func newChainSpec(n int) *chainSpec {
 	return cs
 }
 
+// execSlots maps an executor name onto the slot count ShardSet.run takes:
+// one slot is the sequential executor, one per shard the threaded one.
+func execSlots(exec string, set *ShardSet) int {
+	if exec == "par" {
+		return set.Shards()
+	}
+	return 1
+}
+
 func (cs *chainSpec) transcript() string {
 	var b strings.Builder
 	for i, log := range cs.logs {
@@ -71,10 +80,9 @@ func TestShardSetDeterministicAcrossExecutors(t *testing.T) {
 	// would legitimately collide and trip the tie detector.
 	const until = Millisecond
 	run := func(exec string) string {
-		t.Setenv("IC_SHARD_EXEC", exec)
 		cs := newChainSpec(3)
-		if err := cs.set.Run(until); err != nil {
-			t.Fatalf("Run(%s): %v", exec, err)
+		if err := cs.set.run(until, execSlots(exec, cs.set)); err != nil {
+			t.Fatalf("run(%s): %v", exec, err)
 		}
 		for i := 0; i < cs.set.Shards(); i++ {
 			if got := cs.set.Kernel(i).Now(); got != until {
@@ -130,11 +138,10 @@ func TestScheduleFireTxLookaheadContract(t *testing.T) {
 func TestShardSetAggregateEventLimit(t *testing.T) {
 	for _, exec := range []string{"seq", "par"} {
 		t.Run(exec, func(t *testing.T) {
-			t.Setenv("IC_SHARD_EXEC", exec)
 			before := runtime.NumGoroutine()
 			cs := newChainSpec(4)
 			cs.set.SetEventLimit(500)
-			err := cs.set.Run(Never)
+			err := cs.set.run(Never, execSlots(exec, cs.set))
 			if err == nil || !strings.Contains(err.Error(), "aggregate event limit") {
 				t.Fatalf("Run with aggregate limit: err = %v, want aggregate limit error", err)
 			}
@@ -166,7 +173,6 @@ func TestShardSetPerKernelEventLimit(t *testing.T) {
 func TestShardSetStop(t *testing.T) {
 	for _, exec := range []string{"seq", "par"} {
 		t.Run(exec, func(t *testing.T) {
-			t.Setenv("IC_SHARD_EXEC", exec)
 			before := runtime.NumGoroutine()
 			cs := newChainSpec(4)
 			var stopped atomic.Bool
@@ -174,8 +180,8 @@ func TestShardSetStop(t *testing.T) {
 				stopped.Store(true)
 				cs.set.Kernel(2).Stop()
 			})
-			if err := cs.set.Run(Never); err != nil {
-				t.Fatalf("Run: %v", err)
+			if err := cs.set.run(Never, execSlots(exec, cs.set)); err != nil {
+				t.Fatalf("run: %v", err)
 			}
 			if !stopped.Load() {
 				t.Fatal("stop event never ran")
@@ -192,7 +198,6 @@ func TestShardSetStop(t *testing.T) {
 func TestShardTieTripsLoud(t *testing.T) {
 	for _, exec := range []string{"seq", "par"} {
 		t.Run(exec, func(t *testing.T) {
-			t.Setenv("IC_SHARD_EXEC", exec)
 			set := NewShardSet(2, testLookahead)
 			k0, k1 := set.Kernel(0), set.Kernel(1)
 			// Shard 0 transmits at t=2L and posts a message timestamped at
@@ -203,8 +208,8 @@ func TestShardTieTripsLoud(t *testing.T) {
 			}, true)
 			k1.ScheduleFireTx(2*testLookahead, func() {}, true)
 			// Keep shard 0 alive past the tie so its horizon keeps moving.
-			if err := set.Run(Millisecond); !errors.Is(err, ErrShardTie) {
-				t.Fatalf("Run: err = %v, want ErrShardTie", err)
+			if err := set.run(Millisecond, execSlots(exec, set)); !errors.Is(err, ErrShardTie) {
+				t.Fatalf("run: err = %v, want ErrShardTie", err)
 			}
 		})
 	}

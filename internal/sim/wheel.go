@@ -1,12 +1,12 @@
 package sim
 
-// Hierarchical timer wheel (Varghese & Lauck), the kernel's default event
-// queue. The binary heap pays O(log n) per schedule and per pop against
-// the whole pending set; at 100k-node scale that set holds tens of
-// thousands of recurring near-future timers (MAC SIFS/DIFS/backoff, STS
-// beacons, traffic epochs), so the heap's pointer-chasing sift dominated
-// single-kernel profiles. The wheel makes schedule and fire amortized O(1)
-// by hashing events into time buckets:
+// Hierarchical timer wheel (Varghese & Lauck), the kernel's event queue.
+// A binary heap pays O(log n) per schedule and per pop against the whole
+// pending set; at 100k-node scale that set holds tens of thousands of
+// recurring near-future timers (MAC SIFS/DIFS/backoff, STS beacons,
+// traffic epochs), and the pointer-chasing sift dominated single-kernel
+// profiles. The wheel makes schedule and fire amortized O(1) by hashing
+// events into time buckets:
 //
 //   - the tick quantum is 2^-wheelTickBits seconds ≈ 7.6 µs, a power of
 //     two sized just under the MAC timing quantum min(SIFS, DIFS) = 10 µs
@@ -23,9 +23,9 @@ package sim
 //     event pays one O(log f) overflow insert and one pop when its level-1
 //     page is pulled across — once per lifetime, not per queue operation.
 //
-// Determinism contract. The pop order must be byte-identical to the binary
-// heap's, i.e. the exact (time, seq) total order — shard border merge,
-// ErrShardTie detection, and every equivalence test depend on it. Bucketing
+// Determinism contract. The pop order must be the exact (time, seq) total
+// order — shard border merge, ErrShardTie detection, and every equivalence
+// test depend on it. Bucketing
 // by tick preserves time order between buckets (tickOf is monotone: the
 // multiply by a power of two is exact, so no rounding can reorder two
 // times), and within a bucket the events drain through `run`, a small
@@ -36,8 +36,8 @@ package sim
 // merged order is exact.
 //
 // Cancellation is lazy everywhere: a cancelled event keeps its bucket and
-// is retired when it reaches the front (Kernel.peekLive/Step), exactly as
-// the heap kernel does, so the wheel needs no removal operation.
+// is retired when it reaches the front (Kernel.peekLive/Step), so the wheel
+// needs no removal operation.
 
 import "math/bits"
 

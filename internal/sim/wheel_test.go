@@ -102,7 +102,7 @@ func TestWheelInterleavedPushPop(t *testing.T) {
 // short at the horizon, and a later schedule lands at a tick the position
 // has already passed. Such events must still fire in exact time order.
 func TestWheelScheduleBehindPosition(t *testing.T) {
-	k := NewKernelQueue(QueueWheel)
+	k := NewKernel()
 	var order []int
 	k.ScheduleFire(100, func() { order = append(order, 100) })
 	// Run to a horizon far short of the only event: peekLive advances the
@@ -126,7 +126,7 @@ func TestWheelScheduleBehindPosition(t *testing.T) {
 // TestWheelFarFutureClamp exercises the wheelMaxTick clamp: timestamps too
 // large for a uint64 tick index must still be queued and ordered.
 func TestWheelFarFutureClamp(t *testing.T) {
-	k := NewKernelQueue(QueueWheel)
+	k := NewKernel()
 	var order []int
 	k.ScheduleFire(Duration(1e30), func() { order = append(order, 1) })
 	k.ScheduleFire(Duration(2e30), func() { order = append(order, 2) })
@@ -155,49 +155,26 @@ func TestWheelTickOfMonotone(t *testing.T) {
 	}
 }
 
-func TestQueueFromEnv(t *testing.T) {
-	t.Setenv(QueueEnvVar, "")
-	if got := QueueFromEnv(); got != QueueWheel {
-		t.Fatalf("QueueFromEnv() with empty env = %v, want QueueWheel", got)
-	}
-	t.Setenv(QueueEnvVar, "heap")
-	if got := QueueFromEnv(); got != QueueHeap {
-		t.Fatalf("QueueFromEnv() = %v, want QueueHeap", got)
-	}
-	t.Setenv(QueueEnvVar, "wheel")
-	if got := QueueFromEnv(); got != QueueWheel {
-		t.Fatalf("QueueFromEnv() = %v, want QueueWheel", got)
-	}
-	if NewKernelQueue(QueueHeap).Queue() != QueueHeap {
-		t.Fatal("NewKernelQueue(QueueHeap) did not pin the heap")
-	}
-	if NewKernelQueue(QueueWheel).Queue() != QueueWheel {
-		t.Fatal("NewKernelQueue(QueueWheel) did not pin the wheel")
-	}
-}
-
 // TestCancelHandleStaleAfterRecycle checks that a handle kept past its
 // event's firing can never cancel an unrelated event that recycled the
 // same struct from the free-list pool.
 func TestCancelHandleStaleAfterRecycle(t *testing.T) {
-	for _, q := range []QueueKind{QueueHeap, QueueWheel} {
-		k := NewKernelQueue(q)
-		h := k.ScheduleFireHandle(1, func() {})
-		if !k.Step() {
-			t.Fatal("no event to step")
-		}
-		// The struct h references is now in the pool; this schedule recycles it.
-		fired := false
-		k.ScheduleFire(1, func() { fired = true })
-		if k.CancelHandle(h) {
-			t.Fatal("stale handle reported a successful cancel")
-		}
-		if err := k.RunAll(); err != nil {
-			t.Fatal(err)
-		}
-		if !fired {
-			t.Fatal("stale handle cancelled an unrelated recycled event")
-		}
+	k := NewKernel()
+	h := k.ScheduleFireHandle(1, func() {})
+	if !k.Step() {
+		t.Fatal("no event to step")
+	}
+	// The struct h references is now in the pool; this schedule recycles it.
+	fired := false
+	k.ScheduleFire(1, func() { fired = true })
+	if k.CancelHandle(h) {
+		t.Fatal("stale handle reported a successful cancel")
+	}
+	if err := k.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	if !fired {
+		t.Fatal("stale handle cancelled an unrelated recycled event")
 	}
 }
 
@@ -220,28 +197,51 @@ func TestCancelHandleDoubleCancel(t *testing.T) {
 
 // TestDrainedQueueReleasesReferences is the GC-retention check: after a
 // large queue fully drains, the fired closures' captures must be
-// collectible — neither the heap's backing array, the wheel's slot
-// arrays, nor the free-list pool may pin them.
+// collectible — neither an eventHeap's backing array (the wheel's run and
+// overflow stores), the wheel's slot arrays, nor the free-list pool may pin
+// them.
 func TestDrainedQueueReleasesReferences(t *testing.T) {
+	const n = 4096
+	total := 0
 	for _, tc := range []struct {
 		name string
-		kind QueueKind
-	}{{"heap", QueueHeap}, {"wheel", QueueWheel}} {
-		t.Run(tc.name, func(t *testing.T) {
-			k := NewKernelQueue(tc.kind)
-			const n = 4096
-			collected := make(chan struct{}, n)
-			total := 0
+		// fill queues fn(i) for i < n; drain runs every queued callback.
+		fill func(fn func(i int) func()) (drain func())
+	}{
+		{"heap", func(fn func(int) func()) func() {
+			h := new(eventHeap)
 			for i := 0; i < n; i++ {
+				h.push(&event{at: Time(i % 977), seq: uint64(i + 1), fn: fn(i)})
+			}
+			return func() {
+				for len(*h) > 0 {
+					h.pop().fn()
+				}
+			}
+		}},
+		{"wheel", func(fn func(int) func()) func() {
+			k := NewKernel()
+			for i := 0; i < n; i++ {
+				// Spread across the run/level-0/level-1/overflow tiers.
+				k.ScheduleFire(Duration(i%977)*3e-4, fn(i))
+			}
+			return func() {
+				if err := k.RunAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			collected := make(chan struct{}, n)
+			total = 0
+			drain := tc.fill(func(i int) func() {
 				payload := &[64]byte{byte(i)}
 				runtime.SetFinalizer(payload, func(*[64]byte) { collected <- struct{}{} })
-				// Spread across run/level-0/level-1/overflow tiers. The sum
-				// forces a real capture of payload in the closure.
-				k.ScheduleFire(Duration(i%977)*3e-5, func() { total += int(payload[0]) })
-			}
-			if err := k.RunAll(); err != nil {
-				t.Fatal(err)
-			}
+				// The sum forces a real capture of payload in the closure.
+				return func() { total += int(payload[0]) }
+			})
+			drain()
 			if total == 0 {
 				t.Fatal("no payload bytes summed; closures did not run")
 			}
@@ -262,6 +262,7 @@ func TestDrainedQueueReleasesReferences(t *testing.T) {
 			if got < n {
 				t.Fatalf("only %d/%d captures collected after drain: queue retains fired closures", got, n)
 			}
+			runtime.KeepAlive(drain) // the drained queue itself stayed reachable throughout
 		})
 	}
 }

@@ -2,16 +2,18 @@ package vote
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"innercircle/internal/crypto/sigcache"
 	"innercircle/internal/link"
 )
 
-// runAgreementRound drives one deterministic round over n nodes, with an
-// optional shared verification memo, and returns each node's agreed
-// message plus the summed memo counters.
-func runAgreementRound(t *testing.T, memo *sigcache.Cache) ([]AgreedMsg, uint64, uint64) {
+// runAgreementRound drives one deterministic round over n nodes under the
+// hardware crypto cost profile, with an optional shared verification memo,
+// and returns each node's agreed message, the summed memo counters, and the
+// modeled crypto energy charged to each node.
+func runAgreementRound(t *testing.T, memo *sigcache.Cache) ([]AgreedMsg, uint64, uint64, []float64) {
 	t.Helper()
 	agreed := make([]AgreedMsg, 5)
 	net := buildVote(t, 5, detConfig(2), func(i int) Callbacks {
@@ -20,8 +22,11 @@ func runAgreementRound(t *testing.T, memo *sigcache.Cache) ([]AgreedMsg, uint64,
 			OnAgreed: func(a AgreedMsg) { agreed[i] = a },
 		}
 	})
-	for _, svc := range net.svcs {
+	sinks := make([]jouleCounter, len(net.svcs))
+	for i, svc := range net.svcs {
 		svc.deps.Memo = memo
+		svc.deps.Crypto = HardwareCrypto()
+		svc.deps.Energy = &sinks[i]
 	}
 	if err := net.svcs[0].Propose([]byte("route-to-D")); err != nil {
 		t.Fatal(err)
@@ -37,20 +42,26 @@ func runAgreementRound(t *testing.T, memo *sigcache.Cache) ([]AgreedMsg, uint64,
 		hits += svc.Stats.MemoHits
 		misses += svc.Stats.MemoMisses
 	}
-	return agreed, hits, misses
+	joules := make([]float64, len(sinks))
+	for i := range sinks {
+		joules[i] = sinks[i].j
+	}
+	return agreed, hits, misses, joules
 }
 
 // TestMemoDoesNotChangeOutcomes runs the same round with and without the
-// verification memo: identical agreed messages, and with the memo shared
-// across a replica's nodes the repeated checks of the same flooded
-// signatures must produce hits.
+// verification memo: identical agreed messages and identical modeled crypto
+// cost per node (the memo caches verdicts, never the charge — which is why
+// sweep tables cannot depend on it), and with the memo shared across a
+// replica's nodes the repeated checks of the same flooded signatures must
+// produce hits.
 func TestMemoDoesNotChangeOutcomes(t *testing.T) {
-	plain, hits0, misses0 := runAgreementRound(t, nil)
+	plain, hits0, misses0, joules0 := runAgreementRound(t, nil)
 	if hits0 != 0 || misses0 != 0 {
 		t.Fatalf("nil memo counted hits=%d misses=%d", hits0, misses0)
 	}
 	memo := sigcache.New(0)
-	cached, hits1, misses1 := runAgreementRound(t, memo)
+	cached, hits1, misses1, joules1 := runAgreementRound(t, memo)
 	for i := range plain {
 		if plain[i].Center != cached[i].Center || plain[i].Seq != cached[i].Seq ||
 			plain[i].L != cached[i].L || !bytes.Equal(plain[i].Value, cached[i].Value) {
@@ -59,6 +70,9 @@ func TestMemoDoesNotChangeOutcomes(t *testing.T) {
 		if !bytes.Equal(plain[i].Sig.Data, cached[i].Sig.Data) {
 			t.Fatalf("node %d: memo changed signature bytes", i)
 		}
+	}
+	if !slices.Equal(joules0, joules1) || slices.Max(joules1) == 0 {
+		t.Fatalf("memo changed the modeled crypto energy charged per node: nil memo %v, shared memo %v", joules0, joules1)
 	}
 	if misses1 == 0 {
 		t.Fatal("memo run performed no real verifications")
@@ -75,7 +89,7 @@ func TestMemoDoesNotChangeOutcomes(t *testing.T) {
 // a tampered agreed message is rejected from the cache on re-check.
 func TestMemoCachesRejections(t *testing.T) {
 	memo := sigcache.New(0)
-	agreed, _, _ := runAgreementRound(t, memo)
+	agreed, _, _, _ := runAgreementRound(t, memo)
 	net := buildVote(t, 5, detConfig(2), func(int) Callbacks { return Callbacks{} })
 	svc := net.svcs[1]
 	svc.deps.Memo = memo
