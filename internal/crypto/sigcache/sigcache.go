@@ -3,7 +3,8 @@
 // modular exponentiation; inside one replica the same (key, message,
 // signature) triple is verified many times — every node checks the same
 // flooded agreed message, every vote round re-checks the same value
-// signatures — and verification is a pure function of that triple, so the
+// signatures, every neighbour of a node checks the same signed beacon —
+// and verification is a pure function of that triple, so the
 // verdict can be reused. The cache is an LRU over an exact key that
 // includes the verifying key's identity and proactive-refresh epoch, so a
 // refreshed key can never serve a stale verdict.
@@ -13,8 +14,9 @@
 // never changes experiment tables — only wall-clock time.
 //
 // A cache instance is not safe for concurrent use. Replicas are
-// single-threaded event loops and each replica owns one cache, so the
-// parallel sweep engine never shares an instance across goroutines.
+// single-threaded event loops and each replica owns its caches (per shard,
+// one for the voting services and one for beacon verification; see
+// node.Network), so no instance is ever reached from two goroutines.
 package sigcache
 
 import (
@@ -55,7 +57,10 @@ type Entry struct {
 // HashParts digests the variable-length inputs of a verification
 // (message, signature bytes) into a fixed key component. Parts are
 // length-prefixed, so concatenation ambiguity cannot alias two
-// verifications to one key.
+// verifications to one key. It runs once per memo lookup — per received
+// beacon, per checked vote signature — so it must not allocate: the hash
+// state is a local the compiler keeps on the stack, and the sum is written
+// straight into the result (Sum(nil) would allocate it).
 func HashParts(parts ...[]byte) [32]byte {
 	h := sha256.New()
 	var n [8]byte
@@ -65,7 +70,7 @@ func HashParts(parts ...[]byte) [32]byte {
 		_, _ = h.Write(p)
 	}
 	var sum [32]byte
-	copy(sum[:], h.Sum(nil))
+	h.Sum(sum[:0])
 	return sum
 }
 

@@ -1,6 +1,7 @@
 package sigcache
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"testing"
@@ -57,5 +58,27 @@ func TestHashPartsLengthPrefixed(t *testing.T) {
 	b := HashParts([]byte("a"), []byte("bc"))
 	if a == b {
 		t.Fatal("length prefixing failed: concatenation aliases collide")
+	}
+}
+
+// TestHashPartsFraming pins the key bytes: 8-byte big-endian length before
+// each part, SHA-256 over the lot. Memo keys in vote, sts and scripts/bench
+// are built from it, so the framing is a format.
+func TestHashPartsFraming(t *testing.T) {
+	got := HashParts([]byte("digest"), nil, []byte{0xff})
+	want := sha256.Sum256([]byte("\x00\x00\x00\x00\x00\x00\x00\x06digest" +
+		"\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x00\x00\x00\x00\x00\x01\xff"))
+	if got != want {
+		t.Fatalf("HashParts = %x, want %x", got, want)
+	}
+}
+
+var sumSink [32]byte
+
+func TestHashPartsDoesNotAllocate(t *testing.T) {
+	dig, sig := make([]byte, 96), make([]byte, 64)
+	if n := testing.AllocsPerRun(100, func() { sumSink = HashParts(dig, sig) }); n != 0 {
+		t.Fatalf("HashParts allocates %.0f times per call, want 0", n)
 	}
 }

@@ -30,7 +30,10 @@ import (
 type Node struct {
 	ID    link.NodeID
 	Index int
+	// K is the node's home kernel and Shard its index in the shard set (0
+	// on a single-kernel network).
 	K     *sim.Kernel
+	Shard int
 	MAC   *mac.MAC
 	Link  *link.Service
 	Meter *energy.Meter
@@ -102,6 +105,12 @@ type Network struct {
 	// function, per-shard caches cannot change results.
 	Memo  *sigcache.Cache
 	Memos []*sigcache.Cache
+	// BeaconMemos are the per-shard memos behind the topology services'
+	// beacon verification (nil unless beacons carry RSA signatures). They
+	// are instances of their own, never Memos: the voting services' hit
+	// count is reported in the campaign tables, so the far heavier beacon
+	// traffic must neither count into it nor evict its entries.
+	BeaconMemos []*sigcache.Cache
 }
 
 // Config describes a deployment to build.
@@ -323,17 +332,29 @@ func Build(cfg Config) (*Network, error) {
 		net.Dealer = dealer
 	}
 
+	// Beacon authentication state shared by the topology services: with RSA
+	// keys one verification memo per shard, otherwise the SimAuth key table.
+	var simKeys *sts.SimKeys
+	if cfg.STS.Period > 0 && cfg.STS.Authenticate {
+		if keys != nil {
+			net.BeaconMemos = newMemos(shards)
+		} else {
+			simKeys = sts.NewSimKeys([]byte(fmt.Sprintf("sts-%d", cfg.Seed)), cfg.N)
+		}
+	}
+
 	for i := 0; i < cfg.N; i++ {
 		nodeRNG := rng.SplitN("node", i)
 		mob := cfg.Mobility(i, nodeRNG.Split("mobility"))
 		meter := energy.NewMeter(cfg.Energy)
-		nk := k
+		shard, nk := 0, k
 		if set != nil {
 			s, ok := mob.(mobility.Static)
 			if !ok {
 				return nil, fmt.Errorf("node %d: sharding requires static mobility, got %T", i, mob)
 			}
-			nk = set.Kernel(cfg.ShardOf(geo.Point(s)))
+			shard = cfg.ShardOf(geo.Point(s))
+			nk = set.Kernel(shard)
 		}
 		m := mac.New(nk, ch, mob, meter, nodeRNG.Split("mac"), cfg.MAC)
 		if set != nil && m.Transceiver().Border() {
@@ -347,6 +368,7 @@ func Build(cfg Config) (*Network, error) {
 			ID:    l.ID(),
 			Index: i,
 			K:     nk,
+			Shard: shard,
 			MAC:   m,
 			Link:  l,
 			Meter: meter,
@@ -372,9 +394,9 @@ func Build(cfg Config) (*Network, error) {
 			}
 			if cfg.STS.Authenticate {
 				if nd.SignKP != nil {
-					stsDeps.Auth = sts.NewRSAAuth(nd.SignKP, net.Dir)
+					stsDeps.Auth = sts.NewRSAAuth(nd.SignKP, net.Dir, net.BeaconMemos[shard])
 				} else {
-					stsDeps.Auth = sts.NewSimAuth([]byte(fmt.Sprintf("sts-%d", cfg.Seed)), nd.ID, cfg.SigWireBytes/2)
+					stsDeps.Auth = sts.NewSimAuth(simKeys, nd.ID, cfg.SigWireBytes/2)
 				}
 			}
 			if cfg.STS.Handshake {
@@ -394,19 +416,12 @@ func Build(cfg Config) (*Network, error) {
 	// Voting services are built in a second pass so callbacks can close
 	// over the fully assembled node.
 	if cfg.IC {
-		net.Memos = make([]*sigcache.Cache, shards)
-		for s := range net.Memos {
-			net.Memos[s] = sigcache.New(sigcache.DefaultCap)
-		}
+		net.Memos = newMemos(shards)
 		net.Memo = net.Memos[0]
 		for i, nd := range net.Nodes {
 			var cbs vote.Callbacks
 			if cfg.Callbacks != nil {
 				cbs = cfg.Callbacks(nd)
-			}
-			memo := net.Memo
-			if set != nil {
-				memo = net.Memos[cfg.ShardOf(geo.Point(nd.Mob.(mobility.Static)))]
 			}
 			vs, err := vote.New(cfg.Vote, vote.Deps{
 				ID:     nd.ID,
@@ -420,7 +435,7 @@ func Build(cfg Config) (*Network, error) {
 				Dir:    net.Dir,
 				Crypto: cfg.Crypto,
 				Energy: nd.Meter,
-				Memo:   memo,
+				Memo:   net.Memos[nd.Shard],
 			}, cbs)
 			if err != nil {
 				return nil, fmt.Errorf("node %d: vote: %w", i, err)
@@ -447,6 +462,17 @@ func Build(cfg Config) (*Network, error) {
 		}
 	}
 	return net, nil
+}
+
+// newMemos returns one verification memo per shard. All receivers of a
+// broadcast, and all checkers of a flooded vote message, run at one virtual
+// instant or close to it, so the default capacity is ample.
+func newMemos(shards int) []*sigcache.Cache {
+	memos := make([]*sigcache.Cache, shards)
+	for i := range memos {
+		memos[i] = sigcache.New(sigcache.DefaultCap)
+	}
+	return memos
 }
 
 // StartSTS starts every node's topology service.

@@ -1,0 +1,110 @@
+package node
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"innercircle/internal/crypto/sigcache"
+	"innercircle/internal/geo"
+	"innercircle/internal/mobility"
+	"innercircle/internal/radio"
+	"innercircle/internal/sim"
+	"innercircle/internal/sts"
+	"innercircle/internal/vote"
+)
+
+// TestShardedBeaconMemoPerShard builds the Fig. 8 stack (static field, RSA
+// beacon signatures, statistical voting) on 2 and 4 shards and runs it on
+// the threaded executor: every shard's topology services must verify
+// through that shard's beacon memo and no other, and the beacon memos must
+// be instances apart from the voting memos. Under -race this is also the
+// check that no beacon memo is reached from two shard goroutines.
+func TestShardedBeaconMemoPerShard(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4) // spare cores select the threaded executor
+	defer runtime.GOMAXPROCS(prev)
+
+	const (
+		nodes   = 48
+		rangeM  = 100.0
+		stripeM = 150.0 // each stripe wider than one radio range
+	)
+	keys, err := GenerateKeySetSeeded(nodes, 512, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			shardOf := func(p geo.Point) int {
+				return max(0, min(shards-1, int(p.X/stripeM)))
+			}
+			cfg := baseConfig(nodes)
+			cfg.Seed = 21
+			cfg.Radio = radio.Params{Range: rangeM, Bitrate: 2e6, PropSpeed: 3e8}
+			cfg.Mobility = func(i int, _ *sim.RNG) mobility.Model {
+				// Rows of four across the stripes, offset so no two nodes
+				// share a distance (equal propagation delays tie).
+				col, row := i%(nodes/4), i/(nodes/4)
+				return mobility.Static(geo.Point{
+					X: float64(col)*float64(shards)*stripeM/float64(nodes/4) + 7.3*float64(row) + 1,
+					Y: 41.7*float64(row) + 0.37*float64(col),
+				})
+			}
+			cfg.IC = true
+			cfg.STS = sts.Config{Period: 45, Delta: 100, Authenticate: true, BeaconBaseBytes: 28}
+			cfg.Vote = vote.Config{Mode: vote.Statistical, L: 1, RoundTimeout: 0.5, Retries: 1}
+			cfg.Keys = keys
+			cfg.SigWireBytes = 64
+			cfg.Shards = shards
+			cfg.ShardOf = shardOf
+			cfg.ShardBorder = func(p geo.Point) bool {
+				own := shardOf(p)
+				return shardOf(geo.Point{X: p.X - rangeM, Y: p.Y}) != own || shardOf(geo.Point{X: p.X + rangeM, Y: p.Y}) != own
+			}
+			net, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.StartSTSJittered(net.RNG.Split("sts-start"), 2)
+			if err := net.Run(100); err != nil {
+				t.Fatal(err)
+			}
+
+			if len(net.BeaconMemos) != shards || len(net.Memos) != shards {
+				t.Fatalf("%d beacon memos and %d vote memos for %d shards", len(net.BeaconMemos), len(net.Memos), shards)
+			}
+			seen := map[*sigcache.Cache]bool{}
+			for _, m := range append(append([]*sigcache.Cache(nil), net.BeaconMemos...), net.Memos...) {
+				if m == nil || seen[m] {
+					t.Fatal("a verification memo is missing or shared between shards or between beacons and votes")
+				}
+				seen[m] = true
+			}
+			// Nothing is evicted in a run this short, so a memo holds one
+			// verdict per miss of the services wired to it: the counts match
+			// only if each shard's nodes filled their own shard's memo.
+			misses := make([]uint64, shards)
+			var hits uint64
+			for _, nd := range net.Nodes {
+				if nd.Shard != shardOf(geo.Point(nd.Mob.(mobility.Static))) {
+					t.Fatalf("node %d records shard %d", nd.Index, nd.Shard)
+				}
+				misses[nd.Shard] += nd.STS.Stats.VerifyMemoMisses
+				hits += nd.STS.Stats.VerifyMemoHits
+			}
+			for s, memo := range net.BeaconMemos {
+				if misses[s] == 0 || uint64(memo.Len()) != misses[s] {
+					t.Errorf("shard %d: beacon memo holds %d verdicts, its nodes missed %d times", s, memo.Len(), misses[s])
+				}
+			}
+			if hits == 0 {
+				t.Error("no beacon check was answered from a memo")
+			}
+			for s, memo := range net.Memos {
+				if memo.Len() != 0 {
+					t.Errorf("shard %d: vote memo holds %d verdicts though no vote ran: beacon traffic leaked into it", s, memo.Len())
+				}
+			}
+		})
+	}
+}

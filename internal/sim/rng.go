@@ -10,14 +10,27 @@ import (
 // by label, so that adding a random draw in one component does not perturb
 // the sequence seen by another (a classic source of irreproducible
 // simulations).
+//
+// The generator behind a stream is seeded on its first draw: a math/rand
+// source is 4.9 KB and its seeding is not free, and many streams exist only
+// to be split further (each node's parent stream) or are handed to a
+// component that never draws (a static node's mobility stream).
 type RNG struct {
 	seed int64
-	r    *rand.Rand
+	r    *rand.Rand // nil until the first draw
 }
 
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed int64) *RNG {
-	return &RNG{seed: seed, r: rand.New(rand.NewSource(seed))}
+	return &RNG{seed: seed}
+}
+
+// src returns the stream's generator, seeding it on first use.
+func (g *RNG) src() *rand.Rand {
+	if g.r == nil {
+		g.r = rand.New(rand.NewSource(g.seed))
+	}
+	return g.r
 }
 
 // Seed returns the seed this stream was created with.
@@ -56,33 +69,33 @@ func (g *RNG) SplitN(label string, n int) *RNG {
 }
 
 // Float64 returns a uniform draw in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+func (g *RNG) Float64() float64 { return g.src().Float64() }
 
 // Uniform returns a uniform draw in [lo, hi).
-func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.r.Float64() }
+func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.src().Float64() }
 
 // Intn returns a uniform draw in [0, n). n must be positive.
-func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
+func (g *RNG) Intn(n int) int { return g.src().Intn(n) }
 
 // Int63 returns a non-negative 63-bit integer draw.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
+func (g *RNG) Int63() int64 { return g.src().Int63() }
 
 // NormFloat64 returns a standard normal draw.
-func (g *RNG) NormFloat64() float64 { return g.r.NormFloat64() }
+func (g *RNG) NormFloat64() float64 { return g.src().NormFloat64() }
 
 // Normal returns a normal draw with the given mean and standard deviation.
 func (g *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*g.r.NormFloat64()
+	return mean + stddev*g.src().NormFloat64()
 }
 
 // ExpFloat64 returns an exponential draw with rate 1.
-func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
+func (g *RNG) ExpFloat64() float64 { return g.src().ExpFloat64() }
 
 // Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+func (g *RNG) Perm(n int) []int { return g.src().Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
+func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.src().Shuffle(n, swap) }
 
 // Jitter returns a uniform draw in [0, max), used to desynchronize periodic
 // protocol timers across nodes.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -103,5 +104,35 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("Perm produced invalid permutation %v", p)
 		}
 		seen[v] = true
+	}
+}
+
+// TestRNGSeedsOnFirstDraw: a stream that is only split, or never drawn
+// from, must not pay for a generator, and deferring the seeding must not
+// move any draw.
+func TestRNGSeedsOnFirstDraw(t *testing.T) {
+	parent := NewRNG(99)
+	child := parent.SplitN("node", 3)
+	grand := child.Split("mobility")
+	if parent.r != nil || child.r != nil || grand.r != nil {
+		t.Fatal("splitting seeded a generator before any draw")
+	}
+	eager := rand.New(rand.NewSource(grand.Seed()))
+	for i := 0; i < 1000; i++ {
+		var got, want float64
+		switch i % 3 {
+		case 0:
+			got, want = grand.Float64(), eager.Float64()
+		case 1:
+			got, want = float64(grand.Int63()), float64(eager.Int63())
+		default:
+			got, want = grand.NormFloat64(), eager.NormFloat64()
+		}
+		if got != want {
+			t.Fatalf("draw %d: lazy stream %v, eagerly seeded stream %v", i, got, want)
+		}
+	}
+	if parent.r != nil || child.r != nil {
+		t.Fatal("drawing from a child seeded its ancestors")
 	}
 }

@@ -9,12 +9,20 @@
 // forged on behalf of other nodes. Links without a beacon in the last
 // ∆STS are excluded (the Completeness property); fresh one- and two-hop
 // links appear within a beacon period (the Accuracy properties).
+//
+// A beacon is signed once and checked by every neighbour that hears it, so
+// beacon verification is the repository's most-called verifier. RSAAuth
+// answers repeat checks of one broadcast from a verification memo
+// (sigcache) that node.Build creates per shard, apart from the voting
+// services' memo; SimAuth reads the sender's key from a per-replica table
+// and computes its MAC on the stack. The receive path keeps its digest and
+// neighbour-list storage between beacons. See DESIGN.md §10.
 package sts
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"innercircle/internal/crypto/nsl"
 	"innercircle/internal/link"
@@ -94,6 +102,11 @@ type Stats struct {
 	BeaconsReceived uint64
 	BeaconsRejected uint64 // bad signature or stale sequence
 	Handshakes      uint64 // completed link authentications
+	// VerifyMemoHits counts beacon signature checks answered from the
+	// shard's verification memo, VerifyMemoMisses the checks performed.
+	// Both stay zero without a memo (SimAuth, or RSAAuth built with nil).
+	VerifyMemoHits   uint64
+	VerifyMemoMisses uint64
 }
 
 // Service is one node's secure topology service. Not safe for concurrent
@@ -105,6 +118,9 @@ type Service struct {
 	running bool
 	seq     uint64
 	neigh   map[link.NodeID]*neighEntry
+	// digest is the storage beaconDigest appends into; the bytes are only
+	// read by Sign/Verify before the next beacon overwrites them.
+	digest []byte
 
 	onChange func()
 
@@ -126,7 +142,11 @@ func New(cfg Config, deps Deps) (*Service, error) {
 	if cfg.Handshake && (!cfg.Authenticate || deps.Party == nil) {
 		return nil, fmt.Errorf("sts: handshake requires Authenticate and Party")
 	}
-	return &Service{cfg: cfg, deps: deps, neigh: make(map[link.NodeID]*neighEntry)}, nil
+	s := &Service{cfg: cfg, deps: deps, neigh: make(map[link.NodeID]*neighEntry)}
+	if a, ok := deps.Auth.(*RSAAuth); ok {
+		a.stats = &s.Stats
+	}
+	return s, nil
 }
 
 // OnChange registers a callback invoked whenever the neighbour set may have
@@ -171,23 +191,20 @@ func (s *Service) sendBeacon() {
 		Base:      s.cfg.BeaconBaseBytes,
 	}
 	if s.cfg.Authenticate {
-		b.Sig = s.deps.Auth.Sign(beaconDigest(b))
+		s.digest = beaconDigest(s.digest[:0], b)
+		b.Sig = s.deps.Auth.Sign(s.digest)
 	}
 	s.Stats.BeaconsSent++
 	_ = s.deps.Link.SendRaw(link.BroadcastID, b)
 }
 
-// beaconDigest returns the canonical bytes covered by the beacon signature.
-func beaconDigest(b BeaconMsg) []byte {
-	buf := make([]byte, 0, 16+8*len(b.Neighbors))
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], uint64(b.From))
-	buf = append(buf, tmp[:]...)
-	binary.BigEndian.PutUint64(tmp[:], b.Seq)
-	buf = append(buf, tmp[:]...)
+// beaconDigest appends the canonical bytes covered by the beacon signature
+// to buf.
+func beaconDigest(buf []byte, b BeaconMsg) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(b.From))
+	buf = binary.BigEndian.AppendUint64(buf, b.Seq)
 	for _, n := range b.Neighbors {
-		binary.BigEndian.PutUint64(tmp[:], uint64(n))
-		buf = append(buf, tmp[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(n))
 	}
 	return buf
 }
@@ -213,7 +230,8 @@ func (s *Service) onBeacon(from link.NodeID, b BeaconMsg) {
 		return // spoofed source
 	}
 	if s.cfg.Authenticate {
-		if err := s.deps.Auth.Verify(b.From, beaconDigest(b), b.Sig); err != nil {
+		s.digest = beaconDigest(s.digest[:0], b)
+		if err := s.deps.Auth.Verify(b.From, s.digest, b.Sig); err != nil {
 			s.Stats.BeaconsRejected++
 			return
 		}
@@ -231,7 +249,9 @@ func (s *Service) onBeacon(from link.NodeID, b BeaconMsg) {
 	s.Stats.BeaconsReceived++
 	ent.lastBeacon = now
 	ent.lastSeq = b.Seq
-	ent.theirNeigh = append([]link.NodeID(nil), b.Neighbors...)
+	// The message's list is shared with the other receivers; copy it into
+	// this entry's own storage (the view accessors hand out copies).
+	ent.theirNeigh = append(ent.theirNeigh[:0], b.Neighbors...)
 	ent.theirNeighAt = now
 	if !s.cfg.Handshake {
 		ent.authenticated = true
@@ -311,30 +331,32 @@ func (s *Service) Neighbors() []link.NodeID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
+}
+
+// reported returns the service's own copy of the neighbour list p last
+// reported, nil if p is not a timely neighbour. Callers must not modify or
+// retain it.
+func (s *Service) reported(p link.NodeID) []link.NodeID {
+	ent, ok := s.neigh[p]
+	if !ok || !ent.authenticated || !s.timely(ent) {
+		return nil
+	}
+	return ent.theirNeigh
 }
 
 // NeighborsOf returns the most recently reported neighbour list of
 // one-hop neighbour p (the two-hop view), or nil if p is not a timely
 // neighbour.
 func (s *Service) NeighborsOf(p link.NodeID) []link.NodeID {
-	ent, ok := s.neigh[p]
-	if !ok || !ent.authenticated || !s.timely(ent) {
-		return nil
-	}
-	return append([]link.NodeID(nil), ent.theirNeigh...)
+	return append([]link.NodeID(nil), s.reported(p)...)
 }
 
 // IsLink reports whether the two-hop view contains the directed link
 // p -> q: p is a timely neighbour and p's last beacon listed q.
 func (s *Service) IsLink(p, q link.NodeID) bool {
-	for _, n := range s.NeighborsOf(p) {
-		if n == q {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(s.reported(p), q)
 }
 
 // IsTwoHop reports whether q is reachable through some timely neighbour
@@ -343,7 +365,7 @@ func (s *Service) IsTwoHop(q link.NodeID) bool {
 	if q == s.deps.ID || s.IsNeighbor(q) {
 		return false
 	}
-	for _, p := range s.Neighbors() {
+	for p := range s.neigh {
 		if s.IsLink(p, q) {
 			return true
 		}
@@ -355,8 +377,8 @@ func (s *Service) IsTwoHop(q link.NodeID) bool {
 // view.
 func (s *Service) TwoHopCount() int {
 	seen := make(map[link.NodeID]bool)
-	for _, p := range s.Neighbors() {
-		for _, q := range s.NeighborsOf(p) {
+	for p := range s.neigh {
+		for _, q := range s.reported(p) {
 			if q == s.deps.ID || s.IsNeighbor(q) {
 				continue
 			}
@@ -375,7 +397,7 @@ func (s *Service) InnerCircleOf(center link.NodeID) []link.NodeID {
 		return s.Neighbors()
 	}
 	var out []link.NodeID
-	for _, n := range s.NeighborsOf(center) {
+	for _, n := range s.reported(center) {
 		if n != s.deps.ID {
 			out = append(out, n)
 		}

@@ -1,9 +1,11 @@
 package sts
 
 import (
+	"io"
 	"testing"
 
 	"innercircle/internal/crypto/nsl"
+	"innercircle/internal/crypto/sigcache"
 	"innercircle/internal/geo"
 	"innercircle/internal/link"
 	"innercircle/internal/mac"
@@ -20,20 +22,37 @@ type harness struct {
 	mobs []mobility.Model
 }
 
+// testKeys generates n 512-bit key pairs from src (nil: crypto/rand). A
+// seeded src makes the keys, and so the signature bytes, repeat across
+// harnesses.
+func testKeys(t testing.TB, n int, src io.Reader) []*nsl.KeyPair {
+	t.Helper()
+	keys := make([]*nsl.KeyPair, n)
+	for i := range keys {
+		kp, err := nsl.GenerateKeyPair(512, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[i] = kp
+	}
+	return keys
+}
+
 // buildSTS assembles n nodes with the given positions and starts their STS.
 func buildSTS(t *testing.T, positions []geo.Point, cfg Config, mobs []mobility.Model) *harness {
+	t.Helper()
+	return buildSTSKeyed(t, positions, cfg, mobs, testKeys(t, len(positions), nil), nil)
+}
+
+// buildSTSKeyed is buildSTS with the key pairs and the beacon-verification
+// memo chosen by the caller.
+func buildSTSKeyed(t *testing.T, positions []geo.Point, cfg Config, mobs []mobility.Model, keys []*nsl.KeyPair, memo *sigcache.Cache) *harness {
 	t.Helper()
 	k := sim.NewKernel()
 	ch := radio.NewChannel(k, radio.Default80211())
 	rng := sim.NewRNG(1)
 	dir := nsl.DirectoryMap{}
-	keys := make([]*nsl.KeyPair, len(positions))
-	for i := range positions {
-		kp, err := nsl.GenerateKeyPair(512, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys[i] = kp
+	for i, kp := range keys {
 		dir[int64(i)] = kp.Pub
 	}
 	h := &harness{k: k}
@@ -51,7 +70,7 @@ func buildSTS(t *testing.T, positions []geo.Point, cfg Config, mobs []mobility.M
 			K:     k,
 			Link:  l,
 			RNG:   rng.SplitN("sts", i),
-			Auth:  NewRSAAuth(keys[i], dir),
+			Auth:  NewRSAAuth(keys[i], dir, memo),
 			Party: party,
 		})
 		if err != nil {
@@ -75,6 +94,7 @@ func buildSTSWithSimAuth(t *testing.T, positions []geo.Point, cfg Config) *harne
 	k := sim.NewKernel()
 	ch := radio.NewChannel(k, radio.Default80211())
 	rng := sim.NewRNG(1)
+	keys := NewSimKeys([]byte("net"), len(positions))
 	h := &harness{k: k}
 	for i, p := range positions {
 		m := mac.New(k, ch, mobility.Static(p), nil, rng.SplitN("mac", i), mac.Default80211())
@@ -84,7 +104,7 @@ func buildSTSWithSimAuth(t *testing.T, positions []geo.Point, cfg Config) *harne
 			K:    k,
 			Link: l,
 			RNG:  rng.SplitN("sts", i),
-			Auth: NewSimAuth([]byte("net"), l.ID(), 64),
+			Auth: NewSimAuth(keys, l.ID(), 64),
 		})
 		if err != nil {
 			t.Fatal(err)
