@@ -64,7 +64,14 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer stop()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// No WriteTimeout: a followed event stream stays open for as long as
+	// its job runs.
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	httpErr := make(chan error, 1)
 	go func() {
 		logf("icserved: listening on %s, state in %s", *addr, *dir)

@@ -19,10 +19,10 @@ import (
 	"innercircle/internal/experiment"
 )
 
-// knobs are the IC_* environment settings the program reads: three
+// knobs are the IC_* environment settings the program reads: two
 // resource settings and one diagnostic switch. Which implementation of a
 // mechanism runs is never configurable.
-var knobs = []string{"IC_WORKERS", "IC_SHARDS", "IC_CORE_BUDGET", "IC_SHARD_STATS"}
+var knobs = []string{"IC_WORKERS", "IC_SHARDS", "IC_SHARD_STATS"}
 
 // warnUnknownKnobs writes one line to w per IC_* variable in environ that
 // nothing reads — a retired selector left in a CI file, or a typo such as
@@ -47,13 +47,6 @@ func Main(name string, run func() error) {
 		fmt.Fprintln(os.Stderr, name+":", err)
 		os.Exit(1)
 	}
-}
-
-// StartCPUProfile begins a pprof CPU profile when path is non-empty and
-// returns a stop function (a no-op for an empty path) to defer.
-func StartCPUProfile(path string) (stop func(), err error) {
-	p := Profile{CPU: path}
-	return p.Start()
 }
 
 // Profile holds the destinations of the profiling flags every cmd/ tool
@@ -199,46 +192,18 @@ func SplitCSV(s string) []string {
 	return out
 }
 
-// ParseLevels parses a comma-separated list of dependability levels.
-// Levels below 1 are rejected: L counts the extra confirming neighbors,
-// so 0 would silently mean "whatever the base config says".
-func ParseLevels(s string) ([]int, error) {
-	var out []int
-	for _, part := range SplitCSV(s) {
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad level %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// Progress maps the shared -quiet flag onto the sweep progress writer:
-// stderr normally, nil (no per-run lines) when quiet.
-func Progress(quiet bool) io.Writer {
-	if quiet {
-		return nil
-	}
-	return os.Stderr
-}
-
-// AddManifestFlag registers the optional -manifest flag shared by the
-// sweep drivers. The returned writer is a no-op unless the flag was set;
-// called with the grid equivalent of the sweep just run and its rendered
-// tables, it writes an artifact.RunManifest carrying the same provenance
-// fields the experiment service records — so a CLI run and an icserved
-// job of the same grid are directly comparable by spec_sha256 and
-// tables_sha256.
+// AddManifestFlag registers icsweep's optional -manifest flag. The
+// returned writer is a no-op unless the flag was set; called with the
+// grid just run and its rendered tables, it writes an
+// artifact.RunManifest carrying the same provenance fields the
+// experiment service records — so a CLI run and an icserved job of the
+// same grid are directly comparable by spec_sha256 and tables_sha256.
 func AddManifestFlag(fs *flag.FlagSet) func(grid *experiment.GridRequest, renderedTables string) error {
 	path := fs.String("manifest", "", "write run provenance (artifact.RunManifest JSON) to this file")
 	start := time.Now()
 	return func(grid *experiment.GridRequest, renderedTables string) error {
 		if *path == "" {
 			return nil
-		}
-		if err := grid.Validate(); err != nil {
-			return err
 		}
 		spec, err := artifact.Canonical(grid)
 		if err != nil {

@@ -76,27 +76,12 @@ func TestSplitCSV(t *testing.T) {
 	}
 }
 
-func TestParseLevels(t *testing.T) {
-	got, err := ParseLevels("1, 2,7")
-	if err != nil {
-		t.Fatalf("ParseLevels: %v", err)
-	}
-	if !reflect.DeepEqual(got, []int{1, 2, 7}) {
-		t.Fatalf("ParseLevels = %v", got)
-	}
-	for _, bad := range []string{"x", "0", "-1", "2,zero"} {
-		if _, err := ParseLevels(bad); err == nil {
-			t.Errorf("ParseLevels(%q) accepted", bad)
-		}
-	}
-}
-
 func TestWarnUnknownKnobs(t *testing.T) {
 	var buf bytes.Buffer
 	warnUnknownKnobs(&buf, "tool", []string{
-		"PATH=/bin", "IC_WORKERS=4", "IC_SHARDS=2", "IC_CORE_BUDGET=8", "IC_SHARD_STATS=1",
-		"IC_SHARD_EXEC=par", // a retired selector
-		"IC_WORKER=4",       // a typo
+		"PATH=/bin", "IC_WORKERS=4", "IC_SHARDS=2", "IC_SHARD_STATS=1",
+		"IC_CORE_BUDGET=8", // a retired setting
+		"IC_WORKER=4",      // a typo
 		"IC_EMPTY=",
 		"MAGIC_IC_WORKERS=1",
 	})
@@ -104,14 +89,14 @@ func TestWarnUnknownKnobs(t *testing.T) {
 	if len(lines) != 3 {
 		t.Fatalf("want one warning per unknown IC_* variable (3), got %d:\n%s", len(lines), buf.String())
 	}
-	for i, key := range []string{"IC_SHARD_EXEC", "IC_WORKER", "IC_EMPTY"} {
+	for i, key := range []string{"IC_CORE_BUDGET", "IC_WORKER", "IC_EMPTY"} {
 		if !strings.HasPrefix(lines[i], "tool: warning: "+key+" is set") {
 			t.Errorf("line %d = %q, want a warning naming %s", i, lines[i], key)
 		}
 	}
 
 	buf.Reset()
-	warnUnknownKnobs(&buf, "tool", []string{"HOME=/root", "IC_WORKERS=4", "IC_SHARDS=2", "IC_CORE_BUDGET=8", "IC_SHARD_STATS=1"})
+	warnUnknownKnobs(&buf, "tool", []string{"HOME=/root", "IC_WORKERS=4", "IC_SHARDS=2", "IC_SHARD_STATS=1"})
 	if buf.Len() != 0 {
 		t.Fatalf("the settings the program reads must not warn:\n%s", buf.String())
 	}

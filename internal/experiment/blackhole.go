@@ -316,10 +316,10 @@ func corruptPayload(e link.Env, _ *sim.RNG) (link.Env, bool) {
 // BlackholePoints enumerates the Fig. 7 sweep grid: configurations
 // {No IC, IC L=l...} × malicious-node counts × runs, with the sweep's
 // seed schedule (base.Seed + 1000·malicious + run). Enumeration order is
-// the contract both the sweeps and the experiment service's artifact
-// pipeline fold results in — tables are byte-identical either way.
-func BlackholePoints(base BlackholeConfig, maliciousCounts []int, levels []int, runs int) []GridPoint[BlackholeConfig] {
-	var points []GridPoint[BlackholeConfig]
+// the contract results fold in, in process and from the artifact store
+// alike.
+func BlackholePoints(base BlackholeConfig, maliciousCounts []int, levels []int, runs int) []ReplicaPoint {
+	var points []ReplicaPoint
 	for _, row := range configRows(levels) {
 		for _, m := range maliciousCounts {
 			for run := 0; run < runs; run++ {
@@ -331,11 +331,11 @@ func BlackholePoints(base BlackholeConfig, maliciousCounts []int, levels []int, 
 				}
 				cfg.Malicious = m
 				cfg.Seed = base.Seed + int64(1000*m+run)
-				points = append(points, GridPoint[BlackholeConfig]{
-					Label:  fmt.Sprintf("%s malicious=%d run=%d", row.label, m, run),
-					Row:    row.label,
-					Col:    fmt.Sprintf("%d", m),
-					Config: cfg,
+				points = append(points, ReplicaPoint{
+					Label: fmt.Sprintf("%s malicious=%d run=%d", row.label, m, run),
+					Row:   row.label,
+					Col:   fmt.Sprintf("%d", m),
+					Spec:  ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: &cfg},
 				})
 			}
 		}
@@ -343,39 +343,21 @@ func BlackholePoints(base BlackholeConfig, maliciousCounts []int, levels []int, 
 	return points
 }
 
-// NewBlackholeTables returns the empty Fig. 7 table pair.
-func NewBlackholeTables() (throughput, energyTbl *stats.Table) {
-	return stats.NewTable("Fig. 7(a) Network throughput [%]", "config \\ #malicious"),
-		stats.NewTable("Fig. 7(b) Energy consumption [J/node]", "config \\ #malicious")
-}
+// blackholeShape is Fig. 7's table pair.
+var blackholeShape = gridShape{corner: "config \\ #malicious", figures: []figure{
+	{"Fig. 7(a) Network throughput [%]", func(r ReplicaResult) (float64, bool) { return r.Blackhole.Throughput, true }},
+	{"Fig. 7(b) Energy consumption [J/node]", func(r ReplicaResult) (float64, bool) { return r.Blackhole.EnergyPerNode, true }},
+}}
 
-// FoldBlackhole folds one replica result into the Fig. 7 tables.
-func FoldBlackhole(throughput, energyTbl *stats.Table, row, col string, res BlackholeResult) {
-	throughput.Add(row, col, res.Throughput)
-	energyTbl.Add(row, col, res.EnergyPerNode)
-}
-
-// BlackholeSweep runs the full Fig. 7 sweep: configurations {No IC,
-// IC L=1, IC L=2} across malicious-node counts, repeated runs times, and
-// returns the throughput (Fig. 7a) and energy (Fig. 7b) tables.
-//
-// Replicas run on the parallel replica engine (see pool.go); results fold
-// into the tables in enumeration order, so the output is identical for any
-// worker count (IC_WORKERS overrides the default of one worker per core).
+// BlackholeSweep runs a Fig. 7 grid — configurations {No IC, IC L=l...}
+// across malicious-node counts, repeated runs times — through RunGrid and
+// returns the throughput (Fig. 7a) and energy (Fig. 7b) tables. A base
+// config carrying a Tracer is rejected: each replica needs its own.
 func BlackholeSweep(base BlackholeConfig, maliciousCounts []int, levels []int, runs int, progress io.Writer) (throughput, energyTbl *stats.Table, err error) {
-	if base.Tracer != nil {
-		return nil, nil, fmt.Errorf("experiment: sweep config must not carry a Tracer — each replica needs its own (a shared one races across workers)")
-	}
-	throughput, energyTbl = NewBlackholeTables()
-	err = SweepGrid(BlackholePoints(base, maliciousCounts, levels, runs), RunBlackhole, progress,
-		func(label string, res BlackholeResult) string {
-			return fmt.Sprintf("%s: throughput=%.1f%% energy=%.2f J\n", label, res.Throughput, res.EnergyPerNode)
-		},
-		func(row, col string, res BlackholeResult) {
-			FoldBlackhole(throughput, energyTbl, row, col, res)
-		})
+	t, err := RunGrid(&GridRequest{Name: "blackhole", Kind: GridBlackhole,
+		Blackhole: &base, Malicious: maliciousCounts, Levels: levels, Runs: runs}, progress)
 	if err != nil {
 		return nil, nil, err
 	}
-	return throughput, energyTbl, nil
+	return t[0], t[1], nil
 }

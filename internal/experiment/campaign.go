@@ -24,26 +24,24 @@ type CampaignTables struct {
 	VerifiesAvoided *stats.Table
 }
 
-// NewCampaignTables returns the empty campaign-sweep table bundle.
-func NewCampaignTables() *CampaignTables {
-	return &CampaignTables{
-		Throughput: stats.NewTable("Campaign sweep: network throughput [%]", "config \\ campaign"),
-		Energy:     stats.NewTable("Campaign sweep: energy consumption [J/node]", "config \\ campaign"),
-		Injected:   stats.NewTable("Campaign sweep: faults injected [#/run]", "config \\ campaign"),
-		Suppressed: stats.NewTable("Campaign sweep: faults suppressed by inner circle [#/run]", "config \\ campaign"),
-		Leaked:     stats.NewTable("Campaign sweep: corrupted payloads leaked [#/run]", "config \\ campaign"),
-		VerifiesAvoided: stats.NewTable(
-			"Campaign sweep: signature verifications avoided by memo [#/run]", "config \\ campaign"),
-	}
-}
+// campaignShape lists the campaign tables in CampaignTables field order;
+// the four coverage counters render compactly.
+var campaignShape = gridShape{corner: "config \\ campaign", counters: 4, figures: []figure{
+	{"Campaign sweep: network throughput [%]", func(r ReplicaResult) (float64, bool) { return r.Blackhole.Throughput, true }},
+	{"Campaign sweep: energy consumption [J/node]", func(r ReplicaResult) (float64, bool) { return r.Blackhole.EnergyPerNode, true }},
+	{"Campaign sweep: faults injected [#/run]", func(r ReplicaResult) (float64, bool) { return float64(r.Blackhole.FaultsInjected), true }},
+	{"Campaign sweep: faults suppressed by inner circle [#/run]", func(r ReplicaResult) (float64, bool) { return float64(r.Blackhole.FaultsSuppressed), true }},
+	{"Campaign sweep: corrupted payloads leaked [#/run]", func(r ReplicaResult) (float64, bool) { return float64(r.Blackhole.FaultsLeaked), true }},
+	{"Campaign sweep: signature verifications avoided by memo [#/run]", func(r ReplicaResult) (float64, bool) { return float64(r.Blackhole.VerifiesAvoided), true }},
+}}
 
 // CampaignPoints enumerates the campaign sweep grid: configurations
 // {No IC, IC L=l...} × campaigns × runs with per-replica seeds
 // base.Seed + 1000*ci + run (ci = campaign index), mirroring
 // BlackholeSweep's 1000*m + run. Enumeration order is the folding
 // contract shared with the experiment service.
-func CampaignPoints(base BlackholeConfig, campaigns []faults.Campaign, levels []int, runs int) []GridPoint[BlackholeConfig] {
-	var points []GridPoint[BlackholeConfig]
+func CampaignPoints(base BlackholeConfig, campaigns []faults.Campaign, levels []int, runs int) []ReplicaPoint {
+	var points []ReplicaPoint
 	for _, row := range configRows(levels) {
 		for ci := range campaigns {
 			for run := 0; run < runs; run++ {
@@ -57,26 +55,16 @@ func CampaignPoints(base BlackholeConfig, campaigns []faults.Campaign, levels []
 				cfg.GrayProb = 0
 				cfg.Campaign = &campaigns[ci]
 				cfg.Seed = base.Seed + int64(1000*ci+run)
-				points = append(points, GridPoint[BlackholeConfig]{
-					Label:  fmt.Sprintf("%s campaign=%s run=%d", row.label, campaigns[ci].Name, run),
-					Row:    row.label,
-					Col:    campaigns[ci].Name,
-					Config: cfg,
+				points = append(points, ReplicaPoint{
+					Label: fmt.Sprintf("%s campaign=%s run=%d", row.label, campaigns[ci].Name, run),
+					Row:   row.label,
+					Col:   campaigns[ci].Name,
+					Spec:  ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: &cfg},
 				})
 			}
 		}
 	}
 	return points
-}
-
-// FoldCampaign folds one replica's result into the campaign tables.
-func FoldCampaign(t *CampaignTables, row, col string, res BlackholeResult) {
-	t.Throughput.Add(row, col, res.Throughput)
-	t.Energy.Add(row, col, res.EnergyPerNode)
-	t.Injected.Add(row, col, float64(res.FaultsInjected))
-	t.Suppressed.Add(row, col, float64(res.FaultsSuppressed))
-	t.Leaked.Add(row, col, float64(res.FaultsLeaked))
-	t.VerifiesAvoided.Add(row, col, float64(res.VerifiesAvoided))
 }
 
 // ValidateCampaignSweep checks the inputs a campaign sweep shares with
@@ -97,29 +85,16 @@ func ValidateCampaignSweep(base BlackholeConfig, campaigns []faults.Campaign) er
 	return nil
 }
 
-// CampaignSweep runs every (configuration row × campaign × run) replica
-// on the parallel worker pool: rows are {No IC} plus {IC, L=l} for each
-// level, columns are the campaign names. Per-replica seeds follow
-// base.Seed + 1000*ci + run (ci = campaign index), mirroring
-// BlackholeSweep's 1000*m + run, so a preset sweep whose campaign indices
-// equal the legacy malicious counts reproduces the legacy tables byte for
-// byte. Results fold in enumeration order, making the output identical at
-// any IC_WORKERS count.
+// CampaignSweep runs a campaign grid through RunGrid: rows are {No IC}
+// plus {IC, L=l} for each level, columns the campaign names. A preset
+// sweep whose campaign indices equal the legacy malicious counts
+// reproduces the BlackholeSweep tables byte for byte (same seed schedule).
 func CampaignSweep(base BlackholeConfig, campaigns []faults.Campaign, levels []int, runs int, progress io.Writer) (*CampaignTables, error) {
-	if err := ValidateCampaignSweep(base, campaigns); err != nil {
-		return nil, err
-	}
-	t := NewCampaignTables()
-	err := SweepGrid(CampaignPoints(base, campaigns, levels, runs), RunBlackhole, progress,
-		func(label string, res BlackholeResult) string {
-			return fmt.Sprintf("%s: throughput=%.1f%% injected=%d suppressed=%d leaked=%d\n",
-				label, res.Throughput, res.FaultsInjected, res.FaultsSuppressed, res.FaultsLeaked)
-		},
-		func(row, col string, res BlackholeResult) {
-			FoldCampaign(t, row, col, res)
-		})
+	t, err := RunGrid(&GridRequest{Name: "campaign", Kind: GridCampaign,
+		Blackhole: &base, Campaigns: campaigns, Levels: levels, Runs: runs}, progress)
 	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &CampaignTables{Throughput: t[0], Energy: t[1], Injected: t[2],
+		Suppressed: t[3], Leaked: t[4], VerifiesAvoided: t[5]}, nil
 }

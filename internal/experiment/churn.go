@@ -21,17 +21,16 @@ type ChurnTables struct {
 	Epoch    *stats.Table // final membership epoch per run
 }
 
-// NewChurnTables returns the empty churn-sweep table bundle.
-func NewChurnTables() *ChurnTables {
-	return &ChurnTables{
-		Miss:     stats.NewTable("Churn sweep: miss alarm probability [%]", "config \\ churn"),
-		Energy:   stats.NewTable("Churn sweep: energy consumption [J/node]", "config \\ churn"),
-		Events:   stats.NewTable("Churn sweep: membership transitions [#/run]", "config \\ churn"),
-		Reshares: stats.NewTable("Churn sweep: reshares executed [#/run]", "config \\ churn"),
-		Aborted:  stats.NewTable("Churn sweep: vote rounds aborted [#/run]", "config \\ churn"),
-		Epoch:    stats.NewTable("Churn sweep: final key epoch [#]", "config \\ churn"),
-	}
-}
+// churnShape lists the churn tables in ChurnTables field order; the four
+// lifecycle counters render compactly.
+var churnShape = gridShape{corner: "config \\ churn", counters: 4, figures: []figure{
+	{"Churn sweep: miss alarm probability [%]", func(r ReplicaResult) (float64, bool) { return 100 * r.Sensor.MissAlarm, true }},
+	{"Churn sweep: energy consumption [J/node]", func(r ReplicaResult) (float64, bool) { return r.Sensor.EnergyPerNode, true }},
+	{"Churn sweep: membership transitions [#/run]", func(r ReplicaResult) (float64, bool) { return float64(r.Sensor.ChurnEvents), true }},
+	{"Churn sweep: reshares executed [#/run]", func(r ReplicaResult) (float64, bool) { return float64(r.Sensor.ChurnReshares), true }},
+	{"Churn sweep: vote rounds aborted [#/run]", func(r ReplicaResult) (float64, bool) { return float64(r.Sensor.RoundsAborted), true }},
+	{"Churn sweep: final key epoch [#]", func(r ReplicaResult) (float64, bool) { return float64(r.Sensor.MembershipEpoch), true }},
+}}
 
 // ChurnPoints enumerates the churn sweep grid: IC configurations at each
 // dependability level × crash-and-rejoin counts × runs, with per-replica
@@ -42,8 +41,8 @@ func NewChurnTables() *ChurnTables {
 // default schedule) with CrashRejoin overridden, so a sweep can fix the
 // window, downtime, and reshare policy while scaling the rate axis.
 // There is no No-IC row: churn is a lifecycle of the inner circle.
-func ChurnPoints(base SensorConfig, levels []int, churns []int, runs int) []GridPoint[SensorConfig] {
-	var points []GridPoint[SensorConfig]
+func ChurnPoints(base SensorConfig, levels []int, churns []int, runs int) []ReplicaPoint {
+	var points []ReplicaPoint
 	for _, level := range levels {
 		row := fmt.Sprintf("IC, L=%d", level)
 		for ci, churn := range churns {
@@ -61,26 +60,16 @@ func ChurnPoints(base SensorConfig, levels []int, churns []int, runs int) []Grid
 					c.CrashRejoin = churn
 					cfg.Churn = &c
 				}
-				points = append(points, GridPoint[SensorConfig]{
-					Label:  fmt.Sprintf("%s churn=%d run=%d", row, churn, run),
-					Row:    row,
-					Col:    fmt.Sprintf("churn=%d", churn),
-					Config: cfg,
+				points = append(points, ReplicaPoint{
+					Label: fmt.Sprintf("%s churn=%d run=%d", row, churn, run),
+					Row:   row,
+					Col:   fmt.Sprintf("churn=%d", churn),
+					Spec:  ReplicaSpec{Kind: ReplicaSensor, Sensor: &cfg},
 				})
 			}
 		}
 	}
 	return points
-}
-
-// FoldChurn folds one replica's result into the churn tables.
-func FoldChurn(t *ChurnTables, row, col string, res SensorResult) {
-	t.Miss.Add(row, col, 100*res.MissAlarm)
-	t.Energy.Add(row, col, res.EnergyPerNode)
-	t.Events.Add(row, col, float64(res.ChurnEvents))
-	t.Reshares.Add(row, col, float64(res.ChurnReshares))
-	t.Aborted.Add(row, col, float64(res.RoundsAborted))
-	t.Epoch.Add(row, col, float64(res.MembershipEpoch))
 }
 
 // ValidateChurnSweep checks the inputs a churn sweep shares with the
@@ -97,28 +86,15 @@ func ValidateChurnSweep(base SensorConfig, levels, churns []int) error {
 	return nil
 }
 
-// ChurnSweep runs every (IC level × churn rate × run) replica on the
-// parallel worker pool: rows are {IC, L=l}, columns the crash-and-rejoin
-// counts. Results fold in enumeration order, so the tables are identical
-// at any IC_WORKERS count — and since active churn pins every replica to
-// one kernel while churn=0 replicas are shard-invariant by the kernel
-// contract, at any IC_SHARDS setting too.
+// ChurnSweep runs a churn grid through RunGrid: rows are {IC, L=l},
+// columns the crash-and-rejoin counts. Active churn pins every replica to
+// one kernel and churn=0 replicas are shard-invariant by the kernel
+// contract, so the tables are identical at any IC_SHARDS setting too.
 func ChurnSweep(base SensorConfig, levels, churns []int, runs int, progress io.Writer) (*ChurnTables, error) {
-	if err := ValidateChurnSweep(base, levels, churns); err != nil {
-		return nil, err
-	}
-	t := NewChurnTables()
-	err := SweepGrid(ChurnPoints(base, levels, churns, runs), RunSensor, progress,
-		func(label string, res SensorResult) string {
-			return fmt.Sprintf("%s: miss=%.0f%% events=%d reshares=%d aborted=%d epoch=%d E=%.2fJ\n",
-				label, 100*res.MissAlarm, res.ChurnEvents, res.ChurnReshares,
-				res.RoundsAborted, res.MembershipEpoch, res.EnergyPerNode)
-		},
-		func(row, col string, res SensorResult) {
-			FoldChurn(t, row, col, res)
-		})
+	t, err := RunGrid(&GridRequest{Name: "churn", Kind: GridChurn,
+		Sensor: &base, Levels: levels, Churns: churns, Runs: runs}, progress)
 	if err != nil {
 		return nil, err
 	}
-	return t, nil
+	return &ChurnTables{Miss: t[0], Energy: t[1], Events: t[2], Reshares: t[3], Aborted: t[4], Epoch: t[5]}, nil
 }

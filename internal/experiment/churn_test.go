@@ -28,7 +28,7 @@ func TestChurnZeroColumnIsSeedReplica(t *testing.T) {
 		t.Fatalf("enumerated %d points, want 2", len(points))
 	}
 	zero := points[0]
-	if zero.Col != "churn=0" || zero.Config.Churn != nil {
+	if zero.Col != "churn=0" || zero.Spec.Sensor.Churn != nil {
 		t.Fatalf("churn=0 point carries a churn schedule: %+v", zero)
 	}
 	seed := base
@@ -38,7 +38,7 @@ func TestChurnZeroColumnIsSeedReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunSensor(zero.Config)
+	got, err := RunSensor(*zero.Spec.Sensor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +129,11 @@ func TestChurnPointsTemplate(t *testing.T) {
 	for _, p := range points {
 		switch p.Col {
 		case "churn=0":
-			if p.Config.Churn != nil {
+			if p.Spec.Sensor.Churn != nil {
 				t.Fatalf("%s: churn=0 carries a schedule", p.Label)
 			}
 		case "churn=5":
-			c := p.Config.Churn
+			c := p.Spec.Sensor.Churn
 			if c == nil || c.CrashRejoin != 5 || c.Downtime != 7 || c.Reshare != scenario.ReshareOff || c.Protect != 2 {
 				t.Fatalf("%s: template not applied: %+v", p.Label, c)
 			}

@@ -58,7 +58,7 @@ func TestIndexEquivalenceBlackholeSweep(t *testing.T) {
 	base.SimTime = 25
 	base.Seed = 77
 	for _, pt := range BlackholePoints(base, []int{0, 2}, []int{1}, 1) {
-		checkIndexInvisible(t, pt.Label, func() *scenario.Spec { return blackholeSpec(pt.Config) })
+		checkIndexInvisible(t, pt.Label, func() *scenario.Spec { return blackholeSpec(*pt.Spec.Blackhole) })
 	}
 }
 
@@ -72,7 +72,7 @@ func TestIndexEquivalenceSensorSweep(t *testing.T) {
 	base.Seed = 78
 	for _, pt := range SensorPoints(base, []int{3}, []sensor.FaultKind{sensor.FaultNone}, 1) {
 		checkIndexInvisible(t, pt.Label, func() *scenario.Spec {
-			spec, err := sensorSpec(pt.Config)
+			spec, err := sensorSpec(*pt.Spec.Sensor)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,20 +1,17 @@
-// Grid layer: the serializable face of the parameter sweeps.
-//
-// The experiment service (internal/serve) and the repro driver
-// (scripts/repro) do not call BlackholeSweep/SensorSweep/CampaignSweep
-// directly — those fold results as replicas finish and keep nothing. The
-// service instead needs three separable stages with a wire format at
-// each seam:
+// Grid layer: the one description of a parameter sweep. A GridRequest is
+// what cmd/icsweep builds from its flags, what scripts/repro POSTs to the
+// experiment service (internal/serve), and what the typed *Sweep views
+// wrap; every one of them evaluates it through the same stages, with a
+// wire format at each seam:
 //
 //	GridRequest ──Points()──▶ []ReplicaPoint ──Spec.Run()──▶ result bytes
 //	result bytes ──Tables()──▶ []*stats.Table ──Render()──▶ CLI text
 //
-// Every stage shares code with the in-process sweeps (the same
-// *Points/Fold*/New*Tables helpers), so a grid evaluated replica-by-
-// replica through the content-addressed store renders byte-identical
-// tables to the corresponding CLI. The canonical spec bytes double as
-// the store key: same spec + same seed → same result bytes → same
-// digest, at any worker/shard setting (the kernel's determinism
+// RunGrid (sweep.go) runs the stages in process on the worker pool; the
+// service runs them replica by replica through the content-addressed
+// store and renders byte-identical tables. The canonical spec bytes
+// double as the store key: same spec + same seed → same result bytes →
+// same digest, at any worker/shard setting (the kernel's determinism
 // contract).
 package experiment
 
@@ -171,6 +168,20 @@ func DecodeReplicaResult(b []byte) (ReplicaResult, error) {
 	return r, nil
 }
 
+// hasBody reports whether the result carries the payload its Kind names
+// (store bytes come from disk; a result without one must not be folded).
+func (r ReplicaResult) hasBody() bool {
+	switch r.Kind {
+	case ReplicaBlackhole:
+		return r.Blackhole != nil
+	case ReplicaSensorPair:
+		return r.SensorPair != nil
+	case ReplicaSensor:
+		return r.Sensor != nil
+	}
+	return false
+}
+
 // Grid kinds: which paper sweep a GridRequest describes.
 const (
 	// GridBlackhole is the Fig. 7 sweep (rows × malicious counts).
@@ -184,14 +195,15 @@ const (
 )
 
 // GridRequest is the wire form of one full experiment grid — what a
-// client POSTs to the experiment service and what the repro driver
-// submits per paper figure. It carries exactly the arguments of the
-// corresponding *Sweep entry point.
+// client POSTs to the experiment service, what the repro driver submits
+// per paper figure and what RunGrid evaluates in process. The paper's
+// grids are defined once, in presets.go.
 type GridRequest struct {
 	// Name labels the grid in job listings and run manifests
 	// (e.g. "fig7-blackhole").
 	Name string `json:"name"`
-	// Kind selects the sweep: GridBlackhole, GridSensor or GridCampaign.
+	// Kind selects the sweep: GridBlackhole, GridSensor, GridCampaign or
+	// GridChurn.
 	Kind string `json:"kind"`
 	// Blackhole is the base config for blackhole and campaign grids.
 	Blackhole *BlackholeConfig `json:"blackhole,omitempty"`
@@ -287,47 +299,53 @@ func (g *GridRequest) BaseSeed() int64 {
 	return 0
 }
 
-// Points enumerates the grid's replicas in the same order — and with the
-// same seed schedule — as the corresponding in-process sweep. That order
-// is the folding contract: Tables consumes results positionally.
+// Points enumerates the grid's replicas with their seed schedule. The
+// order is the folding contract: Tables consumes results positionally.
 func (g *GridRequest) Points() ([]ReplicaPoint, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	var out []ReplicaPoint
 	switch g.Kind {
 	case GridBlackhole:
-		for _, p := range BlackholePoints(*g.Blackhole, g.Malicious, g.Levels, g.Runs) {
-			cfg := p.Config
-			out = append(out, ReplicaPoint{Label: p.Label, Row: p.Row, Col: p.Col,
-				Spec: ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: &cfg}})
-		}
+		return BlackholePoints(*g.Blackhole, g.Malicious, g.Levels, g.Runs), nil
 	case GridSensor:
-		for _, p := range SensorPoints(*g.Sensor, g.Levels, g.Faults, g.Runs) {
-			cfg := p.Config
-			out = append(out, ReplicaPoint{Label: p.Label, Row: p.Row, Col: p.Col,
-				Spec: ReplicaSpec{Kind: ReplicaSensorPair, Sensor: &cfg}})
-		}
+		return SensorPoints(*g.Sensor, g.Levels, g.Faults, g.Runs), nil
 	case GridCampaign:
-		for _, p := range CampaignPoints(*g.Blackhole, g.Campaigns, g.Levels, g.Runs) {
-			cfg := p.Config
-			out = append(out, ReplicaPoint{Label: p.Label, Row: p.Row, Col: p.Col,
-				Spec: ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: &cfg}})
-		}
-	case GridChurn:
-		for _, p := range ChurnPoints(*g.Sensor, g.Levels, g.Churns, g.Runs) {
-			cfg := p.Config
-			out = append(out, ReplicaPoint{Label: p.Label, Row: p.Row, Col: p.Col,
-				Spec: ReplicaSpec{Kind: ReplicaSensor, Sensor: &cfg}})
-		}
+		return CampaignPoints(*g.Blackhole, g.Campaigns, g.Levels, g.Runs), nil
+	default: // GridChurn: Validate admits no other kind
+		return ChurnPoints(*g.Sensor, g.Levels, g.Churns, g.Runs), nil
 	}
-	return out, nil
+}
+
+// figure is one output table of a grid kind: its title and the value one
+// replica result adds to its cell (ok false: none — a run that detected
+// no target has no latency).
+type figure struct {
+	title string
+	value func(r ReplicaResult) (v float64, ok bool)
+}
+
+// gridShape is what a grid kind folds into: the corner label of its
+// tables and the figures in render order, the last counters of which are
+// per-run counts, rendered without confidence intervals.
+type gridShape struct {
+	corner   string
+	counters int
+	figures  []figure
+}
+
+// gridShapes maps a grid kind to its tables (an unknown kind to none).
+var gridShapes = map[string]gridShape{
+	GridBlackhole: blackholeShape,
+	GridSensor:    sensorShape,
+	GridCampaign:  campaignShape,
+	GridChurn:     churnShape,
 }
 
 // Tables folds result bytes (one per point, in Points order) into the
-// grid's figure tables. Because folding happens here in enumeration order
-// with the same Fold helpers the in-process sweeps use, a table rebuilt
-// from the artifact store is byte-identical to the live sweep's.
+// grid's figure tables. Folding happens here, in enumeration order, for
+// every caller, so a table rebuilt from the artifact store is
+// byte-identical to a live sweep's.
 func (g *GridRequest) Tables(results [][]byte) ([]*stats.Table, error) {
 	points, err := g.Points()
 	if err != nil {
@@ -336,68 +354,37 @@ func (g *GridRequest) Tables(results [][]byte) ([]*stats.Table, error) {
 	if len(results) != len(points) {
 		return nil, fmt.Errorf("experiment: grid %q: %d results for %d points", g.Name, len(results), len(points))
 	}
-	decoded := make([]ReplicaResult, len(results))
-	for i, b := range results {
-		r, err := DecodeReplicaResult(b)
+	shape := gridShapes[g.Kind]
+	tables := make([]*stats.Table, len(shape.figures))
+	for i, f := range shape.figures {
+		tables[i] = stats.NewTable(f.title, shape.corner)
+	}
+	for i, p := range points {
+		r, err := DecodeReplicaResult(results[i])
 		if err != nil {
-			return nil, fmt.Errorf("point %q: %w", points[i].Label, err)
+			return nil, fmt.Errorf("point %q: %w", p.Label, err)
 		}
-		decoded[i] = r
+		if r.Kind != p.Spec.Kind || !r.hasBody() {
+			return nil, fmt.Errorf("experiment: point %q: result kind %q, want %s", p.Label, r.Kind, p.Spec.Kind)
+		}
+		for j, f := range shape.figures {
+			if v, ok := f.value(r); ok {
+				tables[j].Add(p.Row, p.Col, v)
+			}
+		}
 	}
-	switch g.Kind {
-	case GridBlackhole:
-		throughput, energy := NewBlackholeTables()
-		for i, p := range points {
-			if decoded[i].Blackhole == nil {
-				return nil, fmt.Errorf("experiment: point %q: result kind %q, want blackhole", p.Label, decoded[i].Kind)
-			}
-			FoldBlackhole(throughput, energy, p.Row, p.Col, *decoded[i].Blackhole)
-		}
-		return []*stats.Table{throughput, energy}, nil
-	case GridSensor:
-		tables := NewSensorTables()
-		for i, p := range points {
-			if decoded[i].SensorPair == nil {
-				return nil, fmt.Errorf("experiment: point %q: result kind %q, want sensorpair", p.Label, decoded[i].Kind)
-			}
-			FoldSensor(tables, p.Row, p.Col, *decoded[i].SensorPair)
-		}
-		out := make([]*stats.Table, 0, len(SensorTableKeys))
-		for _, k := range SensorTableKeys {
-			out = append(out, tables[k])
-		}
-		return out, nil
-	case GridCampaign:
-		t := NewCampaignTables()
-		for i, p := range points {
-			if decoded[i].Blackhole == nil {
-				return nil, fmt.Errorf("experiment: point %q: result kind %q, want blackhole", p.Label, decoded[i].Kind)
-			}
-			FoldCampaign(t, p.Row, p.Col, *decoded[i].Blackhole)
-		}
-		return []*stats.Table{t.Throughput, t.Energy, t.Injected, t.Suppressed, t.Leaked, t.VerifiesAvoided}, nil
-	case GridChurn:
-		t := NewChurnTables()
-		for i, p := range points {
-			if decoded[i].Sensor == nil {
-				return nil, fmt.Errorf("experiment: point %q: result kind %q, want sensor", p.Label, decoded[i].Kind)
-			}
-			FoldChurn(t, p.Row, p.Col, *decoded[i].Sensor)
-		}
-		return []*stats.Table{t.Miss, t.Energy, t.Events, t.Reshares, t.Aborted, t.Epoch}, nil
-	}
-	return nil, fmt.Errorf("experiment: grid %q: unknown kind %q", g.Name, g.Kind)
+	return tables, nil
 }
 
-// Render prints the grid's tables exactly as the corresponding CLI does
-// (cmd/blackhole, cmd/sensornet, cmd/faultsweep, cmd/churnsweep):
-// StringWithCI for the figure tables, compact String for the campaign
-// coverage and churn lifecycle counters, one blank line after each — so
-// service output is diffable against the drivers'.
+// Render is the text form of the grid's tables — all of cmd/icsweep's
+// stdout and the service's /tables body: StringWithCI for the figure
+// tables, compact String for the campaign coverage and churn lifecycle
+// counters, one blank line after each.
 func (g *GridRequest) Render(tables []*stats.Table) string {
 	var b bytes.Buffer
+	figures := len(tables) - gridShapes[g.Kind].counters
 	for i, t := range tables {
-		if (g.Kind == GridCampaign || g.Kind == GridChurn) && i >= 2 {
+		if i >= figures {
 			b.WriteString(t.String())
 		} else {
 			b.WriteString(t.StringWithCI())

@@ -105,11 +105,11 @@ func runGrid(t *testing.T, g *GridRequest) []*stats.Table {
 	return tables
 }
 
-// TestGridMatchesSweeps pins the acceptance criterion that matters most:
-// the grid layer (replica specs run one by one, results folded from their
-// wire bytes) renders tables byte-identical to the in-process sweeps the
-// CLIs call. Float64 values survive a JSON round-trip exactly, and both
-// paths share the Points/Fold helpers, so any divergence is a real bug.
+// TestGridMatchesSweeps checks the typed *Sweep views against the grid
+// they wrap: each view hands back RunGrid's tables under the right field
+// or key, and the pool's fan-out (RunGrid) folds to the same bytes as
+// running the points one by one in order (runGrid above, the way the
+// service walks them).
 func TestGridMatchesSweeps(t *testing.T) {
 	t.Run("blackhole", func(t *testing.T) {
 		base := smallBlackhole()
@@ -228,5 +228,29 @@ func TestTableCSV(t *testing.T) {
 	want := "row,col,n,mean,ci95\n\"a,x\",c1,2,2,1.9599999999999997\nb,c2,1,2,0\n"
 	if got := tbl.CSV(); got != want {
 		t.Fatalf("CSV mismatch:\ngot:  %q\nwant: %q", got, want)
+	}
+}
+
+// TestTablesRejectsForeignResults: result bytes come from the store, so a
+// result of another kind, or one without its payload, must fail the fold
+// instead of reaching a figure's accessor.
+func TestTablesRejectsForeignResults(t *testing.T) {
+	g := Fig7Grid(1, 1, false)
+	g.Malicious, g.Levels = []int{0}, nil // one point: No IC, 0 malicious
+	for name, result := range map[string]string{
+		"other kind":   `{"kind":"sensor","sensor":{}}`,
+		"no payload":   `{"kind":"blackhole"}`,
+		"wrong body":   `{"kind":"blackhole","sensor":{}}`,
+		"unknown kind": `{"kind":"warp"}`,
+	} {
+		if _, err := g.Tables([][]byte{[]byte(result)}); err == nil {
+			t.Errorf("%s: folded %s", name, result)
+		}
+	}
+	if _, err := g.Tables([][]byte{[]byte(`{"kind":"blackhole","blackhole":{"Throughput":50}}`)}); err != nil {
+		t.Errorf("well-formed result rejected: %v", err)
+	}
+	if _, err := g.Tables(nil); err == nil {
+		t.Error("missing results accepted")
 	}
 }

@@ -14,7 +14,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -211,16 +210,4 @@ func runOne(j Job) (res any, err error) {
 		err = fmt.Errorf("experiment: job %q: %w", j.Label, err)
 	}
 	return res, err
-}
-
-// progressWriter adapts an io.Writer into a ProgressFunc using a per-job
-// line formatter. The engine serializes progress calls, so lines never
-// interleave; nil w yields a nil ProgressFunc.
-func progressWriter(w io.Writer, line func(j Job, result any) string) ProgressFunc {
-	if w == nil {
-		return nil
-	}
-	return func(done, total int, j Job, result any) {
-		fmt.Fprintf(w, "[%d/%d] %s", done, total, line(j, result))
-	}
 }

@@ -611,14 +611,9 @@ type SensorPair struct {
 	NoTarget SensorResult `json:"no_target"`
 }
 
-// RunSensorPair executes one Fig. 8 grid point (both paired replicas).
-func RunSensorPair(cfg SensorConfig) (SensorPair, error) {
-	p, _, err := runSensorPairShards(cfg)
-	return p, err
-}
-
-// runSensorPairShards is RunSensorPair plus the executed shard count (the
-// maximum over the pair — provenance for the artifact manifests).
+// runSensorPairShards executes one Fig. 8 grid point — both paired
+// replicas — and returns the executed shard count beside it (the maximum
+// over the pair; provenance for the artifact manifests).
 func runSensorPairShards(cfg SensorConfig) (SensorPair, int, error) {
 	res, shards, err := runSensorShards(cfg)
 	if err != nil {
@@ -787,29 +782,30 @@ func fuse2(alg FusionAlg, obs []fusion.Vec, eta float64) fusion.Vec {
 	}
 }
 
-// SensorTableKeys is the Fig. 8 table order — the order the sensornet
-// CLI prints and the repro pipeline renders.
+// SensorTableKeys names the Fig. 8 tables in render order — the keys of
+// SensorSweep's result.
 var SensorTableKeys = []string{"miss", "false", "energyT", "energyNT", "latency", "locerr"}
 
-// NewSensorTables returns the six empty Fig. 8 tables.
-func NewSensorTables() map[string]*stats.Table {
-	return map[string]*stats.Table{
-		"miss":     stats.NewTable("Fig. 8(a) Miss alarm probability [%]", "config \\ fault"),
-		"false":    stats.NewTable("Fig. 8(b) False alarm probability [% per sensor-epoch]", "config \\ fault"),
-		"energyT":  stats.NewTable("Fig. 8(c) Energy consumption with target [J/node]", "config \\ fault"),
-		"energyNT": stats.NewTable("Fig. 8(d) Energy consumption with no target [J/node]", "config \\ fault"),
-		"latency":  stats.NewTable("Fig. 8(e) Target detection latency [s]", "config \\ fault"),
-		"locerr":   stats.NewTable("Fig. 8(f) Target localization error [m]", "config \\ fault"),
-	}
-}
+// detected reports whether the with-target run detected any target;
+// latency and localization error only exist then.
+func detected(r ReplicaResult) bool { return r.SensorPair.Target.Targets > r.SensorPair.Target.Missed }
+
+// sensorShape is Fig. 8's six tables, in SensorTableKeys order.
+var sensorShape = gridShape{corner: "config \\ fault", figures: []figure{
+	{"Fig. 8(a) Miss alarm probability [%]", func(r ReplicaResult) (float64, bool) { return 100 * r.SensorPair.Target.MissAlarm, true }},
+	{"Fig. 8(b) False alarm probability [% per sensor-epoch]", func(r ReplicaResult) (float64, bool) { return r.SensorPair.Target.FalseAlarmProb, true }},
+	{"Fig. 8(c) Energy consumption with target [J/node]", func(r ReplicaResult) (float64, bool) { return r.SensorPair.Target.EnergyPerNode, true }},
+	{"Fig. 8(d) Energy consumption with no target [J/node]", func(r ReplicaResult) (float64, bool) { return r.SensorPair.NoTarget.EnergyPerNode, true }},
+	{"Fig. 8(e) Target detection latency [s]", func(r ReplicaResult) (float64, bool) { return r.SensorPair.Target.DetectionLatency, detected(r) }},
+	{"Fig. 8(f) Target localization error [m]", func(r ReplicaResult) (float64, bool) { return r.SensorPair.Target.LocalizationErr, detected(r) }},
+}}
 
 // SensorPoints enumerates the Fig. 8 sweep grid: configurations {No IC,
 // IC L=l...} × fault models × runs with the sweep's seed schedule
 // (base.Seed + run). One point covers a replica's paired runs (with and
-// without the target). Enumeration order is the folding contract shared
-// with the experiment service.
-func SensorPoints(base SensorConfig, levels []int, faults []sensor.FaultKind, runs int) []GridPoint[SensorConfig] {
-	var points []GridPoint[SensorConfig]
+// without the target). Enumeration order is the folding contract.
+func SensorPoints(base SensorConfig, levels []int, faults []sensor.FaultKind, runs int) []ReplicaPoint {
+	var points []ReplicaPoint
 	for _, row := range configRows(levels) {
 		for _, fault := range faults {
 			for run := 0; run < runs; run++ {
@@ -820,11 +816,11 @@ func SensorPoints(base SensorConfig, levels []int, faults []sensor.FaultKind, ru
 				}
 				cfg.Fault = fault
 				cfg.Seed = base.Seed + int64(run)
-				points = append(points, GridPoint[SensorConfig]{
-					Label:  fmt.Sprintf("%s fault=%s run=%d", row.label, fault, run),
-					Row:    row.label,
-					Col:    fault.String(),
-					Config: cfg,
+				points = append(points, ReplicaPoint{
+					Label: fmt.Sprintf("%s fault=%s run=%d", row.label, fault, run),
+					Row:   row.label,
+					Col:   fault.String(),
+					Spec:  ReplicaSpec{Kind: ReplicaSensorPair, Sensor: &cfg},
 				})
 			}
 		}
@@ -832,40 +828,18 @@ func SensorPoints(base SensorConfig, levels []int, faults []sensor.FaultKind, ru
 	return points
 }
 
-// FoldSensor folds one grid point's paired results into the Fig. 8
-// tables. Latency and localization error only exist when at least one
-// target was detected.
-func FoldSensor(tables map[string]*stats.Table, row, col string, p SensorPair) {
-	tables["miss"].Add(row, col, 100*p.Target.MissAlarm)
-	tables["false"].Add(row, col, p.Target.FalseAlarmProb)
-	tables["energyT"].Add(row, col, p.Target.EnergyPerNode)
-	if p.Target.Targets > p.Target.Missed {
-		tables["latency"].Add(row, col, p.Target.DetectionLatency)
-		tables["locerr"].Add(row, col, p.Target.LocalizationErr)
-	}
-	tables["energyNT"].Add(row, col, p.NoTarget.EnergyPerNode)
-}
-
-// SensorSweep runs the Fig. 8 sweep: configurations {No IC, IC L=2..7} ×
-// fault models, producing the six tables of Fig. 8 (a)–(f).
-//
-// Replicas run on the parallel replica engine (see pool.go); results fold
-// into the tables in enumeration order, so the output is identical for any
-// worker count (IC_WORKERS overrides the default of one worker per core).
+// SensorSweep runs a Fig. 8 grid — configurations {No IC, IC L=l...} ×
+// fault models — through RunGrid and returns the six tables of
+// Fig. 8 (a)–(f) under their SensorTableKeys.
 func SensorSweep(base SensorConfig, levels []int, faults []sensor.FaultKind, runs int, progress io.Writer) (map[string]*stats.Table, error) {
-	tables := NewSensorTables()
-	err := SweepGrid(SensorPoints(base, levels, faults, runs), RunSensorPair,
-		progress,
-		func(label string, p SensorPair) string {
-			return fmt.Sprintf("%s: miss=%.0f%% false=%.2f%% lat=%.2fs loc=%.1fm E=%.2fJ/%.2fJ\n",
-				label, 100*p.Target.MissAlarm, p.Target.FalseAlarmProb,
-				p.Target.DetectionLatency, p.Target.LocalizationErr, p.Target.EnergyPerNode, p.NoTarget.EnergyPerNode)
-		},
-		func(row, col string, p SensorPair) {
-			FoldSensor(tables, row, col, p)
-		})
+	t, err := RunGrid(&GridRequest{Name: "sensor", Kind: GridSensor,
+		Sensor: &base, Levels: levels, Faults: faults, Runs: runs}, progress)
 	if err != nil {
 		return nil, err
+	}
+	tables := make(map[string]*stats.Table, len(SensorTableKeys))
+	for i, k := range SensorTableKeys {
+		tables[k] = t[i]
 	}
 	return tables, nil
 }

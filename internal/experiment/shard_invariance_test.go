@@ -31,7 +31,7 @@ func shardSensorTables(t *testing.T, shards int) []string {
 // sweepKnobs is every environment setting that shapes how a sweep executes.
 // Each invariance subtest pins all of them so variants cannot leak into
 // each other or inherit strategy from the ambient environment.
-var sweepKnobs = []string{"IC_WORKERS", "IC_CORE_BUDGET", "IC_SHARD_STATS"}
+var sweepKnobs = []string{"IC_WORKERS", "IC_SHARD_STATS"}
 
 // TestSweepShardCountInvariant pins the sharded kernel's determinism
 // contract end to end: sweep tables are byte-identical at every shard
@@ -60,7 +60,7 @@ func TestSweepShardCountInvariant(t *testing.T) {
 		{"par/shards=4", 4, 4, map[string]string{"IC_WORKERS": "1"}},
 		{"par/shards=8", 8, 4, map[string]string{"IC_WORKERS": "1"}},
 		{"budgeted/workers=1/shards=4", 4, 0, map[string]string{"IC_WORKERS": "1"}},
-		{"budgeted/workers=4/shards=4", 4, 0, map[string]string{"IC_WORKERS": "4", "IC_CORE_BUDGET": "4"}},
+		{"budgeted/workers=4/shards=4", 4, 4, map[string]string{"IC_WORKERS": "4"}},
 		{"shardstats/par/shards=4", 4, 4, map[string]string{"IC_WORKERS": "1", "IC_SHARD_STATS": "1"}},
 	}
 	for _, knob := range sweepKnobs {

@@ -3,15 +3,9 @@ package experiment
 import (
 	"fmt"
 	"io"
-)
 
-// GridPoint is one replica of a sweep grid: the config to run, the
-// progress/failure label, and the table cell the result folds into.
-type GridPoint[C any] struct {
-	Label    string
-	Row, Col string
-	Config   C
-}
+	"innercircle/internal/stats"
+)
 
 // configRow is one configuration row of the paper's sweeps: the No-IC
 // baseline or the inner circle at a dependability level.
@@ -31,35 +25,67 @@ func configRows(levels []int) []configRow {
 	return rows
 }
 
-// SweepGrid is the generic sweep runner behind BlackholeSweep, SensorSweep
-// and CampaignSweep: it fans every grid point over the replica pool,
-// streams one progress line per completion, and folds results into the
-// caller's tables strictly in enumeration order — so the tables are
-// byte-identical for any worker count.
-func SweepGrid[C, R any](points []GridPoint[C], run func(C) (R, error), progress io.Writer, line func(label string, r R) string, fold func(row, col string, r R)) error {
+// RunGrid evaluates a grid in process — the one sweep runner behind
+// cmd/icsweep and the typed *Sweep views. It takes the same path icserved
+// takes through its store, minus the store: validate, enumerate the
+// points, run every replica from its wire spec on the worker pool, and
+// fold the result bytes strictly in enumeration order, so the tables are
+// byte-identical for any worker count. A non-nil progress receives one
+// line per finished replica, in completion order.
+func RunGrid(g *GridRequest, progress io.Writer) ([]*stats.Table, error) {
+	points, err := g.Points()
+	if err != nil {
+		return nil, err
+	}
 	jobs := make([]Job, len(points))
-	for i := range points {
-		p := points[i]
-		jobs[i] = Job{
-			Index: i,
-			Label: p.Label,
-			Run: func() (any, error) {
-				r, err := run(p.Config)
-				if err != nil {
-					return nil, err
-				}
-				return r, nil
-			},
+	for i, p := range points {
+		jobs[i] = Job{Index: i, Label: p.Label, Run: func() (any, error) {
+			b, _, err := p.Spec.Run()
+			return b, err
+		}}
+	}
+	var report ProgressFunc
+	if progress != nil {
+		report = func(done, total int, j Job, result any) {
+			r, err := DecodeReplicaResult(result.([]byte))
+			line := r.summary(g.Kind)
+			if err != nil {
+				line = err.Error()
+			}
+			fmt.Fprintf(progress, "[%d/%d] %s: %s\n", done, total, j.Label, line)
 		}
 	}
-	results, err := RunJobs(jobs, 0, progressWriter(progress, func(j Job, result any) string {
-		return line(j.Label, result.(R))
-	}))
+	done, err := RunJobs(jobs, 0, report)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for i, r := range results {
-		fold(points[i].Row, points[i].Col, r.(R))
+	results := make([][]byte, len(done))
+	for i, r := range done {
+		results[i] = r.([]byte)
 	}
-	return nil
+	return g.Tables(results)
+}
+
+// summary renders the result's headline metrics for the progress stream;
+// a blackhole replica reports coverage counters when it ran in a campaign
+// grid.
+func (r ReplicaResult) summary(gridKind string) string {
+	switch {
+	case r.Blackhole != nil && gridKind == GridCampaign:
+		b := r.Blackhole
+		return fmt.Sprintf("throughput=%.1f%% injected=%d suppressed=%d leaked=%d",
+			b.Throughput, b.FaultsInjected, b.FaultsSuppressed, b.FaultsLeaked)
+	case r.Blackhole != nil:
+		return fmt.Sprintf("throughput=%.1f%% energy=%.2f J", r.Blackhole.Throughput, r.Blackhole.EnergyPerNode)
+	case r.SensorPair != nil:
+		t := r.SensorPair.Target
+		return fmt.Sprintf("miss=%.0f%% false=%.2f%% lat=%.2fs loc=%.1fm E=%.2fJ/%.2fJ",
+			100*t.MissAlarm, t.FalseAlarmProb, t.DetectionLatency, t.LocalizationErr,
+			t.EnergyPerNode, r.SensorPair.NoTarget.EnergyPerNode)
+	case r.Sensor != nil:
+		s := r.Sensor
+		return fmt.Sprintf("miss=%.0f%% events=%d reshares=%d aborted=%d epoch=%d E=%.2fJ",
+			100*s.MissAlarm, s.ChurnEvents, s.ChurnReshares, s.RoundsAborted, s.MembershipEpoch, s.EnergyPerNode)
+	}
+	return "empty result"
 }

@@ -82,7 +82,7 @@ func DropPreset(n int, p float64) Campaign {
 }
 
 // ParsePreset builds a preset campaign from a colon-separated spec, the
-// cmd/faultsweep shorthand:
+// `icsweep campaign -preset` shorthand:
 //
 //	clean
 //	blackhole:N      grayhole:N:P    drop:N:P    corrupt:N:P

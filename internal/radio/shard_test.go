@@ -65,7 +65,6 @@ func runShardReference(t *testing.T) ([][]any, Stats) {
 // (with an idle core budget) one slot per shard.
 func TestShardedChannelMatchesSequential(t *testing.T) {
 	wantGot, wantStats := runShardReference(t)
-	t.Setenv("IC_CORE_BUDGET", "")
 	for _, tc := range []struct {
 		exec  string
 		procs int

@@ -7,6 +7,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -62,12 +63,22 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxSubmitBytes bounds a submitted grid request. The largest paper grid
+// is about 1 KiB; a campaign grid grows with its campaign list, and 1 MiB
+// is room for thousands of entries.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	var g experiment.GridRequest
 	if err := dec.Decode(&g); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding grid request: %v", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Sprintf("decoding grid request: %v", err))
 		return
 	}
 	j, err := s.Submit(&g)

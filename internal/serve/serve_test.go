@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -162,7 +163,8 @@ func TestServiceDedup(t *testing.T) {
 func TestServiceConcurrentClientsBudget(t *testing.T) {
 	const budget = 2
 	const parallel = 2
-	t.Setenv("IC_CORE_BUDGET", "2")
+	prev := runtime.GOMAXPROCS(budget)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	_, c := startServer(t, t.TempDir(), parallel)
 	experiment.ResetPeakInFlight()
 
@@ -303,10 +305,10 @@ func TestServiceDrainResume(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsBadGrids: the HTTP layer must reject malformed and
-// unknown-field submissions before anything queues.
+// TestSubmitRejectsBadGrids: the HTTP layer must reject malformed,
+// unknown-field and oversized submissions before anything queues.
 func TestSubmitRejectsBadGrids(t *testing.T) {
-	_, c := startServer(t, t.TempDir(), 1)
+	srv, c := startServer(t, t.TempDir(), 1)
 	ctx := context.Background()
 	bad := quickGrid("bad", 1)
 	bad.Runs = 0
@@ -321,6 +323,20 @@ func TestSubmitRejectsBadGrids(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("unknown-field submission got %d, want 400", resp.StatusCode)
+	}
+	// A body past the limit is cut off mid-value, not buffered: the name
+	// alone is twice maxSubmitBytes.
+	resp, err = c.http().Post(c.Base+"/jobs", "application/json",
+		strings.NewReader(`{"name":"`+strings.Repeat("x", 2*maxSubmitBytes)+`","kind":"blackhole","runs":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submission got %d, want 413", resp.StatusCode)
+	}
+	if jobs := srv.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected submissions left %d jobs behind", len(jobs))
 	}
 }
 

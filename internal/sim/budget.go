@@ -17,26 +17,17 @@ package sim
 // determinism contract, and the budget only shapes wall-clock behavior.
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync/atomic"
 )
 
 // coreUsed counts tokens currently held across the process.
 var coreUsed atomic.Int64
 
-// coreBudget returns the total token pool: IC_CORE_BUDGET when set to a
-// positive integer, else GOMAXPROCS. It is re-read on every acquire so a
-// benchmark varying GOMAXPROCS mid-process sees the new ceiling.
-func coreBudget() int64 {
-	if s := os.Getenv("IC_CORE_BUDGET"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return int64(v)
-		}
-	}
-	return int64(runtime.GOMAXPROCS(0))
-}
+// coreBudget returns the total token pool: GOMAXPROCS, re-read on every
+// acquire so a test or benchmark varying it mid-process sees the new
+// ceiling.
+func coreBudget() int64 { return int64(runtime.GOMAXPROCS(0)) }
 
 // AcquireCores takes up to max spare core tokens and returns how many were
 // granted (possibly zero — it never blocks). The caller must pass the

@@ -127,7 +127,8 @@ func TestShardUtilization(t *testing.T) {
 // TestCoreBudget: the token account must clamp at the budget, never go
 // negative, and drain back to zero after release.
 func TestCoreBudget(t *testing.T) {
-	t.Setenv("IC_CORE_BUDGET", "3")
+	prev := runtime.GOMAXPROCS(3) // the budget
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	if used := coreUsed.Load(); used != 0 {
 		t.Fatalf("core tokens leaked from a previous test: %d in use", used)
 	}
@@ -154,7 +155,8 @@ func TestCoreBudget(t *testing.T) {
 // every token it took, including the surplus released up front when
 // GOMAXPROCS caps the slot count below the grant.
 func TestShardSetRunReleasesCoreTokens(t *testing.T) {
-	t.Setenv("IC_CORE_BUDGET", "8")
+	prev := runtime.GOMAXPROCS(8)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	if used := coreUsed.Load(); used != 0 {
 		t.Fatalf("core tokens leaked from a previous test: %d in use", used)
 	}
@@ -172,7 +174,6 @@ func TestShardSetRunReleasesCoreTokens(t *testing.T) {
 // The threaded executor leaves every shard's horizon at Never when it
 // finishes; the sequential one never publishes a horizon.
 func TestShardSetRunSizesExecutorFromBudget(t *testing.T) {
-	t.Setenv("IC_CORE_BUDGET", "")
 	threaded := func(procs, held int) bool {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		if got := AcquireCores(held); got != held {

@@ -10,11 +10,12 @@
 //	icserved -addr :8080 -dir state &          # the service
 //	go run ./scripts/repro -addr http://127.0.0.1:8080 -out repro-out
 //
-// Grids mirror the cmd/ drivers' defaults (and their -quick shapes under
-// -quick), so the tables written here are byte-identical to what
-// cmd/blackhole, cmd/sensornet and cmd/faultsweep print — that equality
-// is pinned by the internal/serve tests. A second run of the driver is a
-// pure artifact-store read: every replica dedups against its manifest.
+// The grids are the presets of internal/experiment/presets.go — the ones
+// `icsweep blackhole`, `icsweep sensor` and `icsweep campaign` start from
+// (reduced under -quick) — so at their defaults the CLI and this driver
+// enumerate the same replicas and render byte-identical tables. A second
+// run of the driver is a pure artifact-store read: every replica dedups
+// against its manifest.
 //
 // Per figure, -out receives <name>.txt (rendered tables), <name>.csv
 // (long form: row,col,n,mean,ci95) and <name>.manifest.json (provenance:
@@ -28,59 +29,10 @@ import (
 	"os"
 	"path/filepath"
 
-	ic "innercircle"
 	"innercircle/internal/cliutil"
 	"innercircle/internal/experiment"
 	"innercircle/internal/serve"
 )
-
-// figures assembles the paper grid set.
-func figures(seed int64, runs int, quick bool) ([]*experiment.GridRequest, error) {
-	bh := ic.PaperBlackholeConfig()
-	bh.Seed = seed
-	counts := []int{0, 2, 4, 6, 8, 10}
-	bhLevels := []int{1, 2}
-	bhRuns := runs
-	sn := ic.PaperSensorConfig()
-	sn.Seed = seed
-	snLevels := []int{2, 3, 4, 5, 6, 7}
-	kinds := ic.AllFaultKinds()
-	snRuns := runs
-	campaignSpecs := []string{
-		"clean", "blackhole:3", "grayhole:3:0.5", "drop:3:0.5",
-		"corrupt:3:0.25", "spoof:3", "churn:3:30:10", "byzantine:3",
-	}
-	cpLevels := []int{1, 2}
-	cpRuns := runs
-	if quick {
-		bh.SimTime = 60
-		counts = []int{0, 2, 6, 10}
-		bhLevels = []int{1}
-		bhRuns = 2
-		snLevels = []int{3, 5}
-		kinds = []ic.FaultKind{ic.FaultNone, ic.FaultInterference}
-		snRuns = 2
-		campaignSpecs = []string{"clean", "blackhole:3"}
-		cpLevels = []int{1}
-		cpRuns = 2
-	}
-	var campaigns []ic.Campaign
-	for _, spec := range campaignSpecs {
-		c, err := ic.ParsePreset(spec)
-		if err != nil {
-			return nil, err
-		}
-		campaigns = append(campaigns, c)
-	}
-	return []*experiment.GridRequest{
-		{Name: "fig7-blackhole", Kind: experiment.GridBlackhole,
-			Blackhole: &bh, Malicious: counts, Levels: bhLevels, Runs: bhRuns},
-		{Name: "fig8-sensor", Kind: experiment.GridSensor,
-			Sensor: &sn, Levels: snLevels, Faults: kinds, Runs: snRuns},
-		{Name: "campaign-coverage", Kind: experiment.GridCampaign,
-			Blackhole: &bh, Campaigns: campaigns, Levels: cpLevels, Runs: cpRuns},
-	}, nil
-}
 
 func run() error {
 	var (
@@ -88,7 +40,7 @@ func run() error {
 		out   = flag.String("out", "repro-out", "output directory for tables, CSVs and manifests")
 		runs  = flag.Int("runs", 5, "simulation runs per data point (the paper uses 50)")
 		seed  = flag.Int64("seed", 1, "base seed")
-		quick = flag.Bool("quick", false, "reduced grids for a fast preview (mirrors the CLIs' -quick)")
+		quick = flag.Bool("quick", false, "reduced grids for a fast preview (the presets' -quick shapes)")
 		quiet = flag.Bool("quiet", false, "suppress per-replica progress")
 		smoke = flag.Bool("smoke", false, "CI smoke: submit a 2-point grid twice, assert the rerun dedups against the store")
 	)
@@ -98,9 +50,10 @@ func run() error {
 		return runSmoke(*addr, *seed)
 	}
 
-	grids, err := figures(*seed, *runs, *quick)
-	if err != nil {
-		return err
+	grids := []*experiment.GridRequest{
+		experiment.Fig7Grid(*seed, *runs, *quick),
+		experiment.Fig8Grid(*seed, *runs, *quick),
+		experiment.CoverageGrid(*seed, *runs, *quick),
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
@@ -175,7 +128,7 @@ func run() error {
 // terminates, table rendering — and that the second, identical submission
 // is a pure artifact-store hit with zero recomputed replicas.
 func runSmoke(addr string, seed int64) error {
-	cfg := ic.PaperBlackholeConfig()
+	cfg := experiment.PaperBlackholeConfig()
 	cfg.Nodes = 30
 	cfg.SimTime = 20
 	cfg.Seed = seed
