@@ -62,7 +62,7 @@ type RunManifest struct {
 	// SpecSHA256 digests the canonical grid-request JSON.
 	SpecSHA256 string `json:"spec_sha256"`
 	// TablesSHA256 digests the rendered output tables.
-	TablesSHA256 string `json:"tables_sha256,omitempty"`
+	TablesSHA256 string            `json:"tables_sha256,omitempty"`
 	Seed         int64             `json:"seed"`
 	GitRev       string            `json:"git_rev"`
 	Knobs        map[string]string `json:"knobs,omitempty"`

@@ -37,9 +37,9 @@ type SensorConfig struct {
 	SensePeriod    sim.Duration       `json:"sense_period"` // 5 s, synchronized epochs
 	Lambda         float64            `json:"lambda"`       // 6.635
 	Model          sensor.SignalModel `json:"model"`
-	TargetStart    sim.Time           `json:"target_start"`       // first target onset (50 s)
-	TargetPeriod   sim.Duration       `json:"target_period"`      // 100 s
-	TargetDuration sim.Duration       `json:"target_duration"`    // 25 s
+	TargetStart    sim.Time           `json:"target_start"`        // first target onset (50 s)
+	TargetPeriod   sim.Duration       `json:"target_period"`       // 100 s
+	TargetDuration sim.Duration       `json:"target_duration"`     // 25 s
 	NoTarget       bool               `json:"no_target,omitempty"` // Fig. 8(d): run without any target
 	Faulty         int                `json:"faulty"`
 	Fault          sensor.FaultKind   `json:"fault"`

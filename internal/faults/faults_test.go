@@ -69,15 +69,15 @@ func TestSelectorResolve(t *testing.T) {
 func TestValidateRejectsBadEntries(t *testing.T) {
 	bad := []Campaign{
 		{Entries: []Entry{{Fault: "gremlin", Targets: Selector{All: true}}}},
-		{Entries: []Entry{{Fault: Drop, Targets: Selector{All: true}}}},                                           // missing p
-		{Entries: []Entry{{Fault: Drop, Params: Params{P: 1.5}, Targets: Selector{All: true}}}},                   // p > 1
-		{Entries: []Entry{{Fault: Delay, Targets: Selector{All: true}}}},                                          // missing max_delay
+		{Entries: []Entry{{Fault: Drop, Targets: Selector{All: true}}}},                         // missing p
+		{Entries: []Entry{{Fault: Drop, Params: Params{P: 1.5}, Targets: Selector{All: true}}}}, // p > 1
+		{Entries: []Entry{{Fault: Delay, Targets: Selector{All: true}}}},                        // missing max_delay
 		{Entries: []Entry{{Fault: Delay, Params: Params{MinDelay: 2, MaxDelay: 1}, Targets: Selector{All: true}}}},
 		{Entries: []Entry{{Fault: Drop, Params: Params{P: 0.5}, Dir: "sideways", Targets: Selector{All: true}}}},
-		{Entries: []Entry{{Fault: Blackhole, Dir: DirOut, Targets: Selector{All: true}}}},                         // dir on non-wire fault
+		{Entries: []Entry{{Fault: Blackhole, Dir: DirOut, Targets: Selector{All: true}}}}, // dir on non-wire fault
 		{Entries: []Entry{{Fault: Reorder, Dir: DirBoth, Targets: Selector{All: true}}}},
 		{Entries: []Entry{{Fault: Spoof, Dir: DirIn, Targets: Selector{All: true}}}},
-		{Entries: []Entry{{Fault: Blackhole, Targets: Selector{All: true, Count: 2}}}},                            // two selector fields
+		{Entries: []Entry{{Fault: Blackhole, Targets: Selector{All: true, Count: 2}}}}, // two selector fields
 		{Entries: []Entry{{Fault: Blackhole, Targets: Selector{All: true}, Schedule: Window{From: 5, To: 3}}}},
 		{Entries: []Entry{{Fault: Blackhole, Targets: Selector{All: true}, Schedule: Window{Every: 5, For: 6}}}},
 		{Entries: []Entry{{Fault: Blackhole, Targets: Selector{All: true}, Schedule: Window{For: 6}}}},

@@ -24,8 +24,8 @@ type stage struct {
 	heldGen int
 
 	// spoof state.
-	spoofAs  int  // victim node; -1 draws one per beacon
-	numNodes int  // for victim draws
+	spoofAs  int // victim node; -1 draws one per beacon
+	numNodes int // for victim draws
 	self     link.NodeID
 }
 

@@ -66,11 +66,11 @@ type Churn struct {
 
 // Churn metric names (runner counters, present only when churn ran).
 const (
-	CtrChurnEvents    = "churn_events"         // effective membership transitions
-	CtrChurnReshares  = "churn_reshares"       // reshares executed
-	CtrChurnRefreshes = "churn_refreshes"      // proactive refreshes executed
-	CtrChurnAborted   = "churn_rounds_aborted" // vote rounds drained by transitions
-	GaugeMembershipEpoch = "membership_epoch"  // final key epoch
+	CtrChurnEvents       = "churn_events"         // effective membership transitions
+	CtrChurnReshares     = "churn_reshares"       // reshares executed
+	CtrChurnRefreshes    = "churn_refreshes"      // proactive refreshes executed
+	CtrChurnAborted      = "churn_rounds_aborted" // vote rounds drained by transitions
+	GaugeMembershipEpoch = "membership_epoch"     // final key epoch
 )
 
 // active reports whether this churn config schedules anything at run
