@@ -132,7 +132,7 @@ func (s *Store) PutResult(b []byte) (string, error) {
 	if _, err := os.Stat(path); err == nil {
 		return digest, nil
 	}
-	if err := writeAtomic(path, b); err != nil {
+	if err := WriteAtomic(path, b); err != nil {
 		return "", err
 	}
 	return digest, nil
@@ -183,7 +183,7 @@ func (s *Store) PutManifest(m Manifest) error {
 	if err != nil {
 		return fmt.Errorf("artifact: %w", err)
 	}
-	if err := writeAtomic(s.manifestPath(m.SpecSHA256), b); err != nil {
+	if err := WriteAtomic(s.manifestPath(m.SpecSHA256), b); err != nil {
 		return err
 	}
 	return s.appendIndex(indexEntry{Spec: m.SpecSHA256, Result: m.ResultSHA256})
@@ -322,9 +322,11 @@ func (s *Store) Verify() error {
 	return nil
 }
 
-// writeAtomic writes b to path via tmp+fsync+rename so a crash leaves
-// either the complete file or nothing.
-func writeAtomic(path string, b []byte) error {
+// WriteAtomic writes b to path via tmp+fsync+rename so a crash leaves
+// either the complete file or nothing, creating path's directory if it is
+// missing. The store and the experiment service (job records, tables,
+// manifests) both persist through it.
+func WriteAtomic(path string, b []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("artifact: %w", err)

@@ -2,9 +2,12 @@ package experiment
 
 import (
 	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"innercircle/internal/faults"
+	"innercircle/internal/scenario"
 	"innercircle/internal/sensor"
 	"innercircle/internal/stats"
 )
@@ -220,6 +223,70 @@ func TestGridRequestValidate(t *testing.T) {
 }
 
 // TestTableCSV pins the long-form CSV rendering the repro analyzer emits.
+// TestChurnGridWireForm pins the wire form of the churn axis on the path
+// that carries it, a churn GridRequest decoded the way the service's submit
+// handler decodes one (unknown fields rejected): the schedule round-trips
+// byte-identically, its absence marshals to nothing, and an unknown churn
+// sub-field is rejected.
+func TestChurnGridWireForm(t *testing.T) {
+	decode := func(b []byte) (*GridRequest, error) {
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		var g GridRequest
+		err := dec.Decode(&g)
+		return &g, err
+	}
+	g := ChurnGrid(7, 2, true)
+	g.Sensor.Churn = &scenario.Churn{
+		CrashRejoin:     4,
+		Leaves:          1,
+		Start:           2,
+		Window:          6,
+		Downtime:        1.5,
+		Reshare:         scenario.ReshareEvery,
+		ReshareInterval: 3,
+		RefreshInterval: 5,
+		Protect:         2,
+	}
+	first, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(first), `"churn":{"crash_rejoin":4`) {
+		t.Fatalf("churn schedule missing from wire form: %s", first)
+	}
+	back, err := decode(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Validate(); err != nil {
+		t.Fatalf("round-tripped grid invalid: %v", err)
+	}
+	second, err := json.Marshal(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatalf("re-marshal differs:\nfirst:  %s\nsecond: %s", first, second)
+	}
+
+	// No schedule → no churn key on the wire (old artifacts hash unchanged).
+	g.Sensor.Churn = nil
+	plain, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(plain), `"churn":`) {
+		t.Fatalf("nil churn leaked into wire form: %s", plain)
+	}
+
+	// Unknown fields inside the churn object fail loudly.
+	drifted := bytes.Replace(first, []byte(`"crash_rejoin":4`), []byte(`"crash_rejoin":4,"surprise":1`), 1)
+	if _, err := decode(drifted); err == nil {
+		t.Fatal("unknown churn field accepted")
+	}
+}
+
 func TestTableCSV(t *testing.T) {
 	tbl := stats.NewTable("T", "r")
 	tbl.Add("a,x", "c1", 1)

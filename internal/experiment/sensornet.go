@@ -392,9 +392,9 @@ func (sc *sensorNet) classify(at sim.Time) int {
 // activeTarget returns the position of the target active at time at, or
 // nil.
 func (sc *sensorNet) activeTarget(at sim.Time) *geo.Point {
-	for _, tg := range sc.targets {
-		if tg.ActiveAt(at) {
-			return &tg.Pos
+	for i := range sc.targets {
+		if sc.targets[i].ActiveAt(at) {
+			return &sc.targets[i].Pos
 		}
 	}
 	return nil
@@ -407,19 +407,10 @@ func (sc *sensorNet) Start(env *scenario.Env) {
 	sc.apps[0].nd.K.MustSchedule(0.1, func() { sc.baseDiff.Start() })
 }
 
-// onEpoch runs one synchronized sensing epoch across all sensors (the
-// traffic program's epoch trigger on a single-kernel replica).
-func (sc *sensorNet) onEpoch(epoch int64, now sim.Time) {
-	tpos := sc.activeTarget(now)
-	for i := 1; i < len(sc.apps); i++ {
-		sc.apps[i].sense(epoch, tpos)
-	}
-}
-
-// onEpochNode is the per-node epoch hook for partitioned replicas: the
-// same sensing work as onEpoch, issued by each node's home shard. The
-// target schedule is immutable during the run, so concurrent reads from
-// every shard are safe.
+// onEpochNode is the traffic program's per-node epoch hook: one sensing
+// epoch at one sensor, issued by the node's home kernel. The target
+// schedule is immutable during the run, so concurrent reads from every
+// shard are safe.
 func (sc *sensorNet) onEpochNode(epoch int64, now sim.Time, node int) {
 	if node == 0 {
 		return // the base station does not sense
@@ -559,7 +550,7 @@ func sensorSpec(cfg SensorConfig) (*scenario.Spec, error) {
 			STSStart:   scenario.STSStart{Jitter: 2},
 			Components: []scenario.Component{sc},
 		},
-		Traffic: &traffic.Epochs{Period: cfg.SensePeriod, OnEpoch: sc.onEpoch, OnNode: sc.onEpochNode},
+		Traffic: &traffic.Epochs{Period: cfg.SensePeriod, OnNode: sc.onEpochNode},
 		Churn:   cfg.Churn,
 	}
 	if cfg.Fault != sensor.FaultNone {

@@ -98,12 +98,11 @@ type Network struct {
 	// network runs on a single kernel). K is then shard 0's kernel; every
 	// node's K is its home shard's.
 	Set *sim.ShardSet
-	// Memo is the signature-verification memo shared by all voting services
-	// on the same kernel (nil when IC is off). Under
-	// sharding each shard gets its own memo (Memos[i]; Memo aliases shard
-	// 0's): the cache is unsynchronized, and since it only memoizes a pure
-	// function, per-shard caches cannot change results.
-	Memo  *sigcache.Cache
+	// Memos are the signature-verification memos of the voting services,
+	// one per kernel and shared by every service on it (nil when IC is off;
+	// a single-kernel network has exactly Memos[0]; index by Node.Shard).
+	// The cache is unsynchronized, hence one per shard, and since it only
+	// memoizes a pure function, per-shard caches cannot change results.
 	Memos []*sigcache.Cache
 	// BeaconMemos are the per-shard memos behind the topology services'
 	// beacon verification (nil unless beacons carry RSA signatures). They
@@ -417,7 +416,6 @@ func Build(cfg Config) (*Network, error) {
 	// over the fully assembled node.
 	if cfg.IC {
 		net.Memos = newMemos(shards)
-		net.Memo = net.Memos[0]
 		for i, nd := range net.Nodes {
 			var cbs vote.Callbacks
 			if cfg.Callbacks != nil {

@@ -11,13 +11,14 @@ import (
 // edge equal to the transmission range. Because the cell edge equals the
 // range, every transceiver within range of a sender is guaranteed to sit in
 // the 3×3 cell neighborhood around the sender's cell, so Send only visits
-// that neighborhood instead of scanning all N transceivers.
+// that neighborhood (chanShard.candidates, the one indexed enumerator)
+// instead of scanning all N transceivers.
 //
 // Static transceivers are binned once at Attach. Mobile ones are re-binned
 // lazily: the first query of each virtual-time epoch (a distinct kernel
 // timestamp) refreshes their cells, so the index is exact at query time and
 // waypoint-mobility nodes are never missed. The index is behaviorally
-// invisible — candidates are returned in ascending transceiver ID, the same
+// invisible — candidates are visited in ascending transceiver ID, the same
 // relative order as the full scan, so event sequence numbers, delivered and
 // collided frame sets, and energy totals stay byte-identical with the index
 // on or off.
@@ -29,18 +30,7 @@ type gridIndex struct {
 	// static ones keep their Attach-time cell forever.
 	mobile  []int32
 	binTime sim.Time
-	binned  bool
-	dirty   bool // a transceiver attached since the last re-bin
-
-	// mark[i] == gen iff transceiver i is in the current query's 3×3
-	// neighborhood. Generation stamping makes candidate membership an O(1)
-	// check with no per-query clearing, so Send can visit c.trs in its
-	// natural ascending order and skip non-candidates — no sort needed to
-	// preserve the full-scan visit order.
-	mark []uint64
-	gen  uint64
-
-	scratch []int32 // candidate buffer for the neighbors test helper
+	dirty   bool // a mobile transceiver attached since the last re-bin
 }
 
 // cellKey packs a cell's integer coordinates into one map key.
@@ -54,17 +44,17 @@ func (g *gridIndex) keyAt(cx, cy int32) cellKey {
 	return cellKey(int64(cx)<<32 | int64(uint32(cy)))
 }
 
-func (g *gridIndex) keyFor(p geo.Point) cellKey {
-	return g.keyAt(int32(math.Floor(p.X*g.inv)), int32(math.Floor(p.Y*g.inv)))
+// cellOf returns the integer coordinates of the cell containing p.
+func (g *gridIndex) cellOf(p geo.Point) (cx, cy int32) {
+	return int32(math.Floor(p.X * g.inv)), int32(math.Floor(p.Y * g.inv))
 }
+
+func (g *gridIndex) keyFor(p geo.Point) cellKey { return g.keyAt(g.cellOf(p)) }
 
 // add registers a newly attached transceiver. Static transceivers go
 // straight into their cell; mobile ones are picked up by the next re-bin.
 func (g *gridIndex) add(tr *Transceiver) {
 	i := int32(tr.id)
-	for int(i) >= len(g.mark) {
-		g.mark = append(g.mark, 0)
-	}
 	if tr.static {
 		key := g.keyFor(tr.cachedPos)
 		g.cells[key] = append(g.cells[key], i)
@@ -93,12 +83,11 @@ func (g *gridIndex) rebin(c *Channel, now sim.Time) {
 		tr.inGrid = true
 	}
 	g.binTime = now
-	g.binned = true
 	g.dirty = false
 }
 
 // removeFromCell swap-removes index i from its cell; cell order carries no
-// meaning (queries visit candidates in c.trs order, not cell order).
+// meaning (queries sort their candidates, see chanShard.candidates).
 func (g *gridIndex) removeFromCell(i int32, key cellKey) {
 	s := g.cells[key]
 	for j, v := range s {
@@ -109,50 +98,4 @@ func (g *gridIndex) removeFromCell(i int32, key cellKey) {
 			return
 		}
 	}
-}
-
-// markNeighbors stamps every transceiver binned in the 3×3 cell
-// neighborhood of src — a superset of all transceivers within one cell edge
-// of src — with a fresh generation. Callers then walk c.trs in ascending
-// order testing marked(i), which preserves the full-scan visit order
-// without sorting.
-// It returns the number of candidates stamped so the channel can gauge how
-// much the index actually prunes.
-func (g *gridIndex) markNeighbors(c *Channel, src geo.Point, now sim.Time) int {
-	if g.dirty || !g.binned || g.binTime != now {
-		g.rebin(c, now)
-	}
-	g.gen++
-	cx := int32(math.Floor(src.X * g.inv))
-	cy := int32(math.Floor(src.Y * g.inv))
-	n := 0
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			cell := g.cells[g.keyAt(cx+dx, cy+dy)]
-			for _, i := range cell {
-				g.mark[i] = g.gen
-			}
-			n += len(cell)
-		}
-	}
-	return n
-}
-
-// marked reports whether transceiver i was stamped by the latest
-// markNeighbors call.
-func (g *gridIndex) marked(i int32) bool { return g.mark[i] == g.gen }
-
-// neighbors returns the candidate indices for src in ascending order. Test
-// helper: exercises the same markNeighbors/marked path Send uses. The
-// returned slice is owned by the index and valid until the next call.
-func (g *gridIndex) neighbors(c *Channel, src geo.Point, now sim.Time) []int32 {
-	g.markNeighbors(c, src, now)
-	out := g.scratch[:0]
-	for i := range c.trs {
-		if g.marked(int32(i)) {
-			out = append(out, int32(i))
-		}
-	}
-	g.scratch = out
-	return out
 }

@@ -254,3 +254,47 @@ func TestIndexAdaptiveFallback(t *testing.T) {
 		t.Fatal("all-mobile field with whole-field range should fall back to the full scan")
 	}
 }
+
+// neighbors returns the indexed candidate set for src on a single-kernel
+// channel: the enumeration Send uses, for the tests that inspect it.
+func (g *gridIndex) neighbors(c *Channel, src geo.Point, now sim.Time) []int32 {
+	return c.shards[0].candidates(c, src, now)
+}
+
+// TestSendDoesNotAllocate guards the pooled arrivals and the candidate
+// scratch buffer: once both have grown to their working size, a send plus
+// the resolution of every arrival it caused allocates nothing, under either
+// receiver enumeration.
+func TestSendDoesNotAllocate(t *testing.T) {
+	for _, indexOn := range []bool{true, false} {
+		k := sim.NewKernel()
+		ch := NewChannel(k, Params{Range: 40, Bitrate: 2e6, PropSpeed: 3e8})
+		ch.SetIndexEnabled(indexOn)
+		var trs []*Transceiver
+		for _, m := range staticField(100) {
+			trs = append(trs, ch.Attach(m, nil, nil))
+		}
+		i := 0
+		send := func() {
+			if err := ch.Send(trs[i%len(trs)], Frame{Bytes: 512}); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.RunAll(); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		// Warm-up: every sender several times over, so the arrival pool, the
+		// scratch buffer and the kernel's timer-wheel slots reach their
+		// working size.
+		for n := 0; n < 20*len(trs); n++ {
+			send()
+		}
+		if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+			t.Errorf("index=%v: %v allocations per send + resolution, want 0", indexOn, allocs)
+		}
+		if ch.Stats.FramesDelivered == 0 {
+			t.Fatalf("index=%v: nothing delivered; the guard is vacuous", indexOn)
+		}
+	}
+}

@@ -45,8 +45,8 @@ var ErrTxBusy = errors.New("radio: transceiver already transmitting")
 type ID int
 
 // arrival is a signal in flight toward one receiver. Arrivals are recycled
-// through the channel's free list when they resolve; to points back at the
-// receiver so the resolution callback needs no per-arrival closure.
+// through the receiving shard's free list when they resolve; to points back
+// at the receiver so the resolution callback needs no per-arrival closure.
 type arrival struct {
 	frame    Frame
 	from     ID
@@ -78,9 +78,9 @@ type Transceiver struct {
 	binKey cellKey
 	inGrid bool
 
-	// Sharded-channel placement (see shard.go): the index of the shard that
-	// owns this transceiver's events, and whether it sits within one
-	// transmission range of a stripe boundary.
+	// Placement (see shard.go): the index of the shard that owns this
+	// transceiver's events (0 on a single-kernel channel), and whether it
+	// sits within one transmission range of a stripe boundary.
 	owner  int32
 	border bool
 }
@@ -93,46 +93,43 @@ func (t *Transceiver) ID() ID { return t.id }
 func (t *Transceiver) SetDown(down bool) { t.down = down }
 
 // Channel is the shared medium connecting a set of transceivers. It is
-// driven by the simulation kernel and is not safe for concurrent use.
+// driven by the simulation kernel(s) of its shards; a channel built by
+// NewChannel has exactly one and is not safe for concurrent use.
 type Channel struct {
-	k      *sim.Kernel
 	params Params
 	trs    []*Transceiver
 
+	// shards holds one chanShard per kernel the channel runs on (see
+	// shard.go): one for NewChannel, one per stripe for NewChannelSharded,
+	// where set carries cross-kernel registrations and ownerOf maps a static
+	// position to its home shard. A transceiver's owner indexes shards.
+	shards  []*chanShard
+	set     *sim.ShardSet
+	ownerOf func(geo.Point) (shard int, border bool)
+
 	// grid is the spatial neighbor index (nil when Range <= 0); useIndex
-	// gates queries on the unsharded send path, where the linear scan is
-	// both the adaptive fallback and the tests' cross-check
-	// (SetIndexEnabled).
+	// picks between its candidate sets and the linear scan over every
+	// transceiver, which is both the adaptive fallback and the tests'
+	// reference (SetIndexEnabled).
 	grid     *gridIndex
 	useIndex bool
 
 	// The index pays off only when it prunes more distance checks than the
-	// per-epoch mobile re-bin costs. Both paths are behaviorally identical,
-	// so the channel is free to pick whichever is cheaper: while adaptive,
-	// the first probeSends indexed sends sample the candidate count, and the
-	// index is dropped for the rest of the run if the observed pruning
-	// (scanned − candidates) does not exceed the mobile population it has to
-	// re-bin each epoch. SetIndexEnabled pins the choice and skips the
+	// per-epoch mobile re-bin costs. Both enumerations are behaviorally
+	// identical, so the channel is free to pick whichever is cheaper: while
+	// adaptive, the first probeSends indexed sends sample the candidate
+	// count, and the index is dropped for the rest of the run if the observed
+	// pruning (scanned − candidates) does not exceed the mobile population it
+	// has to re-bin each epoch. SetIndexEnabled pins the choice and skips the
 	// probe.
 	adaptive  bool
 	probes    int
 	probeCand uint64
 	probeScan uint64
 
-	// finishFn is the arrival-resolution callback, built once so scheduling
-	// a delivery allocates no per-frame closure.
-	finishFn func(any)
-	// arrPool recycles resolved arrival structs.
-	arrPool []*arrival
-
-	// Sharded operation (see shard.go): when shardCtx is non-nil the channel
-	// is partitioned across the kernels of set, ownerOf maps a static
-	// position to its home shard, and Send takes the sharded path.
-	set      *sim.ShardSet
-	ownerOf  func(geo.Point) (shard int, border bool)
-	shardCtx []*chanShard
-
-	// Stats counts physical-layer activity for the whole channel.
+	// Stats counts physical-layer activity for the whole channel: live on a
+	// single-kernel channel, folded from the per-shard counters by
+	// MergeShardStats on a sharded one.
 	Stats Stats
 }
 
@@ -152,24 +149,22 @@ const probeSends = 128
 // channel falls back to the linear scan if the probe finds the deployment
 // geometry defeats pruning.
 func NewChannel(k *sim.Kernel, params Params) *Channel {
-	c := &Channel{k: k, params: params}
+	c := &Channel{params: params}
+	c.shards = []*chanShard{newChanShard(k, &c.Stats)}
 	if params.Range > 0 {
 		c.grid = newGridIndex(params.Range)
 		c.useIndex = true
 		c.adaptive = true
-	}
-	c.finishFn = func(x any) {
-		arr := x.(*arrival)
-		c.finish(arr.to, arr)
 	}
 	return c
 }
 
 // SetIndexEnabled turns the spatial neighbor index on or off, pinning the
 // choice (no adaptive fallback). The index is maintained either way, so
-// toggling is valid at any point; equivalence tests use this to compare
-// indexed and full-scan runs in-process. It has no effect on a sharded
-// channel, whose send path is always the indexed one.
+// toggling is valid at any point on a single-kernel channel (on a sharded
+// one only before the run: its shards read the choice concurrently);
+// equivalence tests use this to compare indexed and full-scan runs
+// in-process.
 func (c *Channel) SetIndexEnabled(on bool) {
 	c.useIndex = on && c.grid != nil
 	c.adaptive = false
@@ -194,7 +189,7 @@ func (c *Channel) Attach(pos mobility.Model, meter *energy.Meter, recv func(Fram
 	if c.grid != nil {
 		c.grid.add(tr)
 	}
-	if c.shardCtx != nil {
+	if c.set != nil {
 		c.attachSharded(tr)
 	}
 	return tr
@@ -238,19 +233,19 @@ func (c *Channel) Busy(tr *Transceiver) bool {
 
 // Send starts transmitting frame from tr. Delivery (or collision) at each
 // in-range receiver resolves when the frame's airtime ends. Send does not
-// carrier-sense; that is the MAC's job.
+// carrier-sense; that is the MAC's job. Sender-side state is touched here,
+// on the sender's kernel; everything a reception mutates belongs to the
+// receiver's shard (see propagate).
 func (c *Channel) Send(tr *Transceiver, f Frame) error {
-	if c.shardCtx != nil {
-		return c.sendSharded(tr, f)
-	}
-	now := c.k.Now()
+	sc := c.shards[tr.owner]
+	now := sc.k.Now()
 	if tr.down {
 		return nil // a dead radio silently drops
 	}
 	if tr.txUntil > now {
 		return ErrTxBusy
 	}
-	c.Stats.FramesSent++
+	sc.stats.FramesSent++
 	d := c.TxDuration(f.Bytes)
 	tr.txUntil = now + d
 	if tr.meter != nil {
@@ -265,21 +260,19 @@ func (c *Channel) Send(tr *Transceiver, f Frame) error {
 	src := c.posAt(tr, now)
 	if c.useIndex {
 		// Spatial index: only the 3×3 cell neighborhood can hold in-range
-		// receivers. Candidates are stamped and then visited in c.trs
-		// order — the full-scan visit order — so the two paths schedule
-		// identical event sequences.
-		cand := c.grid.markNeighbors(c, src, now)
-		for i, r := range c.trs {
-			if c.grid.marked(int32(i)) {
-				c.propagate(r, tr, f, src, now, d)
-			}
+		// receivers. Candidates come back in ascending ID — the full-scan
+		// visit order — so the two enumerations schedule identical event
+		// sequences.
+		cand := sc.candidates(c, src, now)
+		for _, i := range cand {
+			c.propagate(sc, c.trs[i], tr, f, src, now, d)
 		}
 		if c.adaptive {
-			c.probeDecide(cand)
+			c.probeDecide(len(cand))
 		}
 	} else {
 		for _, r := range c.trs {
-			c.propagate(r, tr, f, src, now, d)
+			c.propagate(sc, r, tr, f, src, now, d)
 		}
 	}
 	return nil
@@ -306,9 +299,20 @@ func (c *Channel) probeDecide(cand int) {
 	}
 }
 
-// r is the sender, down, or out of range) and schedules its resolution.
-func (c *Channel) propagate(r, tr *Transceiver, f Frame, src geo.Point, now sim.Time, d sim.Duration) {
-	if r == tr || r.down {
+// propagate registers frame f (sent by tr from src) at receiver r unless
+// r is the sender, down, or out of range. A receiver on the sender's kernel
+// is registered directly, and skipped when down before its position is
+// evaluated (a mobile model's Pos calls are part of the replica's event
+// order). A receiver on another kernel is necessarily static, so the range
+// check reads an immutable position; its registration — down check
+// included — is posted to its own shard at the send instant (not first-bit
+// arrival): carrier sense must see a neighbor's transmission from the
+// moment it starts. Posting is only legal inside a tx-flagged event, which
+// the border geometry guarantees this is (a sender in range of another
+// stripe is in range of the boundary, hence border-marked).
+func (c *Channel) propagate(sc *chanShard, r, tr *Transceiver, f Frame, src geo.Point, now sim.Time, d sim.Duration) {
+	local := r.owner == tr.owner
+	if r == tr || (local && r.down) {
 		return
 	}
 	dist := c.posAt(r, now).Dist(src)
@@ -319,76 +323,23 @@ func (c *Channel) propagate(r, tr *Transceiver, f Frame, src geo.Point, now sim.
 	if c.params.PropSpeed > 0 {
 		prop = sim.Duration(dist / c.params.PropSpeed)
 	}
-	arr := c.newArrival()
-	arr.frame, arr.from, arr.to = f, tr.id, r
-	arr.start, arr.end = now+prop, now+prop+d
-	// Receiver transmitting when the arrival starts corrupts it.
-	applyHalfDuplex(r, arr)
-	// Overlap with any other in-flight arrival corrupts both.
-	for _, other := range r.arrivals {
-		if other.end > arr.start && other.start < arr.end {
-			other.collided = true
-			arr.collided = true
-		}
+	if local {
+		sc.register(r, f, tr.id, now+prop, d)
+		return
 	}
-	r.arrivals = append(r.arrivals, arr)
-	if r.meter != nil {
-		r.meter.AddRx(d)
-	}
-	c.k.ScheduleFireArg(arr.end-now, c.finishFn, arr)
+	c.set.Post(sc.k, int(r.owner), now, c.shards[r.owner].registerFn, &remoteArrival{
+		frame: f, from: tr.id, to: r, start: now + prop, air: d,
+	})
 }
 
 // applyHalfDuplex marks arr collided when its receiver's own transmission
-// overlaps the arrival's start — the half-duplex rule. Send applies it for
-// transmissions already underway when the arrival begins; finish re-applies
-// it for ones that began mid-arrival. One rule, two sampling points.
+// overlaps the arrival's start — the half-duplex rule. register applies it
+// for transmissions already underway when the arrival begins; finish
+// re-applies it for ones that began mid-arrival. One rule, two sampling
+// points.
 func applyHalfDuplex(r *Transceiver, arr *arrival) {
 	if r.txUntil > arr.start {
 		arr.collided = true
-	}
-}
-
-// newArrival returns a zeroed arrival from the free list (or a fresh one).
-func (c *Channel) newArrival() *arrival {
-	if n := len(c.arrPool); n > 0 {
-		arr := c.arrPool[n-1]
-		c.arrPool[n-1] = nil
-		c.arrPool = c.arrPool[:n-1]
-		return arr
-	}
-	return &arrival{}
-}
-
-// finish resolves one arrival at receiver r.
-func (c *Channel) finish(r *Transceiver, arr *arrival) {
-	// Remove arr from r's in-flight list. Swap-remove: list order carries
-	// no meaning (overlap checks are symmetric), and under MAC contention
-	// the list can grow long enough for the O(n) splice to show up in
-	// sweep profiles.
-	for i, a := range r.arrivals {
-		if a == arr {
-			last := len(r.arrivals) - 1
-			r.arrivals[i] = r.arrivals[last]
-			r.arrivals[last] = nil
-			r.arrivals = r.arrivals[:last]
-			break
-		}
-	}
-	// The receiver may have started transmitting mid-arrival.
-	applyHalfDuplex(r, arr)
-	frame, from, collided := arr.frame, arr.from, arr.collided
-	*arr = arrival{}
-	c.arrPool = append(c.arrPool, arr)
-	if collided {
-		c.Stats.FramesCollided++
-		return
-	}
-	if r.down {
-		return
-	}
-	c.Stats.FramesDelivered++
-	if r.recv != nil {
-		r.recv(frame, from)
 	}
 }
 

@@ -1,20 +1,21 @@
 package radio
 
-// Sharded channel operation: the transceiver population is partitioned into
-// vertical stripes of grid-cell columns, each owned by one shard of a
+// Every channel runs on chanShards: one kernel's slice of the channel. A
+// single-kernel channel (NewChannel) is the one-shard case of the code
+// below — every receiver is local, nothing is ever posted. On a sharded
+// channel (NewChannelSharded) the transceiver population is partitioned
+// into vertical stripes of grid-cell columns, each owned by one shard of a
 // sim.ShardSet. All state a transmission touches lives with the shard that
 // owns the transceiver it belongs to:
 //
 //   - Sender-side state (txUntil, the sender's own arrivals, tx energy,
 //     FramesSent) is touched on the sender's kernel, inside the MAC's
-//     tx-flagged event.
+//     tx-flagged event (Channel.Send).
 //   - Receiver-side state (the receiver's arrival list, collision marks, rx
-//     energy, delivery counters) is touched on the receiver's kernel — for
-//     same-shard receivers directly during the send, for cross-shard
-//     receivers by a message posted at the send instant. Registering remote
-//     arrivals at the send instant (not first-bit arrival) matters: carrier
-//     sense must see a neighbor's transmission from the moment it starts,
-//     exactly as the sequential channel does.
+//     energy, delivery counters) is touched on the receiver's kernel
+//     (register, finish) — for same-shard receivers directly during the
+//     send, for cross-shard receivers by a message posted at the send
+//     instant (Channel.propagate).
 //
 // Because the grid's cell edge equals the transmission range, a stripe is
 // at least one range wide, so cross-shard traffic only ever targets the two
@@ -22,34 +23,38 @@ package radio
 // node that can hear across a boundary is within one range of it (a border
 // node). Only border nodes' MAC events are tx-flagged, so interior nodes
 // pay nothing for sharding.
-//
-// The sequential full-scan and mark-scan paths cost O(N) per send; at 10k+
-// nodes that scan dominates the run. The sharded path instead collects the
-// 3×3 cell neighborhood's members and sorts them (O(K log K) for K
-// candidates), visiting receivers in the same ascending-ID order as the
-// sequential paths — which is what keeps per-receiver event sequences, and
-// therefore results, identical.
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"innercircle/internal/geo"
 	"innercircle/internal/sim"
 )
 
-// chanShard is one shard's slice of the channel: its kernel, its counters,
-// its arrival free list, and its callback closures (built once, so the hot
-// path allocates no per-event closures).
+// chanShard is one kernel's slice of the channel: its kernel, its counters,
+// its arrival free list, its candidate scratch buffer, and its callback
+// closures (built once, so the hot path allocates no per-event closures).
 type chanShard struct {
 	k          *sim.Kernel
-	idx        int
-	stats      Stats
+	stats      *Stats
 	arrPool    []*arrival
 	finishFn   func(any)
 	registerFn func(any)
 	cand       []int32
+}
+
+func newChanShard(k *sim.Kernel, stats *Stats) *chanShard {
+	sc := &chanShard{k: k, stats: stats}
+	sc.finishFn = func(x any) { sc.finish(x.(*arrival)) }
+	sc.registerFn = func(x any) {
+		// A down receiver on another kernel is skipped here, on the kernel
+		// that owns the flag, not by the sender.
+		if m := x.(*remoteArrival); !m.to.down {
+			sc.register(m.to, m.frame, m.from, m.start, m.air)
+		}
+	}
+	return sc
 }
 
 // remoteArrival carries one cross-shard transmission registration. It is
@@ -60,40 +65,34 @@ type remoteArrival struct {
 	from  ID
 	to    *Transceiver
 	start sim.Time
-	end   sim.Time
 	air   sim.Duration
 }
 
 // NewChannelSharded returns a channel whose transceivers are partitioned
 // across the kernels of set. ownerOf maps a (static) position to its home
 // shard index and whether it lies within one transmission range of a stripe
-// boundary. The spatial index is always used (no adaptive probe: the
-// sharded send path is built around cell-neighborhood iteration).
+// boundary. There is no adaptive probe: shards read the channel's
+// enumeration choice concurrently, so it is fixed — indexed — before the run.
 func NewChannelSharded(set *sim.ShardSet, params Params, ownerOf func(geo.Point) (shard int, border bool)) *Channel {
 	if params.Range <= 0 {
 		panic("radio: NewChannelSharded requires a positive transmission range")
 	}
-	c := NewChannel(set.Kernel(0), params)
-	c.adaptive = false
-	c.set = set
-	c.ownerOf = ownerOf
-	c.shardCtx = make([]*chanShard, set.Shards())
-	for i := range c.shardCtx {
-		sc := &chanShard{k: set.Kernel(i), idx: i}
-		sc.finishFn = func(x any) {
-			arr := x.(*arrival)
-			c.finishSharded(sc, arr.to, arr)
-		}
-		sc.registerFn = func(x any) {
-			c.register(sc, x.(*remoteArrival))
-		}
-		c.shardCtx[i] = sc
+	c := &Channel{
+		params:   params,
+		grid:     newGridIndex(params.Range),
+		useIndex: true,
+		set:      set,
+		ownerOf:  ownerOf,
+		shards:   make([]*chanShard, set.Shards()),
+	}
+	for i := range c.shards {
+		c.shards[i] = newChanShard(set.Kernel(i), new(Stats))
 	}
 	return c
 }
 
 // Sharded reports whether the channel runs partitioned across a shard set.
-func (c *Channel) Sharded() bool { return c.shardCtx != nil }
+func (c *Channel) Sharded() bool { return c.set != nil }
 
 // Border reports whether the transceiver sits within one transmission range
 // of a stripe boundary on a sharded channel. Border nodes are the only ones
@@ -101,14 +100,8 @@ func (c *Channel) Sharded() bool { return c.shardCtx != nil }
 // tx-flagged (mac.MarkBorder).
 func (t *Transceiver) Border() bool { return t.border }
 
-// kernelFor returns the kernel that owns tr's events: its home shard's on a
-// sharded channel, the channel's single kernel otherwise.
-func (c *Channel) kernelFor(tr *Transceiver) *sim.Kernel {
-	if c.shardCtx != nil {
-		return c.shardCtx[tr.owner].k
-	}
-	return c.k
-}
+// kernelFor returns the kernel that owns tr's events: its home shard's.
+func (c *Channel) kernelFor(tr *Transceiver) *sim.Kernel { return c.shards[tr.owner].k }
 
 // attachSharded pins a new transceiver to its home shard. Sharding requires
 // static placements: a mobile model's position evolves internal state that
@@ -119,22 +112,28 @@ func (c *Channel) attachSharded(tr *Transceiver) {
 		panic(fmt.Sprintf("radio: transceiver %d is mobile; sharded channels require static placements", tr.id))
 	}
 	shard, border := c.ownerOf(tr.cachedPos)
-	if shard < 0 || shard >= len(c.shardCtx) {
-		panic(fmt.Sprintf("radio: transceiver %d mapped to shard %d of %d", tr.id, shard, len(c.shardCtx)))
+	if shard < 0 || shard >= len(c.shards) {
+		panic(fmt.Sprintf("radio: transceiver %d mapped to shard %d of %d", tr.id, shard, len(c.shards)))
 	}
 	tr.owner = int32(shard)
 	tr.border = border
 }
 
-// candidates collects the members of the 3×3 cell neighborhood around src
-// in ascending transceiver ID — the sequential paths' visit order. The
-// grid's cells are immutable during a sharded run (every transceiver is
-// static and binned at Attach), so concurrent reads from all shards are
-// safe. The returned slice is the shard's scratch buffer.
-func (sc *chanShard) candidates(g *gridIndex, src geo.Point) []int32 {
+// candidates is the indexed receiver enumeration: the members of the 3×3
+// cell neighborhood around src — a superset of every transceiver within
+// range — in ascending transceiver ID, the full scan's visit order, at
+// O(K log K) for K candidates instead of the scan's O(N). Mobile
+// transceivers are re-binned first, once per virtual instant; with none the
+// grid is never written, which is what lets the shards of a sharded channel
+// (all static, binned at Attach) query it concurrently. The returned slice
+// is the shard's scratch buffer.
+func (sc *chanShard) candidates(c *Channel, src geo.Point, now sim.Time) []int32 {
+	g := c.grid
+	if len(g.mobile) > 0 && (g.dirty || g.binTime != now) {
+		g.rebin(c, now)
+	}
 	out := sc.cand[:0]
-	cx := int32(math.Floor(src.X * g.inv))
-	cy := int32(math.Floor(src.Y * g.inv))
+	cx, cy := g.cellOf(src)
 	for dx := int32(-1); dx <= 1; dx++ {
 		for dy := int32(-1); dy <= 1; dy++ {
 			out = append(out, g.cells[g.keyAt(cx+dx, cy+dy)]...)
@@ -145,90 +144,16 @@ func (sc *chanShard) candidates(g *gridIndex, src geo.Point) []int32 {
 	return out
 }
 
-// sendSharded is Send on a sharded channel: sender-side bookkeeping on the
-// sender's shard, then per-receiver registration — direct for same-shard
-// receivers, posted at the send instant for cross-shard ones.
-func (c *Channel) sendSharded(tr *Transceiver, f Frame) error {
-	sc := c.shardCtx[tr.owner]
-	now := sc.k.Now()
-	if tr.down {
-		return nil // a dead radio silently drops
-	}
-	if tr.txUntil > now {
-		return ErrTxBusy
-	}
-	sc.stats.FramesSent++
-	d := c.TxDuration(f.Bytes)
-	tr.txUntil = now + d
-	if tr.meter != nil {
-		tr.meter.AddTx(d)
-	}
-	// Half-duplex: anything arriving at the sender is lost.
-	for _, a := range tr.arrivals {
-		if a.end > now {
-			a.collided = true
-		}
-	}
-	src := tr.cachedPos
-	for _, i := range sc.candidates(c.grid, src) {
-		c.propagateSharded(sc, c.trs[i], tr, f, src, now, d)
-	}
-	return nil
-}
-
-// propagateSharded registers frame f (sent by tr from src) at receiver r.
-// The in-range check runs sender-side on immutable positions; everything
-// the registration mutates belongs to the receiver's shard.
-func (c *Channel) propagateSharded(sc *chanShard, r, tr *Transceiver, f Frame, src geo.Point, now sim.Time, d sim.Duration) {
-	if r == tr {
-		return
-	}
-	dist := r.cachedPos.Dist(src)
-	if dist > c.params.Range {
-		return
-	}
-	prop := sim.Duration(0)
-	if c.params.PropSpeed > 0 {
-		prop = sim.Duration(dist / c.params.PropSpeed)
-	}
-	if r.owner == tr.owner {
-		if r.down {
-			return
-		}
-		arr := sc.newArrival()
-		arr.frame, arr.from, arr.to = f, tr.id, r
-		arr.start, arr.end = now+prop, now+prop+d
-		c.registerArrival(sc, r, arr, d)
-		return
-	}
-	// Cross-shard: the receiving shard applies the registration at the send
-	// instant. Posting is only legal inside a tx-flagged event, which the
-	// border geometry guarantees this is (a sender in range of another
-	// stripe is in range of the boundary, hence border-marked).
-	rc := c.shardCtx[r.owner]
-	c.set.Post(sc.k, int(r.owner), now, rc.registerFn, &remoteArrival{
-		frame: f, from: tr.id, to: r,
-		start: now + prop, end: now + prop + d, air: d,
-	})
-}
-
-// register applies a cross-shard registration on the receiver's shard.
-func (c *Channel) register(rc *chanShard, m *remoteArrival) {
-	r := m.to
-	if r.down {
-		return
-	}
-	arr := rc.newArrival()
-	arr.frame, arr.from, arr.to = m.frame, m.from, r
-	arr.start, arr.end = m.start, m.end
-	c.registerArrival(rc, r, arr, m.air)
-}
-
-// registerArrival is the receiver-side half of a transmission, identical in
-// effect to the sequential propagate: collision marking, the in-flight
-// list, rx energy, and the resolution event, all on r's home shard.
-func (c *Channel) registerArrival(rc *chanShard, r *Transceiver, arr *arrival, air sim.Duration) {
+// register is the receiver-side half of a transmission, run on r's home
+// shard: collision marking, the in-flight list, rx energy, and the
+// resolution event.
+func (sc *chanShard) register(r *Transceiver, f Frame, from ID, start sim.Time, air sim.Duration) {
+	arr := sc.newArrival()
+	arr.frame, arr.from, arr.to = f, from, r
+	arr.start, arr.end = start, start+air
+	// Receiver transmitting when the arrival starts corrupts it.
 	applyHalfDuplex(r, arr)
+	// Overlap with any other in-flight arrival corrupts both.
 	for _, other := range r.arrivals {
 		if other.end > arr.start && other.start < arr.end {
 			other.collided = true
@@ -239,10 +164,11 @@ func (c *Channel) registerArrival(rc *chanShard, r *Transceiver, arr *arrival, a
 	if r.meter != nil {
 		r.meter.AddRx(air)
 	}
-	rc.k.ScheduleFireArg(arr.end-rc.k.Now(), rc.finishFn, arr)
+	sc.k.ScheduleFireArg(arr.end-sc.k.Now(), sc.finishFn, arr)
 }
 
-// newArrival returns a zeroed arrival from the shard's free list.
+// newArrival returns a zeroed arrival from the shard's free list (or a
+// fresh one).
 func (sc *chanShard) newArrival() *arrival {
 	if n := len(sc.arrPool); n > 0 {
 		arr := sc.arrPool[n-1]
@@ -253,9 +179,13 @@ func (sc *chanShard) newArrival() *arrival {
 	return &arrival{}
 }
 
-// finishSharded resolves one arrival at receiver r on r's home shard;
-// the sharded counterpart of finish.
-func (c *Channel) finishSharded(sc *chanShard, r *Transceiver, arr *arrival) {
+// finish resolves one arrival at its receiver, on the receiver's home shard.
+func (sc *chanShard) finish(arr *arrival) {
+	r := arr.to
+	// Remove arr from r's in-flight list. Swap-remove: list order carries
+	// no meaning (overlap checks are symmetric), and under MAC contention
+	// the list can grow long enough for the O(n) splice to show up in
+	// sweep profiles.
 	for i, a := range r.arrivals {
 		if a == arr {
 			last := len(r.arrivals) - 1
@@ -265,6 +195,7 @@ func (c *Channel) finishSharded(sc *chanShard, r *Transceiver, arr *arrival) {
 			break
 		}
 	}
+	// The receiver may have started transmitting mid-arrival.
 	applyHalfDuplex(r, arr)
 	frame, from, collided := arr.frame, arr.from, arr.collided
 	*arr = arrival{}
@@ -285,13 +216,13 @@ func (c *Channel) finishSharded(sc *chanShard, r *Transceiver, arr *arrival) {
 // MergeShardStats folds the per-shard counters into Channel.Stats. Call it
 // after the shard set has finished running (it reads state owned by every
 // shard); harvest code then sees whole-channel totals exactly as in a
-// sequential run.
+// single-kernel run, whose one shard counts into Channel.Stats directly.
 func (c *Channel) MergeShardStats() {
-	if c.shardCtx == nil {
+	if c.set == nil {
 		return
 	}
 	total := Stats{}
-	for _, sc := range c.shardCtx {
+	for _, sc := range c.shards {
 		total.FramesSent += sc.stats.FramesSent
 		total.FramesDelivered += sc.stats.FramesDelivered
 		total.FramesCollided += sc.stats.FramesCollided

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"innercircle/internal/energy"
 	"innercircle/internal/geo"
 	"innercircle/internal/mobility"
 	"innercircle/internal/sim"
@@ -37,85 +38,117 @@ var shardTestSends = []struct {
 	{2, 14 * sim.Millisecond, "e0"},
 }
 
-// runShardReference plays the send schedule on a plain sequential channel
-// and returns per-node received payloads and the channel stats.
-func runShardReference(t *testing.T) ([][]any, Stats) {
-	t.Helper()
-	k := sim.NewKernel()
-	ch, trs, got := testNet(k, Default80211(), shardTestPositions)
-	for _, s := range shardTestSends {
-		s := s
-		k.ScheduleFire(s.at, func() {
-			if err := ch.Send(trs[s.node], Frame{Bytes: 512, Payload: s.pay}); err != nil {
-				t.Errorf("send %s: %v", s.pay, err)
-			}
-		})
-	}
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	return got, ch.Stats
+// shardRun is everything the send schedule leaves observable: per-node
+// received payloads, the channel totals and per-node receive airtime.
+type shardRun struct {
+	got   [][]any
+	stats Stats
+	rx    []sim.Duration
 }
 
-// TestShardedChannelMatchesSequential: the same send schedule on a
-// two-shard channel must deliver the same payloads to the same nodes and
-// produce the same channel totals as the sequential path, under both
+// playShardSchedule attaches shardTestPositions to ch, takes node down out
+// of service (none if negative), issues shardTestSends from each sender's
+// home kernel and drives the channel with run.
+func playShardSchedule(t *testing.T, ch *Channel, down int, run func() error) shardRun {
+	t.Helper()
+	n := len(shardTestPositions)
+	trs := make([]*Transceiver, n)
+	meters := make([]*energy.Meter, n)
+	out := shardRun{got: make([][]any, n), rx: make([]sim.Duration, n)}
+	for i, p := range shardTestPositions {
+		i := i
+		meters[i] = energy.NewMeter(energy.NS2Default())
+		trs[i] = ch.Attach(mobility.Static(p), meters[i], func(f Frame, _ ID) {
+			out.got[i] = append(out.got[i], f.Payload)
+		})
+		if ch.Sharded() {
+			if !trs[i].Border() {
+				t.Fatalf("node %d not border-marked", i)
+			}
+			if want := int32(i / 2); trs[i].owner != want {
+				t.Fatalf("node %d owned by shard %d, want %d", i, trs[i].owner, want)
+			}
+		}
+	}
+	if down >= 0 {
+		trs[down].SetDown(true)
+	}
+	for _, s := range shardTestSends {
+		s := s
+		tr := trs[s.node]
+		ch.kernelFor(tr).ScheduleFireTx(s.at, func() {
+			if err := ch.Send(tr, Frame{Bytes: 512, Payload: s.pay}); err != nil {
+				t.Errorf("send %s: %v", s.pay, err)
+			}
+		}, tr.Border())
+	}
+	if err := run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	ch.MergeShardStats()
+	out.stats = ch.Stats
+	for i, m := range meters {
+		out.rx[i] = m.RxTime()
+	}
+	return out
+}
+
+// playSingleKernel plays the schedule on a NewChannel channel — the
+// one-chanShard case — with the receiver enumeration pinned.
+func playSingleKernel(t *testing.T, indexOn bool, down int) shardRun {
+	t.Helper()
+	k := sim.NewKernel()
+	ch := NewChannel(k, Default80211())
+	ch.SetIndexEnabled(indexOn)
+	return playShardSchedule(t, ch, down, k.RunAll)
+}
+
+// TestShardedChannelMatchesSequential: the same send schedule must deliver
+// the same payloads to the same nodes, charge the same receive airtime and
+// produce the same channel totals as the full-scan reference on one
+// chanShard with the index on and on a two-shard channel under both
 // executors. ShardSet.Run picks the executor from the cores it observes, so
 // the test drives GOMAXPROCS: one core is the sequential executor, four
-// (with an idle core budget) one slot per shard.
+// (with an idle core budget) one slot per shard. The -down arms take node 2
+// out of service: it sits across the stripe boundary from senders 0 and 1,
+// so only the posted registration's own down check keeps it from
+// colliding, receiving or being charged.
 func TestShardedChannelMatchesSequential(t *testing.T) {
-	wantGot, wantStats := runShardReference(t)
 	for _, tc := range []struct {
-		exec  string
-		procs int
-	}{{"seq", 1}, {"par", 4}} {
-		t.Run(tc.exec, func(t *testing.T) {
-			prev := runtime.GOMAXPROCS(tc.procs)
-			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-			set := sim.NewShardSet(2, shardLookahead)
-			ownerOf := func(p geo.Point) (int, bool) {
-				shard := 0
-				if p.X >= 250 {
-					shard = 1
-				}
-				return shard, p.X >= 0 && p.X <= 500 // all within one range of x=250
+		name  string
+		procs int // 0: one chanShard, index pinned on
+		down  int
+	}{
+		{"one-shard", 0, -1}, {"seq", 1, -1}, {"par", 4, -1},
+		{"seq-down", 1, 2}, {"par-down", 4, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := playSingleKernel(t, false, tc.down)
+			if want.stats.FramesDelivered == 0 || want.stats.FramesCollided == 0 {
+				t.Fatalf("reference run is vacuous: %+v", want.stats)
 			}
-			ch := NewChannelSharded(set, Default80211(), ownerOf)
-			trs := make([]*Transceiver, len(shardTestPositions))
-			got := make([][]any, len(shardTestPositions))
-			for i, p := range shardTestPositions {
-				i := i
-				trs[i] = ch.Attach(mobility.Static(p), nil, func(f Frame, _ ID) {
-					got[i] = append(got[i], f.Payload)
-				})
-				if !trs[i].Border() {
-					t.Fatalf("node %d not border-marked", i)
-				}
-			}
-			if want := int32(0); trs[1].owner != want || trs[0].owner != want {
-				t.Fatalf("left nodes owned by shards %d/%d, want 0", trs[0].owner, trs[1].owner)
-			}
-			if trs[2].owner != 1 || trs[3].owner != 1 {
-				t.Fatalf("right nodes owned by shards %d/%d, want 1", trs[2].owner, trs[3].owner)
-			}
-			for _, s := range shardTestSends {
-				s := s
-				k := set.Kernel(int(trs[s.node].owner))
-				k.ScheduleFireTx(s.at, func() {
-					if err := ch.Send(trs[s.node], Frame{Bytes: 512, Payload: s.pay}); err != nil {
-						t.Errorf("send %s: %v", s.pay, err)
+			var got shardRun
+			if tc.procs == 0 {
+				got = playSingleKernel(t, true, tc.down)
+			} else {
+				prev := runtime.GOMAXPROCS(tc.procs)
+				t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+				set := sim.NewShardSet(2, shardLookahead)
+				ownerOf := func(p geo.Point) (int, bool) {
+					shard := 0
+					if p.X >= 250 {
+						shard = 1
 					}
-				}, trs[s.node].Border())
+					return shard, p.X >= 0 && p.X <= 500 // all within one range of x=250
+				}
+				ch := NewChannelSharded(set, Default80211(), ownerOf)
+				got = playShardSchedule(t, ch, tc.down, func() error { return set.Run(20 * sim.Millisecond) })
 			}
-			if err := set.Run(20 * sim.Millisecond); err != nil {
-				t.Fatalf("Run: %v", err)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("diverged from the full-scan reference:\ngot  %+v\nwant %+v", got, want)
 			}
-			ch.MergeShardStats()
-			if !reflect.DeepEqual(got, wantGot) {
-				t.Fatalf("sharded deliveries diverged:\ngot  %v\nwant %v", got, wantGot)
-			}
-			if ch.Stats != wantStats {
-				t.Fatalf("sharded stats = %+v, want %+v", ch.Stats, wantStats)
+			if tc.down >= 0 && (len(got.got[tc.down]) != 0 || got.rx[tc.down] != 0) {
+				t.Fatalf("down node %d received %v and was charged %v of rx airtime", tc.down, got.got[tc.down], got.rx[tc.down])
 			}
 		})
 	}

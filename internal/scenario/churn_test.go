@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -59,62 +57,6 @@ func TestChurnValidate(t *testing.T) {
 				t.Fatalf("error %v does not contain %q", err, tc.wantErr)
 			}
 		})
-	}
-}
-
-// TestChurnSpecJSONRoundTrip pins the wire form of the churn axis: the
-// field round-trips byte-identically, its absence marshals to nothing,
-// and unknown churn sub-fields are rejected.
-func TestChurnSpecJSONRoundTrip(t *testing.T) {
-	s := icSpec()
-	s.Churn = &Churn{
-		CrashRejoin:     4,
-		Leaves:          1,
-		Start:           2,
-		Window:          6,
-		Downtime:        1.5,
-		Reshare:         ReshareEvery,
-		ReshareInterval: 3,
-		RefreshInterval: 5,
-		Protect:         2,
-	}
-	first, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(first), `"churn":{"crash_rejoin":4`) {
-		t.Fatalf("churn field missing from wire form: %s", first)
-	}
-	var back Spec
-	if err := json.Unmarshal(first, &back); err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Validate(); err != nil {
-		t.Fatalf("round-tripped spec invalid: %v", err)
-	}
-	second, err := json.Marshal(&back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatalf("re-marshal differs:\nfirst:  %s\nsecond: %s", first, second)
-	}
-
-	// No churn → no churn key on the wire (old artifacts hash unchanged).
-	s.Churn = nil
-	plain, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(plain), "churn") {
-		t.Fatalf("nil churn leaked into wire form: %s", plain)
-	}
-
-	// Unknown fields inside the churn object fail loudly.
-	drifted := bytes.Replace(first, []byte(`"crash_rejoin":4`), []byte(`"crash_rejoin":4,"surprise":1`), 1)
-	var bad Spec
-	if err := json.Unmarshal(drifted, &bad); err == nil {
-		t.Fatal("unknown churn field accepted")
 	}
 }
 

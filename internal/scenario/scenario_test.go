@@ -171,7 +171,11 @@ func TestRunSmokeDeterministic(t *testing.T) {
 		c := &epochCounter{}
 		s := validSpec()
 		s.Stack.Components = []Component{c}
-		s.Traffic = &traffic.Epochs{Period: 0.25, OnEpoch: func(int64, sim.Time) { c.fired++ }}
+		s.Traffic = &traffic.Epochs{Period: 0.25, OnNode: func(_ int64, _ sim.Time, node int) {
+			if node == 0 {
+				c.fired++
+			}
+		}}
 		res, err := Run(s)
 		if err != nil {
 			t.Fatalf("Run: %v", err)

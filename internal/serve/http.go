@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"innercircle/internal/experiment"
@@ -84,8 +83,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, err := s.Submit(&g)
 	if err != nil {
 		code := http.StatusBadRequest
-		if strings.Contains(err.Error(), "queue full") {
-			code = http.StatusServiceUnavailable
+		if errors.Is(err, ErrQueueFull) {
+			code = http.StatusTooManyRequests
 		}
 		httpError(w, code, err.Error())
 		return

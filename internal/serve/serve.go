@@ -18,6 +18,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -39,6 +40,10 @@ const (
 	JobDone    = "done"
 	JobFailed  = "failed"
 )
+
+// ErrQueueFull is wrapped by Submit when the bounded job queue has no room;
+// the HTTP layer answers it with 429 Too Many Requests.
+var ErrQueueFull = errors.New("serve: job queue full")
 
 // JobInfo is a job's public record — what GET /jobs/{id} returns and what
 // jobs/<id>.json persists.
@@ -228,11 +233,12 @@ func (s *Server) persist(j *JobInfo) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	return writeAtomic(s.jobPath(j.ID), b)
+	return artifact.WriteAtomic(s.jobPath(j.ID), b)
 }
 
 // Submit validates a grid, persists a queued job for it and enqueues it.
-// It fails when the queue is full (bounded FIFO, no unbounded buffering).
+// It fails with ErrQueueFull when the queue is full (bounded FIFO, no
+// unbounded buffering).
 func (s *Server) Submit(g *experiment.GridRequest) (JobInfo, error) {
 	if err := g.Validate(); err != nil {
 		return JobInfo{}, err
@@ -257,7 +263,7 @@ func (s *Server) Submit(g *experiment.GridRequest) (JobInfo, error) {
 	default:
 		s.seq-- // the job never existed
 		s.mu.Unlock()
-		return JobInfo{}, fmt.Errorf("serve: job queue full (%d queued)", s.opts.QueueCap)
+		return JobInfo{}, fmt.Errorf("%w (%d queued)", ErrQueueFull, s.opts.QueueCap)
 	}
 	s.jobs[id] = j
 	err = s.persist(j)
@@ -477,11 +483,11 @@ func (s *Server) runJob(ctx context.Context, id string) {
 	}
 	rendered := grid.Render(tables)
 	tablesSHA := artifact.Sum([]byte(rendered))
-	if err := writeAtomic(s.tablesPath(id), []byte(rendered)); err != nil {
+	if err := artifact.WriteAtomic(s.tablesPath(id), []byte(rendered)); err != nil {
 		s.fail(id, ev, err)
 		return
 	}
-	if err := writeAtomic(s.csvPath(id), []byte(grid.CSV(tables))); err != nil {
+	if err := artifact.WriteAtomic(s.csvPath(id), []byte(grid.CSV(tables))); err != nil {
 		s.fail(id, ev, err)
 		return
 	}
@@ -505,7 +511,7 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		s.fail(id, ev, err)
 		return
 	}
-	if err := writeAtomic(s.manifestPath(id), mb); err != nil {
+	if err := artifact.WriteAtomic(s.manifestPath(id), mb); err != nil {
 		s.fail(id, ev, err)
 		return
 	}
@@ -578,32 +584,3 @@ func (l *eventLog) Emit(e Event) {
 
 // Close closes the stream file.
 func (l *eventLog) Close() { l.f.Close() }
-
-// writeAtomic writes b to path via tmp+fsync+rename.
-func writeAtomic(path string, b []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("serve: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("serve: %w", err)
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("serve: %w", err)
-	}
-	return nil
-}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -306,7 +307,8 @@ func TestServiceDrainResume(t *testing.T) {
 }
 
 // TestSubmitRejectsBadGrids: the HTTP layer must reject malformed,
-// unknown-field and oversized submissions before anything queues.
+// unknown-field and oversized submissions before anything queues, and
+// answer a full queue with 429.
 func TestSubmitRejectsBadGrids(t *testing.T) {
 	srv, c := startServer(t, t.TempDir(), 1)
 	ctx := context.Background()
@@ -335,8 +337,59 @@ func TestSubmitRejectsBadGrids(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized submission got %d, want 413", resp.StatusCode)
 	}
+	// An unknown field nested inside a grid's churn schedule is schema
+	// drift too, and must not get past the decoder.
+	churn, err := json.Marshal(experiment.ChurnGrid(1, 1, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted := strings.Replace(string(churn), `"sensor":{`, `"sensor":{"churn":{"crash_rejoin":1,"surprise":1},`, 1)
+	resp, err = c.http().Post(c.Base+"/jobs", "application/json", strings.NewReader(drifted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 400 {
+		t.Fatalf("submission with an unknown churn field got %d, want 400", resp.StatusCode)
+	}
 	if jobs := srv.Jobs(); len(jobs) != 0 {
 		t.Fatalf("rejected submissions left %d jobs behind", len(jobs))
+	}
+
+	// Overload: a server nobody drains, with room for one queued job,
+	// answers the second submission 429 and writes no record for it.
+	dir := t.TempDir()
+	full, err := New(Options{Dir: dir, QueueCap: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(full.Handler())
+	defer hs.Close()
+	fc := &Client{Base: hs.URL}
+	if _, err := fc.Submit(ctx, quickGrid("fits", 1)); err != nil {
+		t.Fatalf("first submission into an empty queue: %v", err)
+	}
+	if _, err := full.Submit(quickGrid("overflow", 2)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Submit on a full queue returned %v, want ErrQueueFull", err)
+	}
+	body, err := json.Marshal(quickGrid("overflow", 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = fc.http().Post(fc.Base+"/jobs", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submission to a full queue got %d, want 429", resp.StatusCode)
+	}
+	records, err := filepath.Glob(filepath.Join(jobsDir(dir), "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != 1 || len(full.Jobs()) != 1 {
+		t.Fatalf("full queue holds %d job records on disk and %d in memory, want 1 and 1", len(records), len(full.Jobs()))
 	}
 }
 

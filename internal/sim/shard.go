@@ -50,8 +50,7 @@ package sim
 // Executors. The sequential executor interleaves all shards on one
 // goroutine in global (time, shard) order with zero synchronization; it
 // exists because conservative synchronization buys nothing at one core,
-// while the sharded radio's per-region candidate iteration still does (see
-// radio.sendSharded). The threaded executor runs the shards on G slot
+// and a partitioned replica must still run there. The threaded executor runs the shards on G slot
 // goroutines (1 < G <= S), each slot round-robining a contiguous group of
 // shards; G = S is classic goroutine-per-shard. Run sizes G to the core
 // tokens actually spare (see budget.go), capped at GOMAXPROCS, so

@@ -7,34 +7,31 @@ import (
 )
 
 // Epochs drives a synchronized duty-cycled workload (the Fig. 8 sensing
-// pattern): OnEpoch fires at every multiple of Period — epoch 1 at
-// Period, epoch 2 at 2·Period, ... — until the end of simulated time.
-// The epoch callback draws nothing from the traffic stream; scenario
-// components hook their per-epoch work (sampling, proposing) onto it.
+// pattern): at every multiple of Period — epoch 1 at Period, epoch 2 at
+// 2·Period, ... — until the end of simulated time, OnNode runs once for
+// every node, on the node's home kernel and in ascending node index within
+// a kernel. The epoch callback draws nothing from the traffic stream;
+// scenario components hook their per-epoch work (sampling, proposing) onto
+// it. The per-node work must touch only that node's state (and state that
+// is immutable during the run): on a partitioned replica the kernels fire
+// the same epoch concurrently.
 type Epochs struct {
-	Period  sim.Duration
-	OnEpoch func(epoch int64, now sim.Time)
-	// OnNode, when set, makes the program shard-capable: on a partitioned
-	// replica every shard runs its own epoch chain, invoking OnNode for the
-	// shard's nodes in ascending index order instead of one global OnEpoch.
-	// The two hooks must be behaviorally equivalent — OnEpoch applied to
-	// all nodes must equal OnNode applied per node — which holds whenever
-	// the per-node work touches only that node's state. Single-kernel
-	// replicas always use OnEpoch, preserving the exact legacy event
-	// sequence.
+	Period sim.Duration
 	OnNode func(epoch int64, now sim.Time, node int)
 }
 
-// ShardCapable implements the traffic.ShardCapable marker.
-func (e *Epochs) ShardCapable() bool { return e.OnNode != nil }
+// ShardCapable implements the traffic.ShardCapable marker: the per-node
+// hook is the only one, so every Epochs program can drive a partitioned
+// replica.
+func (e *Epochs) ShardCapable() bool { return true }
 
 // Validate implements Program. Epochs reserves no nodes.
 func (e *Epochs) Validate(int) (int, error) {
 	if e.Period <= 0 {
 		return 0, fmt.Errorf("traffic: epochs needs period > 0, got %v", e.Period)
 	}
-	if e.OnEpoch == nil {
-		return 0, fmt.Errorf("traffic: epochs needs an OnEpoch callback")
+	if e.OnNode == nil {
+		return 0, fmt.Errorf("traffic: epochs needs an OnNode callback")
 	}
 	return 0, nil
 }
@@ -52,43 +49,23 @@ type epochPlan struct {
 	deps Deps
 }
 
-// Start schedules the epoch chain — one global chain on a single kernel,
-// or one chain per shard on a partitioned replica. Each firing re-checks
-// the clock, so no epoch triggers at or past Deps.End.
+// Start schedules one epoch chain per kernel: a single-kernel replica is
+// the one-chain case, covering every node. All chains fire at the same
+// virtual instants, each invoking OnNode for its own kernel's nodes, so no
+// shard touches another shard's state. Each firing re-checks the clock, so
+// no epoch triggers at or past Deps.End.
 func (p *epochPlan) Start() {
-	if p.deps.Set != nil && p.deps.Set.Shards() > 1 && p.cfg.OnNode != nil {
-		p.startSharded()
-		return
+	shards, kernel, home := 1, func(int) *sim.Kernel { return p.deps.K }, func(int) int { return 0 }
+	if set := p.deps.Set; set != nil {
+		shards, kernel, home = set.Shards(), set.Kernel, p.deps.NodeShard
 	}
-	epoch := int64(0)
-	var fire func()
-	fire = func() {
-		now := p.deps.K.Now()
-		if now >= p.deps.End {
-			return
-		}
-		epoch++
-		p.cfg.OnEpoch(epoch, now)
-		p.deps.K.ScheduleFire(p.cfg.Period, fire)
-	}
-	p.deps.K.ScheduleFire(p.cfg.Period, fire)
-}
-
-// startSharded runs one epoch chain per shard. All chains fire at the same
-// virtual instants (multiples of Period), each invoking OnNode for its own
-// shard's nodes in ascending index order — the same per-node call set as
-// the global chain, partitioned by ownership so no shard touches another
-// shard's state.
-func (p *epochPlan) startSharded() {
-	set := p.deps.Set
-	nodes := make([][]int, set.Shards())
+	nodes := make([][]int, shards)
 	for i := 0; i < p.deps.N; i++ {
-		s := p.deps.NodeShard(i)
+		s := home(i)
 		nodes[s] = append(nodes[s], i)
 	}
 	for s := range nodes {
-		s := s
-		k := set.Kernel(s)
+		k, mine := kernel(s), nodes[s]
 		epoch := int64(0)
 		var fire func()
 		fire = func() {
@@ -97,7 +74,7 @@ func (p *epochPlan) startSharded() {
 				return
 			}
 			epoch++
-			for _, i := range nodes[s] {
+			for _, i := range mine {
 				p.cfg.OnNode(epoch, now, i)
 			}
 			k.ScheduleFire(p.cfg.Period, fire)

@@ -5,6 +5,11 @@
 // runner instantiates the program into a Plan wired to one replica's
 // kernel and RNG stream.
 //
+// A plan drives each node's work from the node's home kernel. A
+// single-kernel replica is the case where that is the same kernel for
+// every node, not a separate code path: Epochs starts one chain per kernel
+// either way.
+//
 // Determinism contract: every random choice a program makes is drawn from
 // Deps.RNG, the scenario seed's dedicated "traffic" stream, in a fixed
 // order — endpoint selection at Plan time, per-flow jitters at Start time

@@ -138,35 +138,72 @@ func TestCBRNeedsUnicast(t *testing.T) {
 	}
 }
 
-// Epochs must fire 1..k strictly before End, at multiples of Period.
+// Epochs must fire 1..k strictly before End, at multiples of Period, and
+// run every node's hook on the node's home kernel, in ascending index
+// within a kernel: two kernels make exactly the calls of the one-kernel
+// chain, split by ownership.
 func TestEpochsSchedule(t *testing.T) {
-	k := sim.NewKernel()
-	var fired []int64
-	var times []sim.Time
-	e := &Epochs{Period: 2, OnEpoch: func(epoch int64, now sim.Time) {
-		fired = append(fired, epoch)
-		times = append(times, now)
+	type call struct {
+		epoch int64
+		at    sim.Time
+		node  int
+	}
+	const n = 5
+	var log []call
+	e := &Epochs{Period: 2, OnNode: func(epoch int64, now sim.Time, node int) {
+		log = append(log, call{epoch, now, node})
 	}}
-	plan, err := e.Plan(Deps{K: k, RNG: sim.NewRNG(1), N: 5, End: 9})
-	if err != nil {
-		t.Fatalf("Plan: %v", err)
+	// start plans and starts e on deps, then runs each kernel on its own:
+	// whatever is logged while kernel s runs was issued by kernel s.
+	start := func(deps Deps, kernels ...*sim.Kernel) [][]call {
+		t.Helper()
+		deps.RNG, deps.N, deps.End = sim.NewRNG(1), n, 9
+		plan, err := e.Plan(deps)
+		if err != nil {
+			t.Fatalf("Plan: %v", err)
+		}
+		plan.Start()
+		var perKernel [][]call
+		for _, k := range kernels {
+			log = nil
+			if err := k.Run(100); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			perKernel = append(perKernel, log)
+		}
+		return perKernel
 	}
-	plan.Start()
-	if err := k.Run(100); err != nil {
-		t.Fatalf("Run: %v", err)
+
+	k := sim.NewKernel()
+	one := start(Deps{K: k}, k)[0]
+	var want []call
+	for epoch := int64(1); epoch <= 4; epoch++ {
+		for node := 0; node < n; node++ {
+			want = append(want, call{epoch, sim.Time(2 * epoch), node})
+		}
 	}
-	if want := []int64{1, 2, 3, 4}; !reflect.DeepEqual(fired, want) {
-		t.Fatalf("epochs fired %v, want %v", fired, want)
+	if !reflect.DeepEqual(one, want) {
+		t.Fatalf("one kernel made calls %v, want %v", one, want)
 	}
-	for i, at := range times {
-		if want := sim.Time(2 * (i + 1)); at != want {
-			t.Fatalf("epoch %d at %v, want %v", i+1, at, want)
+
+	set := sim.NewShardSet(2, 0.5)
+	home := func(i int) int { return i % 2 }
+	two := start(Deps{K: set.Kernel(0), Set: set, NodeShard: home}, set.Kernel(0), set.Kernel(1))
+	for s, got := range two {
+		var want []call
+		for _, c := range one {
+			if home(c.node) == s {
+				want = append(want, c)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("kernel %d made calls %v, want the one-kernel chain's calls for its own nodes %v", s, got, want)
 		}
 	}
 }
 
 func TestEpochsValidate(t *testing.T) {
-	if _, err := (&Epochs{Period: 0, OnEpoch: func(int64, sim.Time) {}}).Validate(5); err == nil {
+	if _, err := (&Epochs{Period: 0, OnNode: func(int64, sim.Time, int) {}}).Validate(5); err == nil {
 		t.Fatal("expected error for period 0")
 	}
 	if _, err := (&Epochs{Period: 1}).Validate(5); err == nil {
