@@ -10,9 +10,20 @@
 // after which both parties share the session key H(Na ‖ Nb), used to MAC
 // subsequent STS beacons.
 //
-// Encryption is textbook RSA over math/big with randomized padding — a
-// faithful protocol model for the simulator, not hardened production
-// cryptography (no OAEP; see DESIGN.md's substitution table).
+// Encryption is textbook RSA with randomized padding — a faithful protocol
+// model for the simulator, not hardened production cryptography (no OAEP,
+// nothing constant-time; see DESIGN.md's substitution table).
+//
+// The same keys sign STS beacons and sensed values (sign.go), which is what
+// a sensor replica spends its crypto time on. Every exponentiation — Sign,
+// Verify, the handshake's encrypt and decrypt — runs on Montgomery contexts
+// (package mont) built once by GenerateKeyPair: one per CRT prime for the
+// private operation, one for N for the public one, the latter carried by
+// the PublicKey itself so a verifier holding only the directory entry
+// reaches it. The contexts are immutable, so keys and directories are
+// shared across simulator shards; math/big remains for key generation, the
+// Garner recombination and byte conversion. Results are bit-identical to
+// c^d mod N and s^e mod N computed directly (crt_test.go, pinned_test.go).
 package nsl
 
 import (
@@ -24,6 +35,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+
+	"innercircle/internal/crypto/mont"
 )
 
 // NonceSize is the nonce length in bytes.
@@ -32,41 +45,89 @@ const NonceSize = 16
 // SessionKey is the key both parties derive from a completed handshake.
 type SessionKey [sha256.Size]byte
 
-// PublicKey is an RSA public key.
+// PublicKey is an RSA public key. GenerateKeyPair attaches the modulus's
+// Montgomery context; every copy of the key shares it (and stays == to the
+// original, which the verification memos rely on). A key assembled by
+// literal has none and gets one built per operation — the same arithmetic,
+// uncached.
 type PublicKey struct {
 	N *big.Int
 	E *big.Int
+
+	mc *mont.Ctx
 }
 
-// KeyPair is a party's RSA key pair.
-type KeyPair struct {
-	Pub PublicKey
-	d   *big.Int
-	crt *crtKey // private-exponent CRT context, nil if unavailable
-}
-
-// crtKey holds the Chinese-remainder decomposition of the private
-// exponent: two half-size exponentiations plus Garner recombination
-// compute c^d mod N about four times faster than the direct form, with
-// bit-identical results. Value signing and handshake decryption are the
-// dominant replica-level crypto cost, so key generation precomputes this
-// once per key.
-type crtKey struct {
-	p, q, dp, dq, qinv *big.Int
-}
-
-// privExp computes c^d mod N, via the CRT context when present.
-func (kp *KeyPair) privExp(c *big.Int) *big.Int {
-	k := kp.crt
-	if k == nil {
-		return new(big.Int).Exp(c, kp.d, kp.Pub.N)
+// context returns N's Montgomery context, or nil for a modulus Montgomery
+// arithmetic is undefined on (even or non-positive: no RSA modulus).
+func (pub PublicKey) context() *mont.Ctx {
+	if pub.mc != nil {
+		return pub.mc
 	}
-	m1 := new(big.Int).Exp(c, k.dp, k.p)
-	m2 := new(big.Int).Exp(c, k.dq, k.q)
+	if pub.N.Sign() <= 0 || pub.N.Bit(0) == 0 {
+		return nil
+	}
+	return mont.New(pub.N)
+}
+
+// KeyPair is a party's RSA key pair. The private operation runs on the
+// Chinese-remainder decomposition: two half-size exponentiations plus
+// Garner recombination compute c^d mod N about four times faster than the
+// direct form, with bit-identical results. Value signing and beacon signing
+// are the dominant replica-level crypto cost, so key generation precomputes
+// the decomposition and one Montgomery context per prime.
+type KeyPair struct {
+	Pub  PublicKey
+	d    *big.Int // the tests' direct-exponentiation reference
+	p, q crtFactor
+	qinv *big.Int // q⁻¹ mod p
+}
+
+// crtFactor is one prime factor of N with what exponentiating under it
+// needs.
+type crtFactor struct {
+	n  *big.Int   // the prime
+	mc *mont.Ctx  // its Montgomery context
+	d  []big.Word // d mod (prime − 1)
+}
+
+func newCRTFactor(prime, d *big.Int) crtFactor {
+	dp := new(big.Int).Sub(prime, big.NewInt(1))
+	return crtFactor{n: prime, mc: mont.New(prime), d: dp.Mod(d, dp).Bits()}
+}
+
+// Working sets of moduli up to these widths (in words) stay on the stack:
+// on a 64-bit machine, the N-context of a 1024-bit key and its primes.
+const (
+	stackWordsN = 16
+	stackWordsP = stackWordsN / 2
+)
+
+// exp computes x^d mod the prime for an x of any width: x is brought below
+// the prime once, then raised by a fixed 4-bit window in the Montgomery
+// domain.
+func (f *crtFactor) exp(x []big.Word) *big.Int {
+	mc := f.mc
+	k := mc.K()
+	var stack [21*stackWordsP + 1]big.Word // 2k + ExpScratch
+	arena := stack[:]
+	if need := 2*k + mc.ExpScratch(); need > len(arena) {
+		arena = make([]big.Word, need)
+	}
+	v, w, scratch := arena[:k], arena[k:2*k], arena[2*k:]
+	mc.Reduce(v, x, scratch)
+	mc.Exp(v, v, f.d, scratch)
+	mc.FromMont(w, v, scratch)
+	return new(big.Int).SetBits(append([]big.Word(nil), w...))
+}
+
+// privExp computes x^d mod N for x below N.
+func (kp *KeyPair) privExp(x []big.Word) *big.Int {
+	m1 := kp.p.exp(x)
+	m2 := kp.q.exp(x)
 	h := m1.Sub(m1, m2) // Garner: m = m2 + q·(qinv·(m1 − m2) mod p)
-	h.Mul(h, k.qinv)
-	h.Mod(h, k.p)
-	h.Mul(h, k.q)
+	h.Mul(h, kp.qinv)
+	h.Mod(h, kp.p.n)
+	h.Mul(h, kp.q.n)
 	return h.Add(h, m2)
 }
 
@@ -102,20 +163,17 @@ func GenerateKeyPair(bits int, randSrc io.Reader) (*KeyPair, error) {
 		n := new(big.Int).Mul(p, q)
 		phi := new(big.Int).Mul(new(big.Int).Sub(p, one), new(big.Int).Sub(q, one))
 		d := new(big.Int).ModInverse(e, phi)
-		if d == nil {
+		qinv := new(big.Int).ModInverse(q, p)
+		if d == nil || qinv == nil {
 			continue
 		}
-		kp := &KeyPair{Pub: PublicKey{N: n, E: new(big.Int).Set(e)}, d: d}
-		if qinv := new(big.Int).ModInverse(q, p); qinv != nil {
-			kp.crt = &crtKey{
-				p:    p,
-				q:    q,
-				dp:   new(big.Int).Mod(d, new(big.Int).Sub(p, one)),
-				dq:   new(big.Int).Mod(d, new(big.Int).Sub(q, one)),
-				qinv: qinv,
-			}
-		}
-		return kp, nil
+		return &KeyPair{
+			Pub:  PublicKey{N: n, E: new(big.Int).Set(e), mc: mont.New(n)},
+			d:    d,
+			p:    newCRTFactor(p, d),
+			q:    newCRTFactor(q, d),
+			qinv: qinv,
+		}, nil
 	}
 }
 
@@ -162,9 +220,25 @@ func encrypt(pub PublicKey, plain []byte, randSrc io.Reader) ([]byte, error) {
 	}
 	padded[9] = 0x00
 	copy(padded[10:], plain)
-	m := new(big.Int).SetBytes(padded)
-	c := new(big.Int).Exp(m, pub.E, pub.N)
-	return c.Bytes(), nil
+	mc := pub.context()
+	if mc == nil {
+		return nil, errors.New("nsl: bad public key")
+	}
+	k := mc.K()
+	arena := make([]big.Word, 2*k+mc.ShortScratch())
+	m, c, scratch := arena[:k], arena[k:2*k], arena[2*k:]
+	mont.SetBytes(m, padded) // below N: max bytes, one short of the modulus
+	pub.exp(mc, c, m, scratch)
+	mc.FromMont(m, c, scratch)
+	return new(big.Int).SetBits(m).Bytes(), nil
+}
+
+// exp computes z = x^E·R mod N — the public operation, left in the
+// Montgomery domain — for x below N. scratch must hold mc.ShortScratch()
+// words; z must not alias x.
+func (pub PublicKey) exp(mc *mont.Ctx, z, x, scratch []big.Word) {
+	mc.ToMont(z, x, scratch)
+	mc.ExpShort(z, z, pub.E.Bits(), scratch)
 }
 
 // decrypt reverses encrypt.
@@ -173,8 +247,7 @@ func (kp *KeyPair) decrypt(cipher []byte) ([]byte, error) {
 	if c.Cmp(kp.Pub.N) >= 0 {
 		return nil, errors.New("nsl: ciphertext out of range")
 	}
-	m := kp.privExp(c)
-	padded := m.Bytes()
+	padded := kp.privExp(c.Bits()).Bytes()
 	// Layout: [0x02, r8 (8 bytes), 0x00, plain]. The leading 0x02 survives
 	// the big.Int round trip because it is non-zero.
 	if len(padded) < 10 || padded[0] != 0x02 || padded[9] != 0x00 {

@@ -2,70 +2,26 @@ package thresh
 
 import (
 	"math/big"
-	"math/bits"
+
+	"innercircle/internal/crypto/mont"
 )
 
-// montCtx is a per-key Montgomery-arithmetic context for the combination
-// and verification hot path. math/big's Exp rebuilds its Montgomery state
-// (R² mod N and a 16-entry power table) on every call, which dominates the
-// cost of the many small-exponent exponentiations in Shoup's combination
-// step. Deal time pays that setup once; Combine/Verify then run interleaved
-// square-and-multiply chains whose per-step cost is one CIOS multiply.
-//
-// All values handled by the context are fixed-width little-endian limb
-// slices of length k (the modulus width); every value is kept reduced
-// below N, so limb equality is value equality. The context itself is
-// immutable after newMontCtx, so concurrent Combine/Verify calls share it.
-type montCtx struct {
-	mod   []big.Word // modulus N, length k
-	n0inv big.Word   // -N⁻¹ mod 2^W
-	r2    []big.Word // R² mod N, R = 2^(k·W)
-	one   []big.Word // R mod N — the Montgomery representation of 1
-	lit1  []big.Word // literal 1, the fromMont multiplier
-	k     int
-	nInt  *big.Int // the modulus as big.Int (for conversions)
-}
+// montCtx is the key's Montgomery context (package mont) with what is
+// specific to Shoup's combination step on top: big.Int conversion through
+// a pooled scratch arena and the interleaved multi-base exponent chain.
+// math/big's Exp rebuilds its Montgomery state on every call, which
+// dominates the cost of the many small-exponent exponentiations of a
+// combination; deal time pays that setup once, and Combine/Verify then run
+// chains whose per-step cost is one Mul. The context is immutable, so
+// concurrent Combine/Verify calls share it.
+type montCtx struct{ *mont.Ctx }
 
-// newMontCtx builds the context for an odd modulus n.
-func newMontCtx(n *big.Int) *montCtx {
-	words := n.Bits()
-	k := len(words)
-	c := &montCtx{
-		mod:  append([]big.Word(nil), words...),
-		k:    k,
-		nInt: new(big.Int).Set(n),
-	}
-	// -N⁻¹ mod 2^W by Hensel lifting: the inverse of an odd number doubles
-	// its correct low bits each iteration (3 bits to start: n0² ≡ 1 mod 8).
-	n0 := uint(words[0])
-	inv := n0
-	for i := 0; i < 6; i++ {
-		inv *= 2 - n0*inv
-	}
-	c.n0inv = big.Word(-inv)
-	w := uint(bits.UintSize)
-	r := new(big.Int).Lsh(big.NewInt(1), uint(k)*w)
-	r.Mod(r, n)
-	c.one = c.limbs(r)
-	rr := new(big.Int).Lsh(big.NewInt(1), 2*uint(k)*w)
-	rr.Mod(rr, n)
-	c.r2 = c.limbs(rr)
-	c.lit1 = make([]big.Word, k)
-	c.lit1[0] = 1
-	return c
-}
-
-// limbs converts v (already reduced mod N) to a fixed-width limb slice.
-func (c *montCtx) limbs(v *big.Int) []big.Word {
-	out := make([]big.Word, c.k)
-	copy(out, v.Bits())
-	return out
-}
+func newMontCtx(n *big.Int) montCtx { return montCtx{mont.New(n)} }
 
 // toInt converts a limb slice back into dst. The limbs are copied — dst
 // must never alias the scratch arena, because pooled scratch is zeroed and
 // reused by later calls.
-func (c *montCtx) toInt(dst *big.Int, x []big.Word) *big.Int {
+func toInt(dst *big.Int, x []big.Word) *big.Int {
 	n := len(x)
 	for n > 0 && x[n-1] == 0 {
 		n--
@@ -77,87 +33,6 @@ func (c *montCtx) toInt(dst *big.Int, x []big.Word) *big.Int {
 	buf = buf[:n]
 	copy(buf, x[:n])
 	return dst.SetBits(buf)
-}
-
-// mul computes z = x·y·R⁻¹ mod N (CIOS Montgomery multiplication with the
-// multiply-accumulate and reduction passes fused into one sweep over the
-// accumulator: per outer limb, t[j] is read once and t[j-1] written once,
-// with two independent carry chains). Inputs must be reduced below N; the
-// result is too. z must not alias x or y; t is scratch of length ≥ k+2.
-//
-// Carry-chain bound: each chain tracks the high word of a quantity of the
-// form a·b + c + d with a, b, c, d < 2^W, which is at most 2^2W − 1, so
-// the incremental carry adds cannot overflow.
-func (c *montCtx) mul(z, x, y, t []big.Word) {
-	k := c.k
-	t = t[:k+1]
-	for i := range t {
-		t[i] = 0
-	}
-	n0 := uint(c.n0inv)
-	for i := 0; i < k; i++ {
-		xi := uint(x[i])
-		// j = 0 peeled: the updated low limb determines m; after adding
-		// m·N the low limb is zero by construction and is shifted out.
-		hi, lo := bits.Mul(xi, uint(y[0]))
-		lo, cc := bits.Add(lo, uint(t[0]), 0)
-		c1 := hi + cc
-		m := lo * n0
-		hi2, lo2 := bits.Mul(m, uint(c.mod[0]))
-		_, cc = bits.Add(lo2, lo, 0)
-		c2 := hi2 + cc
-		for j := 1; j < k; j++ {
-			hi, lo = bits.Mul(xi, uint(y[j]))
-			lo, cc = bits.Add(lo, uint(t[j]), 0)
-			hi += cc
-			lo, cc = bits.Add(lo, c1, 0)
-			c1 = hi + cc
-			hi2, lo2 = bits.Mul(m, uint(c.mod[j]))
-			lo2, cc = bits.Add(lo2, lo, 0)
-			hi2 += cc
-			lo2, cc = bits.Add(lo2, c2, 0)
-			c2 = hi2 + cc
-			t[j-1] = big.Word(lo2)
-		}
-		s, cc1 := bits.Add(c1, c2, 0)
-		s, cc2 := bits.Add(s, uint(t[k]), 0)
-		t[k-1] = big.Word(s)
-		t[k] = big.Word(cc1 + cc2)
-	}
-	copy(z, t[:k])
-	if t[k] != 0 || !limbLess(z, c.mod) {
-		limbSub(z, c.mod)
-	}
-}
-
-// limbLess reports x < y for equal-length limb slices.
-func limbLess(x, y []big.Word) bool {
-	for i := len(x) - 1; i >= 0; i-- {
-		if x[i] != y[i] {
-			return x[i] < y[i]
-		}
-	}
-	return false
-}
-
-// limbSub computes x -= y in place.
-func limbSub(x, y []big.Word) {
-	var borrow uint
-	for i := range x {
-		d, b := bits.Sub(uint(x[i]), uint(y[i]), borrow)
-		x[i] = big.Word(d)
-		borrow = b
-	}
-}
-
-// limbEq reports x == y for equal-length limb slices.
-func limbEq(x, y []big.Word) bool {
-	for i := range x {
-		if x[i] != y[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // montScratch is the working set of one combination/verification: fixed-
@@ -206,20 +81,20 @@ func (ms *montScratch) alloc(k int) []big.Word {
 
 // toMont converts v (reduced below N) into Montgomery form in a fresh
 // arena slot.
-func (c *montCtx) toMont(ms *montScratch, v *big.Int) []big.Word {
-	out := ms.alloc(c.k)
-	tmp := ms.alloc(c.k)
+func (c montCtx) toMont(ms *montScratch, v *big.Int) []big.Word {
+	out := ms.alloc(c.K())
+	tmp := ms.alloc(c.K())
 	copy(tmp, v.Bits())
-	c.mul(out, tmp, c.r2, ms.t)
+	c.ToMont(out, tmp, ms.t)
 	return out
 }
 
 // fromMont converts x out of Montgomery form into dst (which aliases arena
 // storage afterwards; see toInt).
-func (c *montCtx) fromMont(ms *montScratch, dst *big.Int, x []big.Word) *big.Int {
-	tmp := ms.alloc(c.k)
-	c.mul(tmp, x, c.lit1, ms.t)
-	return c.toInt(dst, tmp)
+func (c montCtx) fromMont(ms *montScratch, dst *big.Int, x []big.Word) *big.Int {
+	tmp := ms.alloc(c.K())
+	c.FromMont(tmp, x, ms.t)
+	return toInt(dst, tmp)
 }
 
 // expChain computes dst = Π bases[i]^exps[i] (Montgomery domain, exps
@@ -228,18 +103,18 @@ func (c *montCtx) fromMont(ms *montScratch, dst *big.Int, x []big.Word) *big.Int
 // exponent bit. While the accumulator is still 1, squarings are skipped
 // and the first multiplication becomes a copy, so the leading-bit work of
 // every chain is free. dst must be an arena slot distinct from all bases.
-func (c *montCtx) expChain(ms *montScratch, dst []big.Word, bases [][]big.Word, exps []*big.Int) {
+func (c montCtx) expChain(ms *montScratch, dst []big.Word, bases [][]big.Word, exps []*big.Int) {
 	maxBits := 0
 	for _, e := range exps {
 		if e.BitLen() > maxBits {
 			maxBits = e.BitLen()
 		}
 	}
-	acc, spare := ms.a[:c.k], ms.b[:c.k]
+	acc, spare := ms.a[:c.K()], ms.b[:c.K()]
 	accOne := true
 	for bit := maxBits - 1; bit >= 0; bit-- {
 		if !accOne {
-			c.mul(spare, acc, acc, ms.t)
+			c.Mul(spare, acc, acc, ms.t)
 			acc, spare = spare, acc
 		}
 		for i, e := range exps {
@@ -249,13 +124,13 @@ func (c *montCtx) expChain(ms *montScratch, dst []big.Word, bases [][]big.Word, 
 					accOne = false
 					continue
 				}
-				c.mul(spare, acc, bases[i], ms.t)
+				c.Mul(spare, acc, bases[i], ms.t)
 				acc, spare = spare, acc
 			}
 		}
 	}
 	if accOne {
-		copy(acc, c.one)
+		copy(acc, c.One())
 	}
 	copy(dst, acc)
 	ms.a, ms.b = acc, spare

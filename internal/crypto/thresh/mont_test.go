@@ -30,15 +30,15 @@ func TestMontMulMatchesBigInt(t *testing.T) {
 		n := randomOddModulus(t, bits)
 		c := newMontCtx(n)
 		ms := &montScratch{}
-		ms.reset(c.k)
+		ms.reset(c.K())
 		for trial := 0; trial < 50; trial++ {
 			x := new(big.Int).Rand(rng, n)
 			y := new(big.Int).Rand(rng, n)
 			ms.baseNext = 0
 			xm := c.toMont(ms, x)
 			ym := c.toMont(ms, y)
-			zm := ms.alloc(c.k)
-			c.mul(zm, xm, ym, ms.t)
+			zm := ms.alloc(c.K())
+			c.Mul(zm, xm, ym, ms.t)
 			got := c.fromMont(ms, new(big.Int), zm)
 			want := new(big.Int).Mul(x, y)
 			want.Mod(want, n)
@@ -58,7 +58,7 @@ func TestMontExpChainMatchesBigInt(t *testing.T) {
 		n := randomOddModulus(t, bits)
 		c := newMontCtx(n)
 		ms := &montScratch{}
-		ms.reset(c.k)
+		ms.reset(c.K())
 		for trial := 0; trial < 30; trial++ {
 			nbases := trial % 5 // 0..4 bases
 			bases := make([][]big.Word, 0, nbases)
@@ -81,7 +81,7 @@ func TestMontExpChainMatchesBigInt(t *testing.T) {
 				want.Mul(want, new(big.Int).Exp(base, exp, n))
 				want.Mod(want, n)
 			}
-			dst := ms.alloc(c.k)
+			dst := ms.alloc(c.K())
 			c.expChain(ms, dst, bases, exps)
 			got := c.fromMont(ms, new(big.Int), dst)
 			if got.Cmp(want) != 0 {

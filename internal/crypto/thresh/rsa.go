@@ -9,6 +9,7 @@ import (
 	"math/big"
 	"sync"
 
+	"innercircle/internal/crypto/mont"
 	"innercircle/internal/crypto/shamir"
 )
 
@@ -161,7 +162,7 @@ type rsaGroupKey struct {
 	fourDeltaSq *big.Int // 4Δ²
 	aAbs, bAbs  *big.Int // |a|, |b| where a·4Δ² + b·e = 1
 	aNeg, bNeg  bool
-	mont        *montCtx // fixed-modulus Montgomery arithmetic
+	mont        montCtx // fixed-modulus Montgomery arithmetic
 
 	// lag memoizes the 2λ^S_{0,i} Lagrange-coefficient vectors per
 	// co-signer set: vote rounds reuse the same k+1 neighbours constantly.
@@ -385,7 +386,7 @@ func (g *rsaGroupKey) Combine(msg []byte, partials []Partial) (Signature, error)
 	defer scratchPool.Put(sc)
 	mc := g.mont
 	ms := &sc.mont
-	ms.reset(mc.k)
+	ms.reset(mc.K())
 	if cap(sc.xi) < len(use) {
 		sc.xi = make([]big.Int, len(use))
 	}
@@ -413,8 +414,8 @@ func (g *rsaGroupKey) Combine(msg []byte, partials []Partial) (Signature, error)
 	sc.posB, sc.posE = posB[:0], posE[:0]
 	sc.negB, sc.negE = negB[:0], negE[:0]
 
-	num := ms.alloc(mc.k)
-	den := ms.alloc(mc.k)
+	num := ms.alloc(mc.K())
+	den := ms.alloc(mc.K())
 	mc.expChain(ms, num, posB, posE)
 	mc.expChain(ms, den, negB, negE)
 
@@ -423,21 +424,21 @@ func (g *rsaGroupKey) Combine(msg []byte, partials []Partial) (Signature, error)
 	// negative-exponent operands — both at once via Montgomery's batch-
 	// inversion trick, one ModInverse total — the signature is a single
 	// two-base chain u^|a| · y^|b| with all-positive exponents.
-	sigm := ms.alloc(mc.k)
-	u := ms.alloc(mc.k)
+	sigm := ms.alloc(mc.K())
+	u := ms.alloc(mc.K())
 	if !g.aNeg { // a > 0, b < 0: sig = (num/den)^a · (x⁻¹)^|b|
-		dx := ms.alloc(mc.k)
-		mc.mul(dx, den, xm, ms.t)
+		dx := ms.alloc(mc.K())
+		mc.Mul(dx, den, xm, ms.t)
 		inv := sc.t.ModInverse(mc.fromMont(ms, &sc.q, dx), g.modulus)
 		if inv == nil {
 			return Signature{}, g.diagnoseCombine(sc, lag, use, set)
 		}
 		im := mc.toMont(ms, inv) // (den·x)⁻¹
-		dinv := ms.alloc(mc.k)
-		mc.mul(dinv, im, xm, ms.t) // den⁻¹
-		xinv := ms.alloc(mc.k)
-		mc.mul(xinv, im, den, ms.t) // x⁻¹
-		mc.mul(u, num, dinv, ms.t)
+		dinv := ms.alloc(mc.K())
+		mc.Mul(dinv, im, xm, ms.t) // den⁻¹
+		xinv := ms.alloc(mc.K())
+		mc.Mul(xinv, im, den, ms.t) // x⁻¹
+		mc.Mul(u, num, dinv, ms.t)
 		mc.expChain(ms, sigm, [][]big.Word{u, xinv}, []*big.Int{g.aAbs, g.bAbs})
 	} else { // a < 0, b > 0: sig = (den/num)^|a| · x^b
 		inv := sc.t.ModInverse(mc.fromMont(ms, &sc.q, num), g.modulus)
@@ -445,13 +446,13 @@ func (g *rsaGroupKey) Combine(msg []byte, partials []Partial) (Signature, error)
 			return Signature{}, g.diagnoseCombine(sc, lag, use, set)
 		}
 		im := mc.toMont(ms, inv)
-		mc.mul(u, im, den, ms.t)
+		mc.Mul(u, im, den, ms.t)
 		mc.expChain(ms, sigm, [][]big.Word{u, xm}, []*big.Int{g.aAbs, g.bAbs})
 	}
 	// Verify in the Montgomery domain without rehashing: sig^e·R vs x·R.
-	chk := ms.alloc(mc.k)
+	chk := ms.alloc(mc.K())
 	mc.expChain(ms, chk, [][]big.Word{sigm}, []*big.Int{g.e})
-	if !limbEq(chk, xm) {
+	if !mont.Equal(chk, xm) {
 		return Signature{}, fmt.Errorf("%w: combined signature invalid (corrupt partial among %v)", ErrBadPartial, set)
 	}
 	sig := mc.fromMont(ms, &sc.t, sigm)
@@ -506,13 +507,13 @@ func (g *rsaGroupKey) Verify(msg []byte, sig Signature) error {
 	}
 	mc := g.mont
 	ms := &sc.mont
-	ms.reset(mc.k)
+	ms.reset(mc.K())
 	x := hashToModulusInto(&sc.x, msg, g.modulus)
 	sm := mc.toMont(ms, s)
 	xm := mc.toMont(ms, x)
-	chk := ms.alloc(mc.k)
+	chk := ms.alloc(mc.K())
 	mc.expChain(ms, chk, [][]big.Word{sm}, []*big.Int{g.e})
-	if !limbEq(chk, xm) {
+	if !mont.Equal(chk, xm) {
 		return ErrBadSignature
 	}
 	return nil

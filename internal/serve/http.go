@@ -144,7 +144,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // copyEvents streams complete lines from the job's event file starting at
 // offset, reporting how many bytes were consumed and whether the terminal
-// "end" line passed through.
+// "end" line passed through. Only newline-terminated lines count: an
+// unterminated tail is an event still being written, so it is neither sent
+// nor consumed and the next poll picks it up whole.
 func (s *Server) copyEvents(w io.Writer, id string, offset int64) (n int64, terminal bool, err error) {
 	f, err := os.Open(s.eventsPath(id))
 	if os.IsNotExist(err) {
@@ -157,19 +159,23 @@ func (s *Server) copyEvents(w io.Writer, id string, offset int64) (n int64, term
 	if _, err := f.Seek(offset, io.SeekStart); err != nil {
 		return 0, false, err
 	}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		n += int64(len(line)) + 1
-		if _, err := w.Write(append(line, '\n')); err != nil {
+	br := bufio.NewReaderSize(f, 64*1024)
+	for {
+		line, err := br.ReadBytes('\n')
+		if err == io.EOF {
+			return n, false, nil
+		}
+		if err != nil {
+			return n, false, err
+		}
+		n += int64(len(line))
+		if _, err := w.Write(line); err != nil {
 			return n, false, err
 		}
 		if bytes.Contains(line, []byte(`"type":"end"`)) {
 			return n, true, nil
 		}
 	}
-	return n, false, sc.Err()
 }
 
 // handleJobFile serves one of a job's result files, 404 until it exists.

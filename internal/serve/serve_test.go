@@ -477,3 +477,55 @@ func TestEventStreamEndsWithEndLine(t *testing.T) {
 		t.Fatalf("job state %q after the end line, want %q", j.State, JobFailed)
 	}
 }
+
+// TestCopyEventsLeavesTornLine pins the follower against a half-written
+// event: the writer's append is not atomic with respect to a polling
+// reader, so a poll can land between the two halves of one line. The
+// unterminated tail must be neither streamed nor counted — the next poll
+// delivers the line intact and the offset lands exactly on the file's end.
+func TestCopyEventsLeavesTornLine(t *testing.T) {
+	srv, err := New(Options{Dir: t.TempDir(), Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const id = "torn"
+	first := `{"type":"point","done":1}` + "\n"
+	head, tail := `{"type":"prog`, `ress","done":2}`+"\n"
+	appendFile := func(s string) {
+		t.Helper()
+		f, err := os.OpenFile(srv.eventsPath(id), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(s); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	appendFile(first + head)
+	var out strings.Builder
+	n, terminal, err := srv.copyEvents(&out, id, 0)
+	if err != nil || terminal {
+		t.Fatalf("first poll: terminal=%v err=%v", terminal, err)
+	}
+	if out.String() != first || n != int64(len(first)) {
+		t.Fatalf("first poll streamed %q and consumed %d bytes, want %q and %d", out.String(), n, first, len(first))
+	}
+
+	appendFile(tail + `{"type":"end"}` + "\n")
+	out.Reset()
+	m, terminal, err := srv.copyEvents(&out, id, n)
+	if err != nil || !terminal {
+		t.Fatalf("second poll: terminal=%v err=%v", terminal, err)
+	}
+	want := head + tail + `{"type":"end"}` + "\n"
+	if out.String() != want {
+		t.Fatalf("second poll streamed %q, want %q", out.String(), want)
+	}
+	if got, size := n+m, int64(len(first)+len(want)); got != size {
+		t.Fatalf("offset after both polls = %d, want the file size %d", got, size)
+	}
+}
