@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"math"
 	"testing"
 
 	"innercircle/internal/geo"
@@ -8,8 +9,8 @@ import (
 	"innercircle/internal/sim"
 )
 
-// benchSend measures one frame transmission plus its delivery resolution on
-// a 100-node field, with the spatial index on or off.
+// benchSend measures one frame transmission plus its delivery resolution
+// over the given field, with the spatial index on or off.
 func benchSend(b *testing.B, models []mobility.Model, indexOn bool) {
 	b.Helper()
 	k := sim.NewKernel()
@@ -31,11 +32,14 @@ func benchSend(b *testing.B, models []mobility.Model, indexOn bool) {
 	}
 }
 
+// staticField places n static nodes at the sensor scenario's density: 100 per
+// 200 m square.
 func staticField(n int) []mobility.Model {
+	edge := 200 * math.Sqrt(float64(n)/100)
 	rng := sim.NewRNG(1)
 	models := make([]mobility.Model, n)
 	for i := range models {
-		models[i] = mobility.Static(geo.Point{X: rng.Uniform(0, 200), Y: rng.Uniform(0, 200)})
+		models[i] = mobility.Static(geo.Point{X: rng.Uniform(0, edge), Y: rng.Uniform(0, edge)})
 	}
 	return models
 }
@@ -55,10 +59,14 @@ func waypointField(n int) []mobility.Model {
 
 // BenchmarkRadioSend measures frame transmission at sensor-scenario density
 // (100 nodes, 200 m square, 40 m range): the static field with the index on
-// is the production configuration; fullscan is the seed's O(N)-scan
-// behavior; waypoint adds the per-epoch mobile re-bin cost.
+// is the production configuration, where each sender enumerates once and
+// then walks its receiver table — so static-fullscan differs from it only
+// in the first send per node; static4k is the same at field_scale's size;
+// waypoint enumerates on every send, with the per-epoch mobile re-bin
+// (index) or the O(N) scan (fullscan).
 func BenchmarkRadioSend(b *testing.B) {
 	b.Run("static", func(b *testing.B) { benchSend(b, staticField(100), true) })
+	b.Run("static4k", func(b *testing.B) { benchSend(b, staticField(4000), true) })
 	b.Run("static-fullscan", func(b *testing.B) { benchSend(b, staticField(100), false) })
 	b.Run("waypoint", func(b *testing.B) { benchSend(b, waypointField(100), true) })
 	b.Run("waypoint-fullscan", func(b *testing.B) { benchSend(b, waypointField(100), false) })

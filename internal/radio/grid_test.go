@@ -214,9 +214,10 @@ func TestSetIndexEnabledPins(t *testing.T) {
 	}
 }
 
-// probeChannel drives probeSends+1 sends through a fresh adaptive channel
-// over the given models and reports whether the index survived the probe.
-func probeChannel(t *testing.T, params Params, models []mobility.Model) bool {
+// probeChannel drives 2×probeSends sends through a fresh adaptive channel
+// over the given models. It reports whether the index is in use afterwards
+// and after how many sends the probe committed (0: it never did).
+func probeChannel(t *testing.T, params Params, models []mobility.Model) (useIndex bool, committedAfter int) {
 	t.Helper()
 	k := sim.NewKernel()
 	ch := NewChannel(k, params)
@@ -227,31 +228,42 @@ func probeChannel(t *testing.T, params Params, models []mobility.Model) bool {
 	for i, m := range models {
 		trs[i] = ch.Attach(m, nil, nil)
 	}
-	for i := 0; i <= probeSends; i++ {
+	for i := 0; i < 2*probeSends; i++ {
 		tr := trs[i%len(trs)]
 		k.MustSchedule(0, func() { _ = ch.Send(tr, Frame{Bytes: 64}) })
 		if err := k.RunAll(); err != nil {
 			t.Fatal(err)
 		}
+		if !ch.adaptive && committedAfter == 0 {
+			committedAfter = i + 1
+		}
 	}
-	if ch.adaptive {
-		t.Fatalf("probe did not conclude after %d sends", probeSends+1)
-	}
-	return ch.useIndex
+	return ch.useIndex, committedAfter
 }
 
-// TestIndexAdaptiveFallback checks the probe: a static field whose range is
-// a small fraction of the deployment keeps the index, while an all-mobile
-// field whose range covers the whole deployment (the index can prune
-// nothing but still pays the per-epoch re-bin) falls back to the full scan.
+// TestIndexAdaptiveFallback checks the probe. It samples enumerations, not
+// sends, and is fed candidate counts, never receiver-table lengths: on a
+// channel with anything mobile every send enumerates, so the probe commits
+// after exactly probeSends sends, as it did before static senders kept
+// receiver tables — an all-mobile field whose range covers the whole
+// deployment (the index prunes nothing but still pays the per-epoch re-bin)
+// to the full scan, a mostly static field with a short range to the index.
+// An all-static field enumerates once per transmitter; with fewer
+// transmitters than probeSends it stays on the index without committing.
 func TestIndexAdaptiveFallback(t *testing.T) {
-	staticModels := staticField(100) // 200 m square, 40 m range: prunes hard
-	if !probeChannel(t, Params{Range: 40, Bitrate: 2e6, PropSpeed: 3e8}, staticModels) {
-		t.Fatal("dense static field should keep the spatial index")
+	short := Params{Range: 40, Bitrate: 2e6, PropSpeed: 3e8}
+	if useIndex, after := probeChannel(t, short, staticField(100)); !useIndex || after != 0 {
+		t.Fatalf("static field: index=%v, committed after %d sends; want the index, uncommitted", useIndex, after)
 	}
-	mobileModels := waypointField(50) // 200 m square, 300 m range: prunes nothing
-	if probeChannel(t, Params{Range: 300, Bitrate: 2e6, PropSpeed: 3e8}, mobileModels) {
-		t.Fatal("all-mobile field with whole-field range should fall back to the full scan")
+	wholeField := Params{Range: 300, Bitrate: 2e6, PropSpeed: 3e8}
+	if useIndex, after := probeChannel(t, wholeField, waypointField(50)); useIndex || after != probeSends {
+		t.Fatalf("50 waypoint nodes, whole-field range: index=%v, committed after %d sends; want the full scan after %d",
+			useIndex, after, probeSends)
+	}
+	mixed := append(waypointField(50), staticField(200)...)
+	if useIndex, after := probeChannel(t, short, mixed); !useIndex || after != probeSends {
+		t.Fatalf("50 waypoint + 200 static nodes, short range: index=%v, committed after %d sends; want the index after %d",
+			useIndex, after, probeSends)
 	}
 }
 

@@ -56,6 +56,13 @@ type arrival struct {
 	collided bool
 }
 
+// receiver is one in-range destination of a transmission and the
+// propagation delay to it.
+type receiver struct {
+	r    *Transceiver
+	prop sim.Duration
+}
+
 // Transceiver is one radio attached to a Channel.
 type Transceiver struct {
 	id       ID
@@ -78,6 +85,13 @@ type Transceiver struct {
 	binKey cellKey
 	inGrid bool
 
+	// Receiver table (see Channel.receivers): on a channel where nothing
+	// moves, the receivers this transceiver's Send reaches, kept from the
+	// first enumeration and valid while rxGen equals the channel's attach
+	// generation. Read and written only on this transceiver's own kernel.
+	rx    []receiver
+	rxGen uint32
+
 	// Placement (see shard.go): the index of the shard that owns this
 	// transceiver's events (0 on a single-kernel channel), and whether it
 	// sits within one transmission range of a stripe boundary.
@@ -98,6 +112,9 @@ func (t *Transceiver) SetDown(down bool) { t.down = down }
 type Channel struct {
 	params Params
 	trs    []*Transceiver
+	// attachGen counts Attach calls; a receiver table built at an earlier
+	// generation is stale.
+	attachGen uint32
 
 	// shards holds one chanShard per kernel the channel runs on (see
 	// shard.go): one for NewChannel, one per stripe for NewChannelSharded,
@@ -186,6 +203,7 @@ func (c *Channel) Attach(pos mobility.Model, meter *energy.Meter, recv func(Fram
 		tr.cachedPos = geo.Point(s)
 	}
 	c.trs = append(c.trs, tr)
+	c.attachGen++
 	if c.grid != nil {
 		c.grid.add(tr)
 	}
@@ -235,7 +253,15 @@ func (c *Channel) Busy(tr *Transceiver) bool {
 // in-range receiver resolves when the frame's airtime ends. Send does not
 // carrier-sense; that is the MAC's job. Sender-side state is touched here,
 // on the sender's kernel; everything a reception mutates belongs to the
-// receiver's shard (see propagate).
+// receiver's shard.
+//
+// A receiver on the sender's kernel is registered directly unless it is
+// down. A receiver on another kernel has its registration — down check
+// included — posted to its own shard at the send instant (not first-bit
+// arrival): carrier sense must see a neighbor's transmission from the
+// moment it starts. Posting is only legal inside a tx-flagged event, which
+// the border geometry guarantees this is (a sender in range of another
+// stripe is in range of the boundary, hence border-marked).
 func (c *Channel) Send(tr *Transceiver, f Frame) error {
 	sc := c.shards[tr.owner]
 	now := sc.k.Now()
@@ -257,7 +283,31 @@ func (c *Channel) Send(tr *Transceiver, f Frame) error {
 			a.collided = true
 		}
 	}
+	for _, e := range c.receivers(sc, tr, now) {
+		if r := e.r; r.owner != tr.owner {
+			c.set.Post(sc.k, int(r.owner), now, c.shards[r.owner].registerFn, &remoteArrival{
+				frame: f, from: tr.id, to: r, start: now + e.prop, air: d,
+			})
+		} else if !r.down {
+			sc.register(r, f, tr.id, now+e.prop, d)
+		}
+	}
+	return nil
+}
+
+// receivers returns the transceivers in range of tr at now, in ascending ID
+// with their propagation delays. Where nothing on the channel can move the
+// answer is a constant of the deployment: a static sender keeps it from its
+// first Send and reuses it until another transceiver attaches, so only what
+// varies — whether a receiver is down — is read per send. Otherwise the
+// answer is enumerated into the shard's scratch buffer.
+func (c *Channel) receivers(sc *chanShard, tr *Transceiver, now sim.Time) []receiver {
+	memo := tr.static && c.grid != nil && len(c.grid.mobile) == 0
+	if memo && tr.rxGen == c.attachGen {
+		return tr.rx
+	}
 	src := c.posAt(tr, now)
+	out := sc.rx[:0]
 	if c.useIndex {
 		// Spatial index: only the 3×3 cell neighborhood can hold in-range
 		// receivers. Candidates come back in ascending ID — the full-scan
@@ -265,26 +315,35 @@ func (c *Channel) Send(tr *Transceiver, f Frame) error {
 		// sequences.
 		cand := sc.candidates(c, src, now)
 		for _, i := range cand {
-			c.propagate(sc, c.trs[i], tr, f, src, now, d)
+			out = c.inRange(out, c.trs[i], tr, src, now, memo)
 		}
 		if c.adaptive {
 			c.probeDecide(len(cand))
 		}
 	} else {
 		for _, r := range c.trs {
-			c.propagate(sc, r, tr, f, src, now, d)
+			out = c.inRange(out, r, tr, src, now, memo)
 		}
 	}
-	return nil
+	sc.rx = out
+	if memo {
+		tr.rx, tr.rxGen = append(tr.rx[:0], out...), c.attachGen
+		sc.tableBuilds++
+		return tr.rx
+	}
+	return out
 }
 
-// probeDecide accumulates one indexed send's candidate count and, once
-// probeSends sends have been sampled, commits to the index or the full scan
-// for the rest of the run. The index earns its keep when the distance
-// checks it prunes (scanned − candidates) outnumber the mobile transceivers
-// it must re-bin every virtual-time epoch; otherwise the full scan is
-// cheaper. The decision depends only on deterministic simulation state, so
-// replays stay reproducible.
+// probeDecide accumulates one indexed enumeration's candidate count and,
+// once probeSends of them have been sampled, commits to the index or the
+// full scan for the rest of the run. The index earns its keep when the
+// distance checks it prunes (scanned − candidates) outnumber the mobile
+// transceivers it must re-bin every virtual-time epoch; otherwise the full
+// scan is cheaper. The decision depends only on deterministic simulation
+// state, so replays stay reproducible. (An all-static channel enumerates
+// once per transmitter, so a small one may never reach the sample size; it
+// keeps the index, which is what the probe would conclude with nothing to
+// re-bin.)
 func (c *Channel) probeDecide(cand int) {
 	c.probes++
 	c.probeCand += uint64(cand)
@@ -299,37 +358,25 @@ func (c *Channel) probeDecide(cand int) {
 	}
 }
 
-// propagate registers frame f (sent by tr from src) at receiver r unless
-// r is the sender, down, or out of range. A receiver on the sender's kernel
-// is registered directly, and skipped when down before its position is
+// inRange appends r to out if a transmission by tr from src reaches it. A
+// down receiver on the sender's kernel is skipped before its position is
 // evaluated (a mobile model's Pos calls are part of the replica's event
-// order). A receiver on another kernel is necessarily static, so the range
-// check reads an immutable position; its registration — down check
-// included — is posted to its own shard at the send instant (not first-bit
-// arrival): carrier sense must see a neighbor's transmission from the
-// moment it starts. Posting is only legal inside a tx-flagged event, which
-// the border geometry guarantees this is (a sender in range of another
-// stripe is in range of the boundary, hence border-marked).
-func (c *Channel) propagate(sc *chanShard, r, tr *Transceiver, f Frame, src geo.Point, now sim.Time, d sim.Duration) {
-	local := r.owner == tr.owner
-	if r == tr || (local && r.down) {
-		return
+// order) — except into a receiver table, which outlives the flag. A
+// receiver on another kernel is necessarily static, so the range check
+// reads an immutable position.
+func (c *Channel) inRange(out []receiver, r, tr *Transceiver, src geo.Point, now sim.Time, memo bool) []receiver {
+	if r == tr || (!memo && r.owner == tr.owner && r.down) {
+		return out
 	}
 	dist := c.posAt(r, now).Dist(src)
 	if dist > c.params.Range {
-		return
+		return out
 	}
 	prop := sim.Duration(0)
 	if c.params.PropSpeed > 0 {
 		prop = sim.Duration(dist / c.params.PropSpeed)
 	}
-	if local {
-		sc.register(r, f, tr.id, now+prop, d)
-		return
-	}
-	c.set.Post(sc.k, int(r.owner), now, c.shards[r.owner].registerFn, &remoteArrival{
-		frame: f, from: tr.id, to: r, start: now + prop, air: d,
-	})
+	return append(out, receiver{r, prop})
 }
 
 // applyHalfDuplex marks arr collided when its receiver's own transmission

@@ -15,7 +15,7 @@ package radio
 //     energy, delivery counters) is touched on the receiver's kernel
 //     (register, finish) — for same-shard receivers directly during the
 //     send, for cross-shard receivers by a message posted at the send
-//     instant (Channel.propagate).
+//     instant (Channel.Send).
 //
 // Because the grid's cell edge equals the transmission range, a stripe is
 // at least one range wide, so cross-shard traffic only ever targets the two
@@ -33,15 +33,19 @@ import (
 )
 
 // chanShard is one kernel's slice of the channel: its kernel, its counters,
-// its arrival free list, its candidate scratch buffer, and its callback
-// closures (built once, so the hot path allocates no per-event closures).
+// its arrival free list, its candidate and receiver scratch buffers, and its
+// callback closures (built once, so the hot path allocates no per-event
+// closures). tableBuilds counts receiver tables built by this shard's
+// senders, for the tests.
 type chanShard struct {
-	k          *sim.Kernel
-	stats      *Stats
-	arrPool    []*arrival
-	finishFn   func(any)
-	registerFn func(any)
-	cand       []int32
+	k           *sim.Kernel
+	stats       *Stats
+	arrPool     []*arrival
+	finishFn    func(any)
+	registerFn  func(any)
+	cand        []int32
+	rx          []receiver
+	tableBuilds uint64
 }
 
 func newChanShard(k *sim.Kernel, stats *Stats) *chanShard {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"hash/fnv"
-	"math/rand"
-)
+import "math/rand"
 
 // RNG is a deterministic random-number stream. Every node and every
 // simulation subsystem gets its own stream, split from the experiment seed
@@ -11,10 +8,23 @@ import (
 // the sequence seen by another (a classic source of irreproducible
 // simulations).
 //
-// The generator behind a stream is seeded on its first draw: a math/rand
-// source is 4.9 KB and its seeding is not free, and many streams exist only
-// to be split further (each node's parent stream) or are handed to a
-// component that never draws (a static node's mobility stream).
+// A stream costs what it uses. Until its first draw it is a seed: many
+// streams exist only to be split further (each node's parent stream) or are
+// handed to a component that never draws (a static node's mobility stream).
+// From the first draw it holds a math/rand Rand over a lazySource (see
+// rng_source.go), about 100 bytes, which computes draws 1–273 of
+// rand.NewSource(seed) directly from the seed — most streams of a static
+// field stop well short of that. Only a stream that reaches draw 274
+// materialises math/rand's own 4.9 KB generator, seeded as usual and
+// advanced past the draws already served.
+//
+// Outputs are math/rand's by construction — everything above the source
+// (Float64, Intn, NormFloat64, Perm, Shuffle, …) is math/rand's code, the
+// steady-state generator is math/rand's, and the only thing reproduced here
+// is the seeding formula, whose private constant table is recovered from
+// the installed library at start-up — and by test:
+// TestLazySourceMatchesMathRand and FuzzRNGDifferential compare mixed call
+// sequences against rand.New(rand.NewSource(seed)) across the hand-over.
 type RNG struct {
 	seed int64
 	r    *rand.Rand // nil until the first draw
@@ -25,10 +35,10 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{seed: seed}
 }
 
-// src returns the stream's generator, seeding it on first use.
+// src returns the stream's generator, creating it on first use.
 func (g *RNG) src() *rand.Rand {
 	if g.r == nil {
-		g.r = rand.New(rand.NewSource(g.seed))
+		g.r = rand.New(&lazySource{x0: lehmerStart(g.seed)})
 	}
 	return g.r
 }
@@ -36,36 +46,42 @@ func (g *RNG) src() *rand.Rand {
 // Seed returns the seed this stream was created with.
 func (g *RNG) Seed() int64 { return g.seed }
 
+// FNV-1a, 64-bit: the child-seed hash, computed inline so a split allocates
+// nothing but the child (TestSplitSeedsMatchFNV pins it to hash/fnv).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvWord folds v's eight bytes, least significant first, into h.
+func fnvWord(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h = (h ^ v&0xff) * fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
+// splitHash hashes the parent seed followed by the label's bytes.
+func (g *RNG) splitHash(label string) uint64 {
+	h := fnvWord(fnvOffset64, uint64(g.seed))
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * fnvPrime64
+	}
+	return h
+}
+
 // Split derives an independent child stream identified by label. Splitting
 // is deterministic: the same parent seed and label always yield the same
 // child stream, regardless of how many draws the parent has made.
 func (g *RNG) Split(label string) *RNG {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(uint64(g.seed) >> (8 * i))
-	}
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte(label))
-	return NewRNG(int64(h.Sum64()))
+	return NewRNG(int64(g.splitHash(label)))
 }
 
 // SplitN derives a child stream identified by label and an index, for
 // per-node streams.
 func (g *RNG) SplitN(label string, n int) *RNG {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(uint64(g.seed) >> (8 * i))
-	}
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte(label))
-	var nbuf [8]byte
-	for i := 0; i < 8; i++ {
-		nbuf[i] = byte(uint64(n) >> (8 * i))
-	}
-	_, _ = h.Write(nbuf[:])
-	return NewRNG(int64(h.Sum64()))
+	return NewRNG(int64(fnvWord(g.splitHash(label), uint64(n))))
 }
 
 // Float64 returns a uniform draw in [0, 1).
