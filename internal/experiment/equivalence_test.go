@@ -8,44 +8,42 @@ import (
 	"innercircle/internal/sensor"
 )
 
-// The spatial neighbor index (internal/radio/grid.go) must be behaviorally
+// The radio's receiver tables (internal/radio) must be behaviorally
 // invisible at the top of the stack too: replicas that run the full node
-// stack over the radio must produce identical results whether the channel
-// chooses for itself (the adaptive default), is pinned to the index, or is
-// pinned to the full scan. Radio-level equivalence is checked in
-// internal/radio; these tests close the loop on the two paper scenarios —
-// waypoint mobility (Fig. 7) and the static sensor grid (Fig. 8) — over
-// the same replica grid the sweeps enumerate.
+// stack over the radio must produce identical results whether each
+// transmitter walks its table (the only production path) or the channel is
+// pinned to the reference that measures every transceiver on every send.
+// Radio-level equivalence is checked in internal/radio; these tests close
+// the loop on the two paper scenarios — waypoint mobility (Fig. 7), where
+// tables expire every 3 s of virtual time, and the static sensor grid
+// (Fig. 8), where they never do — over the same replica grid the sweeps
+// enumerate.
 
-// indexPin is a test-only component pinning the channel's send path.
-type indexPin struct{ on bool }
+// referencePin is a test-only component pinning the channel to the
+// brute-force reference.
+type referencePin struct{}
 
-func (indexPin) Attach(*scenario.Env, *node.Node) {}
+func (referencePin) Attach(*scenario.Env, *node.Node) {}
 
-func (p indexPin) Wire(env *scenario.Env) { env.Net.Channel.SetIndexEnabled(p.on) }
+func (referencePin) Wire(env *scenario.Env) { env.Net.Channel.SetIndexEnabled(false) }
 
-// checkIndexInvisible runs the replica mkSpec builds three times — adaptive,
-// index pinned on, index pinned off — and requires identical results.
+// checkIndexInvisible runs the replica mkSpec builds twice — as shipped, and
+// pinned to the reference — and requires identical results.
 func checkIndexInvisible(t *testing.T, label string, mkSpec func() *scenario.Spec) {
 	t.Helper()
-	run := func(pin scenario.Component) *scenario.Result {
+	run := func(pins ...scenario.Component) *scenario.Result {
 		spec := mkSpec()
-		if pin != nil {
-			spec.Stack.Components = append(spec.Stack.Components, pin)
-		}
+		spec.Stack.Components = append(spec.Stack.Components, pins...)
 		res, err := scenario.Run(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
 		return res
 	}
-	want := run(nil)
-	for _, pin := range []indexPin{{on: true}, {on: false}} {
-		got := run(pin)
-		if got.Counters.String() != want.Counters.String() || got.Gauges.String() != want.Gauges.String() {
-			t.Fatalf("%s: index pinned %v diverges from the adaptive default:\n%s | %s\nvs\n%s | %s",
-				label, pin.on, got.Counters, got.Gauges, want.Counters, want.Gauges)
-		}
+	got, want := run(), run(referencePin{})
+	if got.Counters.String() != want.Counters.String() || got.Gauges.String() != want.Gauges.String() {
+		t.Fatalf("%s: receiver tables diverge from the brute-force reference:\n%s | %s\nvs\n%s | %s",
+			label, got.Counters, got.Gauges, want.Counters, want.Gauges)
 	}
 }
 

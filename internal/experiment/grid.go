@@ -47,6 +47,22 @@ type ReplicaSpec struct {
 	Sensor    *SensorConfig    `json:"sensor,omitempty"`
 }
 
+// maxNodeSpeed is the fastest a config may ask nodes to move: the radio
+// signal's own speed (radio.Default80211). The physical layer takes a
+// position as fixed while a frame propagates, and the cost of a mobile
+// replica grows with the legs a node starts per virtual second, so a speed
+// from outside the program is bounded before anything runs.
+const maxNodeSpeed = 3e8
+
+// validSpeed rejects a waypoint speed that is negative, not a number, or
+// above maxNodeSpeed.
+func (cfg *BlackholeConfig) validSpeed() error {
+	if !(cfg.Speed >= 0 && cfg.Speed <= maxNodeSpeed) {
+		return fmt.Errorf("experiment: speed must be between 0 and %g m/s, got %v", maxNodeSpeed, cfg.Speed)
+	}
+	return nil
+}
+
 // Validate checks the union discriminant and the config it selects.
 func (s ReplicaSpec) Validate() error {
 	switch s.Kind {
@@ -59,6 +75,9 @@ func (s ReplicaSpec) Validate() error {
 		}
 		if s.Blackhole.Tracer != nil {
 			return fmt.Errorf("experiment: replica spec must not carry a Tracer")
+		}
+		if err := s.Blackhole.validSpeed(); err != nil {
+			return err
 		}
 		if s.Blackhole.Campaign != nil {
 			if err := s.Blackhole.Campaign.Validate(); err != nil {
@@ -227,6 +246,11 @@ type GridRequest struct {
 func (g *GridRequest) Validate() error {
 	if g.Runs <= 0 {
 		return fmt.Errorf("experiment: grid %q: runs must be positive, got %d", g.Name, g.Runs)
+	}
+	if g.Blackhole != nil {
+		if err := g.Blackhole.validSpeed(); err != nil {
+			return fmt.Errorf("grid %q: %w", g.Name, err)
+		}
 	}
 	switch g.Kind {
 	case GridBlackhole:

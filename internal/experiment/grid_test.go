@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -74,6 +75,11 @@ func TestReplicaSpecValidate(t *testing.T) {
 		{"unknown kind", ReplicaSpec{Kind: "warp"}, false},
 		{"missing config", ReplicaSpec{Kind: ReplicaBlackhole}, false},
 		{"cross config", ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: &bh, Sensor: &sn}, false},
+		{"zero speed", ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: atSpeed(bh, 0)}, true},
+		{"huge speed", ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: atSpeed(bh, 1e300)}, false},
+		{"negative speed", ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: atSpeed(bh, -1)}, false},
+		{"NaN speed", ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: atSpeed(bh, math.NaN())}, false},
+		{"infinite speed", ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: atSpeed(bh, math.Inf(1))}, false},
 	} {
 		err := tc.spec.Validate()
 		if tc.ok && err != nil {
@@ -83,6 +89,12 @@ func TestReplicaSpecValidate(t *testing.T) {
 			t.Errorf("%s: error expected", tc.name)
 		}
 	}
+}
+
+// atSpeed returns a copy of cfg whose nodes move at speed.
+func atSpeed(cfg BlackholeConfig, speed float64) *BlackholeConfig {
+	cfg.Speed = speed
+	return &cfg
 }
 
 // runGrid evaluates a grid the service way: enumerate points, run each
@@ -211,6 +223,9 @@ func TestGridRequestValidate(t *testing.T) {
 		{"blackhole without malicious", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Runs: 1}, false},
 		{"sensor with campaign fields", GridRequest{Kind: GridSensor, Sensor: &sn, Faults: []sensor.FaultKind{sensor.FaultNone}, Campaigns: []faults.Campaign{faults.BlackholePreset(1)}, Runs: 1}, false},
 		{"campaign without campaigns", GridRequest{Kind: GridCampaign, Blackhole: &bh, Runs: 1}, false},
+		{"blackhole at a huge speed", GridRequest{Kind: GridBlackhole, Blackhole: atSpeed(bh, 1e300), Malicious: []int{0}, Runs: 1}, false},
+		{"blackhole at a negative speed", GridRequest{Kind: GridBlackhole, Blackhole: atSpeed(bh, -10), Malicious: []int{0}, Runs: 1}, false},
+		{"campaign at a huge speed", GridRequest{Kind: GridCampaign, Blackhole: atSpeed(bh, 1e300), Campaigns: []faults.Campaign{faults.BlackholePreset(1)}, Runs: 1}, false},
 	} {
 		err := tc.g.Validate()
 		if tc.ok && err != nil {

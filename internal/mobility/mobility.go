@@ -9,9 +9,28 @@ import (
 	"innercircle/internal/sim"
 )
 
-// Model yields a node's position at any (non-decreasing) simulation time.
-// Implementations may assume Pos is called with non-decreasing times, which
-// lets movement models advance incrementally.
+// Model yields a node's position at any simulation time. The contract has
+// two halves:
+//
+//   - Callers pass non-decreasing times, which lets movement models advance
+//     incrementally.
+//   - Under such calls Pos(t) is a function of t alone: which earlier times
+//     were sampled, how often, and what any other node did must not change
+//     the answer. A model that draws random numbers therefore draws them
+//     from a stream of its own (scenario.Topology.Model hands every node a
+//     private one) and in an order t alone decides. Callers rely on it: the
+//     radio layer evaluates a position only when it needs one, so how often
+//     a node is sampled depends on who transmits near it.
+//
+// A model may also implement
+//
+//	MaxSpeed() float64
+//
+// a bound in m/s that holds between any two samples: |Pos(t2) − Pos(t1)| ≤
+// MaxSpeed()·(t2 − t1). The radio layer uses it to keep, per transmitter, a
+// table of the only transceivers that can be in range before the table
+// expires. A model without the method is unbounded — it may teleport — and
+// is measured on every transmission.
 type Model interface {
 	Pos(t sim.Time) geo.Point
 }
@@ -21,6 +40,9 @@ type Static geo.Point
 
 // Pos implements Model.
 func (s Static) Pos(sim.Time) geo.Point { return geo.Point(s) }
+
+// MaxSpeed is zero: see Model.
+func (s Static) MaxSpeed() float64 { return 0 }
 
 var _ Model = Static{}
 
@@ -69,7 +91,19 @@ func NewWaypoint(cfg WaypointConfig, start geo.Point, rng *sim.RNG) *Waypoint {
 	return w
 }
 
+// MaxSpeed bounds the speed of every leg (see Model); a pause is slower.
+func (w *Waypoint) MaxSpeed() float64 { return max(0, w.minSpeed, w.maxSpeed) }
+
+// minLeg is the least time a leg takes. A leg's travel time d/speed can be
+// smaller than the clock resolves at legStart (a huge speed, a tiny region),
+// or zero; were it added as it is, legEnd would equal legStart and, with no
+// pause, Pos would start legs forever without getting past t. Holding every
+// leg to a millisecond bounds Pos at a thousand legs per virtual second and
+// only ever makes a node slower than its drawn speed.
+const minLeg = sim.Millisecond
+
 // nextLeg starts a new travel leg at time t from the current destination.
+// If the leg moves at all, legEnd > legStart.
 func (w *Waypoint) nextLeg(t sim.Time) {
 	w.legStart = t
 	w.from = w.to
@@ -83,7 +117,11 @@ func (w *Waypoint) nextLeg(t sim.Time) {
 	}
 	d := w.from.Dist(w.to)
 	if w.speed > 0 {
-		w.legEnd = w.legStart + sim.Duration(d/w.speed)
+		travel := sim.Duration(d / w.speed)
+		if !(travel >= minLeg) {
+			travel = minLeg
+		}
+		w.legEnd = w.legStart + travel
 	} else {
 		w.legEnd = sim.Never
 	}

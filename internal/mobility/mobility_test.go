@@ -3,6 +3,7 @@ package mobility
 import (
 	"math"
 	"testing"
+	"time"
 
 	"innercircle/internal/geo"
 	"innercircle/internal/sim"
@@ -183,8 +184,8 @@ func TestWaypointNonDecreasingTimeContract(t *testing.T) {
 				t.Fatalf("seed %d: Pos(%v) = %v outside region", seed, now, p)
 			}
 			dt := float64(now - prevT)
-			if d := p.Dist(prev); d > maxSpeed*dt+1e-9 {
-				t.Fatalf("seed %d: moved %v m in %v s (> MaxSpeed %v m/s)", seed, d, dt, maxSpeed)
+			if d := p.Dist(prev); d > w.MaxSpeed()*dt+1e-9 {
+				t.Fatalf("seed %d: moved %v m in %v s (> MaxSpeed %v m/s)", seed, d, dt, w.MaxSpeed())
 			}
 			// The current leg's drawn speed must respect the config bounds.
 			if w.speed < minSpeed || w.speed > maxSpeed {
@@ -194,6 +195,82 @@ func TestWaypointNonDecreasingTimeContract(t *testing.T) {
 		}
 		if now < 500 {
 			t.Fatalf("seed %d: sampled only %v s; expected to cross several legs", seed, now)
+		}
+		if w.MaxSpeed() != maxSpeed {
+			t.Fatalf("MaxSpeed() = %v, want %v", w.MaxSpeed(), maxSpeed)
+		}
+	}
+}
+
+// TestMaxSpeedBounds pins the bound each model declares (Model's optional
+// MaxSpeed): zero for Static, and for a Waypoint the larger of its two
+// configured speeds, never negative.
+func TestMaxSpeedBounds(t *testing.T) {
+	if v := Static(geo.Point{X: 1}).MaxSpeed(); v != 0 {
+		t.Fatalf("Static.MaxSpeed() = %v", v)
+	}
+	for _, tc := range []struct{ min, max, want float64 }{{10, 10, 10}, {5, 15, 15}, {15, 5, 15}, {0, 0, 0}, {-3, -1, 0}} {
+		w := NewWaypoint(WaypointConfig{Region: geo.Square(100), MinSpeed: tc.min, MaxSpeed: tc.max}, geo.Point{}, sim.NewRNG(1))
+		if got := w.MaxSpeed(); got != tc.want {
+			t.Fatalf("Waypoint{%v, %v}.MaxSpeed() = %v, want %v", tc.min, tc.max, got, tc.want)
+		}
+	}
+}
+
+// TestWaypointSparseEqualsDense is the second half of Model's contract:
+// Pos(t) depends on t alone. One model is sampled every 10 ms, its twin
+// (same seed) once per 30 s at instants the first also sees; positions must
+// be bitwise equal, with a pause (boundaries inside and outside the gaps)
+// and without.
+func TestWaypointSparseEqualsDense(t *testing.T) {
+	for _, pause := range []sim.Duration{0, 7.3} {
+		for seed := int64(0); seed < 4; seed++ {
+			dense, sparse := newTestWaypoint(seed, pause), newTestWaypoint(seed, pause)
+			legs := 0
+			for i := 0; i <= 90000; i++ { // 900 s: about nine legs of up to 141 s
+				now := sim.Time(i) * 10 * sim.Millisecond
+				to := dense.to
+				p := dense.Pos(now)
+				if dense.to != to {
+					legs++
+				}
+				if i%3000 != 0 {
+					continue
+				}
+				if q := sparse.Pos(now); q != p {
+					t.Fatalf("pause %v, seed %d: Pos(%v) = %v sampled every 10 ms, %v sampled every 30 s", pause, seed, now, p, q)
+				}
+			}
+			if legs < 4 {
+				t.Fatalf("pause %v, seed %d: only %d leg boundaries crossed", pause, seed, legs)
+			}
+		}
+	}
+}
+
+// TestWaypointHugeSpeedTerminates: with a speed so large that a leg's
+// travel time is below the clock's resolution and no pause, every leg once
+// ended where it began and Pos started legs forever. A leg now takes at
+// least minLeg, so Pos is bounded at 1/minLeg legs per virtual second —
+// here 300 000 — whatever the speed or the region.
+func TestWaypointHugeSpeedTerminates(t *testing.T) {
+	for _, cfg := range []WaypointConfig{
+		{Region: geo.Square(1000), MinSpeed: 1e300, MaxSpeed: 1e300},
+		{Region: geo.Square(1000), MinSpeed: math.Inf(1), MaxSpeed: math.Inf(1)},
+		{Region: geo.Square(1e-300), MinSpeed: 10, MaxSpeed: 10},
+		{Region: geo.Rect{}, MinSpeed: 10, MaxSpeed: 10},
+	} {
+		w := NewWaypoint(cfg, geo.Point{}, sim.NewRNG(1))
+		began := time.Now()
+		p := w.Pos(300)
+		if took := time.Since(began); took > 5*time.Second {
+			t.Fatalf("%+v: Pos(300) took %v", cfg, took)
+		}
+		if !cfg.Region.Contains(p) {
+			t.Fatalf("%+v: Pos(300) = %v outside region", cfg, p)
+		}
+		if w.legEnd <= w.legStart || w.legStart > 300 || w.legEnd+w.pause <= 300 {
+			t.Fatalf("%+v: at t=300 the current leg is [%v, %v]", cfg, w.legStart, w.legEnd)
 		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // a deterministic traffic pattern through it (staggered unicast-style sends
 // from every node, dense enough to force collisions), and returns the
 // channel stats, each meter's consumed energy, and the full delivery trace.
-// The scenario is identical for every call; only indexOn varies.
+// The scenario is identical for every call; only indexOn varies: receiver
+// tables, or the brute-force reference that measures everyone on every send.
 func runTrafficScenario(t *testing.T, params Params, models []mobility.Model, indexOn bool) (Stats, []float64, []string) {
 	t.Helper()
 	k := sim.NewKernel()
@@ -51,8 +52,9 @@ func runTrafficScenario(t *testing.T, params Params, models []mobility.Model, in
 	return ch.Stats, consumed, trace
 }
 
-// assertScenarioEquivalent runs the scenario with the index on and off and
-// requires identical stats, energy totals, and delivery traces.
+// assertScenarioEquivalent runs the scenario with receiver tables and with
+// the pinned reference and requires identical stats, energy totals, and
+// delivery traces.
 func assertScenarioEquivalent(t *testing.T, params Params, build func() []mobility.Model) {
 	t.Helper()
 	statsOn, energyOn, traceOn := runTrafficScenario(t, params, build(), true)
@@ -81,7 +83,7 @@ func assertScenarioEquivalent(t *testing.T, params Params, build func() []mobili
 	}
 }
 
-// TestIndexEquivalenceStaticGrid cross-checks the spatial index on the
+// TestIndexEquivalenceStaticGrid cross-checks the grid-built tables on the
 // sensor-scenario shape: a static jittered grid at 40 m range.
 func TestIndexEquivalenceStaticGrid(t *testing.T) {
 	params := Params{Range: 40, Bitrate: 2e6, PropSpeed: 3e8}
@@ -95,9 +97,9 @@ func TestIndexEquivalenceStaticGrid(t *testing.T) {
 	})
 }
 
-// TestIndexEquivalenceWaypoint cross-checks the index under random-waypoint
-// mobility, where nodes cross cell boundaries mid-run and the lazy per-epoch
-// re-bin must keep the candidate sets exact.
+// TestIndexEquivalenceWaypoint cross-checks the tables under random-waypoint
+// mobility: the 10 s of traffic span 32 table lifetimes (100 m range, 40 m/s
+// top speed), during which nodes enter and leave each other's range.
 func TestIndexEquivalenceWaypoint(t *testing.T) {
 	params := Params{Range: 100, Bitrate: 2e6, PropSpeed: 3e8}
 	assertScenarioEquivalent(t, params, func() []mobility.Model {
@@ -117,9 +119,10 @@ func TestIndexEquivalenceWaypoint(t *testing.T) {
 	})
 }
 
-// TestIndexNeighborsCoverInRange is the index's safety property: for any
+// TestIndexNeighborsCoverInRange is the tables' safety property: for any
 // sender, every in-range transceiver (oracle: exhaustive distance check)
-// must appear in the indexed candidate set, at several query times.
+// must appear in its receiver table, at several query times — the same
+// instant twice, and far enough apart that tables expire in between.
 func TestIndexNeighborsCoverInRange(t *testing.T) {
 	k := sim.NewKernel()
 	params := Params{Range: 75, Bitrate: 2e6, PropSpeed: 3e8}
@@ -138,7 +141,7 @@ func TestIndexNeighborsCoverInRange(t *testing.T) {
 		}
 		trs = append(trs, ch.Attach(m, nil, nil))
 	}
-	for _, at := range []sim.Time{0, 1.5, 3, 3, 10} {
+	for _, at := range []sim.Time{0, 0.2, 1.5, 3, 3, 10} {
 		at := at
 		k.MustSchedule(at-k.Now(), func() {})
 		if !k.Step() && at > 0 {
@@ -147,26 +150,31 @@ func TestIndexNeighborsCoverInRange(t *testing.T) {
 		now := k.Now()
 		for _, tr := range trs {
 			src := ch.posAt(tr, now)
-			cands := map[int32]bool{}
-			for _, ri := range ch.grid.neighbors(ch, src, now) {
-				cands[ri] = true
+			table := map[ID]bool{}
+			for _, e := range ch.receivers(ch.shards[0], tr, src, now) {
+				table[e.r.id] = true
 			}
 			for _, r := range trs {
 				if r == tr {
 					continue
 				}
-				if ch.posAt(r, now).Dist(src) <= params.Range && !cands[int32(r.id)] {
-					t.Fatalf("t=%v: node %d in range of %d but missing from index candidates", now, r.id, tr.id)
+				if ch.posAt(r, now).Dist(src) <= params.Range && !table[r.id] {
+					t.Fatalf("t=%v: node %d in range of %d but missing from its receiver table", now, r.id, tr.id)
 				}
 			}
 		}
+	}
+	// Horizon 0.3125 s: 0.2 is answered by the tables built at 0, and the
+	// second query at 3 by the first's.
+	if builds := ch.shards[0].tableBuilds; builds != uint64(4*len(trs)) {
+		t.Fatalf("%d table builds by %d senders with horizon %v, want four each", builds, len(trs), ch.horizon())
 	}
 }
 
 // TestIndexCandidatesSortedAndLateAttach verifies the two properties the
 // equivalence argument rests on: candidates come back in ascending ID (the
-// full-scan visit order), and transceivers attached after the index has
-// been queried still show up (the dirty re-bin path).
+// brute-force visit order), and transceivers attached after tables were
+// built — a static one, and a mover without a speed bound — still show up.
 func TestIndexCandidatesSortedAndLateAttach(t *testing.T) {
 	k := sim.NewKernel()
 	ch := NewChannel(k, Params{Range: 50, Bitrate: 2e6, PropSpeed: 3e8})
@@ -174,12 +182,23 @@ func TestIndexCandidatesSortedAndLateAttach(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ch.Attach(mobility.Static(geo.Point{X: float64(i)}), nil, nil)
 	}
-	// Query once so the index considers itself built.
-	_ = ch.grid.neighbors(ch, geo.Point{}, k.Now())
-	// Late attaches: one static, one mobile, both co-located with the pack.
+	// Send once so the sender has a table to go stale.
+	if err := ch.Send(ch.trs[0], Frame{Bytes: 64, Payload: "early"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+	// Late attaches: one static, one mobile, both co-located with the pack;
+	// and one waypoint in between, so movers and grid cells interleave.
 	ch.Attach(mobility.Static(geo.Point{X: 5, Y: 5}), nil, func(f Frame, _ ID) { got = append(got, f.Payload) })
+	ch.Attach(waypointField(1)[0], nil, nil)
+	ch.Attach(mobility.Static(geo.Point{X: 5, Y: 6}), nil, nil)
 	ch.Attach(&linear{start: geo.Point{X: 5, Y: -5}}, nil, func(f Frame, _ ID) { got = append(got, f.Payload) })
-	cands := ch.grid.neighbors(ch, geo.Point{}, k.Now())
+	cands := ch.shards[0].candidates(ch, geo.Point{}, 50)
+	if len(cands) != len(ch.trs) {
+		t.Fatalf("%d candidates around the pack of %d", len(cands), len(ch.trs))
+	}
 	for i := 1; i < len(cands); i++ {
 		if cands[i-1] >= cands[i] {
 			t.Fatalf("candidates not ascending: %v", cands)
@@ -196,117 +215,81 @@ func TestIndexCandidatesSortedAndLateAttach(t *testing.T) {
 	}
 }
 
-// TestSetIndexEnabledPins checks the typed cross-check pin.
+// TestSetIndexEnabledPins checks the typed cross-check pin: off, a sender's
+// table is stale and its next one holds every other transceiver; on again,
+// that one is stale and the next holds the neighbourhood. A channel without
+// a range has no grid to build tables from.
 func TestSetIndexEnabledPins(t *testing.T) {
 	k := sim.NewKernel()
-	ch := NewChannel(k, Default80211())
+	ch := NewChannel(k, Params{Range: 40, Bitrate: 2e6, PropSpeed: 3e8})
+	var trs []*Transceiver
+	for _, m := range staticField(100) {
+		trs = append(trs, ch.Attach(m, nil, nil))
+	}
+	sc, src, now := ch.shards[0], ch.posAt(trs[0], 0), k.Now()
+	near := len(ch.receivers(sc, trs[0], src, now))
+	if near == 0 || near > len(trs)/2 {
+		t.Fatalf("table of %d among %d transceivers; the field does not tell tables from scans", near, len(trs))
+	}
 	ch.SetIndexEnabled(false)
-	if ch.useIndex {
-		t.Fatal("SetIndexEnabled(false) did not disable the index")
+	if got := len(ch.receivers(sc, trs[0], src, now)); got != len(trs)-1 || sc.tableBuilds != 2 {
+		t.Fatalf("SetIndexEnabled(false): Send walks %d of %d transceivers after %d table builds", got, len(trs), sc.tableBuilds)
 	}
-	if ch.adaptive {
-		t.Fatal("SetIndexEnabled should pin the choice, not leave it adaptive")
-	}
-	// The grid is still maintained, so re-enabling works.
 	ch.SetIndexEnabled(true)
-	if !ch.useIndex {
-		t.Fatal("SetIndexEnabled(true) did not re-enable the index")
+	if got := len(ch.receivers(sc, trs[0], src, now)); got != near || sc.tableBuilds != 3 {
+		t.Fatalf("SetIndexEnabled(true): Send walks %d transceivers, %d before, after %d table builds", got, near, sc.tableBuilds)
+	}
+	flat := NewChannel(k, Params{Bitrate: 2e6})
+	flat.SetIndexEnabled(true)
+	if flat.useIndex {
+		t.Fatal("a channel with no range has no grid to build tables from")
 	}
 }
 
-// probeChannel drives 2×probeSends sends through a fresh adaptive channel
-// over the given models. It reports whether the index is in use afterwards
-// and after how many sends the probe committed (0: it never did).
-func probeChannel(t *testing.T, params Params, models []mobility.Model) (useIndex bool, committedAfter int) {
-	t.Helper()
-	k := sim.NewKernel()
-	ch := NewChannel(k, params)
-	if !ch.adaptive || !ch.useIndex {
-		t.Fatal("fresh channel should start adaptive with the index on")
-	}
-	trs := make([]*Transceiver, len(models))
-	for i, m := range models {
-		trs[i] = ch.Attach(m, nil, nil)
-	}
-	for i := 0; i < 2*probeSends; i++ {
-		tr := trs[i%len(trs)]
-		k.MustSchedule(0, func() { _ = ch.Send(tr, Frame{Bytes: 64}) })
-		if err := k.RunAll(); err != nil {
-			t.Fatal(err)
-		}
-		if !ch.adaptive && committedAfter == 0 {
-			committedAfter = i + 1
-		}
-	}
-	return ch.useIndex, committedAfter
-}
-
-// TestIndexAdaptiveFallback checks the probe. It samples enumerations, not
-// sends, and is fed candidate counts, never receiver-table lengths: on a
-// channel with anything mobile every send enumerates, so the probe commits
-// after exactly probeSends sends, as it did before static senders kept
-// receiver tables — an all-mobile field whose range covers the whole
-// deployment (the index prunes nothing but still pays the per-epoch re-bin)
-// to the full scan, a mostly static field with a short range to the index.
-// An all-static field enumerates once per transmitter; with fewer
-// transmitters than probeSends it stays on the index without committing.
-func TestIndexAdaptiveFallback(t *testing.T) {
-	short := Params{Range: 40, Bitrate: 2e6, PropSpeed: 3e8}
-	if useIndex, after := probeChannel(t, short, staticField(100)); !useIndex || after != 0 {
-		t.Fatalf("static field: index=%v, committed after %d sends; want the index, uncommitted", useIndex, after)
-	}
-	wholeField := Params{Range: 300, Bitrate: 2e6, PropSpeed: 3e8}
-	if useIndex, after := probeChannel(t, wholeField, waypointField(50)); useIndex || after != probeSends {
-		t.Fatalf("50 waypoint nodes, whole-field range: index=%v, committed after %d sends; want the full scan after %d",
-			useIndex, after, probeSends)
-	}
-	mixed := append(waypointField(50), staticField(200)...)
-	if useIndex, after := probeChannel(t, short, mixed); !useIndex || after != probeSends {
-		t.Fatalf("50 waypoint + 200 static nodes, short range: index=%v, committed after %d sends; want the index after %d",
-			useIndex, after, probeSends)
-	}
-}
-
-// neighbors returns the indexed candidate set for src on a single-kernel
-// channel: the enumeration Send uses, for the tests that inspect it.
-func (g *gridIndex) neighbors(c *Channel, src geo.Point, now sim.Time) []int32 {
-	return c.shards[0].candidates(c, src, now)
-}
-
-// TestSendDoesNotAllocate guards the pooled arrivals and the candidate
-// scratch buffer: once both have grown to their working size, a send plus
-// the resolution of every arrival it caused allocates nothing, under either
-// receiver enumeration.
+// TestSendDoesNotAllocate guards the pooled arrivals, the scratch buffers
+// and the tables' reuse of their own storage: once all have grown to their
+// working size, a send plus the resolution of every arrival it caused
+// allocates nothing — on a static field and on a waypoint field where the
+// measured sends advance the clock through several table rebuilds, with
+// tables and under the pinned reference.
 func TestSendDoesNotAllocate(t *testing.T) {
-	for _, indexOn := range []bool{true, false} {
-		k := sim.NewKernel()
-		ch := NewChannel(k, Params{Range: 40, Bitrate: 2e6, PropSpeed: 3e8})
-		ch.SetIndexEnabled(indexOn)
-		var trs []*Transceiver
-		for _, m := range staticField(100) {
-			trs = append(trs, ch.Attach(m, nil, nil))
-		}
-		i := 0
-		send := func() {
-			if err := ch.Send(trs[i%len(trs)], Frame{Bytes: 512}); err != nil {
-				t.Fatal(err)
+	fields := map[string]func(int) []mobility.Model{"static": staticField, "waypoint": waypointField}
+	for name, field := range fields {
+		for _, indexOn := range []bool{true, false} {
+			k := sim.NewKernel()
+			ch := NewChannel(k, Params{Range: 40, Bitrate: 2e6, PropSpeed: 3e8})
+			ch.SetIndexEnabled(indexOn)
+			var trs []*Transceiver
+			for _, m := range field(100) {
+				trs = append(trs, ch.Attach(m, nil, nil))
 			}
-			if err := k.RunAll(); err != nil {
-				t.Fatal(err)
+			i := 0
+			send := func() {
+				if err := ch.Send(trs[i%len(trs)], Frame{Bytes: 512}); err != nil {
+					t.Fatal(err)
+				}
+				// 10 ms on, so 100 sends are two table lifetimes at 10 m/s.
+				if err := k.Run(k.Now() + 10*sim.Millisecond); err != nil {
+					t.Fatal(err)
+				}
+				i++
 			}
-			i++
-		}
-		// Warm-up: every sender several times over, so the arrival pool, the
-		// scratch buffer and the kernel's timer-wheel slots reach their
-		// working size.
-		for n := 0; n < 20*len(trs); n++ {
-			send()
-		}
-		if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
-			t.Errorf("index=%v: %v allocations per send + resolution, want 0", indexOn, allocs)
-		}
-		if ch.Stats.FramesDelivered == 0 {
-			t.Fatalf("index=%v: nothing delivered; the guard is vacuous", indexOn)
+			// Warm-up: every sender several times over, so the arrival pool,
+			// the scratch buffers, the tables and the kernel's timer-wheel
+			// slots reach their working size.
+			for n := 0; n < 20*len(trs); n++ {
+				send()
+			}
+			builds := ch.shards[0].tableBuilds
+			if allocs := testing.AllocsPerRun(400, send); allocs != 0 {
+				t.Errorf("%s, index=%v: %v allocations per send + resolution, want 0", name, indexOn, allocs)
+			}
+			if ch.Stats.FramesDelivered == 0 {
+				t.Fatalf("%s, index=%v: nothing delivered; the guard is vacuous", name, indexOn)
+			}
+			if rebuilt := ch.shards[0].tableBuilds - builds; name == "waypoint" && indexOn && rebuilt < 2*uint64(len(trs)) {
+				t.Fatalf("waypoint: %d table rebuilds during the measured sends; the guard misses the rebuild path", rebuilt)
+			}
 		}
 	}
 }

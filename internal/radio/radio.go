@@ -8,6 +8,7 @@ package radio
 
 import (
 	"errors"
+	"math"
 
 	"innercircle/internal/energy"
 	"innercircle/internal/geo"
@@ -56,12 +57,17 @@ type arrival struct {
 	collided bool
 }
 
-// receiver is one in-range destination of a transmission and the
-// propagation delay to it.
+// receiver is one entry of a receiver table (see Channel.receivers): a
+// destination a transmission may reach and the propagation delay to it. A
+// pair of static transceivers is measured when the table is built, kept only
+// if in range, and prop is exact. Where either end can move the entry is a
+// candidate, prop is measureAtSend, and every Send measures the pair.
 type receiver struct {
 	r    *Transceiver
 	prop sim.Duration
 }
+
+const measureAtSend sim.Duration = -1
 
 // Transceiver is one radio attached to a Channel.
 type Transceiver struct {
@@ -74,23 +80,23 @@ type Transceiver struct {
 	down     bool
 
 	// Position cache: static transceivers hold their fixed position in
-	// cachedPos forever; mobile ones cache the last Pos evaluation so every
-	// query at the same virtual time reuses it.
+	// cachedPos forever; movers cache the last Pos evaluation so every query
+	// at the same virtual time reuses it. speed bounds how fast the position
+	// changes (mobility.Model's MaxSpeed): zero for a static transceiver,
+	// +Inf for a model that gives no bound.
 	static    bool
+	speed     float64
 	cachedPos geo.Point
 	cachedAt  sim.Time
 	hasCache  bool
 
-	// Spatial-index bin (see grid.go).
-	binKey cellKey
-	inGrid bool
-
-	// Receiver table (see Channel.receivers): on a channel where nothing
-	// moves, the receivers this transceiver's Send reaches, kept from the
-	// first enumeration and valid while rxGen equals the channel's attach
-	// generation. Read and written only on this transceiver's own kernel.
-	rx    []receiver
-	rxGen uint32
+	// Receiver table (see Channel.receivers): every transceiver that can be
+	// in range of this one's Send while rxGen equals the channel's attach
+	// generation and the clock has not passed rxUntil. Read and written only
+	// on this transceiver's own kernel.
+	rx      []receiver
+	rxGen   uint32
+	rxUntil sim.Time
 
 	// Placement (see shard.go): the index of the shard that owns this
 	// transceiver's events (0 on a single-kernel channel), and whether it
@@ -112,8 +118,8 @@ func (t *Transceiver) SetDown(down bool) { t.down = down }
 type Channel struct {
 	params Params
 	trs    []*Transceiver
-	// attachGen counts Attach calls; a receiver table built at an earlier
-	// generation is stale.
+	// attachGen counts Attach (and SetIndexEnabled) calls; a receiver table
+	// built at an earlier generation is stale.
 	attachGen uint32
 
 	// shards holds one chanShard per kernel the channel runs on (see
@@ -124,25 +130,16 @@ type Channel struct {
 	set     *sim.ShardSet
 	ownerOf func(geo.Point) (shard int, border bool)
 
-	// grid is the spatial neighbor index (nil when Range <= 0); useIndex
-	// picks between its candidate sets and the linear scan over every
-	// transceiver, which is both the adaptive fallback and the tests'
-	// reference (SetIndexEnabled).
+	// What receiver tables are built from: grid indexes the static
+	// transceivers (nil when Range <= 0), movers lists the others in
+	// ascending ID, and topSpeed is the largest finite speed bound among
+	// them, which sets how long a table stays valid (horizon). useIndex is
+	// false once SetIndexEnabled(false) has withdrawn every bound, which is
+	// the tests' brute-force reference.
 	grid     *gridIndex
+	movers   []*Transceiver
+	topSpeed float64
 	useIndex bool
-
-	// The index pays off only when it prunes more distance checks than the
-	// per-epoch mobile re-bin costs. Both enumerations are behaviorally
-	// identical, so the channel is free to pick whichever is cheaper: while
-	// adaptive, the first probeSends indexed sends sample the candidate
-	// count, and the index is dropped for the rest of the run if the observed
-	// pruning (scanned − candidates) does not exceed the mobile population it
-	// has to re-bin each epoch. SetIndexEnabled pins the choice and skips the
-	// probe.
-	adaptive  bool
-	probes    int
-	probeCand uint64
-	probeScan uint64
 
 	// Stats counts physical-layer activity for the whole channel: live on a
 	// single-kernel channel, folded from the per-shard counters by
@@ -157,34 +154,33 @@ type Stats struct {
 	FramesCollided  uint64
 }
 
-// probeSends is the number of indexed sends an adaptive channel samples
-// before deciding whether the index prunes enough to keep.
-const probeSends = 128
+// tableSlack is the fraction of Range by which the fastest pair on the
+// channel may approach each other during one table's life. A table holds
+// everything within Range plus that much, so a larger fraction means fewer
+// rebuilds and more entries to measure per send.
+const tableSlack = 0.25
 
-// NewChannel returns an empty channel on kernel k. The spatial neighbor
-// index starts on in adaptive mode: it is behaviorally invisible, and the
-// channel falls back to the linear scan if the probe finds the deployment
-// geometry defeats pruning.
+// NewChannel returns an empty channel on kernel k.
 func NewChannel(k *sim.Kernel, params Params) *Channel {
 	c := &Channel{params: params}
 	c.shards = []*chanShard{newChanShard(k, &c.Stats)}
 	if params.Range > 0 {
 		c.grid = newGridIndex(params.Range)
 		c.useIndex = true
-		c.adaptive = true
 	}
 	return c
 }
 
-// SetIndexEnabled turns the spatial neighbor index on or off, pinning the
-// choice (no adaptive fallback). The index is maintained either way, so
-// toggling is valid at any point on a single-kernel channel (on a sharded
-// one only before the run: its shards read the choice concurrently);
-// equivalence tests use this to compare indexed and full-scan runs
-// in-process.
+// SetIndexEnabled(false) makes the channel treat every mobility model as
+// unbounded: every table holds every transceiver and each Send measures them
+// all, the brute-force reference that equivalence tests compare the speed
+// bounds against in-process. SetIndexEnabled(true) restores the bounds.
+// Either way the tables built so far are stale. Toggling is valid at any
+// point on a single-kernel channel (on a sharded one only before the run:
+// its shards read the choice concurrently).
 func (c *Channel) SetIndexEnabled(on bool) {
 	c.useIndex = on && c.grid != nil
-	c.adaptive = false
+	c.attachGen++
 }
 
 // Attach adds a transceiver whose position follows pos, whose energy is
@@ -201,10 +197,19 @@ func (c *Channel) Attach(pos mobility.Model, meter *energy.Meter, recv func(Fram
 	if s, ok := pos.(mobility.Static); ok {
 		tr.static = true
 		tr.cachedPos = geo.Point(s)
+	} else {
+		tr.speed = math.Inf(1)
+		if b, ok := pos.(interface{ MaxSpeed() float64 }); ok {
+			if v := b.MaxSpeed(); v >= 0 && !math.IsInf(v, 1) {
+				tr.speed = v
+				c.topSpeed = max(c.topSpeed, v)
+			}
+		}
+		c.movers = append(c.movers, tr)
 	}
 	c.trs = append(c.trs, tr)
 	c.attachGen++
-	if c.grid != nil {
+	if tr.static && c.grid != nil {
 		c.grid.add(tr)
 	}
 	if c.set != nil {
@@ -283,100 +288,108 @@ func (c *Channel) Send(tr *Transceiver, f Frame) error {
 			a.collided = true
 		}
 	}
-	for _, e := range c.receivers(sc, tr, now) {
-		if r := e.r; r.owner != tr.owner {
+	src := c.posAt(tr, now)
+	for _, e := range c.receivers(sc, tr, src, now) {
+		r, prop := e.r, e.prop
+		if r.owner == tr.owner && r.down {
+			continue
+		}
+		if prop == measureAtSend {
+			var ok bool
+			if prop, ok = c.reach(r, src, now); !ok {
+				continue
+			}
+		}
+		if r.owner != tr.owner {
 			c.set.Post(sc.k, int(r.owner), now, c.shards[r.owner].registerFn, &remoteArrival{
-				frame: f, from: tr.id, to: r, start: now + e.prop, air: d,
+				frame: f, from: tr.id, to: r, start: now + prop, air: d,
 			})
-		} else if !r.down {
-			sc.register(r, f, tr.id, now+e.prop, d)
+		} else {
+			sc.register(r, f, tr.id, now+prop, d)
 		}
 	}
 	return nil
 }
 
-// receivers returns the transceivers in range of tr at now, in ascending ID
-// with their propagation delays. Where nothing on the channel can move the
-// answer is a constant of the deployment: a static sender keeps it from its
-// first Send and reuses it until another transceiver attaches, so only what
-// varies — whether a receiver is down — is read per send. Otherwise the
-// answer is enumerated into the shard's scratch buffer.
-func (c *Channel) receivers(sc *chanShard, tr *Transceiver, now sim.Time) []receiver {
-	memo := tr.static && c.grid != nil && len(c.grid.mobile) == 0
-	if memo && tr.rxGen == c.attachGen {
+// receivers returns tr's receiver table: in ascending ID, every transceiver
+// a transmission by tr from src at now can reach. There is one rule. A table
+// is valid until something could have moved into range: it holds every
+// transceiver within Range plus what the pair's speed bounds let them close
+// in one horizon, and expires a horizon after it was built or when another
+// transceiver attaches. Nothing closes a gap between two static
+// transceivers, so on a channel where nothing moves the horizon is infinite
+// and a table is a constant of the deployment, as are the static entries of
+// a static sender's table anywhere. A transceiver without a bound is in
+// every table, and the table of a sender without one holds everybody, for
+// good.
+//
+// What varies faster than a table — whether a receiver is down, and where a
+// mover is now — is read per send; the exact range test runs on every pair
+// that can move, so a table changes how many transceivers Send measures and
+// never which ones it reaches.
+func (c *Channel) receivers(sc *chanShard, tr *Transceiver, src geo.Point, now sim.Time) []receiver {
+	if tr.rxGen == c.attachGen && now <= tr.rxUntil {
 		return tr.rx
 	}
-	src := c.posAt(tr, now)
-	out := sc.rx[:0]
-	if c.useIndex {
-		// Spatial index: only the 3×3 cell neighborhood can hold in-range
-		// receivers. Candidates come back in ascending ID — the full-scan
-		// visit order — so the two enumerations schedule identical event
-		// sequences.
-		cand := sc.candidates(c, src, now)
-		for _, i := range cand {
-			out = c.inRange(out, c.trs[i], tr, src, now, memo)
-		}
-		if c.adaptive {
-			c.probeDecide(len(cand))
+	out, until := sc.rx[:0], sim.Time(math.Inf(1))
+	if !c.useIndex || math.IsInf(tr.speed, 1) {
+		for _, r := range c.trs {
+			if r != tr {
+				out = append(out, receiver{r, measureAtSend})
+			}
 		}
 	} else {
-		for _, r := range c.trs {
-			out = c.inRange(out, r, tr, src, now, memo)
+		// Expiry comes a relative 1e-9 early, so that rounding in a model's
+		// interpolation cannot carry a node past its bound in a table's life.
+		until = now + c.horizon()*(1-1e-9)
+		for _, i := range sc.candidates(c, src, c.params.Range+c.closing(tr.speed)) {
+			r := c.trs[i]
+			switch {
+			case r == tr:
+			case r.static && tr.static:
+				if prop, ok := c.reach(r, src, now); ok {
+					out = append(out, receiver{r, prop})
+				}
+			case math.IsInf(r.speed, 1) || c.posAt(r, now).Dist(src) <= c.params.Range+c.closing(tr.speed+r.speed):
+				out = append(out, receiver{r, measureAtSend})
+			}
 		}
 	}
 	sc.rx = out
-	if memo {
-		tr.rx, tr.rxGen = append(tr.rx[:0], out...), c.attachGen
-		sc.tableBuilds++
-		return tr.rx
-	}
-	return out
+	sc.tableBuilds++
+	// The copy sizes a new table exactly and reuses a rebuilt one's storage.
+	tr.rx, tr.rxGen, tr.rxUntil = append(tr.rx[:0], out...), c.attachGen, until
+	return tr.rx
 }
 
-// probeDecide accumulates one indexed enumeration's candidate count and,
-// once probeSends of them have been sampled, commits to the index or the
-// full scan for the rest of the run. The index earns its keep when the
-// distance checks it prunes (scanned − candidates) outnumber the mobile
-// transceivers it must re-bin every virtual-time epoch; otherwise the full
-// scan is cheaper. The decision depends only on deterministic simulation
-// state, so replays stay reproducible. (An all-static channel enumerates
-// once per transmitter, so a small one may never reach the sample size; it
-// keeps the index, which is what the probe would conclude with nothing to
-// re-bin.)
-func (c *Channel) probeDecide(cand int) {
-	c.probes++
-	c.probeCand += uint64(cand)
-	c.probeScan += uint64(len(c.trs))
-	if c.probes < probeSends {
-		return
-	}
-	c.adaptive = false
-	pruned := c.probeScan - c.probeCand
-	if pruned <= uint64(c.probes*len(c.grid.mobile)) {
-		c.useIndex = false
-	}
+// horizon is how long a receiver table stays valid: the time two
+// transceivers at the channel's top speed need to close tableSlack·Range,
+// infinite while nothing (with a bound) moves.
+func (c *Channel) horizon() sim.Duration {
+	return sim.Duration(tableSlack * c.params.Range / (2 * c.topSpeed))
 }
 
-// inRange appends r to out if a transmission by tr from src reaches it. A
-// down receiver on the sender's kernel is skipped before its position is
-// evaluated (a mobile model's Pos calls are part of the replica's event
-// order) — except into a receiver table, which outlives the flag. A
-// receiver on another kernel is necessarily static, so the range check
-// reads an immutable position.
-func (c *Channel) inRange(out []receiver, r, tr *Transceiver, src geo.Point, now sim.Time, memo bool) []receiver {
-	if r == tr || (!memo && r.owner == tr.owner && r.down) {
-		return out
+// closing returns how far two transceivers whose speed bounds sum to v can
+// approach each other within one horizon: at most tableSlack·Range.
+func (c *Channel) closing(v float64) float64 {
+	if v > 0 {
+		return v * float64(c.horizon())
 	}
+	return 0 // not v·horizon, which is 0·Inf while nothing moves
+}
+
+// reach returns the propagation delay of a transmission from src to r at
+// now; ok is false if r is out of range. A receiver on another kernel is
+// necessarily static, so this reads an immutable position.
+func (c *Channel) reach(r *Transceiver, src geo.Point, now sim.Time) (prop sim.Duration, ok bool) {
 	dist := c.posAt(r, now).Dist(src)
 	if dist > c.params.Range {
-		return out
+		return 0, false
 	}
-	prop := sim.Duration(0)
 	if c.params.PropSpeed > 0 {
 		prop = sim.Duration(dist / c.params.PropSpeed)
 	}
-	return append(out, receiver{r, prop})
+	return prop, true
 }
 
 // applyHalfDuplex marks arr collided when its receiver's own transmission

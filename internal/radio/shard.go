@@ -33,10 +33,10 @@ import (
 )
 
 // chanShard is one kernel's slice of the channel: its kernel, its counters,
-// its arrival free list, its candidate and receiver scratch buffers, and its
-// callback closures (built once, so the hot path allocates no per-event
-// closures). tableBuilds counts receiver tables built by this shard's
-// senders, for the tests.
+// its arrival free list, the scratch buffers a receiver-table build fills
+// (cand, rx), and its callback closures (built once, so the hot path
+// allocates no per-event closures). tableBuilds counts receiver tables built
+// by this shard's senders, for the tests.
 type chanShard struct {
 	k           *sim.Kernel
 	stats       *Stats
@@ -75,8 +75,7 @@ type remoteArrival struct {
 // NewChannelSharded returns a channel whose transceivers are partitioned
 // across the kernels of set. ownerOf maps a (static) position to its home
 // shard index and whether it lies within one transmission range of a stripe
-// boundary. There is no adaptive probe: shards read the channel's
-// enumeration choice concurrently, so it is fixed — indexed — before the run.
+// boundary.
 func NewChannelSharded(set *sim.ShardSet, params Params, ownerOf func(geo.Point) (shard int, border bool)) *Channel {
 	if params.Range <= 0 {
 		panic("radio: NewChannelSharded requires a positive transmission range")
@@ -123,25 +122,26 @@ func (c *Channel) attachSharded(tr *Transceiver) {
 	tr.border = border
 }
 
-// candidates is the indexed receiver enumeration: the members of the 3×3
-// cell neighborhood around src — a superset of every transceiver within
-// range — in ascending transceiver ID, the full scan's visit order, at
-// O(K log K) for K candidates instead of the scan's O(N). Mobile
-// transceivers are re-binned first, once per virtual instant; with none the
-// grid is never written, which is what lets the shards of a sharded channel
-// (all static, binned at Attach) query it concurrently. The returned slice
+// candidates returns, in ascending transceiver ID — the order Send must
+// visit receivers in — a superset of the transceivers within reach of src:
+// every mover, and the static members of the grid cells that the square of
+// half-edge reach around src touches (3×3 for reach = Range), at
+// O(K log K) for K candidates instead of a scan's O(N). The returned slice
 // is the shard's scratch buffer.
-func (sc *chanShard) candidates(c *Channel, src geo.Point, now sim.Time) []int32 {
+func (sc *chanShard) candidates(c *Channel, src geo.Point, reach float64) []int32 {
 	g := c.grid
-	if len(g.mobile) > 0 && (g.dirty || g.binTime != now) {
-		g.rebin(c, now)
-	}
 	out := sc.cand[:0]
-	cx, cy := g.cellOf(src)
-	for dx := int32(-1); dx <= 1; dx++ {
-		for dy := int32(-1); dy <= 1; dy++ {
-			out = append(out, g.cells[g.keyAt(cx+dx, cy+dy)]...)
+	x0, y0 := g.cellOf(geo.Point{X: src.X - reach, Y: src.Y - reach})
+	x1, y1 := g.cellOf(geo.Point{X: src.X + reach, Y: src.Y + reach})
+	// int64 counters: where a platform converts a coordinate too large for
+	// a cell number to the largest one, an int32 counter could never pass it.
+	for cx := int64(x0); cx <= int64(x1); cx++ {
+		for cy := int64(y0); cy <= int64(y1); cy++ {
+			out = append(out, g.cells[g.keyAt(int32(cx), int32(cy))]...)
 		}
+	}
+	for _, m := range c.movers {
+		out = append(out, int32(m.id))
 	}
 	slices.Sort(out)
 	sc.cand = out

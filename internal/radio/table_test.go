@@ -24,16 +24,17 @@ import (
 //	          delivered to or registered at a down node
 //	          — they come back up; a late static node attaches mid-field —
 //	round 4   all 401 transmit: every table is stale and rebuilds once
-//	          — a fast mobile node attaches —
-//	round 5   all 402 transmit: tables are no longer consulted
+//	          — a fast mobile node with no speed bound attaches —
+//	round 5   all 402 transmit: the static ones rebuild once more, each
+//	          table now holding the mobile node as an entry measured per
+//	          send; its own table is everybody
 //
 // and check it three ways: at every Send against a brute-force InRange scan
-// (single kernel, where registration is synchronous), against a channel
-// that never builds a table (a mobile transceiver parked out of everyone's
-// range is attached first), and across enumerations and shard counts. A
-// sharded channel takes no mobile node, and its set can be Run a second
-// time — which attaching between rounds needs — only by the sequential
-// executor, so those plays stop after round 4 and round 3.
+// (single kernel, where registration is synchronous), against the pinned
+// reference, whose tables hold every transceiver (with a mobile one parked
+// out of everyone's range attached first), and across shard counts. A sharded channel takes no mobile node, and its set can be
+// Run a second time — which attaching between rounds needs — only by the
+// sequential executor, so those plays stop after round 4 and round 3.
 const (
 	fieldNodes   = 400
 	fieldEdge    = 400.0 // staticField(fieldNodes)'s square
@@ -46,10 +47,10 @@ var fieldParams = Params{Range: 40, Bitrate: 2e6, PropSpeed: 3e8}
 
 // fieldOpts selects one way of playing the script.
 type fieldOpts struct {
-	index  string // "adaptive", "on" or "off"
-	ghost  bool   // attach an out-of-range mobile first: no table is ever built
-	shards int    // 0: NewChannel; otherwise NewChannelSharded on that many stripes
-	rounds int    // 3, 4 or 5: how far into the script to play
+	pinned bool // SetIndexEnabled(false): every table holds everybody
+	ghost  bool // attach an out-of-range mobile first
+	shards int  // 0: NewChannel; otherwise NewChannelSharded on that many stripes
+	rounds int  // 3, 4 or 5: how far into the script to play
 }
 
 // fieldRun is what a play leaves observable, keyed by node name so runs
@@ -59,6 +60,7 @@ type fieldRun struct {
 	rx     map[string]sim.Duration // per node: receive airtime charged
 	stats  Stats
 	builds [][]uint64 // per checkpoint (after rounds 3, 4, 5), per shard
+	widest int        // the longest receiver table of a static node at the end
 	owned  [][]uint64 // per checkpoint, per shard: transmitters attached
 }
 
@@ -96,12 +98,7 @@ func playField(t *testing.T, o fieldOpts) fieldRun {
 		ch = NewChannelSharded(set, fieldParams, fieldStripe(o.shards))
 		run = set.Run
 	}
-	switch o.index {
-	case "on":
-		ch.SetIndexEnabled(true)
-	case "off":
-		ch.SetIndexEnabled(false)
-	}
+	ch.SetIndexEnabled(!o.pinned)
 
 	var nodes []*fieldNode
 	attach := func(name string, m mobility.Model) *fieldNode {
@@ -198,6 +195,9 @@ func playField(t *testing.T, o fieldOpts) fieldRun {
 	out.stats = ch.Stats
 	for _, n := range nodes {
 		out.recv[n.name], out.rx[n.name] = n.recv, n.meter.RxTime()
+		if n.tr.static {
+			out.widest = max(out.widest, len(n.tr.rx))
+		}
 	}
 	return out
 }
@@ -228,34 +228,177 @@ func firstDiff(a, b []string) string {
 	return "one is a prefix of the other"
 }
 
-// TestReceiverTablesMatchBruteForce: on one kernel, under every choice of
-// enumeration, each Send registers at exactly the brute-force receiver set
-// (checked inside playField), tables are built once per transmitter and
-// once more after the late Attach — never for a SetDown toggle, never once
-// something mobile is attached — and the whole run is frame for frame that
-// of a channel that never built a table.
+// TestReceiverTablesMatchBruteForce: on one kernel each Send registers at
+// exactly the brute-force receiver set. On the static script (checked inside
+// playField) tables are built once per transmitter and once more after each
+// late Attach — never for a SetDown toggle — the unbounded mobile node's
+// holds everybody, and the whole run is frame for frame that of the pinned
+// reference, where every sender measures everybody. The moving fields are
+// checked by diffField.
 func TestReceiverTablesMatchBruteForce(t *testing.T) {
-	never := playField(t, fieldOpts{index: "off", ghost: true, rounds: 5})
-	for _, b := range never.builds {
-		if b[0] != 0 {
-			t.Fatalf("reference channel with a mobile transceiver built %d receiver tables", b[0])
+	t.Run("static", func(t *testing.T) {
+		never := playField(t, fieldOpts{pinned: true, ghost: true, rounds: 5})
+		if never.widest != fieldNodes+2 {
+			t.Fatalf("pinned reference: a sender measures %d of the %d other transceivers", never.widest, fieldNodes+2)
 		}
-	}
-	if never.stats.FramesDelivered == 0 || never.stats.FramesCollided == 0 {
-		t.Fatalf("reference run is vacuous: %+v", never.stats)
-	}
-	if len(never.recv["late"]) == 0 || len(never.recv["mobile"]) == 0 {
-		t.Fatal("late or mobile node heard nothing; the attach phases check nothing")
-	}
-	delete(never.recv, "ghost")
-	delete(never.rx, "ghost")
-	for _, index := range []string{"adaptive", "on", "off"} {
-		got := playField(t, fieldOpts{index: index, rounds: 5})
-		assertSameField(t, "index "+index, got, never)
-		want := [][]uint64{{fieldNodes}, {2*fieldNodes + 1}, {2*fieldNodes + 1}}
+		if never.stats.FramesDelivered == 0 || never.stats.FramesCollided == 0 {
+			t.Fatalf("reference run is vacuous: %+v", never.stats)
+		}
+		if len(never.recv["late"]) == 0 || len(never.recv["mobile"]) == 0 {
+			t.Fatal("late or mobile node heard nothing; the attach phases check nothing")
+		}
+		delete(never.recv, "ghost")
+		delete(never.rx, "ghost")
+		got := playField(t, fieldOpts{rounds: 5})
+		if got.widest > fieldNodes/8 {
+			t.Fatalf("a table of %d on a field of %d with about twelve neighbours each", got.widest, fieldNodes)
+		}
+		assertSameField(t, "tables", got, never)
+		want := [][]uint64{{fieldNodes}, {2*fieldNodes + 1}, {3*fieldNodes + 3}}
 		if !reflect.DeepEqual(got.builds, want) {
-			t.Errorf("index %s: table builds after rounds 3, 4, 5 = %v, want %v", index, got.builds, want)
+			t.Errorf("table builds after rounds 3, 4, 5 = %v, want %v", got.builds, want)
 		}
+	})
+	t.Run("waypoint", func(t *testing.T) { playMoving(t, 0) })
+	t.Run("mixed", func(t *testing.T) { playMoving(t, 24) })
+}
+
+// diffField is a single-kernel channel whose every Send is checked against
+// a brute-force scan. The scan reads twins: each model built a second time
+// from the same seed, so the oracle shares neither the channel's position
+// cache nor a model's leg state with the code under test.
+type diffField struct {
+	t     testing.TB
+	k     *sim.Kernel
+	ch    *Channel
+	trs   []*Transceiver
+	twins []mobility.Model
+
+	sends, reached, delivered int
+}
+
+func newDiffField(t testing.TB, p Params) *diffField {
+	k := sim.NewKernel()
+	return &diffField{t: t, k: k, ch: NewChannel(k, p)}
+}
+
+func (f *diffField) attach(build func() mobility.Model) {
+	f.trs = append(f.trs, f.ch.Attach(build(), nil, func(Frame, ID) { f.delivered++ }))
+	f.twins = append(f.twins, build())
+}
+
+// send transmits from node i now and requires the arrivals Send registered
+// to be exactly the up transceivers the scan finds in range of an up, idle
+// sender, each starting after the scan's propagation delay to the bit.
+func (f *diffField) send(i int) {
+	f.t.Helper()
+	now, tr := f.k.Now(), f.trs[i]
+	f.sends++
+	sends := !tr.down && tr.txUntil <= now
+	if err := f.ch.Send(tr, Frame{Bytes: 64, Payload: f.sends}); (err == nil) != (sends || tr.down) {
+		f.t.Fatalf("t=%v: send %d from %d: down=%v, busy until %v, err=%v", now, f.sends, i, tr.down, tr.txUntil, err)
+	}
+	src := f.twins[i].Pos(now)
+	for j, r := range f.trs {
+		dist := f.twins[j].Pos(now).Dist(src)
+		want := j != i && sends && !r.down && dist <= f.ch.params.Range
+		var got *arrival
+		for _, a := range r.arrivals {
+			if a.frame.Payload == f.sends {
+				got = a
+			}
+		}
+		switch {
+		case (got != nil) != want:
+			f.t.Fatalf("t=%v: send %d from %d: registered at %d = %v, brute-force scan says %v (distance %v)", now, f.sends, i, j, got != nil, want, dist)
+		case want && got.start != now+sim.Duration(dist/f.ch.params.PropSpeed):
+			f.t.Fatalf("t=%v: send %d from %d: arrival at %d starts %v, scan says %v", now, f.sends, i, j, got.start, now+sim.Duration(dist/f.ch.params.PropSpeed))
+		case want:
+			f.reached++
+		}
+	}
+}
+
+// jumper teleports between two points every period: a model with no speed
+// bound, like sts_test.go's stepMove.
+type jumper struct {
+	a, b   geo.Point
+	period sim.Duration
+}
+
+func (j *jumper) Pos(t sim.Time) geo.Point {
+	if int64(t/j.period)%2 == 0 {
+		return j.a
+	}
+	return j.b
+}
+
+func waypointAt(region geo.Rect, speed float64, start geo.Point, seed int64) func() mobility.Model {
+	return func() mobility.Model {
+		return mobility.NewWaypoint(mobility.WaypointConfig{Region: region, MinSpeed: speed / 2, MaxSpeed: speed}, start, sim.NewRNG(seed))
+	}
+}
+
+// playMoving runs 40 s of traffic — 64 table lifetimes before the late
+// mobile attach doubles the top speed, more after — over 40 nodes in a 400 m
+// square at 100 m range: statics of them static, one waypoint of speed zero,
+// one jumper, the rest waypoints of up to 20 m/s. Every node transmits about
+// eight times a second; nodes go down and come back throughout; a static
+// node attaches at 13 s and a 40 m/s waypoint at 26 s.
+func playMoving(t *testing.T, statics int) {
+	const (
+		nodes = 40
+		until = 40 * sim.Second
+	)
+	region, p := geo.Square(400), Params{Range: 100, Bitrate: 2e6, PropSpeed: 3e8}
+	f := newDiffField(t, p)
+	rng := sim.NewRNG(int64(77 + statics))
+	for i, at := range mobility.UniformPlacement(region, nodes, rng) {
+		at := at
+		switch {
+		case i < statics:
+			f.attach(func() mobility.Model { return mobility.Static(at) })
+		case i == nodes-2:
+			f.attach(waypointAt(region, 0, at, int64(i)))
+		case i == nodes-1:
+			f.attach(func() mobility.Model {
+				return &jumper{a: at, b: geo.Point{X: 400 - at.X, Y: 400 - at.Y}, period: 700 * sim.Millisecond}
+			})
+		default:
+			f.attach(waypointAt(region, 20, at, int64(i)))
+		}
+	}
+	horizon := f.ch.horizon()
+	if lifetimes := float64(until / horizon); lifetimes < 50 {
+		t.Fatalf("the run spans %.0f table lifetimes, want at least 50", lifetimes)
+	}
+	var tick func()
+	tick = func() {
+		switch i := rng.Intn(len(f.trs)); {
+		case rng.Intn(40) == 0:
+			f.trs[i].SetDown(!f.trs[i].down)
+		default:
+			f.send(i)
+		}
+		f.k.MustSchedule(rng.Jitter(6*sim.Millisecond), tick)
+	}
+	f.k.MustSchedule(0, tick)
+	f.k.MustSchedule(13*sim.Second, func() {
+		f.attach(func() mobility.Model { return mobility.Static(region.Center()) })
+	})
+	f.k.MustSchedule(26*sim.Second, func() { f.attach(waypointAt(region, 40, region.Center(), 99)) })
+	if err := f.k.Run(until); err != nil {
+		t.Fatal(err)
+	}
+	if f.ch.horizon() != horizon/2 {
+		t.Fatalf("horizon %v after the 40 m/s attach, %v before: want half", f.ch.horizon(), horizon)
+	}
+	builds, senders := f.ch.shards[0].tableBuilds, uint64(len(f.trs)-1) // the jumper's table never expires
+	if least := senders * uint64(until/horizon) / 2; builds < least || builds > uint64(f.sends)/2 {
+		t.Fatalf("%d table builds for %d sends by %d senders over %.0f lifetimes: tables are not both expiring and being reused", builds, f.sends, senders, float64(until/horizon))
+	}
+	if f.reached == 0 || f.delivered == 0 || f.reached > f.sends*(len(f.trs)-1)/2 {
+		t.Fatalf("%d sends reached %d receivers, %d delivered: the field is not one where range matters", f.sends, f.reached, f.delivered)
 	}
 }
 
@@ -270,7 +413,7 @@ func TestReceiverTablesShardedField(t *testing.T) {
 		t.Run(fmt.Sprintf("procs=%d", tc.procs), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(tc.procs)
 			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-			want := playField(t, fieldOpts{index: "off", rounds: tc.rounds})
+			want := playField(t, fieldOpts{pinned: true, rounds: tc.rounds})
 			got := playField(t, fieldOpts{shards: 4, rounds: tc.rounds})
 			assertSameField(t, "4 shards", got, want)
 			for s, owned := range got.owned[0] {
@@ -286,4 +429,81 @@ func TestReceiverTablesShardedField(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A table script is a sequence of four-byte ops {kind, a, b, c} played on a
+// diffField over a 300 m square at 100 m range; kind%8 selects
+//
+//	0     attach a static node at (a, b)
+//	1     attach a waypoint at (a, b) with top speed 0, 5, 20, 80 or 320 m/s
+//	2     attach a jumper between (a, b) and (c, a^b)
+//	3, 4  transmit from node a
+//	5     toggle node a down or up
+//	6     advance the clock (1 + a) ms
+//	7     advance the clock (1 + a) × 50 ms: past several table lifetimes
+//
+// with coordinates scaled from a byte to the square, node numbers taken
+// modulo the population, and attaches beyond 32 nodes ignored.
+func replayTableScript(t *testing.T, script []byte) {
+	const edge, maxNodes = 300.0, 32
+	region := geo.Square(edge)
+	f := newDiffField(t, Params{Range: 100, Bitrate: 2e6, PropSpeed: 3e8})
+	at := func(x, y byte) geo.Point { return geo.Point{X: float64(x) / 255 * edge, Y: float64(y) / 255 * edge} }
+	for ; len(script) >= 4; script = script[4:] {
+		kind, a, b, c := script[0]%8, script[1], script[2], script[3]
+		n := len(f.trs)
+		switch {
+		case kind <= 2 && n == maxNodes, kind >= 3 && kind <= 5 && n == 0:
+		case kind == 0:
+			f.attach(func() mobility.Model { return mobility.Static(at(a, b)) })
+		case kind == 1:
+			f.attach(waypointAt(region, []float64{0, 5, 20, 80, 320}[c%5], at(a, b), int64(c)))
+		case kind == 2:
+			f.attach(func() mobility.Model {
+				return &jumper{a: at(a, b), b: at(c, a^b), period: sim.Duration(1+c%16) * 50 * sim.Millisecond}
+			})
+		case kind <= 4:
+			f.send(int(a) % n)
+		case kind == 5:
+			tr := f.trs[int(a)%n]
+			tr.SetDown(!tr.down)
+		default:
+			dt := sim.Duration(1+int(a)) * sim.Millisecond
+			if kind == 7 {
+				dt *= 50
+			}
+			if err := f.k.Run(f.k.Now() + dt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := f.k.RunAll(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tableScript generates a seeded script of the given number of ops: a dozen
+// attaches first, then mostly transmissions and short waits.
+func tableScript(seed int64, ops int) []byte {
+	rng := sim.NewRNG(seed)
+	script := make([]byte, 0, 4*ops)
+	for i := 0; i < ops; i++ {
+		kind := byte(rng.Intn(3))
+		if i >= 12 {
+			kind = []byte{0, 1, 2, 5, 7, 7, 6, 6, 6, 6, 3, 3, 3, 3, 3, 3}[rng.Intn(16)]
+		}
+		script = append(script, kind, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+	}
+	return script
+}
+
+// FuzzReceiverTableDifferential replays encoded scripts of attaches, moves
+// (the clock advancing under waypoints and jumpers), transmissions and down
+// toggles, requiring of every Send what diffField.send requires. The seed
+// corpus is 16 seeded 400-op scripts.
+func FuzzReceiverTableDifferential(f *testing.F) {
+	for seed := int64(1); seed <= 16; seed++ {
+		f.Add(tableScript(seed, 400))
+	}
+	f.Fuzz(func(t *testing.T, script []byte) { replayTableScript(t, script) })
 }

@@ -352,6 +352,21 @@ func TestSubmitRejectsBadGrids(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Fatalf("submission with an unknown churn field got %d, want 400", resp.StatusCode)
 	}
+	// A speed at which a waypoint leg takes no time once wedged the worker
+	// that ran it; it is a validation error like any other.
+	fast, err := json.Marshal(quickGrid("fast", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = c.http().Post(c.Base+"/jobs", "application/json",
+		strings.NewReader(strings.Replace(string(fast), `"speed":10,`, `"speed":1e300,`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 400 {
+		t.Fatalf("submission at 1e300 m/s got %d, want 400", resp.StatusCode)
+	}
 	if jobs := srv.Jobs(); len(jobs) != 0 {
 		t.Fatalf("rejected submissions left %d jobs behind", len(jobs))
 	}
