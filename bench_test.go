@@ -1,255 +1,22 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-// for paper-vs-measured numbers).
+// The ablations that have no other home: A3 (FT-cluster against the
+// fault-tolerant mean), A6 (two-hop circles) and A7 (the Crypto-Processor
+// profile) report model quantities — estimation error, wire bytes,
+// virtual latency and energy — through b.ReportMetric, which no sweep
+// table and no scripts/bench probe carries. Everything else in DESIGN.md
+// §3's experiment index is a table cmd/icsweep prints (EXPERIMENTS.md has
+// the command per figure), and wall-clock cost is scripts/bench's record,
+// BENCHMARK.json.
 //
-// The figure benchmarks run full simulation sweeps: expensive, so each
-// sweep is computed once per process and shared among the benchmarks that
-// read different metrics from it (e.g. Fig. 7a and 7b come from the same
-// runs, as in the paper). Environment knobs:
-//
-//	IC_RUNS=N     runs per data point (default 3; the paper uses 50)
-//	IC_FULL=1     full-resolution sweeps (every malicious count, all levels)
-//	IC_WORKERS=N  parallel sweep workers (default: one per CPU core;
-//	              replicas fan out across cores, tables stay byte-identical)
-//
-// Typical usage:
-//
-//	go test -bench=Fig -benchtime=1x
-//	IC_RUNS=10 IC_FULL=1 go test -bench=. -benchtime=1x -timeout=4h
-//	IC_WORKERS=1 go test -bench=Fig -benchtime=1x   # serial reference run
+//	go test -run '^$' -bench Ablation -benchtime=1x
 package innercircle_test
 
 import (
 	"fmt"
 	"math"
-	"os"
-	"runtime"
-	"strconv"
-	"sync"
 	"testing"
-	"time"
 
 	ic "innercircle"
 )
-
-func benchRuns() int {
-	if s := os.Getenv("IC_RUNS"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 {
-			return v
-		}
-	}
-	return 3
-}
-
-func fullSweeps() bool { return os.Getenv("IC_FULL") == "1" }
-
-// ---- Fig. 7: black-hole attack -------------------------------------------
-
-var (
-	fig7Once       sync.Once
-	fig7Throughput *ic.Table
-	fig7Energy     *ic.Table
-	fig7Err        error
-)
-
-func fig7Tables() (*ic.Table, *ic.Table, error) {
-	fig7Once.Do(func() {
-		base := ic.PaperBlackholeConfig()
-		base.Seed = 1
-		counts := []int{0, 2, 4, 6, 8, 10}
-		levels := []int{1, 2}
-		if fullSweeps() {
-			counts = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-		}
-		fig7Throughput, fig7Energy, fig7Err = ic.BlackholeSweep(base, counts, levels, benchRuns(), nil)
-		if fig7Err == nil {
-			fmt.Println(fig7Throughput)
-			fmt.Println(fig7Energy)
-		}
-	})
-	return fig7Throughput, fig7Energy, fig7Err
-}
-
-// BenchmarkFig7aThroughput regenerates Fig. 7(a): network throughput vs
-// number of malicious nodes for {No IC, IC L=1, IC L=2}.
-func BenchmarkFig7aThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		thr, _, err := fig7Tables()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(thr.Mean("No IC", "0"), "noIC_thr0_%")
-		b.ReportMetric(thr.Mean("No IC", "10"), "noIC_thr10_%")
-		b.ReportMetric(thr.Mean("IC, L=1", "10"), "icL1_thr10_%")
-	}
-}
-
-// BenchmarkFig7bEnergy regenerates Fig. 7(b): per-node energy consumption
-// for the same sweep.
-func BenchmarkFig7bEnergy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, eng, err := fig7Tables()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(eng.Mean("No IC", "0"), "noIC_J0")
-		b.ReportMetric(eng.Mean("No IC", "10"), "noIC_J10")
-		b.ReportMetric(eng.Mean("IC, L=1", "10"), "icL1_J10")
-	}
-}
-
-// ---- Fig. 8: faulty sensor network ----------------------------------------
-
-var (
-	fig8Once   sync.Once
-	fig8Tables map[string]*ic.Table
-	fig8Err    error
-)
-
-func sensorTables() (map[string]*ic.Table, error) {
-	fig8Once.Do(func() {
-		base := ic.PaperSensorConfig()
-		base.Seed = 1
-		levels := []int{2, 4, 6}
-		faults := ic.AllFaultKinds()
-		if fullSweeps() {
-			levels = []int{2, 3, 4, 5, 6, 7}
-		}
-		fig8Tables, fig8Err = ic.SensorSweep(base, levels, faults, benchRuns(), nil)
-		if fig8Err == nil {
-			for _, key := range []string{"miss", "false", "energyT", "energyNT", "latency", "locerr"} {
-				fmt.Println(fig8Tables[key])
-			}
-		}
-	})
-	return fig8Tables, fig8Err
-}
-
-func sensorFigBench(b *testing.B, key, rowA, rowB, col, unit string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		tables, err := sensorTables()
-		if err != nil {
-			b.Fatal(err)
-		}
-		tb := tables[key]
-		if v := tb.Mean(rowA, col); !math.IsNaN(v) {
-			b.ReportMetric(v, "noIC_"+unit)
-		}
-		if v := tb.Mean(rowB, col); !math.IsNaN(v) {
-			b.ReportMetric(v, "icL4_"+unit)
-		}
-	}
-}
-
-// BenchmarkFig8aMissAlarm regenerates Fig. 8(a): miss-alarm probability
-// per fault model and configuration.
-func BenchmarkFig8aMissAlarm(b *testing.B) {
-	sensorFigBench(b, "miss", "No IC", "IC, L=4", "none", "miss_%")
-}
-
-// BenchmarkFig8bFalseAlarm regenerates Fig. 8(b): false-alarm probability.
-func BenchmarkFig8bFalseAlarm(b *testing.B) {
-	sensorFigBench(b, "false", "No IC", "IC, L=4", "interference", "false_%")
-}
-
-// BenchmarkFig8cEnergyTarget regenerates Fig. 8(c): energy with a target.
-func BenchmarkFig8cEnergyTarget(b *testing.B) {
-	sensorFigBench(b, "energyT", "No IC", "IC, L=4", "interference", "J")
-}
-
-// BenchmarkFig8dEnergyNoTarget regenerates Fig. 8(d): energy without a
-// target.
-func BenchmarkFig8dEnergyNoTarget(b *testing.B) {
-	sensorFigBench(b, "energyNT", "No IC", "IC, L=4", "interference", "J")
-}
-
-// BenchmarkFig8eLatency regenerates Fig. 8(e): target detection latency.
-func BenchmarkFig8eLatency(b *testing.B) {
-	sensorFigBench(b, "latency", "No IC", "IC, L=4", "none", "s")
-}
-
-// BenchmarkFig8fLocalization regenerates Fig. 8(f): target localization
-// error.
-func BenchmarkFig8fLocalization(b *testing.B) {
-	sensorFigBench(b, "locerr", "No IC", "IC, L=4", "position", "m")
-}
-
-// BenchmarkFig8WeakSignal regenerates the §5.2 weak-signal variant
-// (K·T = 10000): the miss-alarm probability rises to a few percent for
-// inner circles over five nodes, worst under the stuck-at-zero and
-// interference faults. The deployment is uniform-random (rather than the
-// gridded main sweep): the miss-alarm knee depends on having thin patches
-// in the sensor field, and a regular grid at this density has none —
-// see EXPERIMENTS.md.
-func BenchmarkFig8WeakSignal(b *testing.B) {
-	var once sync.Once
-	var tbl *ic.Table
-	var tblErr error
-	for i := 0; i < b.N; i++ {
-		once.Do(func() {
-			base := ic.PaperSensorConfig()
-			base.Seed = 1
-			base.Model.KT = 10000
-			base.UniformPlacement = true
-			faults := []ic.FaultKind{ic.FaultNone, ic.FaultInterference, ic.FaultStuckAtZero}
-			runs := benchRuns() * 3 // miss events are rare; oversample
-			tables, err := ic.SensorSweep(base, []int{3, 5, 6, 7}, faults, runs, nil)
-			if err != nil {
-				tblErr = err
-				return
-			}
-			tbl = tables["miss"]
-			tbl.Title = "§5.2 weak signal (K·T=10000, uniform placement): miss alarm probability [%]"
-			fmt.Println(tbl)
-		})
-		if tblErr != nil {
-			b.Fatal(tblErr)
-		}
-		b.ReportMetric(tbl.Mean("IC, L=7", "stuck-at-zero"), "icL7_miss_%")
-	}
-}
-
-// BenchmarkGrayHole measures the §5.1 attack variation the paper says
-// network-wide detectors cannot handle: attackers that misbehave only half
-// the time. The inner circle contains them identically (reported metrics:
-// throughput with and without the defense).
-func BenchmarkGrayHole(b *testing.B) {
-	var once sync.Once
-	var noIC, withIC float64
-	var benchErr error
-	for i := 0; i < b.N; i++ {
-		once.Do(func() {
-			base := ic.PaperBlackholeConfig()
-			base.Seed = 21
-			base.SimTime = 120
-			base.Malicious = 5
-			base.GrayProb = 0.5
-			res, err := ic.RunBlackhole(base)
-			if err != nil {
-				benchErr = err
-				return
-			}
-			noIC = res.Throughput
-			base.IC = true
-			base.L = 1
-			res, err = ic.RunBlackhole(base)
-			if err != nil {
-				benchErr = err
-				return
-			}
-			withIC = res.Throughput
-			fmt.Printf("## Gray-hole attack (p=0.5, 5 attackers): No IC %.1f%%, IC L=1 %.1f%%\n\n", noIC, withIC)
-		})
-		if benchErr != nil {
-			b.Fatal(benchErr)
-		}
-		b.ReportMetric(noIC, "noIC_thr_%")
-		b.ReportMetric(withIC, "icL1_thr_%")
-	}
-}
-
-// ---- A3: FT-cluster vs FT-mean ablation -----------------------------------
 
 // BenchmarkAblationFusion quantifies the design choice behind §4.3: the
 // FT-cluster algorithm versus the classic fault-tolerant mean, across
@@ -282,181 +49,6 @@ func BenchmarkAblationFusion(b *testing.B) {
 			}
 			b.ReportMetric(errCluster/trials, fmt.Sprintf("cluster_f%d_err", f))
 			b.ReportMetric(errMean/trials, fmt.Sprintf("ftmean_f%d_err", f))
-		}
-	}
-}
-
-// ---- A4: threshold-signature cost -----------------------------------------
-
-// BenchmarkThresholdRSASign measures Shoup-style partial signing with
-// 1024-bit keys (the ad hoc scenario's key length).
-func BenchmarkThresholdRSASign(b *testing.B) {
-	gk, signers := dealOnce(b, ic.NewRSADealer(1024))
-	_ = gk
-	msg := []byte("benchmark message")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := signers[0].PartialSign(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkThresholdRSACombine measures signature combination (Lagrange
-// exponents + extended-Euclid completion + final verification).
-func BenchmarkThresholdRSACombine(b *testing.B) {
-	gk, signers := dealOnce(b, ic.NewRSADealer(1024))
-	msg := []byte("benchmark message")
-	partials := make([]ic.Partial, 3)
-	for i := range partials {
-		p, err := signers[i].PartialSign(msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		partials[i] = p
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := gk.Combine(msg, partials); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkThresholdRSAVerify measures remote-recipient verification —
-// the only cryptographic cost a node outside the inner circle pays.
-func BenchmarkThresholdRSAVerify(b *testing.B) {
-	gk, signers := dealOnce(b, ic.NewRSADealer(1024))
-	msg := []byte("benchmark message")
-	partials := make([]ic.Partial, 3)
-	for i := range partials {
-		p, err := signers[i].PartialSign(msg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		partials[i] = p
-	}
-	sig, err := gk.Combine(msg, partials)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := gk.Verify(msg, sig); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkThresholdSimSign measures the sweep-scale stand-in scheme, for
-// comparison with the faithful RSA numbers (ablation A4).
-func BenchmarkThresholdSimSign(b *testing.B) {
-	_, signers := dealOnce(b, ic.NewSimDealer([]byte("bench"), 128))
-	msg := []byte("benchmark message")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := signers[0].PartialSign(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-var dealCache sync.Map
-
-func dealOnce(b *testing.B, dealer ic.Dealer) (ic.GroupKey, []ic.Signer) {
-	b.Helper()
-	key := fmt.Sprintf("%T", dealer)
-	if v, ok := dealCache.Load(key); ok {
-		pair := v.([2]any)
-		gk, _ := pair[0].(ic.GroupKey)
-		signers, _ := pair[1].([]ic.Signer)
-		return gk, signers
-	}
-	gk, signers, err := dealer.Deal(2, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dealCache.Store(key, [2]any{gk, signers})
-	return gk, signers
-}
-
-// ---- parallel replica engine -----------------------------------------------
-
-// sweepReplicasPerSec runs a fixed small Fig. 7 sweep (2 configurations ×
-// 2 malicious counts × 4 runs = 16 replicas) with the given worker count
-// and returns the replica throughput. The sweep output is identical at
-// every worker count; only wall-clock changes.
-func sweepReplicasPerSec(b *testing.B, workers int) float64 {
-	b.Helper()
-	b.Setenv("IC_WORKERS", strconv.Itoa(workers))
-	base := ic.PaperBlackholeConfig()
-	base.Nodes = 30
-	base.SimTime = 30
-	base.Seed = 17
-	counts := []int{0, 2}
-	levels := []int{1}
-	const runs = 4
-	replicas := len(counts) * (1 + len(levels)) * runs
-	start := time.Now()
-	if _, _, err := ic.BlackholeSweep(base, counts, levels, runs, nil); err != nil {
-		b.Fatal(err)
-	}
-	return float64(replicas) / time.Since(start).Seconds()
-}
-
-// BenchmarkSweepSerial is the one-worker baseline for the replica engine:
-// the sequential execution the sweeps used before parallelization.
-func BenchmarkSweepSerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(sweepReplicasPerSec(b, 1), "replicas/s")
-	}
-}
-
-// BenchmarkSweepParallel measures replica throughput of the worker-pool
-// engine at 1, 2, and NumCPU workers (compare against BenchmarkSweepSerial;
-// the speedup table is recorded in BENCH_parallel.json). Replicas are
-// independent single-threaded simulations, so throughput should scale
-// nearly linearly with cores until memory bandwidth intervenes.
-func BenchmarkSweepParallel(b *testing.B) {
-	workerCounts := []int{1, 2, runtime.NumCPU()}
-	for _, w := range workerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.ReportMetric(sweepReplicasPerSec(b, w), "replicas/s")
-			}
-		})
-	}
-}
-
-// ---- substrate microbenchmarks ---------------------------------------------
-
-// BenchmarkFTCluster measures the fusion algorithm at inner-circle scale
-// (the paper notes circles of 10-15 members).
-func BenchmarkFTCluster(b *testing.B) {
-	rng := ic.NewRNG(7)
-	points := make([]ic.Vec, 15)
-	for i := range points {
-		points[i] = ic.Vec{rng.NormFloat64(), rng.NormFloat64()}
-	}
-	points[14] = ic.Vec{50, 50}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ic.FTCluster(points, 4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSimulatorEvents measures raw discrete-event throughput: one
-// 60-second, 25-node AODV scenario per iteration.
-func BenchmarkSimulatorEvents(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := ic.PaperBlackholeConfig()
-		cfg.Nodes = 25
-		cfg.SimTime = 60
-		cfg.Seed = int64(i)
-		if _, err := ic.RunBlackhole(cfg); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -608,58 +200,5 @@ func BenchmarkAblationCryptoProcessor(b *testing.B) {
 		b.ReportMetric(hwLat*1000, "hw_round_ms")
 		b.ReportMetric(swJ*1000, "sw_round_mJ")
 		b.ReportMetric(hwJ*1000, "hw_round_mJ")
-	}
-}
-
-// BenchmarkAblationFusionInSitu runs the A3 ablation inside the live
-// sensor pipeline: localization error of the full inner-circle system
-// (L=5, interference fault) when the statistical fusion is the paper's
-// FT-cluster algorithm, the fault-tolerant mean, or a naive average.
-func BenchmarkAblationFusionInSitu(b *testing.B) {
-	run := func(alg ic.FusionAlg) (float64, error) {
-		cfg := ic.PaperSensorConfig()
-		cfg.Seed = 13
-		cfg.IC = true
-		cfg.L = 5
-		cfg.Fault = ic.FaultInterference
-		cfg.Fusion = alg
-		res, err := ic.RunSensor(cfg)
-		if err != nil {
-			return 0, err
-		}
-		return res.LocalizationErr, nil
-	}
-	for i := 0; i < b.N; i++ {
-		cluster, err := run(ic.FusionCluster)
-		if err != nil {
-			b.Fatal(err)
-		}
-		mean, err := run(ic.FusionMean)
-		if err != nil {
-			b.Fatal(err)
-		}
-		naive, err := run(ic.FusionNaive)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(cluster, "ftcluster_m")
-		b.ReportMetric(mean, "ftmean_m")
-		b.ReportMetric(naive, "naive_m")
-	}
-}
-
-// BenchmarkReplicaHotpath measures one full 100-node, 30-second ad hoc
-// replica (waypoint mobility, CBR traffic, no attack) — the single-replica
-// wall-clock the spatial radio index and the kernel allocation diet target.
-func BenchmarkReplicaHotpath(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := ic.PaperBlackholeConfig()
-		cfg.Nodes = 100
-		cfg.SimTime = 30
-		cfg.Seed = 42
-		if _, err := ic.RunBlackhole(cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"innercircle/internal/artifact"
+	"innercircle/internal/experiment"
 )
 
 // sharedFlags are the flags every subcommand registers, name=default.
@@ -49,16 +50,52 @@ func TestFlagTable(t *testing.T) {
 // builds at its defaults and under -quick by the SHA-256 of its canonical
 // JSON — the spec_sha256 a -manifest run records. The literals are what
 // the four retired binaries built at 795be33, so the flag → preset path
-// enumerates the same replica specs (same store keys) as before.
+// enumerates the same replica specs (same store keys) as before. The rows
+// with a shape are the invocations EXPERIMENTS.md names as the source of
+// its tables: their grids are checked field by field, so the tables stay
+// reachable by construction.
 func TestDefaultGridsMatchRetiredBinaries(t *testing.T) {
-	for _, tc := range []struct{ args, want string }{
-		{"blackhole", "0c61f2002241b16699642ebccfdb515dee1ffc720eda3ecdbe4d2d06960dcd23"},
-		{"blackhole -quick", "7213043f331816dc222dcf68562d62fe05c3ca6904b69e4994e474f7b3e8c030"},
-		{"sensor", "e1f49975f16d201d29066432c852d5a43f78020c949cc7910d2a12f5fad7088c"},
-		{"sensor -quick", "ac009c4408abc6b46c14e27dda309a085a795dc1bb7a8713b8df2cb51785779e"},
-		{"campaign", "56a5f3b5d89fc54d81242dc6f7dfa9435bad0170903373f26bfac3d8d379ce2a"},
-		{"churn", "0230b3f199e67d7bb3c7eb400989d01f6f6e3065b3ca119cb510697ae0bbb579"},
-		{"churn -quick", "d4801a8237398f84a99fcdbf0a4708a0869ccd94dd7e83f9138d648bb9827a2d"},
+	fusionAtL5 := func(alg experiment.FusionAlg) func(*experiment.GridRequest) bool {
+		return func(g *experiment.GridRequest) bool {
+			return reflect.DeepEqual(g.Levels, []int{5}) && g.Runs == 9 && g.Sensor.Fusion == alg
+		}
+	}
+	for _, tc := range []struct {
+		args, want string
+		shape      func(g *experiment.GridRequest) bool
+	}{
+		{args: "blackhole", want: "0c61f2002241b16699642ebccfdb515dee1ffc720eda3ecdbe4d2d06960dcd23"},
+		{args: "blackhole -quick", want: "7213043f331816dc222dcf68562d62fe05c3ca6904b69e4994e474f7b3e8c030"},
+		{args: "sensor", want: "e1f49975f16d201d29066432c852d5a43f78020c949cc7910d2a12f5fad7088c"},
+		{args: "sensor -quick", want: "ac009c4408abc6b46c14e27dda309a085a795dc1bb7a8713b8df2cb51785779e"},
+		{args: "campaign", want: "56a5f3b5d89fc54d81242dc6f7dfa9435bad0170903373f26bfac3d8d379ce2a"},
+		{args: "churn", want: "0230b3f199e67d7bb3c7eb400989d01f6f6e3065b3ca119cb510697ae0bbb579"},
+		{args: "churn -quick", want: "d4801a8237398f84a99fcdbf0a4708a0869ccd94dd7e83f9138d648bb9827a2d"},
+		// Fig. 7 at full resolution.
+		{args: "blackhole -step 1 -runs 3", shape: func(g *experiment.GridRequest) bool {
+			return reflect.DeepEqual(g.Malicious, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) &&
+				reflect.DeepEqual(g.Levels, []int{1, 2}) && g.Runs == 3 && g.BaseSeed() == 1 &&
+				g.Blackhole.SimTime == 300 && g.Blackhole.GrayProb == 0
+		}},
+		// Fig. 8: sensor's default grid (first rows) at three runs.
+		{args: "sensor -runs 3", shape: func(g *experiment.GridRequest) bool {
+			return reflect.DeepEqual(g.Levels, []int{2, 3, 4, 5, 6, 7}) && len(g.Faults) == 5 &&
+				g.Runs == 3 && g.BaseSeed() == 1 && g.Sensor.Model.KT == 20000 && !g.Sensor.UniformPlacement
+		}},
+		// §5.2 weak signal.
+		{args: "sensor -weak -levels 3,5,6,7 -runs 9", shape: func(g *experiment.GridRequest) bool {
+			return reflect.DeepEqual(g.Levels, []int{3, 5, 6, 7}) && g.Runs == 9 && g.BaseSeed() == 1 &&
+				g.Sensor.Model.KT == 10000 && g.Sensor.UniformPlacement
+		}},
+		// §5.1 gray holes.
+		{args: "blackhole -gray 0.5 -runs 3", shape: func(g *experiment.GridRequest) bool {
+			return reflect.DeepEqual(g.Malicious, []int{0, 2, 4, 6, 8, 10}) && g.Runs == 3 &&
+				g.Blackhole.GrayProb == 0.5
+		}},
+		// A8, fusion in situ: one sweep per algorithm.
+		{args: "sensor -levels 5 -fusion cluster -runs 9", shape: fusionAtL5(experiment.FusionCluster)},
+		{args: "sensor -levels 5 -fusion mean -runs 9", shape: fusionAtL5(experiment.FusionMean)},
+		{args: "sensor -levels 5 -fusion naive -runs 9", shape: fusionAtL5(experiment.FusionNaive)},
 	} {
 		g, _, err := buildGrid(strings.Fields(tc.args))
 		if err != nil {
@@ -71,6 +108,12 @@ func TestDefaultGridsMatchRetiredBinaries(t *testing.T) {
 		spec, err := artifact.Canonical(g)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tc.shape != nil {
+			if !tc.shape(g) {
+				t.Errorf("icsweep %s builds another grid than EXPERIMENTS.md says:\n%s", tc.args, spec)
+			}
+			continue
 		}
 		if got := artifact.Sum(spec); got != tc.want {
 			t.Errorf("icsweep %s: spec_sha256 %s, want %s\n%s", tc.args, got, tc.want, spec)

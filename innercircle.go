@@ -23,8 +23,8 @@
 //   - the paper's two evaluation scenarios, runnable directly
 //     (RunBlackhole, RunSensor and their sweep drivers).
 //
-// The examples/ directory demonstrates each layer; bench_test.go
-// regenerates every figure of the paper's evaluation.
+// The examples/ directory demonstrates each layer; cmd/icsweep prints
+// every figure of the paper's evaluation.
 package innercircle
 
 import (

@@ -1,75 +1,17 @@
 package thresh
 
-import (
-	"fmt"
-	"testing"
-)
-
-// Reshare-cost benchmarks (recorded in BENCH_reshare.json): what a
-// membership epoch transition spends inside the crypto layer — the
-// dealerless keygen itself, a full reshare (new Shamir split + precompute
-// rebuild + signer exponents), and the bare precompute rebuild the PR
-// turned from a birth-time constant into a rebuildable context.
-
-// BenchmarkDKG measures a full dealerless keygen, qualification round
-// included, on the paper's sensor parameters (512-bit modulus, 2-of-5).
-func BenchmarkDKG(b *testing.B) {
-	for _, scheme := range []string{"rsa", "sim"} {
-		b.Run(scheme, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var g KeyGenerator
-				if scheme == "rsa" {
-					g = &RSADealer{Bits: 512}
-				} else {
-					g = NewSimDealer([]byte(fmt.Sprintf("bench-%d", i)), 128)
-				}
-				if _, err := g.DKG(DKGConfig{K: 2, N: 5}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// benchReshareKey deals a private 1024-bit key for the reshare benches:
-// they mutate the key in place, so the shared benchDeals cache must not
-// see it.
-func benchReshareKey(b *testing.B) (*RSADealer, GroupKey) {
-	b.Helper()
-	d := &RSADealer{Bits: 1024}
-	gk, _, err := d.Deal(2, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return d, gk
-}
-
-// BenchmarkReshare measures moving a dealt key to a new signer set —
-// alternating 2-of-5 ↔ 1-of-3 so both shrink and grow paths are timed —
-// against the 1024-bit ad hoc key (the expensive case).
-func BenchmarkReshare(b *testing.B) {
-	d, gk := benchReshareKey(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if i%2 == 0 {
-			_, err = d.Reshare(gk, 1, 3)
-		} else {
-			_, err = d.Reshare(gk, 2, 5)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+import "testing"
 
 // BenchmarkPrecomputeRebuild isolates the Shoup-context rebuild (Δ = n!,
 // 4Δ², extended-Euclid pair, Lagrange memo drop) a reshare performs on
 // the group key, without the Shamir resplit or signer construction.
+// scripts/bench times the whole reshare (thresh.reshare_us) and the
+// dealerless keygen (thresh.dkg_rsa_ms); no probe times this part alone.
 func BenchmarkPrecomputeRebuild(b *testing.B) {
-	_, gk := benchReshareKey(b)
+	gk, _, err := (&RSADealer{Bits: 1024}).Deal(2, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
 	rk := gk.(*rsaGroupKey)
 	b.ReportAllocs()
 	b.ResetTimer()

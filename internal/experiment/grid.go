@@ -242,10 +242,27 @@ type GridRequest struct {
 	Runs int `json:"runs"`
 }
 
+// seedStride is the step of the per-column seed schedule (base + stride ×
+// column + run, see BlackholePoints): a grid of more runs than that would
+// reuse the next column's seeds, so it bounds Runs.
+const seedStride = 1000
+
+// maxGridPoints bounds rows × columns × runs. A request is a few hundred
+// bytes however many replicas it asks for and a ReplicaPoint is about
+// 600, so the product is checked before Points builds anything; the
+// paper's largest grid (Fig. 8 at 50 runs) is 2100 points.
+const maxGridPoints = 100000
+
 // Validate checks the request is a well-formed instance of its kind.
 func (g *GridRequest) Validate() error {
-	if g.Runs <= 0 {
-		return fmt.Errorf("experiment: grid %q: runs must be positive, got %d", g.Name, g.Runs)
+	if g.Runs <= 0 || g.Runs > seedStride {
+		return fmt.Errorf("experiment: grid %q: runs must be positive and at most %d, got %d", g.Name, seedStride, g.Runs)
+	}
+	// At most one column axis is non-empty in a request that passes the
+	// kind checks below, and no kind has more rows than No IC plus levels.
+	cols := len(g.Malicious) + len(g.Faults) + len(g.Campaigns) + len(g.Churns)
+	if cells := int64(1+len(g.Levels)) * int64(cols); cells > maxGridPoints/int64(g.Runs) {
+		return fmt.Errorf("experiment: grid %q: %d cells × %d runs is more than %d replicas", g.Name, cells, g.Runs, maxGridPoints)
 	}
 	if g.Blackhole != nil {
 		if err := g.Blackhole.validSpeed(); err != nil {

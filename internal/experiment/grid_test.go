@@ -226,6 +226,12 @@ func TestGridRequestValidate(t *testing.T) {
 		{"blackhole at a huge speed", GridRequest{Kind: GridBlackhole, Blackhole: atSpeed(bh, 1e300), Malicious: []int{0}, Runs: 1}, false},
 		{"blackhole at a negative speed", GridRequest{Kind: GridBlackhole, Blackhole: atSpeed(bh, -10), Malicious: []int{0}, Runs: 1}, false},
 		{"campaign at a huge speed", GridRequest{Kind: GridCampaign, Blackhole: atSpeed(bh, 1e300), Campaigns: []faults.Campaign{faults.BlackholePreset(1)}, Runs: 1}, false},
+		{"runs at the seed stride", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: []int{0}, Runs: seedStride}, true},
+		{"runs past the seed stride", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: []int{0}, Runs: seedStride + 1}, false},
+		{"sensor runs past the seed stride", GridRequest{Kind: GridSensor, Sensor: &sn, Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1 << 40}, false},
+		{"points at the bound", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: make([]int, 50), Levels: make([]int, 3), Runs: 500}, true},
+		{"points past the bound", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: make([]int, 51), Levels: make([]int, 3), Runs: 500}, false},
+		{"axes past the bound at one run", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: make([]int, 400), Levels: make([]int, 400), Runs: 1}, false},
 	} {
 		err := tc.g.Validate()
 		if tc.ok && err != nil {

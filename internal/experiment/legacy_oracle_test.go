@@ -3,9 +3,8 @@ package experiment
 // Frozen copies of the hand-wired RunBlackhole/RunSensor harnesses as
 // they stood before the scenario-layer refactor. They are the oracle: the
 // declarative Spec path must reproduce them result-for-result (exact
-// float equality), and BenchmarkScenarioOverhead measures what the
-// framework costs relative to them. Do not "improve" these — their value
-// is that they never change.
+// float equality). Do not "improve" these — their value is that they
+// never change.
 
 import (
 	"fmt"
@@ -576,31 +575,4 @@ func TestScenarioMatchesLegacySensor(t *testing.T) {
 			}
 		})
 	}
-}
-
-// BenchmarkScenarioOverhead compares the declarative Spec path against
-// the frozen pre-refactor harness on the same replica. The framework's
-// per-run cost (validation, interface dispatch, counter folding) must
-// stay within noise of the hand-wired code — the replica itself is the
-// work.
-func BenchmarkScenarioOverhead(b *testing.B) {
-	cfg := smallBlackhole()
-	cfg.SimTime = 20
-	cfg.Malicious = 2
-	cfg.IC = true
-	cfg.L = 1
-	b.Run("spec", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := RunBlackhole(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := legacyRunBlackhole(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

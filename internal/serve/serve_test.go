@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -366,6 +367,32 @@ func TestSubmitRejectsBadGrids(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("submission at 1e300 m/s got %d, want 400", resp.StatusCode)
+	}
+	// A body of a few hundred bytes can ask for millions of replicas,
+	// through runs or through the axes; both are refused before a point is
+	// built (enumerating the first took over a gigabyte).
+	runs, axes := quickGrid("runs", 1), quickGrid("axes", 1)
+	runs.Runs = 1000000
+	axes.Malicious, axes.Levels = make([]int, 400), make([]int, 400)
+	for name, g := range map[string]*experiment.GridRequest{"a million runs": runs, "400 × 401 points": axes} {
+		body, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp, err = c.http().Post(c.Base+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != 400 {
+			t.Fatalf("submission of %s got %d, want 400", name, resp.StatusCode)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Fatalf("rejecting %s allocated %d MB", name, grew>>20)
+		}
 	}
 	if jobs := srv.Jobs(); len(jobs) != 0 {
 		t.Fatalf("rejected submissions left %d jobs behind", len(jobs))
