@@ -35,7 +35,7 @@ func TestGrayHoleIntermittentAttack(t *testing.T) {
 	a := applyGrayhole(t, net, 3, 0.5)
 	for i := 0; i < 40; i++ {
 		i := i
-		net.k.MustSchedule(sim.Duration(i)+1, func() {
+		net.k.ScheduleFire(sim.Duration(i)+1, func() {
 			_ = net.routers[0].Send(2, i, 256)
 		})
 	}

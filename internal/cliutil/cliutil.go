@@ -53,7 +53,7 @@ func Main(name string, run func() error) {
 // shares: a CPU profile covering the run, a heap snapshot taken at stop
 // time (after a GC, so live allocations — the sweep engine's steady state
 // — dominate over garbage), and block/mutex contention profiles covering
-// the run (for inspecting the sharded executors' synchronization and the
+// the run (for inspecting the shard executor's synchronization and the
 // event queue's claimed freedom from it).
 type Profile struct {
 	CPU   string

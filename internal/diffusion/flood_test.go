@@ -79,7 +79,7 @@ func TestFloodNeverDeliversDuplicates(t *testing.T) {
 	const sends = 10
 	for i := 0; i < sends; i++ {
 		at := sim.Time(i+1) * 0.3
-		net.k.MustSchedule(at, func() {
+		net.k.ScheduleFire(at, func() {
 			_ = net.svcs[3].Send(payload{tag: "d", size: 32})
 		})
 	}

@@ -13,14 +13,18 @@ import (
 // 100k rows has to use. What is known (CHANGES.md, PR 16 and PR 17; 2-vCPU
 // shared VM): on one core a single kernel is the faster configuration at
 // 10k nodes (6.3/6.6 s against 7.6/7.7 s on 6 shards, two pairs); with a
-// second P the threaded executor won at 10k/6 shards and lost at 1k/4
+// second P a goroutine per shard won at 10k/6 shards and lost at 1k/4
 // shards, six pairs each; 40k and 100k have not been run since the radio
 // got one transmission path, and nothing here is a parallel speed-up.
+// PR 22's one-P rows, the slot loop against the executor it replaced:
+// 229/279/268 ms against 247/244/223 ms at 1k/4, 6.35/6.29/6.27 s against
+// 7.13/6.06/6.40 s at 10k/6 — inside the spread at both sizes.
 //
 // The shard count per size is the largest probed count that executes
-// tie-free at the benchmark seed (cross-shard timestamp ties abort and
-// rerun on one kernel — deterministic per seed — and the assertion below
-// keeps a tie from silently mislabeling a single-kernel run).
+// tie-free at the benchmark seed. Cross-shard timestamp ties abort and
+// rerun on one kernel — deterministic per seed, and not rare: 18 of 100
+// field_scale replicas (4000 nodes, 4 shards) trip — so the assertion
+// below keeps a tie from silently mislabeling a single-kernel run.
 //
 // Each iteration builds and runs a whole replica, so memory benchmarks
 // are dominated by network construction; the interesting number is ns/op.

@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"innercircle/internal/faults"
+	"innercircle/internal/scenario"
 	"innercircle/internal/sensor"
 	"innercircle/internal/stats"
 )
@@ -54,13 +55,13 @@ type ReplicaSpec struct {
 // from outside the program is bounded before anything runs.
 const maxNodeSpeed = 3e8
 
-// validSpeed rejects a waypoint speed that is negative, not a number, or
-// above maxNodeSpeed.
-func (cfg *BlackholeConfig) validSpeed() error {
+// validBounds rejects a waypoint speed that is negative, not a number, or
+// above maxNodeSpeed, and a shard count scenario.ValidShards rejects.
+func (cfg *BlackholeConfig) validBounds() error {
 	if !(cfg.Speed >= 0 && cfg.Speed <= maxNodeSpeed) {
 		return fmt.Errorf("experiment: speed must be between 0 and %g m/s, got %v", maxNodeSpeed, cfg.Speed)
 	}
-	return nil
+	return scenario.ValidShards(cfg.Shards)
 }
 
 // Validate checks the union discriminant and the config it selects.
@@ -76,7 +77,7 @@ func (s ReplicaSpec) Validate() error {
 		if s.Blackhole.Tracer != nil {
 			return fmt.Errorf("experiment: replica spec must not carry a Tracer")
 		}
-		if err := s.Blackhole.validSpeed(); err != nil {
+		if err := s.Blackhole.validBounds(); err != nil {
 			return err
 		}
 		if s.Blackhole.Campaign != nil {
@@ -91,6 +92,7 @@ func (s ReplicaSpec) Validate() error {
 		if s.Blackhole != nil {
 			return fmt.Errorf("experiment: replica spec kind %q carries a blackhole config", s.Kind)
 		}
+		return scenario.ValidShards(s.Sensor.Shards)
 	default:
 		return fmt.Errorf("experiment: unknown replica spec kind %q", s.Kind)
 	}
@@ -265,7 +267,12 @@ func (g *GridRequest) Validate() error {
 		return fmt.Errorf("experiment: grid %q: %d cells × %d runs is more than %d replicas", g.Name, cells, g.Runs, maxGridPoints)
 	}
 	if g.Blackhole != nil {
-		if err := g.Blackhole.validSpeed(); err != nil {
+		if err := g.Blackhole.validBounds(); err != nil {
+			return fmt.Errorf("grid %q: %w", g.Name, err)
+		}
+	}
+	if g.Sensor != nil {
+		if err := scenario.ValidShards(g.Sensor.Shards); err != nil {
 			return fmt.Errorf("grid %q: %w", g.Name, err)
 		}
 	}

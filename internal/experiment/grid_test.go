@@ -65,6 +65,8 @@ func TestDecodeReplicaResultRejectsUnknown(t *testing.T) {
 func TestReplicaSpecValidate(t *testing.T) {
 	bh := smallBlackhole()
 	sn := PaperSensorConfig()
+	wide := bh
+	wide.Shards = scenario.MaxShards + 1
 	for _, tc := range []struct {
 		name string
 		spec ReplicaSpec
@@ -80,6 +82,10 @@ func TestReplicaSpecValidate(t *testing.T) {
 		{"negative speed", ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: atSpeed(bh, -1)}, false},
 		{"NaN speed", ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: atSpeed(bh, math.NaN())}, false},
 		{"infinite speed", ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: atSpeed(bh, math.Inf(1))}, false},
+		{"sensor at the shard bound", ReplicaSpec{Kind: ReplicaSensor, Sensor: onShards(sn, scenario.MaxShards)}, true},
+		{"sensor past the shard bound", ReplicaSpec{Kind: ReplicaSensor, Sensor: onShards(sn, scenario.MaxShards+1)}, false},
+		{"sensor pair on negative shards", ReplicaSpec{Kind: ReplicaSensorPair, Sensor: onShards(sn, -1)}, false},
+		{"blackhole past the shard bound", ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: &wide}, false},
 	} {
 		err := tc.spec.Validate()
 		if tc.ok && err != nil {
@@ -94,6 +100,12 @@ func TestReplicaSpecValidate(t *testing.T) {
 // atSpeed returns a copy of cfg whose nodes move at speed.
 func atSpeed(cfg BlackholeConfig, speed float64) *BlackholeConfig {
 	cfg.Speed = speed
+	return &cfg
+}
+
+// onShards returns a copy of cfg that asks for shards kernels.
+func onShards(cfg SensorConfig, shards int) *SensorConfig {
+	cfg.Shards = shards
 	return &cfg
 }
 
@@ -204,6 +216,8 @@ func TestGridMatchesSweeps(t *testing.T) {
 func TestGridRequestValidate(t *testing.T) {
 	bh := smallBlackhole()
 	sn := PaperSensorConfig()
+	wide := bh
+	wide.Shards = scenario.MaxShards + 1
 	for _, tc := range []struct {
 		name string
 		g    GridRequest
@@ -232,6 +246,10 @@ func TestGridRequestValidate(t *testing.T) {
 		{"points at the bound", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: make([]int, 50), Levels: make([]int, 3), Runs: 500}, true},
 		{"points past the bound", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: make([]int, 51), Levels: make([]int, 3), Runs: 500}, false},
 		{"axes past the bound at one run", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: make([]int, 400), Levels: make([]int, 400), Runs: 1}, false},
+		{"sensor at the shard bound", GridRequest{Kind: GridSensor, Sensor: onShards(sn, scenario.MaxShards), Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1}, true},
+		{"sensor past the shard bound", GridRequest{Kind: GridSensor, Sensor: onShards(sn, 150000), Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1}, false},
+		{"churn on negative shards", GridRequest{Kind: GridChurn, Sensor: onShards(sn, -4), Levels: []int{3}, Churns: []int{0}, Runs: 1}, false},
+		{"blackhole past the shard bound", GridRequest{Kind: GridBlackhole, Blackhole: &wide, Malicious: []int{0}, Runs: 1}, false},
 	} {
 		err := tc.g.Validate()
 		if tc.ok && err != nil {

@@ -184,9 +184,9 @@ func legacyRunBlackhole(cfg BlackholeConfig) (BlackholeResult, error) {
 			sent++
 			seq++
 			_ = routers[c.src].Send(link.NodeID(c.dst), fmt.Sprintf("c%d-%d", ci, seq), cfg.PacketBytes)
-			net.K.MustSchedule(interval, tick)
+			net.K.ScheduleFire(interval, tick)
 		}
-		net.K.MustSchedule(start, tick)
+		net.K.ScheduleFire(start, tick)
 	}
 
 	if err := net.Run(cfg.SimTime); err != nil {
@@ -391,10 +391,10 @@ func legacyRunSensor(cfg SensorConfig) (SensorResult, error) {
 	for _, nd := range net.Nodes {
 		if nd.STS != nil {
 			svc := nd.STS
-			net.K.MustSchedule(startRNG.Jitter(2), svc.Start)
+			net.K.ScheduleFire(startRNG.Jitter(2), svc.Start)
 		}
 	}
-	net.K.MustSchedule(0.1, func() { baseDiff.Start() })
+	net.K.ScheduleFire(0.1, func() { baseDiff.Start() })
 
 	activeTarget := func(at sim.Time) *geo.Point {
 		for _, tg := range targets {
@@ -416,9 +416,9 @@ func legacyRunSensor(cfg SensorConfig) (SensorResult, error) {
 		for i := 1; i < cfg.Nodes; i++ {
 			apps[i].sense(epochIdx, tpos)
 		}
-		net.K.MustSchedule(cfg.SensePeriod, epochFn)
+		net.K.ScheduleFire(cfg.SensePeriod, epochFn)
 	}
-	net.K.MustSchedule(cfg.SensePeriod, epochFn)
+	net.K.ScheduleFire(cfg.SensePeriod, epochFn)
 
 	if err := net.Run(cfg.SimTime); err != nil {
 		return SensorResult{}, fmt.Errorf("experiment: run: %w", err)

@@ -55,7 +55,7 @@ type SensorConfig struct {
 	// matters for the weak-signal miss-alarm results (§5.2).
 	UniformPlacement bool `json:"uniform_placement,omitempty"`
 	// Shards partitions the replica across parallel kernels (see
-	// scenario.Spec.Shards); 0 defers to IC_SHARDS.
+	// scenario.Spec.Shards, at most scenario.MaxShards); 0 defers to IC_SHARDS.
 	Shards int `json:"shards,omitempty"`
 	// Churn schedules mid-run membership transitions over the inner
 	// circle (see scenario.Churn); nil runs with fixed membership, so
@@ -404,7 +404,7 @@ func (sc *sensorNet) activeTarget(at sim.Time) *geo.Point {
 // flooding shortly after t=0, on the base station's own kernel (its home
 // shard's when the replica is partitioned).
 func (sc *sensorNet) Start(env *scenario.Env) {
-	sc.apps[0].nd.K.MustSchedule(0.1, func() { sc.baseDiff.Start() })
+	sc.apps[0].nd.K.ScheduleFire(0.1, func() { sc.baseDiff.Start() })
 }
 
 // onEpochNode is the traffic program's per-node epoch hook: one sensing

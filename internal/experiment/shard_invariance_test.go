@@ -35,12 +35,13 @@ var sweepKnobs = []string{"IC_WORKERS", "IC_SHARD_STATS"}
 
 // TestSweepShardCountInvariant pins the sharded kernel's determinism
 // contract end to end: sweep tables are byte-identical at every shard
-// count, under both executors, and at every (workers, budget) combination.
-// Which executor runs is the code's choice from what it observes, so the
-// variants drive exactly that: at GOMAXPROCS=1 every sharded replica runs
-// the sequential executor; at GOMAXPROCS=4 with one pool worker three core
-// tokens are spare and the replica runs the threaded executor on
-// min(shards, 4) slots. Ambiguous cross-shard timestamp ties are allowed to
+// count, at every executor slot count, and at every (workers, budget)
+// combination. How many slots run is the code's choice from what it
+// observes, so the variants drive exactly that: at GOMAXPROCS=1 every
+// sharded replica runs on one slot, the caller's goroutine; at GOMAXPROCS=4
+// with one pool worker three core tokens are spare and the replica runs on
+// min(shards, 4) slots — the seq/ and par/ variants, named for how the
+// shards then run. Ambiguous cross-shard timestamp ties are allowed to
 // occur — the runner then reruns the replica on one kernel — so the
 // equality below holds unconditionally, not just on tie-free runs.
 func TestSweepShardCountInvariant(t *testing.T) {

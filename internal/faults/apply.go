@@ -208,14 +208,14 @@ func scheduleRouterFault(k *sim.Kernel, ent Entry, ctl RouterCtl, grayRNG *sim.R
 	if w.immediate() {
 		on()
 		if w.To > 0 {
-			k.MustSchedule(sim.Duration(w.To), off)
+			k.ScheduleFire(sim.Duration(w.To), off)
 		}
 		return
 	}
 	if w.Every == 0 {
-		k.MustSchedule(sim.Duration(w.From), on)
+		k.ScheduleFire(sim.Duration(w.From), on)
 		if w.To > 0 {
-			k.MustSchedule(sim.Duration(w.To), off)
+			k.ScheduleFire(sim.Duration(w.To), off)
 		}
 		return
 	}
@@ -228,12 +228,12 @@ func scheduleRouterFault(k *sim.Kernel, ent Entry, ctl RouterCtl, grayRNG *sim.R
 			return
 		}
 		on()
-		k.MustSchedule(sim.Duration(w.For), func() {
+		k.ScheduleFire(sim.Duration(w.For), func() {
 			off()
-			k.MustSchedule(sim.Duration(w.Every-w.For), cycle)
+			k.ScheduleFire(sim.Duration(w.Every-w.For), cycle)
 		})
 	}
-	k.MustSchedule(sim.Duration(w.From), cycle)
+	k.ScheduleFire(sim.Duration(w.From), cycle)
 }
 
 // EntryReport is one campaign entry's injection tally.

@@ -86,7 +86,7 @@ func (inj *Injector) run(stages []*stage, i int, e link.Env, emit func(link.Env)
 		}
 		inj.injected[st.entry]++
 		d := sim.Duration(st.rng.Uniform(st.p.MinDelay, st.p.MaxDelay))
-		inj.k.MustSchedule(d, func() { next(e) })
+		inj.k.ScheduleFire(d, func() { next(e) })
 
 	case Duplicate:
 		if !st.hit() {
@@ -138,7 +138,7 @@ func (inj *Injector) run(stages []*stage, i int, e link.Env, emit func(link.Env)
 		if hold == 0 {
 			hold = 0.1
 		}
-		inj.k.MustSchedule(sim.Duration(hold), func() {
+		inj.k.ScheduleFire(sim.Duration(hold), func() {
 			// Nothing overtook the held message: release it late.
 			if st.heldGen != gen || st.held == nil {
 				return

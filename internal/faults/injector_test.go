@@ -239,9 +239,9 @@ func TestApplyCrashWindow(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	tn.k.MustSchedule(sim.Duration(0.5), send) // before the crash
-	tn.k.MustSchedule(sim.Duration(1.5), send) // node is down
-	tn.k.MustSchedule(sim.Duration(2.5), send) // recovered
+	tn.k.ScheduleFire(sim.Duration(0.5), send) // before the crash
+	tn.k.ScheduleFire(sim.Duration(1.5), send) // node is down
+	tn.k.ScheduleFire(sim.Duration(2.5), send) // recovered
 	if err := tn.k.Run(5); err != nil {
 		t.Fatal(err)
 	}

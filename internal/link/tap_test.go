@@ -95,7 +95,7 @@ func TestTapInboundDeferredEmit(t *testing.T) {
 	svcs[1].SetTap(fnTap{in: func(e Env, emit func(Env)) {
 		// emit stays valid after Inbound returns: hold the message half a
 		// second.
-		k.MustSchedule(sim.Duration(0.5), func() { emit(e) })
+		k.ScheduleFire(sim.Duration(0.5), func() { emit(e) })
 	}})
 	if err := svcs[0].Send(svcs[1].ID(), testMsg{"late", 50}); err != nil {
 		t.Fatal(err)

@@ -16,12 +16,12 @@ import (
 
 // TestShardedBeaconMemoPerShard builds the Fig. 8 stack (static field, RSA
 // beacon signatures, statistical voting) on 2 and 4 shards and runs it on
-// the threaded executor: every shard's topology services must verify
+// a goroutine per shard: every shard's topology services must verify
 // through that shard's beacon memo and no other, and the beacon memos must
 // be instances apart from the voting memos. Under -race this is also the
 // check that no beacon memo is reached from two shard goroutines.
 func TestShardedBeaconMemoPerShard(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4) // spare cores select the threaded executor
+	prev := runtime.GOMAXPROCS(4) // spare cores give every shard its own executor slot
 	defer runtime.GOMAXPROCS(prev)
 
 	const (

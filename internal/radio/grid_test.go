@@ -37,7 +37,7 @@ func runTrafficScenario(t *testing.T, params Params, models []mobility.Model, in
 			tr := trs[i]
 			payload := fmt.Sprintf("r%d-n%d", round, i)
 			at := sim.Time(round)*0.25 + rng.Jitter(0.2)
-			k.MustSchedule(at, func() {
+			k.ScheduleFire(at, func() {
 				_ = ch.Send(tr, Frame{Bytes: 256 + 64*(round%3), Payload: payload})
 			})
 		}
@@ -143,7 +143,7 @@ func TestIndexNeighborsCoverInRange(t *testing.T) {
 	}
 	for _, at := range []sim.Time{0, 0.2, 1.5, 3, 3, 10} {
 		at := at
-		k.MustSchedule(at-k.Now(), func() {})
+		k.ScheduleFire(at-k.Now(), func() {})
 		if !k.Step() && at > 0 {
 			t.Fatal("no event to advance clock")
 		}

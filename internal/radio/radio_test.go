@@ -59,7 +59,7 @@ func TestCollisionAtCommonReceiver(t *testing.T) {
 	k := sim.NewKernel()
 	// A and C both in range of B; A and C transmit simultaneously.
 	ch, trs, got := testNet(k, Default80211(), []geo.Point{{X: 0}, {X: 200}, {X: 400}})
-	k.MustSchedule(1, func() {
+	k.ScheduleFire(1, func() {
 		if err := ch.Send(trs[0], Frame{Bytes: 512, Payload: "fromA"}); err != nil {
 			t.Error(err)
 		}
@@ -87,7 +87,7 @@ func TestNoCollisionWhenSeparated(t *testing.T) {
 	// Two disjoint pairs far apart transmit simultaneously.
 	ch, trs, got := testNet(k, Default80211(),
 		[]geo.Point{{X: 0}, {X: 100}, {X: 5000}, {X: 5100}})
-	k.MustSchedule(1, func() {
+	k.ScheduleFire(1, func() {
 		_ = ch.Send(trs[0], Frame{Bytes: 512, Payload: "p1"})
 		_ = ch.Send(trs[2], Frame{Bytes: 512, Payload: "p2"})
 	})
@@ -103,7 +103,7 @@ func TestHalfDuplexSenderMissesArrivals(t *testing.T) {
 	k := sim.NewKernel()
 	ch, trs, got := testNet(k, Default80211(), []geo.Point{{X: 0}, {X: 100}})
 	// Both transmit at the same instant: neither can decode the other.
-	k.MustSchedule(1, func() {
+	k.ScheduleFire(1, func() {
 		_ = ch.Send(trs[0], Frame{Bytes: 512, Payload: "a"})
 		_ = ch.Send(trs[1], Frame{Bytes: 512, Payload: "b"})
 	})
@@ -136,7 +136,7 @@ func TestBusyCarrierSense(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Immediately after send: node 1 (in range) senses busy; node 2 does not.
-	k.MustSchedule(0.001, func() {
+	k.ScheduleFire(0.001, func() {
 		if !ch.Busy(trs[0]) {
 			t.Error("transmitting node should sense busy")
 		}
@@ -205,7 +205,7 @@ func TestSequentialFramesBothDelivered(t *testing.T) {
 	k := sim.NewKernel()
 	ch, trs, got := testNet(k, Default80211(), []geo.Point{{X: 0}, {X: 100}})
 	_ = ch.Send(trs[0], Frame{Bytes: 512, Payload: 1})
-	k.MustSchedule(0.01, func() {
+	k.ScheduleFire(0.01, func() {
 		_ = ch.Send(trs[0], Frame{Bytes: 512, Payload: 2})
 	})
 	if err := k.RunAll(); err != nil {
@@ -238,7 +238,7 @@ func TestMovingNodeLeavesRange(t *testing.T) {
 	ch.Attach(bPos, nil, func(Frame, ID) { got++ })
 	// At t=0 b is in range (200 < 250); at t=2 it is at 400, out of range.
 	_ = ch.Send(a, Frame{Bytes: 512})
-	k.MustSchedule(2, func() { _ = ch.Send(a, Frame{Bytes: 512}) })
+	k.ScheduleFire(2, func() { _ = ch.Send(a, Frame{Bytes: 512}) })
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}

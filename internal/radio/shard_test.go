@@ -106,13 +106,13 @@ func playSingleKernel(t *testing.T, indexOn bool, down int) shardRun {
 // TestShardedChannelMatchesSequential: the same send schedule must deliver
 // the same payloads to the same nodes, charge the same receive airtime and
 // produce the same channel totals as the full-scan reference on one
-// chanShard with the index on and on a two-shard channel under both
-// executors. ShardSet.Run picks the executor from the cores it observes, so
-// the test drives GOMAXPROCS: one core is the sequential executor, four
-// (with an idle core budget) one slot per shard. The -down arms take node 2
-// out of service: it sits across the stripe boundary from senders 0 and 1,
-// so only the posted registration's own down check keeps it from
-// colliding, receiving or being charged.
+// chanShard with the index on and on a two-shard channel at both slot
+// counts. ShardSet.Run sizes its executor from the cores it observes, so
+// the test drives GOMAXPROCS: one core is both shards on the caller's
+// goroutine (seq), four (with an idle core budget) one slot per shard
+// (par). The -down arms take node 2 out of service: it sits across the
+// stripe boundary from senders 0 and 1, so only the posted registration's
+// own down check keeps it from colliding, receiving or being charged.
 func TestShardedChannelMatchesSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

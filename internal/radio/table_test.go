@@ -32,9 +32,9 @@ import (
 // and check it three ways: at every Send against a brute-force InRange scan
 // (single kernel, where registration is synchronous), against the pinned
 // reference, whose tables hold every transceiver (with a mobile one parked
-// out of everyone's range attached first), and across shard counts. A sharded channel takes no mobile node, and its set can be
-// Run a second time — which attaching between rounds needs — only by the
-// sequential executor, so those plays stop after round 4 and round 3.
+// out of everyone's range attached first), and across shard counts. A
+// sharded channel takes no mobile node, so those plays stop after round 4;
+// attaching between rounds has them Run their shard set a second time.
 const (
 	fieldNodes   = 400
 	fieldEdge    = 400.0 // staticField(fieldNodes)'s square
@@ -50,7 +50,7 @@ type fieldOpts struct {
 	pinned bool // SetIndexEnabled(false): every table holds everybody
 	ghost  bool // attach an out-of-range mobile first
 	shards int  // 0: NewChannel; otherwise NewChannelSharded on that many stripes
-	rounds int  // 3, 4 or 5: how far into the script to play
+	rounds int  // 4 or 5: how far into the script to play
 }
 
 // fieldRun is what a play leaves observable, keyed by node name so runs
@@ -151,7 +151,7 @@ func playField(t *testing.T, o fieldOpts) fieldRun {
 		for i := fieldDownMod - 1; i < fieldNodes; i += fieldDownMod {
 			n := senders[i]
 			k := ch.kernelFor(n.tr)
-			k.MustSchedule(at+sim.Duration(i)*fieldGap/1000-k.Now(), func() { n.tr.SetDown(down) })
+			k.ScheduleFire(at+sim.Duration(i)*fieldGap/1000-k.Now(), func() { n.tr.SetDown(down) })
 		}
 	}
 	out := fieldRun{recv: map[string][]string{}, rx: map[string]sim.Duration{}}
@@ -178,11 +178,9 @@ func playField(t *testing.T, o fieldOpts) fieldRun {
 	setDown(3*fieldRound-5*sim.Millisecond, false)
 	checkpoint(3 * fieldRound)
 
-	if o.rounds >= 4 {
-		senders = append(senders, attach("late", mobility.Static(geo.Point{X: fieldEdge / 2, Y: fieldEdge / 2})))
-		round(4, 3*fieldRound)
-		checkpoint(4 * fieldRound)
-	}
+	senders = append(senders, attach("late", mobility.Static(geo.Point{X: fieldEdge / 2, Y: fieldEdge / 2})))
+	round(4, 3*fieldRound)
+	checkpoint(4 * fieldRound)
 	if o.rounds >= 5 {
 		// Crosses the field from the left edge during round 5.
 		cross := &linear{start: geo.Point{X: -float64(4*fieldRound) * 8000, Y: fieldEdge / 2}, vx: 8000}
@@ -380,13 +378,13 @@ func playMoving(t *testing.T, statics int) {
 		default:
 			f.send(i)
 		}
-		f.k.MustSchedule(rng.Jitter(6*sim.Millisecond), tick)
+		f.k.ScheduleFire(rng.Jitter(6*sim.Millisecond), tick)
 	}
-	f.k.MustSchedule(0, tick)
-	f.k.MustSchedule(13*sim.Second, func() {
+	f.k.ScheduleFire(0, tick)
+	f.k.ScheduleFire(13*sim.Second, func() {
 		f.attach(func() mobility.Model { return mobility.Static(region.Center()) })
 	})
-	f.k.MustSchedule(26*sim.Second, func() { f.attach(waypointAt(region, 40, region.Center(), 99)) })
+	f.k.ScheduleFire(26*sim.Second, func() { f.attach(waypointAt(region, 40, region.Center(), 99)) })
 	if err := f.k.Run(until); err != nil {
 		t.Fatal(err)
 	}
@@ -403,18 +401,18 @@ func playMoving(t *testing.T, statics int) {
 }
 
 // TestReceiverTablesShardedField plays the static part of the script on
-// four stripes under both shard executors (ShardSet.Run picks by
+// four stripes, on one executor slot and on four (ShardSet.Run sizes by
 // GOMAXPROCS): every node must receive what it receives on one kernel with
 // the full scan, and each shard must build one table per transmitter it
-// owns plus, where the late Attach is played, one rebuild each. Tables are
-// private to the sender's kernel; CI runs this under -race.
+// owns plus, after the late Attach, one rebuild each. Tables are private to
+// the sender's kernel; CI runs this under -race.
 func TestReceiverTablesShardedField(t *testing.T) {
-	for _, tc := range []struct{ procs, rounds int }{{1, 4}, {4, 3}} {
-		t.Run(fmt.Sprintf("procs=%d", tc.procs), func(t *testing.T) {
-			prev := runtime.GOMAXPROCS(tc.procs)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(procs)
 			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-			want := playField(t, fieldOpts{pinned: true, rounds: tc.rounds})
-			got := playField(t, fieldOpts{shards: 4, rounds: tc.rounds})
+			want := playField(t, fieldOpts{pinned: true, rounds: 4})
+			got := playField(t, fieldOpts{shards: 4, rounds: 4})
 			assertSameField(t, "4 shards", got, want)
 			for s, owned := range got.owned[0] {
 				if owned == 0 {
@@ -423,7 +421,7 @@ func TestReceiverTablesShardedField(t *testing.T) {
 				if got.builds[0][s] != owned {
 					t.Errorf("shard %d built %d tables for %d transmitters", s, got.builds[0][s], owned)
 				}
-				if tc.rounds >= 4 && got.builds[1][s] != owned+got.owned[1][s] {
+				if got.builds[1][s] != owned+got.owned[1][s] {
 					t.Errorf("shard %d: %d builds after the late attach, want %d", s, got.builds[1][s], owned+got.owned[1][s])
 				}
 			}

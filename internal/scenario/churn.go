@@ -158,17 +158,17 @@ func applyChurn(c *Churn, env *Env) (*churnDriver, error) {
 	pick := func() int { return protect + rng.Intn(s.Nodes-protect) }
 	for i := 0; i < c.Leaves; i++ {
 		victim, at := pick(), sim.Time(rng.Uniform(float64(start), float64(start+window)))
-		k.MustSchedule(at, func() {
+		k.ScheduleFire(at, func() {
 			d.transition(func() bool { return d.depart(victim, d.m.Leave) })
 		})
 	}
 	for i := 0; i < c.CrashRejoin; i++ {
 		victim, at := pick(), sim.Time(rng.Uniform(float64(start), float64(start+window)))
 		crashed := false
-		k.MustSchedule(at, func() {
+		k.ScheduleFire(at, func() {
 			crashed = d.transition(func() bool { return d.depart(victim, d.m.Crash) })
 		})
-		k.MustSchedule(at+downtime, func() {
+		k.ScheduleFire(at+downtime, func() {
 			// Rejoin only what this cycle actually crashed: a no-op crash
 			// (victim already out) must not resurrect a permanent leaver.
 			if !crashed {
@@ -179,12 +179,12 @@ func applyChurn(c *Churn, env *Env) (*churnDriver, error) {
 	}
 	if policy == ReshareEvery {
 		for at := start; at < s.SimTime; at += c.ReshareInterval {
-			k.MustSchedule(at, d.reshare)
+			k.ScheduleFire(at, d.reshare)
 		}
 	}
 	if c.RefreshInterval > 0 {
 		for at := start + c.RefreshInterval; at < s.SimTime; at += c.RefreshInterval {
-			k.MustSchedule(at, d.refresh)
+			k.ScheduleFire(at, d.refresh)
 		}
 	}
 	return d, nil

@@ -36,7 +36,7 @@ const (
 	// and are always set when shards > 1. The republish/park/blocked gauges
 	// measure executor synchronization in wall-clock terms and vary run to
 	// run, so they are only set under IC_SHARD_STATS=1 (the -shardstats
-	// flag) — keeping default Results bit-identical across executors. None
+	// flag) — keeping default Results bit-identical across slot counts. None
 	// of them feeds any modeled metric or sweep table.
 	GaugeShardEventsMin     = "shard_events_min"      // lightest shard's events executed
 	GaugeShardEventsMax     = "shard_events_max"      // heaviest shard's events executed

@@ -53,8 +53,8 @@ type Spec struct {
 	SimTime sim.Time
 
 	// Shards requests a partitioned replica (conservative-lookahead
-	// parallel kernels; see sim.ShardSet). 0 defers to the IC_SHARDS
-	// environment knob; 0 or 1 runs the plain single-kernel replica. The
+	// parallel kernels; see sim.ShardSet), at most MaxShards. 0 defers to
+	// IC_SHARDS; 0 or 1 runs the plain single-kernel replica. The
 	// runner silently falls back to one shard when the replica shape rules
 	// sharding out (mobile topology, tracer, non-shard-capable traffic or
 	// adversary, deployment narrower than two grid columns), and reruns
@@ -220,6 +220,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.Topology == nil {
 		return fmt.Errorf("scenario %q: topology required", s.Name)
+	}
+	if err := ValidShards(s.Shards); err != nil {
+		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	if err := s.Churn.validate(s); err != nil {
 		return fmt.Errorf("scenario %q: churn: %w", s.Name, err)

@@ -74,6 +74,9 @@ func TestSpecValidate(t *testing.T) {
 		{"no nodes", func(s *Spec) { s.Nodes = 0 }, "at least 1 node"},
 		{"no sim time", func(s *Spec) { s.SimTime = 0 }, "positive sim time"},
 		{"no topology", func(s *Spec) { s.Topology = nil }, "topology required"},
+		{"shards at the bound", func(s *Spec) { s.Shards = MaxShards }, ""},
+		{"shards past the bound", func(s *Spec) { s.Shards = MaxShards + 1 }, "shard count must be between"},
+		{"negative shards", func(s *Spec) { s.Shards = -1 }, "shard count must be between"},
 		{"component veto", func(s *Spec) {
 			s.Stack.Components = []Component{floorComponent{floor: 20}}
 		}, "population below floor"},
@@ -119,6 +122,17 @@ func TestSpecValidate(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestEffectiveShardsEnv: IC_SHARDS stands in for Spec.Shards only when it
+// is a count Validate would accept; anything else is ignored like garbage.
+func TestEffectiveShardsEnv(t *testing.T) {
+	for v, want := range map[string]int{"": 1, "4": 4, "1024": MaxShards, "1025": 1, "150000": 1, "-3": 1, "many": 1} {
+		t.Setenv("IC_SHARDS", v)
+		if got := effectiveShards(validSpec()); got != want {
+			t.Errorf("IC_SHARDS=%q: effectiveShards = %d, want %d", v, got, want)
+		}
 	}
 }
 

@@ -160,6 +160,19 @@ func harvestShardStats(res *Result, set *sim.ShardSet) {
 	}
 }
 
+// MaxShards bounds a shard count from outside (Spec, request, IC_SHARDS):
+// StripePartition clamps one only to the columns region/range makes, an idle
+// kernel costs about 11 KB and the merge key has 15 bits for a source shard.
+const MaxShards = 1024
+
+// ValidShards rejects a shard count that is negative or above MaxShards.
+func ValidShards(n int) error {
+	if n < 0 || n > MaxShards {
+		return fmt.Errorf("shard count must be between 0 and %d, got %d", MaxShards, n)
+	}
+	return nil
+}
+
 // effectiveShards resolves the shard count a replica will attempt: the
 // Spec's explicit Shards, else the IC_SHARDS environment knob, else 1 —
 // then dropped back to 1 for replica shapes sharding cannot carry (a
@@ -170,7 +183,7 @@ func effectiveShards(s *Spec) int {
 	n := s.Shards
 	if n == 0 {
 		if v := os.Getenv("IC_SHARDS"); v != "" {
-			if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 {
+			if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 && parsed <= MaxShards {
 				n = parsed
 			}
 		}

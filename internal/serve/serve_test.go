@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"innercircle/internal/experiment"
+	"innercircle/internal/sensor"
 )
 
 // quickGrid returns a 4-replica blackhole grid small enough for tests.
@@ -369,12 +370,17 @@ func TestSubmitRejectsBadGrids(t *testing.T) {
 		t.Fatalf("submission at 1e300 m/s got %d, want 400", resp.StatusCode)
 	}
 	// A body of a few hundred bytes can ask for millions of replicas,
-	// through runs or through the axes; both are refused before a point is
-	// built (enumerating the first took over a gigabyte).
+	// through runs or through the axes, or for one replica on a hundred
+	// thousand kernels (a 10-node field at a 1 mm range has that many
+	// columns to stripe); all are refused before a point is built
+	// (enumerating the first took over a gigabyte, running the last 2.4).
 	runs, axes := quickGrid("runs", 1), quickGrid("axes", 1)
 	runs.Runs = 1000000
 	axes.Malicious, axes.Levels = make([]int, 400), make([]int, 400)
-	for name, g := range map[string]*experiment.GridRequest{"a million runs": runs, "400 × 401 points": axes} {
+	field := experiment.PaperSensorConfig()
+	field.Nodes, field.Range, field.SimTime, field.Shards = 10, 0.001, 1, 150000
+	kernels := &experiment.GridRequest{Name: "kernels", Kind: experiment.GridSensor, Sensor: &field, Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1}
+	for name, g := range map[string]*experiment.GridRequest{"a million runs": runs, "400 × 401 points": axes, "150000 shards": kernels} {
 		body, err := json.Marshal(g)
 		if err != nil {
 			t.Fatal(err)

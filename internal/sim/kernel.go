@@ -32,17 +32,12 @@ const Never Time = Time(math.MaxFloat64)
 // String formats the time with microsecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.6fs", float64(t)) }
 
-// EventID identifies a scheduled event so it can be cancelled.
-// The zero EventID is never issued and is safe to use as "no event".
-type EventID uint64
-
 // event is a scheduled callback. Exactly one of fn and fnArg is set; fnArg
 // carries its argument in arg so hot paths can schedule a long-lived
 // method value instead of allocating a fresh closure per event.
 type event struct {
 	at     Time
-	seq    uint64  // scheduling order, breaks ties deterministically
-	id     EventID // 0 for fire-and-forget events (ScheduleFire)
+	seq    uint64 // scheduling order, breaks ties deterministically
 	fn     func()
 	fnArg  func(any)
 	arg    any
@@ -122,8 +117,8 @@ func (h *eventHeap) pop() *event {
 	return top
 }
 
-// ErrPastEvent is returned when an event is scheduled before the current
-// virtual time.
+// ErrPastEvent names, in the scheduling entry points' panic messages, an
+// event scheduled before the current virtual time.
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
 // Kernel is a discrete-event scheduler. The zero value is not usable; use
@@ -136,8 +131,6 @@ type Kernel struct {
 	// (time, seq) order (wheel.go).
 	wheel   *wheelQueue
 	nextSeq uint64
-	nextID  EventID
-	byID    map[EventID]*event
 	stopped bool
 
 	// processed counts events executed, for diagnostics and run limits.
@@ -172,7 +165,7 @@ type Kernel struct {
 	// (non-message) event executed. A cross-shard message landing on the
 	// same timestamp is an ambiguous tie — the sequential kernel would order
 	// the two by global sequence numbers a parallel run cannot reconstruct —
-	// so the executors trip ErrShardTie on it (see shard.go).
+	// so the executor trips ErrShardTie on it (see shard.go).
 	lastLocalAt Time
 }
 
@@ -213,7 +206,7 @@ func (k *Kernel) putEvent(ev *event) {
 
 // NewKernel returns a kernel with the clock at time zero.
 func NewKernel() *Kernel {
-	return &Kernel{byID: make(map[EventID]*event), lastLocalAt: -1, wheel: newWheelQueue()}
+	return &Kernel{lastLocalAt: -1, wheel: newWheelQueue()}
 }
 
 // Now returns the current virtual time.
@@ -226,30 +219,11 @@ func (k *Kernel) Processed() uint64 { return k.processed }
 // n == 0 disables the limit.
 func (k *Kernel) SetEventLimit(n uint64) { k.limit = n }
 
-// Schedule runs fn after delay. A negative delay is an error.
-func (k *Kernel) Schedule(delay Duration, fn func()) (EventID, error) {
-	return k.ScheduleAt(k.now+delay, fn)
-}
-
-// ScheduleAt runs fn at absolute virtual time at.
-func (k *Kernel) ScheduleAt(at Time, fn func()) (EventID, error) {
-	if at < k.now {
-		return 0, fmt.Errorf("%w: at=%v now=%v", ErrPastEvent, at, k.now)
-	}
-	ev := k.getEvent(at)
-	k.nextID++
-	ev.id = k.nextID
-	ev.fn = fn
-	k.wheel.push(ev)
-	k.byID[ev.id] = ev
-	return ev.id, nil
-}
-
-// ScheduleFire runs fn after delay, like MustSchedule, but for events that
-// are never cancelled (radio delivery resolution, MAC backoff expiry): the
-// event is not registered in the cancellation index, so the fast path costs
-// no map insert/delete and such events do not appear in Pending. It panics
-// on a negative delay.
+// ScheduleFire runs fn after delay. The event cannot be cancelled; use
+// ScheduleFireHandle for one that may be. It panics on a negative delay: a
+// silently dropped event corrupts the simulation (timers stop firing,
+// frames never resolve), so scheduling into the past is a programming error
+// worth crashing on.
 func (k *Kernel) ScheduleFire(delay Duration, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: ScheduleFire: %v: delay=%v now=%v", ErrPastEvent, delay, k.now))
@@ -273,11 +247,11 @@ func (k *Kernel) ScheduleFireArg(delay Duration, fn func(any), arg any) {
 	k.wheel.push(ev)
 }
 
-// TimerHandle is a direct reference to a scheduled event — the O(1)
-// cancellation path Timer and Ticker use. Cancelling through a handle
-// tombstones the event in place (it is retired when it reaches the front
-// of the queue), so neither scheduling nor firing a handled event touches
-// the byID cancellation map. The zero TimerHandle references nothing.
+// TimerHandle is a direct reference to a scheduled event — the kernel's
+// one cancellation mechanism, which Timer and Ticker build on. Cancelling
+// through a handle tombstones the event in place (it is retired when it
+// reaches the front of the queue), in O(1). The zero TimerHandle
+// references nothing.
 //
 // A handle stays valid until its event fires; the embedded sequence number
 // (unique across a kernel's lifetime, and cleared when the event struct is
@@ -378,36 +352,6 @@ func (k *Kernel) peekLive() *event {
 	}
 }
 
-// MustSchedule is Schedule for callers that control delay and know it is
-// non-negative; it panics when scheduling fails. A silently dropped event
-// corrupts the simulation (timers stop firing, frames never resolve), and
-// the old EventID(0) return aliased the "no event" sentinel — so a failure
-// here is a programming error worth crashing on.
-func (k *Kernel) MustSchedule(delay Duration, fn func()) EventID {
-	id, err := k.Schedule(delay, fn)
-	if err != nil {
-		panic(fmt.Sprintf("sim: MustSchedule: %v", err))
-	}
-	return id
-}
-
-// Cancel removes a pending event. Cancelling an already-fired or unknown
-// event is a no-op and reports false.
-func (k *Kernel) Cancel(id EventID) bool {
-	ev, ok := k.byID[id]
-	if !ok {
-		return false
-	}
-	ev.cancel = true
-	delete(k.byID, id)
-	return true
-}
-
-// Pending reports the number of cancellable events still queued.
-// Fire-and-forget events (ScheduleFire) are not counted: they never enter
-// the cancellation index.
-func (k *Kernel) Pending() int { return len(k.byID) }
-
 // Stop makes Run return after the currently executing event. On a sharded
 // kernel it stops the whole shard set: one region halting while its
 // neighbors keep exchanging horizon promises would deadlock them, so Stop
@@ -428,9 +372,6 @@ func (k *Kernel) Step() bool {
 		if ev.cancel {
 			k.putEvent(ev)
 			continue
-		}
-		if ev.id != 0 {
-			delete(k.byID, ev.id)
 		}
 		k.now = ev.at
 		k.processed++

@@ -1,8 +1,9 @@
 package sim
 
 import (
-	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -17,15 +18,9 @@ func TestKernelStartsAtZero(t *testing.T) {
 func TestScheduleRunsInTimeOrder(t *testing.T) {
 	k := NewKernel()
 	var order []int
-	if _, err := k.Schedule(3, func() { order = append(order, 3) }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Schedule(1, func() { order = append(order, 1) }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Schedule(2, func() { order = append(order, 2) }); err != nil {
-		t.Fatal(err)
-	}
+	k.ScheduleFire(3, func() { order = append(order, 3) })
+	k.ScheduleFire(1, func() { order = append(order, 1) })
+	k.ScheduleFire(2, func() { order = append(order, 2) })
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +37,7 @@ func TestTiesBreakInSchedulingOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		if _, err := k.Schedule(5, func() { order = append(order, i) }); err != nil {
-			t.Fatal(err)
-		}
+		k.ScheduleFire(5, func() { order = append(order, i) })
 	}
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
@@ -59,9 +52,7 @@ func TestTiesBreakInSchedulingOrder(t *testing.T) {
 func TestClockAdvancesToEventTime(t *testing.T) {
 	k := NewKernel()
 	var at Time
-	if _, err := k.Schedule(2.5, func() { at = k.Now() }); err != nil {
-		t.Fatal(err)
-	}
+	k.ScheduleFire(2.5, func() { at = k.Now() })
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -70,34 +61,43 @@ func TestClockAdvancesToEventTime(t *testing.T) {
 	}
 }
 
+// TestSchedulePastFails: a silently dropped event corrupts the simulation,
+// so every scheduling entry point crashes loudly on a negative delay — also
+// after the clock has moved — and names ErrPastEvent.
 func TestSchedulePastFails(t *testing.T) {
 	k := NewKernel()
-	if _, err := k.Schedule(1, func() {}); err != nil {
-		t.Fatal(err)
+	k.ScheduleFire(1, func() {})
+	if !k.Step() {
+		t.Fatal("no event to step")
 	}
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.ScheduleAt(0.5, func() {}); !errors.Is(err, ErrPastEvent) {
-		t.Fatalf("ScheduleAt(past) err = %v, want ErrPastEvent", err)
-	}
-	if _, err := k.Schedule(-1, func() {}); !errors.Is(err, ErrPastEvent) {
-		t.Fatalf("Schedule(-1) err = %v, want ErrPastEvent", err)
+	for name, schedule := range map[string]func(){
+		"ScheduleFire":       func() { k.ScheduleFire(-0.5, func() {}) },
+		"ScheduleFireArg":    func() { k.ScheduleFireArg(-0.5, func(any) {}, nil) },
+		"ScheduleFireHandle": func() { k.ScheduleFireHandle(-0.5, func() {}) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), ErrPastEvent.Error()) {
+					t.Fatalf("%s(-0.5) at %v: recovered %v, want a panic naming ErrPastEvent", name, k.Now(), r)
+				}
+			}()
+			schedule()
+		}()
 	}
 }
 
 func TestCancelPreventsExecution(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	id, err := k.Schedule(1, func() { fired = true })
-	if err != nil {
-		t.Fatal(err)
+	h := k.ScheduleFireHandle(1, func() { fired = true })
+	if !k.CancelHandle(h) {
+		t.Fatal("CancelHandle reported no pending event")
 	}
-	if !k.Cancel(id) {
-		t.Fatal("Cancel reported no pending event")
+	if k.CancelHandle(h) {
+		t.Fatal("second CancelHandle should report false")
 	}
-	if k.Cancel(id) {
-		t.Fatal("second Cancel should report false")
+	if k.CancelHandle(TimerHandle{}) {
+		t.Fatal("CancelHandle on the zero handle should report false")
 	}
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
@@ -112,9 +112,7 @@ func TestRunStopsAtHorizon(t *testing.T) {
 	var fired []Time
 	for _, d := range []Duration{1, 2, 3, 4} {
 		d := d
-		if _, err := k.Schedule(d, func() { fired = append(fired, d) }); err != nil {
-			t.Fatal(err)
-		}
+		k.ScheduleFire(d, func() { fired = append(fired, d) })
 	}
 	if err := k.Run(2.5); err != nil {
 		t.Fatal(err)
@@ -147,14 +145,12 @@ func TestStopAbortsRun(t *testing.T) {
 	k := NewKernel()
 	count := 0
 	for i := 0; i < 10; i++ {
-		if _, err := k.Schedule(Duration(i+1), func() {
+		k.ScheduleFire(Duration(i+1), func() {
 			count++
 			if count == 3 {
 				k.Stop()
 			}
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
@@ -167,12 +163,10 @@ func TestStopAbortsRun(t *testing.T) {
 func TestEventsScheduledDuringRun(t *testing.T) {
 	k := NewKernel()
 	var times []Time
-	if _, err := k.Schedule(1, func() {
+	k.ScheduleFire(1, func() {
 		times = append(times, k.Now())
-		k.MustSchedule(1, func() { times = append(times, k.Now()) })
-	}); err != nil {
-		t.Fatal(err)
-	}
+		k.ScheduleFire(1, func() { times = append(times, k.Now()) })
+	})
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -185,25 +179,10 @@ func TestEventLimitBackstop(t *testing.T) {
 	k := NewKernel()
 	k.SetEventLimit(100)
 	var loop func()
-	loop = func() { k.MustSchedule(1, loop) }
-	k.MustSchedule(1, loop)
+	loop = func() { k.ScheduleFire(1, loop) }
+	k.ScheduleFire(1, loop)
 	if err := k.RunAll(); err == nil {
 		t.Fatal("RunAll with runaway loop returned nil, want limit error")
-	}
-}
-
-func TestPendingCount(t *testing.T) {
-	k := NewKernel()
-	id1, _ := k.Schedule(1, func() {})
-	if _, err := k.Schedule(2, func() {}); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.Pending(); got != 2 {
-		t.Fatalf("Pending() = %d, want 2", got)
-	}
-	k.Cancel(id1)
-	if got := k.Pending(); got != 1 {
-		t.Fatalf("Pending() after cancel = %d, want 1", got)
 	}
 }
 
@@ -216,7 +195,7 @@ func TestPropertyMonotonicClock(t *testing.T) {
 		ok := true
 		for _, r := range raw {
 			d := Duration(r) / 100
-			k.MustSchedule(d, func() {
+			k.ScheduleFire(d, func() {
 				if k.Now() < last {
 					ok = false
 				}
@@ -323,30 +302,14 @@ func TestNeverIsLaterThanAnything(t *testing.T) {
 	}
 }
 
-func TestMustSchedulePanicsOnPastEvent(t *testing.T) {
-	// A silently dropped event corrupts the simulation; MustSchedule must
-	// crash loudly instead of returning the EventID(0) "no event" sentinel.
-	k := NewKernel()
-	k.MustSchedule(1, func() {})
-	if !k.Step() {
-		t.Fatal("no event to step")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustSchedule with negative delay did not panic")
-		}
-	}()
-	k.MustSchedule(-1, func() {})
-}
-
 func TestScheduleFireRunsInOrder(t *testing.T) {
-	// Fire-and-forget events share the sequence space with cancellable
+	// Fire-and-forget events share the sequence space with handled
 	// ones: ties still break in overall scheduling order.
 	k := NewKernel()
 	var order []int
-	k.MustSchedule(1, func() { order = append(order, 0) })
+	k.ScheduleFireHandle(1, func() { order = append(order, 0) })
 	k.ScheduleFire(1, func() { order = append(order, 1) })
-	k.MustSchedule(1, func() { order = append(order, 2) })
+	k.ScheduleFireHandle(1, func() { order = append(order, 2) })
 	k.ScheduleFire(0.5, func() { order = append(order, 3) })
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
@@ -356,22 +319,6 @@ func TestScheduleFireRunsInOrder(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
-	}
-}
-
-func TestScheduleFireSkipsCancellationIndex(t *testing.T) {
-	k := NewKernel()
-	k.ScheduleFire(1, func() {})
-	if got := k.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d after ScheduleFire, want 0 (not cancellable)", got)
-	}
-	fired := false
-	k.ScheduleFire(2, func() { fired = true })
-	if err := k.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	if !fired {
-		t.Fatal("fire-and-forget event did not fire")
 	}
 }
 
@@ -404,7 +351,7 @@ func TestEventPoolRecyclesSafely(t *testing.T) {
 	// Events recycled on pop must not leak state into later schedules,
 	// including when a callback schedules new events (which may reuse the
 	// struct popped for the callback itself), cancels events, or mixes the
-	// cancellable and fire-and-forget paths.
+	// handled and fire-and-forget paths.
 	k := NewKernel()
 	var fired []int
 	var chain func(depth int) func()
@@ -413,12 +360,11 @@ func TestEventPoolRecyclesSafely(t *testing.T) {
 			fired = append(fired, depth)
 			if depth < 50 {
 				k.ScheduleFire(1, chain(depth+1))
-				id := k.MustSchedule(0.5, func() { t.Error("cancelled event fired") })
-				k.Cancel(id)
+				k.CancelHandle(k.ScheduleFireHandle(0.5, func() { t.Error("cancelled event fired") }))
 			}
 		}
 	}
-	k.MustSchedule(1, chain(0))
+	k.ScheduleFire(1, chain(0))
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}

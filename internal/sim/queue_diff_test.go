@@ -20,11 +20,9 @@ import (
 type diffOpKind int
 
 const (
-	opSchedule     diffOpKind = iota // MustSchedule, remembers the EventID
-	opFire                           // ScheduleFire
+	opFire         diffOpKind = iota // ScheduleFire
 	opFireArg                        // ScheduleFireArg
 	opFireHandle                     // ScheduleFireHandle, remembers the handle
-	opCancelID                       // Cancel a previously issued EventID (possibly already fired)
 	opCancelHandle                   // CancelHandle on a previous handle (possibly already fired)
 	opRun                            // Run(now + horizon)
 	numDiffOps
@@ -43,7 +41,7 @@ const maxDiffOps = 4096
 type diffOp struct {
 	kind    diffOpKind
 	delay   Duration // schedule delay, or Run horizon
-	target  int      // index into issued ids/handles for the cancel ops
+	target  int      // index into issued handles for opCancelHandle
 	repeats int      // same-tick tie burst: schedule this many at one timestamp
 }
 
@@ -69,7 +67,7 @@ func decodeScript(data []byte) []diffOp {
 // diffScript builds a deterministic encoded operation stream exercising the
 // corner cases a queue gets wrong first: same-tick ties, zero-delay events,
 // sub-quantum separations, far-future overflow timers, cancels of
-// already-fired ids and handles, and Run horizons that park the clock
+// already-fired handles, and Run horizons that park the clock
 // between events.
 func diffScript(seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
@@ -79,16 +77,12 @@ func diffScript(seed int64, n int) []byte {
 	}
 	for i := 0; i < n; i++ {
 		switch r := rng.Intn(10); {
-		case r < 3:
-			op(opSchedule, rng.Intn(len(diffDelays)), 0)
-		case r < 5:
+		case r < 2:
 			op(opFire, rng.Intn(len(diffDelays)), rng.Intn(4))
-		case r < 6:
+		case r < 3:
 			op(opFireArg, rng.Intn(len(diffDelays)), 0)
 		case r < 7:
 			op(opFireHandle, rng.Intn(len(diffDelays)), 0)
-		case r < 8:
-			op(opCancelID, 0, rng.Intn(1+i))
 		case r < 9:
 			op(opCancelHandle, 0, rng.Intn(1+i))
 		default:
@@ -101,10 +95,9 @@ func diffScript(seed int64, n int) []byte {
 // refEvent and refKernel are the reference model: a slice kept sorted by
 // (time, seq), cancellation by tombstone, the clock rules of Kernel.Run.
 type refEvent struct {
-	at          Time
-	label       string
-	cancellable bool // counted by Pending (MustSchedule events only)
-	dead        bool // fired or cancelled
+	at    Time
+	label string
+	dead  bool // fired or cancelled
 }
 
 type refKernel struct {
@@ -115,8 +108,8 @@ type refKernel struct {
 
 // schedule inserts after every event at the same timestamp: sequence
 // numbers only grow, so that is exactly (time, seq) order.
-func (r *refKernel) schedule(delay Duration, label string, cancellable bool) *refEvent {
-	ev := &refEvent{at: r.now + delay, label: label, cancellable: cancellable}
+func (r *refKernel) schedule(delay Duration, label string) *refEvent {
+	ev := &refEvent{at: r.now + delay, label: label}
 	i := sort.Search(len(r.q), func(i int) bool { return r.q[i].at > ev.at })
 	r.q = slices.Insert(r.q, i, ev)
 	return ev
@@ -147,15 +140,6 @@ func (r *refKernel) run(until Time, fire func(label string)) {
 	}
 }
 
-func (r *refKernel) pending() (n int) {
-	for _, ev := range r.q {
-		if ev.cancellable && !ev.dead {
-			n++
-		}
-	}
-	return n
-}
-
 // diffReplay applies the script to a fresh kernel and to the reference in
 // lockstep. Every scheduled callback logs a label unique to its issuing op
 // together with the clock it fired at, so identical traces mean identical
@@ -180,43 +164,31 @@ func diffReplay(t *testing.T, ops []diffOp) {
 			}
 			t.Fatalf("op %d: kernel fired %d events, reference %d", i, len(got), len(want))
 		}
-		if k.Now() != ref.now || k.Processed() != ref.processed || k.Pending() != ref.pending() {
-			t.Fatalf("op %d: kernel now=%v processed=%d pending=%d, reference now=%v processed=%d pending=%d",
-				i, k.Now(), k.Processed(), k.Pending(), ref.now, ref.processed, ref.pending())
+		if k.Now() != ref.now || k.Processed() != ref.processed {
+			t.Fatalf("op %d: kernel now=%v processed=%d, reference now=%v processed=%d",
+				i, k.Now(), k.Processed(), ref.now, ref.processed)
 		}
 		got, want = got[:0], want[:0]
 	}
 
-	var ids []EventID
 	var handles []TimerHandle
-	var refIDs, refHandles []*refEvent
+	var refHandles []*refEvent
 	for i, op := range ops {
 		switch op.kind {
-		case opSchedule:
-			label := fmt.Sprintf("sched%d", i)
-			ids = append(ids, k.MustSchedule(op.delay, logf(label)))
-			refIDs = append(refIDs, ref.schedule(op.delay, label, true))
 		case opFire:
 			for r := 0; r < op.repeats; r++ {
 				label := fmt.Sprintf("fire%d.%d", i, r)
 				k.ScheduleFire(op.delay, logf(label))
-				ref.schedule(op.delay, label, false)
+				ref.schedule(op.delay, label)
 			}
 		case opFireArg:
 			label := fmt.Sprintf("arg%d", i)
 			k.ScheduleFireArg(op.delay, logArg, label)
-			ref.schedule(op.delay, label, false)
+			ref.schedule(op.delay, label)
 		case opFireHandle:
 			label := fmt.Sprintf("hfire%d", i)
 			handles = append(handles, k.ScheduleFireHandle(op.delay, logf(label)))
-			refHandles = append(refHandles, ref.schedule(op.delay, label, false))
-		case opCancelID:
-			if len(ids) > 0 {
-				j := op.target % len(ids)
-				if g, w := k.Cancel(ids[j]), ref.cancel(refIDs[j]); g != w {
-					t.Fatalf("op %d: Cancel = %t, reference %t", i, g, w)
-				}
-			}
+			refHandles = append(refHandles, ref.schedule(op.delay, label))
 		case opCancelHandle:
 			if len(handles) > 0 {
 				j := op.target % len(handles)

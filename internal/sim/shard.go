@@ -40,24 +40,24 @@ package sim
 //     relative order of those two would be decided by global sequence
 //     numbers that a parallel run cannot reconstruct, so the run fails with
 //     ErrShardTie and the caller re-runs the replica on a single kernel.
-//     Ties of this kind need two border nodes to schedule transmissions at
-//     bit-identical float timestamps, which jittered protocol timers make
-//     rare; the tripwire makes them safe instead of silently divergent.
+//     Ties of this kind need two neighboring stripes' border transmissions
+//     at bit-identical float timestamps — not rare where timers are not
+//     jittered: on the benchmark's field_scale workload (epoch-synchronized
+//     sensing, slot-quantized MAC backoff) 18 of 100 replicas tripped and
+//     reran (CHANGES.md PR 22). The tripwire makes them safe instead of
+//     silently divergent, not cheap.
 //   - Per-node RNG streams are split by name from the experiment seed
 //     (rng.SplitN), so a node draws the same sequence regardless of which
 //     kernel hosts it.
 //
-// Executors. The sequential executor interleaves all shards on one
-// goroutine in global (time, shard) order with zero synchronization; it
-// exists because conservative synchronization buys nothing at one core,
-// and a partitioned replica must still run there. The threaded executor runs the shards on G slot
-// goroutines (1 < G <= S), each slot round-robining a contiguous group of
-// shards; G = S is classic goroutine-per-shard. Run sizes G to the core
-// tokens actually spare (see budget.go), capped at GOMAXPROCS, so
-// concurrent sharded replicas divide the machine instead of
-// oversubscribing it — with no spare tokens, or at GOMAXPROCS=1, the
-// replica runs on the sequential executor. Both executors produce
-// identical results; which one ran is never a caller's choice.
+// Executor. Run drives the shards on G slots (1 <= G <= S), each slot
+// round-robining a contiguous group of shards under the horizon algebra
+// above; G = S is classic goroutine-per-shard, and at G = 1 the one slot is
+// the calling goroutine. Run sizes G to the core tokens actually spare (see
+// budget.go), capped at GOMAXPROCS, so concurrent sharded replicas divide
+// the machine instead of oversubscribing it. The slot count only shapes
+// wall-clock behavior: every G runs the same loop and produces identical
+// results, and it is never a caller's choice.
 
 import (
 	"errors"
@@ -83,7 +83,7 @@ var ErrShardTie = errors.New("sim: ambiguous cross-shard timestamp tie")
 const msgSeqBit uint64 = 1 << 63
 
 // msgSrcShift positions the source shard index in the sequence key, leaving
-// 48 bits for the per-sender posting sequence.
+// 48 bits for the per-sender posting sequence and 15 for the shard index.
 const msgSrcShift = 48
 
 // pumpBatch bounds how many events a shard executes between horizon
@@ -150,8 +150,8 @@ type Shard struct {
 	neighbors []*Shard
 
 	// done marks the shard finished for the current Run: no local work at
-	// or before the run bound and every neighbor promised past it. Only
-	// the threaded executor uses it; done never reverts within a Run.
+	// or before the run bound and every neighbor promised past it. done
+	// never reverts within a Run.
 	done bool
 
 	// util is this shard's utilization record, reset by Run.
@@ -319,10 +319,7 @@ type ShardSet struct {
 	// Per-kernel Processed/SetEventLimit remain per-shard accounting.
 	limit     uint64
 	processed atomic.Uint64
-
-	// mailGen changes whenever any shard is posted a message; the sequential
-	// executor uses it to skip inbox scans between posts.
-	mailGen atomic.Uint64
+	slots     int // executor slot count of the last Run
 }
 
 // NewShardSet returns n shards with fresh kernels. lookahead is the minimum
@@ -337,6 +334,9 @@ func NewShardSet(n int, lookahead Duration) *ShardSet {
 	}
 	if n > 1 && lookahead <= 0 {
 		panic(fmt.Sprintf("sim: NewShardSet: lookahead must be positive with %d shards, got %v", n, lookahead))
+	}
+	if n > 1<<(63-msgSrcShift) {
+		panic(fmt.Sprintf("sim: NewShardSet: %d shards overflow the message key's source-shard field", n))
 	}
 	s := &ShardSet{lookahead: lookahead, msgLookahead: lookahead}
 	s.cond = sync.NewCond(&s.mu)
@@ -458,7 +458,6 @@ func (s *ShardSet) Post(from *Kernel, dst int, at Time, fn func(any), arg any) {
 	d.inbox = append(d.inbox, xmsg{at: at, src: uint16(sh.idx), seq: sh.postSeq, fn: fn, arg: arg})
 	d.inMu.Unlock()
 	d.mail.Store(true)
-	s.mailGen.Add(1)
 	s.notify()
 }
 
@@ -521,54 +520,59 @@ func (s *ShardSet) countEvent(sh *Shard) bool {
 // Run executes all shards until each has drained its events up to until (the
 // clocks are then advanced to until, mirroring Kernel.Run), Stop is called,
 // a limit trips, or an ambiguous timestamp tie is detected (ErrShardTie).
-// With one shard it is exactly Kernel.Run.
+// With one shard it is exactly Kernel.Run. Like Kernel.Run it may be called
+// repeatedly: after a Run that returned nil, schedule more events on the
+// shards' kernels and Run again to a later bound. Unlike Kernel.Run, more
+// than one shard needs a finite bound, a Stop or an event limit to return:
+// horizons rise one lookahead per null round and cannot prove a drained set
+// quiescent.
 //
-// The calling goroutine is one executor slot; Run asks the core-token
-// budget for more (at most one slot per shard) and sizes the executor to
-// what is spare, capped at GOMAXPROCS — so a lone replica on an idle
-// multi-core host parallelizes fully, while replicas racing a saturated
-// worker pool (or any replica at GOMAXPROCS=1) run on the sequential
-// executor instead of thrashing.
+// The calling goroutine is one executor slot; Run takes more from the
+// core-token budget, at most one per shard and capped at GOMAXPROCS — so a
+// lone replica on an idle multi-core host parallelizes fully, while one
+// racing a saturated worker pool (or any replica at GOMAXPROCS=1) drives
+// every shard from the caller's goroutine instead of thrashing.
 func (s *ShardSet) Run(until Time) error {
-	groups := 1
+	slots := 1
 	if n := len(s.shards); n > 1 {
 		extra := AcquireCores(n - 1)
-		groups = min(1+extra, runtime.GOMAXPROCS(0))
-		ReleaseCores(1 + extra - groups)
-		defer ReleaseCores(groups - 1)
+		slots = min(1+extra, runtime.GOMAXPROCS(0))
+		ReleaseCores(1 + extra - slots)
+		defer ReleaseCores(slots - 1)
 	}
-	return s.run(until, groups)
+	return s.run(until, slots)
 }
 
-// run is Run on a given number of executor slots, at most one per shard:
-// one selects the sequential executor, more the threaded one.
-func (s *ShardSet) run(until Time, groups int) error {
+// run is Run on a given number of executor slots, from one to one per
+// shard, each slot a contiguous run of shards: most neighbor horizons are
+// then published by the same slot, so oversubscribed hosts pay less
+// cross-goroutine waiting. One slot runs on the calling goroutine, where a
+// panic propagates as it does from Kernel.Run; more run on a goroutine
+// each, whose panics become the run's error.
+func (s *ShardSet) run(until Time, slots int) error {
+	if len(s.shards) == 1 {
+		return s.shards[0].k.Run(until)
+	}
 	s.stopped.Store(false)
 	s.errMu.Lock()
 	s.err = nil
 	s.errMu.Unlock()
+	s.slots = slots
 	for _, sh := range s.shards {
 		sh.done = false
 		sh.util = ShardUtil{}
+		// A finished Run left the horizon at Never; the clock is a sound
+		// promise to restart from (nothing is posted behind the poster's).
+		sh.storeHorizon(sh.k.now)
 	}
-	if len(s.shards) == 1 {
-		return s.shards[0].k.Run(until)
+	if slots == 1 {
+		s.slotLoop(until, s.shards)
+		return s.failure()
 	}
-	if groups <= 1 {
-		return s.runSeq(until)
-	}
-	return s.runGroups(until, groups)
-}
-
-// runGroups is the threaded executor: the shards are split into groups
-// contiguous runs of shards, one slot goroutine per run. Contiguity means
-// most neighbor horizons are published by the same slot, so oversubscribed
-// hosts pay less cross-goroutine waiting.
-func (s *ShardSet) runGroups(until Time, groups int) error {
 	var wg sync.WaitGroup
-	for g := 0; g < groups; g++ {
-		lo := g * len(s.shards) / groups
-		hi := (g + 1) * len(s.shards) / groups
+	for g := 0; g < slots; g++ {
+		lo := g * len(s.shards) / slots
+		hi := (g + 1) * len(s.shards) / slots
 		wg.Add(1)
 		go func(slot []*Shard) {
 			defer wg.Done()
@@ -593,13 +597,14 @@ func shardIndices(slot []*Shard) []int {
 }
 
 // slotLoop drives one executor slot: round-robin pumps over the slot's
-// live shards until all are done. When a full pass makes no progress the
-// slot is blocked on another slot's shards; it spins briefly only when
-// spare cores make a concurrent horizon advance plausible (never at
-// GOMAXPROCS=1, where yielding the timeslice cannot run the neighbor
-// mid-spin), then parks on the condition variable keyed to the horizon
-// generation it last observed — any horizon publish, post, or stop bumps
-// the generation and wakes it.
+// live shards until all are done. When a full pass neither executes an
+// event nor publishes a horizon the slot is blocked on another slot's
+// shards (a lone slot never is: its own null republishes carry it on); it
+// spins briefly only when spare cores make a concurrent horizon advance
+// plausible (never at GOMAXPROCS=1, where yielding the timeslice cannot run
+// the neighbor mid-spin), then parks on the condition variable keyed to the
+// horizon generation it last observed — any horizon publish, post, or stop
+// bumps the generation and wakes it.
 func (s *ShardSet) slotLoop(until Time, slot []*Shard) {
 	spinBudget := 0
 	if runtime.GOMAXPROCS(0) > 1 {
@@ -697,74 +702,4 @@ func (sh *Shard) pump(until Time) bool {
 		}
 	}
 	return progressed
-}
-
-// runSeq is the sequential executor: one goroutine interleaves all shards
-// in global (event time, shard index) order. Executing the globally
-// earliest event is always safe — any message it posts is timestamped at
-// the poster's current clock, which is no earlier than every other shard's
-// next event — so no horizon bookkeeping is needed. The per-kernel merge
-// rules (message sequence keys, the tie tripwire) are the same as the
-// threaded executor's, so both produce identical results.
-func (s *ShardSet) runSeq(until Time) error {
-	mailSeen := s.mailGen.Load() - 1 // force the first drain
-	for !s.stopped.Load() {
-		if g := s.mailGen.Load(); g != mailSeen {
-			mailSeen = g
-			for _, sh := range s.shards {
-				sh.drain()
-			}
-		}
-		best := -1
-		bt := Never
-		var second Time = Never
-		for i, sh := range s.shards {
-			ev := sh.k.peekLive()
-			if ev == nil {
-				continue
-			}
-			if best < 0 || ev.at < bt {
-				second = bt
-				best, bt = i, ev.at
-			} else if ev.at < second {
-				second = ev.at
-			}
-		}
-		if best < 0 || bt > until {
-			break
-		}
-		sh := s.shards[best]
-		// Step this shard while it stays strictly ahead of every other
-		// shard and posts no mail, amortizing the min-scan across bursts.
-		for {
-			ev := sh.k.peekLive()
-			if ev == nil || ev.at > until {
-				break
-			}
-			if ev.seq >= msgSeqBit && ev.at == sh.k.lastLocalAt {
-				return ErrShardTie
-			}
-			sh.k.Step()
-			if !s.countEvent(sh) {
-				return s.failure()
-			}
-			if s.stopped.Load() || s.mailGen.Load() != mailSeen {
-				break
-			}
-			if next := sh.k.peekLive(); next == nil || next.at >= second {
-				break
-			}
-		}
-	}
-	if err := s.failure(); err != nil {
-		return err
-	}
-	if !s.stopped.Load() && until != Never {
-		for _, sh := range s.shards {
-			if sh.k.now < until {
-				sh.k.now = until
-			}
-		}
-	}
-	return nil
 }

@@ -7,49 +7,46 @@ import (
 	"testing"
 )
 
-// TestShardSetDeterministicAcrossGroups pins the grouped executor to the
-// determinism contract: any slot count between fully sequential and
-// goroutine-per-shard must produce the sequential transcript.
+// TestShardSetDeterministicAcrossGroups pins the slot loop to the
+// determinism contract: every slot count from one (all shards pumped from
+// the caller's goroutine, every neighbor in the same slot) to
+// goroutine-per-shard must produce the reference transcript.
 func TestShardSetDeterministicAcrossGroups(t *testing.T) {
 	const until = Millisecond
-	run := func(groups int) string {
+	run := func(slots int) string {
 		cs := newChainSpec(4)
-		if err := cs.set.run(until, groups); err != nil {
-			t.Fatalf("run(groups=%d): %v", groups, err)
-		}
+		cs.play(t, until, slots)
 		return cs.transcript()
 	}
-	seq := run(1)
-	if !strings.Contains(seq, "rx s1<-s0") {
-		t.Fatalf("sequential transcript did not exercise cross-shard posts:\n%s", seq)
+	ref := run(0)
+	if !strings.Contains(ref, "rx s1<-s0") {
+		t.Fatalf("reference transcript did not exercise cross-shard posts:\n%s", ref)
 	}
-	for _, groups := range []int{2, 3, 4} {
-		if got := run(groups); got != seq {
-			t.Fatalf("groups=%d diverged from sequential run:\nseq:\n%s\ngot:\n%s", groups, seq, got)
+	for slots := 1; slots <= 4; slots++ {
+		if got := run(slots); got != ref {
+			t.Fatalf("slots=%d diverged from the reference:\nref:\n%s\ngot:\n%s", slots, ref, got)
 		}
 	}
 }
 
 // TestShardSetDeterministicWithMsgLookahead: raising the message lookahead
 // only changes how fast horizons propagate, never what executes — the
-// transcript must match the base-lookahead run under every executor.
+// transcript must match the reference at every slot count.
 func TestShardSetDeterministicWithMsgLookahead(t *testing.T) {
 	const until = Millisecond
-	run := func(exec string, msgLA Duration) string {
+	run := func(slots int, msgLA Duration) string {
 		cs := newChainSpec(3)
 		if msgLA > 0 {
 			cs.set.SetMsgLookahead(msgLA)
 		}
-		if err := cs.set.run(until, execSlots(exec, cs.set)); err != nil {
-			t.Fatalf("run(%s, msgLA=%v): %v", exec, msgLA, err)
-		}
+		cs.play(t, until, slots)
 		return cs.transcript()
 	}
-	want := run("seq", 0)
-	for _, exec := range []string{"seq", "par"} {
+	want := run(0, 0)
+	for slots := 1; slots <= 3; slots++ {
 		for _, msgLA := range []Duration{5 * testLookahead, 100 * testLookahead} {
-			if got := run(exec, msgLA); got != want {
-				t.Fatalf("exec=%s msgLA=%v diverged:\nwant:\n%s\ngot:\n%s", exec, msgLA, want, got)
+			if got := run(slots, msgLA); got != want {
+				t.Fatalf("slots=%d msgLA=%v diverged:\nwant:\n%s\ngot:\n%s", slots, msgLA, want, got)
 			}
 		}
 	}
@@ -97,31 +94,27 @@ func TestMsgLookaheadContractSpotCheck(t *testing.T) {
 			t.Fatalf("panic = %v, want a SetMsgLookahead contract violation", r)
 		}
 	}()
-	_ = set.run(Millisecond, 1)
+	_ = set.run(Millisecond, 1) // one slot: the panic reaches the caller
 }
 
 // TestShardUtilization: per-shard utilization must account every executed
-// event, and the threaded executor must record its synchronization work.
+// event at every slot count.
 func TestShardUtilization(t *testing.T) {
-	for _, exec := range []string{"seq", "par"} {
-		t.Run(exec, func(t *testing.T) {
-			cs := newChainSpec(3)
-			if err := cs.set.run(Millisecond, execSlots(exec, cs.set)); err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			util := cs.set.Utilization()
-			if len(util) != 3 {
-				t.Fatalf("Utilization returned %d records, want 3", len(util))
-			}
-			var events uint64
-			for _, u := range util {
-				events += u.Events
-			}
-			if events == 0 || events != cs.set.Processed() {
-				t.Fatalf("utilization accounts %d events, Processed() = %d", events, cs.set.Processed())
-			}
-		})
-	}
+	eachSlotCount(t, 3, func(t *testing.T, slots int) {
+		cs := newChainSpec(3)
+		cs.play(t, Millisecond, slots)
+		util := cs.set.Utilization()
+		if len(util) != 3 {
+			t.Fatalf("Utilization returned %d records, want 3", len(util))
+		}
+		var events uint64
+		for _, u := range util {
+			events += u.Events
+		}
+		if events == 0 || events != cs.set.Processed() {
+			t.Fatalf("utilization accounts %d events, Processed() = %d", events, cs.set.Processed())
+		}
+	})
 }
 
 // TestCoreBudget: the token account must clamp at the budget, never go
@@ -169,12 +162,10 @@ func TestShardSetRunReleasesCoreTokens(t *testing.T) {
 	}
 }
 
-// TestShardSetRunSizesExecutorFromBudget: Run picks its executor from what
+// TestShardSetRunSizesExecutorFromBudget: Run sizes its executor from what
 // it observes — spare core tokens capped at GOMAXPROCS — and nothing else.
-// The threaded executor leaves every shard's horizon at Never when it
-// finishes; the sequential one never publishes a horizon.
 func TestShardSetRunSizesExecutorFromBudget(t *testing.T) {
-	threaded := func(procs, held int) bool {
+	slots := func(procs, held int) int {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		if got := AcquireCores(held); got != held {
 			t.Fatalf("AcquireCores(%d) = %d", held, got)
@@ -184,16 +175,16 @@ func TestShardSetRunSizesExecutorFromBudget(t *testing.T) {
 		if err := cs.set.Run(Millisecond); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return cs.set.shards[0].loadHorizon() == Never
+		return cs.set.slots
 	}
-	if threaded(1, 0) {
-		t.Error("GOMAXPROCS=1 ran the threaded executor")
+	if got := slots(1, 0); got != 1 {
+		t.Errorf("GOMAXPROCS=1 ran %d slots, want 1", got)
 	}
-	if !threaded(4, 0) {
-		t.Error("GOMAXPROCS=4 with an idle budget ran the sequential executor")
+	if got := slots(4, 0); got != 4 {
+		t.Errorf("GOMAXPROCS=4 with an idle budget ran %d slots, want 4", got)
 	}
-	if threaded(4, 4) {
-		t.Error("a saturated budget (every token held by pool workers) ran the threaded executor")
+	if got := slots(4, 4); got != 1 {
+		t.Errorf("a saturated budget (every token held by pool workers) ran %d slots, want 1", got)
 	}
 	if used := coreUsed.Load(); used != 0 {
 		t.Fatalf("coreUsed = %d afterwards, want 0", used)

@@ -50,13 +50,58 @@ func newChainSpec(n int) *chainSpec {
 	return cs
 }
 
-// execSlots maps an executor name onto the slot count ShardSet.run takes:
-// one slot is the sequential executor, one per shard the threaded one.
-func execSlots(exec string, set *ShardSet) int {
-	if exec == "par" {
-		return set.Shards()
+// refRun is the reference the slot loop is compared against: one goroutine
+// executes the (time, shard)-earliest live event of the whole set, so no
+// horizon is ever consulted. That is always safe — any message the event
+// posts is timestamped at the poster's clock, no earlier than every other
+// shard's next event — and it applies the same per-kernel merge rules
+// (message sequence keys, the tie tripwire). It is the core of runSeq, the
+// executor ShardSet.Run used at one slot before the slot loop ran every
+// slot count, moved here without its limits, Stop and burst amortization.
+func refRun(s *ShardSet, until Time) error {
+	for {
+		var best *Shard
+		var next *event
+		for _, sh := range s.shards {
+			sh.drain()
+			if ev := sh.k.peekLive(); ev != nil && (next == nil || ev.at < next.at) {
+				best, next = sh, ev
+			}
+		}
+		if next == nil || next.at > until {
+			break
+		}
+		if next.seq >= msgSeqBit && next.at == best.k.lastLocalAt {
+			return ErrShardTie
+		}
+		best.k.Step()
 	}
-	return 1
+	for _, sh := range s.shards {
+		sh.k.now = max(sh.k.now, until)
+	}
+	return nil
+}
+
+// play runs the chain to until on the given number of executor slots;
+// slots == 0 selects refRun.
+func (cs *chainSpec) play(t *testing.T, until Time, slots int) {
+	t.Helper()
+	var err error
+	if slots == 0 {
+		err = refRun(cs.set, until)
+	} else {
+		err = cs.set.run(until, slots)
+	}
+	if err != nil {
+		t.Fatalf("run to %v on %d slots: %v", until, slots, err)
+	}
+}
+
+// eachSlotCount runs f as a subtest on one slot ("seq": the shards take
+// turns on the caller's goroutine) and on one slot per shard ("par").
+func eachSlotCount(t *testing.T, shards int, f func(t *testing.T, slots int)) {
+	t.Run("seq", func(t *testing.T) { f(t, 1) })
+	t.Run("par", func(t *testing.T) { f(t, shards) })
 }
 
 func (cs *chainSpec) transcript() string {
@@ -72,18 +117,17 @@ func (cs *chainSpec) transcript() string {
 }
 
 // TestShardSetDeterministicAcrossExecutors pins the determinism contract:
-// the threaded and sequential executors, and repeated threaded runs, must
-// interleave cross-shard messages identically.
+// the slot loop — on the caller's goroutine, on a goroutine per shard, and
+// on repeated runs — must interleave cross-shard messages exactly as the
+// reference executor does.
 func TestShardSetDeterministicAcrossExecutors(t *testing.T) {
 	// 1 ms keeps the run short of the first rational coincidence of the
 	// chain periods (173·1.31L = 131·1.73L ≈ 2.27 ms), where timestamps
 	// would legitimately collide and trip the tie detector.
 	const until = Millisecond
-	run := func(exec string) string {
+	run := func(slots int) string {
 		cs := newChainSpec(3)
-		if err := cs.set.run(until, execSlots(exec, cs.set)); err != nil {
-			t.Fatalf("run(%s): %v", exec, err)
-		}
+		cs.play(t, until, slots)
 		for i := 0; i < cs.set.Shards(); i++ {
 			if got := cs.set.Kernel(i).Now(); got != until {
 				t.Fatalf("shard %d clock = %v, want %v", i, got, until)
@@ -91,13 +135,55 @@ func TestShardSetDeterministicAcrossExecutors(t *testing.T) {
 		}
 		return cs.transcript()
 	}
-	seq := run("seq")
-	if seq == "" || !strings.Contains(seq, "rx s1<-s2") {
-		t.Fatalf("sequential transcript did not exercise cross-shard posts:\n%s", seq)
+	ref := run(0)
+	if ref == "" || !strings.Contains(ref, "rx s1<-s2") {
+		t.Fatalf("reference transcript did not exercise cross-shard posts:\n%s", ref)
 	}
 	for i := 0; i < 3; i++ {
-		if par := run("par"); par != seq {
-			t.Fatalf("threaded run %d diverged from sequential run:\nseq:\n%s\npar:\n%s", i, seq, par)
+		for _, slots := range []int{1, 3} {
+			if got := run(slots); got != ref {
+				t.Fatalf("run %d on %d slots diverged from the reference:\nref:\n%s\ngot:\n%s", i, slots, ref, got)
+			}
+		}
+	}
+}
+
+// TestShardSetRunTwice: Run is re-entrant on every slot count. A finished
+// run leaves every horizon at Never; a second run that did not take the
+// promises back would let each shard race past messages its neighbors have
+// yet to post.
+func TestShardSetRunTwice(t *testing.T) {
+	const half = Millisecond / 2
+	// Two more border transmissions, on the outer shards, at a timestamp no
+	// chain period reaches.
+	extra := func(cs *chainSpec, delay Duration) {
+		for _, i := range []int{0, cs.set.Shards() - 1} {
+			k, peer := cs.set.Kernel(i), 1
+			if i > 0 {
+				peer = i - 1
+			}
+			k.ScheduleFireTx(delay, func() {
+				cs.logs[i] = append(cs.logs[i], fmt.Sprintf("extra tx s%d %v", i, k.Now()))
+				cs.set.Post(k, peer, k.Now(), func(any) {
+					cs.logs[peer] = append(cs.logs[peer], fmt.Sprintf("extra rx s%d<-s%d %v", peer, i, cs.set.Kernel(peer).Now()))
+				}, nil)
+			}, true)
+		}
+	}
+	once := newChainSpec(4)
+	extra(once, half+1.03*testLookahead)
+	once.play(t, 2*half, 0)
+	want := once.transcript()
+	if !strings.Contains(want, "extra rx s1<-s0") || !strings.Contains(want, "extra rx s2<-s3") {
+		t.Fatalf("reference transcript is missing the extra transmissions:\n%s", want)
+	}
+	for slots := 1; slots <= 4; slots++ {
+		cs := newChainSpec(4)
+		cs.play(t, half, slots)
+		extra(cs, 1.03*testLookahead)
+		cs.play(t, 2*half, slots)
+		if got := cs.transcript(); got != want {
+			t.Fatalf("two runs on %d slots diverged from one run:\nwant:\n%s\ngot:\n%s", slots, want, got)
 		}
 	}
 }
@@ -136,21 +222,19 @@ func TestScheduleFireTxLookaheadContract(t *testing.T) {
 // TestShardSetAggregateEventLimit: the aggregate limit must abort all
 // shards cleanly — an error from Run, and no shard goroutine left behind.
 func TestShardSetAggregateEventLimit(t *testing.T) {
-	for _, exec := range []string{"seq", "par"} {
-		t.Run(exec, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			cs := newChainSpec(4)
-			cs.set.SetEventLimit(500)
-			err := cs.set.run(Never, execSlots(exec, cs.set))
-			if err == nil || !strings.Contains(err.Error(), "aggregate event limit") {
-				t.Fatalf("Run with aggregate limit: err = %v, want aggregate limit error", err)
-			}
-			if got := cs.set.Processed(); got < 500 {
-				t.Fatalf("Processed() = %d, want >= limit 500", got)
-			}
-			waitGoroutines(t, before)
-		})
-	}
+	eachSlotCount(t, 4, func(t *testing.T, slots int) {
+		before := runtime.NumGoroutine()
+		cs := newChainSpec(4)
+		cs.set.SetEventLimit(500)
+		err := cs.set.run(Never, slots)
+		if err == nil || !strings.Contains(err.Error(), "aggregate event limit") {
+			t.Fatalf("Run with aggregate limit: err = %v, want aggregate limit error", err)
+		}
+		if got := cs.set.Processed(); got < 500 {
+			t.Fatalf("Processed() = %d, want >= limit 500", got)
+		}
+		waitGoroutines(t, before)
+	})
 }
 
 // TestShardSetPerKernelEventLimit: Kernel.SetEventLimit stays per-shard
@@ -171,24 +255,22 @@ func TestShardSetPerKernelEventLimit(t *testing.T) {
 // lone halted region would deadlock its neighbors), Run returns nil, and no
 // goroutines leak.
 func TestShardSetStop(t *testing.T) {
-	for _, exec := range []string{"seq", "par"} {
-		t.Run(exec, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			cs := newChainSpec(4)
-			var stopped atomic.Bool
-			cs.set.Kernel(2).ScheduleFire(Millisecond, func() {
-				stopped.Store(true)
-				cs.set.Kernel(2).Stop()
-			})
-			if err := cs.set.run(Never, execSlots(exec, cs.set)); err != nil {
-				t.Fatalf("run: %v", err)
-			}
-			if !stopped.Load() {
-				t.Fatal("stop event never ran")
-			}
-			waitGoroutines(t, before)
+	eachSlotCount(t, 4, func(t *testing.T, slots int) {
+		before := runtime.NumGoroutine()
+		cs := newChainSpec(4)
+		var stopped atomic.Bool
+		cs.set.Kernel(2).ScheduleFire(Millisecond, func() {
+			stopped.Store(true)
+			cs.set.Kernel(2).Stop()
 		})
-	}
+		if err := cs.set.run(Never, slots); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if !stopped.Load() {
+			t.Fatal("stop event never ran")
+		}
+		waitGoroutines(t, before)
+	})
 }
 
 // TestShardTieTripsLoud: a cross-shard message landing on the exact
@@ -196,23 +278,20 @@ func TestShardSetStop(t *testing.T) {
 // sequential order; the run must fail with ErrShardTie rather than pick an
 // order silently.
 func TestShardTieTripsLoud(t *testing.T) {
-	for _, exec := range []string{"seq", "par"} {
-		t.Run(exec, func(t *testing.T) {
-			set := NewShardSet(2, testLookahead)
-			k0, k1 := set.Kernel(0), set.Kernel(1)
-			// Shard 0 transmits at t=2L and posts a message timestamped at
-			// its own clock; shard 1 independently transmits at the same
-			// bit-identical timestamp.
-			k0.ScheduleFireTx(2*testLookahead, func() {
-				set.Post(k0, 1, k0.Now(), func(any) {}, nil)
-			}, true)
-			k1.ScheduleFireTx(2*testLookahead, func() {}, true)
-			// Keep shard 0 alive past the tie so its horizon keeps moving.
-			if err := set.run(Millisecond, execSlots(exec, set)); !errors.Is(err, ErrShardTie) {
-				t.Fatalf("run: err = %v, want ErrShardTie", err)
-			}
-		})
-	}
+	eachSlotCount(t, 2, func(t *testing.T, slots int) {
+		set := NewShardSet(2, testLookahead)
+		k0, k1 := set.Kernel(0), set.Kernel(1)
+		// Shard 0 transmits at t=2L and posts a message timestamped at
+		// its own clock; shard 1 independently transmits at the same
+		// bit-identical timestamp.
+		k0.ScheduleFireTx(2*testLookahead, func() {
+			set.Post(k0, 1, k0.Now(), func(any) {}, nil)
+		}, true)
+		k1.ScheduleFireTx(2*testLookahead, func() {}, true)
+		if err := set.run(Millisecond, slots); !errors.Is(err, ErrShardTie) {
+			t.Fatalf("run: err = %v, want ErrShardTie", err)
+		}
+	})
 }
 
 // TestSingleShardSetIsSequentialKernel: a one-shard set must leave its
@@ -234,6 +313,17 @@ func TestSingleShardSetIsSequentialKernel(t *testing.T) {
 	if ran != 1 {
 		t.Fatalf("ran = %d events, want 1 (Stop must halt the kernel)", ran)
 	}
+}
+
+// TestNewShardSetRejectsKeyOverflow: a shard index past the message key's
+// source field would alias another shard's messages in the merge order.
+func TestNewShardSetRejectsKeyOverflow(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewShardSet past the key's source-shard field did not panic")
+		}
+	}()
+	NewShardSet(1<<(63-msgSrcShift)+1, testLookahead)
 }
 
 // TestEventPoolCap: the free list must not grow past maxEventPool no matter

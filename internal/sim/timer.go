@@ -4,10 +4,8 @@ package sim
 // block for protocol timeouts (route expiry, voting-round deadlines, beacon
 // periods). The zero value is not usable; use NewTimer.
 //
-// Timers ride the TimerHandle fast path: arming costs one queue push and
-// Stop tombstones the pending event in place, so the kernel's byID
-// cancellation map is never touched — timer events consequently do not
-// appear in Kernel.Pending.
+// Timers ride on TimerHandle: arming costs one queue push and Stop
+// tombstones the pending event in place.
 type Timer struct {
 	k    *Kernel
 	fn   func()
