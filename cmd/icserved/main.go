@@ -47,11 +47,7 @@ func run() error {
 		parallel = flag.Int("parallel", 1, "jobs run concurrently (replicas within a job always use the worker pool)")
 		queueCap = flag.Int("queue", 64, "bounded job-queue capacity")
 	)
-	applyShards := cliutil.AddShardsFlag(flag.CommandLine)
 	flag.Parse()
-	if err := applyShards(); err != nil {
-		return err
-	}
 
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, time.Now().UTC().Format("2006-01-02T15:04:05Z")+" "+format+"\n", args...)

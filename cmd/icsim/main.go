@@ -33,11 +33,7 @@ func run() error {
 		traceN    = flag.Int("trace", 0, "print the last N wire events")
 		prof      = cliutil.AddProfileFlags(flag.CommandLine)
 	)
-	applyShards := cliutil.AddShardsFlag(flag.CommandLine)
 	flag.Parse()
-	if err := applyShards(); err != nil {
-		return err
-	}
 
 	stop, err := prof.Start()
 	if err != nil {

@@ -3,7 +3,7 @@
 // (internal/experiment/presets.go) adjusted by its flags — and evaluates
 // it through experiment.RunGrid; stdout is GridRequest.Render of the
 // result and nothing else, so it is byte-identical to what icserved
-// serves for the same grid, at any IC_WORKERS and IC_SHARDS setting.
+// serves for the same grid, at any IC_WORKERS setting and -shards count.
 //
 // Usage:
 //
@@ -30,9 +30,12 @@
 // fault class.
 //
 // Every subcommand takes -runs N (the paper averages 50), -seed S, -quiet,
-// -shards N, -manifest out.json and the four pprof flags; all but
-// campaign take -quick (the kind's reduced grid, 2 runs per point), all
-// but blackhole -shardstats.
+// -manifest out.json and the four pprof flags; all but campaign take
+// -quick (the kind's reduced grid, 2 runs per point). sensor and churn —
+// the kinds whose replicas can run partitioned — take -shards N, which
+// sets the grid's sensor.shards field (what an icserved client puts in its
+// request), and -shardstats, which prints each sharded replica's per-shard
+// utilization, and why it ran on fewer shards than asked, to stderr.
 package main
 
 import (
@@ -56,7 +59,8 @@ type options struct {
 	seed          int64
 	quick, quiet  bool
 	prof          *cliutil.Profile
-	apply         []func() error // -shards, -shardstats: take effect after parsing
+	shards        int  // -shards (sensor, churn)
+	shardStats    bool // -shardstats (sensor, churn)
 	writeManifest func(grid *experiment.GridRequest, renderedTables string) error
 	// grid builds the subcommand's request once the flags are parsed.
 	grid func() (*experiment.GridRequest, error)
@@ -68,19 +72,19 @@ type sweep struct {
 	// the subcommand replaced: spec_sha256 covers it, and manifests stay
 	// comparable across that change.
 	name string
-	// quick and shardStats say whether the kind has the flag: there is
-	// no reduced campaign grid to preview, and Fig. 7 replicas never
-	// shard (mobile topology).
-	quick, shardStats bool
+	// quick and shards say whether the kind has the flags: there is no
+	// reduced campaign grid to preview, and only a sensor field can run
+	// partitioned (Fig. 7 and campaign replicas are mobile).
+	quick, shards bool
 	// flags registers the kind's own flags and returns options.grid.
 	flags func(fs *flag.FlagSet, o *options) func() (*experiment.GridRequest, error)
 }
 
 var sweeps = map[string]sweep{
 	experiment.GridBlackhole: {name: "blackhole", quick: true, flags: blackholeFlags},
-	experiment.GridSensor:    {name: "sensornet", quick: true, shardStats: true, flags: sensorFlags},
-	experiment.GridCampaign:  {name: "faultsweep", shardStats: true, flags: campaignFlags},
-	experiment.GridChurn:     {name: "churnsweep", quick: true, shardStats: true, flags: churnFlags},
+	experiment.GridSensor:    {name: "sensornet", quick: true, shards: true, flags: sensorFlags},
+	experiment.GridCampaign:  {name: "faultsweep", flags: campaignFlags},
+	experiment.GridChurn:     {name: "churnsweep", quick: true, shards: true, flags: churnFlags},
 }
 
 // newFlagSet registers the shared flags, then the kind's own.
@@ -95,9 +99,9 @@ func newFlagSet(kind string) (*flag.FlagSet, *options) {
 	}
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-run progress")
 	o.prof = cliutil.AddProfileFlags(fs)
-	o.apply = append(o.apply, cliutil.AddShardsFlag(fs))
-	if sw.shardStats {
-		o.apply = append(o.apply, cliutil.AddShardStatsFlag(fs))
+	if sw.shards {
+		fs.IntVar(&o.shards, "shards", 0, "partition each replica across N event-kernel shards (the grid's sensor.shards field)")
+		fs.BoolVar(&o.shardStats, "shardstats", false, "print per-shard utilization (events, null republishes, blocked time) after each sharded replica, and why one ran on fewer shards than asked")
 	}
 	o.writeManifest = cliutil.AddManifestFlag(fs)
 	o.grid = sw.flags(fs, o)
@@ -283,6 +287,12 @@ func buildGrid(args []string) (*experiment.GridRequest, *options, error) {
 		return nil, nil, err
 	}
 	g.Name = sweeps[args[0]].name
+	if g.Sensor != nil {
+		g.Sensor.Shards = o.shards
+		if o.shardStats {
+			g.Sensor.ShardStats = os.Stderr
+		}
+	}
 	return g, o, nil
 }
 
@@ -290,11 +300,6 @@ func run(args []string, stdout io.Writer) error {
 	g, o, err := buildGrid(args)
 	if err != nil {
 		return err
-	}
-	for _, apply := range o.apply {
-		if err := apply(); err != nil {
-			return err
-		}
 	}
 	stop, err := o.prof.Start()
 	if err != nil {

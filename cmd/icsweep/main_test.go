@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"io"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -15,21 +16,21 @@ import (
 // sharedFlags are the flags every subcommand registers, name=default.
 var sharedFlags = []string{
 	"blockprofile=", "cpuprofile=", "manifest=", "memprofile=", "mutexprofile=",
-	"quiet=false", "runs=5", "seed=1", "shards=0",
+	"quiet=false", "runs=5", "seed=1",
 }
 
 // TestFlagTable pins each subcommand's flag names and defaults to the
 // list of the binary it replaced (blackhole, sensornet, faultsweep,
-// churnsweep at 795be33): folding four programs into one added no option,
-// dropped none and moved no default.
+// churnsweep at 795be33) less the shard flags PR 23 dropped where a replica
+// cannot shard: -shards and -shardstats exist on sensor and churn only.
 func TestFlagTable(t *testing.T) {
 	for kind, own := range map[string][]string{
 		"blackhole": {"quick=false", "time=300", "max-malicious=10", "step=2", "gray=0"},
-		"sensor": {"quick=false", "shardstats=false", "levels=2,3,4,5,6,7", "weak=false",
+		"sensor": {"quick=false", "shards=0", "shardstats=false", "levels=2,3,4,5,6,7", "weak=false",
 			"uniform=false", "fusion=cluster"},
-		"campaign": {"shardstats=false", "campaign=", "preset=", "time=300", "nodes=50",
+		"campaign": {"campaign=", "preset=", "time=300", "nodes=50",
 			"conns=10", "levels=1,2"},
-		"churn": {"quick=false", "shardstats=false", "levels=2,3,5", "churns=0,2,4,8", "time=0",
+		"churn": {"quick=false", "shards=0", "shardstats=false", "levels=2,3,5", "churns=0,2,4,8", "time=0",
 			"leaves=0", "downtime=0", "policy=", "reshare-interval=0", "refresh-interval=0", "protect=0"},
 	} {
 		want := append(append([]string{}, sharedFlags...), own...)
@@ -96,6 +97,13 @@ func TestDefaultGridsMatchRetiredBinaries(t *testing.T) {
 		{args: "sensor -levels 5 -fusion cluster -runs 9", shape: fusionAtL5(experiment.FusionCluster)},
 		{args: "sensor -levels 5 -fusion mean -runs 9", shape: fusionAtL5(experiment.FusionMean)},
 		{args: "sensor -levels 5 -fusion naive -runs 9", shape: fusionAtL5(experiment.FusionNaive)},
+		// The shard flags write the grid's sensor config and nothing else.
+		{args: "sensor -quick -shards 4 -shardstats", shape: func(g *experiment.GridRequest) bool {
+			return g.Sensor.Shards == 4 && g.Sensor.ShardStats == io.Writer(os.Stderr)
+		}},
+		{args: "churn -quick -shards 4", shape: func(g *experiment.GridRequest) bool {
+			return g.Sensor.Shards == 4 && g.Sensor.ShardStats == nil && g.Sensor.Churn != nil
+		}},
 	} {
 		g, _, err := buildGrid(strings.Fields(tc.args))
 		if err != nil {
@@ -137,6 +145,8 @@ func TestRejectsDegenerateSweeps(t *testing.T) {
 		{"churn -runs -3", "runs must be positive"},
 		{"churn -churns -1", "bad churn rate"},
 		{"sensor -levels 0", "bad level"},
+		{"sensor -shards -1", "shard count must be between"},
+		{"churn -shards 1025", "shard count must be between"},
 		{"warp", "usage"},
 		{"", "usage"},
 	} {

@@ -333,7 +333,7 @@ func CampaignSweep(base BlackholeConfig, campaigns []Campaign, levels []int, run
 // rates on the parallel worker pool, returning the detection and energy
 // costs of churn plus the membership-lifecycle accounting (transitions,
 // reshares, aborted rounds, final epoch). Same seed and axes yield
-// byte-identical tables at any IC_WORKERS and IC_SHARDS setting.
+// byte-identical tables at any IC_WORKERS setting and base.Shards count.
 func ChurnSweep(base SensorConfig, levels, churns []int, runs int, progress io.Writer) (*ChurnTables, error) {
 	return experiment.ChurnSweep(base, levels, churns, runs, progress)
 }

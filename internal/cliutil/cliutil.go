@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -19,10 +18,11 @@ import (
 	"innercircle/internal/experiment"
 )
 
-// knobs are the IC_* environment settings the program reads: two
-// resource settings and one diagnostic switch. Which implementation of a
+// knobs are the IC_* environment settings the program reads: the sweep
+// pool's worker count and nothing else. A shard count is a field of the
+// spec (`icsweep sensor|churn -shards`), and which implementation of a
 // mechanism runs is never configurable.
-var knobs = []string{"IC_WORKERS", "IC_SHARDS", "IC_SHARD_STATS"}
+var knobs = []string{"IC_WORKERS"}
 
 // warnUnknownKnobs writes one line to w per IC_* variable in environ that
 // nothing reads — a retired selector left in a CI file, or a typo such as
@@ -140,44 +140,6 @@ func writeLookupProfile(name, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// AddShardsFlag registers the shared -shards flag on fs and returns an
-// apply function to call once fs is parsed, before any replica runs. The
-// flag routes through the IC_SHARDS environment knob — the scenario
-// runner's only configuration channel — so tools need no direct coupling
-// to the sharded kernel: 0 (the default) leaves IC_SHARDS untouched,
-// anything else overrides it for this process. Tools whose work never
-// reaches the event kernel (ickeys) do not register it.
-func AddShardsFlag(fs *flag.FlagSet) (apply func() error) {
-	n := fs.Int("shards", 0, "partition each replica across N event-kernel shards (0 = honor IC_SHARDS env)")
-	return func() error {
-		if *n < 0 {
-			return fmt.Errorf("-shards %d: shard count cannot be negative", *n)
-		}
-		if *n == 0 {
-			return nil
-		}
-		return os.Setenv("IC_SHARDS", strconv.Itoa(*n))
-	}
-}
-
-// AddShardStatsFlag registers the shared -shardstats flag on fs and
-// returns an apply function to call once fs is parsed. Like AddShardsFlag
-// it routes through an environment knob (IC_SHARD_STATS=1): sharded
-// replicas then harvest their executor-synchronization gauges
-// (null-message republishes, parks, blocked wall-clock) into the Result
-// and print a per-shard utilization table to stderr after each replica.
-// The flag is diagnostic only — sweep tables are byte-identical with it
-// on or off.
-func AddShardStatsFlag(fs *flag.FlagSet) (apply func() error) {
-	on := fs.Bool("shardstats", false, "print per-shard utilization (events, null republishes, blocked time) after each sharded replica")
-	return func() error {
-		if !*on {
-			return nil
-		}
-		return os.Setenv("IC_SHARD_STATS", "1")
-	}
 }
 
 // SplitCSV splits a comma-separated flag value, trimming whitespace and

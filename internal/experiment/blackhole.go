@@ -55,12 +55,7 @@ type BlackholeConfig struct {
 	Campaign *faults.Campaign `json:"campaign,omitempty"`
 	IC       bool             `json:"ic"`
 	L        int              `json:"l"`
-	// Shards requests a partitioned replica (scenario.Spec.Shards). The
-	// blackhole scenario always falls back to one shard — random-waypoint
-	// mobility, CBR traffic and fault campaigns each rule sharding out —
-	// so the knob only pins that the fallback is result-identical.
-	Shards int   `json:"shards,omitempty"`
-	Seed   int64 `json:"seed"`
+	Seed     int64            `json:"seed"`
 	// Tracer, when non-nil, taps all wire traffic (slower; for debugging
 	// and the icsim tool). A tracer belongs to exactly one replica: the
 	// sweep entry points reject a config carrying one, because their
@@ -213,7 +208,6 @@ func blackholeSpec(cfg BlackholeConfig) *scenario.Spec {
 		Nodes:   cfg.Nodes,
 		Seed:    cfg.Seed,
 		SimTime: cfg.SimTime,
-		Shards:  cfg.Shards,
 		Topology: scenario.RandomWaypoint{
 			Region:   geo.Square(cfg.Region),
 			MinSpeed: cfg.Speed,
@@ -260,20 +254,14 @@ func blackholeSpec(cfg BlackholeConfig) *scenario.Spec {
 	return spec
 }
 
-// RunBlackhole executes one Fig. 7 simulation run.
+// RunBlackhole executes one Fig. 7 simulation run. The config has no shard
+// count: random-waypoint mobility, CBR traffic and fault campaigns each
+// keep the replica on one kernel.
 func RunBlackhole(cfg BlackholeConfig) (BlackholeResult, error) {
-	out, _, err := runBlackholeShards(cfg)
-	return out, err
-}
-
-// runBlackholeShards is RunBlackhole plus the shard count the replica
-// actually executed with (scenario.Result.Shards) — provenance the
-// artifact manifests record without widening the ==-comparable result.
-func runBlackholeShards(cfg BlackholeConfig) (BlackholeResult, int, error) {
 	spec := blackholeSpec(cfg)
 	res, err := scenario.Run(spec)
 	if err != nil {
-		return BlackholeResult{}, 0, fmt.Errorf("experiment: %w", err)
+		return BlackholeResult{}, fmt.Errorf("experiment: %w", err)
 	}
 	out := BlackholeResult{
 		Sent:            int(res.Counter(scenario.CtrSent)),
@@ -288,7 +276,7 @@ func runBlackholeShards(cfg BlackholeConfig) (BlackholeResult, int, error) {
 		out.FaultsLeaked = res.Counter(scenario.CtrFaultsLeaked)
 	}
 	out.VerifiesAvoided = res.Counter(scenario.CtrVoteMemoHits)
-	return out, res.Shards, nil
+	return out, nil
 }
 
 // corruptMark prefixes CBR payloads mangled by a corrupt fault, so the

@@ -79,8 +79,8 @@ func ValidateChurnSweep(base SensorConfig, levels, churns []int) error {
 		return fmt.Errorf("experiment: churn sweep needs at least one level and one churn rate")
 	}
 	for _, c := range churns {
-		if c < 0 {
-			return fmt.Errorf("experiment: negative churn rate %d", c)
+		if c < 0 || c > maxNodes {
+			return fmt.Errorf("experiment: churn rate must be between 0 and %d, got %d", maxNodes, c)
 		}
 	}
 	return nil
@@ -89,7 +89,7 @@ func ValidateChurnSweep(base SensorConfig, levels, churns []int) error {
 // ChurnSweep runs a churn grid through RunGrid: rows are {IC, L=l},
 // columns the crash-and-rejoin counts. Active churn pins every replica to
 // one kernel and churn=0 replicas are shard-invariant by the kernel
-// contract, so the tables are identical at any IC_SHARDS setting too.
+// contract, so the tables are identical at any base.Shards count too.
 func ChurnSweep(base SensorConfig, levels, churns []int, runs int, progress io.Writer) (*ChurnTables, error) {
 	t, err := RunGrid(&GridRequest{Name: "churn", Kind: GridChurn,
 		Sensor: &base, Levels: levels, Churns: churns, Runs: runs}, progress)

@@ -52,22 +52,22 @@ func TestChurnZeroColumnIsSeedReplica(t *testing.T) {
 
 // TestChurnSweepWorkerShardInvariant pins the determinism contract for
 // the new axis: churn-sweep tables are byte-identical across worker
-// counts and IC_SHARDS settings (active churn pins its replicas to one
-// kernel; churn=0 replicas are shard-invariant by the kernel contract).
+// counts and shard counts (active churn pins its replicas to one kernel;
+// churn=0 replicas are shard-invariant by the kernel contract).
 func TestChurnSweepWorkerShardInvariant(t *testing.T) {
-	sweep := func(t *testing.T) *ChurnTables {
-		tables, err := ChurnSweep(churnBase(), []int{3}, []int{0, 2}, 1, nil)
+	sweep := func(t *testing.T, shards int) *ChurnTables {
+		base := churnBase()
+		base.Shards = shards
+		tables, err := ChurnSweep(base, []int{3}, []int{0, 2}, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return tables
 	}
 	t.Setenv("IC_WORKERS", "1")
-	t.Setenv("IC_SHARDS", "1")
-	serial := sweep(t)
+	serial := sweep(t, 1)
 	t.Setenv("IC_WORKERS", "8")
-	t.Setenv("IC_SHARDS", "4")
-	parallel := sweep(t)
+	parallel := sweep(t, 4)
 	for _, pair := range []struct {
 		name string
 		a, b *stats.Table

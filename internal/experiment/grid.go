@@ -48,18 +48,141 @@ type ReplicaSpec struct {
 	Sensor    *SensorConfig    `json:"sensor,omitempty"`
 }
 
-// maxNodeSpeed is the fastest a config may ask nodes to move: the radio
-// signal's own speed (radio.Default80211). The physical layer takes a
-// position as fixed while a frame propagates, and the cost of a mobile
-// replica grows with the legs a node starts per virtual second, so a speed
-// from outside the program is bounded before anything runs.
-const maxNodeSpeed = 3e8
+// Ceilings on what a config from outside the program may ask for. A request
+// is a few hundred bytes whatever it asks for, and the spec builders size
+// slices by these fields before scenario.Spec.Validate sees the result, so
+// every numeric field is checked to be a number, not negative and under its
+// ceiling before anything is built. The ceilings sit well above anything
+// documented; they bound memory and the length of loops, not wall-clock
+// time (a per-job budget is ROADMAP item 7).
+const (
+	// maxNodes: the largest documented field is 100k nodes
+	// (ScaledSensorConfig); the builders make several slices of this length.
+	maxNodes = 1 << 20
+	// maxSimTime, in virtual seconds (11.6 days); the paper runs 200–300 s.
+	// It also bounds every other instant and delay of a config.
+	maxSimTime = 1e6
+	// maxRegion, in metres a side; the 100k-node field is 6.3 km.
+	maxRegion = 1e6
+	// maxColumns bounds region/range: scenario.StripePartition makes two
+	// slices with one entry per range-wide grid column.
+	maxColumns = 1 << 16
+	// maxNodeSpeed is the radio signal's own speed (radio.Default80211). The
+	// physical layer takes a position as fixed while a frame propagates, and
+	// the cost of a mobile replica grows with the legs a node starts per
+	// virtual second.
+	maxNodeSpeed = 3e8
+	// maxRate, in packets per second per connection; the paper sends 4.
+	maxRate = 1e4
+	// maxPacketBytes is the largest IP datagram; the paper sends 512.
+	maxPacketBytes = 1 << 16
+	// maxPeriods bounds sim time over a period (sensing epochs, targets,
+	// scheduled reshares and refreshes): each period schedules an event,
+	// and Harvest walks the epochs again.
+	maxPeriods = 1e6
+	// maxLevel: a level deals one threshold share per node (vote.DealRing),
+	// so levels × nodes is memory before the run starts; the paper sweeps
+	// L to 7.
+	maxLevel = 64
+	// maxSignal bounds the sensing model's physical constants and
+	// thresholds (K·T, λ, η, fault multipliers); the paper's largest is
+	// K·T = 20000.
+	maxSignal = 1e12
+)
 
-// validBounds rejects a waypoint speed that is negative, not a number, or
-// above maxNodeSpeed, and a shard count scenario.ValidShards rejects.
+// bound is one numeric field of a config and the range it must lie in.
+type bound struct {
+	name     string
+	v, max   float64
+	positive bool // zero would stall the run or divide by it
+}
+
+// checkBounds rejects the first field that is not a number, negative, zero
+// where positive is required, or above its ceiling.
+func checkBounds(config string, bounds []bound) error {
+	for _, b := range bounds {
+		if !(b.v >= 0 && b.v <= b.max) || (b.positive && b.v == 0) {
+			low := "0"
+			if b.positive {
+				low = "above 0"
+			}
+			return fmt.Errorf("experiment: %s config: %s must be %s and at most %g, got %v", config, b.name, low, b.max, b.v)
+		}
+	}
+	return nil
+}
+
+// periods bounds how many times period fits into simTime (maxPeriods); a
+// zero period schedules nothing.
+func periods(name string, simTime, period float64) bound {
+	b := bound{name: "sim_time / " + name, max: maxPeriods}
+	if period > 0 {
+		b.v = simTime / period
+	}
+	return b
+}
+
+// validBounds checks every numeric field against its ceiling.
 func (cfg *BlackholeConfig) validBounds() error {
-	if !(cfg.Speed >= 0 && cfg.Speed <= maxNodeSpeed) {
-		return fmt.Errorf("experiment: speed must be between 0 and %g m/s, got %v", maxNodeSpeed, cfg.Speed)
+	return checkBounds("blackhole", []bound{
+		{"nodes", float64(cfg.Nodes), maxNodes, true},
+		{"region", cfg.Region, maxRegion, true},
+		{"speed", cfg.Speed, maxNodeSpeed, false},
+		{"pause", float64(cfg.Pause), maxSimTime, false},
+		{"connections", float64(cfg.Connections), maxNodes, false},
+		{"rate", cfg.Rate, maxRate, false},
+		{"packet_bytes", float64(cfg.PacketBytes), maxPacketBytes, false},
+		{"sim_time", float64(cfg.SimTime), maxSimTime, true},
+		{"traffic_from", float64(cfg.TrafficFrom), maxSimTime, false},
+		{"malicious", float64(cfg.Malicious), maxNodes, false},
+		{"gray_prob", cfg.GrayProb, 1, false},
+		{"l", float64(cfg.L), maxLevel, false},
+	})
+}
+
+// validBounds checks every numeric field against its ceiling, the churn
+// schedule's included.
+func (cfg *SensorConfig) validBounds() error {
+	simTime := float64(cfg.SimTime)
+	bounds := []bound{
+		{"nodes", float64(cfg.Nodes), maxNodes, true},
+		{"region", cfg.Region, maxRegion, true},
+		{"range", cfg.Range, maxRegion, true},
+		{"region / range", cfg.Region / cfg.Range, maxColumns, false},
+		{"sim_time", simTime, maxSimTime, true},
+		{"sense_period", float64(cfg.SensePeriod), maxSimTime, true},
+		periods("sense_period", simTime, float64(cfg.SensePeriod)),
+		{"lambda", cfg.Lambda, maxSignal, false},
+		{"model.kt", cfg.Model.KT, maxSignal, false},
+		{"model.k", cfg.Model.K, maxSignal, false},
+		{"model.d0", cfg.Model.D0, maxSignal, false},
+		{"model.sigma_n", cfg.Model.SigmaN, maxSignal, false},
+		{"target_start", float64(cfg.TargetStart), maxSimTime, false},
+		{"target_period", float64(cfg.TargetPeriod), maxSimTime, false},
+		periods("target_period", simTime, float64(cfg.TargetPeriod)),
+		{"target_duration", float64(cfg.TargetDuration), maxSimTime, false},
+		{"faulty", float64(cfg.Faulty), maxNodes, false},
+		{"fault_params.eclbr", cfg.FaultParams.Eclbr, maxSignal, false},
+		{"fault_params.eintf", cfg.FaultParams.Eintf, maxSignal, false},
+		{"l", float64(cfg.L), maxLevel, false},
+		{"eta", cfg.Eta, maxSignal, false},
+	}
+	if c := cfg.Churn; c != nil {
+		bounds = append(bounds,
+			bound{"churn.crash_rejoin", float64(c.CrashRejoin), maxNodes, false},
+			bound{"churn.leaves", float64(c.Leaves), maxNodes, false},
+			bound{"churn.start", float64(c.Start), maxSimTime, false},
+			bound{"churn.window", float64(c.Window), maxSimTime, false},
+			bound{"churn.downtime", float64(c.Downtime), maxSimTime, false},
+			bound{"churn.reshare_interval", float64(c.ReshareInterval), maxSimTime, false},
+			periods("churn.reshare_interval", simTime, float64(c.ReshareInterval)),
+			bound{"churn.refresh_interval", float64(c.RefreshInterval), maxSimTime, false},
+			periods("churn.refresh_interval", simTime, float64(c.RefreshInterval)),
+			bound{"churn.protect", float64(c.Protect), maxNodes, false},
+		)
+	}
+	if err := checkBounds("sensor", bounds); err != nil {
+		return err
 	}
 	return scenario.ValidShards(cfg.Shards)
 }
@@ -92,7 +215,7 @@ func (s ReplicaSpec) Validate() error {
 		if s.Blackhole != nil {
 			return fmt.Errorf("experiment: replica spec kind %q carries a blackhole config", s.Kind)
 		}
-		return scenario.ValidShards(s.Sensor.Shards)
+		return s.Sensor.validBounds()
 	default:
 		return fmt.Errorf("experiment: unknown replica spec kind %q", s.Kind)
 	}
@@ -126,8 +249,8 @@ func (s ReplicaSpec) Seed() int64 {
 
 // ReplicaResult is the wire form of one replica's outcome — the bytes the
 // content-addressed store holds. The executed shard count is deliberately
-// NOT part of this struct: it depends on IC_SHARDS, and including it
-// would break "same spec → same digest" across hosts; it travels in the
+// NOT part of this struct: it is how the replica ran, not what it computed
+// (the planner may lower the count the spec asks for), so it travels in the
 // run manifest instead (see ReplicaSpec.Run's second return).
 type ReplicaResult struct {
 	Kind       string           `json:"kind"`
@@ -147,12 +270,12 @@ func (s ReplicaSpec) Run() ([]byte, int, error) {
 	var shards int
 	switch s.Kind {
 	case ReplicaBlackhole:
-		res, n, err := runBlackholeShards(*s.Blackhole)
+		res, err := RunBlackhole(*s.Blackhole)
 		if err != nil {
 			return nil, 0, err
 		}
 		out = ReplicaResult{Kind: s.Kind, Blackhole: &res}
-		shards = n
+		shards = 1 // the config has no shard count to ask with
 	case ReplicaSensorPair:
 		pair, n, err := runSensorPairShards(*s.Sensor)
 		if err != nil {
@@ -272,8 +395,19 @@ func (g *GridRequest) Validate() error {
 		}
 	}
 	if g.Sensor != nil {
-		if err := scenario.ValidShards(g.Sensor.Shards); err != nil {
+		if err := g.Sensor.validBounds(); err != nil {
 			return fmt.Errorf("grid %q: %w", g.Name, err)
+		}
+	}
+	for _, axis := range []struct {
+		name   string
+		values []int
+		max    int
+	}{{"levels", g.Levels, maxLevel}, {"malicious", g.Malicious, maxNodes}} {
+		for _, v := range axis.values {
+			if v < 0 || v > axis.max {
+				return fmt.Errorf("experiment: grid %q: %s must be between 0 and %d, got %d", g.Name, axis.name, axis.max, v)
+			}
 		}
 	}
 	switch g.Kind {

@@ -10,6 +10,7 @@ import (
 	"innercircle/internal/faults"
 	"innercircle/internal/scenario"
 	"innercircle/internal/sensor"
+	"innercircle/internal/sim"
 	"innercircle/internal/stats"
 )
 
@@ -65,8 +66,6 @@ func TestDecodeReplicaResultRejectsUnknown(t *testing.T) {
 func TestReplicaSpecValidate(t *testing.T) {
 	bh := smallBlackhole()
 	sn := PaperSensorConfig()
-	wide := bh
-	wide.Shards = scenario.MaxShards + 1
 	for _, tc := range []struct {
 		name string
 		spec ReplicaSpec
@@ -85,7 +84,6 @@ func TestReplicaSpecValidate(t *testing.T) {
 		{"sensor at the shard bound", ReplicaSpec{Kind: ReplicaSensor, Sensor: onShards(sn, scenario.MaxShards)}, true},
 		{"sensor past the shard bound", ReplicaSpec{Kind: ReplicaSensor, Sensor: onShards(sn, scenario.MaxShards+1)}, false},
 		{"sensor pair on negative shards", ReplicaSpec{Kind: ReplicaSensorPair, Sensor: onShards(sn, -1)}, false},
-		{"blackhole past the shard bound", ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: &wide}, false},
 	} {
 		err := tc.spec.Validate()
 		if tc.ok && err != nil {
@@ -100,6 +98,17 @@ func TestReplicaSpecValidate(t *testing.T) {
 // atSpeed returns a copy of cfg whose nodes move at speed.
 func atSpeed(cfg BlackholeConfig, speed float64) *BlackholeConfig {
 	cfg.Speed = speed
+	return &cfg
+}
+
+// bhWith and snWith return a copy of cfg with one field changed.
+func bhWith(cfg BlackholeConfig, set func(*BlackholeConfig)) *BlackholeConfig {
+	set(&cfg)
+	return &cfg
+}
+
+func snWith(cfg SensorConfig, set func(*SensorConfig)) *SensorConfig {
+	set(&cfg)
 	return &cfg
 }
 
@@ -216,8 +225,6 @@ func TestGridMatchesSweeps(t *testing.T) {
 func TestGridRequestValidate(t *testing.T) {
 	bh := smallBlackhole()
 	sn := PaperSensorConfig()
-	wide := bh
-	wide.Shards = scenario.MaxShards + 1
 	for _, tc := range []struct {
 		name string
 		g    GridRequest
@@ -249,7 +256,6 @@ func TestGridRequestValidate(t *testing.T) {
 		{"sensor at the shard bound", GridRequest{Kind: GridSensor, Sensor: onShards(sn, scenario.MaxShards), Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1}, true},
 		{"sensor past the shard bound", GridRequest{Kind: GridSensor, Sensor: onShards(sn, 150000), Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1}, false},
 		{"churn on negative shards", GridRequest{Kind: GridChurn, Sensor: onShards(sn, -4), Levels: []int{3}, Churns: []int{0}, Runs: 1}, false},
-		{"blackhole past the shard bound", GridRequest{Kind: GridBlackhole, Blackhole: &wide, Malicious: []int{0}, Runs: 1}, false},
 	} {
 		err := tc.g.Validate()
 		if tc.ok && err != nil {
@@ -258,6 +264,124 @@ func TestGridRequestValidate(t *testing.T) {
 		if !tc.ok && err == nil {
 			t.Errorf("%s: error expected", tc.name)
 		}
+	}
+
+	// Every numeric field of both configs is bounded: one row per field,
+	// each a value no later check used to catch before the spec builders
+	// sized slices by it (nodes) or a loop ran on it (periods, sim time).
+	// The same bounds guard a lone ReplicaSpec.
+	inf, nan := math.Inf(1), math.NaN()
+	bhGrid := func(set func(*BlackholeConfig)) (GridRequest, ReplicaSpec) {
+		c := bhWith(bh, set)
+		return GridRequest{Kind: GridBlackhole, Blackhole: c, Malicious: []int{0}, Runs: 1},
+			ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: c}
+	}
+	snGrid := func(set func(*SensorConfig)) (GridRequest, ReplicaSpec) {
+		c := snWith(sn, set)
+		return GridRequest{Kind: GridSensor, Sensor: c, Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1},
+			ReplicaSpec{Kind: ReplicaSensorPair, Sensor: c}
+	}
+	type fieldCase struct {
+		field string
+		g     GridRequest
+		s     ReplicaSpec
+	}
+	var fields []fieldCase
+	bhField := func(field string, set func(*BlackholeConfig)) {
+		g, s := bhGrid(set)
+		fields = append(fields, fieldCase{"blackhole " + field, g, s})
+	}
+	snField := func(field string, set func(*SensorConfig)) {
+		g, s := snGrid(set)
+		fields = append(fields, fieldCase{"sensor " + field, g, s})
+	}
+	bhField("nodes", func(c *BlackholeConfig) { c.Nodes = 2000000000 })
+	bhField("nodes zero", func(c *BlackholeConfig) { c.Nodes = 0 })
+	bhField("region", func(c *BlackholeConfig) { c.Region = 1e300 })
+	bhField("region zero", func(c *BlackholeConfig) { c.Region = 0 })
+	bhField("speed", func(c *BlackholeConfig) { c.Speed = nan })
+	bhField("pause", func(c *BlackholeConfig) { c.Pause = -1 })
+	bhField("connections", func(c *BlackholeConfig) { c.Connections = 1 << 62 })
+	bhField("rate", func(c *BlackholeConfig) { c.Rate = 1e300 })
+	bhField("packet_bytes", func(c *BlackholeConfig) { c.PacketBytes = 2000000000 })
+	bhField("sim_time", func(c *BlackholeConfig) { c.SimTime = 1e308 })
+	bhField("sim_time zero", func(c *BlackholeConfig) { c.SimTime = 0 })
+	bhField("traffic_from", func(c *BlackholeConfig) { c.TrafficFrom = sim.Time(inf) })
+	bhField("malicious", func(c *BlackholeConfig) { c.Malicious = -1 })
+	bhField("gray_prob", func(c *BlackholeConfig) { c.GrayProb = 2 })
+	bhField("l", func(c *BlackholeConfig) { c.L = 1000 })
+	snField("nodes", func(c *SensorConfig) { c.Nodes = 2000000000 })
+	snField("region", func(c *SensorConfig) { c.Region = 1e300 })
+	snField("range", func(c *SensorConfig) { c.Range = 0 })
+	snField("region / range", func(c *SensorConfig) { c.Range = 1e-9 })
+	snField("sim_time", func(c *SensorConfig) { c.SimTime = 1e308 })
+	snField("sense_period", func(c *SensorConfig) { c.SensePeriod = 0 })
+	snField("sim_time / sense_period", func(c *SensorConfig) { c.SensePeriod = 1e-9 })
+	snField("lambda", func(c *SensorConfig) { c.Lambda = nan })
+	snField("model.kt", func(c *SensorConfig) { c.Model.KT = 1e300 })
+	snField("model.k", func(c *SensorConfig) { c.Model.K = -2 })
+	snField("model.d0", func(c *SensorConfig) { c.Model.D0 = inf })
+	snField("model.sigma_n", func(c *SensorConfig) { c.Model.SigmaN = nan })
+	snField("target_start", func(c *SensorConfig) { c.TargetStart = -1 })
+	snField("target_period", func(c *SensorConfig) { c.TargetPeriod = 1e300 })
+	snField("sim_time / target_period", func(c *SensorConfig) { c.TargetPeriod = 1e-9 })
+	snField("target_duration", func(c *SensorConfig) { c.TargetDuration = 1e300 })
+	snField("faulty", func(c *SensorConfig) { c.Faulty = 2000000000 })
+	snField("fault_params.eclbr", func(c *SensorConfig) { c.FaultParams.Eclbr = inf })
+	snField("fault_params.eintf", func(c *SensorConfig) { c.FaultParams.Eintf = -1 })
+	snField("l", func(c *SensorConfig) { c.L = 1000 })
+	snField("eta", func(c *SensorConfig) { c.Eta = nan })
+	snField("churn.crash_rejoin", func(c *SensorConfig) { c.Churn = &scenario.Churn{CrashRejoin: 2000000000} })
+	snField("churn.leaves", func(c *SensorConfig) { c.Churn = &scenario.Churn{Leaves: 2000000000} })
+	snField("churn.start", func(c *SensorConfig) { c.Churn = &scenario.Churn{Start: 1e300} })
+	snField("churn.window", func(c *SensorConfig) { c.Churn = &scenario.Churn{Window: 1e300} })
+	snField("churn.downtime", func(c *SensorConfig) { c.Churn = &scenario.Churn{Downtime: 1e300} })
+	snField("churn.reshare_interval", func(c *SensorConfig) { c.Churn = &scenario.Churn{ReshareInterval: 1e-9} })
+	snField("churn.refresh_interval", func(c *SensorConfig) { c.Churn = &scenario.Churn{RefreshInterval: 1e-9} })
+	snField("churn.protect", func(c *SensorConfig) { c.Churn = &scenario.Churn{Protect: 2000000000} })
+	for _, tc := range fields {
+		if err := tc.g.Validate(); err == nil {
+			t.Errorf("grid with %s out of bounds accepted", tc.field)
+		}
+		if err := tc.s.Validate(); err == nil {
+			t.Errorf("replica spec with %s out of bounds accepted", tc.field)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		g    GridRequest
+	}{
+		{"levels", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: []int{0}, Levels: []int{1000}, Runs: 1}},
+		{"malicious", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: []int{2000000000}, Runs: 1}},
+		{"churns", GridRequest{Kind: GridChurn, Sensor: &sn, Levels: []int{3}, Churns: []int{2000000000}, Runs: 1}},
+	} {
+		if err := tc.g.Validate(); err == nil {
+			t.Errorf("grid with a %s axis value out of bounds accepted", tc.name)
+		}
+	}
+	// The ceilings themselves are in bounds.
+	atCeiling, _ := bhGrid(func(c *BlackholeConfig) {
+		c.Nodes, c.SimTime, c.Region, c.L = maxNodes, maxSimTime, maxRegion, maxLevel
+	})
+	if err := atCeiling.Validate(); err != nil {
+		t.Errorf("blackhole at its ceilings: %v", err)
+	}
+	atCeiling, _ = snGrid(func(c *SensorConfig) {
+		c.Nodes, c.Region, c.Range, c.L = maxNodes, maxRegion, 16, maxLevel
+	})
+	if err := atCeiling.Validate(); err != nil {
+		t.Errorf("sensor at its ceilings: %v", err)
+	}
+}
+
+// TestBlackholeWireFormHasNoShards: a shard count is a field of the sensor
+// config only — a blackhole replica cannot shard — so a request that puts
+// one in a blackhole config is refused as an unknown field, not ignored.
+func TestBlackholeWireFormHasNoShards(t *testing.T) {
+	var g GridRequest
+	err := strictDecode([]byte(`{"kind":"blackhole","blackhole":{"nodes":50,"shards":2},"malicious":[0],"runs":1}`), &g)
+	if err == nil || !strings.Contains(err.Error(), `unknown field "shards"`) {
+		t.Fatalf("err = %v, want an unknown-field error naming shards", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	mrand "math/rand"
 	"sync"
 
 	"innercircle/internal/diffusion"
@@ -55,8 +56,15 @@ type SensorConfig struct {
 	// matters for the weak-signal miss-alarm results (§5.2).
 	UniformPlacement bool `json:"uniform_placement,omitempty"`
 	// Shards partitions the replica across parallel kernels (see
-	// scenario.Spec.Shards, at most scenario.MaxShards); 0 defers to IC_SHARDS.
+	// scenario.Spec.Shards, at most scenario.MaxShards) — the one way to
+	// ask for shards: `icsweep sensor|churn -shards N` and an icserved
+	// client's request both set this field.
 	Shards int `json:"shards,omitempty"`
+	// ShardStats, when non-nil, receives each sharded replica's utilization
+	// report (scenario.Spec.ShardStats; `icsweep sensor|churn -shardstats`).
+	// Runtime only, like BlackholeConfig.Tracer — but a sweep may carry it:
+	// every replica's report is one Write.
+	ShardStats io.Writer `json:"-"`
 	// Churn schedules mid-run membership transitions over the inner
 	// circle (see scenario.Churn); nil runs with fixed membership, so
 	// churn-free configs hash identically to pre-churn artifacts.
@@ -170,29 +178,43 @@ type agreedWrap struct {
 // Size implements link.Message.
 func (w agreedWrap) Size() int { return w.M.Size() }
 
-// sensorKeysOnce caches the 100-node RSA key set across runs: generating
-// it dominates run setup otherwise. The set is derived from a fixed seed —
+// sensorKeySeed seeds the sensor scenario's RSA key stream.
+const sensorKeySeed = 0x5EED0C
+
+// sensorKeys caches the sensor scenario's RSA key set across runs:
+// generating it dominates run setup otherwise. The keys are drawn one after
+// another from one seeded stream (node.GenerateKeySetSeeded's order) —
 // modulus bit lengths feed beacon-signature wire sizes, so key material
-// must be identical across processes for sweeps to reproduce exactly. The
-// cache is concurrency-safe: sync.Once guards generation, and replicas on
-// the parallel engine only ever read the finished key pairs.
-var (
-	sensorKeysOnce sync.Once
-	sensorKeys     []*nsl.KeyPair
-	sensorKeysErr  error
-)
+// must be identical across processes for sweeps to reproduce exactly — and
+// the cache keeps the stream where the last key left it, so a replica
+// larger than any before it draws only the keys that are missing: the first
+// n keys are the same whatever sizes were asked for, in whatever order. The
+// mutex guards growth; replicas on the parallel engine only ever read the
+// finished key pairs.
+var sensorKeys struct {
+	sync.Mutex
+	stream *mrand.Rand
+	keys   []*nsl.KeyPair
+}
 
 func cachedSensorKeys(n int) ([]*nsl.KeyPair, error) {
-	sensorKeysOnce.Do(func() {
-		sensorKeys, sensorKeysErr = node.GenerateKeySetSeeded(n, 512, 0x5EED0C)
-	})
-	if sensorKeysErr != nil {
-		return nil, sensorKeysErr
+	c := &sensorKeys
+	c.Lock()
+	defer c.Unlock()
+	if c.stream == nil {
+		c.stream = mrand.New(mrand.NewSource(sensorKeySeed))
 	}
-	if len(sensorKeys) < n {
-		return nil, fmt.Errorf("experiment: cached key set has %d keys, need %d", len(sensorKeys), n)
+	for len(c.keys) < n {
+		kp, err := nsl.GenerateKeyPair(512, c.stream)
+		if err != nil {
+			err = fmt.Errorf("experiment: sensor key %d: %w", len(c.keys), err)
+			// The stream stopped mid-key: start over next time.
+			c.stream, c.keys = nil, nil
+			return nil, err
+		}
+		c.keys = append(c.keys, kp)
 	}
-	return sensorKeys[:n], nil
+	return c.keys[:n:n], nil
 }
 
 // sensorApp is the per-node application state for the sensor scenario.
@@ -237,7 +259,7 @@ func newSensorNet(cfg SensorConfig) *sensorNet {
 }
 
 // Reset implements scenario.Resetter: a sharded attempt that aborts on a
-// timestamp tie is rerun on one kernel with the same component values, so
+// timestamp tie is followed by a second with the same component values, so
 // every piece of replica state accumulated by the abandoned attempt —
 // target schedule, app array, base-station log — must be dropped first.
 func (sc *sensorNet) Reset() {
@@ -486,10 +508,10 @@ type deviceFaults struct {
 // traffic program reserves).
 func (d deviceFaults) Budget(int) (int, error) { return 0, nil }
 
-// ShardSafeAdversary implements scenario.ShardSafe: Apply only flips
-// pre-run flags on sensing devices, and a faulty device's runtime effects
-// stay on its own node's kernel.
-func (d deviceFaults) ShardSafeAdversary() {}
+// ShardSafe implements scenario.ShardSafe: Apply only flips pre-run flags
+// on sensing devices, and a faulty device's runtime effects stay on its own
+// node's kernel.
+func (d deviceFaults) ShardSafe() {}
 
 // Apply implements scenario.Adversary.
 func (d deviceFaults) Apply(env *scenario.Env, _ []int) (scenario.Harvester, error) {
@@ -525,11 +547,12 @@ func sensorSpec(cfg SensorConfig) (*scenario.Spec, error) {
 	}
 	sc := newSensorNet(cfg)
 	spec := &scenario.Spec{
-		Name:    "sensornet",
-		Nodes:   cfg.Nodes,
-		Seed:    cfg.Seed,
-		SimTime: cfg.SimTime,
-		Shards:  cfg.Shards,
+		Name:       "sensornet",
+		Nodes:      cfg.Nodes,
+		Seed:       cfg.Seed,
+		SimTime:    cfg.SimTime,
+		Shards:     cfg.Shards,
+		ShardStats: cfg.ShardStats,
 		Topology: scenario.BaseStationGrid{
 			Region:     geo.Square(cfg.Region),
 			GridJitter: cfg.Region / 50,

@@ -1,22 +1,26 @@
 package experiment
 
 import (
+	"bytes"
+	"io"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"innercircle/internal/scenario"
 	"innercircle/internal/sensor"
-	"innercircle/internal/stats"
 )
 
 // shardSensorTables runs a small sensor sweep at the given shard count and
-// renders its tables.
-func shardSensorTables(t *testing.T, shards int) []string {
+// renders its tables; a non-nil stats receives the replicas' shard reports.
+func shardSensorTables(t *testing.T, shards int, stats io.Writer) []string {
 	t.Helper()
 	cfg := PaperSensorConfig()
 	cfg.Seed = 11
 	cfg.SimTime = 100
 	cfg.Shards = shards
+	cfg.ShardStats = stats
 	tables, err := SensorSweep(cfg, []int{3}, []sensor.FaultKind{sensor.FaultNone, sensor.FaultInterference}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -28,10 +32,17 @@ func shardSensorTables(t *testing.T, shards int) []string {
 	return out
 }
 
-// sweepKnobs is every environment setting that shapes how a sweep executes.
-// Each invariance subtest pins all of them so variants cannot leak into
-// each other or inherit strategy from the ambient environment.
-var sweepKnobs = []string{"IC_WORKERS", "IC_SHARD_STATS"}
+// lockedBuffer is a bytes.Buffer the pool's workers can share.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (w *lockedBuffer) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.b.Write(p)
+}
 
 // TestSweepShardCountInvariant pins the sharded kernel's determinism
 // contract end to end: sweep tables are byte-identical at every shard
@@ -43,68 +54,60 @@ var sweepKnobs = []string{"IC_WORKERS", "IC_SHARD_STATS"}
 // min(shards, 4) slots — the seq/ and par/ variants, named for how the
 // shards then run. Ambiguous cross-shard timestamp ties are allowed to
 // occur — the runner then reruns the replica on one kernel — so the
-// equality below holds unconditionally, not just on tie-free runs.
+// equality below holds unconditionally, not just on tie-free runs. The
+// shardstats/ variant hands the sweep a report writer: every replica
+// reports, and no table moves. IC_WORKERS is the one environment setting
+// that shapes how a sweep executes; every variant pins it.
 func TestSweepShardCountInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute sweep matrix")
 	}
 	variants := []struct {
-		name   string
-		shards int
-		procs  int // GOMAXPROCS for the variant; 0 leaves the host's
-		env    map[string]string
+		name    string
+		shards  int
+		procs   int    // GOMAXPROCS for the variant; 0 leaves the host's
+		workers string // IC_WORKERS; "" leaves the pool at GOMAXPROCS
+		stats   bool
 	}{
-		{"seq/shards=2", 2, 1, nil},
-		{"seq/shards=4", 4, 1, nil},
-		{"seq/shards=8", 8, 1, nil},
-		{"par/shards=2", 2, 4, map[string]string{"IC_WORKERS": "1"}},
-		{"par/shards=4", 4, 4, map[string]string{"IC_WORKERS": "1"}},
-		{"par/shards=8", 8, 4, map[string]string{"IC_WORKERS": "1"}},
-		{"budgeted/workers=1/shards=4", 4, 0, map[string]string{"IC_WORKERS": "1"}},
-		{"budgeted/workers=4/shards=4", 4, 4, map[string]string{"IC_WORKERS": "4"}},
-		{"shardstats/par/shards=4", 4, 4, map[string]string{"IC_WORKERS": "1", "IC_SHARD_STATS": "1"}},
+		{"seq/shards=2", 2, 1, "", false},
+		{"seq/shards=4", 4, 1, "", false},
+		{"seq/shards=8", 8, 1, "", false},
+		{"par/shards=2", 2, 4, "1", false},
+		{"par/shards=4", 4, 4, "1", false},
+		{"par/shards=8", 8, 4, "1", false},
+		{"budgeted/workers=1/shards=4", 4, 0, "1", false},
+		{"budgeted/workers=4/shards=4", 4, 4, "4", false},
+		{"shardstats/par/shards=4", 4, 4, "1", true},
 	}
-	for _, knob := range sweepKnobs {
-		t.Setenv(knob, "")
-	}
-	want := shardSensorTables(t, 1)
+	t.Setenv("IC_WORKERS", "")
+	want := shardSensorTables(t, 1, nil)
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
-			for _, knob := range sweepKnobs {
-				t.Setenv(knob, v.env[knob])
-			}
+			t.Setenv("IC_WORKERS", v.workers)
 			if v.procs > 0 {
 				prev := runtime.GOMAXPROCS(v.procs)
 				t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 			}
-			got := shardSensorTables(t, v.shards)
+			var stats *lockedBuffer
+			var w io.Writer
+			if v.stats {
+				stats = &lockedBuffer{}
+				w = stats
+			}
+			got := shardSensorTables(t, v.shards, w)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Errorf("table %d differs between 1 shard and %s:\n--- 1 shard ---\n%s--- %s ---\n%s",
 						i, v.name, want[i], v.name, got[i])
 				}
 			}
+			if stats != nil {
+				// 2 rows × 2 faults × 1 run, paired: 8 replicas, one report each.
+				if n := strings.Count(stats.b.String(), "shardstats sensornet: "); n != 8 {
+					t.Errorf("%d shard reports for 8 replicas:\n%s", n, stats.b.String())
+				}
+			}
 		})
-	}
-}
-
-// TestShardEnvKnob: IC_SHARDS is the environment route to the same
-// contract — Spec.Shards == 0 defers to it.
-func TestShardEnvKnob(t *testing.T) {
-	cfg := PaperSensorConfig()
-	cfg.Seed = 3
-	cfg.SimTime = 60
-	want, err := RunSensor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("IC_SHARDS", "4")
-	got, err := RunSensor(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("IC_SHARDS=4 result differs:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 
@@ -130,26 +133,66 @@ func TestSensorShardingEngages(t *testing.T) {
 	}
 }
 
-// TestBlackholeShardFallback: the blackhole scenario cannot shard (mobile
-// topology, CBR traffic, fault campaign — each alone rules it out) and
-// must fall back to identical single-kernel results.
-func TestBlackholeShardFallback(t *testing.T) {
-	run := func(shards int) []*stats.Table {
-		cfg := smallBlackhole()
-		cfg.SimTime = 30
+// TestSensorShardTieReruns: the planner's last-resort rule on a real
+// replica. A field_scale-shaped field (ScaledSensorConfig, 4 shards) whose
+// seed puts two stripes' border transmissions on a bit-identical timestamp
+// — ties are deterministic per seed; this one trips, seed 1 does not —
+// aborts its sharded attempt, runs again on one kernel, says so, and
+// computes what the one-shard replica computes.
+func TestSensorShardTieReruns(t *testing.T) {
+	run := func(seed int64, shards int) *scenario.Result {
+		cfg := ScaledSensorConfig(400)
+		cfg.Seed = seed
 		cfg.Shards = shards
-		thr, eng, err := BlackholeSweep(cfg, []int{0, 2}, []int{1}, 1, nil)
+		spec, err := sensorSpec(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return []*stats.Table{thr, eng}
+		res, err := scenario.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	want := run(1)
-	got := run(4)
-	for i := range want {
-		if got[i].StringWithCI() != want[i].StringWithCI() {
-			t.Errorf("blackhole table %q differs with Shards=4:\n--- 1 ---\n%s--- 4 ---\n%s",
-				want[i].Title, want[i].StringWithCI(), got[i].StringWithCI())
+	want, got := run(6, 1), run(6, 4)
+	if got.Shards != 1 || got.ShardReason != scenario.ReasonTie {
+		t.Fatalf("seed 6 ran on %d shards, reason %q; want 1, %q", got.Shards, got.ShardReason, scenario.ReasonTie)
+	}
+	if got.Counters.String() != want.Counters.String() || got.Gauges.String() != want.Gauges.String() {
+		t.Errorf("the second attempt differs from the one-shard replica:\n%s | %s\nvs\n%s | %s",
+			got.Counters, got.Gauges, want.Counters, want.Gauges)
+	}
+	if clean := run(1, 4); clean.Shards != 4 || clean.ShardReason != "" {
+		t.Errorf("seed 1 ran on %d shards, reason %q; want 4 and none", clean.Shards, clean.ShardReason)
+	}
+}
+
+// TestBlackholeShardFallback: the blackhole scenario cannot shard (mobile
+// topology, CBR traffic, fault campaign — each alone rules it out), which
+// is why its config has no shard count. Asked through the Spec, the one
+// route there is, it must run on one kernel, say why, and compute the
+// identical result.
+func TestBlackholeShardFallback(t *testing.T) {
+	for _, malicious := range []int{0, 2} {
+		run := func(shards int) *scenario.Result {
+			cfg := smallBlackhole()
+			cfg.SimTime = 30
+			cfg.Malicious = malicious
+			spec := blackholeSpec(cfg)
+			spec.Shards = shards
+			res, err := scenario.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		want, got := run(1), run(4)
+		if got.Shards != 1 || got.ShardReason != scenario.ReasonTraffic {
+			t.Errorf("malicious=%d: ran on %d shards, reason %q; want 1, %q", malicious, got.Shards, got.ShardReason, scenario.ReasonTraffic)
+		}
+		if got.Counters.String() != want.Counters.String() || got.Gauges.String() != want.Gauges.String() {
+			t.Errorf("malicious=%d: result differs with Shards=4:\n--- 1 ---\n%s | %s\n--- 4 ---\n%s | %s",
+				malicious, want.Counters, want.Gauges, got.Counters, got.Gauges)
 		}
 	}
 }

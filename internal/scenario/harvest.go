@@ -31,19 +31,15 @@ const (
 	GaugeThroughputPct  = "throughput_pct"    // received/sent, percent
 	GaugeEnergyPerNodeJ = "energy_per_node_j" // joules over the run
 
-	// Shard utilization (sharded replicas only; see sim.ShardUtil). The
-	// events/straggler gauges are deterministic functions of the partition
-	// and are always set when shards > 1. The republish/park/blocked gauges
-	// measure executor synchronization in wall-clock terms and vary run to
-	// run, so they are only set under IC_SHARD_STATS=1 (the -shardstats
-	// flag) — keeping default Results bit-identical across slot counts. None
-	// of them feeds any modeled metric or sweep table.
-	GaugeShardEventsMin     = "shard_events_min"      // lightest shard's events executed
-	GaugeShardEventsMax     = "shard_events_max"      // heaviest shard's events executed
-	GaugeShardStraggler     = "shard_straggler_ratio" // max/min events across shards
-	GaugeShardNullRepublish = "shard_null_republishes"
-	GaugeShardParks         = "shard_parks"
-	GaugeShardBlockedMs     = "shard_blocked_ms"
+	// Shard utilization (sharded replicas only; see sim.ShardUtil):
+	// deterministic functions of the partition, set whenever the replica
+	// ran on more than one shard, so Results are bit-identical across slot
+	// counts. What the executor's synchronization cost in wall-clock terms
+	// is printed by Spec.ShardStats and never stored. None of them feeds
+	// any modeled metric or sweep table.
+	GaugeShardEventsMin = "shard_events_min"      // lightest shard's events executed
+	GaugeShardEventsMax = "shard_events_max"      // heaviest shard's events executed
+	GaugeShardStraggler = "shard_straggler_ratio" // max/min events across shards
 )
 
 // Result is a scenario run's uniform harvest: ordered event counters and
@@ -54,11 +50,14 @@ type Result struct {
 	Name     string
 	Counters *stats.Counters
 	Gauges   *stats.Gauges
-	// Shards is the shard count the replica actually executed with: 1 for
-	// a plain run, a silent fallback, or a tie-triggered rerun. It is
-	// diagnostic only — by the determinism contract it never influences
-	// any counter or gauge — so it lives outside the metric containers.
-	Shards int
+	// Shards is the shard count the replica actually executed with, and
+	// ShardReason why that is fewer than Spec.Shards asked for (one of the
+	// Reason constants; "" when it is not). Both are planShards' decision.
+	// They are diagnostic only — by the determinism contract they never
+	// influence any counter or gauge — so they live outside the metric
+	// containers.
+	Shards      int
+	ShardReason string
 }
 
 // Counter returns a counter's value (0 if the run never touched it).

@@ -25,6 +25,7 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"io"
 
 	"innercircle/internal/energy"
 	"innercircle/internal/faults"
@@ -53,15 +54,17 @@ type Spec struct {
 	SimTime sim.Time
 
 	// Shards requests a partitioned replica (conservative-lookahead
-	// parallel kernels; see sim.ShardSet), at most MaxShards. 0 defers to
-	// IC_SHARDS; 0 or 1 runs the plain single-kernel replica. The
-	// runner silently falls back to one shard when the replica shape rules
-	// sharding out (mobile topology, tracer, non-shard-capable traffic or
-	// adversary, deployment narrower than two grid columns), and reruns
-	// the replica unsharded when an ambiguous cross-shard timestamp tie
-	// trips sim.ErrShardTie — results are identical at every shard count
-	// either way.
+	// parallel kernels; see sim.ShardSet), at most MaxShards; 0 or 1 runs
+	// the plain single-kernel replica. This field is the only way to ask,
+	// and planShards the only place the count is lowered: the Result
+	// carries the executed count and the reason. Results are identical at
+	// every shard count either way.
 	Shards int
+	// ShardStats, when non-nil, receives one Write per replica that asked
+	// for more than one shard: its per-shard utilization table and, when it
+	// ran on fewer shards than asked, the reason. Diagnostic only; a writer
+	// shared by replicas on the parallel pool must take concurrent Writes.
+	ShardStats io.Writer
 
 	Topology  Topology
 	Stack     Stack
@@ -70,7 +73,7 @@ type Spec struct {
 
 	// Churn schedules mid-run membership transitions over the inner
 	// circle (see Churn). Optional; nil runs a fixed-membership replica.
-	// Active churn forces the replica onto a single kernel.
+	// Active churn keeps the replica on a single kernel (ReasonChurn).
 	Churn *Churn
 }
 
@@ -156,9 +159,9 @@ type Validator interface {
 
 // Resetter components drop all replica state at the start of each run
 // attempt. A component holding harvest state across hooks must implement
-// it if its Spec can run sharded: a sim.ErrShardTie abort reruns the same
-// Spec — and the same component values — on a single kernel, and state
-// from the abandoned attempt must not leak into the rerun.
+// it if its Spec can run sharded: after a sim.ErrShardTie abort Run makes a
+// second attempt with the same Spec — and the same component values — and
+// state from the abandoned attempt must not leak into it.
 type Resetter interface {
 	Reset()
 }
@@ -272,22 +275,21 @@ func (s *Spec) Validate() error {
 // the topology services, run component starters, start the traffic plan,
 // drive the kernel, harvest.
 //
-// When the replica runs sharded and two shards produce bit-identical
-// event timestamps — an ordering the conservative protocol cannot resolve
-// against the sequential reference — the run fails with sim.ErrShardTie
-// and is rerun on a single kernel, whose result is returned. Sharding
-// therefore never changes results, only wall-clock time.
+// A sharded attempt that aborts on sim.ErrShardTie is run again with the
+// tie reported to planShards, which answers it with a single kernel — one
+// cannot tie — and that attempt's result is returned. Sharding therefore
+// never changes results, only wall-clock time.
 func Run(s *Spec) (*Result, error) {
-	shards := effectiveShards(s)
-	res, err := runOnce(s, shards)
-	if shards > 1 && errors.Is(err, sim.ErrShardTie) {
-		return runOnce(s, 1)
+	res, err := runOnce(s, false)
+	if errors.Is(err, sim.ErrShardTie) {
+		res, err = runOnce(s, true)
 	}
 	return res, err
 }
 
-// runOnce executes one replica attempt at the given shard count.
-func runOnce(s *Spec, shards int) (*Result, error) {
+// runOnce executes one replica attempt; tied says the previous attempt
+// aborted on a cross-shard timestamp tie.
+func runOnce(s *Spec, tied bool) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -301,15 +303,7 @@ func runOnce(s *Spec, shards int) (*Result, error) {
 	if len(positions) != s.Nodes {
 		return nil, fmt.Errorf("scenario %q: topology placed %d nodes, want %d", s.Name, len(positions), s.Nodes)
 	}
-	var shardOf func(geo.Point) int
-	var shardBorder func(geo.Point) bool
-	if shards > 1 {
-		if !staticTopology(s, positions, seed) {
-			shards = 1
-		} else {
-			shardOf, shardBorder, shards = StripePartition(positions, s.Stack.Radio.Range, shards)
-		}
-	}
+	shard := planShards(s, positions, seed, tied)
 	env := &Env{Spec: s, Positions: positions, seed: seed}
 
 	var registrar Registrar
@@ -334,9 +328,9 @@ func runOnce(s *Spec, shards int) (*Result, error) {
 		Keys:         s.Stack.Keys,
 		SigWireBytes: s.Stack.SigWireBytes,
 		Tracer:       s.Stack.Tracer,
-		Shards:       shards,
-		ShardOf:      shardOf,
-		ShardBorder:  shardBorder,
+		Shards:       shard.shards,
+		ShardOf:      shard.ownerOf,
+		ShardBorder:  shard.borderOf,
 	}
 	if s.Stack.IC && registrar != nil {
 		ncfg.Callbacks = func(nd *node.Node) vote.Callbacks {
@@ -377,7 +371,7 @@ func runOnce(s *Spec, shards int) (*Result, error) {
 		}
 		if net.Set != nil {
 			tdeps.Set = net.Set
-			tdeps.NodeShard = func(i int) int { return shardOf(positions[i]) }
+			tdeps.NodeShard = func(i int) int { return shard.ownerOf(positions[i]) }
 		}
 		plan, err = s.Traffic.Plan(tdeps)
 		if err != nil {
@@ -421,7 +415,8 @@ func runOnce(s *Spec, shards int) (*Result, error) {
 		return nil, fmt.Errorf("scenario %q: run: %w", s.Name, err)
 	}
 
-	res := &Result{Name: s.Name, Counters: stats.NewCounters(), Gauges: stats.NewGauges(), Shards: shards}
+	res := &Result{Name: s.Name, Counters: stats.NewCounters(), Gauges: stats.NewGauges(),
+		Shards: shard.shards, ShardReason: shard.reason}
 	sent := 0
 	if sender, ok := plan.(traffic.Sender); ok {
 		sent = sender.Sent()
@@ -447,8 +442,13 @@ func runOnce(s *Spec, shards int) (*Result, error) {
 	if churn != nil {
 		churn.harvest(res)
 	}
-	if shards > 1 && net.Set != nil {
-		harvestShardStats(res, net.Set)
+	var util []sim.ShardUtil
+	if net.Set != nil {
+		util = net.Set.Utilization()
+		harvestShardStats(res, util)
+	}
+	if s.ShardStats != nil && s.Shards > 1 {
+		writeShardStats(s.ShardStats, res, s.Shards, util)
 	}
 	for _, c := range s.Stack.Components {
 		if h, ok := c.(Harvester); ok {

@@ -125,17 +125,6 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestEffectiveShardsEnv: IC_SHARDS stands in for Spec.Shards only when it
-// is a count Validate would accept; anything else is ignored like garbage.
-func TestEffectiveShardsEnv(t *testing.T) {
-	for v, want := range map[string]int{"": 1, "4": 4, "1024": MaxShards, "1025": 1, "150000": 1, "-3": 1, "many": 1} {
-		t.Setenv("IC_SHARDS", v)
-		if got := effectiveShards(validSpec()); got != want {
-			t.Errorf("IC_SHARDS=%q: effectiveShards = %d, want %d", v, got, want)
-		}
-	}
-}
-
 // Satellite check: the campaign budget matches the traffic order exactly —
 // a campaign whose Count selector fills every non-endpoint node validates,
 // one more node fails.

@@ -1,23 +1,27 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math"
-	"os"
-	"strconv"
 
 	"innercircle/internal/geo"
 	"innercircle/internal/mobility"
 	"innercircle/internal/sim"
 )
 
-// ShardSafe marks adversaries whose Apply only mutates pre-run, per-node
-// state (e.g. injecting measurement faults into sensing devices) and whose
-// runtime effects stay on each node's home kernel. Adversaries without the
-// marker — fault campaigns tap links and schedule kernel events of their
-// own — force the replica back to a single shard.
+// ShardSafe marks the parts of a Spec that can run on a partitioned
+// replica — one convention for both optional parts. A traffic.Program
+// carries it when its plan drives each node's work from the node's home
+// kernel (traffic.Deps.NodeShard); an Adversary carries it when its Apply
+// only mutates pre-run, per-node state (e.g. injecting measurement faults
+// into sensing devices) and its runtime effects stay on each node's home
+// kernel. A part without the marker — CBR draws endpoints across the field,
+// fault campaigns tap links and schedule kernel events of their own — keeps
+// the replica on one kernel (ReasonTraffic, ReasonAdversary).
 type ShardSafe interface {
-	ShardSafeAdversary()
+	ShardSafe()
 }
 
 // StripePartition divides a static deployment into vertical stripes of
@@ -120,25 +124,15 @@ func StripePartition(positions []geo.Point, rangeM float64, shards int) (ownerOf
 }
 
 // harvestShardStats folds the shard set's utilization records into the
-// Result. The events-based gauges are deterministic (they depend only on
-// the partition and the simulation); the wall-clock synchronization gauges
-// vary run to run and are set only under IC_SHARD_STATS=1, which also
-// prints the full per-shard table to stderr.
-func harvestShardStats(res *Result, set *sim.ShardSet) {
-	util := set.Utilization()
+// Result's gauges. They depend only on the partition and the simulation, so
+// they are deterministic at every slot count; the wall-clock side of the
+// same records (null republishes, parks, blocked time) is only ever printed
+// (writeShardStats), never stored.
+func harvestShardStats(res *Result, util []sim.ShardUtil) {
 	minEv, maxEv := util[0].Events, util[0].Events
-	var nulls, parks uint64
-	var blockedNs int64
 	for _, u := range util {
-		if u.Events < minEv {
-			minEv = u.Events
-		}
-		if u.Events > maxEv {
-			maxEv = u.Events
-		}
-		nulls += u.NullRepublishes
-		parks += u.Parks
-		blockedNs += u.BlockedNs
+		minEv = min(minEv, u.Events)
+		maxEv = max(maxEv, u.Events)
 	}
 	res.Gauges.Set(GaugeShardEventsMin, float64(minEv))
 	res.Gauges.Set(GaugeShardEventsMax, float64(maxEv))
@@ -147,20 +141,29 @@ func harvestShardStats(res *Result, set *sim.ShardSet) {
 		straggler = float64(maxEv) / float64(minEv)
 	}
 	res.Gauges.Set(GaugeShardStraggler, straggler)
-	if os.Getenv("IC_SHARD_STATS") != "1" {
-		return
-	}
-	res.Gauges.Set(GaugeShardNullRepublish, float64(nulls))
-	res.Gauges.Set(GaugeShardParks, float64(parks))
-	res.Gauges.Set(GaugeShardBlockedMs, float64(blockedNs)/1e6)
-	fmt.Fprintf(os.Stderr, "shardstats %s: shards=%d straggler=%.3f\n", res.Name, len(util), straggler)
-	for i, u := range util {
-		fmt.Fprintf(os.Stderr, "  shard %2d: events=%d null_republishes=%d parks=%d blocked_ms=%.2f\n",
-			i, u.Events, u.NullRepublishes, u.Parks, float64(u.BlockedNs)/1e6)
-	}
 }
 
-// MaxShards bounds a shard count from outside (Spec, request, IC_SHARDS):
+// writeShardStats reports one replica that asked for more than one shard to
+// Spec.ShardStats: the per-shard utilization table when it ran sharded, and
+// the planner's reason when it ran on fewer shards than asked. The report is
+// built first and handed over in one Write, so replicas on the parallel
+// pool can share a writer whose Write is atomic (the CLI's standard error).
+func writeShardStats(w io.Writer, res *Result, asked int, util []sim.ShardUtil) {
+	var b bytes.Buffer
+	if len(util) > 0 {
+		fmt.Fprintf(&b, "shardstats %s: shards=%d straggler=%.3f\n", res.Name, len(util), res.Gauge(GaugeShardStraggler))
+		for i, u := range util {
+			fmt.Fprintf(&b, "  shard %2d: events=%d null_republishes=%d parks=%d blocked_ms=%.2f\n",
+				i, u.Events, u.NullRepublishes, u.Parks, float64(u.BlockedNs)/1e6)
+		}
+	}
+	if res.ShardReason != "" {
+		fmt.Fprintf(&b, "shardstats %s: ran on %d of %d shards: %s\n", res.Name, res.Shards, asked, res.ShardReason)
+	}
+	_, _ = w.Write(b.Bytes()) // a diagnostic: a failed write has nowhere to be reported
+}
+
+// MaxShards bounds a shard count from outside (Spec, request):
 // StripePartition clamps one only to the columns region/range makes, an idle
 // kernel costs about 11 KB and the merge key has 15 bits for a source shard.
 const MaxShards = 1024
@@ -173,51 +176,71 @@ func ValidShards(n int) error {
 	return nil
 }
 
-// effectiveShards resolves the shard count a replica will attempt: the
-// Spec's explicit Shards, else the IC_SHARDS environment knob, else 1 —
-// then dropped back to 1 for replica shapes sharding cannot carry (a
-// tracer's single ordered tap, a non-shard-capable traffic program, an
-// adversary without the ShardSafe marker). Topology and geometry checks
-// need the placed positions and happen later, in runOnce.
-func effectiveShards(s *Spec) int {
-	n := s.Shards
-	if n == 0 {
-		if v := os.Getenv("IC_SHARDS"); v != "" {
-			if parsed, err := strconv.Atoi(v); err == nil && parsed > 0 && parsed <= MaxShards {
-				n = parsed
-			}
-		}
-	}
-	if n < 2 {
-		return 1
-	}
-	if s.Stack.Tracer != nil {
-		return 1
-	}
-	if s.Churn.active() {
-		// Membership transitions swap every node's signer set at one
-		// instant; only a single kernel can order that against traffic.
-		return 1
-	}
-	if s.Traffic != nil {
-		sc, ok := s.Traffic.(interface{ ShardCapable() bool })
-		if !ok || !sc.ShardCapable() {
-			return 1
-		}
-	}
-	if s.Adversary != nil {
-		if _, ok := s.Adversary.(ShardSafe); !ok {
-			return 1
-		}
-	}
-	return n
+// Why a replica ran on fewer shards than its Spec asked for
+// (Result.ShardReason), in the order planShards tests them.
+const (
+	// ReasonTracer: a tracer is one ordered tap over all wire traffic.
+	ReasonTracer = "tracer attached"
+	// ReasonChurn: a membership transition swaps every node's signer set
+	// at one instant; only a single kernel can order that against traffic.
+	ReasonChurn = "active churn"
+	// ReasonTraffic and ReasonAdversary: the part lacks the ShardSafe marker.
+	ReasonTraffic   = "traffic program not shard-safe"
+	ReasonAdversary = "adversary not shard-safe"
+	// ReasonTie: a sharded attempt aborted on sim.ErrShardTie — two shards
+	// produced bit-identical event timestamps, an order the conservative
+	// protocol cannot resolve against the single-kernel reference.
+	ReasonTie = "cross-shard timestamp tie"
+	// ReasonMobile: the stripes are cut from placement positions.
+	ReasonMobile = "mobile topology"
+	// ReasonColumns: a stripe is at least one radio-range column wide.
+	ReasonColumns = "deployment narrower than one grid column per shard"
+)
+
+// shardPlan is what planShards decides for one replica attempt.
+type shardPlan struct {
+	shards int    // kernels the attempt runs on
+	reason string // why that is fewer than Spec.Shards; "" when it is not
+	// ownerOf and borderOf classify positions (StripePartition); nil on
+	// one shard.
+	ownerOf  func(geo.Point) int
+	borderOf func(geo.Point) bool
 }
 
-// staticTopology probes whether the topology yields static mobility. The
-// probe model is built from a throwaway pure split, so it perturbs no
-// replica stream.
-func staticTopology(s *Spec, positions []geo.Point, seed *sim.RNG) bool {
-	probe := s.Topology.Model(0, positions[0], seed.Split("shard-probe"))
-	_, ok := probe.(mobility.Static)
-	return ok
+// planShards decides how many kernels a replica attempt runs on. It is the
+// only place a requested count is lowered, every rule that lowers one names
+// its reason, and the rules run in a fixed order so the reason reported for
+// a replica that trips several is stable: what the Spec carries, then what
+// the previous attempt observed (tied), then the placed topology, then its
+// geometry. The topology probe builds its model from a throwaway pure
+// split, so it perturbs no replica stream.
+func planShards(s *Spec, positions []geo.Point, seed *sim.RNG, tied bool) shardPlan {
+	one := func(reason string) shardPlan { return shardPlan{shards: 1, reason: reason} }
+	if s.Shards < 2 {
+		return one("")
+	}
+	if s.Stack.Tracer != nil {
+		return one(ReasonTracer)
+	}
+	if s.Churn.active() {
+		return one(ReasonChurn)
+	}
+	if _, ok := s.Traffic.(ShardSafe); s.Traffic != nil && !ok {
+		return one(ReasonTraffic)
+	}
+	if _, ok := s.Adversary.(ShardSafe); s.Adversary != nil && !ok {
+		return one(ReasonAdversary)
+	}
+	if tied {
+		return one(ReasonTie)
+	}
+	if _, ok := s.Topology.Model(0, positions[0], seed.Split("shard-probe")).(mobility.Static); !ok {
+		return one(ReasonMobile)
+	}
+	p := shardPlan{}
+	p.ownerOf, p.borderOf, p.shards = StripePartition(positions, s.Stack.Radio.Range, s.Shards)
+	if p.shards < s.Shards {
+		p.reason = ReasonColumns
+	}
+	return p
 }

@@ -20,10 +20,9 @@ type Epochs struct {
 	OnNode func(epoch int64, now sim.Time, node int)
 }
 
-// ShardCapable implements the traffic.ShardCapable marker: the per-node
-// hook is the only one, so every Epochs program can drive a partitioned
-// replica.
-func (e *Epochs) ShardCapable() bool { return true }
+// ShardSafe implements the scenario.ShardSafe marker: the per-node hook is
+// the only one, so every Epochs program can drive a partitioned replica.
+func (e *Epochs) ShardSafe() {}
 
 // Validate implements Program. Epochs reserves no nodes.
 func (e *Epochs) Validate(int) (int, error) {

@@ -37,10 +37,10 @@ type Deps struct {
 
 	// Set and NodeShard describe a partitioned replica (sim.ShardSet):
 	// NodeShard maps a node index to its home shard. Both are nil on a
-	// single-kernel replica. A shard-capable plan must drive each node's
-	// work from its home shard's kernel; programs that cannot do so must
-	// not report ShardCapable, and the scenario runner then falls back to
-	// one shard.
+	// single-kernel replica. A plan must drive each node's work from its
+	// home shard's kernel; a program that does carries the scenario.ShardSafe
+	// marker (a method ShardSafe()), and the scenario runner keeps every
+	// other program on one kernel.
 	Set       *sim.ShardSet
 	NodeShard func(i int) int
 }
@@ -63,14 +63,6 @@ type Plan interface {
 	// calls it after the adversary is wired and protocol services are
 	// started, so the first packets see a converging network.
 	Start()
-}
-
-// ShardCapable is implemented by programs that can drive a partitioned
-// replica (per-node work on per-shard kernels). Programs that do not
-// implement it — or report false — force the scenario runner back to a
-// single shard.
-type ShardCapable interface {
-	ShardCapable() bool
 }
 
 // Orderer is implemented by plans that define the attacker-selection
