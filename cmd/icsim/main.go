@@ -52,6 +52,11 @@ func run() error {
 	cfg.L = *level
 	cfg.Seed = *seed
 
+	// The tracer observes the link layer and changes nothing it sees, so
+	// the numbers below are the same with and without it.
+	if *traceN > 0 {
+		cfg.Tracer = ic.NewTracer(*traceN)
+	}
 	res, err := ic.RunBlackhole(cfg)
 	if err != nil {
 		return err
@@ -68,29 +73,13 @@ func run() error {
 	fmt.Printf("throughput: %.1f%% (%d/%d packets)\n", res.Throughput, res.Received, res.Sent)
 	fmt.Printf("energy:     %.2f J/node\n", res.EnergyPerNode)
 
-	if *traceN > 0 {
-		// Re-run the identical scenario with a tracer attached for the
-		// traffic breakdown (the run above used the library's fast path).
-		tr := ic.NewTracer(*traceN)
-		tres, err := runTraced(cfg, tr)
-		if err != nil {
-			return err
-		}
-		_ = tres
+	if tr := cfg.Tracer; tr != nil {
 		fmt.Println("\ntraffic breakdown (transmissions):")
 		tr.WriteSummary(os.Stdout)
 		fmt.Printf("\nlast %d wire events:\n", *traceN)
 		tr.WriteEvents(os.Stdout)
 	}
 	return nil
-}
-
-// runTraced repeats the scenario with wire tracing. The experiment harness
-// does not take a tracer (it is the hot path), so this builds the same
-// network through the public facade.
-func runTraced(cfg ic.BlackholeConfig, tr *ic.Tracer) (ic.BlackholeResult, error) {
-	cfg.Tracer = tr
-	return ic.RunBlackhole(cfg)
 }
 
 func main() {

@@ -69,6 +69,31 @@ func ExampleDealRing() {
 	// verified: true
 }
 
+// ExampleRunGrid is the library entry point to the paper's sweeps: take a
+// preset grid, adjust its fields, evaluate it. Here a cut-down Fig. 7 — 20
+// nodes, 20 simulated seconds, no attackers against two, No IC against IC
+// at L=1, one run per point.
+func ExampleRunGrid() {
+	g := ic.Fig7Grid(1, 1, true)
+	g.Blackhole.Nodes = 20
+	g.Blackhole.Connections = 5
+	g.Blackhole.SimTime = 20
+	g.Malicious = []int{0, 2}
+	g.Runs = 1
+	tables, err := ic.RunGrid(g, nil)
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	// g.Render(tables) is the text cmd/icsweep prints.
+	for _, t := range tables {
+		fmt.Println(t.Title, t.Rows(), t.Cols())
+	}
+	// Output:
+	// Fig. 7(a) Network throughput [%] [No IC IC, L=1] [0 2]
+	// Fig. 7(b) Energy consumption [J/node] [No IC IC, L=1] [0 2]
+}
+
 // ExampleLevelFor sizes the dependability level for a failure budget per
 // the §4.2 formula.
 func ExampleLevelFor() {

@@ -20,8 +20,12 @@
 //   - the simulated wireless network substrate and the inner-circle
 //     framework node stack (BuildNetwork), for constructing custom
 //     scenarios; and
-//   - the paper's two evaluation scenarios, runnable directly
-//     (RunBlackhole, RunSensor and their sweep drivers).
+//   - the paper's two evaluation scenarios, runnable one replica at a time
+//     (RunBlackhole, RunSensor) or as a whole parameter grid: a
+//     GridRequest — one of the presets Fig7Grid, Fig8Grid, CoverageGrid
+//     and ChurnGrid, adjusted field by field — evaluated by RunGrid, the
+//     same request and the same runner cmd/icsweep and the icserved
+//     experiment service use (ExampleRunGrid is a worked example).
 //
 // The examples/ directory demonstrates each layer; cmd/icsweep prints
 // every figure of the paper's evaluation.
@@ -279,18 +283,48 @@ func RunSensor(cfg SensorConfig) (SensorResult, error) {
 	return experiment.RunSensor(cfg)
 }
 
-// BlackholeSweep regenerates Fig. 7(a) and 7(b): throughput and energy
-// tables across malicious-node counts for No-IC and the given
-// dependability levels.
-func BlackholeSweep(base BlackholeConfig, maliciousCounts []int, levels []int, runs int, progress io.Writer) (throughput, energy *Table, err error) {
-	return experiment.BlackholeSweep(base, maliciousCounts, levels, runs, progress)
+// GridRequest describes one parameter sweep: a kind ("blackhole",
+// "sensor", "campaign" or "churn"), the base config, the kind's column
+// axis, the IC levels and the runs per point. Its JSON form is what the
+// icserved experiment service accepts.
+type GridRequest = experiment.GridRequest
+
+// RunGrid evaluates a grid on the parallel worker pool and returns the
+// kind's tables in render order — Fig. 7 (a)–(b), Fig. 8 (a)–(f),
+// throughput/energy plus four coverage or lifecycle counters for campaign
+// and churn grids; g.Render(tables) is cmd/icsweep's stdout. Same request,
+// byte-identical tables at any IC_WORKERS setting and shard count. A
+// non-nil progress receives one line per finished replica.
+func RunGrid(g *GridRequest, progress io.Writer) ([]*Table, error) {
+	return experiment.RunGrid(g, progress)
 }
 
-// SensorSweep regenerates Fig. 8(a)–(f) across fault models and
-// dependability levels; the returned map is keyed by "miss", "false",
-// "energyT", "energyNT", "latency", "locerr".
-func SensorSweep(base SensorConfig, levels []int, faults []FaultKind, runs int, progress io.Writer) (map[string]*Table, error) {
-	return experiment.SensorSweep(base, levels, faults, runs, progress)
+// Fig7Grid is Fig. 7: AODV under 0..10 black holes, No IC and IC at L=1, 2.
+// Like every preset it takes the base seed, the runs per grid point (the
+// paper averages 50) and quick, which selects a reduced shape at 2 runs;
+// adjust the returned request's fields to sweep something else.
+func Fig7Grid(seed int64, runs int, quick bool) *GridRequest {
+	return experiment.Fig7Grid(seed, runs, quick)
+}
+
+// Fig8Grid is Fig. 8: the sensor network under the four sensor fault
+// models, centralized and IC at L=2..7.
+func Fig8Grid(seed int64, runs int, quick bool) *GridRequest {
+	return experiment.Fig8Grid(seed, runs, quick)
+}
+
+// CoverageGrid sweeps one fault campaign per fault class over the Fig. 7
+// network and adds the injected/suppressed/leaked coverage tables; put
+// your own campaigns in its Campaigns field.
+func CoverageGrid(seed int64, runs int, quick bool) *GridRequest {
+	return experiment.CoverageGrid(seed, runs, quick)
+}
+
+// ChurnGrid sweeps crash-and-rejoin rates over the Fig. 8 network at
+// three IC levels and adds the membership-lifecycle tables (transitions,
+// reshares, aborted rounds, final epoch).
+func ChurnGrid(seed int64, runs int, quick bool) *GridRequest {
+	return experiment.ChurnGrid(seed, runs, quick)
 }
 
 // AllFaultKinds lists the Fig. 8 fault sweep order.
@@ -305,10 +339,6 @@ type (
 	Campaign = faults.Campaign
 	// CampaignEntry is one (fault, params, targets, schedule) line.
 	CampaignEntry = faults.Entry
-	// CampaignTables bundles a campaign sweep's output tables.
-	CampaignTables = experiment.CampaignTables
-	// ChurnTables bundles a churn sweep's output tables.
-	ChurnTables = experiment.ChurnTables
 )
 
 // LoadCampaign reads and validates a campaign JSON file.
@@ -320,20 +350,3 @@ func ParseCampaign(data []byte) (Campaign, error) { return faults.Parse(data) }
 // ParsePreset builds a preset campaign from a shorthand spec such as
 // "blackhole:3", "grayhole:3:0.5" or "churn:3:30:10".
 func ParsePreset(spec string) (Campaign, error) { return faults.ParsePreset(spec) }
-
-// CampaignSweep fans campaigns across {No IC} ∪ {IC, L=l} configurations
-// on the parallel worker pool, returning throughput, energy, and the
-// injected/suppressed/leaked neutralization-coverage tables. Same seed
-// and campaigns yield byte-identical tables at any IC_WORKERS count.
-func CampaignSweep(base BlackholeConfig, campaigns []Campaign, levels []int, runs int, progress io.Writer) (*CampaignTables, error) {
-	return experiment.CampaignSweep(base, campaigns, levels, runs, progress)
-}
-
-// ChurnSweep fans {IC, L=l} sensor configurations across crash-and-rejoin
-// rates on the parallel worker pool, returning the detection and energy
-// costs of churn plus the membership-lifecycle accounting (transitions,
-// reshares, aborted rounds, final epoch). Same seed and axes yield
-// byte-identical tables at any IC_WORKERS setting and base.Shards count.
-func ChurnSweep(base SensorConfig, levels, churns []int, runs int, progress io.Writer) (*ChurnTables, error) {
-	return experiment.ChurnSweep(base, levels, churns, runs, progress)
-}

@@ -8,9 +8,9 @@ import "innercircle/internal/sim"
 
 // Params are the radio power draws, in watts.
 type Params struct {
-	TxPower   float64 `json:"tx_power"`
-	RxPower   float64 `json:"rx_power"`
-	IdlePower float64 `json:"idle_power"`
+	TxPower   float64
+	RxPower   float64
+	IdlePower float64
 }
 
 // NS2Default returns the power parameters from the paper's simulation boxes.

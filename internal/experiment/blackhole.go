@@ -7,7 +7,6 @@ package experiment
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"innercircle/internal/aodv"
@@ -20,7 +19,6 @@ import (
 	"innercircle/internal/radio"
 	"innercircle/internal/scenario"
 	"innercircle/internal/sim"
-	"innercircle/internal/stats"
 	"innercircle/internal/sts"
 	"innercircle/internal/trace"
 	"innercircle/internal/traffic"
@@ -299,53 +297,4 @@ func corruptPayload(e link.Env, _ *sim.RNG) (link.Env, bool) {
 	d.Payload = corruptMark + s
 	e.Msg = d
 	return e, true
-}
-
-// BlackholePoints enumerates the Fig. 7 sweep grid: configurations
-// {No IC, IC L=l...} × malicious-node counts × runs, with the sweep's
-// seed schedule (base.Seed + 1000·malicious + run). Enumeration order is
-// the contract results fold in, in process and from the artifact store
-// alike.
-func BlackholePoints(base BlackholeConfig, maliciousCounts []int, levels []int, runs int) []ReplicaPoint {
-	var points []ReplicaPoint
-	for _, row := range configRows(levels) {
-		for _, m := range maliciousCounts {
-			for run := 0; run < runs; run++ {
-				cfg := base
-				cfg.IC = row.ic
-				cfg.L = row.level
-				if cfg.L == 0 {
-					cfg.L = 1
-				}
-				cfg.Malicious = m
-				cfg.Seed = base.Seed + int64(1000*m+run)
-				points = append(points, ReplicaPoint{
-					Label: fmt.Sprintf("%s malicious=%d run=%d", row.label, m, run),
-					Row:   row.label,
-					Col:   fmt.Sprintf("%d", m),
-					Spec:  ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: &cfg},
-				})
-			}
-		}
-	}
-	return points
-}
-
-// blackholeShape is Fig. 7's table pair.
-var blackholeShape = gridShape{corner: "config \\ #malicious", figures: []figure{
-	{"Fig. 7(a) Network throughput [%]", func(r ReplicaResult) (float64, bool) { return r.Blackhole.Throughput, true }},
-	{"Fig. 7(b) Energy consumption [J/node]", func(r ReplicaResult) (float64, bool) { return r.Blackhole.EnergyPerNode, true }},
-}}
-
-// BlackholeSweep runs a Fig. 7 grid — configurations {No IC, IC L=l...}
-// across malicious-node counts, repeated runs times — through RunGrid and
-// returns the throughput (Fig. 7a) and energy (Fig. 7b) tables. A base
-// config carrying a Tracer is rejected: each replica needs its own.
-func BlackholeSweep(base BlackholeConfig, maliciousCounts []int, levels []int, runs int, progress io.Writer) (throughput, energyTbl *stats.Table, err error) {
-	t, err := RunGrid(&GridRequest{Name: "blackhole", Kind: GridBlackhole,
-		Blackhole: &base, Malicious: maliciousCounts, Levels: levels, Runs: runs}, progress)
-	if err != nil {
-		return nil, nil, err
-	}
-	return t[0], t[1], nil
 }

@@ -86,16 +86,12 @@ func TestCampaignGrayholePresetMatchesLegacy(t *testing.T) {
 // {0, 1}, because campaign index ci stands in for m in the seed formula.
 func TestCampaignSweepMatchesLegacySweep(t *testing.T) {
 	base := tinyCampaign()
-	thr, eng, err := BlackholeSweep(base, []int{0, 1}, []int{1}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, err := CampaignSweep(base, []faults.Campaign{
-		faults.BlackholePreset(0), faults.BlackholePreset(1),
-	}, []int{1}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	legacy := mustRunGrid(t, &GridRequest{Kind: GridBlackhole, Blackhole: &base,
+		Malicious: []int{0, 1}, Levels: []int{1}, Runs: 2})
+	thr, eng := legacy[0], legacy[1]
+	tables := mustRunGrid(t, &GridRequest{Kind: GridCampaign, Blackhole: &base,
+		Campaigns: []faults.Campaign{faults.BlackholePreset(0), faults.BlackholePreset(1)},
+		Levels:    []int{1}, Runs: 2})
 	check := func(legacy, campaign *stats.Table, legacyCol, campaignCol string) {
 		t.Helper()
 		for _, row := range legacy.Rows() {
@@ -106,10 +102,10 @@ func TestCampaignSweepMatchesLegacySweep(t *testing.T) {
 			}
 		}
 	}
-	check(thr, tables.Throughput, "0", "blackhole-0")
-	check(thr, tables.Throughput, "1", "blackhole-1")
-	check(eng, tables.Energy, "0", "blackhole-0")
-	check(eng, tables.Energy, "1", "blackhole-1")
+	check(thr, tables[0], "0", "blackhole-0")
+	check(thr, tables[0], "1", "blackhole-1")
+	check(eng, tables[1], "0", "blackhole-0")
+	check(eng, tables[1], "1", "blackhole-1")
 }
 
 // TestCampaignSweepWorkerInvariant pins the determinism contract for the
@@ -122,28 +118,22 @@ func TestCampaignSweepWorkerInvariant(t *testing.T) {
 		{Fault: faults.Spoof, Targets: faults.Selector{Nodes: []int{4}}},
 		{Fault: faults.Byzantine, Targets: faults.Selector{Nodes: []int{5}}},
 	}}
-	sweep := func() *CampaignTables {
-		tables, err := CampaignSweep(tinyCampaign(), []faults.Campaign{mixed}, []int{1}, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tables
+	sweep := func() []*stats.Table {
+		base := tinyCampaign()
+		return mustRunGrid(t, &GridRequest{Kind: GridCampaign, Blackhole: &base,
+			Campaigns: []faults.Campaign{mixed}, Levels: []int{1}, Runs: 2})
 	}
 	t.Setenv("IC_WORKERS", "1")
 	serial := sweep()
 	t.Setenv("IC_WORKERS", "8")
 	parallel := sweep()
-	for _, pair := range [][2]*stats.Table{
-		{serial.Throughput, parallel.Throughput},
-		{serial.Energy, parallel.Energy},
-		{serial.Injected, parallel.Injected},
-		{serial.Suppressed, parallel.Suppressed},
-		{serial.Leaked, parallel.Leaked},
-	} {
-		want, got := pair[0].StringWithCI(), pair[1].StringWithCI()
+	// Throughput, energy, injected, suppressed, leaked (the sixth table,
+	// verifications avoided, is diagnostic).
+	for i := range serial[:5] {
+		want, got := serial[i].StringWithCI(), parallel[i].StringWithCI()
 		if got != want {
 			t.Errorf("table %q differs between IC_WORKERS=1 and 8:\n--- serial ---\n%s--- parallel ---\n%s",
-				pair[0].Title, want, got)
+				serial[i].Title, want, got)
 		}
 	}
 }
@@ -270,11 +260,9 @@ func TestSweepReportsVerifiesAvoided(t *testing.T) {
 	base.Nodes = 25
 	base.SimTime = 25
 	base.Seed = 79
-	tables, err := CampaignSweep(base, []faults.Campaign{faults.BlackholePreset(2)}, []int{1}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	avoided := tables.VerifiesAvoided
+	tables := mustRunGrid(t, &GridRequest{Kind: GridCampaign, Blackhole: &base,
+		Campaigns: []faults.Campaign{faults.BlackholePreset(2)}, Levels: []int{1}, Runs: 1})
+	avoided := tables[5] // signature verifications avoided by memo
 	for _, row := range avoided.Rows() {
 		var sum float64
 		for _, col := range avoided.Cols() {

@@ -23,7 +23,7 @@ func churnBase() SensorConfig {
 // the plain IC sensor replica the pre-churn sweeps measured.
 func TestChurnZeroColumnIsSeedReplica(t *testing.T) {
 	base := churnBase()
-	points := ChurnPoints(base, []int{3}, []int{0, 2}, 1)
+	points := mustPoints(t, &GridRequest{Kind: GridChurn, Sensor: &base, Levels: []int{3}, Churns: []int{0, 2}, Runs: 1})
 	if len(points) != 2 {
 		t.Fatalf("enumerated %d points, want 2", len(points))
 	}
@@ -55,47 +55,38 @@ func TestChurnZeroColumnIsSeedReplica(t *testing.T) {
 // counts and shard counts (active churn pins its replicas to one kernel;
 // churn=0 replicas are shard-invariant by the kernel contract).
 func TestChurnSweepWorkerShardInvariant(t *testing.T) {
-	sweep := func(t *testing.T, shards int) *ChurnTables {
+	sweep := func(t *testing.T, shards int) []*stats.Table {
 		base := churnBase()
 		base.Shards = shards
-		tables, err := ChurnSweep(base, []int{3}, []int{0, 2}, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tables
+		return mustRunGrid(t, &GridRequest{Kind: GridChurn, Sensor: &base, Levels: []int{3}, Churns: []int{0, 2}, Runs: 1})
 	}
 	t.Setenv("IC_WORKERS", "1")
 	serial := sweep(t, 1)
 	t.Setenv("IC_WORKERS", "8")
 	parallel := sweep(t, 4)
-	for _, pair := range []struct {
-		name string
-		a, b *stats.Table
-	}{
-		{"miss", serial.Miss, parallel.Miss},
-		{"energy", serial.Energy, parallel.Energy},
-		{"events", serial.Events, parallel.Events},
-		{"reshares", serial.Reshares, parallel.Reshares},
-		{"aborted", serial.Aborted, parallel.Aborted},
-		{"epoch", serial.Epoch, parallel.Epoch},
-	} {
-		got, want := pair.b.StringWithCI(), pair.a.StringWithCI()
+	// Miss, energy, events, reshares, aborted, epoch.
+	if len(serial) != 6 {
+		t.Fatalf("%d churn tables, want 6", len(serial))
+	}
+	for i := range serial {
+		got, want := parallel[i].StringWithCI(), serial[i].StringWithCI()
 		if got != want {
 			t.Errorf("table %q differs across workers x shards:\n--- serial ---\n%s--- parallel ---\n%s",
-				pair.name, want, got)
+				serial[i].Title, want, got)
 		}
 	}
+	events, reshares, epoch := serial[2], serial[3], serial[5]
 	// The churn=2 column actually cycled the membership machinery.
-	if serial.Events.Mean("IC, L=3", "churn=2") == 0 {
+	if events.Mean("IC, L=3", "churn=2") == 0 {
 		t.Error("churn=2 column saw no membership transitions")
 	}
-	if serial.Reshares.Mean("IC, L=3", "churn=2") == 0 {
+	if reshares.Mean("IC, L=3", "churn=2") == 0 {
 		t.Error("churn=2 column executed no reshares")
 	}
-	if serial.Epoch.Mean("IC, L=3", "churn=2") == 0 {
+	if epoch.Mean("IC, L=3", "churn=2") == 0 {
 		t.Error("churn=2 column never advanced the key epoch")
 	}
-	if serial.Events.Mean("IC, L=3", "churn=0") != 0 {
+	if events.Mean("IC, L=3", "churn=0") != 0 {
 		t.Error("churn=0 column saw membership transitions")
 	}
 }
@@ -103,16 +94,19 @@ func TestChurnSweepWorkerShardInvariant(t *testing.T) {
 // TestChurnSweepValidation covers the input checks.
 func TestChurnSweepValidation(t *testing.T) {
 	base := churnBase()
-	if err := ValidateChurnSweep(base, nil, []int{1}); err == nil {
+	validate := func(levels, churns []int) error {
+		return (&GridRequest{Kind: GridChurn, Sensor: &base, Levels: levels, Churns: churns, Runs: 1}).Validate()
+	}
+	if err := validate(nil, []int{1}); err == nil {
 		t.Error("empty level axis accepted")
 	}
-	if err := ValidateChurnSweep(base, []int{3}, nil); err == nil {
+	if err := validate([]int{3}, nil); err == nil {
 		t.Error("empty churn axis accepted")
 	}
-	if err := ValidateChurnSweep(base, []int{3}, []int{-1}); err == nil {
+	if err := validate([]int{3}, []int{-1}); err == nil {
 		t.Error("negative churn rate accepted")
 	}
-	if err := ValidateChurnSweep(base, []int{3}, []int{0, 4}); err != nil {
+	if err := validate([]int{3}, []int{0, 4}); err != nil {
 		t.Errorf("valid axes rejected: %v", err)
 	}
 }
@@ -122,7 +116,7 @@ func TestChurnSweepValidation(t *testing.T) {
 func TestChurnPointsTemplate(t *testing.T) {
 	base := churnBase()
 	base.Churn = &scenario.Churn{Downtime: 7, Reshare: scenario.ReshareOff, Protect: 2}
-	points := ChurnPoints(base, []int{2, 3}, []int{0, 5}, 2)
+	points := mustPoints(t, &GridRequest{Kind: GridChurn, Sensor: &base, Levels: []int{2, 3}, Churns: []int{0, 5}, Runs: 2})
 	if len(points) != 8 {
 		t.Fatalf("enumerated %d points, want 8", len(points))
 	}

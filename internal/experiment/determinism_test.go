@@ -46,25 +46,15 @@ func TestSweepWorkerCountInvariant(t *testing.T) {
 	blackhole := func(t *testing.T) []*stats.Table {
 		cfg := smallBlackhole()
 		cfg.SimTime = 30
-		thr, eng, err := BlackholeSweep(cfg, []int{0, 2}, []int{1}, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []*stats.Table{thr, eng}
+		return mustRunGrid(t, &GridRequest{Kind: GridBlackhole, Blackhole: &cfg,
+			Malicious: []int{0, 2}, Levels: []int{1}, Runs: 2})
 	}
 	sensorSweep := func(t *testing.T) []*stats.Table {
 		cfg := PaperSensorConfig()
 		cfg.Seed = 5
 		cfg.SimTime = 100
-		tables, err := SensorSweep(cfg, []int{3}, []sensor.FaultKind{sensor.FaultNone, sensor.FaultInterference}, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []*stats.Table
-		for _, key := range []string{"miss", "false", "energyT", "energyNT", "latency", "locerr"} {
-			out = append(out, tables[key])
-		}
-		return out
+		return mustRunGrid(t, &GridRequest{Kind: GridSensor, Sensor: &cfg,
+			Levels: []int{3}, Faults: []sensor.FaultKind{sensor.FaultNone, sensor.FaultInterference}, Runs: 2})
 	}
 	for _, tc := range []struct {
 		name  string

@@ -55,7 +55,7 @@ func TestIndexEquivalenceBlackholeSweep(t *testing.T) {
 	base.Nodes = 25
 	base.SimTime = 25
 	base.Seed = 77
-	for _, pt := range BlackholePoints(base, []int{0, 2}, []int{1}, 1) {
+	for _, pt := range mustPoints(t, &GridRequest{Kind: GridBlackhole, Blackhole: &base, Malicious: []int{0, 2}, Levels: []int{1}, Runs: 1}) {
 		checkIndexInvisible(t, pt.Label, func() *scenario.Spec { return blackholeSpec(*pt.Spec.Blackhole) })
 	}
 }
@@ -68,7 +68,7 @@ func TestIndexEquivalenceSensorSweep(t *testing.T) {
 	base.Nodes = 40
 	base.SimTime = 100
 	base.Seed = 78
-	for _, pt := range SensorPoints(base, []int{3}, []sensor.FaultKind{sensor.FaultNone}, 1) {
+	for _, pt := range mustPoints(t, &GridRequest{Kind: GridSensor, Sensor: &base, Levels: []int{3}, Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1}) {
 		checkIndexInvisible(t, pt.Label, func() *scenario.Spec {
 			spec, err := sensorSpec(*pt.Spec.Sensor)
 			if err != nil {

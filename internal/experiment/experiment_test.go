@@ -92,14 +92,12 @@ func TestBlackholeConfigValidation(t *testing.T) {
 func TestBlackholeSweepTables(t *testing.T) {
 	cfg := smallBlackhole()
 	cfg.SimTime = 30
-	thr, eng, err := BlackholeSweep(cfg, []int{0, 2}, []int{1}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	tables := mustRunGrid(t, &GridRequest{Kind: GridBlackhole, Blackhole: &cfg,
+		Malicious: []int{0, 2}, Levels: []int{1}, Runs: 1})
+	if len(tables) != 2 {
+		t.Fatalf("%d tables, want throughput and energy", len(tables))
 	}
-	for _, tb := range []interface {
-		Rows() []string
-		Cols() []string
-	}{thr, eng} {
+	for _, tb := range tables {
 		rows := tb.Rows()
 		if len(rows) != 2 || rows[0] != "No IC" || rows[1] != "IC, L=1" {
 			t.Fatalf("rows = %v", rows)
@@ -109,7 +107,7 @@ func TestBlackholeSweepTables(t *testing.T) {
 			t.Fatalf("cols = %v", cols)
 		}
 	}
-	out := thr.String()
+	out := tables[0].String()
 	if !strings.Contains(out, "Fig. 7(a)") {
 		t.Fatalf("table title missing:\n%s", out)
 	}
@@ -231,18 +229,15 @@ func TestSensorConfigValidation(t *testing.T) {
 func TestSensorSweepTables(t *testing.T) {
 	cfg := smallSensor()
 	cfg.SimTime = 100 // one target
-	tables, err := SensorSweep(cfg, []int{3}, []sensor.FaultKind{sensor.FaultNone}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	tables := mustRunGrid(t, &GridRequest{Kind: GridSensor, Sensor: &cfg,
+		Levels: []int{3}, Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1})
+	if len(tables) != 6 {
+		t.Fatalf("%d tables, want Fig. 8 (a)-(f)", len(tables))
 	}
-	for _, key := range []string{"miss", "false", "energyT", "energyNT", "latency", "locerr"} {
-		tb, ok := tables[key]
-		if !ok {
-			t.Fatalf("missing table %q", key)
-		}
+	for _, tb := range tables {
 		rows := tb.Rows()
 		if len(rows) != 2 || rows[0] != "No IC" || rows[1] != "IC, L=3" {
-			t.Fatalf("%s rows = %v", key, rows)
+			t.Fatalf("%s rows = %v", tb.Title, rows)
 		}
 	}
 }

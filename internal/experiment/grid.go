@@ -1,7 +1,7 @@
 // Grid layer: the one description of a parameter sweep. A GridRequest is
 // what cmd/icsweep builds from its flags, what scripts/repro POSTs to the
-// experiment service (internal/serve), and what the typed *Sweep views
-// wrap; every one of them evaluates it through the same stages, with a
+// experiment service (internal/serve) and what a library caller hands to
+// RunGrid; every one of them evaluates it through the same stages, with a
 // wire format at each seam:
 //
 //	GridRequest ──Points()──▶ []ReplicaPoint ──Spec.Run()──▶ result bytes
@@ -12,13 +12,15 @@
 // store and renders byte-identical tables. The canonical spec bytes
 // double as the store key: same spec + same seed → same result bytes →
 // same digest, at any worker/shard setting (the kernel's determinism
-// contract).
+// contract). What a kind name means at each stage is one entry of the
+// tables in kinds.go; the code here is the same for every kind.
 package experiment
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"innercircle/internal/faults"
 	"innercircle/internal/scenario"
@@ -122,9 +124,10 @@ func periods(name string, simTime, period float64) bound {
 	return b
 }
 
-// validBounds checks every numeric field against its ceiling.
+// validBounds checks every numeric field against its ceiling, the
+// campaign's included.
 func (cfg *BlackholeConfig) validBounds() error {
-	return checkBounds("blackhole", []bound{
+	if err := checkBounds("blackhole", []bound{
 		{"nodes", float64(cfg.Nodes), maxNodes, true},
 		{"region", cfg.Region, maxRegion, true},
 		{"speed", cfg.Speed, maxNodeSpeed, false},
@@ -137,7 +140,15 @@ func (cfg *BlackholeConfig) validBounds() error {
 		{"malicious", float64(cfg.Malicious), maxNodes, false},
 		{"gray_prob", cfg.GrayProb, 1, false},
 		{"l", float64(cfg.L), maxLevel, false},
-	})
+	}); err != nil {
+		return err
+	}
+	if cfg.Campaign != nil {
+		if err := cfg.Campaign.Validate(); err != nil {
+			return fmt.Errorf("experiment: %w", err)
+		}
+	}
+	return nil
 }
 
 // validBounds checks every numeric field against its ceiling, the churn
@@ -187,39 +198,33 @@ func (cfg *SensorConfig) validBounds() error {
 	return scenario.ValidShards(cfg.Shards)
 }
 
+func (cfg *BlackholeConfig) seed() *int64 { return &cfg.Seed }
+func (cfg *SensorConfig) seed() *int64    { return &cfg.Seed }
+
+// config returns the config slot the spec's kind requires and the one it
+// forbids; ok is false for an unknown kind.
+func (s ReplicaSpec) config() (want, other configSlot, ok bool) {
+	kind, ok := replicaKinds[s.Kind]
+	slots := configSlots(s.Blackhole, s.Sensor)
+	return slots[kind.config], slots[1-kind.config], ok
+}
+
 // Validate checks the union discriminant and the config it selects.
 func (s ReplicaSpec) Validate() error {
-	switch s.Kind {
-	case ReplicaBlackhole:
-		if s.Blackhole == nil {
-			return fmt.Errorf("experiment: replica spec kind %q without a blackhole config", s.Kind)
-		}
-		if s.Sensor != nil {
-			return fmt.Errorf("experiment: replica spec kind %q carries a sensor config", s.Kind)
-		}
-		if s.Blackhole.Tracer != nil {
-			return fmt.Errorf("experiment: replica spec must not carry a Tracer")
-		}
-		if err := s.Blackhole.validBounds(); err != nil {
-			return err
-		}
-		if s.Blackhole.Campaign != nil {
-			if err := s.Blackhole.Campaign.Validate(); err != nil {
-				return fmt.Errorf("experiment: %w", err)
-			}
-		}
-	case ReplicaSensorPair, ReplicaSensor:
-		if s.Sensor == nil {
-			return fmt.Errorf("experiment: replica spec kind %q without a sensor config", s.Kind)
-		}
-		if s.Blackhole != nil {
-			return fmt.Errorf("experiment: replica spec kind %q carries a blackhole config", s.Kind)
-		}
-		return s.Sensor.validBounds()
-	default:
+	want, other, ok := s.config()
+	switch {
+	case !ok:
 		return fmt.Errorf("experiment: unknown replica spec kind %q", s.Kind)
+	case want.cfg == nil:
+		return fmt.Errorf("experiment: replica spec kind %q without a %s config", s.Kind, want.name)
+	case other.cfg != nil:
+		return fmt.Errorf("experiment: replica spec kind %q carries a %s config", s.Kind, other.name)
 	}
-	return nil
+	// A Tracer is runtime state the spec's bytes cannot carry.
+	if s.Blackhole != nil && s.Blackhole.Tracer != nil {
+		return fmt.Errorf("experiment: replica spec must not carry a Tracer")
+	}
+	return want.cfg.validBounds()
 }
 
 // Canonical returns the spec's canonical JSON bytes: Go struct-order
@@ -234,15 +239,8 @@ func (s ReplicaSpec) Canonical() ([]byte, error) {
 
 // Seed returns the replica's base seed (provenance for the manifest).
 func (s ReplicaSpec) Seed() int64 {
-	switch s.Kind {
-	case ReplicaBlackhole:
-		if s.Blackhole != nil {
-			return s.Blackhole.Seed
-		}
-	case ReplicaSensorPair, ReplicaSensor:
-		if s.Sensor != nil {
-			return s.Sensor.Seed
-		}
+	if want, _, ok := s.config(); ok && want.cfg != nil {
+		return *want.cfg.seed()
 	}
 	return 0
 }
@@ -266,31 +264,11 @@ func (s ReplicaSpec) Run() ([]byte, int, error) {
 	if err := s.Validate(); err != nil {
 		return nil, 0, err
 	}
-	var out ReplicaResult
-	var shards int
-	switch s.Kind {
-	case ReplicaBlackhole:
-		res, err := RunBlackhole(*s.Blackhole)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = ReplicaResult{Kind: s.Kind, Blackhole: &res}
-		shards = 1 // the config has no shard count to ask with
-	case ReplicaSensorPair:
-		pair, n, err := runSensorPairShards(*s.Sensor)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = ReplicaResult{Kind: s.Kind, SensorPair: &pair}
-		shards = n
-	case ReplicaSensor:
-		res, n, err := runSensorShards(*s.Sensor)
-		if err != nil {
-			return nil, 0, err
-		}
-		out = ReplicaResult{Kind: s.Kind, Sensor: &res}
-		shards = n
+	out, shards, err := replicaKinds[s.Kind].run(s)
+	if err != nil {
+		return nil, 0, err
 	}
+	out.Kind = s.Kind
 	b, err := json.Marshal(out)
 	if err != nil {
 		return nil, 0, err
@@ -315,15 +293,8 @@ func DecodeReplicaResult(b []byte) (ReplicaResult, error) {
 // hasBody reports whether the result carries the payload its Kind names
 // (store bytes come from disk; a result without one must not be folded).
 func (r ReplicaResult) hasBody() bool {
-	switch r.Kind {
-	case ReplicaBlackhole:
-		return r.Blackhole != nil
-	case ReplicaSensorPair:
-		return r.SensorPair != nil
-	case ReplicaSensor:
-		return r.Sensor != nil
-	}
-	return false
+	k, ok := replicaKinds[r.Kind]
+	return ok && k.body(r)
 }
 
 // Grid kinds: which paper sweep a GridRequest describes.
@@ -368,7 +339,7 @@ type GridRequest struct {
 }
 
 // seedStride is the step of the per-column seed schedule (base + stride ×
-// column + run, see BlackholePoints): a grid of more runs than that would
+// column + run, see column.seed): a grid of more runs than that would
 // reuse the next column's seeds, so it bounds Runs.
 const seedStride = 1000
 
@@ -383,20 +354,18 @@ func (g *GridRequest) Validate() error {
 	if g.Runs <= 0 || g.Runs > seedStride {
 		return fmt.Errorf("experiment: grid %q: runs must be positive and at most %d, got %d", g.Name, seedStride, g.Runs)
 	}
-	// At most one column axis is non-empty in a request that passes the
-	// kind checks below, and no kind has more rows than No IC plus levels.
+	// Only the kind's own column axis is non-empty in a request that passes
+	// the kind checks below, and no kind has more rows than No IC plus levels.
 	cols := len(g.Malicious) + len(g.Faults) + len(g.Campaigns) + len(g.Churns)
 	if cells := int64(1+len(g.Levels)) * int64(cols); cells > maxGridPoints/int64(g.Runs) {
 		return fmt.Errorf("experiment: grid %q: %d cells × %d runs is more than %d replicas", g.Name, cells, g.Runs, maxGridPoints)
 	}
-	if g.Blackhole != nil {
-		if err := g.Blackhole.validBounds(); err != nil {
-			return fmt.Errorf("grid %q: %w", g.Name, err)
-		}
-	}
-	if g.Sensor != nil {
-		if err := g.Sensor.validBounds(); err != nil {
-			return fmt.Errorf("grid %q: %w", g.Name, err)
+	slots := configSlots(g.Blackhole, g.Sensor)
+	for _, s := range slots {
+		if s.cfg != nil {
+			if err := s.cfg.validBounds(); err != nil {
+				return fmt.Errorf("grid %q: %w", g.Name, err)
+			}
 		}
 	}
 	for _, axis := range []struct {
@@ -410,54 +379,18 @@ func (g *GridRequest) Validate() error {
 			}
 		}
 	}
-	switch g.Kind {
-	case GridBlackhole:
-		if g.Blackhole == nil {
-			return fmt.Errorf("experiment: grid %q: kind %q needs a blackhole config", g.Name, g.Kind)
-		}
-		if g.Sensor != nil || len(g.Faults) > 0 || len(g.Campaigns) > 0 || len(g.Churns) > 0 {
-			return fmt.Errorf("experiment: grid %q: kind %q carries fields of another kind", g.Name, g.Kind)
-		}
-		if g.Blackhole.Tracer != nil {
-			return fmt.Errorf("experiment: grid %q: config must not carry a Tracer", g.Name)
-		}
-		if len(g.Malicious) == 0 {
-			return fmt.Errorf("experiment: grid %q: kind %q needs malicious counts", g.Name, g.Kind)
-		}
-	case GridSensor:
-		if g.Sensor == nil {
-			return fmt.Errorf("experiment: grid %q: kind %q needs a sensor config", g.Name, g.Kind)
-		}
-		if g.Blackhole != nil || len(g.Malicious) > 0 || len(g.Campaigns) > 0 || len(g.Churns) > 0 {
-			return fmt.Errorf("experiment: grid %q: kind %q carries fields of another kind", g.Name, g.Kind)
-		}
-		if len(g.Faults) == 0 {
-			return fmt.Errorf("experiment: grid %q: kind %q needs fault kinds", g.Name, g.Kind)
-		}
-	case GridCampaign:
-		if g.Blackhole == nil {
-			return fmt.Errorf("experiment: grid %q: kind %q needs a blackhole config", g.Name, g.Kind)
-		}
-		if g.Sensor != nil || len(g.Malicious) > 0 || len(g.Faults) > 0 || len(g.Churns) > 0 {
-			return fmt.Errorf("experiment: grid %q: kind %q carries fields of another kind", g.Name, g.Kind)
-		}
-		if err := ValidateCampaignSweep(*g.Blackhole, g.Campaigns); err != nil {
-			return fmt.Errorf("grid %q: %w", g.Name, err)
-		}
-	case GridChurn:
-		if g.Sensor == nil {
-			return fmt.Errorf("experiment: grid %q: kind %q needs a sensor config", g.Name, g.Kind)
-		}
-		if g.Blackhole != nil || len(g.Malicious) > 0 || len(g.Faults) > 0 || len(g.Campaigns) > 0 {
-			return fmt.Errorf("experiment: grid %q: kind %q carries fields of another kind", g.Name, g.Kind)
-		}
-		if err := ValidateChurnSweep(*g.Sensor, g.Levels, g.Churns); err != nil {
-			return fmt.Errorf("grid %q: %w", g.Name, err)
-		}
-	default:
+	k, ok := gridKinds[g.Kind]
+	if !ok {
 		return fmt.Errorf("experiment: grid %q: unknown kind %q", g.Name, g.Kind)
 	}
-	return nil
+	config := replicaKinds[k.replica].config
+	if slots[config].cfg == nil {
+		return fmt.Errorf("experiment: grid %q: kind %q needs a %s config", g.Name, g.Kind, slots[config].name)
+	}
+	if slots[1-config].cfg != nil || cols != k.columns(g) {
+		return fmt.Errorf("experiment: grid %q: kind %q carries fields of another kind", g.Name, g.Kind)
+	}
+	return k.check(g)
 }
 
 // ReplicaPoint is one grid cell replica: its table coordinates plus the
@@ -481,47 +414,50 @@ func (g *GridRequest) BaseSeed() int64 {
 	return 0
 }
 
-// Points enumerates the grid's replicas with their seed schedule. The
-// order is the folding contract: Tables consumes results positionally.
+// Points enumerates the grid's replicas — rows × the kind's columns × runs
+// — with their seed schedule (base + column.seed + run). The order is the
+// folding contract: Tables consumes results positionally, in process and
+// from the artifact store alike.
 func (g *GridRequest) Points() ([]ReplicaPoint, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	switch g.Kind {
-	case GridBlackhole:
-		return BlackholePoints(*g.Blackhole, g.Malicious, g.Levels, g.Runs), nil
-	case GridSensor:
-		return SensorPoints(*g.Sensor, g.Levels, g.Faults, g.Runs), nil
-	case GridCampaign:
-		return CampaignPoints(*g.Blackhole, g.Campaigns, g.Levels, g.Runs), nil
-	default: // GridChurn: Validate admits no other kind
-		return ChurnPoints(*g.Sensor, g.Levels, g.Churns, g.Runs), nil
+	k := gridKinds[g.Kind]
+	rows := configRows(g.Levels)
+	if !k.noIC {
+		rows = rows[1:]
 	}
+	cols := make([]column, k.columns(g))
+	for i := range cols {
+		cols[i] = k.column(g, i)
+	}
+	points := make([]ReplicaPoint, 0, len(rows)*len(cols)*g.Runs)
+	for _, row := range rows {
+		for _, c := range cols {
+			for run := 0; run < g.Runs; run++ {
+				spec := ReplicaSpec{Kind: k.replica, Blackhole: clone(g.Blackhole), Sensor: clone(g.Sensor)}
+				c.edit(&spec, row)
+				cfg, _, _ := spec.config()
+				*cfg.cfg.seed() = g.BaseSeed() + c.seed + int64(run)
+				points = append(points, ReplicaPoint{
+					Label: row.label + " " + c.label + " run=" + strconv.Itoa(run),
+					Row:   row.label,
+					Col:   c.name,
+					Spec:  spec,
+				})
+			}
+		}
+	}
+	return points, nil
 }
 
-// figure is one output table of a grid kind: its title and the value one
-// replica result adds to its cell (ok false: none — a run that detected
-// no target has no latency).
-type figure struct {
-	title string
-	value func(r ReplicaResult) (v float64, ok bool)
-}
-
-// gridShape is what a grid kind folds into: the corner label of its
-// tables and the figures in render order, the last counters of which are
-// per-run counts, rendered without confidence intervals.
-type gridShape struct {
-	corner   string
-	counters int
-	figures  []figure
-}
-
-// gridShapes maps a grid kind to its tables (an unknown kind to none).
-var gridShapes = map[string]gridShape{
-	GridBlackhole: blackholeShape,
-	GridSensor:    sensorShape,
-	GridCampaign:  campaignShape,
-	GridChurn:     churnShape,
+// clone returns a pointer to a copy of *p, nil for nil.
+func clone[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	return &c
 }
 
 // Tables folds result bytes (one per point, in Points order) into the
@@ -536,7 +472,7 @@ func (g *GridRequest) Tables(results [][]byte) ([]*stats.Table, error) {
 	if len(results) != len(points) {
 		return nil, fmt.Errorf("experiment: grid %q: %d results for %d points", g.Name, len(results), len(points))
 	}
-	shape := gridShapes[g.Kind]
+	shape := gridKinds[g.Kind].shape
 	tables := make([]*stats.Table, len(shape.figures))
 	for i, f := range shape.figures {
 		tables[i] = stats.NewTable(f.title, shape.corner)
@@ -564,7 +500,7 @@ func (g *GridRequest) Tables(results [][]byte) ([]*stats.Table, error) {
 // counters, one blank line after each.
 func (g *GridRequest) Render(tables []*stats.Table) string {
 	var b bytes.Buffer
-	figures := len(tables) - gridShapes[g.Kind].counters
+	figures := len(tables) - gridKinds[g.Kind].shape.counters
 	for i, t := range tables {
 		if i >= figures {
 			b.WriteString(t.String())

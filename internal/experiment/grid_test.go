@@ -118,106 +118,24 @@ func onShards(cfg SensorConfig, shards int) *SensorConfig {
 	return &cfg
 }
 
-// runGrid evaluates a grid the service way: enumerate points, run each
-// spec from its serialized form, fold the result bytes into tables.
-func runGrid(t *testing.T, g *GridRequest) []*stats.Table {
+// mustRunGrid evaluates g through RunGrid, the one sweep API.
+func mustRunGrid(t *testing.T, g *GridRequest) []*stats.Table {
 	t.Helper()
-	points, err := g.Points()
-	if err != nil {
-		t.Fatal(err)
-	}
-	results := make([][]byte, len(points))
-	for i, p := range points {
-		b, _, err := p.Spec.Run()
-		if err != nil {
-			t.Fatalf("point %q: %v", p.Label, err)
-		}
-		results[i] = b
-	}
-	tables, err := g.Tables(results)
+	tables, err := RunGrid(g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tables
 }
 
-// TestGridMatchesSweeps checks the typed *Sweep views against the grid
-// they wrap: each view hands back RunGrid's tables under the right field
-// or key, and the pool's fan-out (RunGrid) folds to the same bytes as
-// running the points one by one in order (runGrid above, the way the
-// service walks them).
-func TestGridMatchesSweeps(t *testing.T) {
-	t.Run("blackhole", func(t *testing.T) {
-		base := smallBlackhole()
-		base.SimTime = 30
-		thr, eng, err := BlackholeSweep(base, []int{0, 2}, []int{1}, 2, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := &GridRequest{Name: "t", Kind: GridBlackhole, Blackhole: &base,
-			Malicious: []int{0, 2}, Levels: []int{1}, Runs: 2}
-		tables := runGrid(t, g)
-		want := thr.StringWithCI() + "\n" + eng.StringWithCI() + "\n"
-		if got := g.Render(tables); got != want {
-			t.Fatalf("grid tables differ from sweep tables:\n--- sweep ---\n%s--- grid ---\n%s", want, got)
-		}
-	})
-	t.Run("sensor", func(t *testing.T) {
-		base := PaperSensorConfig()
-		base.Seed = 5
-		base.SimTime = 100
-		kinds := []sensor.FaultKind{sensor.FaultNone}
-		sw, err := SensorSweep(base, []int{3}, kinds, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := &GridRequest{Name: "t", Kind: GridSensor, Sensor: &base,
-			Levels: []int{3}, Faults: kinds, Runs: 1}
-		tables := runGrid(t, g)
-		var want bytes.Buffer
-		for _, k := range SensorTableKeys {
-			want.WriteString(sw[k].StringWithCI())
-			want.WriteByte('\n')
-		}
-		if got := g.Render(tables); got != want.String() {
-			t.Fatalf("grid tables differ from sweep tables:\n--- sweep ---\n%s--- grid ---\n%s", want.String(), got)
-		}
-	})
-	t.Run("churn", func(t *testing.T) {
-		base := churnBase()
-		churns := []int{0, 2}
-		ct, err := ChurnSweep(base, []int{3}, churns, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := &GridRequest{Name: "t", Kind: GridChurn, Sensor: &base,
-			Levels: []int{3}, Churns: churns, Runs: 1}
-		tables := runGrid(t, g)
-		want := ct.Miss.StringWithCI() + "\n" + ct.Energy.StringWithCI() + "\n" +
-			ct.Events.String() + "\n" + ct.Reshares.String() + "\n" +
-			ct.Aborted.String() + "\n" + ct.Epoch.String() + "\n"
-		if got := g.Render(tables); got != want {
-			t.Fatalf("grid tables differ from sweep tables:\n--- sweep ---\n%s--- grid ---\n%s", want, got)
-		}
-	})
-	t.Run("campaign", func(t *testing.T) {
-		base := smallBlackhole()
-		base.SimTime = 30
-		campaigns := []faults.Campaign{faults.BlackholePreset(2)}
-		ct, err := CampaignSweep(base, campaigns, []int{1}, 1, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g := &GridRequest{Name: "t", Kind: GridCampaign, Blackhole: &base,
-			Campaigns: campaigns, Levels: []int{1}, Runs: 1}
-		tables := runGrid(t, g)
-		want := ct.Throughput.StringWithCI() + "\n" + ct.Energy.StringWithCI() + "\n" +
-			ct.Injected.String() + "\n" + ct.Suppressed.String() + "\n" +
-			ct.Leaked.String() + "\n" + ct.VerifiesAvoided.String() + "\n"
-		if got := g.Render(tables); got != want {
-			t.Fatalf("grid tables differ from sweep tables:\n--- sweep ---\n%s--- grid ---\n%s", want, got)
-		}
-	})
+// mustPoints enumerates g's replicas.
+func mustPoints(t *testing.T, g *GridRequest) []ReplicaPoint {
+	t.Helper()
+	points, err := g.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return points
 }
 
 // TestGridRequestValidate covers the request error surface the service
@@ -256,6 +174,17 @@ func TestGridRequestValidate(t *testing.T) {
 		{"sensor at the shard bound", GridRequest{Kind: GridSensor, Sensor: onShards(sn, scenario.MaxShards), Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1}, true},
 		{"sensor past the shard bound", GridRequest{Kind: GridSensor, Sensor: onShards(sn, 150000), Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1}, false},
 		{"churn on negative shards", GridRequest{Kind: GridChurn, Sensor: onShards(sn, -4), Levels: []int{3}, Churns: []int{0}, Runs: 1}, false},
+		// A campaign's own numbers have ceilings too (internal/faults): two
+		// billion copies of every message, and a churn window that starts a
+		// cycle every nanosecond, once passed.
+		{"campaign of two billion copies", GridRequest{Kind: GridCampaign, Blackhole: &bh, Campaigns: []faults.Campaign{{Name: "copies", Entries: []faults.Entry{
+			{Fault: faults.Duplicate, Params: faults.Params{Copies: 2000000000}, Targets: faults.Selector{All: true}}}}}, Runs: 1}, false},
+		{"campaign cycling every nanosecond", GridRequest{Kind: GridCampaign, Blackhole: &bh, Campaigns: []faults.Campaign{{Name: "cycles", Entries: []faults.Entry{
+			{Fault: faults.Blackhole, Targets: faults.Selector{All: true}, Schedule: faults.Window{Every: 1e-9, For: 1e-9}}}}}, Runs: 1}, false},
+		{"blackhole base config cycling every nanosecond", GridRequest{Kind: GridBlackhole, Malicious: []int{0}, Runs: 1, Blackhole: bhWith(bh, func(c *BlackholeConfig) {
+			c.Campaign = &faults.Campaign{Entries: []faults.Entry{
+				{Fault: faults.Grayhole, Params: faults.Params{P: 0.5}, Targets: faults.Selector{All: true}, Schedule: faults.Window{Every: 1e-9, For: 1e-9}}}}
+		})}, false},
 	} {
 		err := tc.g.Validate()
 		if tc.ok && err != nil {

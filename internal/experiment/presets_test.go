@@ -68,8 +68,9 @@ func TestRunGridValidatesUpFront(t *testing.T) {
 			t.Errorf("%s: RunGrid returned %d tables, want an error", name, len(tables))
 		}
 	}
-	if _, _, err := BlackholeSweep(smallBlackhole(), []int{0}, []int{1}, 0, nil); err == nil || !strings.Contains(err.Error(), "runs must be positive") {
-		t.Errorf("BlackholeSweep with 0 runs: err = %v", err)
+	bh := smallBlackhole()
+	if _, err := RunGrid(&GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: []int{0}, Levels: []int{1}}, nil); err == nil || !strings.Contains(err.Error(), "runs must be positive") {
+		t.Errorf("RunGrid with 0 runs: err = %v", err)
 	}
 }
 
@@ -92,6 +93,97 @@ func TestReplicaResultSummary(t *testing.T) {
 	} {
 		if got := tc.r.summary(tc.grid); got != tc.want {
 			t.Errorf("%s summary = %q, want %q", tc.grid, got, tc.want)
+		}
+	}
+}
+
+// TestKindTablesComplete walks the two kind tables so that a fifth kind
+// cannot be half-added: every grid kind has a preset constructor whose
+// full and -quick shapes are valid and differ, figures to fold into, a
+// progress summary and a replica kind the second table knows; every
+// replica kind names a config slot, runs and recognises its own result
+// body; and no entry of either table is left over.
+func TestKindTablesComplete(t *testing.T) {
+	presets := map[string]func(seed int64, runs int, quick bool) *GridRequest{
+		GridBlackhole: Fig7Grid, GridSensor: Fig8Grid, GridCampaign: CoverageGrid, GridChurn: ChurnGrid,
+	}
+	used := map[string]bool{}
+	for name, k := range gridKinds {
+		rk, ok := replicaKinds[k.replica]
+		if !ok {
+			t.Errorf("grid kind %q names replica kind %q, which replicaKinds lacks", name, k.replica)
+			continue
+		}
+		used[k.replica] = true
+		if k.columns == nil || k.column == nil || k.check == nil || k.summary == nil {
+			t.Errorf("grid kind %q lacks a columns, column, check or summary function", name)
+			continue
+		}
+		if len(k.shape.figures) == 0 || k.shape.corner == "" || k.shape.counters > len(k.shape.figures) {
+			t.Errorf("grid kind %q has no well-formed gridShape: %+v", name, k.shape)
+		}
+		preset := presets[name]
+		if preset == nil {
+			t.Errorf("grid kind %q has no preset constructor", name)
+			continue
+		}
+		full, quick := preset(1, 5, false), preset(1, 5, true)
+		var sizes [2]int
+		for i, g := range []*GridRequest{full, quick} {
+			if g.Kind != name {
+				t.Errorf("preset of kind %q builds a %q grid", name, g.Kind)
+			}
+			points, err := g.Points()
+			if err != nil || len(points) == 0 {
+				t.Errorf("grid kind %q: preset (quick=%v) enumerates %d points, err %v", name, i == 1, len(points), err)
+				continue
+			}
+			sizes[i] = len(points)
+			if points[0].Spec.Kind != k.replica {
+				t.Errorf("grid kind %q enumerates %q replicas, its entry says %q", name, points[0].Spec.Kind, k.replica)
+			}
+			if noIC := points[0].Row == "No IC"; noIC != k.noIC {
+				t.Errorf("grid kind %q: first row %q, entry says noIC=%v", name, points[0].Row, k.noIC)
+			}
+		}
+		if sizes[1] >= sizes[0] {
+			t.Errorf("grid kind %q: the -quick shape has %d points, the full one %d", name, sizes[1], sizes[0])
+		}
+		// A result without the kind's body summarises as empty; every
+		// figure and the summary read a zero body without panicking.
+		if got := (ReplicaResult{}).summary(name); got != "empty result" {
+			t.Errorf("grid kind %q summarises an empty result as %q", name, got)
+		}
+		body := ReplicaResult{Kind: k.replica, Blackhole: &BlackholeResult{}, SensorPair: &SensorPair{}, Sensor: &SensorResult{}}
+		if !rk.body(body) || k.summary(body) == "" {
+			t.Errorf("grid kind %q: no summary of a full result", name)
+		}
+		for _, f := range k.shape.figures {
+			if f.title == "" || f.value == nil {
+				t.Errorf("grid kind %q has an untitled or valueless figure", name)
+				continue
+			}
+			f.value(body)
+		}
+	}
+	for name := range presets {
+		if _, ok := gridKinds[name]; !ok {
+			t.Errorf("preset for %q, which gridKinds lacks", name)
+		}
+	}
+	for name, rk := range replicaKinds {
+		if !used[name] {
+			t.Errorf("replica kind %q is carried by no grid kind", name)
+		}
+		if rk.config != cfgBlackhole && rk.config != cfgSensor {
+			t.Errorf("replica kind %q requires config slot %d", name, rk.config)
+		}
+		if rk.run == nil || rk.body == nil {
+			t.Errorf("replica kind %q lacks a run or body function", name)
+			continue
+		}
+		if rk.body(ReplicaResult{Kind: name}) {
+			t.Errorf("replica kind %q finds a body in an empty result", name)
 		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"innercircle/internal/scenario"
 	"innercircle/internal/sensor"
 	"innercircle/internal/sim"
-	"innercircle/internal/stats"
 	"innercircle/internal/sts"
 	"innercircle/internal/traffic"
 	"innercircle/internal/vote"
@@ -794,66 +793,4 @@ func fuse2(alg FusionAlg, obs []fusion.Vec, eta float64) fusion.Vec {
 		}
 		return nil
 	}
-}
-
-// SensorTableKeys names the Fig. 8 tables in render order — the keys of
-// SensorSweep's result.
-var SensorTableKeys = []string{"miss", "false", "energyT", "energyNT", "latency", "locerr"}
-
-// detected reports whether the with-target run detected any target;
-// latency and localization error only exist then.
-func detected(r ReplicaResult) bool { return r.SensorPair.Target.Targets > r.SensorPair.Target.Missed }
-
-// sensorShape is Fig. 8's six tables, in SensorTableKeys order.
-var sensorShape = gridShape{corner: "config \\ fault", figures: []figure{
-	{"Fig. 8(a) Miss alarm probability [%]", func(r ReplicaResult) (float64, bool) { return 100 * r.SensorPair.Target.MissAlarm, true }},
-	{"Fig. 8(b) False alarm probability [% per sensor-epoch]", func(r ReplicaResult) (float64, bool) { return r.SensorPair.Target.FalseAlarmProb, true }},
-	{"Fig. 8(c) Energy consumption with target [J/node]", func(r ReplicaResult) (float64, bool) { return r.SensorPair.Target.EnergyPerNode, true }},
-	{"Fig. 8(d) Energy consumption with no target [J/node]", func(r ReplicaResult) (float64, bool) { return r.SensorPair.NoTarget.EnergyPerNode, true }},
-	{"Fig. 8(e) Target detection latency [s]", func(r ReplicaResult) (float64, bool) { return r.SensorPair.Target.DetectionLatency, detected(r) }},
-	{"Fig. 8(f) Target localization error [m]", func(r ReplicaResult) (float64, bool) { return r.SensorPair.Target.LocalizationErr, detected(r) }},
-}}
-
-// SensorPoints enumerates the Fig. 8 sweep grid: configurations {No IC,
-// IC L=l...} × fault models × runs with the sweep's seed schedule
-// (base.Seed + run). One point covers a replica's paired runs (with and
-// without the target). Enumeration order is the folding contract.
-func SensorPoints(base SensorConfig, levels []int, faults []sensor.FaultKind, runs int) []ReplicaPoint {
-	var points []ReplicaPoint
-	for _, row := range configRows(levels) {
-		for _, fault := range faults {
-			for run := 0; run < runs; run++ {
-				cfg := base
-				cfg.IC = row.ic
-				if row.level > 0 {
-					cfg.L = row.level
-				}
-				cfg.Fault = fault
-				cfg.Seed = base.Seed + int64(run)
-				points = append(points, ReplicaPoint{
-					Label: fmt.Sprintf("%s fault=%s run=%d", row.label, fault, run),
-					Row:   row.label,
-					Col:   fault.String(),
-					Spec:  ReplicaSpec{Kind: ReplicaSensorPair, Sensor: &cfg},
-				})
-			}
-		}
-	}
-	return points
-}
-
-// SensorSweep runs a Fig. 8 grid — configurations {No IC, IC L=l...} ×
-// fault models — through RunGrid and returns the six tables of
-// Fig. 8 (a)–(f) under their SensorTableKeys.
-func SensorSweep(base SensorConfig, levels []int, faults []sensor.FaultKind, runs int, progress io.Writer) (map[string]*stats.Table, error) {
-	t, err := RunGrid(&GridRequest{Name: "sensor", Kind: GridSensor,
-		Sensor: &base, Levels: levels, Faults: faults, Runs: runs}, progress)
-	if err != nil {
-		return nil, err
-	}
-	tables := make(map[string]*stats.Table, len(SensorTableKeys))
-	for i, k := range SensorTableKeys {
-		tables[k] = t[i]
-	}
-	return tables, nil
 }

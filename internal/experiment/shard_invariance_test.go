@@ -21,13 +21,10 @@ func shardSensorTables(t *testing.T, shards int, stats io.Writer) []string {
 	cfg.SimTime = 100
 	cfg.Shards = shards
 	cfg.ShardStats = stats
-	tables, err := SensorSweep(cfg, []int{3}, []sensor.FaultKind{sensor.FaultNone, sensor.FaultInterference}, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var out []string
-	for _, key := range []string{"miss", "false", "energyT", "energyNT", "latency", "locerr"} {
-		out = append(out, tables[key].StringWithCI())
+	for _, tb := range mustRunGrid(t, &GridRequest{Kind: GridSensor, Sensor: &cfg,
+		Levels: []int{3}, Faults: []sensor.FaultKind{sensor.FaultNone, sensor.FaultInterference}, Runs: 1}) {
+		out = append(out, tb.StringWithCI())
 	}
 	return out
 }

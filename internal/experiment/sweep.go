@@ -25,8 +25,8 @@ func configRows(levels []int) []configRow {
 	return rows
 }
 
-// RunGrid evaluates a grid in process — the one sweep runner behind
-// cmd/icsweep and the typed *Sweep views. It takes the same path icserved
+// RunGrid evaluates a grid in process — the one sweep runner, behind
+// cmd/icsweep and the library facade. It takes the same path icserved
 // takes through its store, minus the store: validate, enumerate the
 // points, run every replica from its wire spec on the worker pool, and
 // fold the result bytes strictly in enumeration order, so the tables are
@@ -66,26 +66,12 @@ func RunGrid(g *GridRequest, progress io.Writer) ([]*stats.Table, error) {
 	return g.Tables(results)
 }
 
-// summary renders the result's headline metrics for the progress stream;
-// a blackhole replica reports coverage counters when it ran in a campaign
-// grid.
+// summary renders the result's headline metrics for the progress stream,
+// as the grid kind it ran in reports them.
 func (r ReplicaResult) summary(gridKind string) string {
-	switch {
-	case r.Blackhole != nil && gridKind == GridCampaign:
-		b := r.Blackhole
-		return fmt.Sprintf("throughput=%.1f%% injected=%d suppressed=%d leaked=%d",
-			b.Throughput, b.FaultsInjected, b.FaultsSuppressed, b.FaultsLeaked)
-	case r.Blackhole != nil:
-		return fmt.Sprintf("throughput=%.1f%% energy=%.2f J", r.Blackhole.Throughput, r.Blackhole.EnergyPerNode)
-	case r.SensorPair != nil:
-		t := r.SensorPair.Target
-		return fmt.Sprintf("miss=%.0f%% false=%.2f%% lat=%.2fs loc=%.1fm E=%.2fJ/%.2fJ",
-			100*t.MissAlarm, t.FalseAlarmProb, t.DetectionLatency, t.LocalizationErr,
-			t.EnergyPerNode, r.SensorPair.NoTarget.EnergyPerNode)
-	case r.Sensor != nil:
-		s := r.Sensor
-		return fmt.Sprintf("miss=%.0f%% events=%d reshares=%d aborted=%d epoch=%d E=%.2fJ",
-			100*s.MissAlarm, s.ChurnEvents, s.ChurnReshares, s.RoundsAborted, s.MembershipEpoch, s.EnergyPerNode)
+	k, ok := gridKinds[gridKind]
+	if !ok || !replicaKinds[k.replica].body(r) {
+		return "empty result"
 	}
-	return "empty result"
+	return k.summary(r)
 }

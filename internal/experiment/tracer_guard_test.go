@@ -16,27 +16,39 @@ func TestSweepsRejectSharedTracer(t *testing.T) {
 	base := tinyCampaign()
 	base.Tracer = trace.New(0)
 
-	_, _, err := BlackholeSweep(base, []int{0}, []int{1}, 1, nil)
+	_, err := RunGrid(&GridRequest{Kind: GridBlackhole, Blackhole: &base, Malicious: []int{0}, Levels: []int{1}, Runs: 1}, nil)
 	if err == nil || !strings.Contains(err.Error(), "Tracer") {
-		t.Fatalf("BlackholeSweep accepted a shared tracer (err = %v)", err)
+		t.Fatalf("blackhole grid accepted a shared tracer (err = %v)", err)
 	}
 
-	_, err = CampaignSweep(base, []faults.Campaign{faults.BlackholePreset(0)}, []int{1}, 1, nil)
+	_, err = RunGrid(&GridRequest{Kind: GridCampaign, Blackhole: &base,
+		Campaigns: []faults.Campaign{faults.BlackholePreset(0)}, Levels: []int{1}, Runs: 1}, nil)
 	if err == nil || !strings.Contains(err.Error(), "Tracer") {
-		t.Fatalf("CampaignSweep accepted a shared tracer (err = %v)", err)
+		t.Fatalf("campaign grid accepted a shared tracer (err = %v)", err)
 	}
 }
 
 // TestPerReplicaTracerIsFine pins the supported pattern: each replica
-// constructs and owns its own tracer.
+// constructs and owns its own tracer, which records the run without
+// changing it.
 func TestPerReplicaTracerIsFine(t *testing.T) {
 	cfg := tinyCampaign()
+	untraced, err := RunBlackhole(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.Tracer = trace.New(0)
-	if _, err := RunBlackhole(cfg); err != nil {
+	traced, err := RunBlackhole(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	counts := cfg.Tracer.Counts()
 	if len(counts) == 0 {
 		t.Fatal("per-replica tracer recorded nothing")
+	}
+	// The tracer is an observer: cmd/icsim prints a traced run's numbers
+	// as the scenario's.
+	if traced != untraced {
+		t.Fatalf("tracing changed the result:\n%+v\nvs\n%+v", traced, untraced)
 	}
 }

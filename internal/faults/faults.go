@@ -275,6 +275,28 @@ func (c *Campaign) Validate() error {
 	return nil
 }
 
+// Ceilings on what a campaign may ask for, in the style of
+// internal/experiment/grid.go's: a campaign arrives as a few hundred bytes
+// of JSON (a file, or a field of a request to the experiment service)
+// whatever it asks for, so every number that sizes a loop or an event
+// chain is checked to be a number, not negative and under its ceiling
+// before a replica is built. They sit well above anything documented.
+const (
+	// maxCopies bounds the extra copies a duplicate fault emits: the
+	// injector runs the rest of the tap chain once per copy, per message;
+	// the README documents 1.
+	maxCopies = 100
+	// maxSeconds bounds every delay and instant, in virtual seconds: it is
+	// the experiment layer's ceiling on a run's sim time, so a larger value
+	// names a moment no run reaches.
+	maxSeconds = 1e6
+	// minEvery is the least period of a churning window. A windowed router
+	// fault schedules two kernel events per cycle for as long as the run
+	// lasts, so the period bounds events per virtual second, as
+	// mobility's 1 ms minimum leg does.
+	minEvery = 1e-3
+)
+
 func validateEntry(e Entry) error {
 	if !e.Fault.known() {
 		return fmt.Errorf("unknown fault kind %q", e.Fault)
@@ -312,7 +334,7 @@ func validateEntry(e Entry) error {
 			return fmt.Errorf("as must be a node index, got %d", *p.As)
 		}
 	}
-	if p.P < 0 || p.P > 1 {
+	if !(p.P >= 0 && p.P <= 1) { // written so that NaN fails
 		return fmt.Errorf("p must be in [0,1], got %g", p.P)
 	}
 	if p.Copies < 0 {
@@ -330,6 +352,23 @@ func validateEntry(e Entry) error {
 	}
 	if w.Every == 0 && w.For > 0 {
 		return fmt.Errorf("for without every")
+	}
+	if p.Copies > maxCopies {
+		return fmt.Errorf("copies must be at most %d, got %d", maxCopies, p.Copies)
+	}
+	for _, d := range []struct {
+		name string
+		v    float64
+	}{
+		{"min_delay", p.MinDelay}, {"max_delay", p.MaxDelay}, {"hold", p.Hold},
+		{"from", w.From}, {"to", w.To}, {"every", w.Every}, {"for", w.For},
+	} {
+		if !(d.v <= maxSeconds) { // written so that NaN fails
+			return fmt.Errorf("%s must be at most %g seconds, got %g", d.name, float64(maxSeconds), d.v)
+		}
+	}
+	if w.Every > 0 && w.Every < minEvery {
+		return fmt.Errorf("every must be 0 or at least %g seconds, got %g", minEvery, w.Every)
 	}
 	return nil
 }

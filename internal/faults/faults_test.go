@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -81,11 +82,33 @@ func TestValidateRejectsBadEntries(t *testing.T) {
 		{Entries: []Entry{{Fault: Blackhole, Targets: Selector{All: true}, Schedule: Window{From: 5, To: 3}}}},
 		{Entries: []Entry{{Fault: Blackhole, Targets: Selector{All: true}, Schedule: Window{Every: 5, For: 6}}}},
 		{Entries: []Entry{{Fault: Blackhole, Targets: Selector{All: true}, Schedule: Window{For: 6}}}},
+		// The ceilings: each of these once passed and sized a loop or an
+		// event chain (2·10⁹ emits per message, 2·10⁹ events per second).
+		{Entries: []Entry{{Fault: Duplicate, Params: Params{Copies: 2000000000}, Targets: Selector{All: true}}}},
+		{Entries: []Entry{{Fault: Duplicate, Params: Params{Copies: maxCopies + 1}, Targets: Selector{All: true}}}},
+		{Entries: []Entry{{Fault: Blackhole, Targets: Selector{All: true}, Schedule: Window{Every: 1e-9, For: 1e-9}}}},
+		{Entries: []Entry{{Fault: Crash, Targets: Selector{All: true}, Schedule: Window{Every: 1e300, For: 1}}}},
+		{Entries: []Entry{{Fault: Crash, Targets: Selector{All: true}, Schedule: Window{Every: 1, For: math.NaN()}}}},
+		{Entries: []Entry{{Fault: Delay, Params: Params{MinDelay: 1, MaxDelay: 1e300}, Targets: Selector{All: true}}}},
+		{Entries: []Entry{{Fault: Delay, Params: Params{MinDelay: math.NaN(), MaxDelay: 1}, Targets: Selector{All: true}}}},
+		{Entries: []Entry{{Fault: Reorder, Params: Params{Hold: math.Inf(1)}, Targets: Selector{All: true}}}},
+		{Entries: []Entry{{Fault: Blackhole, Targets: Selector{All: true}, Schedule: Window{From: 1e300}}}},
+		{Entries: []Entry{{Fault: Blackhole, Targets: Selector{All: true}, Schedule: Window{To: 1e300}}}},
+		{Entries: []Entry{{Fault: Corrupt, Params: Params{P: math.NaN()}, Targets: Selector{All: true}}}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("campaign %d should fail validation: %+v", i, c.Entries[0])
 		}
+	}
+	// The ceilings themselves are in bounds.
+	atCeiling := Campaign{Entries: []Entry{
+		{Fault: Duplicate, Params: Params{Copies: maxCopies}, Targets: Selector{All: true}},
+		{Fault: Delay, Params: Params{MinDelay: maxSeconds, MaxDelay: maxSeconds}, Targets: Selector{All: true}},
+		{Fault: Blackhole, Targets: Selector{All: true}, Schedule: Window{From: 1, To: maxSeconds, Every: minEvery, For: minEvery}},
+	}}
+	if err := atCeiling.Validate(); err != nil {
+		t.Errorf("campaign at its ceilings: %v", err)
 	}
 }
 
@@ -150,7 +173,7 @@ func TestParsePreset(t *testing.T) {
 }
 
 func TestPresetNamesAreStable(t *testing.T) {
-	// CampaignSweep uses the name as the table column label.
+	// A campaign grid uses the name as the table column label.
 	if c := BlackholePreset(3); c.Name != "blackhole-3" {
 		t.Fatalf("name = %q", c.Name)
 	}

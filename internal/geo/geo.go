@@ -10,8 +10,8 @@ import (
 
 // Point is a position (or any 2-D observation) in metres.
 type Point struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
+	X float64
+	Y float64
 }
 
 // String formats the point with centimetre precision.
@@ -47,10 +47,10 @@ func Centroid(pts []Point) Point {
 
 // Rect is an axis-aligned rectangle [MinX, MaxX] × [MinY, MaxY].
 type Rect struct {
-	MinX float64 `json:"min_x"`
-	MinY float64 `json:"min_y"`
-	MaxX float64 `json:"max_x"`
-	MaxY float64 `json:"max_y"`
+	MinX float64
+	MinY float64
+	MaxX float64
+	MaxY float64
 }
 
 // Square returns the square region [0, side] × [0, side], the deployment

@@ -32,15 +32,15 @@ type Packet struct {
 
 // Params configure the MAC.
 type Params struct {
-	SlotTime    sim.Duration `json:"slot_time"`
-	SIFS        sim.Duration `json:"sifs"`
-	DIFS        sim.Duration `json:"difs"`
-	CWMin       int          `json:"cw_min"` // initial contention window, in slots
-	CWMax       int          `json:"cw_max"`
-	RetryLimit  int          `json:"retry_limit"`  // unicast retransmissions before giving up
-	HeaderBytes int          `json:"header_bytes"` // per-frame MAC+network header overhead
-	AckBytes    int          `json:"ack_bytes"`
-	QueueLimit  int          `json:"queue_limit"` // outgoing queue capacity
+	SlotTime    sim.Duration
+	SIFS        sim.Duration
+	DIFS        sim.Duration
+	CWMin       int // initial contention window, in slots
+	CWMax       int
+	RetryLimit  int // unicast retransmissions before giving up
+	HeaderBytes int // per-frame MAC+network header overhead
+	AckBytes    int
+	QueueLimit  int // outgoing queue capacity
 }
 
 // Default80211 returns DCF-like parameters.

@@ -19,11 +19,11 @@ import (
 // Params configure the physical layer.
 type Params struct {
 	// Range is the transmission (and carrier-sense) radius in metres.
-	Range float64 `json:"range"`
+	Range float64
 	// Bitrate is the channel rate in bits per second.
-	Bitrate float64 `json:"bitrate"`
+	Bitrate float64
 	// PropSpeed is the signal propagation speed in m/s.
-	PropSpeed float64 `json:"prop_speed"`
+	PropSpeed float64
 }
 
 // Default80211 returns the parameters used by the paper's ad hoc experiment.

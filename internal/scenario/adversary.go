@@ -25,7 +25,7 @@ type Adversary interface {
 // control surfaces, the payload-corruption hook — is assembled once here
 // from the Env, so scenarios never hand-wire a faults.Fabric.
 type CampaignAdversary struct {
-	Campaign *faults.Campaign `json:"campaign"`
+	Campaign *faults.Campaign
 }
 
 // Budget implements Adversary: the campaign's Count selectors all draw

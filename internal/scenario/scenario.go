@@ -113,7 +113,7 @@ type STSStart struct {
 	// [0, Jitter) — drawn from the "starts" stream in node order — to
 	// avoid a synchronized beacon collision storm at t=0. Zero starts
 	// every service synchronously before the first event.
-	Jitter sim.Duration `json:"jitter,omitempty"`
+	Jitter sim.Duration
 }
 
 // Component is a per-node application part of a scenario (a router, a

@@ -22,10 +22,10 @@ type Topology interface {
 // uniform placement over Region, random-waypoint motion between MinSpeed
 // and MaxSpeed with the given pause time.
 type RandomWaypoint struct {
-	Region   geo.Rect     `json:"region"`
-	MinSpeed float64      `json:"min_speed"`
-	MaxSpeed float64      `json:"max_speed"`
-	Pause    sim.Duration `json:"pause"`
+	Region   geo.Rect
+	MinSpeed float64
+	MaxSpeed float64
+	Pause    sim.Duration
 }
 
 // Place implements Topology.
@@ -48,11 +48,11 @@ func (t RandomWaypoint) Model(_ int, pos geo.Point, rng *sim.RNG) mobility.Model
 // sit on a jittered grid (or scattered uniformly — uniform deployments
 // have thin patches, which matters for weak-signal miss alarms, §5.2).
 type BaseStationGrid struct {
-	Region geo.Rect `json:"region"`
+	Region geo.Rect
 	// GridJitter is the grid placement's jitter amplitude in metres.
-	GridJitter float64 `json:"grid_jitter"`
+	GridJitter float64
 	// Uniform scatters sensors uniformly instead of on the grid.
-	Uniform bool `json:"uniform,omitempty"`
+	Uniform bool
 }
 
 // Place implements Topology.

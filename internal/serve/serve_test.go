@@ -37,6 +37,17 @@ func quickGrid(name string, seed int64) *experiment.GridRequest {
 	}
 }
 
+// inProcessTables renders g the way cmd/icsweep does: RunGrid on the
+// worker pool, no store, no HTTP.
+func inProcessTables(t *testing.T, g *experiment.GridRequest) string {
+	t.Helper()
+	tables, err := experiment.RunGrid(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Render(tables)
+}
+
 // startServer spins up a Server plus its HTTP front on a temp dir and
 // returns a client; everything stops at test cleanup.
 func startServer(t *testing.T, dir string, parallel int) (*Server, *Client) {
@@ -86,11 +97,7 @@ func TestServiceDedup(t *testing.T) {
 
 	// The rendered tables must be byte-identical to the in-process sweep
 	// the CLI runs (store round-trip changes nothing).
-	thr, eng, err := experiment.BlackholeSweep(*grid.Blackhole, grid.Malicious, grid.Levels, grid.Runs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTables := thr.StringWithCI() + "\n" + eng.StringWithCI() + "\n"
+	wantTables := inProcessTables(t, grid)
 	gotTables, err := c.Tables(ctx, j1.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -195,11 +202,7 @@ func TestServiceConcurrentClientsBudget(t *testing.T) {
 		if infos[i].State != JobDone {
 			t.Fatalf("client %d job state %q: %s", i, infos[i].State, infos[i].Error)
 		}
-		thr, eng, err := experiment.BlackholeSweep(*grids[i].Blackhole, grids[i].Malicious, grids[i].Levels, grids[i].Runs, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := thr.StringWithCI() + "\n" + eng.StringWithCI() + "\n"
+		want := inProcessTables(t, grids[i])
 		got, err := c.Tables(context.Background(), infos[i].ID)
 		if err != nil {
 			t.Fatal(err)
@@ -294,11 +297,7 @@ func TestServiceDrainResume(t *testing.T) {
 	}
 
 	// The resumed job's tables must match a fresh in-process sweep.
-	thr, eng, err := experiment.BlackholeSweep(*grid.Blackhole, grid.Malicious, grid.Levels, grid.Runs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := thr.StringWithCI() + "\n" + eng.StringWithCI() + "\n"
+	want := inProcessTables(t, grid)
 	got, err := c2.Tables(context.Background(), job.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -368,6 +367,23 @@ func TestSubmitRejectsBadGrids(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("submission at 1e300 m/s got %d, want 400", resp.StatusCode)
+	}
+	// A campaign inside a request has ceilings of its own: two billion
+	// copies of every message, or a router fault cycling every nanosecond,
+	// used to queue and then hold a worker for as long as it ran.
+	for name, entry := range map[string]string{
+		"two billion copies":       `{"fault":"duplicate","params":{"copies":2000000000},"targets":{"all":true}}`,
+		"a cycle every nanosecond": `{"fault":"blackhole","targets":{"all":true},"schedule":{"every":1e-9,"for":1e-9}}`,
+	} {
+		resp, err = c.http().Post(c.Base+"/jobs", "application/json", strings.NewReader(
+			`{"name":"camp","kind":"campaign","blackhole":{"nodes":20,"region":1000,"sim_time":10},"campaigns":[{"name":"c","entries":[`+entry+`]}],"runs":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 400 {
+			t.Fatalf("campaign of %s got %d, want 400", name, resp.StatusCode)
+		}
 	}
 	// A body of a few hundred bytes can ask for millions of replicas,
 	// through runs or through the axes, or for one replica on a hundred

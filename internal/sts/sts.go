@@ -32,18 +32,18 @@ import (
 // Config parameterizes the service.
 type Config struct {
 	// Period is the beacon period τ; the paper requires τ < ∆STS/2.
-	Period sim.Duration `json:"period"`
+	Period sim.Duration
 	// Delta is ∆STS: links with no beacon for Delta are excluded.
-	Delta sim.Duration `json:"delta"`
+	Delta sim.Duration
 	// Authenticate enables beacon signatures. The "No IC" baselines run
 	// with it off (plain hello beacons).
-	Authenticate bool `json:"authenticate"`
+	Authenticate bool
 	// Handshake additionally runs the NSL link-authentication handshake
 	// before a neighbour is trusted. Large sweeps may disable it (beacons
 	// remain signed); see DESIGN.md.
-	Handshake bool `json:"handshake"`
+	Handshake bool
 	// BeaconBaseBytes is the fixed part of the beacon size.
-	BeaconBaseBytes int `json:"beacon_base_bytes"`
+	BeaconBaseBytes int
 }
 
 // DefaultConfig returns the ad hoc scenario parameters (∆STS = 2 s).

@@ -12,10 +12,10 @@ import (
 // jittered start at From. Payloads are strings "c<conn>-<seq>" so sinks
 // can attribute deliveries.
 type CBR struct {
-	Connections int      `json:"connections"`
-	Rate        float64  `json:"rate"` // packets per second
-	PacketBytes int      `json:"packet_bytes"`
-	From        sim.Time `json:"from"` // earliest start; each flow adds a jitter of up to one interval
+	Connections int
+	Rate        float64 // packets per second
+	PacketBytes int
+	From        sim.Time // earliest start; each flow adds a jitter of up to one interval
 }
 
 // Validate implements Program. CBR reserves its 2·Connections endpoints.

@@ -55,20 +55,20 @@ type Callbacks struct {
 
 // Config parameterizes the service.
 type Config struct {
-	Mode Mode `json:"mode"`
+	Mode Mode
 	// L is the dependability level: L neighbour approvals (plus the
 	// center's own share) are required.
-	L int `json:"l"`
+	L int
 	// RoundTimeout bounds one protocol attempt at the center.
-	RoundTimeout sim.Duration `json:"round_timeout"`
+	RoundTimeout sim.Duration
 	// Retries is how many times the center re-solicits/re-proposes before
 	// declaring failure.
-	Retries int `json:"retries"`
+	Retries int
 	// TwoHop widens the inner circle to all nodes within two hops (§3's
 	// larger-circle extension): first-ring members relay the round's
 	// messages outward and the replies back, trading extra local traffic
 	// for a larger approval pool.
-	TwoHop bool `json:"two_hop"`
+	TwoHop bool
 }
 
 // Deps wires the service into a node.
