@@ -10,6 +10,7 @@ package diffusion
 
 import (
 	"fmt"
+	"slices"
 
 	"innercircle/internal/link"
 	"innercircle/internal/sim"
@@ -100,7 +101,7 @@ type Service struct {
 	sinkID      link.NodeID
 
 	dataSeq   uint64
-	seenData  map[dataKey]bool // keys packed by packDataKey
+	seen      floodSeen
 	onDeliver func(src link.NodeID, hops int, payload link.Message)
 
 	// Stats exposes counters to the experiment harness.
@@ -112,7 +113,7 @@ func New(cfg Config, deps Deps) (*Service, error) {
 	if cfg.InterestPeriod <= 0 || cfg.GradientTimeout <= 0 {
 		return nil, fmt.Errorf("diffusion: periods must be positive")
 	}
-	return &Service{cfg: cfg, deps: deps, seenData: make(map[dataKey]bool)}, nil
+	return &Service{cfg: cfg, deps: deps}, nil
 }
 
 // SetSink marks this node as a sink (base station).
@@ -185,8 +186,10 @@ func (s *Service) Send(payload link.Message) error {
 	m := DataMsg{
 		Src: s.deps.ID, Sink: s.sinkID, Via: s.parent, Seq: s.dataSeq, Payload: payload, Hops: 1,
 	}
-	// Never re-forward copies of our own flood echoed back by neighbours.
-	s.seenData[packDataKey(s.deps.ID, s.dataSeq)] = true
+	if s.cfg.FloodData {
+		// Never re-forward copies of our own flood echoed back by neighbours.
+		s.seen.mark(s.deps.ID, s.dataSeq)
+	}
 	return s.transmit(m)
 }
 
@@ -197,21 +200,6 @@ func (s *Service) transmit(m DataMsg) error {
 		return s.deps.Link.SendRaw(link.BroadcastID, m)
 	}
 	return s.deps.Link.SendRaw(m.Via, m)
-}
-
-// dataKey identifies a data message for flood deduplication. It packs
-// (source, sequence) into one word so the per-reception seen-map lookup
-// hashes and compares 8 bytes instead of 16 — this map is probed on
-// every flooded data frame every node hears, one of the hottest lines of
-// a large replica. 24 bits of source and 40 bits of sequence are loudly
-// enforced; no modeled deployment approaches either bound.
-type dataKey uint64
-
-func packDataKey(src link.NodeID, seq uint64) dataKey {
-	if uint64(src) >= 1<<24 || seq >= 1<<40 {
-		panic("diffusion: data key out of packing range")
-	}
-	return dataKey(uint64(src)<<40 | seq)
 }
 
 // HandleEnv processes diffusion traffic; it reports whether the envelope
@@ -281,11 +269,9 @@ func (s *Service) onData(_ link.NodeID, m DataMsg) {
 // onFloodData handles exploratory-flood dissemination: deliver at the
 // sink, rebroadcast exactly once elsewhere.
 func (s *Service) onFloodData(m DataMsg) {
-	key := packDataKey(m.Src, m.Seq)
-	if s.seenData[key] {
+	if !s.seen.mark(m.Src, m.Seq) {
 		return
 	}
-	s.seenData[key] = true
 	if s.sink {
 		s.Stats.DataDelivered++
 		if s.onDeliver != nil {
@@ -296,4 +282,45 @@ func (s *Service) onFloodData(m DataMsg) {
 	m.Hops++
 	s.Stats.DataForwarded++
 	_ = s.transmit(m)
+}
+
+// floodSeen is one node's exact flood-dedup state: per source it has heard
+// a flood from, a bitset of the seqs seen, kept sorted by source and found
+// by bisection. A node hears about a dozen sources, so a lookup is a few
+// comparisons, and a repeat — most receptions — costs no hashing and no
+// allocation. A source's seqs count its sends from 1, so its bitset holds
+// one bit per message it has sent. The slice stays nil until the node's
+// first flood.
+type floodSeen []seenSource
+
+type seenSource struct {
+	src  link.NodeID
+	bits []uint64 // bit seq%64 of word seq/64 is set once seq was seen
+}
+
+// mark records (src, seq) and reports whether it was new.
+func (f *floodSeen) mark(src link.NodeID, seq uint64) bool {
+	// Bisection by hand: slices.BinarySearchFunc's comparator is an
+	// indirect call per step, on a line every reception runs.
+	i, j := 0, len(*f)
+	for i < j {
+		if h := int(uint(i+j) >> 1); (*f)[h].src < src {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i == len(*f) || (*f)[i].src != src {
+		*f = slices.Insert(*f, i, seenSource{src: src})
+	}
+	e := &(*f)[i]
+	w, bit := seq/64, uint64(1)<<(seq%64)
+	if w >= uint64(len(e.bits)) {
+		e.bits = append(e.bits, make([]uint64, w+1-uint64(len(e.bits)))...)
+	}
+	if e.bits[w]&bit != 0 {
+		return false
+	}
+	e.bits[w] |= bit
+	return true
 }

@@ -19,9 +19,10 @@ type payload struct {
 func (p payload) Size() int { return p.size }
 
 type diffNet struct {
-	k    *sim.Kernel
-	svcs []*Service
-	got  []struct {
+	k     *sim.Kernel
+	svcs  []*Service
+	links []*link.Service
+	got   []struct {
 		src  link.NodeID
 		hops int
 		msg  link.Message

@@ -12,7 +12,7 @@ import (
 )
 
 // buildFlood assembles a flood-mode network; node 0 is the sink.
-func buildFlood(t *testing.T, positions []geo.Point) *diffNet {
+func buildFlood(t testing.TB, positions []geo.Point) *diffNet {
 	t.Helper()
 	k := sim.NewKernel()
 	params := radio.Params{Range: 40, Bitrate: 2e6, PropSpeed: 3e8}
@@ -42,6 +42,7 @@ func buildFlood(t *testing.T, positions []geo.Point) *diffNet {
 		s := svc
 		l.OnRecv(func(e link.Env) { s.HandleEnv(e) })
 		net.svcs = append(net.svcs, svc)
+		net.links = append(net.links, l)
 	}
 	net.svcs[0].Start()
 	return net

@@ -61,27 +61,57 @@ func Default80211() Params {
 // ErrQueueFull is returned by Send when the outgoing queue is at capacity.
 var ErrQueueFull = errors.New("mac: transmit queue full")
 
-type frameKind int
-
+// Header kinds. The zero kind marks a frame no MAC sent, which every MAC
+// ignores.
 const (
-	frameData frameKind = iota + 1
+	frameData uint8 = iota + 1
 	frameAck
 )
-
-// frame is what actually crosses the radio channel.
-type frame struct {
-	kind    frameKind
-	src     Addr
-	dst     Addr
-	seq     uint32
-	payload any
-	bytes   int
-}
 
 type txJob struct {
 	pkt     Packet
 	seq     uint32
 	retries int
+}
+
+// txRing is the outgoing queue: a FIFO of jobs held by value. It grows by
+// doubling while the queue is deeper than it has ever been, never past the
+// queue limit, and clears each slot as its job leaves, so a sent payload is
+// not kept reachable by the queue.
+type txRing struct {
+	buf  []txJob
+	head int
+	n    int
+}
+
+// push appends j; the caller has checked n < limit.
+func (q *txRing) push(j txJob, limit int) {
+	if q.n == len(q.buf) {
+		buf := make([]txJob, min(max(2*len(q.buf), 1), limit))
+		for i := range q.n {
+			buf[i] = q.buf[q.slot(i)]
+		}
+		q.buf, q.head = buf, 0
+	}
+	q.buf[q.slot(q.n)] = j
+	q.n++
+}
+
+// pop removes and returns the oldest job; the caller has checked n > 0.
+func (q *txRing) pop() txJob {
+	j := q.buf[q.head]
+	q.buf[q.head] = txJob{}
+	q.head = q.slot(1)
+	q.n--
+	return j
+}
+
+// slot is the buffer index of the i-th queued job.
+func (q *txRing) slot(i int) int {
+	if i += q.head; i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return i
 }
 
 // Stats counts MAC-level activity.
@@ -111,19 +141,26 @@ type MAC struct {
 	// sim.Kernel.ScheduleFireTx). Always false unsharded.
 	border bool
 
-	queue    []*txJob
-	cur      *txJob
+	queue    txRing
+	cur      txJob
 	cw       int
-	sending  bool // currently contending or awaiting ack for cur
+	sending  bool // cur holds a job, contending or awaiting its ack
 	nextSeq  uint32
 	ackTimer *sim.Timer
 	lastSeq  map[Addr]uint32
 
+	// acks holds the headers of the ACKs scheduled and not yet sent, oldest
+	// first. Every ACK waits exactly SIFS, so they fire in the order they
+	// were scheduled and each firing sends acks[0].
+	acks []radio.Header
+
 	// Hoisted callbacks for the kernel's fire-and-forget fast path: backoff
-	// expiry and post-broadcast dequeue events are never cancelled, and
-	// building their closures once keeps contention allocation-free.
+	// expiry, post-broadcast dequeue and ACK turnaround events are never
+	// cancelled, and building their closures once keeps contention and
+	// acknowledgement allocation-free.
 	backoffExpired func()
 	startNextFn    func()
+	sendAckFn      func()
 
 	onRecv       func(Packet)
 	onSendFailed func(Packet)
@@ -147,7 +184,7 @@ func New(k *sim.Kernel, ch *radio.Channel, pos mobility.Model, meter *energy.Met
 	m.addr = Addr(m.tr.ID())
 	m.ackTimer = sim.NewTimer(k, m.ackTimeout)
 	m.backoffExpired = func() {
-		if m.cur == nil {
+		if !m.sending {
 			return
 		}
 		if m.ch.Busy(m.tr) {
@@ -158,6 +195,7 @@ func New(k *sim.Kernel, ch *radio.Channel, pos mobility.Model, meter *energy.Met
 		m.transmitCur()
 	}
 	m.startNextFn = m.startNext
+	m.sendAckFn = m.sendAck
 	return m
 }
 
@@ -199,13 +237,13 @@ func (m *MAC) SendAs(src, dst Addr, payload any, bytes int) error {
 }
 
 func (m *MAC) enqueue(pkt Packet) error {
-	if len(m.queue) >= m.params.QueueLimit {
+	if m.queue.n >= m.params.QueueLimit {
 		m.Stats.DataDropped++
 		return ErrQueueFull
 	}
 	m.nextSeq++
 	m.Stats.DataQueued++
-	m.queue = append(m.queue, &txJob{pkt: pkt, seq: m.nextSeq})
+	m.queue.push(txJob{pkt: pkt, seq: m.nextSeq}, m.params.QueueLimit)
 	if !m.sending {
 		m.startNext()
 	}
@@ -214,16 +252,15 @@ func (m *MAC) enqueue(pkt Packet) error {
 
 // QueueLen returns the number of packets waiting (excluding the in-flight
 // one).
-func (m *MAC) QueueLen() int { return len(m.queue) }
+func (m *MAC) QueueLen() int { return m.queue.n }
 
 func (m *MAC) startNext() {
-	if len(m.queue) == 0 {
-		m.cur = nil
+	if m.queue.n == 0 {
+		m.cur = txJob{}
 		m.sending = false
 		return
 	}
-	m.cur = m.queue[0]
-	m.queue = m.queue[1:]
+	m.cur = m.queue.pop()
 	m.sending = true
 	m.cw = m.params.CWMin
 	m.contend()
@@ -244,25 +281,22 @@ func (m *MAC) growCW() {
 }
 
 func (m *MAC) transmitCur() {
-	job := m.cur
-	f := frame{
-		kind:    frameData,
-		src:     job.pkt.Src, // m.addr, unless forged via SendAs
-		dst:     job.pkt.Dst,
-		seq:     job.seq,
-		payload: job.pkt.Payload,
-		bytes:   job.pkt.Bytes,
+	pkt := m.cur.pkt
+	f := radio.Frame{
+		// Src is m.addr, unless forged via SendAs.
+		Header:  radio.Header{Kind: frameData, Src: int32(pkt.Src), Dst: int32(pkt.Dst), Seq: m.cur.seq},
+		Bytes:   pkt.Bytes + m.params.HeaderBytes,
+		Payload: pkt.Payload,
 	}
-	air := job.pkt.Bytes + m.params.HeaderBytes
-	if err := m.ch.Send(m.tr, radio.Frame{Bytes: air, Payload: f}); err != nil {
+	if err := m.ch.Send(m.tr, f); err != nil {
 		// Radio busy (e.g. our own ACK in flight): retry shortly.
 		m.growCW()
 		m.contend()
 		return
 	}
 	m.Stats.DataSent++
-	d := m.ch.TxDuration(air)
-	if job.pkt.Dst == Broadcast {
+	d := m.ch.TxDuration(f.Bytes)
+	if pkt.Dst == Broadcast {
 		m.Stats.DataDelivered++
 		m.k.ScheduleFire(d, m.startNextFn)
 		return
@@ -273,16 +307,15 @@ func (m *MAC) transmitCur() {
 }
 
 func (m *MAC) ackTimeout() {
-	job := m.cur
-	if job == nil {
+	if !m.sending {
 		return
 	}
-	job.retries++
+	m.cur.retries++
 	m.Stats.Retries++
-	if job.retries > m.params.RetryLimit {
+	if m.cur.retries > m.params.RetryLimit {
 		m.Stats.DataDropped++
 		if m.onSendFailed != nil {
-			m.onSendFailed(job.pkt)
+			m.onSendFailed(m.cur.pkt)
 		}
 		m.startNext()
 		return
@@ -293,44 +326,48 @@ func (m *MAC) ackTimeout() {
 
 // radioRecv handles every frame the physical layer decodes.
 func (m *MAC) radioRecv(rf radio.Frame, _ radio.ID) {
-	f, ok := rf.Payload.(frame)
-	if !ok {
-		return
-	}
-	switch f.kind {
+	h := rf.Header
+	src, dst := Addr(h.Src), Addr(h.Dst)
+	switch h.Kind {
 	case frameAck:
-		if m.cur != nil && f.dst == m.addr && f.src == m.cur.pkt.Dst && f.seq == m.cur.seq {
+		if m.sending && dst == m.addr && src == m.cur.pkt.Dst && h.Seq == m.cur.seq {
 			m.ackTimer.Stop()
 			m.Stats.DataDelivered++
 			m.startNext()
 		}
 	case frameData:
-		if f.dst != m.addr && f.dst != Broadcast {
+		if dst != m.addr && dst != Broadcast {
 			return
 		}
-		if f.dst == m.addr {
-			m.sendAck(f)
+		if dst == m.addr {
+			m.scheduleAck(h)
 			// Suppress duplicates caused by lost ACKs. Presence in the
 			// map is the "have seen this sender" bit — one lookup on the
 			// per-frame hot path.
-			if last, ok := m.lastSeq[f.src]; ok && last == f.seq {
+			if last, ok := m.lastSeq[src]; ok && last == h.Seq {
 				m.Stats.Duplicates++
 				return
 			}
-			m.lastSeq[f.src] = f.seq
+			m.lastSeq[src] = h.Seq
 		}
 		if m.onRecv != nil {
-			m.onRecv(Packet{Src: f.src, Dst: f.dst, Payload: f.payload, Bytes: f.bytes})
+			m.onRecv(Packet{Src: src, Dst: dst, Payload: rf.Payload, Bytes: rf.Bytes - m.params.HeaderBytes})
 		}
 	}
 }
 
-func (m *MAC) sendAck(f frame) {
-	ack := frame{kind: frameAck, src: m.addr, dst: f.src, seq: f.seq}
-	m.k.ScheduleFireTx(m.params.SIFS, func() {
-		air := m.params.AckBytes + m.params.HeaderBytes
-		if err := m.ch.Send(m.tr, radio.Frame{Bytes: air, Payload: ack}); err == nil {
-			m.Stats.AcksSent++
-		}
-	}, m.border)
+// scheduleAck queues the acknowledgement of data frame h for sending SIFS
+// from now.
+func (m *MAC) scheduleAck(h radio.Header) {
+	m.acks = append(m.acks, radio.Header{Kind: frameAck, Src: int32(m.addr), Dst: h.Src, Seq: h.Seq})
+	m.k.ScheduleFireTx(m.params.SIFS, m.sendAckFn, m.border)
+}
+
+// sendAck puts the oldest scheduled ACK on the air.
+func (m *MAC) sendAck() {
+	f := radio.Frame{Header: m.acks[0], Bytes: m.params.AckBytes + m.params.HeaderBytes}
+	m.acks = m.acks[:copy(m.acks, m.acks[1:])]
+	if err := m.ch.Send(m.tr, f); err == nil {
+		m.Stats.AcksSent++
+	}
 }

@@ -32,10 +32,22 @@ func Default80211() Params {
 }
 
 // Frame is the unit of transmission on the channel. Bytes drives airtime;
-// Payload is opaque to the physical layer.
+// Header and Payload are opaque to the physical layer. A Frame is a value:
+// every receiver gets its own copy of the header and shares the sender's
+// payload, which nobody may mutate once sent.
 type Frame struct {
+	Header  Header
 	Bytes   int
 	Payload any
+}
+
+// Header is the link-layer header a frame carries by value, so that putting
+// a frame on the air boxes nothing. The MAC above fills and reads it; a frame
+// sent with the zero Header is not addressed to any MAC.
+type Header struct {
+	Kind     uint8
+	Src, Dst int32
+	Seq      uint32
 }
 
 // ErrTxBusy is returned when a transceiver is asked to transmit while a
