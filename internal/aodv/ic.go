@@ -1,6 +1,8 @@
 package aodv
 
 import (
+	"slices"
+
 	"innercircle/internal/icnet"
 	"innercircle/internal/link"
 	"innercircle/internal/vote"
@@ -27,10 +29,12 @@ type ICAdapter struct {
 	router *Router
 	vs     *vote.Service
 
-	// fw maps (route destination, destination sequence number) to the set
-	// of nodes allowed to forward RREPs for that route — the mapping
-	// maintained by the Inner-circle Callbacks in Fig. 6.
-	fw map[fwKey]map[link.NodeID]bool
+	// fw maps (route destination, destination sequence number) to the
+	// nodes allowed to forward RREPs for that route, in the order they were
+	// first approved — the mapping maintained by the Inner-circle Callbacks
+	// in Fig. 6. A route generation has a handful of forwarders, so a
+	// slice scan is the set.
+	fw map[fwKey][]link.NodeID
 
 	// Stats counts defense activity.
 	Stats ICStats
@@ -57,7 +61,7 @@ func NewICAdapter(id link.NodeID, router *Router, ic *icnet.Interceptor) (*ICAda
 	a := &ICAdapter{
 		id:     id,
 		router: router,
-		fw:     make(map[fwKey]map[link.NodeID]bool),
+		fw:     make(map[fwKey][]link.NodeID),
 	}
 	// Intercept outgoing RREPs: redirect into the voting service.
 	ic.Register(func(e link.Env) bool {
@@ -114,7 +118,7 @@ func (a *ICAdapter) check(center link.NodeID, value []byte) bool {
 		a.Stats.ChecksAccepted++
 		return true
 	}
-	if set, ok := a.fw[fwKey{dst: rep.Dst, dstSeq: rep.DstSeq}]; ok && set[center] {
+	if slices.Contains(a.fw[fwKey{dst: rep.Dst, dstSeq: rep.DstSeq}], center) {
 		a.Stats.ChecksAccepted++
 		return true
 	}
@@ -131,24 +135,21 @@ func (a *ICAdapter) onAgreed(m vote.AgreedMsg) {
 		return
 	}
 	key := fwKey{dst: rep.Dst, dstSeq: rep.DstSeq}
-	set, ok := a.fw[key]
-	if !ok {
-		set = make(map[link.NodeID]bool)
-		a.fw[key] = set
+	fw := a.fw[key]
+	for _, id := range [...]link.NodeID{m.Center, rep.NextHop} {
+		if !slices.Contains(fw, id) {
+			fw = append(fw, id)
+		}
 	}
-	set[m.Center] = true
-	set[rep.NextHop] = true
+	a.fw[key] = fw
 	if rep.NextHop == a.id {
 		a.Stats.RrepsInjected++
 		a.router.AcceptRREP(m.Center, rep)
 	}
 }
 
-// AllowedForwarders returns the fw set for a route generation (for tests).
+// AllowedForwarders returns a copy of the fw set for a route generation,
+// in first-approved order (for tests).
 func (a *ICAdapter) AllowedForwarders(dst link.NodeID, dstSeq uint32) []link.NodeID {
-	var out []link.NodeID
-	for id := range a.fw[fwKey{dst: dst, dstSeq: dstSeq}] {
-		out = append(out, id)
-	}
-	return out
+	return slices.Clone(a.fw[fwKey{dst: dst, dstSeq: dstSeq}])
 }

@@ -82,7 +82,7 @@ type Router struct {
 	seq     uint32
 	rreqID  uint32
 	routes  map[link.NodeID]*route
-	seen    map[rreqKey]bool
+	seen    link.SeenSet // (originator, RREQ ID) of every request heard or sent
 	pending map[link.NodeID]*discovery
 	dataSeq uint64
 
@@ -102,11 +102,6 @@ type Router struct {
 	Stats Stats
 }
 
-type rreqKey struct {
-	orig link.NodeID
-	id   uint32
-}
-
 // ErrNoRoute is reported (via drop counters) when discovery fails;
 // exported for tests that assert on wrapped errors in callbacks.
 var ErrNoRoute = errors.New("aodv: no route to destination")
@@ -120,7 +115,6 @@ func New(cfg Config, deps Deps) (*Router, error) {
 		cfg:     cfg,
 		deps:    deps,
 		routes:  make(map[link.NodeID]*route),
-		seen:    make(map[rreqKey]bool),
 		pending: make(map[link.NodeID]*discovery),
 	}
 	deps.Link.OnSendFailed(r.onSendFailed)
@@ -232,7 +226,7 @@ func (r *Router) floodRREQ(dst link.NodeID) {
 		req.DstSeq = rt.dstSeq
 		req.SeqKnown = true
 	}
-	r.seen[rreqKey{orig: r.deps.ID, id: r.rreqID}] = true
+	r.seen.Mark(r.deps.ID, uint64(r.rreqID))
 	_ = r.deps.Link.SendRaw(link.BroadcastID, req)
 }
 
@@ -249,7 +243,7 @@ func (r *Router) onDiscoveryTimeout(disc *discovery) {
 		r.rreqID++
 		r.Stats.RreqOriginated++
 		req := RREQ{Orig: r.deps.ID, OrigSeq: r.seq, Dst: disc.dst, ID: r.rreqID}
-		r.seen[rreqKey{orig: r.deps.ID, id: r.rreqID}] = true
+		r.seen.Mark(r.deps.ID, uint64(r.rreqID))
 		_ = r.deps.Link.SendRaw(link.BroadcastID, req)
 		disc.timer.Reset(r.cfg.RouteDiscoveryTimeout)
 		return
@@ -306,11 +300,9 @@ func (r *Router) updateRoute(dst, nextHop link.NodeID, dstSeq uint32, seqKnown b
 }
 
 func (r *Router) onRREQ(from link.NodeID, m RREQ) {
-	key := rreqKey{orig: m.Orig, id: m.ID}
-	if r.seen[key] {
+	if !r.seen.Mark(m.Orig, uint64(m.ID)) {
 		return
 	}
-	r.seen[key] = true
 
 	if r.misbehaving() {
 		// §5.1: the attacker replies immediately, advertising a fresher

@@ -27,6 +27,7 @@ import (
 	"io"
 	"math/big"
 
+	"innercircle/internal/crypto/keyedmac"
 	"innercircle/internal/crypto/shamir"
 )
 
@@ -314,9 +315,10 @@ func (d *RSADealer) DKG(cfg DKGConfig) (*DKGResult, error) {
 // SimDealer run the qualification round's real arithmetic reproducibly
 // from its master seed.
 type drbgReader struct {
-	key []byte
-	ctr uint64
-	buf []byte
+	key   [keyedmac.Size]byte
+	ctr   uint64
+	block [keyedmac.Size]byte
+	buf   []byte // the unread tail of block
 }
 
 func (r *drbgReader) Read(p []byte) (int, error) {
@@ -324,7 +326,8 @@ func (r *drbgReader) Read(p []byte) (int, error) {
 	for n < len(p) {
 		if len(r.buf) == 0 {
 			r.ctr++
-			r.buf = simDerive(r.key, r.ctr, 0)
+			r.block = simDerive(r.key[:], r.ctr, 0)
+			r.buf = r.block[:]
 		}
 		c := copy(p[n:], r.buf)
 		n += c
@@ -361,10 +364,11 @@ func (d *SimDealer) DKG(cfg DKGConfig) (*DKGResult, error) {
 		_, _ = h.Write(idx[:])
 		_, _ = h.Write(tr.pads[i].Bytes())
 	}
-	gk := &simGroupKey{k: k, n: n, sigSize: d.sigSize, root: h.Sum(nil)}
-	gk.shareKeys = make([][]byte, n+1)
+	gk := &simGroupKey{k: k, n: n, sigSize: d.sigSize}
+	h.Sum(gk.root[:0])
+	gk.shareKeys = make([][keyedmac.Size]byte, n+1)
 	for i := 1; i <= n; i++ {
-		gk.shareKeys[i] = simDerive(gk.root, 0, i)
+		gk.shareKeys[i] = simDerive(gk.root[:], 0, i)
 	}
 	res := &DKGResult{
 		Key:        gk,

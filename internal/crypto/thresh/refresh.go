@@ -1,10 +1,10 @@
 package thresh
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/big"
 
+	"innercircle/internal/crypto/keyedmac"
 	"innercircle/internal/crypto/shamir"
 )
 
@@ -81,8 +81,8 @@ func (d *SimDealer) Refresh(gk GroupKey, old []Signer) ([]Signer, error) {
 	return out, nil
 }
 
-func simRefreshKey(prev []byte, epoch uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], epoch)
-	return simDerive(prev, epoch, 0)
+// simRefreshKey derives a share key's successor for the given epoch from
+// the key it replaces.
+func simRefreshKey(prev [keyedmac.Size]byte, epoch uint64) [keyedmac.Size]byte {
+	return simDerive(prev[:], epoch, 0)
 }

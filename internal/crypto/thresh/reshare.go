@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"innercircle/internal/crypto/keyedmac"
 	"innercircle/internal/crypto/shamir"
 )
 
@@ -89,10 +90,10 @@ func (d *SimDealer) Reshare(gk GroupKey, newK, newN int) ([]Signer, error) {
 	}
 	sk.epoch++
 	sk.k, sk.n = newK, newN
-	sk.shareKeys = make([][]byte, newN+1)
+	sk.shareKeys = make([][keyedmac.Size]byte, newN+1)
 	signers := make([]Signer, newN)
 	for i := 1; i <= newN; i++ {
-		sk.shareKeys[i] = simDerive(sk.root, sk.epoch, i)
+		sk.shareKeys[i] = simDerive(sk.root[:], sk.epoch, i)
 		signers[i-1] = &simSigner{index: i, key: sk.shareKeys[i]}
 	}
 	return signers, nil

@@ -29,6 +29,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"innercircle/internal/crypto/keyedmac"
 )
 
 // Partial is one node's contribution toward a threshold signature.
@@ -124,7 +126,7 @@ func (d *SimDealer) Deal(k, n int) (GroupKey, []Signer, error) {
 	// Index 0 is never a share index, so it doubles as the per-key root
 	// from which reshares derive replacement share keys.
 	gk := &simGroupKey{k: k, n: n, sigSize: d.sigSize, root: simDerive(d.master, keyID, 0)}
-	gk.shareKeys = make([][]byte, n+1)
+	gk.shareKeys = make([][keyedmac.Size]byte, n+1)
 	signers := make([]Signer, n)
 	for i := 1; i <= n; i++ {
 		gk.shareKeys[i] = simDerive(d.master, keyID, i)
@@ -133,34 +135,41 @@ func (d *SimDealer) Deal(k, n int) (GroupKey, []Signer, error) {
 	return gk, signers, nil
 }
 
-func simDerive(master []byte, keyID uint64, index int) []byte {
+// simDerive is HMAC-SHA256(master, keyID‖index), the derivation of every
+// sim-scheme key. It runs once per key, never per message.
+func simDerive(master []byte, keyID uint64, index int) (key [keyedmac.Size]byte) {
 	mac := hmac.New(sha256.New, master)
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[:8], keyID)
 	binary.BigEndian.PutUint64(buf[8:], uint64(index))
 	_, _ = mac.Write(buf[:])
-	return mac.Sum(nil)
+	mac.Sum(key[:0])
+	return key
 }
 
 type simSigner struct {
 	index int
-	key   []byte
+	key   [keyedmac.Size]byte
 }
 
 func (s *simSigner) Index() int { return s.index }
 
+// PartialSign allocates only the returned partial's 32 bytes.
 func (s *simSigner) PartialSign(msg []byte) (Partial, error) {
-	mac := hmac.New(sha256.New, s.key)
-	_, _ = mac.Write(msg)
-	return Partial{Index: s.index, Data: mac.Sum(nil)}, nil
+	mac := keyedmac.Sum(&s.key, msg)
+	return Partial{Index: s.index, Data: append([]byte(nil), mac[:]...)}, nil
 }
 
+// simGroupKey is read by every node of a replica, on several shard
+// goroutines, so it stays read-only while a run signs and verifies under
+// it: only Refresh and Reshare write it, and their callers quiesce the key
+// first (see Resharer).
 type simGroupKey struct {
 	k, n      int
 	sigSize   int
 	epoch     uint64
-	root      []byte   // per-key derivation root, feeds reshare re-keying
-	shareKeys [][]byte // index 1..n
+	root      [keyedmac.Size]byte   // per-key derivation root, feeds reshare re-keying
+	shareKeys [][keyedmac.Size]byte // index 1..n
 }
 
 var _ GroupKey = (*simGroupKey)(nil)
@@ -212,10 +221,12 @@ func (g *simGroupKey) VerifyPartial(msg []byte, p Partial) bool {
 	return p.Index >= 1 && p.Index <= g.n && g.checkPartial(msg, p)
 }
 
+// checkPartial allocates nothing: the MAC is computed on the stack and
+// compared in constant time with all of p.Data, so a partial of any other
+// length fails.
 func (g *simGroupKey) checkPartial(msg []byte, p Partial) bool {
-	mac := hmac.New(sha256.New, g.shareKeys[p.Index])
-	_, _ = mac.Write(msg)
-	return hmac.Equal(mac.Sum(nil), p.Data)
+	mac := keyedmac.Sum(&g.shareKeys[p.Index], msg)
+	return hmac.Equal(mac[:], p.Data)
 }
 
 func (g *simGroupKey) Verify(msg []byte, sig Signature) error {

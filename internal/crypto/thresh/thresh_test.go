@@ -253,3 +253,23 @@ func TestSimSchemeWireSize(t *testing.T) {
 		t.Fatalf("SigBytes = %d, want configured 256", gk.SigBytes())
 	}
 }
+
+// TestSimPartialAllocations pins the keyed-MAC scheme's per-message cost:
+// a partial signature allocates only the 32 bytes it returns, and checking
+// one allocates nothing.
+func TestSimPartialAllocations(t *testing.T) {
+	gk, signers, err := NewSimDealer([]byte("seed"), 128).Deal(2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pv := gk.(PartialVerifier)
+	msg := make([]byte, 60)
+	var p Partial
+	if n := testing.AllocsPerRun(100, func() { p, _ = signers[1].PartialSign(msg) }); n != 1 {
+		t.Errorf("PartialSign: %.0f allocations per call, want 1", n)
+	}
+	ok := false
+	if n := testing.AllocsPerRun(100, func() { ok = pv.VerifyPartial(msg, p) }); n != 0 || !ok {
+		t.Errorf("VerifyPartial: %.0f allocations per call (want 0), verdict %v", n, ok)
+	}
+}

@@ -10,7 +10,6 @@ package diffusion
 
 import (
 	"fmt"
-	"slices"
 
 	"innercircle/internal/link"
 	"innercircle/internal/sim"
@@ -101,7 +100,7 @@ type Service struct {
 	sinkID      link.NodeID
 
 	dataSeq   uint64
-	seen      floodSeen
+	seen      link.SeenSet // flood mode: every (src, seq) heard or sent
 	onDeliver func(src link.NodeID, hops int, payload link.Message)
 
 	// Stats exposes counters to the experiment harness.
@@ -188,7 +187,7 @@ func (s *Service) Send(payload link.Message) error {
 	}
 	if s.cfg.FloodData {
 		// Never re-forward copies of our own flood echoed back by neighbours.
-		s.seen.mark(s.deps.ID, s.dataSeq)
+		s.seen.Mark(s.deps.ID, s.dataSeq)
 	}
 	return s.transmit(m)
 }
@@ -269,7 +268,7 @@ func (s *Service) onData(_ link.NodeID, m DataMsg) {
 // onFloodData handles exploratory-flood dissemination: deliver at the
 // sink, rebroadcast exactly once elsewhere.
 func (s *Service) onFloodData(m DataMsg) {
-	if !s.seen.mark(m.Src, m.Seq) {
+	if !s.seen.Mark(m.Src, m.Seq) {
 		return
 	}
 	if s.sink {
@@ -282,45 +281,4 @@ func (s *Service) onFloodData(m DataMsg) {
 	m.Hops++
 	s.Stats.DataForwarded++
 	_ = s.transmit(m)
-}
-
-// floodSeen is one node's exact flood-dedup state: per source it has heard
-// a flood from, a bitset of the seqs seen, kept sorted by source and found
-// by bisection. A node hears about a dozen sources, so a lookup is a few
-// comparisons, and a repeat — most receptions — costs no hashing and no
-// allocation. A source's seqs count its sends from 1, so its bitset holds
-// one bit per message it has sent. The slice stays nil until the node's
-// first flood.
-type floodSeen []seenSource
-
-type seenSource struct {
-	src  link.NodeID
-	bits []uint64 // bit seq%64 of word seq/64 is set once seq was seen
-}
-
-// mark records (src, seq) and reports whether it was new.
-func (f *floodSeen) mark(src link.NodeID, seq uint64) bool {
-	// Bisection by hand: slices.BinarySearchFunc's comparator is an
-	// indirect call per step, on a line every reception runs.
-	i, j := 0, len(*f)
-	for i < j {
-		if h := int(uint(i+j) >> 1); (*f)[h].src < src {
-			i = h + 1
-		} else {
-			j = h
-		}
-	}
-	if i == len(*f) || (*f)[i].src != src {
-		*f = slices.Insert(*f, i, seenSource{src: src})
-	}
-	e := &(*f)[i]
-	w, bit := seq/64, uint64(1)<<(seq%64)
-	if w >= uint64(len(e.bits)) {
-		e.bits = append(e.bits, make([]uint64, w+1-uint64(len(e.bits)))...)
-	}
-	if e.bits[w]&bit != 0 {
-		return false
-	}
-	e.bits[w] |= bit
-	return true
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 
+	"innercircle/internal/crypto/keyedmac"
 	"innercircle/internal/crypto/nsl"
 	"innercircle/internal/crypto/sigcache"
 	"innercircle/internal/link"
@@ -89,12 +90,12 @@ var ErrSimAuthBadSig = errors.New("sts: bad beacon MAC")
 // across shards), so verifying a beacon costs a table read where it used to
 // cost a key derivation, and the replica holds 32 B per node.
 type SimKeys struct {
-	keys [][sha256.Size]byte
+	keys [][keyedmac.Size]byte
 }
 
 // NewSimKeys derives the keys of nodes 0..n-1 from the network seed.
 func NewSimKeys(seed []byte, n int) *SimKeys {
-	t := &SimKeys{keys: make([][sha256.Size]byte, n)}
+	t := &SimKeys{keys: make([][keyedmac.Size]byte, n)}
 	mac := hmac.New(sha256.New, seed)
 	var id [8]byte
 	for i := range t.keys {
@@ -116,7 +117,7 @@ func NewSimKeys(seed []byte, n int) *SimKeys {
 // which costs what the MAC itself costs.
 type SimAuth struct {
 	keys     *SimKeys
-	key      *[sha256.Size]byte // this node's entry in keys
+	key      *[keyedmac.Size]byte // this node's entry in keys
 	sigBytes int
 }
 
@@ -129,45 +130,16 @@ func NewSimAuth(keys *SimKeys, self link.NodeID, sigBytes int) *SimAuth {
 	if self < 0 || int(self) >= len(keys.keys) {
 		panic(fmt.Sprintf("sts: node %d has no key in a table of %d", self, len(keys.keys)))
 	}
-	if sigBytes < sha256.Size {
-		sigBytes = sha256.Size
+	if sigBytes < keyedmac.Size {
+		sigBytes = keyedmac.Size
 	}
 	return &SimAuth{keys: keys, key: &keys.keys[self], sigBytes: sigBytes}
-}
-
-// simMAC is HMAC-SHA256(key, msg) for a 32-byte key, computed without
-// allocating (crypto/hmac allocates its hash states in New, which a
-// verifier would pay per sender key). The hash state and both blocks stay
-// on the stack.
-func simMAC(key *[sha256.Size]byte, msg []byte) (sum [sha256.Size]byte) {
-	var pad [sha256.BlockSize]byte
-	h := sha256.New()
-	keyPad(&pad, key, 0x36)
-	_, _ = h.Write(pad[:])
-	_, _ = h.Write(msg)
-	h.Sum(sum[:0])
-	h.Reset()
-	keyPad(&pad, key, 0x5c)
-	_, _ = h.Write(pad[:])
-	_, _ = h.Write(sum[:])
-	h.Sum(sum[:0])
-	return sum
-}
-
-// keyPad fills pad with HMAC's key block: the zero-extended key XOR b.
-func keyPad(pad *[sha256.BlockSize]byte, key *[sha256.Size]byte, b byte) {
-	for i := range pad {
-		pad[i] = b
-	}
-	for i, k := range key {
-		pad[i] ^= k
-	}
 }
 
 // Sign implements BeaconAuth: the MAC, zero-padded to the emulated wire
 // size.
 func (a *SimAuth) Sign(msg []byte) []byte {
-	mac := simMAC(a.key, msg)
+	mac := keyedmac.Sum(a.key, msg)
 	out := make([]byte, a.sigBytes)
 	copy(out, mac[:])
 	return out
@@ -177,11 +149,11 @@ func (a *SimAuth) Sign(msg []byte) []byte {
 // carries nothing, so a bit flipped there still verifies. A sender
 // without a key in the table cannot have signed anything.
 func (a *SimAuth) Verify(id link.NodeID, msg, sig []byte) error {
-	if len(sig) < sha256.Size || id < 0 || int(id) >= len(a.keys.keys) {
+	if len(sig) < keyedmac.Size || id < 0 || int(id) >= len(a.keys.keys) {
 		return ErrSimAuthBadSig
 	}
-	mac := simMAC(&a.keys.keys[id], msg)
-	if !hmac.Equal(mac[:], sig[:sha256.Size]) {
+	mac := keyedmac.Sum(&a.keys.keys[id], msg)
+	if !hmac.Equal(mac[:], sig[:keyedmac.Size]) {
 		return ErrSimAuthBadSig
 	}
 	return nil

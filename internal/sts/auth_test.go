@@ -1,11 +1,8 @@
 package sts
 
 import (
-	"bytes"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
-	mrand "math/rand"
 	"testing"
 
 	"innercircle/internal/link"
@@ -96,23 +93,6 @@ func TestSimAuthSignatureBytes(t *testing.T) {
 		got := hex.EncodeToString(NewSimAuth(keys, c.id, c.sigBytes).Sign([]byte(c.msg)))
 		if got != c.want {
 			t.Errorf("seed %q node %d msg %q: signature %s, want %s", c.seed, c.id, c.msg, got, c.want)
-		}
-	}
-}
-
-// TestSimMACIsHMAC checks the stack-resident MAC against crypto/hmac at
-// message lengths either side of the SHA-256 block boundaries.
-func TestSimMACIsHMAC(t *testing.T) {
-	rng := mrand.New(mrand.NewSource(5))
-	for _, n := range []int{0, 1, 31, 32, 55, 56, 63, 64, 65, 96, 119, 120, 1000} {
-		var key [sha256.Size]byte
-		msg := make([]byte, n)
-		rng.Read(key[:])
-		rng.Read(msg)
-		ref := hmac.New(sha256.New, key[:])
-		ref.Write(msg)
-		if got, want := simMAC(&key, msg), ref.Sum(nil); !bytes.Equal(got[:], want) {
-			t.Fatalf("%d-byte message: simMAC %x, crypto/hmac %x", n, got, want)
 		}
 	}
 }

@@ -15,8 +15,10 @@
 // answers repeat checks of one broadcast from a verification memo
 // (sigcache) that node.Build creates per shard, apart from the voting
 // services' memo; SimAuth reads the sender's key from a per-replica table
-// and computes its MAC on the stack. The receive path keeps its digest and
-// neighbour-list storage between beacons. See DESIGN.md §10.
+// and computes its MAC on the stack (package keyedmac). The receive path
+// keeps its digest and neighbour-list storage between beacons, and the
+// send path resends an unchanged neighbour list as the same slice. See
+// DESIGN.md §10.
 package sts
 
 import (
@@ -121,6 +123,12 @@ type Service struct {
 	// digest is the storage beaconDigest appends into; the bytes are only
 	// read by Sign/Verify before the next beacon overwrites them.
 	digest []byte
+	// view is the storage a beacon's one-hop view is built in; sent is the
+	// list the last beacon carried. A sent list is never written again:
+	// receivers, taps, the tracer and delayed fault copies may all still
+	// read it, so an unchanged view goes out as the same slice and a
+	// changed one as a fresh copy.
+	view, sent []link.NodeID
 
 	onChange func()
 
@@ -187,7 +195,7 @@ func (s *Service) sendBeacon() {
 	b := BeaconMsg{
 		From:      s.deps.ID,
 		Seq:       s.seq,
-		Neighbors: s.Neighbors(),
+		Neighbors: s.beaconView(),
 		Base:      s.cfg.BeaconBaseBytes,
 	}
 	if s.cfg.Authenticate {
@@ -196,6 +204,17 @@ func (s *Service) sendBeacon() {
 	}
 	s.Stats.BeaconsSent++
 	_ = s.deps.Link.SendRaw(link.BroadcastID, b)
+}
+
+// beaconView returns the one-hop view for the next beacon: the list the
+// last beacon sent when the view has not changed since, a fresh copy when
+// it has.
+func (s *Service) beaconView() []link.NodeID {
+	s.view = s.appendNeighbors(s.view[:0])
+	if !slices.Equal(s.view, s.sent) {
+		s.sent = slices.Clone(s.view)
+	}
+	return s.sent
 }
 
 // beaconDigest appends the canonical bytes covered by the beacon signature
@@ -325,7 +344,12 @@ func (s *Service) IsNeighbor(q link.NodeID) bool {
 
 // Neighbors returns the current one-hop view, sorted by ID.
 func (s *Service) Neighbors() []link.NodeID {
-	out := make([]link.NodeID, 0, len(s.neigh))
+	return s.appendNeighbors(make([]link.NodeID, 0, len(s.neigh)))
+}
+
+// appendNeighbors appends the current one-hop view to out, which must be
+// empty, and sorts it.
+func (s *Service) appendNeighbors(out []link.NodeID) []link.NodeID {
 	for id, ent := range s.neigh {
 		if ent.authenticated && s.timely(ent) {
 			out = append(out, id)
@@ -333,6 +357,17 @@ func (s *Service) Neighbors() []link.NodeID {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// NeighborCount returns the size of the current one-hop view.
+func (s *Service) NeighborCount() int {
+	n := 0
+	for _, ent := range s.neigh {
+		if ent.authenticated && s.timely(ent) {
+			n++
+		}
+	}
+	return n
 }
 
 // reported returns the service's own copy of the neighbour list p last

@@ -366,3 +366,45 @@ func TestTwoHopAccuracy(t *testing.T) {
 		t.Fatalf("TwoHopCount = %d, want 1", h.svcs[0].TwoHopCount())
 	}
 }
+
+// TestBeaconNeighborListReused: a beacon sent with an unchanged view carries
+// the list the previous beacon carried and builds it without allocating;
+// after a change the beacon carries a fresh list, and the list already sent
+// is never written again (receivers and delayed copies may still read it).
+func TestBeaconNeighborListReused(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Handshake = false
+	h := buildSTSWithSimAuth(t, line(3), cfg)
+	var sent [][]link.NodeID
+	h.lnks[1].SetObserver(func(outbound bool, e link.Env) {
+		if b, ok := e.Msg.(BeaconMsg); ok && outbound {
+			sent = append(sent, b.Neighbors)
+		}
+	})
+	if err := h.k.Run(4); err != nil {
+		t.Fatal(err)
+	}
+	s := h.svcs[1]
+	var view []link.NodeID
+	if n := testing.AllocsPerRun(100, func() { view = s.beaconView() }); n != 0 {
+		t.Errorf("beacon view of an unchanged neighbourhood: %.0f allocations, want 0", n)
+	}
+	if len(sent) < 2 || len(view) != 2 {
+		t.Fatalf("%d beacons sent, view %v; want at least 2 beacons and 2 neighbours", len(sent), view)
+	}
+	last := sent[len(sent)-1]
+	if &last[0] != &sent[len(sent)-2][0] || &view[0] != &last[0] {
+		t.Fatal("an unchanged view was sent as a new list")
+	}
+	h.svcs[0].Stop()
+	if err := h.k.Run(4 + 2*cfg.Delta); err != nil {
+		t.Fatal(err)
+	}
+	now := sent[len(sent)-1]
+	if len(now) != 1 || now[0] != 2 {
+		t.Fatalf("after node 0 stopped, node 1 beacons %v, want [2]", now)
+	}
+	if len(last) != 2 || last[0] != 0 || last[1] != 2 {
+		t.Fatalf("a sent list was rewritten: %v, want [0 2]", last)
+	}
+}

@@ -124,34 +124,21 @@ type AgreedMsg struct {
 // Size implements link.Message.
 func (m AgreedMsg) Size() int { return headerBytes + len(m.Value) + m.Sig.WireSize() }
 
-// digest returns the canonical byte string covered by the threshold
-// signature: (center, seq, L, value). Including seq prevents cross-round
-// replay of signatures on equal values.
-func digest(center link.NodeID, seq uint64, level int, value []byte) []byte {
-	buf := make([]byte, 0, 20+len(value))
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], uint64(center))
-	buf = append(buf, tmp[:]...)
-	binary.BigEndian.PutUint64(tmp[:], seq)
-	buf = append(buf, tmp[:]...)
-	var l4 [4]byte
-	binary.BigEndian.PutUint32(l4[:], uint32(level))
-	buf = append(buf, l4[:]...)
-	buf = append(buf, value...)
-	return buf
+// appendDigest appends the canonical byte string covered by the threshold
+// signature, (center, seq, L, value), to buf. Including seq prevents
+// cross-round replay of signatures on equal values.
+func appendDigest(buf []byte, center link.NodeID, seq uint64, level int, value []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(center))
+	buf = binary.BigEndian.AppendUint64(buf, seq)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(level))
+	return append(buf, value...)
 }
 
-// valueDigest is the byte string covered by a voter's individual signature
-// on a statistical value message.
-func valueDigest(center link.NodeID, seq uint64, voter link.NodeID, value []byte) []byte {
-	buf := make([]byte, 0, 24+len(value))
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], uint64(center))
-	buf = append(buf, tmp[:]...)
-	binary.BigEndian.PutUint64(tmp[:], seq)
-	buf = append(buf, tmp[:]...)
-	binary.BigEndian.PutUint64(tmp[:], uint64(voter))
-	buf = append(buf, tmp[:]...)
-	buf = append(buf, value...)
-	return buf
+// appendValueDigest appends the byte string covered by a voter's
+// individual signature on a statistical value message to buf.
+func appendValueDigest(buf []byte, center link.NodeID, seq uint64, voter link.NodeID, value []byte) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(center))
+	buf = binary.BigEndian.AppendUint64(buf, seq)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(voter))
+	return append(buf, value...)
 }

@@ -20,8 +20,8 @@ import (
 type Topology interface {
 	// IsNeighbor reports whether q is an authenticated timely neighbour.
 	IsNeighbor(q link.NodeID) bool
-	// Neighbors returns the current one-hop view.
-	Neighbors() []link.NodeID
+	// NeighborCount returns the size of the current one-hop view.
+	NeighborCount() int
 	// IsLink reports whether the two-hop view shows p listing q as its
 	// neighbour.
 	IsLink(p, q link.NodeID) bool
@@ -147,7 +147,9 @@ type Service struct {
 	relayed map[relayKey]bool
 	// agreed messages already delivered (center+seq), to suppress
 	// duplicates from re-broadcasts.
-	delivered map[agreedKey]bool
+	delivered link.SeenSet
+	// scratch holds the digest the last digest or valueDigest call built.
+	scratch []byte
 
 	cbs Callbacks
 
@@ -158,17 +160,28 @@ type Service struct {
 	Stats Stats
 }
 
-type agreedKey struct {
-	center link.NodeID
-	seq    uint64
-}
-
 // relayKey deduplicates two-hop relaying of acks and value messages.
 type relayKey struct {
 	center link.NodeID
 	seq    uint64
 	voter  link.NodeID
 	kind   byte
+}
+
+// digest returns the round digest (see appendDigest) in the service's
+// scratch buffer, valueDigest a value message's. The bytes are borrowed:
+// they stay valid until this service's next digest or valueDigest call,
+// and every consumer — a Signer's PartialSign, a GroupKey's VerifyPartial,
+// Combine and Verify, nsl.Sign and nsl.Verify, sigcache.HashParts — reads
+// them during the call and keeps none of them.
+func (s *Service) digest(center link.NodeID, seq uint64, level int, value []byte) []byte {
+	s.scratch = appendDigest(s.scratch[:0], center, seq, level, value)
+	return s.scratch
+}
+
+func (s *Service) valueDigest(center link.NodeID, seq uint64, voter link.NodeID, value []byte) []byte {
+	s.scratch = appendValueDigest(s.scratch[:0], center, seq, voter, value)
+	return s.scratch
 }
 
 // Common service errors.
@@ -198,13 +211,12 @@ func New(cfg Config, deps Deps, cbs Callbacks) (*Service, error) {
 		return nil, fmt.Errorf("vote: statistical mode requires SignKP and Dir")
 	}
 	return &Service{
-		cfg:       cfg,
-		deps:      deps,
-		cbs:       cbs,
-		rounds:    make(map[uint64]*roundState),
-		ackedSeq:  make(map[link.NodeID]uint64),
-		relayed:   make(map[relayKey]bool),
-		delivered: make(map[agreedKey]bool),
+		cfg:      cfg,
+		deps:     deps,
+		cbs:      cbs,
+		rounds:   make(map[uint64]*roundState),
+		ackedSeq: make(map[link.NodeID]uint64),
+		relayed:  make(map[relayKey]bool),
 	}, nil
 }
 
@@ -213,7 +225,7 @@ func New(cfg Config, deps Deps, cbs Callbacks) (*Service, error) {
 // proposed as-is; in statistical mode the round first solicits the inner
 // circle's own observations and fuses them.
 func (s *Service) Propose(value []byte) error {
-	circle := len(s.deps.Topo.Neighbors())
+	circle := s.deps.Topo.NeighborCount()
 	if s.cfg.TwoHop {
 		circle += s.deps.Topo.TwoHopCount()
 	}
@@ -399,7 +411,7 @@ func (s *Service) verifyStatPropose(m ProposeMsg) bool {
 			if err != nil {
 				return false
 			}
-			if s.verifyNSL(pk, valueDigest(m.Center, m.Seq, sv.Voter, sv.Value), sv.Sig) != nil {
+			if s.verifyNSL(pk, s.valueDigest(m.Center, m.Seq, sv.Voter, sv.Value), sv.Sig) != nil {
 				return false
 			}
 		}
@@ -414,7 +426,7 @@ func (s *Service) sendAck(m ProposeMsg) {
 	if !ok {
 		return
 	}
-	p, err := signer.PartialSign(digest(m.Center, m.Seq, m.L, m.Value))
+	p, err := signer.PartialSign(s.digest(m.Center, m.Seq, m.L, m.Value))
 	if err != nil {
 		return
 	}
@@ -482,7 +494,7 @@ func (s *Service) onSolicit(from link.NodeID, m SolicitMsg) {
 		val = s.byz.LieValue(m.Center, m.Meta, val)
 		s.byz.lie()
 	}
-	sig := s.deps.SignKP.Sign(valueDigest(m.Center, m.Seq, s.deps.ID, val))
+	sig := s.deps.SignKP.Sign(s.valueDigest(m.Center, m.Seq, s.deps.ID, val))
 	s.Stats.ValuesSent++
 	dst := m.Center
 	if m.Relayed {
@@ -515,7 +527,7 @@ func (s *Service) onValue(from link.NodeID, m ValueMsg) {
 	if err != nil {
 		return
 	}
-	if s.verifyNSL(pk, valueDigest(m.Center, m.Seq, m.Voter, m.Value), m.Sig) != nil {
+	if s.verifyNSL(pk, s.valueDigest(m.Center, m.Seq, m.Voter, m.Value), m.Sig) != nil {
 		if s.deps.Susp != nil {
 			s.deps.Susp.SuspectTemporary(m.Voter, "bad signature on value message")
 		}
@@ -575,7 +587,7 @@ func (s *Service) onAck(from link.NodeID, m AckMsg) {
 	// liar permanently suspected. Threshold RSA lacks this capability and
 	// relies on tryComplete's leave-one-out fallback instead.
 	if pv, ok := s.deps.Ring[s.cfg.L].(thresh.PartialVerifier); ok {
-		if !s.verifyPartial(pv, digest(s.deps.ID, r.seq, s.cfg.L, r.value), m.Partial) {
+		if !s.verifyPartial(pv, s.digest(s.deps.ID, r.seq, s.cfg.L, r.value), m.Partial) {
 			s.Stats.PartialsRejected++
 			if s.deps.Susp != nil {
 				s.deps.Susp.SuspectPermanent(m.Voter, "corrupt partial signature")
@@ -599,7 +611,7 @@ func (s *Service) tryComplete(r *roundState) {
 		return
 	}
 	gk := s.deps.Ring[s.cfg.L]
-	dig := digest(s.deps.ID, r.seq, s.cfg.L, r.value)
+	dig := s.digest(s.deps.ID, r.seq, s.cfg.L, r.value)
 	own, err := signer.PartialSign(dig)
 	if err != nil {
 		return
@@ -672,7 +684,7 @@ func (s *Service) onAgreed(from link.NodeID, m AgreedMsg) {
 	// Two-hop circles: first-ring members relay the center's agreed
 	// message outward once (before the dedup marks it delivered).
 	if s.cfg.TwoHop && from == m.Center && s.deps.Topo.IsNeighbor(m.Center) {
-		if !s.delivered[agreedKey{center: m.Center, seq: m.Seq}] {
+		if !s.delivered.Has(m.Center, m.Seq) {
 			_ = s.deps.Link.SendRaw(link.BroadcastID, m)
 		}
 	}
@@ -722,11 +734,9 @@ func (s *Service) maybeRelayValue(from link.NodeID, m ValueMsg) {
 }
 
 func (s *Service) deliverAgreed(m AgreedMsg) {
-	key := agreedKey{center: m.Center, seq: m.Seq}
-	if s.delivered[key] {
+	if !s.delivered.Mark(m.Center, m.Seq) {
 		return
 	}
-	s.delivered[key] = true
 	s.Stats.AgreedDelivered++
 	if s.cbs.OnAgreed != nil {
 		s.cbs.OnAgreed(m)
@@ -740,7 +750,7 @@ func (s *Service) VerifyAgreed(m AgreedMsg) error {
 	if !ok {
 		return fmt.Errorf("%w: L=%d", ErrNoLevelKey, m.L)
 	}
-	dig := digest(m.Center, m.Seq, m.L, m.Value)
+	dig := s.digest(m.Center, m.Seq, m.L, m.Value)
 	memo := s.deps.Memo
 	if memo == nil {
 		return gk.Verify(dig, m.Sig)

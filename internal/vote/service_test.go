@@ -26,14 +26,11 @@ func (c clique) IsNeighbor(q link.NodeID) bool {
 	return q != c.self && int(q) >= 0 && int(q) < c.n
 }
 
-func (c clique) Neighbors() []link.NodeID {
-	var out []link.NodeID
-	for i := 0; i < c.n; i++ {
-		if link.NodeID(i) != c.self {
-			out = append(out, link.NodeID(i))
-		}
+func (c clique) NeighborCount() int {
+	if c.self >= 0 && int(c.self) < c.n {
+		return c.n - 1
 	}
-	return out
+	return c.n
 }
 
 func (c clique) IsLink(p, q link.NodeID) bool { return p != q }

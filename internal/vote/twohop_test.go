@@ -24,16 +24,14 @@ func (t lineTopo) IsNeighbor(q link.NodeID) bool {
 	return false
 }
 
-func (t lineTopo) Neighbors() []link.NodeID {
+func (t lineTopo) NeighborCount() int {
 	switch t.self {
-	case 0:
-		return []link.NodeID{1}
+	case 0, 2:
+		return 1
 	case 1:
-		return []link.NodeID{0, 2}
-	case 2:
-		return []link.NodeID{1}
+		return 2
 	}
-	return nil
+	return 0
 }
 
 func (t lineTopo) IsLink(p, q link.NodeID) bool {
