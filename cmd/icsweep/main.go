@@ -35,7 +35,9 @@
 // the kinds whose replicas can run partitioned — take -shards N, which
 // sets the grid's sensor.shards field (what an icserved client puts in its
 // request), and -shardstats, which prints each sharded replica's per-shard
-// utilization, and why it ran on fewer shards than asked, to stderr.
+// utilization, and why it ran on fewer shards than asked, to stderr. N is
+// an upper bound: among the planner's reasons, a replica the core budget
+// leaves one executor slot runs on one kernel.
 package main
 
 import (
@@ -100,7 +102,7 @@ func newFlagSet(kind string) (*flag.FlagSet, *options) {
 	fs.BoolVar(&o.quiet, "quiet", false, "suppress per-run progress")
 	o.prof = cliutil.AddProfileFlags(fs)
 	if sw.shards {
-		fs.IntVar(&o.shards, "shards", 0, "partition each replica across N event-kernel shards (the grid's sensor.shards field)")
+		fs.IntVar(&o.shards, "shards", 0, "partition each replica across at most N event-kernel shards (the grid's sensor.shards field; -shardstats says why a replica ran on fewer)")
 		fs.BoolVar(&o.shardStats, "shardstats", false, "print per-shard utilization (events, null republishes, blocked time) after each sharded replica, and why one ran on fewer shards than asked")
 	}
 	o.writeManifest = cliutil.AddManifestFlag(fs)

@@ -45,7 +45,8 @@ type Manifest struct {
 	// Knobs snapshots the IC_* environment at run time.
 	Knobs map[string]string `json:"knobs,omitempty"`
 	// Shards is the shard count the replica actually executed with
-	// (scenario.Result.Shards — 1 after a fallback or tie rerun).
+	// (scenario.Result.Shards — 1 after a fallback or tie rerun, and when
+	// the core budget left the replica one executor slot).
 	Shards int `json:"shards"`
 	// WallMs is the replica's wall-clock cost; zero for a cache hit
 	// recorded elsewhere. Diagnostic only — not part of any digest.

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"innercircle/internal/scenario"
@@ -9,22 +10,24 @@ import (
 
 // BenchmarkShardedField runs one full sensor-field replica at the scaling
 // sizes, on one kernel and sharded. It is the only harness above the 4000
-// nodes of scripts/bench's field_scale, and what a re-run of the 40k and
-// 100k rows has to use. What is known (CHANGES.md, PR 16 and PR 17; 2-vCPU
-// shared VM): on one core a single kernel is the faster configuration at
-// 10k nodes (6.3/6.6 s against 7.6/7.7 s on 6 shards, two pairs); with a
-// second P a goroutine per shard won at 10k/6 shards and lost at 1k/4
-// shards, six pairs each; 40k and 100k have not been run since the radio
-// got one transmission path, and nothing here is a parallel speed-up.
-// PR 22's one-P rows, the slot loop against the executor it replaced:
-// 229/279/268 ms against 247/244/223 ms at 1k/4, 6.35/6.29/6.27 s against
-// 7.13/6.06/6.40 s at 10k/6 — inside the spread at both sizes.
+// nodes of scripts/bench's field_scale. What is known (2-vCPU shared VM;
+// nothing here is a parallel speed-up): with a second P a goroutine per
+// shard won at 10k/6 shards and lost at 1k/4 shards, six pairs each; at
+// GOMAXPROCS=2 one kernel beat 2 and 4 shards on 4k-node fields (three
+// seeds, 0.58–0.82× the time). At one P, S shards taking turns on one
+// executor slot against one kernel, one run each (seed 1): 40k/8 shards
+// 39.6 s against 40.2 s, even; 100k/8 shards 139.2 s against 125.0 s. With
+// the 4k and 10k one-P rows (one kernel faster on 16 of 16 seeds at 4k,
+// by 20–25 % on two at 10k) that is why a replica left one executor slot
+// now runs on one kernel (scenario.ReasonSlots).
 //
-// The shard count per size is the largest probed count that executes
-// tie-free at the benchmark seed. Cross-shard timestamp ties abort and
-// rerun on one kernel — deterministic per seed, and not rare: 18 of 100
-// field_scale replicas (4000 nodes, 4 shards) trip — so the assertion
-// below keeps a tie from silently mislabeling a single-kernel run.
+// So a sharded row needs a second slot: it raises GOMAXPROCS to 2 when it
+// is lower (at -cpu 1, say), which makes it a two-P row. The shard count
+// per size is the largest probed count that executes tie-free at the
+// benchmark seed. Cross-shard timestamp ties abort and rerun on one kernel
+// — deterministic per seed, and not rare: 18 of 100 field_scale-shaped
+// replicas (4000 nodes, 4 shards) trip — so the assertion below keeps a
+// tie or a one-slot plan from silently mislabeling a single-kernel run.
 //
 // Each iteration builds and runs a whole replica, so memory benchmarks
 // are dominated by network construction; the interesting number is ns/op.
@@ -40,6 +43,9 @@ func BenchmarkShardedField(b *testing.B) {
 		}
 		for _, shards := range []int{1, p.shards} {
 			b.Run(fmt.Sprintf("nodes=%d/shards=%d", n, shards), func(b *testing.B) {
+				if shards > 1 && runtime.GOMAXPROCS(0) < 2 {
+					withProcs(b, 2)
+				}
 				cfg := ScaledSensorConfig(n)
 				cfg.Seed = 1
 				cfg.Shards = shards
@@ -54,7 +60,7 @@ func BenchmarkShardedField(b *testing.B) {
 						b.Fatal(err)
 					}
 					if res.Shards != shards {
-						b.Fatalf("replica executed with %d shards, want %d (fallback or tie rerun — numbers would be mislabeled)", res.Shards, shards)
+						b.Fatalf("replica executed with %d shards (%s), want %d: numbers would be mislabeled", res.Shards, res.ShardReason, shards)
 					}
 				}
 			})

@@ -111,12 +111,12 @@ func RunJobsCtx(ctx context.Context, jobs []Job, workers int, progress ProgressF
 				continue
 			default:
 			}
-			// Charge one core token per in-flight replica so sharded
-			// replicas (sim.ShardSet.Run) size their executors to the
-			// cores this pool is not already driving. Advisory: a worker
-			// that gets no token still runs — the budget only stops a
-			// saturated pool's replicas from spawning shards-per-replica
-			// extra goroutines on top of the workers.
+			// Charge one core token per in-flight replica so the shard
+			// planner sizes sharded replicas' executors to the cores this
+			// pool is not already driving. Advisory: a worker that gets no
+			// token still runs — the budget only stops a saturated pool's
+			// replicas from spawning shards-per-replica extra goroutines
+			// on top of the workers (they run on one kernel instead).
 			got := sim.AcquireCores(1)
 			trackInflight(1)
 			res, err := runOne(j)

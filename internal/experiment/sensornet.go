@@ -54,10 +54,10 @@ type SensorConfig struct {
 	// default jittered grid. Uniform deployments have thin patches, which
 	// matters for the weak-signal miss-alarm results (§5.2).
 	UniformPlacement bool `json:"uniform_placement,omitempty"`
-	// Shards partitions the replica across parallel kernels (see
-	// scenario.Spec.Shards, at most scenario.MaxShards) — the one way to
-	// ask for shards: `icsweep sensor|churn -shards N` and an icserved
-	// client's request both set this field.
+	// Shards partitions the replica across at most that many parallel
+	// kernels (see scenario.Spec.Shards, at most scenario.MaxShards) — the
+	// one way to ask for shards: `icsweep sensor|churn -shards N` and an
+	// icserved client's request both set this field.
 	Shards int `json:"shards,omitempty"`
 	// ShardStats, when non-nil, receives each sharded replica's utilization
 	// report (scenario.Spec.ShardStats; `icsweep sensor|churn -shardstats`).

@@ -498,12 +498,17 @@ func (net *Network) StartSTSJittered(rng *sim.RNG, window sim.Duration) {
 	}
 }
 
-// Run drives the simulation to the given virtual time. Under sharding the
-// whole set runs; per-shard channel counters are folded into Channel.Stats
-// once the run completes so harvest code sees whole-channel totals.
-func (net *Network) Run(until sim.Time) error {
+// Run drives the simulation to the given virtual time; a sharded network's
+// set runs on one executor slot, the calling goroutine (RunSlots).
+func (net *Network) Run(until sim.Time) error { return net.RunSlots(until, 1) }
+
+// RunSlots is Run with a sharded network's set driven on the given number
+// of executor slots (sim.ShardSet.Run); a single-kernel network ignores it.
+// Per-shard channel counters are folded into Channel.Stats once the run
+// completes so harvest code sees whole-channel totals.
+func (net *Network) RunSlots(until sim.Time, slots int) error {
 	if net.Set != nil {
-		if err := net.Set.Run(until); err != nil {
+		if err := net.Set.Run(until, slots); err != nil {
 			return err
 		}
 		net.Channel.MergeShardStats()

@@ -21,7 +21,7 @@ import (
 // be instances apart from the voting memos. Under -race this is also the
 // check that no beacon memo is reached from two shard goroutines.
 func TestShardedBeaconMemoPerShard(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4) // spare cores give every shard its own executor slot
+	prev := runtime.GOMAXPROCS(4) // four P for the four executor slots below
 	defer runtime.GOMAXPROCS(prev)
 
 	const (
@@ -66,7 +66,7 @@ func TestShardedBeaconMemoPerShard(t *testing.T) {
 				t.Fatal(err)
 			}
 			net.StartSTSJittered(net.RNG.Split("sts-start"), 2)
-			if err := net.Run(100); err != nil {
+			if err := net.RunSlots(100, shards); err != nil {
 				t.Fatal(err)
 			}
 

@@ -107,20 +107,20 @@ func playSingleKernel(t *testing.T, indexOn bool, down int) shardRun {
 // the same payloads to the same nodes, charge the same receive airtime and
 // produce the same channel totals as the full-scan reference on one
 // chanShard with the index on and on a two-shard channel at both slot
-// counts. ShardSet.Run sizes its executor from the cores it observes, so
-// the test drives GOMAXPROCS: one core is both shards on the caller's
-// goroutine (seq), four (with an idle core budget) one slot per shard
-// (par). The -down arms take node 2 out of service: it sits across the
-// stripe boundary from senders 0 and 1, so only the posted registration's
-// own down check keeps it from colliding, receiving or being charged.
+// counts: both shards on the caller's goroutine at one P (seq), and one
+// slot per shard at four (par). The -down arms take node 2 out of service:
+// it sits across the stripe boundary from senders 0 and 1, so only the
+// posted registration's own down check keeps it from colliding, receiving
+// or being charged.
 func TestShardedChannelMatchesSequential(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		procs int // 0: one chanShard, index pinned on
+		procs int // GOMAXPROCS; 0: one chanShard, index pinned on
+		slots int
 		down  int
 	}{
-		{"one-shard", 0, -1}, {"seq", 1, -1}, {"par", 4, -1},
-		{"seq-down", 1, 2}, {"par-down", 4, 2},
+		{"one-shard", 0, 0, -1}, {"seq", 1, 1, -1}, {"par", 4, 2, -1},
+		{"seq-down", 1, 1, 2}, {"par-down", 4, 2, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := playSingleKernel(t, false, tc.down)
@@ -142,7 +142,7 @@ func TestShardedChannelMatchesSequential(t *testing.T) {
 					return shard, p.X >= 0 && p.X <= 500 // all within one range of x=250
 				}
 				ch := NewChannelSharded(set, Default80211(), ownerOf)
-				got = playShardSchedule(t, ch, tc.down, func() error { return set.Run(20 * sim.Millisecond) })
+				got = playShardSchedule(t, ch, tc.down, func() error { return set.Run(20*sim.Millisecond, tc.slots) })
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("diverged from the full-scan reference:\ngot  %+v\nwant %+v", got, want)

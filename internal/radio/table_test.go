@@ -50,6 +50,7 @@ type fieldOpts struct {
 	pinned bool // SetIndexEnabled(false): every table holds everybody
 	ghost  bool // attach an out-of-range mobile first
 	shards int  // 0: NewChannel; otherwise NewChannelSharded on that many stripes
+	slots  int  // executor slots a sharded channel's set runs on
 	rounds int  // 4 or 5: how far into the script to play
 }
 
@@ -96,7 +97,7 @@ func playField(t *testing.T, o fieldOpts) fieldRun {
 	} else {
 		set := sim.NewShardSet(o.shards, shardLookahead)
 		ch = NewChannelSharded(set, fieldParams, fieldStripe(o.shards))
-		run = set.Run
+		run = func(until sim.Time) error { return set.Run(until, o.slots) }
 	}
 	ch.SetIndexEnabled(!o.pinned)
 
@@ -401,18 +402,18 @@ func playMoving(t *testing.T, statics int) {
 }
 
 // TestReceiverTablesShardedField plays the static part of the script on
-// four stripes, on one executor slot and on four (ShardSet.Run sizes by
-// GOMAXPROCS): every node must receive what it receives on one kernel with
-// the full scan, and each shard must build one table per transmitter it
-// owns plus, after the late Attach, one rebuild each. Tables are private to
-// the sender's kernel; CI runs this under -race.
+// four stripes, on one executor slot at one P and on four at four P: every
+// node must receive what it receives on one kernel with the full scan, and
+// each shard must build one table per transmitter it owns plus, after the
+// late Attach, one rebuild each. Tables are private to the sender's kernel;
+// CI runs this under -race.
 func TestReceiverTablesShardedField(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			prev := runtime.GOMAXPROCS(procs)
 			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 			want := playField(t, fieldOpts{pinned: true, rounds: 4})
-			got := playField(t, fieldOpts{shards: 4, rounds: 4})
+			got := playField(t, fieldOpts{shards: 4, slots: procs, rounds: 4})
 			assertSameField(t, "4 shards", got, want)
 			for s, owned := range got.owned[0] {
 				if owned == 0 {

@@ -55,10 +55,11 @@ type Spec struct {
 
 	// Shards requests a partitioned replica (conservative-lookahead
 	// parallel kernels; see sim.ShardSet), at most MaxShards; 0 or 1 runs
-	// the plain single-kernel replica. This field is the only way to ask,
-	// and planShards the only place the count is lowered: the Result
-	// carries the executed count and the reason. Results are identical at
-	// every shard count either way.
+	// the plain single-kernel replica. The count is an upper bound: this
+	// field is the only way to ask, and planShards the only place the count
+	// is lowered (among its rules: one kernel when the core budget leaves
+	// one executor slot); the Result carries the executed count and the
+	// reason. Results are identical at every shard count either way.
 	Shards int
 	// ShardStats, when non-nil, receives one Write per replica that asked
 	// for more than one shard: its per-shard utilization table and, when it
@@ -278,18 +279,23 @@ func (s *Spec) Validate() error {
 // A sharded attempt that aborts on sim.ErrShardTie is run again with the
 // tie reported to planShards, which answers it with a single kernel — one
 // cannot tie — and that attempt's result is returned. Sharding therefore
-// never changes results, only wall-clock time.
+// never changes results, only wall-clock time. The core tokens planShards
+// takes for a sharded attempt's executor are held until Run returns, tie
+// rerun included, whatever the outcome.
 func Run(s *Spec) (*Result, error) {
-	res, err := runOnce(s, false)
+	var cores int
+	defer func() { sim.ReleaseCores(cores) }()
+	res, err := runOnce(s, false, &cores)
 	if errors.Is(err, sim.ErrShardTie) {
-		res, err = runOnce(s, true)
+		res, err = runOnce(s, true, &cores)
 	}
 	return res, err
 }
 
 // runOnce executes one replica attempt; tied says the previous attempt
-// aborted on a cross-shard timestamp tie.
-func runOnce(s *Spec, tied bool) (*Result, error) {
+// aborted on a cross-shard timestamp tie. The core tokens its plan holds
+// are added to *cores for Run to release.
+func runOnce(s *Spec, tied bool, cores *int) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -304,6 +310,7 @@ func runOnce(s *Spec, tied bool) (*Result, error) {
 		return nil, fmt.Errorf("scenario %q: topology placed %d nodes, want %d", s.Name, len(positions), s.Nodes)
 	}
 	shard := planShards(s, positions, seed, tied)
+	*cores += shard.slots - 1
 	env := &Env{Spec: s, Positions: positions, seed: seed}
 
 	var registrar Registrar
@@ -411,7 +418,7 @@ func runOnce(s *Spec, tied bool) (*Result, error) {
 		}
 	}
 
-	if err := net.Run(s.SimTime); err != nil {
+	if err := net.RunSlots(s.SimTime, shard.slots); err != nil {
 		return nil, fmt.Errorf("scenario %q: run: %w", s.Name, err)
 	}
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 
 	"innercircle/internal/geo"
 	"innercircle/internal/mobility"
@@ -195,27 +196,36 @@ const (
 	ReasonMobile = "mobile topology"
 	// ReasonColumns: a stripe is at least one radio-range column wide.
 	ReasonColumns = "deployment narrower than one grid column per shard"
+	// ReasonSlots: the core budget leaves the replica one executor slot
+	// (GOMAXPROCS=1, or a worker pool holding every token), and several
+	// kernels taking turns on one goroutine only add horizon work.
+	ReasonSlots = "one executor slot"
 )
 
 // shardPlan is what planShards decides for one replica attempt.
 type shardPlan struct {
 	shards int    // kernels the attempt runs on
 	reason string // why that is fewer than Spec.Shards; "" when it is not
+	// slots is the executor slot count the shards run on, 1 on one kernel.
+	// The planner holds slots-1 core tokens for them; the caller releases
+	// them when the replica ends.
+	slots int
 	// ownerOf and borderOf classify positions (StripePartition); nil on
 	// one shard.
 	ownerOf  func(geo.Point) int
 	borderOf func(geo.Point) bool
 }
 
-// planShards decides how many kernels a replica attempt runs on. It is the
-// only place a requested count is lowered, every rule that lowers one names
-// its reason, and the rules run in a fixed order so the reason reported for
-// a replica that trips several is stable: what the Spec carries, then what
-// the previous attempt observed (tied), then the placed topology, then its
-// geometry. The topology probe builds its model from a throwaway pure
-// split, so it perturbs no replica stream.
+// planShards decides how many kernels a replica attempt runs on, and on how
+// many executor slots. It is the only place a requested count is lowered,
+// every rule that lowers one names its reason, and the rules run in a fixed
+// order so the reason reported for a replica that trips several is stable:
+// what the Spec carries, then what the previous attempt observed (tied),
+// then the placed topology, then its geometry, then the cores to run it on.
+// The topology probe builds its model from a throwaway pure split, so it
+// perturbs no replica stream.
 func planShards(s *Spec, positions []geo.Point, seed *sim.RNG, tied bool) shardPlan {
-	one := func(reason string) shardPlan { return shardPlan{shards: 1, reason: reason} }
+	one := func(reason string) shardPlan { return shardPlan{shards: 1, reason: reason, slots: 1} }
 	if s.Shards < 2 {
 		return one("")
 	}
@@ -237,10 +247,23 @@ func planShards(s *Spec, positions []geo.Point, seed *sim.RNG, tied bool) shardP
 	if _, ok := s.Topology.Model(0, positions[0], seed.Split("shard-probe")).(mobility.Static); !ok {
 		return one(ReasonMobile)
 	}
-	p := shardPlan{}
+	p := shardPlan{slots: 1}
 	p.ownerOf, p.borderOf, p.shards = StripePartition(positions, s.Stack.Radio.Range, s.Shards)
 	if p.shards < s.Shards {
 		p.reason = ReasonColumns
+	}
+	if p.shards < 2 {
+		return p
+	}
+	// The calling goroutine is one slot; the others are spare core tokens,
+	// at most one per further shard and capped at GOMAXPROCS. Taken once
+	// here, before the build, so a replica that cannot run two slots builds
+	// one kernel instead of S kernels that would take turns on one.
+	granted := sim.AcquireCores(p.shards - 1)
+	p.slots = min(1+granted, runtime.GOMAXPROCS(0))
+	sim.ReleaseCores(1 + granted - p.slots)
+	if p.slots == 1 {
+		return one(ReasonSlots)
 	}
 	return p
 }

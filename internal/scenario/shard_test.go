@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -112,40 +113,50 @@ func fieldSpec() *Spec {
 // TestShardPlan walks every rule by which planShards lowers a requested
 // count, one row each, in the planner's order: the replica must run on the
 // count the row names, say why, report it on ShardStats, and compute
-// exactly what the same Spec computes when it asks for one shard.
+// exactly what the same Spec computes when it asks for one shard. Every row
+// but the one-slot rule's runs at GOMAXPROCS=2, so the budget leaves it two
+// executor slots and the row's own rule is what decides.
 func TestShardPlan(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		mutate     func(s *Spec)
 		wantShards int
 		wantReason string
+		procs      int // GOMAXPROCS; 0 means 2
 	}{
-		{"nothing in the way", func(s *Spec) {}, 4, ""},
-		{"tracer", func(s *Spec) { s.Stack.Tracer = trace.New(16) }, 1, ReasonTracer},
+		{"nothing in the way", func(s *Spec) {}, 4, "", 0},
+		{"tracer", func(s *Spec) { s.Stack.Tracer = trace.New(16) }, 1, ReasonTracer, 0},
 		{"active churn", func(s *Spec) {
 			s.Stack.IC = true
 			s.Stack.STS = sts.Config{Period: 0.9, Delta: 2, Authenticate: true, BeaconBaseBytes: 28}
 			s.Stack.Vote = vote.Config{Mode: vote.Deterministic, L: 2, RoundTimeout: 0.5, Retries: 1}
 			s.Stack.MaxL = 3
 			s.Churn = &Churn{CrashRejoin: 2, Start: 4, Window: 8, Downtime: 2}
-		}, 1, ReasonChurn},
-		{"traffic without the marker", func(s *Spec) { s.Traffic = unmarked{s.Traffic} }, 1, ReasonTraffic},
-		{"adversary without the marker", func(s *Spec) { s.Adversary = bystander{} }, 1, ReasonAdversary},
+		}, 1, ReasonChurn, 0},
+		{"traffic without the marker", func(s *Spec) { s.Traffic = unmarked{s.Traffic} }, 1, ReasonTraffic, 0},
+		{"adversary without the marker", func(s *Spec) { s.Adversary = bystander{} }, 1, ReasonAdversary, 0},
 		{"timestamp tie", func(s *Spec) {
 			s.Stack.Components = append(s.Stack.Components, tieMaker{})
-		}, 1, ReasonTie},
+		}, 1, ReasonTie, 0},
 		{"mobile topology", func(s *Spec) {
 			s.Topology = RandomWaypoint{Region: geo.Square(200), MinSpeed: 1, MaxSpeed: 1}
-		}, 1, ReasonMobile},
-		{"narrower than two columns", func(s *Spec) { s.Stack.Radio.Range = 250 }, 1, ReasonColumns},
-		{"fewer columns than shards", func(s *Spec) { s.Shards = 64 }, 5, ReasonColumns},
+		}, 1, ReasonMobile, 0},
+		{"narrower than two columns", func(s *Spec) { s.Stack.Radio.Range = 250 }, 1, ReasonColumns, 0},
+		{"fewer columns than shards", func(s *Spec) { s.Shards = 64 }, 5, ReasonColumns, 0},
+		{"one executor slot", func(s *Spec) {}, 1, ReasonSlots, 1},
 		// Several rules at once report the first in the planner's order.
 		{"tracer before mobile", func(s *Spec) {
 			s.Stack.Tracer = trace.New(16)
 			s.Topology = RandomWaypoint{Region: geo.Square(200), MinSpeed: 1, MaxSpeed: 1}
-		}, 1, ReasonTracer},
+		}, 1, ReasonTracer, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			procs := tc.procs
+			if procs == 0 {
+				procs = 2
+			}
+			prev := runtime.GOMAXPROCS(procs)
+			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 			run := func(shards int, stats *bytes.Buffer) *Result {
 				s := fieldSpec()
 				tc.mutate(s)
@@ -216,5 +227,47 @@ func TestShardStatsOneWritePerReplica(t *testing.T) {
 		if w.writes != 1 {
 			t.Errorf("shards=%d: report took %d writes, want 1", shards, w.writes)
 		}
+	}
+}
+
+// TestShardPlanSizesExecutorFromBudget: the planner's last rule sizes the
+// executor from what it observes — one slot for the caller plus the spare
+// core tokens, at most one per further shard, capped at GOMAXPROCS — holds
+// slots-1 tokens for the replica, and plans one kernel when that leaves one
+// slot: at GOMAXPROCS=1, or when a worker pool holds every token.
+func TestShardPlanSizesExecutorFromBudget(t *testing.T) {
+	s := fieldSpec()
+	seed := sim.NewRNG(s.Seed)
+	positions := s.Topology.Place(s.Nodes, seed.Split("placement"))
+	base := sim.CoresInUse()
+	for _, tc := range []struct {
+		procs, held   int // GOMAXPROCS, tokens other replicas hold
+		slots, shards int
+		reason        string
+	}{
+		{1, 0, 1, 1, ReasonSlots},
+		{2, 0, 2, 4, ""},
+		{4, 0, 4, 4, ""},
+		{8, 0, 4, 4, ""},
+		{4, 3, 2, 4, ""},
+		{4, 4, 1, 1, ReasonSlots},
+	} {
+		prev := runtime.GOMAXPROCS(tc.procs)
+		if got := sim.AcquireCores(tc.held); got != tc.held {
+			t.Fatalf("AcquireCores(%d) = %d", tc.held, got)
+		}
+		p := planShards(s, positions, seed, false)
+		if p.slots != tc.slots || p.shards != tc.shards || p.reason != tc.reason {
+			t.Errorf("GOMAXPROCS=%d, %d tokens held: %d slots, %d shards, reason %q; want %d, %d, %q",
+				tc.procs, tc.held, p.slots, p.shards, p.reason, tc.slots, tc.shards, tc.reason)
+		}
+		if got := sim.CoresInUse() - base; got != tc.held+p.slots-1 {
+			t.Errorf("GOMAXPROCS=%d, %d tokens held: the plan leaves %d in use, want %d", tc.procs, tc.held, got, tc.held+p.slots-1)
+		}
+		sim.ReleaseCores(tc.held + p.slots - 1)
+		runtime.GOMAXPROCS(prev)
+	}
+	if got := sim.CoresInUse(); got != base {
+		t.Fatalf("%d core tokens in use afterwards, want %d", got, base)
 	}
 }

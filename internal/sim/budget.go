@@ -4,14 +4,16 @@ package sim
 // goroutines are worth keeping runnable at once. Without it, a sweep of W
 // workers each running an S-shard replica spawns W×S runnable goroutines
 // and thrashes the scheduler; with it, the experiment pool charges one
-// token per in-flight replica and ShardSet.Run sizes its executor to the
-// tokens actually left over, so concurrent sharded replicas cooperatively
-// divide the machine instead of fighting over it.
+// token per in-flight replica and the scenario planner (planShards) sizes
+// each sharded replica's executor to the tokens actually left over, holding
+// them until the replica ends, so concurrent sharded replicas cooperatively
+// divide the machine instead of fighting over it. ShardSet.Run takes the
+// slot count it is given and never reads the budget.
 //
 // The budget is advisory, never blocking: AcquireCores grants at most what
 // is spare and possibly nothing, and callers proceed either way (a pool
-// worker that gets no token still runs its replica; a shard set that gets
-// no extra tokens runs its shards on the caller's goroutine). That keeps
+// worker that gets no token still runs its replica; a replica whose planner
+// is left with one executor slot runs on one kernel). That keeps
 // the token layer invisible to correctness — results are pinned
 // byte-identical at every (workers, shards) combination by the kernel's
 // determinism contract, and the budget only shapes wall-clock behavior.

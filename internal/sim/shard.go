@@ -36,16 +36,17 @@ package sim
 //     themselves by (source shard, source posting order) — both independent
 //     of goroutine scheduling.
 //   - A shard never executes a message event at a timestamp at which it has
-//     itself executed a transmission event: under the sequential kernel the
-//     relative order of those two would be decided by global sequence
-//     numbers that a parallel run cannot reconstruct, so the run fails with
-//     ErrShardTie and the caller re-runs the replica on a single kernel.
-//     Ties of this kind need two neighboring stripes' border transmissions
-//     at bit-identical float timestamps — not rare where timers are not
-//     jittered: on the benchmark's field_scale workload (epoch-synchronized
-//     sensing, slot-quantized MAC backoff) 18 of 100 replicas tripped and
-//     reran (CHANGES.md PR 22). The tripwire makes them safe instead of
-//     silently divergent, not cheap.
+//     itself already executed any locally scheduled event (Kernel.lastLocalAt
+//     — a timer, a delivery, not only a transmission): under the sequential
+//     kernel the relative order of those two would be decided by global
+//     sequence numbers that a parallel run cannot reconstruct, so the run
+//     fails with ErrShardTie and the caller re-runs the replica on a single
+//     kernel. Ties of this kind need a neighboring stripe's border
+//     transmission at the bit-identical float timestamp of a local event —
+//     not rare where timers are not jittered: on the benchmark's field_scale
+//     replica run on 4 shards (epoch-synchronized sensing, slot-quantized MAC
+//     backoff) 18 of 100 seeds trip and rerun. The tripwire makes them safe
+//     instead of silently divergent, not cheap.
 //   - Per-node RNG streams are split by name from the experiment seed
 //     (rng.SplitN), so a node draws the same sequence regardless of which
 //     kernel hosts it.
@@ -53,11 +54,12 @@ package sim
 // Executor. Run drives the shards on G slots (1 <= G <= S), each slot
 // round-robining a contiguous group of shards under the horizon algebra
 // above; G = S is classic goroutine-per-shard, and at G = 1 the one slot is
-// the calling goroutine. Run sizes G to the core tokens actually spare (see
-// budget.go), capped at GOMAXPROCS, so concurrent sharded replicas divide
-// the machine instead of oversubscribing it. The slot count only shapes
-// wall-clock behavior: every G runs the same loop and produces identical
-// results, and it is never a caller's choice.
+// the calling goroutine. G is Run's argument: the scenario planner sizes it
+// from the core tokens it finds spare (see budget.go), capped at
+// GOMAXPROCS, and holds them while the replica runs, so concurrent sharded
+// replicas divide the machine instead of oversubscribing it. Run itself
+// never reads the budget. The slot count only shapes wall-clock behavior:
+// every G runs the same loop and produces identical results.
 
 import (
 	"errors"
@@ -71,8 +73,8 @@ import (
 )
 
 // ErrShardTie reports an ambiguous cross-shard timestamp tie: a message
-// event and a local transmission event landed on the same timestamp in the
-// same shard, so the parallel run cannot reproduce the sequential event
+// event landed on the timestamp of a local event the same shard had already
+// executed, so the parallel run cannot reproduce the sequential event
 // order. The caller should re-run the replica with a single shard; the
 // decision is deterministic, so the same seed and shard count always either
 // trip or complete.
@@ -319,7 +321,6 @@ type ShardSet struct {
 	// Per-kernel Processed/SetEventLimit remain per-shard accounting.
 	limit     uint64
 	processed atomic.Uint64
-	slots     int // executor slot count of the last Run
 }
 
 // NewShardSet returns n shards with fresh kernels. lookahead is the minimum
@@ -527,37 +528,22 @@ func (s *ShardSet) countEvent(sh *Shard) bool {
 // horizons rise one lookahead per null round and cannot prove a drained set
 // quiescent.
 //
-// The calling goroutine is one executor slot; Run takes more from the
-// core-token budget, at most one per shard and capped at GOMAXPROCS — so a
-// lone replica on an idle multi-core host parallelizes fully, while one
-// racing a saturated worker pool (or any replica at GOMAXPROCS=1) drives
-// every shard from the caller's goroutine instead of thrashing.
-func (s *ShardSet) Run(until Time) error {
-	slots := 1
-	if n := len(s.shards); n > 1 {
-		extra := AcquireCores(n - 1)
-		slots = min(1+extra, runtime.GOMAXPROCS(0))
-		ReleaseCores(1 + extra - slots)
-		defer ReleaseCores(slots - 1)
-	}
-	return s.run(until, slots)
-}
-
-// run is Run on a given number of executor slots, from one to one per
-// shard, each slot a contiguous run of shards: most neighbor horizons are
-// then published by the same slot, so oversubscribed hosts pay less
-// cross-goroutine waiting. One slot runs on the calling goroutine, where a
-// panic propagates as it does from Kernel.Run; more run on a goroutine
-// each, whose panics become the run's error.
-func (s *ShardSet) run(until Time, slots int) error {
+// slots is the executor slot count, clamped to [1, shards]: each slot is a
+// contiguous run of shards, so most neighbor horizons are published by the
+// same slot and oversubscribed hosts pay less cross-goroutine waiting. The
+// caller chooses it — the scenario planner, from the core tokens it holds
+// for the replica — and Run takes no token itself. One slot runs on the
+// calling goroutine, where a panic propagates as it does from Kernel.Run;
+// more run on a goroutine each, whose panics become the run's error.
+func (s *ShardSet) Run(until Time, slots int) error {
 	if len(s.shards) == 1 {
 		return s.shards[0].k.Run(until)
 	}
+	slots = max(1, min(slots, len(s.shards)))
 	s.stopped.Store(false)
 	s.errMu.Lock()
 	s.err = nil
 	s.errMu.Unlock()
-	s.slots = slots
 	for _, sh := range s.shards {
 		sh.done = false
 		sh.util = ShardUtil{}

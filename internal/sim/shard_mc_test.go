@@ -94,7 +94,7 @@ func TestMsgLookaheadContractSpotCheck(t *testing.T) {
 			t.Fatalf("panic = %v, want a SetMsgLookahead contract violation", r)
 		}
 	}()
-	_ = set.run(Millisecond, 1) // one slot: the panic reaches the caller
+	_ = set.Run(Millisecond, 1) // one slot: the panic reaches the caller
 }
 
 // TestShardUtilization: per-shard utilization must account every executed
@@ -144,49 +144,33 @@ func TestCoreBudget(t *testing.T) {
 	}
 }
 
-// TestShardSetRunReleasesCoreTokens: the budgeted executor path must return
-// every token it took, including the surplus released up front when
-// GOMAXPROCS caps the slot count below the grant.
-func TestShardSetRunReleasesCoreTokens(t *testing.T) {
+// TestShardSetRunTakesNoCoreTokens: the slot count is Run's argument — the
+// scenario planner sizes it from the budget and holds the tokens — so Run
+// neither takes a token while the shards execute nor returns one, on an
+// idle budget and on a saturated one, at every slot count (out-of-range
+// counts are clamped to [1, shards]).
+func TestShardSetRunTakesNoCoreTokens(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	if used := coreUsed.Load(); used != 0 {
 		t.Fatalf("core tokens leaked from a previous test: %d in use", used)
 	}
-	cs := newChainSpec(4)
-	if err := cs.set.Run(Millisecond); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if used := coreUsed.Load(); used != 0 {
-		t.Fatalf("coreUsed = %d after Run, want 0", used)
-	}
-}
-
-// TestShardSetRunSizesExecutorFromBudget: Run sizes its executor from what
-// it observes — spare core tokens capped at GOMAXPROCS — and nothing else.
-func TestShardSetRunSizesExecutorFromBudget(t *testing.T) {
-	slots := func(procs, held int) int {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	for _, held := range []int{0, 8} {
 		if got := AcquireCores(held); got != held {
 			t.Fatalf("AcquireCores(%d) = %d", held, got)
 		}
-		defer ReleaseCores(held)
-		cs := newChainSpec(4)
-		if err := cs.set.Run(Millisecond); err != nil {
-			t.Fatalf("Run: %v", err)
+		for _, slots := range []int{0, 1, 4, 9} {
+			cs := newChainSpec(4)
+			var during int64 = -1
+			cs.set.Kernel(0).ScheduleFire(Millisecond/2, func() { during = coreUsed.Load() })
+			if err := cs.set.Run(Millisecond, slots); err != nil {
+				t.Fatalf("Run on %d slots: %v", slots, err)
+			}
+			if during != int64(held) || coreUsed.Load() != int64(held) {
+				t.Errorf("held %d, slots %d: %d tokens in use during Run and %d after, want %d both",
+					held, slots, during, coreUsed.Load(), held)
+			}
 		}
-		return cs.set.slots
-	}
-	if got := slots(1, 0); got != 1 {
-		t.Errorf("GOMAXPROCS=1 ran %d slots, want 1", got)
-	}
-	if got := slots(4, 0); got != 4 {
-		t.Errorf("GOMAXPROCS=4 with an idle budget ran %d slots, want 4", got)
-	}
-	if got := slots(4, 4); got != 1 {
-		t.Errorf("a saturated budget (every token held by pool workers) ran %d slots, want 1", got)
-	}
-	if used := coreUsed.Load(); used != 0 {
-		t.Fatalf("coreUsed = %d afterwards, want 0", used)
+		ReleaseCores(held)
 	}
 }

@@ -90,7 +90,7 @@ func (cs *chainSpec) play(t *testing.T, until Time, slots int) {
 	if slots == 0 {
 		err = refRun(cs.set, until)
 	} else {
-		err = cs.set.run(until, slots)
+		err = cs.set.Run(until, slots)
 	}
 	if err != nil {
 		t.Fatalf("run to %v on %d slots: %v", until, slots, err)
@@ -226,7 +226,7 @@ func TestShardSetAggregateEventLimit(t *testing.T) {
 		before := runtime.NumGoroutine()
 		cs := newChainSpec(4)
 		cs.set.SetEventLimit(500)
-		err := cs.set.run(Never, slots)
+		err := cs.set.Run(Never, slots)
 		if err == nil || !strings.Contains(err.Error(), "aggregate event limit") {
 			t.Fatalf("Run with aggregate limit: err = %v, want aggregate limit error", err)
 		}
@@ -242,7 +242,7 @@ func TestShardSetAggregateEventLimit(t *testing.T) {
 func TestShardSetPerKernelEventLimit(t *testing.T) {
 	cs := newChainSpec(2)
 	cs.set.Kernel(1).SetEventLimit(100)
-	err := cs.set.Run(Never)
+	err := cs.set.Run(Never, 2)
 	if err == nil || !strings.Contains(err.Error(), "(shard 1)") {
 		t.Fatalf("Run with per-kernel limit: err = %v, want shard 1 limit error", err)
 	}
@@ -263,7 +263,7 @@ func TestShardSetStop(t *testing.T) {
 			stopped.Store(true)
 			cs.set.Kernel(2).Stop()
 		})
-		if err := cs.set.run(Never, slots); err != nil {
+		if err := cs.set.Run(Never, slots); err != nil {
 			t.Fatalf("run: %v", err)
 		}
 		if !stopped.Load() {
@@ -288,7 +288,7 @@ func TestShardTieTripsLoud(t *testing.T) {
 			set.Post(k0, 1, k0.Now(), func(any) {}, nil)
 		}, true)
 		k1.ScheduleFireTx(2*testLookahead, func() {}, true)
-		if err := set.run(Millisecond, slots); !errors.Is(err, ErrShardTie) {
+		if err := set.Run(Millisecond, slots); !errors.Is(err, ErrShardTie) {
 			t.Fatalf("run: err = %v, want ErrShardTie", err)
 		}
 	})
@@ -307,7 +307,7 @@ func TestSingleShardSetIsSequentialKernel(t *testing.T) {
 	k.ScheduleFireTx(0, func() { ran++ }, true) // no lookahead bound at S=1
 	k.ScheduleFire(Millisecond, func() { k.Stop() })
 	k.ScheduleFire(2*Millisecond, func() { ran++ })
-	if err := set.Run(Never); err != nil {
+	if err := set.Run(Never, 1); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if ran != 1 {
