@@ -76,6 +76,8 @@ func (c *Client) Job(ctx context.Context, id string) (JobInfo, error) {
 
 // Wait follows a job's event stream until its terminal line, invoking
 // onEvent (when non-nil) per event, then returns the job's final record.
+// A stream that ends without that line (the service drained the job's
+// attempt) is an error.
 func (c *Client) Wait(ctx context.Context, id string, onEvent func(Event)) (JobInfo, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/jobs/"+id+"/events", nil)
 	if err != nil {

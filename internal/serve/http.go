@@ -12,7 +12,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"time"
 
 	"innercircle/internal/experiment"
 )
@@ -92,84 +91,114 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j)
 }
 
-// eventsPoll is how often a following events request looks for new lines.
-const eventsPoll = 100 * time.Millisecond
-
 // handleEvents serves a job's JSONL stream. By default it follows: lines
 // are flushed as they land and the response ends when the terminal "end"
-// line is written (or the client goes away). ?follow=0 returns whatever
-// exists right now.
+// line is written (or the client goes away). ?follow=0 returns what the
+// current attempt has written so far.
+//
+// A follower reads one attempt. It opens the stream once the job has left
+// the queue — runJob truncates the stream before the job turns running —
+// and keeps that one reader for the request. Between reads it blocks on
+// the job's wake signal, which every Emit and setState fires. Besides the
+// "end" line, two states end the response once a read reaches EOF: a
+// terminal job, whose "end" is on disk before its state turns
+// (Server.finish), so a stream that still has none is legacy and must not
+// hang the client; and a job back in the queue, whose attempt was drained.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if _, ok := s.Job(id); !ok {
+	state, wake, ok := s.watch(id)
+	if !ok {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	w.Header().Set("Content-Type", "application/jsonl; charset=utf-8")
 	follow := r.URL.Query().Get("follow") != "0"
 	flusher, _ := w.(http.Flusher)
-	var offset int64
-	final := false
+	if follow && flusher != nil {
+		// A queued job has nothing to stream until it runs; open the
+		// response now all the same.
+		w.WriteHeader(http.StatusOK)
+		flusher.Flush()
+	}
+	var es *eventStream
+	defer func() {
+		if es != nil {
+			es.f.Close()
+		}
+	}()
 	for {
-		n, terminal, err := s.copyEvents(w, id, offset)
-		offset += n
-		if n > 0 && flusher != nil {
-			flusher.Flush()
+		if es == nil && state != JobQueued {
+			if es = openEventStream(s.eventsPath(id)); es == nil {
+				return
+			}
 		}
-		if err != nil || terminal || !follow || final {
+		if es != nil {
+			n, terminal, err := es.copyEvents(w)
+			if n > 0 && flusher != nil {
+				flusher.Flush()
+			}
+			if err != nil || terminal {
+				return
+			}
+		}
+		if !follow || (es != nil && state != JobRunning) {
 			return
-		}
-		// A queued/running job may simply not have produced its next line
-		// yet. A job found done or failed has its whole stream on disk —
-		// "end" is written before the terminal state becomes visible
-		// (Server.finish) — but this pass's read may have come just before
-		// it, so read once more without waiting and stop; a stream that
-		// still has no terminal line (legacy) must not hang the client
-		// forever.
-		j, ok := s.Job(id)
-		if !ok {
-			return
-		}
-		if j.State != JobQueued && j.State != JobRunning && n == 0 {
-			final = true
-			continue
 		}
 		select {
 		case <-r.Context().Done():
 			return
-		case <-time.After(eventsPoll):
+		case <-wake:
 		}
+		state, wake, _ = s.watch(id)
 	}
 }
 
-// copyEvents streams complete lines from the job's event file starting at
-// offset, reporting how many bytes were consumed and whether the terminal
-// "end" line passed through. Only newline-terminated lines count: an
-// unterminated tail is an event still being written, so it is neither sent
-// nor consumed and the next poll picks it up whole.
-func (s *Server) copyEvents(w io.Writer, id string, offset int64) (n int64, terminal bool, err error) {
-	f, err := os.Open(s.eventsPath(id))
-	if os.IsNotExist(err) {
-		return 0, false, nil
-	}
+// eventStream is one follower's reader over one attempt's stream file.
+type eventStream struct {
+	f  *os.File
+	br *bufio.Reader
+	// tail is the start of a line whose newline has not landed yet.
+	tail []byte
+}
+
+// openEventStream opens a job's stream file for one follower; it returns
+// nil when the file cannot be opened (a job that failed before its stream
+// existed has none).
+func openEventStream(path string) *eventStream {
+	f, err := os.Open(path)
 	if err != nil {
-		return 0, false, err
+		return nil
 	}
-	defer f.Close()
-	if _, err := f.Seek(offset, io.SeekStart); err != nil {
-		return 0, false, err
-	}
-	br := bufio.NewReaderSize(f, 64*1024)
+	return &eventStream{f: f, br: bufio.NewReader(f)}
+}
+
+// copyEvents streams the complete lines written since its last call,
+// reporting how many bytes it wrote and whether the terminal "end" line
+// passed through. Only newline-terminated lines count: an unterminated tail
+// is an event still being written, so it is held back and goes out whole
+// once a later call reads its newline.
+func (es *eventStream) copyEvents(w io.Writer) (n int, terminal bool, err error) {
 	for {
-		line, err := br.ReadBytes('\n')
-		if err == io.EOF {
-			return n, false, nil
+		chunk, err := es.br.ReadSlice('\n')
+		if err == io.EOF || err == bufio.ErrBufferFull {
+			es.tail = append(es.tail, chunk...)
+			if err == io.EOF {
+				return n, false, nil
+			}
+			continue
 		}
 		if err != nil {
 			return n, false, err
 		}
-		n += int64(len(line))
-		if _, err := w.Write(line); err != nil {
+		line := chunk
+		if len(es.tail) > 0 {
+			es.tail = append(es.tail, chunk...)
+			line = es.tail
+		}
+		m, err := w.Write(line)
+		n += m
+		es.tail = es.tail[:0]
+		if err != nil {
 			return n, false, err
 		}
 		if bytes.Contains(line, []byte(`"type":"end"`)) {

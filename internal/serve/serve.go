@@ -12,7 +12,9 @@
 // restart, queued and running jobs re-enter the queue, and every replica
 // already in the store is a manifest hit that is never recomputed. A
 // job's JSONL event stream (jobs/<id>.events.jsonl) is rewritten on each
-// attempt and terminates with an "end" line — the signal clients follow.
+// attempt, truncated before the attempt turns running, and terminates with
+// an "end" line — the signal clients follow. Every write to a job's stream
+// or record wakes that job's followers; nothing polls.
 package serve
 
 import (
@@ -107,7 +109,10 @@ type Server struct {
 
 	mu   sync.Mutex
 	jobs map[string]*JobInfo
-	seq  int
+	// wakes holds each job's wake signal, created with its record and
+	// fired by every write to its event stream or record.
+	wakes map[string]*wakeSignal
+	seq   int
 
 	queue chan string
 }
@@ -135,6 +140,7 @@ func New(opts Options) (*Server, error) {
 		opts:  opts,
 		store: store,
 		jobs:  make(map[string]*JobInfo),
+		wakes: make(map[string]*wakeSignal),
 		queue: make(chan string, opts.QueueCap),
 	}
 	if err := s.loadJobs(); err != nil {
@@ -191,6 +197,7 @@ func (s *Server) loadJobs() error {
 			return fmt.Errorf("serve: job record %s: %w", name, err)
 		}
 		s.jobs[j.ID] = &j
+		s.wakes[j.ID] = newWakeSignal()
 		if n, ok := seqOf(j.ID); ok && n >= s.seq {
 			s.seq = n + 1
 		}
@@ -266,6 +273,7 @@ func (s *Server) Submit(g *experiment.GridRequest) (JobInfo, error) {
 		return JobInfo{}, fmt.Errorf("%w (%d queued)", ErrQueueFull, s.opts.QueueCap)
 	}
 	s.jobs[id] = j
+	s.wakes[id] = newWakeSignal()
 	err = s.persist(j)
 	info := *j
 	s.mu.Unlock()
@@ -285,6 +293,19 @@ func (s *Server) Job(id string) (JobInfo, bool) {
 		return JobInfo{}, false
 	}
 	return *j, true
+}
+
+// watch returns a job's state and the channel its next write closes, both
+// under s.mu: a write after this call closes the channel, whether it lands
+// in the record (setState) or in the event stream (eventLog.Emit).
+func (s *Server) watch(id string) (state string, wake <-chan struct{}, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return "", nil, false
+	}
+	return j.State, s.wakes[id].wait(), true
 }
 
 // Jobs returns snapshots of every job, in ID (= submission) order.
@@ -323,7 +344,8 @@ func (s *Server) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// setState transitions a job and persists the record.
+// setState transitions a job, persists the record and wakes the job's
+// followers.
 func (s *Server) setState(id, state string, mut func(*JobInfo)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -338,6 +360,7 @@ func (s *Server) setState(id, state string, mut func(*JobInfo)) {
 	if err := s.persist(j); err != nil {
 		s.opts.Logf("serve: persisting job %s: %v", id, err)
 	}
+	s.wakes[id].wake()
 }
 
 // runJob executes one job: resolve every replica against the store, run
@@ -351,16 +374,20 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		return
 	}
 	grid := j.Grid
+	wake := s.wakes[id]
 	s.mu.Unlock()
-	s.setState(id, JobRunning, nil)
 	start := time.Now()
 
-	ev, err := newEventLog(s.eventsPath(id))
+	// Truncate the stream while the job is still queued: a follower reads
+	// nothing until the job turns running, so it reads this attempt's lines
+	// and never a previous process's.
+	ev, err := newEventLog(s.eventsPath(id), wake)
 	if err != nil {
-		s.fail(id, ev, err)
+		s.fail(id, nil, err)
 		return
 	}
 	defer ev.Close()
+	s.setState(id, JobRunning, nil)
 
 	points, err := grid.Points()
 	if err != nil {
@@ -541,7 +568,7 @@ func (s *Server) fail(id string, ev *eventLog, err error) {
 // inside one setState, so under s.mu with the in-memory state already
 // terminal — a reader that has seen "end" finds a terminal record
 // (Client.Wait fetches it next), and a reader that finds a terminal record
-// finds "end" in the stream (handleEvents reads once more and stops).
+// finds "end" in the stream (handleEvents reads to EOF and stops).
 func (s *Server) finish(id string, ev *eventLog, end Event, mut func(*JobInfo)) {
 	s.setState(id, end.State, func(j *JobInfo) {
 		mut(j)
@@ -555,21 +582,24 @@ func (s *Server) finish(id string, ev *eventLog, end Event, mut func(*JobInfo)) 
 // serialized by the pool's progress contract plus the cached-prefix loop
 // running before the pool starts; a mutex keeps it safe regardless.
 type eventLog struct {
-	mu sync.Mutex
-	f  *os.File
+	mu   sync.Mutex
+	f    *os.File
+	wake *wakeSignal
 }
 
 // newEventLog truncates and reopens a job's event stream — each run
-// attempt rewrites the stream from its own cache-resolution state.
-func newEventLog(path string) (*eventLog, error) {
+// attempt rewrites the stream from its own cache-resolution state. Every
+// Emit fires wake.
+func newEventLog(path string, wake *wakeSignal) (*eventLog, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	return &eventLog{f: f}, nil
+	return &eventLog{f: f, wake: wake}, nil
 }
 
-// Emit appends one event line and syncs it to disk.
+// Emit appends one event line, syncs it to disk and wakes the job's
+// followers.
 func (l *eventLog) Emit(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -580,7 +610,33 @@ func (l *eventLog) Emit(e Event) {
 	if _, err := l.f.Write(append(b, '\n')); err == nil {
 		l.f.Sync()
 	}
+	l.wake.wake()
 }
 
 // Close closes the stream file.
 func (l *eventLog) Close() { l.f.Close() }
+
+// wakeSignal is how a job's writers reach its followers: a channel that is
+// closed and replaced on each wake. A follower takes the channel before it
+// reads, so a write its read missed closes the channel it blocks on.
+type wakeSignal struct {
+	mu sync.Mutex
+	ch chan struct{}
+}
+
+func newWakeSignal() *wakeSignal { return &wakeSignal{ch: make(chan struct{})} }
+
+// wait returns the channel the next wake closes.
+func (w *wakeSignal) wait() <-chan struct{} {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.ch
+}
+
+// wake releases every follower blocked on the current channel.
+func (w *wakeSignal) wake() {
+	w.mu.Lock()
+	close(w.ch)
+	w.ch = make(chan struct{})
+	w.mu.Unlock()
+}

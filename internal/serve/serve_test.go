@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -459,15 +460,17 @@ func TestSubmitRejectsBadGrids(t *testing.T) {
 
 // TestEventStreamEndsWithEndLine is the regression test for a followed
 // event stream closing without its "end" line. The follower returns when a
-// poll finds no new line and the job is no longer queued or running; a job
-// used to turn done/failed before its "end" line was written, so a poll
-// landing in between (after an earlier poll had consumed the last "point"
-// line) closed the stream early. The test forces exactly that poll: the
-// job is made to fail after its last point (its tables path is a
-// directory), the service's log hook first lets the follower consume every
-// point line, then — called from inside the terminal state transition,
-// because the job record's path is a directory too and the persist fails —
-// holds the transition open across several polls.
+// read reaching EOF follows a look at the job that found it no longer
+// queued or running; a job used to turn done/failed before its "end" line
+// was written, so a follower landing in between (after an earlier read had
+// consumed the last "point" line) closed the stream early. The test forces
+// exactly that order: the job is made to fail after its last point (its
+// tables path is a directory), the service's log hook first lets the
+// follower consume every point line, then — called from inside the
+// terminal state transition, because the job record's path is a directory
+// too and the persist fails — holds the transition open until the
+// follower, woken by the end line's write, is parked on the server lock to
+// look at the job. Its last read comes after the state turned.
 func TestEventStreamEndsWithEndLine(t *testing.T) {
 	var failing atomic.Bool
 	consumed := make(chan struct{})
@@ -478,7 +481,9 @@ func TestEventStreamEndsWithEndLine(t *testing.T) {
 			<-consumed
 			failing.Store(true)
 		case strings.Contains(format, "persisting job") && failing.Load():
-			time.Sleep(3 * eventsPoll)
+			if !waitFollowerParked() {
+				t.Error("the follower never came back for the job's state after the end line was written")
+			}
 		}
 	}})
 	if err != nil {
@@ -542,22 +547,222 @@ func TestEventStreamEndsWithEndLine(t *testing.T) {
 	}
 }
 
-// TestCopyEventsLeavesTornLine pins the follower against a half-written
-// event: the writer's append is not atomic with respect to a polling
-// reader, so a poll can land between the two halves of one line. The
-// unterminated tail must be neither streamed nor counted — the next poll
-// delivers the line intact and the offset lands exactly on the file's end.
-func TestCopyEventsLeavesTornLine(t *testing.T) {
+// waitFollowerParked reports whether, within 30 s, some goroutine is
+// blocked on the server lock inside Server.watch — a follower about to
+// look at its job.
+func waitFollowerParked() bool {
+	buf := make([]byte, 1<<20)
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "serve.(*Server).watch(") && strings.Contains(g, "sync.(*Mutex).Lock(") {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestFollowerReadsOnlyTheCurrentAttempt pins a follower to one attempt
+// of a job. A process that dies mid-job leaves its record running and its
+// event stream without an "end" line; the next process requeues the job
+// and reruns it, truncating the stream. A follower that attached to the
+// requeued job used to read the dead attempt's lines at once and then,
+// past the truncation, read the new attempt from the old attempt's
+// offset: stale lines, then a torn line or none, and no "end". Here the
+// follower is attached before the new process starts its queue, and the
+// stale stream is longer than the new attempt's.
+func TestFollowerReadsOnlyTheCurrentAttempt(t *testing.T) {
+	dir := t.TempDir()
+	grid := quickGrid("stale-stream", 51)
+	grid.Malicious = []int{0}
+
+	// A first process runs the job to done, which leaves every replica in
+	// the store; then the job is made to look killed mid-attempt.
+	srv1, err := New(Options{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	run1 := make(chan struct{})
+	go func() {
+		defer close(run1)
+		srv1.Run(ctx1)
+	}()
+	hs1 := httptest.NewServer(srv1.Handler())
+	job, err := srv1.Submit(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err := (&Client{Base: hs1.URL}).Wait(context.Background(), job.ID, nil); err != nil || j.State != JobDone {
+		t.Fatalf("first attempt: state %q err %v", j.State, err)
+	}
+	hs1.Close()
+	cancel1()
+	<-run1
+	j, _ := srv1.Job(job.ID)
+	j.State = JobRunning
+	b, err := json.Marshal(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(srv1.jobPath(job.ID), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stale bytes.Buffer
+	for i := 1; i <= 20; i++ {
+		line, _ := json.Marshal(Event{Type: "point", Done: i, Total: 20, Label: "stale attempt"})
+		stale.Write(append(line, '\n'))
+	}
+	if err := os.WriteFile(srv1.eventsPath(job.ID), stale.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// The next process: follow first, then start the queue.
+	srv2, err := New(Options{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs2 := httptest.NewServer(srv2.Handler())
+	resp, err := http.Get(hs2.URL + "/jobs/" + job.ID + "/events")
+	if err != nil {
+		hs2.Close()
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	run2 := make(chan struct{})
+	go func() {
+		defer close(run2)
+		srv2.Run(ctx2)
+	}()
+	t.Cleanup(func() {
+		hs2.Close()
+		cancel2()
+		<-run2
+	})
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := os.ReadFile(srv2.eventsPath(job.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, onDisk) {
+		t.Fatalf("follower read\n%s\nwant the new attempt's stream\n%s", body, onDisk)
+	}
+	var last Event
+	points := 0
+	for _, line := range strings.SplitAfter(string(body), "\n") {
+		if line == "" {
+			continue
+		}
+		if !strings.HasSuffix(line, "\n") {
+			t.Fatalf("torn line %q", line)
+		}
+		last = Event{}
+		if err := json.Unmarshal([]byte(line), &last); err != nil {
+			t.Fatalf("event line %q: %v", line, err)
+		}
+		if last.Label == "stale attempt" {
+			t.Fatalf("stale line %q", line)
+		}
+		if last.Type == "point" {
+			points++
+		}
+	}
+	if last.Type != "end" || last.State != JobDone || points != job.Total {
+		t.Fatalf("%d of %d point lines, last line %+v; want every point and the done job's end line", points, job.Total, last)
+	}
+
+	// ?follow=0 is a snapshot: a done job's whole stream, at once.
+	snap, err := http.Get(hs2.URL + "/jobs/" + job.ID + "/events?follow=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Body.Close()
+	if b, err := io.ReadAll(snap.Body); err != nil || !bytes.Equal(b, onDisk) {
+		t.Fatalf("snapshot of the done job read %q (err %v), want its stream", b, err)
+	}
+}
+
+// TestQueuedFollowerLeavesOnDisconnect: a follower of a job that never
+// runs has nothing to read and nothing to wake it, so only its client can
+// end it. Once the client goes, the handler returns. ?follow=0 on the
+// same job returns at once, empty: the job's attempt has not started.
+func TestQueuedFollowerLeavesOnDisconnect(t *testing.T) {
 	srv, err := New(Options{Dir: t.TempDir(), Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const id = "torn"
+	job, err := srv.Submit(quickGrid("never-runs", 61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	returned := make(chan struct{}, 1)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		returned <- struct{}{}
+	}))
+	// Closed at the end, not deferred: Close waits for a follower that
+	// never returns, and the test would hang instead of failing.
+	url := hs.URL + "/jobs/" + job.ID + "/events"
+
+	snap, err := http.Get(url + "?follow=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := io.ReadAll(snap.Body)
+	snap.Body.Close()
+	if err != nil || snap.StatusCode != http.StatusOK || len(b) != 0 {
+		t.Fatalf("snapshot of a queued job: status %d body %q err %v, want 200 and nothing", snap.StatusCode, b, err)
+	}
+	<-returned
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow of a queued job: status %d", resp.StatusCode)
+	}
+	select {
+	case <-returned:
+		t.Fatal("the follower of a queued job returned while its client was still there")
+	default:
+	}
+	cancel()
+	resp.Body.Close()
+	select {
+	case <-returned:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the follower of a queued job outlived its client by 30 s")
+	}
+	hs.Close()
+	if j, _ := srv.Job(job.ID); j.State != JobQueued {
+		t.Fatalf("job state %q, want it still queued", j.State)
+	}
+}
+
+// TestCopyEventsLeavesTornLine pins the follower against a half-written
+// event: the writer's append is not atomic with respect to a reader, so a
+// read can land between the two halves of one line. The unterminated tail
+// must be held back — also when it is longer than the reader's buffer —
+// and the next read delivers the line intact, each byte exactly once.
+func TestCopyEventsLeavesTornLine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "torn.events.jsonl")
 	first := `{"type":"point","done":1}` + "\n"
-	head, tail := `{"type":"prog`, `ress","done":2}`+"\n"
+	head, tail := `{"type":"point","label":"`+strings.Repeat("x", 10000), `","done":2}`+"\n"
+	end := `{"type":"end"}` + "\n"
 	appendFile := func(s string) {
 		t.Helper()
-		f, err := os.OpenFile(srv.eventsPath(id), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+		f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -570,26 +775,27 @@ func TestCopyEventsLeavesTornLine(t *testing.T) {
 	}
 
 	appendFile(first + head)
-	var out strings.Builder
-	n, terminal, err := srv.copyEvents(&out, id, 0)
-	if err != nil || terminal {
-		t.Fatalf("first poll: terminal=%v err=%v", terminal, err)
+	es := openEventStream(path)
+	if es == nil {
+		t.Fatal("stream did not open")
 	}
-	if out.String() != first || n != int64(len(first)) {
-		t.Fatalf("first poll streamed %q and consumed %d bytes, want %q and %d", out.String(), n, first, len(first))
+	defer es.f.Close()
+	var out strings.Builder
+	n, terminal, err := es.copyEvents(&out)
+	if err != nil || terminal {
+		t.Fatalf("first read: terminal=%v err=%v", terminal, err)
+	}
+	if out.String() != first || n != len(first) {
+		t.Fatalf("first read streamed %q and reported %d bytes, want %q and %d", out.String(), n, first, len(first))
 	}
 
-	appendFile(tail + `{"type":"end"}` + "\n")
+	appendFile(tail + end)
 	out.Reset()
-	m, terminal, err := srv.copyEvents(&out, id, n)
+	n, terminal, err = es.copyEvents(&out)
 	if err != nil || !terminal {
-		t.Fatalf("second poll: terminal=%v err=%v", terminal, err)
+		t.Fatalf("second read: terminal=%v err=%v", terminal, err)
 	}
-	want := head + tail + `{"type":"end"}` + "\n"
-	if out.String() != want {
-		t.Fatalf("second poll streamed %q, want %q", out.String(), want)
-	}
-	if got, size := n+m, int64(len(first)+len(want)); got != size {
-		t.Fatalf("offset after both polls = %d, want the file size %d", got, size)
+	if want := head + tail + end; out.String() != want || n != len(want) {
+		t.Fatalf("second read streamed %d bytes (reported %d), want the torn line whole and the end line: %d bytes", out.Len(), n, len(want))
 	}
 }
