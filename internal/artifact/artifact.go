@@ -8,7 +8,6 @@
 //
 //	objects/ab/cdef…   result bytes, named by their own SHA-256
 //	manifests/<spec-sha256>.json   one Manifest per replica spec
-//	index.jsonl        append-only spec→result log (rebuildable cache)
 //
 // Objects and manifests are written tmp+fsync+rename, so a crash leaves
 // either the complete file or nothing; Verify re-hashes the whole tree.
@@ -29,7 +28,6 @@ import (
 	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -44,9 +42,11 @@ type Manifest struct {
 	GitRev       string `json:"git_rev"`
 	// Knobs snapshots the IC_* environment at run time.
 	Knobs map[string]string `json:"knobs,omitempty"`
-	// Shards is the shard count the replica actually executed with
-	// (scenario.Result.Shards — 1 after a fallback or tie rerun, and when
-	// the core budget left the replica one executor slot).
+	// Shards is the shard count the replica actually executed with in the
+	// run that computed it (scenario.Result.Shards — 1 after a fallback or
+	// tie rerun, and when the core budget left the replica one executor
+	// slot). The spec hash leaves the requested count out, so a run asking
+	// for another count is served this result and this manifest.
 	Shards int `json:"shards"`
 	// WallMs is the replica's wall-clock cost; zero for a cache hit
 	// recorded elsewhere. Diagnostic only — not part of any digest.
@@ -71,19 +71,13 @@ type RunManifest struct {
 	CreatedAt    string            `json:"created_at"`
 }
 
-// indexEntry is one line of index.jsonl.
-type indexEntry struct {
-	Spec   string `json:"spec"`
-	Result string `json:"result"`
-}
-
-// Store is a content-addressed result store rooted at a directory. Safe
-// for concurrent use within one process; cross-process writers are safe
-// for objects (identical content, atomic rename) but share no index lock.
+// Store is a content-addressed result store rooted at a directory. It
+// holds nothing but the path and every file lands by atomic rename, so
+// concurrent writers, in one process or several, need no lock: objects
+// have identical content by construction, and so do the results two
+// manifests for one spec point at.
 type Store struct {
 	root string
-
-	mu sync.Mutex // guards index appends
 }
 
 // Open creates (if needed) and opens a store rooted at dir.
@@ -160,7 +154,7 @@ func (s *Store) HasResult(digest string) bool {
 	return err == nil
 }
 
-// PutManifest records m under its spec hash and appends it to the index.
+// PutManifest records m under its spec hash.
 // Write-once: re-putting an identical (spec, result) pair is a no-op, and
 // a pair that disagrees with the stored one is reported as corruption —
 // the same spec must always reproduce the same result digest.
@@ -184,10 +178,7 @@ func (s *Store) PutManifest(m Manifest) error {
 	if err != nil {
 		return fmt.Errorf("artifact: %w", err)
 	}
-	if err := WriteAtomic(s.manifestPath(m.SpecSHA256), b); err != nil {
-		return err
-	}
-	return s.appendIndex(indexEntry{Spec: m.SpecSHA256, Result: m.ResultSHA256})
+	return WriteAtomic(s.manifestPath(m.SpecSHA256), b)
 }
 
 // GetManifest returns the manifest for a spec hash, if present.
@@ -207,29 +198,6 @@ func (s *Store) GetManifest(specSHA string) (Manifest, bool, error) {
 		return Manifest{}, false, fmt.Errorf("artifact: manifest %s: %w", specSHA, err)
 	}
 	return m, true, nil
-}
-
-// appendIndex appends one line to index.jsonl (fsync'd). The index is a
-// cache over manifests/ — Verify treats manifests as the source of truth.
-func (s *Store) appendIndex(e indexEntry) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := os.OpenFile(filepath.Join(s.root, "index.jsonl"), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("artifact: index: %w", err)
-	}
-	defer f.Close()
-	b, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("artifact: index: %w", err)
-	}
-	if _, err := f.Write(append(b, '\n')); err != nil {
-		return fmt.Errorf("artifact: index: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("artifact: index: %w", err)
-	}
-	return nil
 }
 
 // Manifests returns every stored manifest, sorted by spec hash.
@@ -257,9 +225,10 @@ func (s *Store) Manifests() ([]Manifest, error) {
 }
 
 // Verify re-hashes the whole tree: every object's content must match its
-// address, every manifest must be named after its spec hash and point at
-// an existing object, and every index line must agree with its manifest.
-// It returns the first inconsistency found, or nil.
+// address, and every manifest must be named after its spec hash and point
+// at an existing object. The manifests are the store's only spec→result
+// map; nothing else at the root is read. It returns the first
+// inconsistency found, or nil.
 func (s *Store) Verify() error {
 	objDir := filepath.Join(s.root, "objects")
 	err := filepath.Walk(objDir, func(path string, info os.FileInfo, err error) error {
@@ -291,33 +260,12 @@ func (s *Store) Verify() error {
 	if err != nil {
 		return err
 	}
-	byName := make(map[string]string, len(manifests))
 	for _, m := range manifests {
 		if err := checkDigest(m.SpecSHA256); err != nil {
 			return err
 		}
 		if !s.HasResult(m.ResultSHA256) {
 			return fmt.Errorf("artifact: manifest %s points at missing object %s", m.SpecSHA256, m.ResultSHA256)
-		}
-		byName[m.SpecSHA256] = m.ResultSHA256
-	}
-	idx, err := os.ReadFile(filepath.Join(s.root, "index.jsonl"))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("artifact: index: %w", err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(string(idx)), "\n") {
-		if line == "" {
-			continue
-		}
-		var e indexEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			return fmt.Errorf("artifact: index line %q: %w", line, err)
-		}
-		if res, ok := byName[e.Spec]; !ok || res != e.Result {
-			return fmt.Errorf("artifact: index entry %s→%s disagrees with manifests", e.Spec, e.Result)
 		}
 	}
 	return nil

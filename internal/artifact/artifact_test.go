@@ -117,6 +117,36 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestVerifyIgnoresLegacyIndex: the manifests are the store's only
+// spec→result map. PutManifest writes no index, and the index.jsonl an
+// older store left at its root is not read — even one that disagrees with
+// the manifests and does not parse.
+func TestVerifyIgnoresLegacyIndex(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest, err := s.PutResult([]byte("result"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutManifest(Manifest{SpecSHA256: Sum([]byte("spec")), ResultSHA256: digest, Shards: 1}); err != nil {
+		t.Fatal(err)
+	}
+	index := filepath.Join(dir, "index.jsonl")
+	if _, err := os.Stat(index); !os.IsNotExist(err) {
+		t.Fatalf("PutManifest wrote an index (stat: %v)", err)
+	}
+	legacy := `{"spec":"` + Sum([]byte("another spec")) + `","result":"` + digest + "\"}\nnot json\n"
+	if err := os.WriteFile(index, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Verify(); err != nil {
+		t.Fatalf("Verify read the leftover index: %v", err)
+	}
+}
+
 func TestManifestsSorted(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {

@@ -51,7 +51,7 @@ func BenchmarkShardedField(b *testing.B) {
 				cfg.Shards = shards
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					spec, err := sensorSpec(cfg)
+					spec, _, err := sensorSpec(cfg)
 					if err != nil {
 						b.Fatal(err)
 					}

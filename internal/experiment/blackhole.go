@@ -256,25 +256,21 @@ func blackholeSpec(cfg BlackholeConfig) *scenario.Spec {
 // count: random-waypoint mobility, CBR traffic and fault campaigns each
 // keep the replica on one kernel.
 func RunBlackhole(cfg BlackholeConfig) (BlackholeResult, error) {
-	spec := blackholeSpec(cfg)
-	res, err := scenario.Run(spec)
+	res, err := scenario.Run(blackholeSpec(cfg))
 	if err != nil {
 		return BlackholeResult{}, fmt.Errorf("experiment: %w", err)
 	}
-	out := BlackholeResult{
-		Sent:            int(res.Counter(scenario.CtrSent)),
-		Received:        int(res.Counter(scenario.CtrReceived)),
-		ReceivedCorrupt: int(res.Counter(scenario.CtrReceivedCorrupt)),
-		Throughput:      res.Gauge(scenario.GaugeThroughputPct),
-		EnergyPerNode:   res.Gauge(scenario.GaugeEnergyPerNodeJ),
-	}
-	if spec.Adversary != nil {
-		out.FaultsInjected = res.Counter(scenario.CtrFaultsInjected)
-		out.FaultsSuppressed = res.Counter(scenario.CtrFaultsSuppressed)
-		out.FaultsLeaked = res.Counter(scenario.CtrFaultsLeaked)
-	}
-	out.VerifiesAvoided = res.Counter(scenario.CtrVoteMemoHits)
-	return out, nil
+	return BlackholeResult{
+		Sent:             res.Sent,
+		Received:         res.Received,
+		ReceivedCorrupt:  res.Corrupt,
+		Throughput:       res.ThroughputPct,
+		EnergyPerNode:    res.EnergyPerNode,
+		FaultsInjected:   res.Faults.Injected,
+		FaultsSuppressed: res.Faults.Suppressed,
+		FaultsLeaked:     res.Faults.Leaked,
+		VerifiesAvoided:  res.VoteMemoHits,
+	}, nil
 }
 
 // corruptMark prefixes CBR payloads mangled by a corrupt fault, so the

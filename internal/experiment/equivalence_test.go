@@ -28,22 +28,29 @@ func (referencePin) Attach(*scenario.Env, *node.Node) {}
 func (referencePin) Wire(env *scenario.Env) { env.Net.Channel.SetIndexEnabled(false) }
 
 // checkIndexInvisible runs the replica mkSpec builds twice — as shipped, and
-// pinned to the reference — and requires identical results.
-func checkIndexInvisible(t *testing.T, label string, mkSpec func() *scenario.Spec) {
+// pinned to the reference — and requires identical results: the runner's
+// Result and, for a sensor replica (mkSpec returns its sensorNet, nil
+// otherwise), the Fig. 8 metrics read from the component.
+func checkIndexInvisible(t *testing.T, label string, mkSpec func() (*scenario.Spec, *sensorNet)) {
 	t.Helper()
-	run := func(pins ...scenario.Component) *scenario.Result {
-		spec := mkSpec()
+	run := func(pins ...scenario.Component) (scenario.Result, SensorResult) {
+		spec, sc := mkSpec()
 		spec.Stack.Components = append(spec.Stack.Components, pins...)
 		res, err := scenario.Run(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		return res
+		var out SensorResult
+		if sc != nil {
+			out = sc.result(res)
+		}
+		return *res, out
 	}
-	got, want := run(), run(referencePin{})
-	if got.Counters.String() != want.Counters.String() || got.Gauges.String() != want.Gauges.String() {
-		t.Fatalf("%s: receiver tables diverge from the brute-force reference:\n%s | %s\nvs\n%s | %s",
-			label, got.Counters, got.Gauges, want.Counters, want.Gauges)
+	got, gotSensor := run()
+	want, wantSensor := run(referencePin{})
+	if got != want || gotSensor != wantSensor {
+		t.Fatalf("%s: receiver tables diverge from the brute-force reference:\n%+v\n%+v\nvs\n%+v\n%+v",
+			label, got, gotSensor, want, wantSensor)
 	}
 }
 
@@ -56,7 +63,7 @@ func TestIndexEquivalenceBlackholeSweep(t *testing.T) {
 	base.SimTime = 25
 	base.Seed = 77
 	for _, pt := range mustPoints(t, &GridRequest{Kind: GridBlackhole, Blackhole: &base, Malicious: []int{0, 2}, Levels: []int{1}, Runs: 1}) {
-		checkIndexInvisible(t, pt.Label, func() *scenario.Spec { return blackholeSpec(*pt.Spec.Blackhole) })
+		checkIndexInvisible(t, pt.Label, func() (*scenario.Spec, *sensorNet) { return blackholeSpec(*pt.Spec.Blackhole), nil })
 	}
 }
 
@@ -69,12 +76,12 @@ func TestIndexEquivalenceSensorSweep(t *testing.T) {
 	base.SimTime = 100
 	base.Seed = 78
 	for _, pt := range mustPoints(t, &GridRequest{Kind: GridSensor, Sensor: &base, Levels: []int{3}, Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1}) {
-		checkIndexInvisible(t, pt.Label, func() *scenario.Spec {
-			spec, err := sensorSpec(*pt.Spec.Sensor)
+		checkIndexInvisible(t, pt.Label, func() (*scenario.Spec, *sensorNet) {
+			spec, sc, err := sensorSpec(*pt.Spec.Sensor)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return spec
+			return spec, sc
 		})
 	}
 }

@@ -230,9 +230,16 @@ func (s ReplicaSpec) Validate() error {
 // Canonical returns the spec's canonical JSON bytes: Go struct-order
 // field emission with omitempty zero suppression, which is deterministic
 // for a fixed value — the property the content-addressed store keys on.
+// A sensor spec's shard count is validated and then left out: it says how
+// the replica runs, not what it computes, so a replica stored at one count
+// is served at any other.
 func (s ReplicaSpec) Canonical() ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
+	}
+	if s.Sensor != nil && s.Sensor.Shards != 0 {
+		s.Sensor = clone(s.Sensor)
+		s.Sensor.Shards = 0
 	}
 	return json.Marshal(s)
 }

@@ -54,6 +54,34 @@ func TestReplicaSpecCanonicalDeterministic(t *testing.T) {
 	}
 }
 
+// TestReplicaSpecCanonicalIgnoresShards: a shard count says how a sensor
+// replica runs, not what it computes, so the store key is the same at every
+// count — a replica stored at one count is served at any other — while a
+// count out of bounds is still refused and the spec keeps its count.
+func TestReplicaSpecCanonicalIgnoresShards(t *testing.T) {
+	key := func(shards int) ([]byte, error) {
+		cfg := PaperSensorConfig()
+		cfg.Shards = shards
+		b, err := ReplicaSpec{Kind: ReplicaSensorPair, Sensor: &cfg}.Canonical()
+		if cfg.Shards != shards {
+			t.Fatalf("Canonical changed the spec's shard count from %d to %d", shards, cfg.Shards)
+		}
+		return b, err
+	}
+	want, err := key(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 4} {
+		if got, err := key(shards); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("shards=%d: canonical bytes %s (err %v), want %s", shards, got, err, want)
+		}
+	}
+	if _, err := key(-1); err == nil {
+		t.Error("a negative shard count got a store key")
+	}
+}
+
 // TestDecodeReplicaResultRejectsUnknown: store bytes written by a newer
 // schema must fail loudly, not fold zeros into the tables.
 func TestDecodeReplicaResultRejectsUnknown(t *testing.T) {

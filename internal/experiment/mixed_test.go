@@ -17,14 +17,13 @@ func TestRunMixedSmoke(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if a.Counter(scenario.CtrSent) == 0 {
+	if a.Sent == 0 {
 		t.Fatal("no traffic sent")
 	}
-	if a.Counter(scenario.CtrFaultsInjected) == 0 {
+	if a.Faults.Injected == 0 {
 		t.Fatal("composite campaign injected nothing")
 	}
-	if a.Counters.String() != b.Counters.String() || a.Gauges.String() != b.Gauges.String() {
-		t.Fatalf("same seed diverged:\n%s | %s\nvs\n%s | %s",
-			a.Counters, a.Gauges, b.Counters, b.Gauges)
+	if *a != *b {
+		t.Fatalf("same seed diverged:\n%+v\nvs\n%+v", *a, *b)
 	}
 }

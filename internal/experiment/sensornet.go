@@ -148,18 +148,6 @@ type SensorResult struct {
 	MembershipEpoch int `json:"membership_epoch,omitempty"`     // final key epoch
 }
 
-// Sensor-scenario metric names (on top of the runner's uniform set).
-const (
-	ctrTargets       = "targets"
-	ctrMissed        = "missed"
-	ctrNotifications = "notifications"
-	gaugeMissAlarm   = "miss_alarm"
-	gaugeFalseAlarm  = "false_alarm_pct"
-	gaugeLatency     = "detection_latency_s"
-	gaugeLocErr      = "localization_err_m"
-	gaugeTrafficE    = "traffic_energy_j"
-)
-
 // notifMsg wraps an encoded notification for transport (the centralized
 // solution's raw report).
 type notifMsg struct {
@@ -439,17 +427,27 @@ func (sc *sensorNet) onEpochNode(epoch int64, now sim.Time, node int) {
 	sc.apps[node].sense(epoch, sc.activeTarget(now))
 }
 
-// Harvest implements scenario.Harvester: fold the base station's log into
-// the paper's Fig. 8 metrics.
-func (sc *sensorNet) Harvest(env *scenario.Env, res *scenario.Result) {
+// result folds the base station's log, with what the runner measured of the
+// same replica, into the paper's Fig. 8 metrics.
+func (sc *sensorNet) result(res *scenario.Result) SensorResult {
 	c := &sc.cfg
-	res.Counters.Add(ctrTargets, uint64(len(sc.targets)))
+	out := SensorResult{
+		Targets:         len(sc.targets),
+		Notifications:   len(sc.notifs),
+		EnergyPerNode:   res.EnergyPerNode,
+		TrafficEnergy:   res.EnergyPerNode - energy.NS2Default().IdlePower*float64(c.SimTime),
+		ChurnEvents:     int(res.Churn.Events),
+		ChurnReshares:   int(res.Churn.Reshares),
+		ChurnRefreshes:  int(res.Churn.Refreshes),
+		RoundsAborted:   int(res.Churn.RoundsAborted),
+		MembershipEpoch: int(res.Churn.Epoch),
+	}
 	var latSum, locSum float64
-	detected, missed := 0, 0
+	detected := 0
 	for ti, tg := range sc.targets {
 		ns := sc.perTarget[ti]
 		if len(ns) == 0 {
-			missed++
+			out.Missed++
 			continue
 		}
 		detected++
@@ -460,14 +458,12 @@ func (sc *sensorNet) Harvest(env *scenario.Env, res *scenario.Result) {
 		}
 		locSum += geo.Centroid(pts).Dist(tg.Pos)
 	}
-	res.Counters.Add(ctrMissed, uint64(missed))
-	res.Counters.Add(ctrNotifications, uint64(len(sc.notifs)))
-	if len(sc.targets) > 0 {
-		res.Gauges.Set(gaugeMissAlarm, float64(missed)/float64(len(sc.targets)))
+	if out.Targets > 0 {
+		out.MissAlarm = float64(out.Missed) / float64(out.Targets)
 	}
 	if detected > 0 {
-		res.Gauges.Set(gaugeLatency, latSum/float64(detected))
-		res.Gauges.Set(gaugeLocErr, locSum/float64(detected))
+		out.DetectionLatency = latSum / float64(detected)
+		out.LocalizationErr = locSum / float64(detected)
 	}
 	spurious := 0
 	for _, bn := range sc.notifs {
@@ -489,10 +485,9 @@ func (sc *sensorNet) Harvest(env *scenario.Env, res *scenario.Result) {
 		}
 	}
 	if noTargetEpochs > 0 {
-		res.Gauges.Set(gaugeFalseAlarm, 100*float64(spurious)/float64(noTargetEpochs*(env.Spec.Nodes-1)))
+		out.FalseAlarmProb = 100 * float64(spurious) / float64(noTargetEpochs*(c.Nodes-1))
 	}
-	res.Gauges.Set(gaugeTrafficE,
-		res.Gauges.Get(scenario.GaugeEnergyPerNodeJ)-energy.NS2Default().IdlePower*float64(c.SimTime))
+	return out
 }
 
 // deviceFaults is the Fig. 8 adversary: Faulty sensing devices (chosen
@@ -513,7 +508,7 @@ func (d deviceFaults) Budget(int) (int, error) { return 0, nil }
 func (d deviceFaults) ShardSafe() {}
 
 // Apply implements scenario.Adversary.
-func (d deviceFaults) Apply(env *scenario.Env, _ []int) (scenario.Harvester, error) {
+func (d deviceFaults) Apply(env *scenario.Env, _ []int) error {
 	c := &d.sc.cfg
 	faultRNG := env.SeedStream("faults")
 	perm := faultRNG.Perm(env.Spec.Nodes - 1)
@@ -521,11 +516,13 @@ func (d deviceFaults) Apply(env *scenario.Env, _ []int) (scenario.Harvester, err
 	for i := 0; i < c.Faulty && i < len(perm); i++ {
 		d.sc.apps[perm[i]+1].dev.InjectFault(c.Fault, c.FaultParams, region)
 	}
-	return nil, nil
+	return nil
 }
 
-// sensorSpec assembles the declarative Fig. 8 scenario.
-func sensorSpec(cfg SensorConfig) (*scenario.Spec, error) {
+// sensorSpec assembles the declarative Fig. 8 scenario and returns its
+// sensorNet component, whose result method reads the Fig. 8 metrics once
+// the spec has run.
+func sensorSpec(cfg SensorConfig) (*scenario.Spec, *sensorNet, error) {
 	stsCfg := sts.Config{}
 	voteCfg := vote.Config{}
 	var keys []*nsl.KeyPair
@@ -541,7 +538,7 @@ func sensorSpec(cfg SensorConfig) (*scenario.Spec, error) {
 		var err error
 		keys, err = cachedSensorKeys(cfg.Nodes)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	sc := newSensorNet(cfg)
@@ -578,7 +575,7 @@ func sensorSpec(cfg SensorConfig) (*scenario.Spec, error) {
 	if cfg.Fault != sensor.FaultNone {
 		spec.Adversary = deviceFaults{sc: sc}
 	}
-	return spec, nil
+	return spec, sc, nil
 }
 
 // RunSensor executes one Fig. 8 simulation run.
@@ -590,7 +587,7 @@ func RunSensor(cfg SensorConfig) (SensorResult, error) {
 // runSensorShards is RunSensor plus the shard count the replica actually
 // executed with (provenance for the artifact manifests).
 func runSensorShards(cfg SensorConfig) (SensorResult, int, error) {
-	spec, err := sensorSpec(cfg)
+	spec, sc, err := sensorSpec(cfg)
 	if err != nil {
 		return SensorResult{}, 0, err
 	}
@@ -598,22 +595,7 @@ func runSensorShards(cfg SensorConfig) (SensorResult, int, error) {
 	if err != nil {
 		return SensorResult{}, 0, fmt.Errorf("experiment: %w", err)
 	}
-	return SensorResult{
-		Targets:          int(res.Counter(ctrTargets)),
-		Missed:           int(res.Counter(ctrMissed)),
-		Notifications:    int(res.Counter(ctrNotifications)),
-		MissAlarm:        res.Gauge(gaugeMissAlarm),
-		FalseAlarmProb:   res.Gauge(gaugeFalseAlarm),
-		DetectionLatency: res.Gauge(gaugeLatency),
-		LocalizationErr:  res.Gauge(gaugeLocErr),
-		EnergyPerNode:    res.Gauge(scenario.GaugeEnergyPerNodeJ),
-		TrafficEnergy:    res.Gauge(gaugeTrafficE),
-		ChurnEvents:      int(res.Counter(scenario.CtrChurnEvents)),
-		ChurnReshares:    int(res.Counter(scenario.CtrChurnReshares)),
-		ChurnRefreshes:   int(res.Counter(scenario.CtrChurnRefreshes)),
-		RoundsAborted:    int(res.Counter(scenario.CtrChurnAborted)),
-		MembershipEpoch:  int(res.Gauge(scenario.GaugeMembershipEpoch)),
-	}, res.Shards, nil
+	return sc.result(res), res.Shards, nil
 }
 
 // SensorPair is one Fig. 8 grid point's paired replicas: the with-target

@@ -117,6 +117,14 @@ func TestSweepShardCountInvariant(t *testing.T) {
 	}
 }
 
+// outcome is what a replica computed: its Result without the planner's
+// decision, which the requested shard count may change and nothing else may.
+func outcome(r *scenario.Result) scenario.Result {
+	o := *r
+	o.Shards, o.ShardReason = 0, ""
+	return o
+}
+
 // withProcs sets GOMAXPROCS to n for the rest of the test.
 func withProcs(t testing.TB, n int) {
 	prev := runtime.GOMAXPROCS(n)
@@ -134,7 +142,7 @@ func TestSensorShardingEngages(t *testing.T) {
 	cfg.Seed = 3
 	cfg.SimTime = 60
 	cfg.Shards = 4
-	spec, err := sensorSpec(cfg)
+	spec, _, err := sensorSpec(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +164,11 @@ func TestSensorShardingEngages(t *testing.T) {
 // first attempt sharded.
 func TestSensorShardTieReruns(t *testing.T) {
 	withProcs(t, 2)
-	run := func(seed int64, shards int) *scenario.Result {
+	run := func(seed int64, shards int) (*scenario.Result, SensorResult) {
 		cfg := ScaledSensorConfig(400)
 		cfg.Seed = seed
 		cfg.Shards = shards
-		spec, err := sensorSpec(cfg)
+		spec, sc, err := sensorSpec(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,17 +176,18 @@ func TestSensorShardTieReruns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, sc.result(res)
 	}
-	want, got := run(6, 1), run(6, 4)
+	want, wantSensor := run(6, 1)
+	got, gotSensor := run(6, 4)
 	if got.Shards != 1 || got.ShardReason != scenario.ReasonTie {
 		t.Fatalf("seed 6 ran on %d shards, reason %q; want 1, %q", got.Shards, got.ShardReason, scenario.ReasonTie)
 	}
-	if got.Counters.String() != want.Counters.String() || got.Gauges.String() != want.Gauges.String() {
-		t.Errorf("the second attempt differs from the one-shard replica:\n%s | %s\nvs\n%s | %s",
-			got.Counters, got.Gauges, want.Counters, want.Gauges)
+	if outcome(got) != outcome(want) || gotSensor != wantSensor {
+		t.Errorf("the second attempt differs from the one-shard replica:\n%+v\n%+v\nvs\n%+v\n%+v",
+			*got, gotSensor, *want, wantSensor)
 	}
-	if clean := run(1, 4); clean.Shards != 4 || clean.ShardReason != "" {
+	if clean, _ := run(1, 4); clean.Shards != 4 || clean.ShardReason != "" {
 		t.Errorf("seed 1 ran on %d shards, reason %q; want 4 and none", clean.Shards, clean.ShardReason)
 	}
 }
@@ -206,9 +215,8 @@ func TestBlackholeShardFallback(t *testing.T) {
 		if got.Shards != 1 || got.ShardReason != scenario.ReasonTraffic {
 			t.Errorf("malicious=%d: ran on %d shards, reason %q; want 1, %q", malicious, got.Shards, got.ShardReason, scenario.ReasonTraffic)
 		}
-		if got.Counters.String() != want.Counters.String() || got.Gauges.String() != want.Gauges.String() {
-			t.Errorf("malicious=%d: result differs with Shards=4:\n--- 1 ---\n%s | %s\n--- 4 ---\n%s | %s",
-				malicious, want.Counters, want.Gauges, got.Counters, got.Gauges)
+		if outcome(got) != outcome(want) {
+			t.Errorf("malicious=%d: result differs with Shards=4:\n--- 1 ---\n%+v\n--- 4 ---\n%+v", malicious, *want, *got)
 		}
 	}
 }
@@ -257,7 +265,7 @@ func TestReplicaCoreTokens(t *testing.T) {
 			cfg := ScaledSensorConfig(400)
 			cfg.Seed = tc.seed
 			cfg.Shards = 4
-			spec, err := sensorSpec(cfg)
+			spec, _, err := sensorSpec(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 
 	"innercircle/internal/link"
 	"innercircle/internal/sim"
-	"innercircle/internal/stats"
 	"innercircle/internal/vote"
 )
 
@@ -260,16 +259,6 @@ func (r Report) TotalInjected() uint64 {
 		total += e.Injected
 	}
 	return total
-}
-
-// Counters exposes the report as named stats counters ("e0/drop" etc.),
-// in entry order.
-func (r Report) Counters() *stats.Counters {
-	c := stats.NewCounters()
-	for i, e := range r.Entries {
-		c.Add(fmt.Sprintf("e%d/%s", i, e.Fault), e.Injected)
-	}
-	return c
 }
 
 // Report tallies the injections so far (normally read after the run).

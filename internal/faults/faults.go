@@ -150,8 +150,6 @@ type Selector struct {
 	// (the experiment's placement permutation) — how the legacy
 	// black-hole sweep picks its malicious nodes.
 	Count int `json:"count,omitempty"`
-	// Pred selects nodes programmatically; not serializable.
-	Pred func(node int) bool `json:"-"`
 }
 
 func (s Selector) validate() error {
@@ -165,11 +163,8 @@ func (s Selector) validate() error {
 	if s.Count > 0 {
 		set++
 	}
-	if s.Pred != nil {
-		set++
-	}
 	if set != 1 {
-		return fmt.Errorf("faults: selector must set exactly one of all/nodes/count/pred, got %d", set)
+		return fmt.Errorf("faults: selector must set exactly one of all/nodes/count, got %d", set)
 	}
 	return nil
 }
@@ -208,14 +203,6 @@ func (s Selector) resolve(n int, order []int) ([]int, error) {
 			return nil, fmt.Errorf("faults: count %d exceeds the %d selectable nodes", s.Count, len(order))
 		}
 		return append([]int(nil), order[:s.Count]...), nil
-	case s.Pred != nil:
-		var out []int
-		for i := 0; i < n; i++ {
-			if s.Pred(i) {
-				out = append(out, i)
-			}
-		}
-		return out, nil
 	}
 	return nil, fmt.Errorf("faults: empty selector")
 }

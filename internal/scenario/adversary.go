@@ -15,15 +15,15 @@ type Adversary interface {
 	Budget(n int) (int, error)
 	// Apply wires the adversary into the replica. order is the
 	// attacker-selection order (the traffic plan's non-endpoint nodes;
-	// nil means 0..N-1). The returned Harvester, if any, folds the
-	// adversary's coverage counters into the Result after the run.
-	Apply(env *Env, order []int) (Harvester, error)
+	// nil means 0..N-1).
+	Apply(env *Env, order []int) error
 }
 
 // CampaignAdversary runs a declarative fault campaign (internal/faults)
 // against the replica. The fabric wiring — link taps, router and vote
 // control surfaces, the payload-corruption hook — is assembled once here
-// from the Env, so scenarios never hand-wire a faults.Fabric.
+// from the Env, so scenarios never hand-wire a faults.Fabric. The runner
+// reports the campaign's coverage in Result.Faults.
 type CampaignAdversary struct {
 	Campaign *faults.Campaign
 }
@@ -41,7 +41,7 @@ func (a CampaignAdversary) Budget(int) (int, error) {
 }
 
 // Apply implements Adversary.
-func (a CampaignAdversary) Apply(env *Env, order []int) (Harvester, error) {
+func (a CampaignAdversary) Apply(env *Env, order []int) error {
 	applied, err := faults.Apply(faults.Fabric{
 		K:     env.K(),
 		RNG:   env.seed,
@@ -60,33 +60,34 @@ func (a CampaignAdversary) Apply(env *Env, order []int) (Harvester, error) {
 		Mutate: env.mutate,
 	}, a.Campaign)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return campaignCoverage{applied: applied}, nil
+	env.campaign = applied
+	return nil
 }
 
-// campaignCoverage folds a campaign's neutralization coverage into the
-// Result: injections from the fault report, suppressions from the
-// protocol stacks, leaks from the sink tally.
-type campaignCoverage struct {
-	applied *faults.Applied
+// Coverage is a fault campaign's neutralization coverage.
+type Coverage struct {
+	Injected   uint64 // attack/fault actions taken
+	Suppressed uint64 // neutralized at the protocol level
+	Leaked     uint64 // corruption that reached a sink
 }
 
-// Harvest implements Harvester.
-func (c campaignCoverage) Harvest(env *Env, res *Result) {
-	res.Counters.Add(CtrFaultsInjected, c.applied.Report().TotalInjected())
-	var suppressed uint64
+// coverage reads the coverage of the campaign applied to env, after the
+// run: injections from the fault report, suppressions from the protocol
+// stacks, leaks from the sink tally.
+func coverage(env *Env) Coverage {
+	c := Coverage{Injected: env.campaign.Report().TotalInjected(), Leaked: uint64(env.Sink.Corrupt)}
 	for _, nd := range env.Net.Nodes {
 		if nd.Intercept != nil {
-			suppressed += nd.Intercept.Stats.SuppressedSuspect + nd.Intercept.Stats.SuppressedBadSig
+			c.Suppressed += nd.Intercept.Stats.SuppressedSuspect + nd.Intercept.Stats.SuppressedBadSig
 		}
 		if nd.STS != nil {
-			suppressed += nd.STS.Stats.BeaconsRejected
+			c.Suppressed += nd.STS.Stats.BeaconsRejected
 		}
 		if nd.Vote != nil {
-			suppressed += nd.Vote.Stats.PartialsRejected + nd.Vote.Stats.AgreedInvalid
+			c.Suppressed += nd.Vote.Stats.PartialsRejected + nd.Vote.Stats.AgreedInvalid
 		}
 	}
-	res.Counters.Add(CtrFaultsSuppressed, suppressed)
-	res.Counters.Add(CtrFaultsLeaked, uint64(env.Sink.Corrupt))
+	return c
 }

@@ -64,14 +64,14 @@ type Churn struct {
 	Protect int `json:"protect,omitempty"`
 }
 
-// Churn metric names (runner counters, present only when churn ran).
-const (
-	CtrChurnEvents       = "churn_events"         // effective membership transitions
-	CtrChurnReshares     = "churn_reshares"       // reshares executed
-	CtrChurnRefreshes    = "churn_refreshes"      // proactive refreshes executed
-	CtrChurnAborted      = "churn_rounds_aborted" // vote rounds drained by transitions
-	GaugeMembershipEpoch = "membership_epoch"     // final key epoch
-)
+// ChurnOutcome is what a churn schedule did to the replica.
+type ChurnOutcome struct {
+	Events        uint64 // effective membership transitions
+	Reshares      uint64 // reshares executed
+	Refreshes     uint64 // proactive refreshes executed
+	RoundsAborted uint64 // vote rounds drained by transitions
+	Epoch         uint64 // final key epoch
+}
 
 // active reports whether this churn config schedules anything at run
 // time.
@@ -232,11 +232,8 @@ func (d *churnDriver) refresh() {
 	}
 }
 
-// harvest folds the churn counters into the result.
-func (d *churnDriver) harvest(res *Result) {
-	res.Counters.Add(CtrChurnEvents, d.events)
-	res.Counters.Add(CtrChurnReshares, d.reshares)
-	res.Counters.Add(CtrChurnRefreshes, d.refreshes)
-	res.Counters.Add(CtrChurnAborted, d.m.Stats.RoundsAborted)
-	res.Gauges.Set(GaugeMembershipEpoch, float64(d.m.Stats.Epoch))
+// outcome reports what the schedule did; read it after the run.
+func (d *churnDriver) outcome() ChurnOutcome {
+	return ChurnOutcome{Events: d.events, Reshares: d.reshares, Refreshes: d.refreshes,
+		RoundsAborted: d.m.Stats.RoundsAborted, Epoch: d.m.Stats.Epoch}
 }

@@ -75,24 +75,23 @@ func TestChurnRunDeterministic(t *testing.T) {
 		return res
 	}
 	a, b, sharded := run(0), run(0), run(4)
-	if a.Counter(CtrChurnEvents) == 0 {
+	if a.Churn.Events == 0 {
 		t.Fatal("no churn events took effect")
 	}
-	if a.Counter(CtrChurnReshares) == 0 {
+	if a.Churn.Reshares == 0 {
 		t.Fatal("event policy executed no reshares")
 	}
-	if a.Gauge(GaugeMembershipEpoch) == 0 {
+	if a.Churn.Epoch == 0 {
 		t.Fatal("membership epoch never advanced")
 	}
-	if a.Counters.String() != b.Counters.String() || a.Gauges.String() != b.Gauges.String() {
-		t.Fatalf("same seed diverged:\n%s | %s\nvs\n%s | %s", a.Counters, a.Gauges, b.Counters, b.Gauges)
+	if *a != *b {
+		t.Fatalf("same seed diverged:\n%+v\nvs\n%+v", *a, *b)
 	}
 	if sharded.Shards != 1 {
 		t.Fatalf("churn replica executed with %d shards", sharded.Shards)
 	}
-	if a.Counters.String() != sharded.Counters.String() || a.Gauges.String() != sharded.Gauges.String() {
-		t.Fatalf("shard request changed churn results:\n%s | %s\nvs\n%s | %s",
-			a.Counters, a.Gauges, sharded.Counters, sharded.Gauges)
+	if outcome(a) != outcome(sharded) {
+		t.Fatalf("shard request changed churn results:\n%+v\nvs\n%+v", *a, *sharded)
 	}
 }
 
@@ -111,8 +110,7 @@ func TestChurnOffMatchesNoChurn(t *testing.T) {
 	}
 	base := run(func(s *Spec) {})
 	zero := run(func(s *Spec) { s.Churn = &Churn{} })
-	if base.Counters.String() != zero.Counters.String() || base.Gauges.String() != zero.Gauges.String() {
-		t.Fatalf("zero schedule diverged from the churn-free replica:\n%s | %s\nvs\n%s | %s",
-			base.Counters, base.Gauges, zero.Counters, zero.Gauges)
+	if *base != *zero {
+		t.Fatalf("zero schedule diverged from the churn-free replica:\n%+v\nvs\n%+v", *base, *zero)
 	}
 }

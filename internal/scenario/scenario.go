@@ -36,7 +36,6 @@ import (
 	"innercircle/internal/node"
 	"innercircle/internal/radio"
 	"innercircle/internal/sim"
-	"innercircle/internal/stats"
 	"innercircle/internal/sts"
 	"innercircle/internal/trace"
 	"innercircle/internal/traffic"
@@ -104,7 +103,8 @@ type Stack struct {
 
 	// Components are the scenario's application-layer parts, attached to
 	// every node in order. A component may additionally implement
-	// Registrar, Wirer, Starter, Harvester or Validator.
+	// Registrar, Wirer, Starter, Resetter or Validator, and keeps its own
+	// metrics: the Result holds only what the runner measures.
 	Components []Component
 }
 
@@ -147,11 +147,6 @@ type Starter interface {
 	Start(env *Env)
 }
 
-// Harvester components fold their metrics into the Result after the run.
-type Harvester interface {
-	Harvest(env *Env, res *Result)
-}
-
 // Validator components veto invalid Specs (population floors, parameter
 // gaps) before anything is built.
 type Validator interface {
@@ -180,6 +175,7 @@ type Env struct {
 	unicast   func(src, dst int, payload any, sizeBytes int)
 	routerCtl func(i int) faults.RouterCtl
 	mutate    func(e link.Env, rng *sim.RNG) (link.Env, bool)
+	campaign  *faults.Applied // CampaignAdversary's; Run reports its coverage
 	err       error
 }
 
@@ -389,10 +385,8 @@ func runOnce(s *Spec, tied bool, cores *int) (*Result, error) {
 		}
 	}
 
-	var coverage Harvester
 	if s.Adversary != nil {
-		coverage, err = s.Adversary.Apply(env, order)
-		if err != nil {
+		if err := s.Adversary.Apply(env, order); err != nil {
 			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
 	}
@@ -422,48 +416,36 @@ func runOnce(s *Spec, tied bool, cores *int) (*Result, error) {
 		return nil, fmt.Errorf("scenario %q: run: %w", s.Name, err)
 	}
 
-	res := &Result{Name: s.Name, Counters: stats.NewCounters(), Gauges: stats.NewGauges(),
-		Shards: shard.shards, ShardReason: shard.reason}
-	sent := 0
+	res := &Result{
+		Received:      env.Sink.Received,
+		Corrupt:       env.Sink.Corrupt,
+		EnergyPerNode: net.TotalEnergy() / float64(s.Nodes),
+		Shards:        shard.shards,
+		ShardReason:   shard.reason,
+	}
 	if sender, ok := plan.(traffic.Sender); ok {
-		sent = sender.Sent()
+		res.Sent = sender.Sent()
 	}
-	res.Counters.Add(CtrSent, uint64(sent))
-	res.Counters.Add(CtrReceived, uint64(env.Sink.Received))
-	res.Counters.Add(CtrReceivedCorrupt, uint64(env.Sink.Corrupt))
-	if sent > 0 {
-		res.Gauges.Set(GaugeThroughputPct, 100*float64(env.Sink.Received)/float64(sent))
+	if res.Sent > 0 {
+		res.ThroughputPct = 100 * float64(res.Received) / float64(res.Sent)
 	}
-	res.Gauges.Set(GaugeEnergyPerNodeJ, net.TotalEnergy()/float64(s.Nodes))
-	if s.Stack.IC {
-		var hits, misses uint64
-		for _, nd := range net.Nodes {
-			if nd.Vote != nil {
-				hits += nd.Vote.Stats.MemoHits
-				misses += nd.Vote.Stats.MemoMisses
-			}
+	for _, nd := range net.Nodes {
+		if nd.Vote != nil {
+			res.VoteMemoHits += nd.Vote.Stats.MemoHits
 		}
-		res.Counters.Add(CtrVoteMemoHits, hits)
-		res.Counters.Add(CtrVoteMemoMisses, misses)
+	}
+	if env.campaign != nil {
+		res.Faults = coverage(env)
 	}
 	if churn != nil {
-		churn.harvest(res)
-	}
-	var util []sim.ShardUtil
-	if net.Set != nil {
-		util = net.Set.Utilization()
-		harvestShardStats(res, util)
+		res.Churn = churn.outcome()
 	}
 	if s.ShardStats != nil && s.Shards > 1 {
-		writeShardStats(s.ShardStats, res, s.Shards, util)
-	}
-	for _, c := range s.Stack.Components {
-		if h, ok := c.(Harvester); ok {
-			h.Harvest(env, res)
+		var util []sim.ShardUtil
+		if net.Set != nil {
+			util = net.Set.Utilization()
 		}
-	}
-	if coverage != nil {
-		coverage.Harvest(env, res)
+		writeShardStats(s.ShardStats, s.Name, res, s.Shards, util)
 	}
 	return res, nil
 }

@@ -159,18 +159,15 @@ func TestSinkTallyDeliver(t *testing.T) {
 	}
 }
 
-// epochCounter is a minimal harvesting component driving the smoke run.
+// epochCounter is a minimal component driving the smoke run; it keeps its
+// count on itself.
 type epochCounter struct {
 	nopComponent
 	fired int
 }
 
-func (c *epochCounter) Harvest(_ *Env, res *Result) {
-	res.Counters.Add("epochs", uint64(c.fired))
-}
-
 func TestRunSmokeDeterministic(t *testing.T) {
-	run := func() *Result {
+	run := func() (*Result, int) {
 		c := &epochCounter{}
 		s := validSpec()
 		s.Stack.Components = []Component{c}
@@ -183,17 +180,17 @@ func TestRunSmokeDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return res
+		return res, c.fired
 	}
-	a, b := run(), run()
-	if a.Counter("epochs") == 0 {
+	a, aFired := run()
+	b, bFired := run()
+	if aFired == 0 {
 		t.Fatal("no epochs fired")
 	}
-	if a.Gauge(GaugeEnergyPerNodeJ) <= 0 {
+	if a.EnergyPerNode <= 0 {
 		t.Fatal("no energy accounted")
 	}
-	if a.Counters.String() != b.Counters.String() || a.Gauges.String() != b.Gauges.String() {
-		t.Fatalf("same seed diverged:\n%s | %s\nvs\n%s | %s",
-			a.Counters, a.Gauges, b.Counters, b.Gauges)
+	if *a != *b || aFired != bFired {
+		t.Fatalf("same seed diverged:\n%+v, %d epochs\nvs\n%+v, %d epochs", *a, aFired, *b, bFired)
 	}
 }

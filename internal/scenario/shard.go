@@ -124,42 +124,33 @@ func StripePartition(positions []geo.Point, rangeM float64, shards int) (ownerOf
 	return ownerOf, borderOf, shards
 }
 
-// harvestShardStats folds the shard set's utilization records into the
-// Result's gauges. They depend only on the partition and the simulation, so
-// they are deterministic at every slot count; the wall-clock side of the
-// same records (null republishes, parks, blocked time) is only ever printed
-// (writeShardStats), never stored.
-func harvestShardStats(res *Result, util []sim.ShardUtil) {
-	minEv, maxEv := util[0].Events, util[0].Events
-	for _, u := range util {
-		minEv = min(minEv, u.Events)
-		maxEv = max(maxEv, u.Events)
-	}
-	res.Gauges.Set(GaugeShardEventsMin, float64(minEv))
-	res.Gauges.Set(GaugeShardEventsMax, float64(maxEv))
-	straggler := float64(maxEv)
-	if minEv > 0 {
-		straggler = float64(maxEv) / float64(minEv)
-	}
-	res.Gauges.Set(GaugeShardStraggler, straggler)
-}
-
 // writeShardStats reports one replica that asked for more than one shard to
-// Spec.ShardStats: the per-shard utilization table when it ran sharded, and
-// the planner's reason when it ran on fewer shards than asked. The report is
-// built first and handed over in one Write, so replicas on the parallel
-// pool can share a writer whose Write is atomic (the CLI's standard error).
-func writeShardStats(w io.Writer, res *Result, asked int, util []sim.ShardUtil) {
+// Spec.ShardStats: the per-shard utilization table, headed by the straggler
+// ratio (the heaviest shard's events over the lightest's), when it ran
+// sharded, and the planner's reason when it ran on fewer shards than asked.
+// None of it is stored. The report is built first and handed over in one
+// Write, so replicas on the parallel pool can share a writer whose Write is
+// atomic (the CLI's standard error).
+func writeShardStats(w io.Writer, name string, res *Result, asked int, util []sim.ShardUtil) {
 	var b bytes.Buffer
 	if len(util) > 0 {
-		fmt.Fprintf(&b, "shardstats %s: shards=%d straggler=%.3f\n", res.Name, len(util), res.Gauge(GaugeShardStraggler))
+		minEv, maxEv := util[0].Events, util[0].Events
+		for _, u := range util {
+			minEv = min(minEv, u.Events)
+			maxEv = max(maxEv, u.Events)
+		}
+		straggler := float64(maxEv)
+		if minEv > 0 {
+			straggler = float64(maxEv) / float64(minEv)
+		}
+		fmt.Fprintf(&b, "shardstats %s: shards=%d straggler=%.3f\n", name, len(util), straggler)
 		for i, u := range util {
 			fmt.Fprintf(&b, "  shard %2d: events=%d null_republishes=%d parks=%d blocked_ms=%.2f\n",
 				i, u.Events, u.NullRepublishes, u.Parks, float64(u.BlockedNs)/1e6)
 		}
 	}
 	if res.ShardReason != "" {
-		fmt.Fprintf(&b, "shardstats %s: ran on %d of %d shards: %s\n", res.Name, res.Shards, asked, res.ShardReason)
+		fmt.Fprintf(&b, "shardstats %s: ran on %d of %d shards: %s\n", name, res.Shards, asked, res.ShardReason)
 	}
 	_, _ = w.Write(b.Bytes()) // a diagnostic: a failed write has nowhere to be reported
 }

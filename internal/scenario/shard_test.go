@@ -57,12 +57,21 @@ func (c *chatter) onEpoch(_ int64, _ sim.Time, i int) {
 	nd.K.ScheduleFire(c.jitter[i].Jitter(1), func() { _ = nd.Link.Send(link.BroadcastID, chatMsg{}) })
 }
 
-func (c *chatter) Harvest(_ *Env, res *Result) {
-	var total uint64
+// total is the frames all nodes heard.
+func (c *chatter) total() uint64 {
+	var n uint64
 	for _, h := range c.heard {
-		total += h
+		n += h
 	}
-	res.Counters.Add("chat_heard", total)
+	return n
+}
+
+// outcome is what a replica computed: its Result without the planner's
+// decision, which the requested shard count may change and nothing else may.
+func outcome(r *Result) Result {
+	o := *r
+	o.Shards, o.ShardReason = 0, ""
+	return o
 }
 
 // tieMaker plants the smallest ambiguous tie on a partitioned replica:
@@ -86,8 +95,8 @@ type unmarked struct{ traffic.Program }
 // bystander is an adversary that does nothing and carries no marker.
 type bystander struct{}
 
-func (bystander) Budget(int) (int, error)              { return 0, nil }
-func (bystander) Apply(*Env, []int) (Harvester, error) { return nil, nil }
+func (bystander) Budget(int) (int, error) { return 0, nil }
+func (bystander) Apply(*Env, []int) error { return nil }
 
 // fieldSpec is a 40-node static field that can run on 4 shards: 5 radio
 // columns, a ShardSafe epoch program, no tracer, churn or adversary.
@@ -157,7 +166,7 @@ func TestShardPlan(t *testing.T) {
 			}
 			prev := runtime.GOMAXPROCS(procs)
 			t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-			run := func(shards int, stats *bytes.Buffer) *Result {
+			run := func(shards int, stats *bytes.Buffer) (*Result, uint64) {
 				s := fieldSpec()
 				tc.mutate(s)
 				if shards > 0 {
@@ -166,33 +175,27 @@ func TestShardPlan(t *testing.T) {
 				if stats != nil {
 					s.ShardStats = stats
 				}
+				chat := s.Stack.Components[0].(*chatter)
 				res, err := Run(s)
 				if err != nil {
 					t.Fatalf("Run at %d shards: %v", s.Shards, err)
 				}
-				return res
+				return res, chat.total()
 			}
 			var stats, quiet bytes.Buffer
-			want, got := run(1, &quiet), run(0, &stats)
+			want, wantHeard := run(1, &quiet)
+			got, gotHeard := run(0, &stats)
 			if want.Shards != 1 || want.ShardReason != "" || quiet.Len() != 0 {
 				t.Fatalf("one shard asked: ran on %d, reason %q, stats %q", want.Shards, want.ShardReason, quiet.String())
 			}
-			if want.Counter("chat_heard") == 0 {
+			if wantHeard == 0 {
 				t.Fatal("the field carried no traffic")
 			}
 			if got.Shards != tc.wantShards || got.ShardReason != tc.wantReason {
 				t.Fatalf("ran on %d shards, reason %q; want %d, %q", got.Shards, got.ShardReason, tc.wantShards, tc.wantReason)
 			}
-			if got.Counters.String() != want.Counters.String() {
-				t.Errorf("counters differ from the one-shard run:\n%s\nvs\n%s", got.Counters, want.Counters)
-			}
-			if got.Shards == 1 {
-				if got.Gauges.String() != want.Gauges.String() {
-					t.Errorf("gauges differ from the one-shard run:\n%s\nvs\n%s", got.Gauges, want.Gauges)
-				}
-			} else if g, w := got.Gauge(GaugeEnergyPerNodeJ), want.Gauge(GaugeEnergyPerNodeJ); g != w {
-				// A sharded run adds the shard_* gauges and moves nothing else.
-				t.Errorf("energy %v differs from the one-shard run's %v", g, w)
+			if gotHeard != wantHeard || outcome(got) != outcome(want) {
+				t.Errorf("differs from the one-shard run: %d frames heard, %+v\nvs %d, %+v", gotHeard, *got, wantHeard, *want)
 			}
 			// The report: one table per sharded run, the reason when lowered.
 			report := stats.String()

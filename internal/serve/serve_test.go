@@ -166,6 +166,40 @@ func TestServiceDedup(t *testing.T) {
 	}
 }
 
+// TestServiceShardCountSharesStoreKey: a replica's store key leaves its
+// shard count out, so a sensor grid resubmitted at another count is served
+// entirely from the store, with the same tables.
+func TestServiceShardCountSharesStoreKey(t *testing.T) {
+	_, c := startServer(t, t.TempDir(), 1)
+	ctx := context.Background()
+	run := func(shards int) JobInfo {
+		cfg := experiment.PaperSensorConfig()
+		cfg.Nodes, cfg.SimTime, cfg.Seed, cfg.Shards = 20, 60, 5, shards
+		j, err := c.Submit(ctx, &experiment.GridRequest{Name: "shards", Kind: experiment.GridSensor, Sensor: &cfg,
+			Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j, err = c.Wait(ctx, j.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+		if j.State != JobDone {
+			t.Fatalf("job at %d shards: state %q: %s", shards, j.State, j.Error)
+		}
+		return j
+	}
+	first, second := run(0), run(2)
+	if first.Computed != 1 {
+		t.Fatalf("first job computed %d replicas, want 1", first.Computed)
+	}
+	if second.Computed != 0 || second.Cached != 1 {
+		t.Fatalf("job at 2 shards computed=%d cached=%d, want 0/1", second.Computed, second.Cached)
+	}
+	if first.TablesSHA256 == "" || second.TablesSHA256 != first.TablesSHA256 {
+		t.Fatalf("tables hashes differ: %q vs %q", first.TablesSHA256, second.TablesSHA256)
+	}
+}
+
 // TestServiceConcurrentClientsBudget pins the second acceptance
 // criterion: two clients submitting concurrently both complete with
 // correct tables, while the replica fan-out respects the core-token
