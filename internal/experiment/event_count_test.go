@@ -1,0 +1,83 @@
+package experiment
+
+import (
+	"testing"
+
+	"innercircle/internal/node"
+	"innercircle/internal/scenario"
+)
+
+// netProbe is a no-op scenario component that keeps the replica's network,
+// so a test can read the kernels' event counts after scenario.Run returns.
+type netProbe struct{ net *node.Network }
+
+func (p *netProbe) Wire(env *scenario.Env)           { p.net = env.Net }
+func (p *netProbe) Attach(*scenario.Env, *node.Node) {}
+
+// runCounted runs spec with a probe attached and returns the replica's
+// executed shard count and its kernel events: Processed() on one kernel,
+// the sum of ShardUtil.Events across a shard set.
+func runCounted(t *testing.T, spec *scenario.Spec) (shards int, events uint64) {
+	t.Helper()
+	probe := &netProbe{}
+	spec.Stack.Components = append(spec.Stack.Components, probe)
+	res, err := scenario.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if probe.net.Set == nil {
+		return res.Shards, probe.net.K.Processed()
+	}
+	for _, u := range probe.net.Set.Utilization() {
+		events += u.Events
+	}
+	return res.Shards, events
+}
+
+// TestReplicaEventCounts pins the number of kernel events one short Fig. 7
+// replica and one 400-node sensor replica execute, the sensor replica on
+// one kernel and on two shards at two executor slots (the sum of
+// ShardUtil.Events). A radio reception is one event however the kernel
+// queues it, so the pinned counts are the ones commit
+// 99f6d138a23bad7653348052bcf7d942ed46609c produced, where every reception
+// was its own queue entry; any change to how events are counted or batched
+// shows here.
+func TestReplicaEventCounts(t *testing.T) {
+	t.Run("fig7", func(t *testing.T) {
+		cfg := PaperBlackholeConfig()
+		cfg.IC = true
+		cfg.Malicious = 2
+		cfg.SimTime = 30
+		cfg.Seed = 1
+		const want = 197454
+		if _, got := runCounted(t, blackholeSpec(cfg)); got != want {
+			t.Errorf("executed %d events, want %d", got, want)
+		}
+	})
+	for _, tc := range []struct {
+		name   string
+		shards int
+		want   uint64
+	}{
+		{"sensor400", 1, 180818},
+		{"sensor400-shards2", 2, 188177},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			withProcs(t, 2)
+			cfg := ScaledSensorConfig(400)
+			cfg.Seed = 1
+			cfg.Shards = tc.shards
+			spec, _, err := sensorSpec(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shards, got := runCounted(t, spec)
+			if shards != tc.shards {
+				t.Fatalf("replica executed on %d shards, want %d", shards, tc.shards)
+			}
+			if got != tc.want {
+				t.Errorf("executed %d events, want %d", got, tc.want)
+			}
+		})
+	}
+}

@@ -57,9 +57,11 @@ var ErrTxBusy = errors.New("radio: transceiver already transmitting")
 // ID identifies a transceiver on its channel.
 type ID int
 
-// arrival is a signal in flight toward one receiver. Arrivals are recycled
-// through the receiving shard's free list when they resolve; to points back
-// at the receiver so the resolution callback needs no per-arrival closure.
+// arrival is a signal in flight toward one receiver: one item of the
+// kernel batch that resolves its transmission on the receiver's shard.
+// Arrivals are recycled through that shard's free list when they resolve;
+// to points back at the receiver so the batch's one callback serves every
+// arrival.
 type arrival struct {
 	frame    Frame
 	from     ID
@@ -301,6 +303,9 @@ func (c *Channel) Send(tr *Transceiver, f Frame) error {
 		}
 	}
 	src := c.posAt(tr, now)
+	// The same-shard receptions resolve from one kernel batch (sim.Batch),
+	// opened at the first of them.
+	var batch *sim.Batch
 	for _, e := range c.receivers(sc, tr, src, now) {
 		r, prop := e.r, e.prop
 		if r.owner == tr.owner && r.down {
@@ -317,8 +322,14 @@ func (c *Channel) Send(tr *Transceiver, f Frame) error {
 				frame: f, from: tr.id, to: r, start: now + prop, air: d,
 			})
 		} else {
-			sc.register(r, f, tr.id, now+prop, d)
+			if batch == nil {
+				batch = sc.k.NewBatch(sc.finishFn)
+			}
+			sc.register(batch, r, f, tr.id, now+prop, d)
 		}
+	}
+	if batch != nil {
+		batch.Schedule()
 	}
 	return nil
 }

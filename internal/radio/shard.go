@@ -35,8 +35,9 @@ import (
 // chanShard is one kernel's slice of the channel: its kernel, its counters,
 // its arrival free list, the scratch buffers a receiver-table build fills
 // (cand, rx), and its callback closures (built once, so the hot path
-// allocates no per-event closures). tableBuilds counts receiver tables built
-// by this shard's senders, for the tests.
+// allocates no per-event closures). finishFn is the callback of every
+// reception batch. tableBuilds counts receiver tables built by this shard's
+// senders, for the tests.
 type chanShard struct {
 	k           *sim.Kernel
 	stats       *Stats
@@ -53,9 +54,12 @@ func newChanShard(k *sim.Kernel, stats *Stats) *chanShard {
 	sc.finishFn = func(x any) { sc.finish(x.(*arrival)) }
 	sc.registerFn = func(x any) {
 		// A down receiver on another kernel is skipped here, on the kernel
-		// that owns the flag, not by the sender.
+		// that owns the flag, not by the sender. A live one's arrival
+		// resolves as a batch of one.
 		if m := x.(*remoteArrival); !m.to.down {
-			sc.register(m.to, m.frame, m.from, m.start, m.air)
+			b := sc.k.NewBatch(sc.finishFn)
+			sc.register(b, m.to, m.frame, m.from, m.start, m.air)
+			b.Schedule()
 		}
 	}
 	return sc
@@ -150,8 +154,8 @@ func (sc *chanShard) candidates(c *Channel, src geo.Point, reach float64) []int3
 
 // register is the receiver-side half of a transmission, run on r's home
 // shard: collision marking, the in-flight list, rx energy, and the
-// resolution event.
-func (sc *chanShard) register(r *Transceiver, f Frame, from ID, start sim.Time, air sim.Duration) {
+// arrival's item in b, the transmission's reception batch on this shard.
+func (sc *chanShard) register(b *sim.Batch, r *Transceiver, f Frame, from ID, start sim.Time, air sim.Duration) {
 	arr := sc.newArrival()
 	arr.frame, arr.from, arr.to = f, from, r
 	arr.start, arr.end = start, start+air
@@ -168,8 +172,13 @@ func (sc *chanShard) register(r *Transceiver, f Frame, from ID, start sim.Time, 
 	if r.meter != nil {
 		r.meter.AddRx(air)
 	}
-	sc.k.ScheduleFireArg(arr.end-sc.k.Now(), sc.finishFn, arr)
+	b.Add(arr.end-sc.k.Now(), arr)
 }
+
+// maxArrivalPool bounds a shard's arrival free list, as the kernel bounds
+// its event free list: a contention burst does not pin its arrivals for the
+// rest of the run.
+const maxArrivalPool = 1 << 14
 
 // newArrival returns a zeroed arrival from the shard's free list (or a
 // fresh one).
@@ -203,7 +212,9 @@ func (sc *chanShard) finish(arr *arrival) {
 	applyHalfDuplex(r, arr)
 	frame, from, collided := arr.frame, arr.from, arr.collided
 	*arr = arrival{}
-	sc.arrPool = append(sc.arrPool, arr)
+	if len(sc.arrPool) < maxArrivalPool {
+		sc.arrPool = append(sc.arrPool, arr)
+	}
 	if collided {
 		sc.stats.FramesCollided++
 		return

@@ -32,9 +32,9 @@ const Never Time = Time(math.MaxFloat64)
 // String formats the time with microsecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.6fs", float64(t)) }
 
-// event is a scheduled callback. Exactly one of fn and fnArg is set; fnArg
-// carries its argument in arg so hot paths can schedule a long-lived
-// method value instead of allocating a fresh closure per event.
+// event is a scheduled callback. Exactly one of fn and fnArg is set, or
+// neither on a batch's entry; fnArg carries its argument in arg, so a
+// cross-shard message (scheduleMsg) needs no per-message closure.
 type event struct {
 	at     Time
 	seq    uint64 // scheduling order, breaks ties deterministically
@@ -47,6 +47,10 @@ type event struct {
 	// horizon and its callback is the only place cross-shard messages may be
 	// posted from. Never set on unsharded kernels.
 	tx bool
+	// batch marks a Batch's queue entry (batch.go): at and seq are then its
+	// next item's, and fn, fnArg and arg are unused. The entry is part of
+	// its Batch and never enters the event free list.
+	batch *Batch
 }
 
 // eventHeap orders events by (time, sequence). It is a hand-rolled
@@ -132,6 +136,11 @@ type Kernel struct {
 	wheel   *wheelQueue
 	nextSeq uint64
 	stopped bool
+	// hot is the queue entry of the batch whose item ran last, while it has
+	// items left and is not back in the queue (batch.go). peekLive returns
+	// it while it sorts before the queue head and pushes it back otherwise,
+	// so hot, when set, is the earliest pending event.
+	hot *event
 
 	// processed counts events executed, for diagnostics and run limits.
 	processed uint64
@@ -145,6 +154,8 @@ type Kernel struct {
 	// maxEventPool entries so one burst (a flood wave in a 100k-node field)
 	// does not pin peak event memory for the rest of the run.
 	pool []*event
+	// batches is the Batch free list, capped at maxBatchPool the same way.
+	batches []*Batch
 
 	// shard is non-nil when this kernel is one region of a ShardSet; see
 	// shard.go. Unsharded kernels leave every shard-related field untouched,
@@ -230,20 +241,6 @@ func (k *Kernel) ScheduleFire(delay Duration, fn func()) {
 	}
 	ev := k.getEvent(k.now + delay)
 	ev.fn = fn
-	k.wheel.push(ev)
-}
-
-// ScheduleFireArg is ScheduleFire for callbacks taking one argument. Hot
-// paths use it with a method value built once at setup time, so scheduling
-// an event allocates no per-event closure (boxing a pointer-shaped arg is
-// allocation-free).
-func (k *Kernel) ScheduleFireArg(delay Duration, fn func(any), arg any) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: ScheduleFireArg: %v: delay=%v now=%v", ErrPastEvent, delay, k.now))
-	}
-	ev := k.getEvent(k.now + delay)
-	ev.fnArg = fn
-	ev.arg = arg
 	k.wheel.push(ev)
 }
 
@@ -340,16 +337,25 @@ func (k *Kernel) scheduleMsg(at Time, seq uint64, fn func(any), arg any) {
 	k.wheel.push(ev)
 }
 
-// peekLive returns the next non-cancelled event without executing it, or nil
-// when the queue is empty. Cancelled events encountered on top are retired.
+// peekLive returns the next live event without executing it, or nil when
+// nothing is pending: the hot batch entry while it sorts before the queue
+// head, else the queue head. A hot entry the head comes before goes back
+// into the queue under its next item's key. Cancelled events encountered on
+// top are retired.
 func (k *Kernel) peekLive() *event {
-	for {
-		ev := k.wheel.peek()
-		if ev == nil || !ev.cancel {
-			return ev
-		}
+	ev := k.wheel.peek()
+	for ev != nil && ev.cancel {
 		k.putEvent(k.wheel.pop())
+		ev = k.wheel.peek()
 	}
+	if h := k.hot; h != nil {
+		if ev == nil || h.before(ev) {
+			return h
+		}
+		k.hot = nil
+		k.wheel.push(h)
+	}
+	return ev
 }
 
 // Stop makes Run return after the currently executing event. On a sharded
@@ -364,48 +370,61 @@ func (k *Kernel) Stop() {
 	k.stopped = true
 }
 
-// Step executes the next pending event, advancing the clock to its
-// timestamp. It reports false when the queue is empty.
+// Step executes the next pending event — one item, if it belongs to a
+// batch — advancing the clock to its timestamp. It reports false when
+// nothing is pending.
 func (k *Kernel) Step() bool {
-	for k.wheel.len() > 0 {
-		ev := k.wheel.pop()
-		if ev.cancel {
-			k.putEvent(ev)
-			continue
-		}
-		k.now = ev.at
-		k.processed++
-		// Copy the callback out before recycling: the callback itself may
-		// schedule new events and reuse this struct.
-		fn, fnArg, arg, tx := ev.fn, ev.fnArg, ev.arg, ev.tx
-		isMsg := ev.seq >= msgSeqBit
-		if !isMsg {
-			k.lastLocalAt = k.now
-		} else if k.shard != nil {
-			k.inMsg = true
-			k.inMsgAt = k.now
-		}
-		k.putEvent(ev)
-		if tx {
-			// A border transmission fires: retire its horizon entry and open
-			// the cross-shard posting window for the callback.
-			k.shard.popBorder(k.now)
-			k.inTx = true
-		}
-		if fnArg != nil {
-			fnArg(arg)
-		} else {
-			fn()
-		}
-		if tx {
-			k.inTx = false
-		}
-		if isMsg {
-			k.inMsg = false
-		}
-		return true
+	ev := k.peekLive()
+	if ev == nil {
+		return false
 	}
-	return false
+	k.fire(ev)
+	return true
+}
+
+// fire removes ev, the event peekLive just returned, from the queue (or the
+// hot slot) and executes it.
+func (k *Kernel) fire(ev *event) {
+	if ev == k.hot {
+		k.hot = nil
+	} else {
+		k.wheel.pop()
+	}
+	k.now = ev.at
+	k.processed++
+	if b := ev.batch; b != nil {
+		k.lastLocalAt = k.now
+		k.fireItem(b)
+		return
+	}
+	// Copy the callback out before recycling: the callback itself may
+	// schedule new events and reuse this struct.
+	fn, fnArg, arg, tx := ev.fn, ev.fnArg, ev.arg, ev.tx
+	isMsg := ev.seq >= msgSeqBit
+	if !isMsg {
+		k.lastLocalAt = k.now
+	} else if k.shard != nil {
+		k.inMsg = true
+		k.inMsgAt = k.now
+	}
+	k.putEvent(ev)
+	if tx {
+		// A border transmission fires: retire its horizon entry and open
+		// the cross-shard posting window for the callback.
+		k.shard.popBorder(k.now)
+		k.inTx = true
+	}
+	if fnArg != nil {
+		fnArg(arg)
+	} else {
+		fn()
+	}
+	if tx {
+		k.inTx = false
+	}
+	if isMsg {
+		k.inMsg = false
+	}
 }
 
 // Run executes events until the queue is empty, the clock passes until, or
@@ -422,7 +441,7 @@ func (k *Kernel) Run(until Time) error {
 		if next == nil || next.at > until {
 			break
 		}
-		k.Step()
+		k.fire(next)
 	}
 	if k.now < until && until != Never && !k.stopped {
 		k.now = until

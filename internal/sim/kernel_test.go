@@ -72,7 +72,7 @@ func TestSchedulePastFails(t *testing.T) {
 	}
 	for name, schedule := range map[string]func(){
 		"ScheduleFire":       func() { k.ScheduleFire(-0.5, func() {}) },
-		"ScheduleFireArg":    func() { k.ScheduleFireArg(-0.5, func(any) {}, nil) },
+		"Batch.Add":          func() { k.NewBatch(func(any) {}).Add(-0.5, nil) },
 		"ScheduleFireHandle": func() { k.ScheduleFireHandle(-0.5, func() {}) },
 	} {
 		func() {
@@ -332,13 +332,16 @@ func TestScheduleFirePanicsOnNegativeDelay(t *testing.T) {
 	k.ScheduleFire(-1, func() {})
 }
 
-func TestScheduleFireArgPassesArgument(t *testing.T) {
+// TestBatchPassesArguments: each item runs the batch's callback with its
+// own argument, in time order whatever the Add order.
+func TestBatchPassesArguments(t *testing.T) {
 	k := NewKernel()
 	type payload struct{ n int }
 	var got []int
-	fn := func(x any) { got = append(got, x.(*payload).n) }
-	k.ScheduleFireArg(2, fn, &payload{n: 2})
-	k.ScheduleFireArg(1, fn, &payload{n: 1})
+	b := k.NewBatch(func(x any) { got = append(got, x.(*payload).n) })
+	b.Add(2, &payload{n: 2})
+	b.Add(1, &payload{n: 1})
+	b.Schedule()
 	if err := k.RunAll(); err != nil {
 		t.Fatal(err)
 	}

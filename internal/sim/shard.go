@@ -665,7 +665,7 @@ func (sh *Shard) pump(until Time) bool {
 			s.fail(ErrShardTie)
 			return progressed
 		}
-		k.Step()
+		k.fire(ev)
 		progressed = true
 		if !s.countEvent(sh) {
 			return progressed

@@ -36,7 +36,7 @@ package sim
 // merged order is exact.
 //
 // Cancellation is lazy everywhere: a cancelled event keeps its bucket and
-// is retired when it reaches the front (Kernel.peekLive/Step), so the wheel
+// is retired when it reaches the front (Kernel.peekLive), so the wheel
 // needs no removal operation.
 
 import "math/bits"

@@ -198,8 +198,8 @@ func TestCancelHandleDoubleCancel(t *testing.T) {
 // TestDrainedQueueReleasesReferences is the GC-retention check: after a
 // large queue fully drains, the fired closures' captures must be
 // collectible — neither an eventHeap's backing array (the wheel's run and
-// overflow stores), the wheel's slot arrays, nor the free-list pool may pin
-// them.
+// overflow stores), the wheel's slot arrays, the free-list pools, nor a
+// resolved batch's item array may pin them.
 func TestDrainedQueueReleasesReferences(t *testing.T) {
 	const n = 4096
 	total := 0
@@ -224,6 +224,26 @@ func TestDrainedQueueReleasesReferences(t *testing.T) {
 			for i := 0; i < n; i++ {
 				// Spread across the run/level-0/level-1/overflow tiers.
 				k.ScheduleFire(Duration(i%977)*3e-4, fn(i))
+			}
+			return func() {
+				if err := k.RunAll(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+		{"batch", func(fn func(int) func()) func() {
+			k := NewKernel()
+			run := func(a any) { a.(func())() }
+			var b *Batch
+			for i := 0; i < n; i++ {
+				// Batches of eight, their items spread like the wheel case's.
+				if i%8 == 0 {
+					b = k.NewBatch(run)
+				}
+				b.Add(Duration(i%977)*3e-4, fn(i))
+				if i%8 == 7 {
+					b.Schedule()
+				}
 			}
 			return func() {
 				if err := k.RunAll(); err != nil {
