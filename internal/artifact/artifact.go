@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -133,7 +134,12 @@ func (s *Store) PutResult(b []byte) (string, error) {
 	return digest, nil
 }
 
-// GetResult returns the object addressed by digest.
+// ErrCorrupt marks an object whose bytes no longer hash to its address.
+var ErrCorrupt = errors.New("corrupt")
+
+// GetResult returns the object addressed by digest. The bytes are hashed
+// on the way out: an object the disk changed under its address is an
+// error wrapping ErrCorrupt, never a result.
 func (s *Store) GetResult(digest string) ([]byte, error) {
 	if err := checkDigest(digest); err != nil {
 		return nil, err
@@ -142,7 +148,14 @@ func (s *Store) GetResult(digest string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("artifact: object %s: %w", digest, err)
 	}
+	if got := Sum(b); got != digest {
+		return nil, corruptObject(digest, got)
+	}
 	return b, nil
+}
+
+func corruptObject(digest, got string) error {
+	return fmt.Errorf("artifact: object %s hashes to %s: %w", digest, got, ErrCorrupt)
 }
 
 // HasResult reports whether the object addressed by digest exists.
@@ -249,7 +262,7 @@ func (s *Store) Verify() error {
 			return fmt.Errorf("artifact: %w", err)
 		}
 		if got := Sum(b); got != want {
-			return fmt.Errorf("artifact: object %s hashes to %s (corrupt)", want, got)
+			return corruptObject(want, got)
 		}
 		return nil
 	})

@@ -77,8 +77,8 @@ func TestSplitCSV(t *testing.T) {
 }
 
 func TestWarnUnknownKnobs(t *testing.T) {
-	// The two shard settings PR 23 retired, spelled so that CI's guard
-	// against their names coming back does not trip on this test.
+	// The two retired shard settings, spelled so that the
+	// Retired-shard-variable row of TestRepoRules does not flag this test.
 	shards, shardStats := "IC_"+"SHARDS", "IC_"+"SHARD_STATS"
 	var buf bytes.Buffer
 	warnUnknownKnobs(&buf, "tool", []string{

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"os"
 
+	"innercircle/internal/artifact"
 	"innercircle/internal/experiment"
 )
 
@@ -26,7 +27,8 @@ import (
 //	GET  /jobs/{id}/tables  rendered figure tables (text, CLI-identical)
 //	GET  /jobs/{id}/tables.csv  long-form CSV of the same tables
 //	GET  /jobs/{id}/manifest    run manifest (artifact.RunManifest JSON)
-//	GET  /artifacts/{digest}    raw result bytes from the store
+//	GET  /artifacts/{digest}    raw result bytes from the store (500 when
+//	                            the bytes no longer match the digest)
 //	GET  /healthz           liveness probe
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -48,6 +50,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{id}/manifest", s.handleJobFile(s.manifestPath, "application/json"))
 	mux.HandleFunc("GET /artifacts/{digest}", func(w http.ResponseWriter, r *http.Request) {
 		b, err := s.store.GetResult(r.PathValue("digest"))
+		if errors.Is(err, artifact.ErrCorrupt) {
+			httpError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
 		if err != nil {
 			httpError(w, http.StatusNotFound, err.Error())
 			return

@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"innercircle/internal/artifact"
 	"innercircle/internal/experiment"
 	"innercircle/internal/sensor"
 )
@@ -163,6 +164,76 @@ func TestServiceDedup(t *testing.T) {
 	}
 	if err := srv.Store().Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServiceRefusesCorruptObject: a stored result whose bytes changed on
+// disk but still decode is never served or folded. One digit flips inside
+// a result object; the store read, the artifact endpoint and a warm
+// resubmission must each refuse it and name the object.
+func TestServiceRefusesCorruptObject(t *testing.T) {
+	srv, c := startServer(t, t.TempDir(), 1)
+	ctx := context.Background()
+
+	var digest string
+	j, err := c.Submit(ctx, quickGrid("corrupt", 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err = c.Wait(ctx, j.ID, func(e Event) {
+		if e.Type == "point" && digest == "" {
+			digest = e.ResultSHA
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.State != JobDone || digest == "" {
+		t.Fatalf("first job state %q, digest %q: %s", j.State, digest, j.Error)
+	}
+
+	path := filepath.Join(srv.Store().Root(), "objects", digest[:2], digest[2:])
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last digit of a number can take any value and stay valid JSON.
+	i := bytes.IndexFunc(b, func(r rune) bool { return r >= '0' && r <= '9' })
+	for i >= 0 && i+1 < len(b) && b[i+1] >= '0' && b[i+1] <= '9' {
+		i++
+	}
+	if i < 0 {
+		t.Fatalf("result object has no digit to flip: %s", b)
+	}
+	b[i] = '0' + (b[i]-'0'+1)%10
+	if _, err := experiment.DecodeReplicaResult(b); err != nil {
+		t.Fatalf("flipped object must still decode: %v", err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := srv.Store().GetResult(digest); !errors.Is(err, artifact.ErrCorrupt) {
+		t.Fatalf("GetResult of a flipped object: err %v, want artifact.ErrCorrupt", err)
+	}
+	resp, err := http.Get(c.Base + "/artifacts/" + digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("GET /artifacts of a flipped object: status %d, want 500", resp.StatusCode)
+	}
+
+	j, err = c.Submit(ctx, quickGrid("corrupt", 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err = c.Wait(ctx, j.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	if j.State != JobFailed || !strings.Contains(j.Error, digest) {
+		t.Fatalf("warm resubmission over a flipped object: state %q, error %q; want failed naming %s", j.State, j.Error, digest)
 	}
 }
 
