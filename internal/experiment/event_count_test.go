@@ -15,9 +15,10 @@ func (p *netProbe) Wire(env *scenario.Env)           { p.net = env.Net }
 func (p *netProbe) Attach(*scenario.Env, *node.Node) {}
 
 // runCounted runs spec with a probe attached and returns the replica's
-// executed shard count and its kernel events: Processed() on one kernel,
-// the sum of ShardUtil.Events across a shard set.
-func runCounted(t *testing.T, spec *scenario.Spec) (shards int, events uint64) {
+// executed shard count, its kernel events (Processed() on one kernel, the
+// sum of ShardUtil.Events across a shard set) and the overheard arrivals
+// its channel registered.
+func runCounted(t *testing.T, spec *scenario.Spec) (shards int, events, overheard uint64) {
 	t.Helper()
 	probe := &netProbe{}
 	spec.Stack.Components = append(spec.Stack.Components, probe)
@@ -25,23 +26,28 @@ func runCounted(t *testing.T, spec *scenario.Spec) (shards int, events uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	overheard = probe.net.Channel.Stats.FramesOverheard
 	if probe.net.Set == nil {
-		return res.Shards, probe.net.K.Processed()
+		return res.Shards, probe.net.K.Processed(), overheard
 	}
 	for _, u := range probe.net.Set.Utilization() {
 		events += u.Events
 	}
-	return res.Shards, events
+	return res.Shards, events, overheard
 }
 
 // TestReplicaEventCounts pins the number of kernel events one short Fig. 7
 // replica and one 400-node sensor replica execute, the sensor replica on
 // one kernel and on two shards at two executor slots (the sum of
 // ShardUtil.Events). A radio reception is one event however the kernel
-// queues it, so the pinned counts are the ones commit
+// queues it, so the sensor counts are the ones commit
 // 99f6d138a23bad7653348052bcf7d942ed46609c produced, where every reception
 // was its own queue entry; any change to how events are counted or batched
-// shows here.
+// shows here. The sensor replicas send only broadcasts, so no MAC there
+// overhears a frame. The Fig. 7 replica's MACs overhear every unicast data
+// frame and ACK addressed to a neighbour, and an overheard arrival is no
+// event: its count is that commit's 197454 less the overheard arrivals that
+// ended within the 30 s run, each of which was an event there.
 func TestReplicaEventCounts(t *testing.T) {
 	t.Run("fig7", func(t *testing.T) {
 		cfg := PaperBlackholeConfig()
@@ -49,9 +55,21 @@ func TestReplicaEventCounts(t *testing.T) {
 		cfg.Malicious = 2
 		cfg.SimTime = 30
 		cfg.Seed = 1
-		const want = 197454
-		if _, got := runCounted(t, blackholeSpec(cfg)); got != want {
-			t.Errorf("executed %d events, want %d", got, want)
+		const (
+			want          = 93900
+			wantOverheard = 103562
+			// Overheard arrivals registered in the run that end after 30 s:
+			// their events never ran in the old count either.
+			endAfterRun  = 8
+			perReception = 197454
+		)
+		_, got, overheard := runCounted(t, blackholeSpec(cfg))
+		if got != want || overheard != wantOverheard {
+			t.Errorf("executed %d events and overheard %d arrivals, want %d and %d", got, overheard, want, wantOverheard)
+		}
+		if got+overheard-endAfterRun != perReception {
+			t.Errorf("%d events + %d overheard arrivals ended in the run = %d, want the per-reception count %d",
+				got, overheard-endAfterRun, got+overheard-endAfterRun, perReception)
 		}
 	})
 	for _, tc := range []struct {
@@ -71,12 +89,12 @@ func TestReplicaEventCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shards, got := runCounted(t, spec)
+			shards, got, overheard := runCounted(t, spec)
 			if shards != tc.shards {
 				t.Fatalf("replica executed on %d shards, want %d", shards, tc.shards)
 			}
-			if got != tc.want {
-				t.Errorf("executed %d events, want %d", got, tc.want)
+			if got != tc.want || overheard != 0 {
+				t.Errorf("executed %d events and overheard %d arrivals, want %d and none", got, overheard, tc.want)
 			}
 		})
 	}

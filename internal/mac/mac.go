@@ -20,7 +20,7 @@ import (
 type Addr int
 
 // Broadcast is the all-nodes destination address.
-const Broadcast Addr = -1
+const Broadcast = Addr(radio.Broadcast)
 
 // Packet is the MAC service-data unit exchanged with the layer above.
 type Packet struct {
@@ -170,7 +170,9 @@ type MAC struct {
 }
 
 // New attaches a new MAC to channel ch at the given position model. The
-// MAC's address equals its radio ID.
+// MAC's address equals its radio ID, so its transceiver is addressed
+// (radio.Transceiver.Addressed): a frame for another MAC is overheard, never
+// handed to radioRecv, which would discard it.
 func New(k *sim.Kernel, ch *radio.Channel, pos mobility.Model, meter *energy.Meter, rng *sim.RNG, params Params) *MAC {
 	m := &MAC{
 		k:       k,
@@ -181,6 +183,7 @@ func New(k *sim.Kernel, ch *radio.Channel, pos mobility.Model, meter *energy.Met
 		lastSeq: make(map[Addr]uint32),
 	}
 	m.tr = ch.Attach(pos, meter, m.radioRecv)
+	m.tr.Addressed()
 	m.addr = Addr(m.tr.ID())
 	m.ackTimer = sim.NewTimer(k, m.ackTimeout)
 	m.backoffExpired = func() {

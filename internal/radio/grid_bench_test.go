@@ -73,3 +73,50 @@ func BenchmarkRadioSend(b *testing.B) {
 	b.Run("waypoint", func(b *testing.B) { benchSend(b, waypointField(100), true) })
 	b.Run("waypoint-fullscan", func(b *testing.B) { benchSend(b, waypointField(100), false) })
 }
+
+// BenchmarkSendUnicastNeighbourhood measures one unicast exchange where
+// every node hears every other: 16 addressed transceivers in a disc of
+// half the 802.11 range, a data frame from one node to the next, and the
+// addressee's ACK-shaped reply one SIFS later. Each of the other fourteen
+// nodes overhears both frames. events/op counts the kernel events of one
+// exchange: the data frame's reception, the reply's turnaround and the
+// reply's reception.
+func BenchmarkSendUnicastNeighbourhood(b *testing.B) {
+	const nodes = 16
+	k := sim.NewKernel()
+	params := Default80211()
+	ch := NewChannel(k, params)
+	rng := sim.NewRNG(1)
+	trs := make([]*Transceiver, nodes)
+	acks := make([]Header, nodes)
+	for i := range trs {
+		r, theta := params.Range/2*math.Sqrt(rng.Float64()), 2*math.Pi*rng.Float64()
+		p := geo.Point{X: r * math.Cos(theta), Y: r * math.Sin(theta)}
+		sendAck := func() {
+			if err := ch.Send(trs[i], Frame{Header: acks[i], Bytes: 66}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		trs[i] = ch.Attach(mobility.Static(p), nil, func(f Frame, _ ID) {
+			if h := f.Header; h.Kind == ohData && h.Dst == int32(i) {
+				acks[i] = Header{Kind: ohAck, Src: int32(i), Dst: h.Src, Seq: h.Seq}
+				k.ScheduleFire(ohSIFS, sendAck)
+			}
+		})
+		trs[i].Addressed()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := k.Processed()
+	for n := 0; n < b.N; n++ {
+		src := n % nodes
+		h := Header{Kind: ohData, Src: int32(src), Dst: int32((src + 1) % nodes), Seq: uint32(n)}
+		if err := ch.Send(trs[src], Frame{Header: h, Bytes: 564}); err != nil {
+			b.Fatal(err)
+		}
+		if err := k.RunAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(k.Processed()-start)/float64(b.N), "events/op")
+}

@@ -44,11 +44,20 @@ type Frame struct {
 // Header is the link-layer header a frame carries by value, so that putting
 // a frame on the air boxes nothing. The MAC above fills and reads it; a frame
 // sent with the zero Header is not addressed to any MAC.
+//
+// The physical layer reads one thing from it: whom the frame is for. A
+// frame whose Kind is nonzero is addressed to the transceiver whose ID is
+// Dst, or to every receiver when Dst is negative (Broadcast); an addressed
+// transceiver (Transceiver.Addressed) overhears a frame addressed to
+// another. A frame whose Kind is zero is unaddressed and reaches everyone.
 type Header struct {
 	Kind     uint8
 	Src, Dst int32
 	Seq      uint32
 }
+
+// Broadcast is the Header.Dst of a frame addressed to every receiver.
+const Broadcast int32 = -1
 
 // ErrTxBusy is returned when a transceiver is asked to transmit while a
 // previous transmission is still on the air.
@@ -62,13 +71,20 @@ type ID int
 // Arrivals are recycled through that shard's free list when they resolve;
 // to points back at the receiver so the batch's one callback serves every
 // arrival.
+//
+// An overheard arrival (a frame addressed to another transceiver) is in no
+// batch and never resolves: it sits in the receiver's in-flight list for
+// the collision and carrier-sense checks, holding only its times and its
+// collision bit, and is dropped from the list once it has ended (see
+// chanShard.prune).
 type arrival struct {
-	frame    Frame
-	from     ID
-	to       *Transceiver
-	start    sim.Time
-	end      sim.Time
-	collided bool
+	frame     Frame
+	from      ID
+	to        *Transceiver
+	start     sim.Time
+	end       sim.Time
+	collided  bool
+	overheard bool
 }
 
 // receiver is one entry of a receiver table (see Channel.receivers): a
@@ -92,6 +108,9 @@ type Transceiver struct {
 	txUntil  sim.Time
 	arrivals []*arrival
 	down     bool
+	// addressed makes the transceiver overhear frames addressed to another
+	// (see Addressed).
+	addressed bool
 
 	// Position cache: static transceivers hold their fixed position in
 	// cachedPos forever; movers cache the last Pos evaluation so every query
@@ -125,6 +144,21 @@ func (t *Transceiver) ID() ID { return t.id }
 // SetDown disables (true) or enables (false) the radio. A down radio
 // neither transmits nor receives; used to model crashed nodes.
 func (t *Transceiver) SetDown(down bool) { t.down = down }
+
+// Addressed makes t overhear every frame whose Header addresses another
+// transceiver (see Header): such a frame still occupies t's channel — it
+// collides with and is corrupted by t's other arrivals and transmissions,
+// keeps Busy true and is charged as receive energy — but is never handed
+// to t's receive callback and costs no kernel event. A MAC whose address is
+// its transceiver's ID calls it once, after Attach. A transceiver that does
+// not is promiscuous: every frame it decodes reaches its callback.
+func (t *Transceiver) Addressed() { t.addressed = true }
+
+// overhears reports whether t hears a frame with header h without
+// receiving it: t is addressed and h names another transceiver.
+func (t *Transceiver) overhears(h Header) bool {
+	return t.addressed && h.Kind != 0 && h.Dst >= 0 && ID(h.Dst) != t.id
+}
 
 // Channel is the shared medium connecting a set of transceivers. It is
 // driven by the simulation kernel(s) of its shards; a channel built by
@@ -161,11 +195,14 @@ type Channel struct {
 	Stats Stats
 }
 
-// Stats aggregates channel counters.
+// Stats aggregates channel counters. FramesDelivered and FramesCollided
+// count resolved arrivals only: an overheard arrival never resolves, is
+// counted in FramesOverheard when it is registered, and in neither of them.
 type Stats struct {
 	FramesSent      uint64
 	FramesDelivered uint64
 	FramesCollided  uint64
+	FramesOverheard uint64
 }
 
 // tableSlack is the fraction of Range by which the fastest pair on the
@@ -269,10 +306,12 @@ func (c *Channel) Busy(tr *Transceiver) bool {
 }
 
 // Send starts transmitting frame from tr. Delivery (or collision) at each
-// in-range receiver resolves when the frame's airtime ends. Send does not
-// carrier-sense; that is the MAC's job. Sender-side state is touched here,
-// on the sender's kernel; everything a reception mutates belongs to the
-// receiver's shard.
+// in-range receiver resolves when the frame's airtime ends, except at a
+// receiver that overhears it (Transceiver.Addressed): there the frame is
+// registered, and so counts for collisions, carrier sense and energy, but
+// nothing resolves. Send does not carrier-sense; that is the MAC's job.
+// Sender-side state is touched here, on the sender's kernel; everything a
+// reception mutates belongs to the receiver's shard.
 //
 // A receiver on the sender's kernel is registered directly unless it is
 // down. A receiver on another kernel has its registration — down check
@@ -304,7 +343,7 @@ func (c *Channel) Send(tr *Transceiver, f Frame) error {
 	}
 	src := c.posAt(tr, now)
 	// The same-shard receptions resolve from one kernel batch (sim.Batch),
-	// opened at the first of them.
+	// opened at the first of them; an overheard arrival takes no item.
 	var batch *sim.Batch
 	for _, e := range c.receivers(sc, tr, src, now) {
 		r, prop := e.r, e.prop
@@ -321,11 +360,11 @@ func (c *Channel) Send(tr *Transceiver, f Frame) error {
 			c.set.Post(sc.k, int(r.owner), now, c.shards[r.owner].registerFn, &remoteArrival{
 				frame: f, from: tr.id, to: r, start: now + prop, air: d,
 			})
-		} else {
+		} else if arr := sc.register(r, f, tr.id, now+prop, d); arr != nil {
 			if batch == nil {
 				batch = sc.k.NewBatch(sc.finishFn)
 			}
-			sc.register(batch, r, f, tr.id, now+prop, d)
+			batch.Add(arr.end-now, arr)
 		}
 	}
 	if batch != nil {

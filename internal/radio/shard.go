@@ -55,11 +55,13 @@ func newChanShard(k *sim.Kernel, stats *Stats) *chanShard {
 	sc.registerFn = func(x any) {
 		// A down receiver on another kernel is skipped here, on the kernel
 		// that owns the flag, not by the sender. A live one's arrival
-		// resolves as a batch of one.
+		// resolves as a batch of one, unless the receiver overhears it.
 		if m := x.(*remoteArrival); !m.to.down {
-			b := sc.k.NewBatch(sc.finishFn)
-			sc.register(b, m.to, m.frame, m.from, m.start, m.air)
-			b.Schedule()
+			if arr := sc.register(m.to, m.frame, m.from, m.start, m.air); arr != nil {
+				b := sc.k.NewBatch(sc.finishFn)
+				b.Add(arr.end-sc.k.Now(), arr)
+				b.Schedule()
+			}
 		}
 	}
 	return sc
@@ -153,12 +155,20 @@ func (sc *chanShard) candidates(c *Channel, src geo.Point, reach float64) []int3
 }
 
 // register is the receiver-side half of a transmission, run on r's home
-// shard: collision marking, the in-flight list, rx energy, and the
-// arrival's item in b, the transmission's reception batch on this shard.
-func (sc *chanShard) register(b *sim.Batch, r *Transceiver, f Frame, from ID, start sim.Time, air sim.Duration) {
+// shard: collision marking, the in-flight list and rx energy. It returns
+// the arrival, which the caller adds to the transmission's reception batch
+// on this shard, or nil when r overhears the frame: that arrival is in the
+// list for the checks and resolves nowhere.
+func (sc *chanShard) register(r *Transceiver, f Frame, from ID, start sim.Time, air sim.Duration) *arrival {
+	sc.prune(r, nil)
 	arr := sc.newArrival()
-	arr.frame, arr.from, arr.to = f, from, r
 	arr.start, arr.end = start, start+air
+	if r.overhears(f.Header) {
+		arr.overheard = true
+		sc.stats.FramesOverheard++
+	} else {
+		arr.frame, arr.from, arr.to = f, from, r
+	}
 	// Receiver transmitting when the arrival starts corrupts it.
 	applyHalfDuplex(r, arr)
 	// Overlap with any other in-flight arrival corrupts both.
@@ -172,7 +182,38 @@ func (sc *chanShard) register(b *sim.Batch, r *Transceiver, f Frame, from ID, st
 	if r.meter != nil {
 		r.meter.AddRx(air)
 	}
-	b.Add(arr.end-sc.k.Now(), arr)
+	if arr.overheard {
+		return nil
+	}
+	return arr
+}
+
+// prune drops from r's in-flight list, and recycles, every overheard
+// arrival that has ended, up to and including done: with done nil it walks
+// the whole list (register), otherwise it removes done and stops there
+// (finish). Dropping ended overheard arrivals lazily, whenever the list is
+// walked, is exact: every check on the list (register's overlap, Send's
+// half-duplex, Busy) asks whether an arrival's end lies after some t no
+// earlier than now, and an arrival that has ended has end <= now. List order
+// carries no meaning (those checks are symmetric), so removal swaps the
+// last entry in.
+func (sc *chanShard) prune(r *Transceiver, done *arrival) {
+	now := sc.k.Now()
+	for i := 0; i < len(r.arrivals); {
+		a := r.arrivals[i]
+		if a != done && !(a.overheard && a.end <= now) {
+			i++
+			continue
+		}
+		last := len(r.arrivals) - 1
+		r.arrivals[i] = r.arrivals[last]
+		r.arrivals[last] = nil
+		r.arrivals = r.arrivals[:last]
+		if a == done {
+			return
+		}
+		sc.freeArrival(a)
+	}
 }
 
 // maxArrivalPool bounds a shard's arrival free list, as the kernel bounds
@@ -192,29 +233,23 @@ func (sc *chanShard) newArrival() *arrival {
 	return &arrival{}
 }
 
-// finish resolves one arrival at its receiver, on the receiver's home shard.
-func (sc *chanShard) finish(arr *arrival) {
-	r := arr.to
-	// Remove arr from r's in-flight list. Swap-remove: list order carries
-	// no meaning (overlap checks are symmetric), and under MAC contention
-	// the list can grow long enough for the O(n) splice to show up in
-	// sweep profiles.
-	for i, a := range r.arrivals {
-		if a == arr {
-			last := len(r.arrivals) - 1
-			r.arrivals[i] = r.arrivals[last]
-			r.arrivals[last] = nil
-			r.arrivals = r.arrivals[:last]
-			break
-		}
-	}
-	// The receiver may have started transmitting mid-arrival.
-	applyHalfDuplex(r, arr)
-	frame, from, collided := arr.frame, arr.from, arr.collided
+// freeArrival zeroes arr and returns it to the shard's free list unless the
+// list is at its cap.
+func (sc *chanShard) freeArrival(arr *arrival) {
 	*arr = arrival{}
 	if len(sc.arrPool) < maxArrivalPool {
 		sc.arrPool = append(sc.arrPool, arr)
 	}
+}
+
+// finish resolves one arrival at its receiver, on the receiver's home shard.
+func (sc *chanShard) finish(arr *arrival) {
+	r := arr.to
+	sc.prune(r, arr)
+	// The receiver may have started transmitting mid-arrival.
+	applyHalfDuplex(r, arr)
+	frame, from, collided := arr.frame, arr.from, arr.collided
+	sc.freeArrival(arr)
 	if collided {
 		sc.stats.FramesCollided++
 		return
@@ -241,6 +276,7 @@ func (c *Channel) MergeShardStats() {
 		total.FramesSent += sc.stats.FramesSent
 		total.FramesDelivered += sc.stats.FramesDelivered
 		total.FramesCollided += sc.stats.FramesCollided
+		total.FramesOverheard += sc.stats.FramesOverheard
 	}
 	c.Stats = total
 }
