@@ -14,11 +14,9 @@ type netProbe struct{ net *node.Network }
 func (p *netProbe) Wire(env *scenario.Env)           { p.net = env.Net }
 func (p *netProbe) Attach(*scenario.Env, *node.Node) {}
 
-// runCounted runs spec with a probe attached and returns the replica's
-// executed shard count, its kernel events (Processed() on one kernel, the
-// sum of ShardUtil.Events across a shard set) and the overheard arrivals
-// its channel registered.
-func runCounted(t *testing.T, spec *scenario.Spec) (shards int, events, overheard uint64) {
+// runProbed runs spec with a probe attached and returns the replica's
+// executed shard count and its network.
+func runProbed(t *testing.T, spec *scenario.Spec) (shards int, net *node.Network) {
 	t.Helper()
 	probe := &netProbe{}
 	spec.Stack.Components = append(spec.Stack.Components, probe)
@@ -26,14 +24,24 @@ func runCounted(t *testing.T, spec *scenario.Spec) (shards int, events, overhear
 	if err != nil {
 		t.Fatal(err)
 	}
-	overheard = probe.net.Channel.Stats.FramesOverheard
-	if probe.net.Set == nil {
-		return res.Shards, probe.net.K.Processed(), overheard
+	return res.Shards, probe.net
+}
+
+// runCounted runs spec with a probe attached and returns the replica's
+// executed shard count, its kernel events (Processed() on one kernel, the
+// sum of ShardUtil.Events across a shard set) and the overheard arrivals
+// its channel registered.
+func runCounted(t *testing.T, spec *scenario.Spec) (shards int, events, overheard uint64) {
+	t.Helper()
+	shards, net := runProbed(t, spec)
+	overheard = net.Channel.Stats.FramesOverheard
+	if net.Set == nil {
+		return shards, net.K.Processed(), overheard
 	}
-	for _, u := range probe.net.Set.Utilization() {
+	for _, u := range net.Set.Utilization() {
 		events += u.Events
 	}
-	return res.Shards, events, overheard
+	return shards, events, overheard
 }
 
 // TestReplicaEventCounts pins the number of kernel events one short Fig. 7
@@ -98,4 +106,32 @@ func TestReplicaEventCounts(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReplicaBeaconMemoCounts pins how the 30 s Fig. 7 replica of
+// TestReplicaEventCounts checks its SimAuth beacon MACs: the checks its
+// topology services answered from their shard's memo and the MACs they
+// computed. Every receiver of one broadcast checks the same bytes, so at
+// most one MAC is computed per beacon sent.
+func TestReplicaBeaconMemoCounts(t *testing.T) {
+	cfg := PaperBlackholeConfig()
+	cfg.IC = true
+	cfg.Malicious = 2
+	cfg.SimTime = 30
+	cfg.Seed = 1
+	const wantHits, wantMisses = 12373, 1586
+	_, net := runProbed(t, blackholeSpec(cfg))
+	var hits, misses, sent uint64
+	for _, nd := range net.Nodes {
+		hits += nd.STS.Stats.VerifyMemoHits
+		misses += nd.STS.Stats.VerifyMemoMisses
+		sent += nd.STS.Stats.BeaconsSent
+	}
+	if hits != wantHits || misses != wantMisses {
+		t.Errorf("%d beacon checks answered from the memo and %d MACs computed, want %d and %d", hits, misses, wantHits, wantMisses)
+	}
+	if misses > sent {
+		t.Errorf("%d MACs computed for %d beacons sent", misses, sent)
+	}
+	t.Logf("%d beacons sent, %d checked: %d MACs computed", sent, hits+misses, misses)
 }

@@ -110,6 +110,11 @@ type Network struct {
 	// count is reported in the campaign tables, so the far heavier beacon
 	// traffic must neither count into it nor evict its entries.
 	BeaconMemos []*sigcache.Cache
+	// SimBeaconMemos are the per-shard memos behind SimAuth beacon
+	// verification (nil unless beacons carry SimAuth MACs). Like
+	// BeaconMemos they are unsynchronized, so each is reached only from its
+	// own shard.
+	SimBeaconMemos []*sts.SimMemo
 }
 
 // Config describes a deployment to build.
@@ -332,13 +337,18 @@ func Build(cfg Config) (*Network, error) {
 	}
 
 	// Beacon authentication state shared by the topology services: with RSA
-	// keys one verification memo per shard, otherwise the SimAuth key table.
+	// keys one verification memo per shard, otherwise the SimAuth key table
+	// and one SimAuth memo per shard.
 	var simKeys *sts.SimKeys
 	if cfg.STS.Period > 0 && cfg.STS.Authenticate {
 		if keys != nil {
 			net.BeaconMemos = newMemos(shards)
 		} else {
 			simKeys = sts.NewSimKeys([]byte(fmt.Sprintf("sts-%d", cfg.Seed)), cfg.N)
+			net.SimBeaconMemos = make([]*sts.SimMemo, shards)
+			for s := range net.SimBeaconMemos {
+				net.SimBeaconMemos[s] = sts.NewSimMemo(simKeys)
+			}
 		}
 	}
 
@@ -395,7 +405,7 @@ func Build(cfg Config) (*Network, error) {
 				if nd.SignKP != nil {
 					stsDeps.Auth = sts.NewRSAAuth(nd.SignKP, net.Dir, net.BeaconMemos[shard])
 				} else {
-					stsDeps.Auth = sts.NewSimAuth(simKeys, nd.ID, cfg.SigWireBytes/2)
+					stsDeps.Auth = sts.NewSimAuth(simKeys, nd.ID, cfg.SigWireBytes/2, net.SimBeaconMemos[shard])
 				}
 			}
 			if cfg.STS.Handshake {

@@ -1,6 +1,7 @@
 package sts
 
 import (
+	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -107,33 +108,78 @@ func NewSimKeys(seed []byte, n int) *SimKeys {
 	return t
 }
 
+// SimMemo is a shard's memo of valid SimAuth verdicts: for each sender, the
+// digest and MAC it last found valid under that sender's key. Every
+// receiver of one broadcast checks the same (sender, digest, MAC), so all
+// but the first check of a beacon on a shard are a byte comparison instead
+// of a MAC. The memo keeps the bytes themselves, not a hash of them:
+// hashing them would cost what the MAC costs.
+//
+// Only valid verdicts are stored, so a forged or corrupted beacon pays one
+// MAC and never evicts the genuine entry. The memo is bound to one key
+// table and is unsynchronised: nodes on different kernels must not share
+// one.
+type SimMemo struct {
+	keys *SimKeys
+	ents []simMemoEntry // indexed by sender ID
+}
+
+type simMemoEntry struct {
+	valid  bool
+	mac    [keyedmac.Size]byte
+	digest []byte // the memo's own copy; Verify's msg is borrowed
+}
+
+// NewSimMemo returns an empty memo for the senders of keys.
+func NewSimMemo(keys *SimKeys) *SimMemo {
+	return &SimMemo{keys: keys, ents: make([]simMemoEntry, len(keys.keys))}
+}
+
+// Senders returns, in ascending order, the senders the memo holds a valid
+// verdict for.
+func (m *SimMemo) Senders() []link.NodeID {
+	var ids []link.NodeID
+	for i := range m.ents {
+		if m.ents[i].valid {
+			ids = append(ids, link.NodeID(i))
+		}
+	}
+	return ids
+}
+
 // SimAuth is the sweep-scale stand-in: per-node keys derive from a network
 // seed, signatures are HMACs padded to the configured wire size. Like
 // thresh.SimScheme, it preserves the protocol semantics (a node can only
 // sign as itself, because the simulator hands each node only its own
 // SimAuth instance) at a fraction of the CPU cost.
-//
-// Verdicts are not memoized: a memo lookup hashes digest and signature,
-// which costs what the MAC itself costs.
 type SimAuth struct {
 	keys     *SimKeys
 	key      *[keyedmac.Size]byte // this node's entry in keys
 	sigBytes int
+	memo     *SimMemo
+	// stats receives the memo's hit/miss counts; New points it at the
+	// owning service's Stats.
+	stats *Stats
 }
 
 var _ BeaconAuth = (*SimAuth)(nil)
 
 // NewSimAuth returns the keyed-MAC beacon authenticator for node self,
 // which must have a key in the table. sigBytes sets the reported wire size
-// (e.g. 64 to emulate 512-bit RSA).
-func NewSimAuth(keys *SimKeys, self link.NodeID, sigBytes int) *SimAuth {
+// (e.g. 64 to emulate 512-bit RSA). memo is the SimAuth memo of the node's
+// shard, built for the same key table; nil verifies every beacon afresh,
+// which tests use as the reference.
+func NewSimAuth(keys *SimKeys, self link.NodeID, sigBytes int, memo *SimMemo) *SimAuth {
 	if self < 0 || int(self) >= len(keys.keys) {
 		panic(fmt.Sprintf("sts: node %d has no key in a table of %d", self, len(keys.keys)))
+	}
+	if memo != nil && memo.keys != keys {
+		panic("sts: SimAuth memo built for another key table")
 	}
 	if sigBytes < keyedmac.Size {
 		sigBytes = keyedmac.Size
 	}
-	return &SimAuth{keys: keys, key: &keys.keys[self], sigBytes: sigBytes}
+	return &SimAuth{keys: keys, key: &keys.keys[self], sigBytes: sigBytes, memo: memo, stats: new(Stats)}
 }
 
 // Sign implements BeaconAuth: the MAC, zero-padded to the emulated wire
@@ -147,14 +193,28 @@ func (a *SimAuth) Sign(msg []byte) []byte {
 
 // Verify implements BeaconAuth. Only the MAC is compared; the padding
 // carries nothing, so a bit flipped there still verifies. A sender
-// without a key in the table cannot have signed anything.
+// without a key in the table cannot have signed anything. With a memo, a
+// check whose sender, digest and MAC equal the sender's entry is answered
+// valid without computing the MAC; a MAC found valid replaces the entry.
 func (a *SimAuth) Verify(id link.NodeID, msg, sig []byte) error {
 	if len(sig) < keyedmac.Size || id < 0 || int(id) >= len(a.keys.keys) {
 		return ErrSimAuthBadSig
 	}
+	var ent *simMemoEntry
+	if a.memo != nil {
+		ent = &a.memo.ents[id]
+		if ent.valid && ent.mac == [keyedmac.Size]byte(sig) && bytes.Equal(ent.digest, msg) {
+			a.stats.VerifyMemoHits++
+			return nil
+		}
+		a.stats.VerifyMemoMisses++
+	}
 	mac := keyedmac.Sum(&a.keys.keys[id], msg)
 	if !hmac.Equal(mac[:], sig[:keyedmac.Size]) {
 		return ErrSimAuthBadSig
+	}
+	if ent != nil {
+		ent.valid, ent.mac, ent.digest = true, mac, append(ent.digest[:0], msg...)
 	}
 	return nil
 }

@@ -23,10 +23,12 @@ func benchNeighbors() []link.NodeID {
 
 // BenchmarkBeaconAuth times one receiver's check of one beacon in the
 // steady state of a deployment: every beacon is checked by benchFanout
-// receivers in a row, so with RSA keys one check in benchFanout is a real
-// verification and the rest are memo hits. The memo is kept smaller than
-// the beacon pool, so a beacon's verdict is gone by the time the pool comes
-// round again — as it is in a replica, where beacons never repeat.
+// receivers in a row, so with a memo one check in benchFanout is a real
+// verification and the rest are memo hits. The RSA memo is kept smaller
+// than the beacon pool, and the SimAuth memo holds one beacon per sender,
+// so a beacon's verdict is gone by the time the pool comes round again —
+// as it is in a replica, where beacons never repeat. sim-fresh is SimAuth
+// without a memo, the reference.
 func BenchmarkBeaconAuth(b *testing.B) {
 	const pool = 64
 	digests := make([][]byte, pool)
@@ -55,13 +57,19 @@ func BenchmarkBeaconAuth(b *testing.B) {
 	})
 	b.Run("sim", func(b *testing.B) {
 		keys := NewSimKeys([]byte("sts-1"), 2)
-		run(b, NewSimAuth(keys, 0, 64), NewSimAuth(keys, 1, 64))
+		run(b, NewSimAuth(keys, 0, 64, nil), NewSimAuth(keys, 1, 64, NewSimMemo(keys)))
+	})
+	b.Run("sim-fresh", func(b *testing.B) {
+		keys := NewSimKeys([]byte("sts-1"), 2)
+		run(b, NewSimAuth(keys, 0, 64, nil), NewSimAuth(keys, 1, 64, nil))
 	})
 }
 
 // BenchmarkOnBeacon times the whole receive path — digest, SimAuth check,
 // sequence check, neighbour-list copy — at one node hearing benchFanout
-// senders in turn.
+// senders in turn. The node verifies through a memo, but hears each beacon
+// once, so every check misses: this is the miss path, MAC plus the memo's
+// compare and copy.
 func BenchmarkOnBeacon(b *testing.B) {
 	const perSender = 512
 	keys := NewSimKeys([]byte("sts-1"), benchFanout+1)
@@ -70,7 +78,7 @@ func BenchmarkOnBeacon(b *testing.B) {
 	if err := k.Run(1); err != nil {
 		b.Fatal(err)
 	}
-	svc, err := New(cfg, Deps{ID: 0, K: k, Auth: NewSimAuth(keys, 0, 64)})
+	svc, err := New(cfg, Deps{ID: 0, K: k, Auth: NewSimAuth(keys, 0, 64, NewSimMemo(keys))})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,7 +86,7 @@ func BenchmarkOnBeacon(b *testing.B) {
 	for seq := uint64(1); seq <= perSender; seq++ {
 		for from := link.NodeID(1); from <= benchFanout; from++ {
 			m := BeaconMsg{From: from, Seq: seq, Neighbors: benchNeighbors(), Base: cfg.BeaconBaseBytes}
-			m.Sig = NewSimAuth(keys, from, 64).Sign(beaconDigest(nil, m))
+			m.Sig = NewSimAuth(keys, from, 64, nil).Sign(beaconDigest(nil, m))
 			beacons = append(beacons, m)
 		}
 	}
@@ -97,7 +105,7 @@ func BenchmarkOnBeacon(b *testing.B) {
 		}
 		svc.onBeacon(beacons[j].From, beacons[j])
 	}
-	if svc.Stats.BeaconsRejected != 0 {
-		b.Fatalf("%d beacons rejected", svc.Stats.BeaconsRejected)
+	if st := svc.Stats; st.BeaconsRejected != 0 || st.VerifyMemoHits != 0 {
+		b.Fatalf("%d beacons rejected, %d checks answered from the memo", st.BeaconsRejected, st.VerifyMemoHits)
 	}
 }

@@ -11,14 +11,16 @@
 // links appear within a beacon period (the Accuracy properties).
 //
 // A beacon is signed once and checked by every neighbour that hears it, so
-// beacon verification is the repository's most-called verifier. RSAAuth
-// answers repeat checks of one broadcast from a verification memo
-// (sigcache) that node.Build creates per shard, apart from the voting
-// services' memo; SimAuth reads the sender's key from a per-replica table
-// and computes its MAC on the stack (package keyedmac). The receive path
-// keeps its digest and neighbour-list storage between beacons, and the
-// send path resends an unchanged neighbour list as the same slice. See
-// DESIGN.md §10.
+// beacon verification is the repository's most-called verifier. Both
+// authenticators answer repeat checks of one broadcast from a memo that
+// node.Build creates per shard: RSAAuth from a verification memo
+// (sigcache), apart from the voting services' memo, and SimAuth from a
+// SimMemo, which compares the digest and MAC bytes it last found valid
+// for the sender. A SimAuth miss reads the sender's key from a
+// per-replica table and computes its MAC on the stack (package keyedmac).
+// The receive path keeps its digest and neighbour-list storage between
+// beacons, and the send path resends an unchanged neighbour list as the
+// same slice. See DESIGN.md §10.
 package sts
 
 import (
@@ -106,7 +108,7 @@ type Stats struct {
 	Handshakes      uint64 // completed link authentications
 	// VerifyMemoHits counts beacon signature checks answered from the
 	// shard's verification memo, VerifyMemoMisses the checks performed.
-	// Both stay zero without a memo (SimAuth, or RSAAuth built with nil).
+	// Both stay zero without a memo (an authenticator built with nil).
 	VerifyMemoHits   uint64
 	VerifyMemoMisses uint64
 }
@@ -151,7 +153,10 @@ func New(cfg Config, deps Deps) (*Service, error) {
 		return nil, fmt.Errorf("sts: handshake requires Authenticate and Party")
 	}
 	s := &Service{cfg: cfg, deps: deps, neigh: make(map[link.NodeID]*neighEntry)}
-	if a, ok := deps.Auth.(*RSAAuth); ok {
+	switch a := deps.Auth.(type) {
+	case *RSAAuth:
+		a.stats = &s.Stats
+	case *SimAuth:
 		a.stats = &s.Stats
 	}
 	return s, nil

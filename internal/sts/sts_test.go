@@ -41,12 +41,23 @@ func testKeys(t testing.TB, n int, src io.Reader) []*nsl.KeyPair {
 // buildSTS assembles n nodes with the given positions and starts their STS.
 func buildSTS(t *testing.T, positions []geo.Point, cfg Config, mobs []mobility.Model) *harness {
 	t.Helper()
-	return buildSTSKeyed(t, positions, cfg, mobs, testKeys(t, len(positions), nil), nil)
+	return buildSTSKeyed(t, positions, cfg, mobs, testKeys(t, len(positions), nil), rsaAuths(nil))
 }
 
-// buildSTSKeyed is buildSTS with the key pairs and the beacon-verification
-// memo chosen by the caller.
-func buildSTSKeyed(t *testing.T, positions []geo.Point, cfg Config, mobs []mobility.Model, keys []*nsl.KeyPair, memo *sigcache.Cache) *harness {
+// authFactory returns node id's beacon authenticator; keys and dir are the
+// harness's NSL key pairs and their directory.
+type authFactory func(id link.NodeID, keys []*nsl.KeyPair, dir nsl.Directory) BeaconAuth
+
+// rsaAuths builds RSAAuth authenticators verifying through memo.
+func rsaAuths(memo *sigcache.Cache) authFactory {
+	return func(id link.NodeID, keys []*nsl.KeyPair, dir nsl.Directory) BeaconAuth {
+		return NewRSAAuth(keys[id], dir, memo)
+	}
+}
+
+// buildSTSKeyed is buildSTS with the key pairs and the beacon
+// authenticators chosen by the caller.
+func buildSTSKeyed(t *testing.T, positions []geo.Point, cfg Config, mobs []mobility.Model, keys []*nsl.KeyPair, auth authFactory) *harness {
 	t.Helper()
 	k := sim.NewKernel()
 	ch := radio.NewChannel(k, radio.Default80211())
@@ -70,7 +81,7 @@ func buildSTSKeyed(t *testing.T, positions []geo.Point, cfg Config, mobs []mobil
 			K:     k,
 			Link:  l,
 			RNG:   rng.SplitN("sts", i),
-			Auth:  NewRSAAuth(keys[i], dir, memo),
+			Auth:  auth(l.ID(), keys, dir),
 			Party: party,
 		})
 		if err != nil {
@@ -104,7 +115,7 @@ func buildSTSWithSimAuth(t *testing.T, positions []geo.Point, cfg Config) *harne
 			K:    k,
 			Link: l,
 			RNG:  rng.SplitN("sts", i),
-			Auth: NewSimAuth(keys, l.ID(), 64),
+			Auth: NewSimAuth(keys, l.ID(), 64, nil),
 		})
 		if err != nil {
 			t.Fatal(err)
