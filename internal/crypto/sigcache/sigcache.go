@@ -3,20 +3,21 @@
 // modular exponentiation; inside one replica the same (key, message,
 // signature) triple is verified many times — every node checks the same
 // flooded agreed message, every vote round re-checks the same value
-// signatures, every neighbour of a node checks the same signed beacon —
-// and verification is a pure function of that triple, so the
+// signatures — and verification is a pure function of that triple, so the
 // verdict can be reused. The cache is an LRU over an exact key that
 // includes the verifying key's identity and proactive-refresh epoch, so a
-// refreshed key can never serve a stale verdict.
+// refreshed key can never serve a stale verdict. It is the voting
+// services' memo: signed STS beacons have their own (sts.Memo), which
+// compares each sender's last valid bytes, cheaper than hashing them.
 //
 // The cache memoizes the *verdict only*. Simulation-side accounting
 // (energy, delay) is charged by the caller unconditionally, so the memo
 // never changes experiment tables — only wall-clock time.
 //
 // A cache instance is not safe for concurrent use. Replicas are
-// single-threaded event loops and each replica owns its caches (per shard,
-// one for the voting services and one for beacon verification; see
-// node.Network), so no instance is ever reached from two goroutines.
+// single-threaded event loops and each replica owns its caches (one per
+// shard, shared by the voting services on it; see node.Network), so no
+// instance is ever reached from two goroutines.
 package sigcache
 
 import (
@@ -57,10 +58,10 @@ type Entry struct {
 // HashParts digests the variable-length inputs of a verification
 // (message, signature bytes) into a fixed key component. Parts are
 // length-prefixed, so concatenation ambiguity cannot alias two
-// verifications to one key. It runs once per memo lookup — per received
-// beacon, per checked vote signature — so it must not allocate: the hash
-// state is a local the compiler keeps on the stack, and the sum is written
-// straight into the result (Sum(nil) would allocate it).
+// verifications to one key. It runs once per memo lookup — per checked
+// vote signature — so it must not allocate: the hash state is a local the
+// compiler keeps on the stack, and the sum is written straight into the
+// result (Sum(nil) would allocate it).
 func HashParts(parts ...[]byte) [32]byte {
 	h := sha256.New()
 	var n [8]byte

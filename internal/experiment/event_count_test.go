@@ -135,3 +135,30 @@ func TestReplicaBeaconMemoCounts(t *testing.T) {
 	}
 	t.Logf("%d beacons sent, %d checked: %d MACs computed", sent, hits+misses, misses)
 }
+
+// TestSensorReplicaBeaconMemoCounts pins the same counts for one Fig. 8
+// replica (IC, L=3, seed 1), whose beacons carry RSA signatures: every
+// receiver of a broadcast on the static field checks the same bytes, so
+// each beacon sent costs exactly one RSA verification.
+func TestSensorReplicaBeaconMemoCounts(t *testing.T) {
+	cfg := PaperSensorConfig()
+	cfg.IC = true
+	cfg.L = 3
+	cfg.Seed = 1
+	const wantSent, wantHits, wantMisses = 500, 3958, 500
+	spec, _, err := sensorSpec(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, net := runProbed(t, spec)
+	var hits, misses, sent uint64
+	for _, nd := range net.Nodes {
+		hits += nd.STS.Stats.VerifyMemoHits
+		misses += nd.STS.Stats.VerifyMemoMisses
+		sent += nd.STS.Stats.BeaconsSent
+	}
+	if sent != wantSent || hits != wantHits || misses != wantMisses {
+		t.Errorf("%d beacons sent, %d checks answered from the memo and %d RSA verifications, want %d, %d and %d",
+			sent, hits, misses, wantSent, wantHits, wantMisses)
+	}
+}

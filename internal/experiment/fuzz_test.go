@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -19,11 +20,18 @@ func strictDecode(b []byte, v any) error {
 // service would queue — must enumerate without panicking to at most
 // maxGridPoints replicas, and each replica's canonical bytes (its store
 // key) must survive decode → Canonical byte for byte, or a resumed job
-// would miss its own artifacts. Nothing is run: the property is about the
-// boundary, and a fuzzed request may ask for days of simulation.
+// would miss its own artifacts. Its point labels must be pairwise distinct
+// (a repeated row or column would fold two cells into one), and every IC
+// point's config must run at its row's level. Nothing is run: the property
+// is about the boundary, and a fuzzed request may ask for days of
+// simulation.
 func FuzzGridRequestDecode(f *testing.F) {
+	// A zero level and a repeated column: rejected, and a small mutation
+	// away from a grid that repeats only one of them.
+	edge := Fig7Grid(1, 2, true)
+	edge.Levels, edge.Malicious = []int{0, 1}, []int{2, 2}
 	for _, g := range []*GridRequest{
-		Fig7Grid(1, 5, false), Fig8Grid(1, 5, false), CoverageGrid(1, 5, false), ChurnGrid(1, 5, false),
+		Fig7Grid(1, 5, false), Fig8Grid(1, 5, false), CoverageGrid(1, 5, false), ChurnGrid(1, 5, false), edge,
 	} {
 		b, err := json.Marshal(g)
 		if err != nil {
@@ -44,6 +52,26 @@ func FuzzGridRequestDecode(f *testing.F) {
 		}
 		if len(points) > maxGridPoints {
 			t.Fatalf("%d points, more than %d", len(points), maxGridPoints)
+		}
+		labels := make(map[string]bool, len(points))
+		for _, p := range points {
+			if labels[p.Label] {
+				t.Fatalf("two points labelled %q", p.Label)
+			}
+			labels[p.Label] = true
+			var level int
+			if _, err := fmt.Sscanf(p.Row, "IC, L=%d", &level); err != nil {
+				continue
+			}
+			ic, l := false, 0
+			if c := p.Spec.Blackhole; c != nil {
+				ic, l = c.IC, c.L
+			} else if c := p.Spec.Sensor; c != nil {
+				ic, l = c.IC, c.L
+			}
+			if !ic || l != level {
+				t.Fatalf("point %q runs IC=%v at L=%d", p.Label, ic, l)
+			}
 		}
 		// Every point of a small grid, an even sample of a large one.
 		step := max(1, len(points)/256)

@@ -125,8 +125,13 @@ func periods(name string, simTime, period float64) bound {
 }
 
 // validBounds checks every numeric field against its ceiling, the
-// campaign's included.
+// campaign's included, and that the config carries no Tracer: a tracer is
+// runtime state a spec's bytes cannot carry, and one shared by a grid's
+// replicas would race across workers (each replica needs its own).
 func (cfg *BlackholeConfig) validBounds() error {
+	if cfg.Tracer != nil {
+		return fmt.Errorf("experiment: blackhole config must not carry a Tracer")
+	}
 	if err := checkBounds("blackhole", []bound{
 		{"nodes", float64(cfg.Nodes), maxNodes, true},
 		{"region", cfg.Region, maxRegion, true},
@@ -219,10 +224,6 @@ func (s ReplicaSpec) Validate() error {
 		return fmt.Errorf("experiment: replica spec kind %q without a %s config", s.Kind, want.name)
 	case other.cfg != nil:
 		return fmt.Errorf("experiment: replica spec kind %q carries a %s config", s.Kind, other.name)
-	}
-	// A Tracer is runtime state the spec's bytes cannot carry.
-	if s.Blackhole != nil && s.Blackhole.Tracer != nil {
-		return fmt.Errorf("experiment: replica spec must not carry a Tracer")
 	}
 	return want.cfg.validBounds()
 }
@@ -376,13 +377,13 @@ func (g *GridRequest) Validate() error {
 		}
 	}
 	for _, axis := range []struct {
-		name   string
-		values []int
-		max    int
-	}{{"levels", g.Levels, maxLevel}, {"malicious", g.Malicious, maxNodes}} {
+		name     string
+		values   []int
+		min, max int
+	}{{"levels", g.Levels, 1, maxLevel}, {"malicious", g.Malicious, 0, maxNodes}} {
 		for _, v := range axis.values {
-			if v < 0 || v > axis.max {
-				return fmt.Errorf("experiment: grid %q: %s must be between 0 and %d, got %d", g.Name, axis.name, axis.max, v)
+			if v < axis.min || v > axis.max {
+				return fmt.Errorf("experiment: grid %q: %s must be between %d and %d, got %d", g.Name, axis.name, axis.min, axis.max, v)
 			}
 		}
 	}
@@ -397,7 +398,31 @@ func (g *GridRequest) Validate() error {
 	if slots[1-config].cfg != nil || cols != k.columns(g) {
 		return fmt.Errorf("experiment: grid %q: kind %q carries fields of another kind", g.Name, g.Kind)
 	}
-	return k.check(g)
+	if err := k.check(g); err != nil {
+		return err
+	}
+	return g.distinctAxes(k)
+}
+
+// distinctAxes rejects a value that repeats on the level axis or on the
+// kind's column axis. A repeated level would run two rows under one label,
+// and a repeated column value folds two columns' seed sets into one cell.
+func (g *GridRequest) distinctAxes(k gridKind) error {
+	seen := make(map[string]bool, len(g.Levels)+k.columns(g))
+	for _, row := range configRows(g.Levels) {
+		if seen[row.label] {
+			return fmt.Errorf("experiment: grid %q: row %q appears twice", g.Name, row.label)
+		}
+		seen[row.label] = true
+	}
+	for i := range k.columns(g) {
+		label := k.column(g, i).label
+		if seen[label] {
+			return fmt.Errorf("experiment: grid %q: column %q appears twice", g.Name, label)
+		}
+		seen[label] = true
+	}
+	return nil
 }
 
 // ReplicaPoint is one grid cell replica: its table coordinates plus the

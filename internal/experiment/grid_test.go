@@ -168,6 +168,15 @@ func mustPoints(t *testing.T, g *GridRequest) []ReplicaPoint {
 
 // TestGridRequestValidate covers the request error surface the service
 // relies on to reject malformed submissions before queuing them.
+// span returns the n distinct axis values from, from+1, ...
+func span(from, n int) []int {
+	v := make([]int, n)
+	for i := range v {
+		v[i] = from + i
+	}
+	return v
+}
+
 func TestGridRequestValidate(t *testing.T) {
 	bh := smallBlackhole()
 	sn := PaperSensorConfig()
@@ -196,8 +205,8 @@ func TestGridRequestValidate(t *testing.T) {
 		{"runs at the seed stride", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: []int{0}, Runs: seedStride}, true},
 		{"runs past the seed stride", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: []int{0}, Runs: seedStride + 1}, false},
 		{"sensor runs past the seed stride", GridRequest{Kind: GridSensor, Sensor: &sn, Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1 << 40}, false},
-		{"points at the bound", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: make([]int, 50), Levels: make([]int, 3), Runs: 500}, true},
-		{"points past the bound", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: make([]int, 51), Levels: make([]int, 3), Runs: 500}, false},
+		{"points at the bound", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: span(0, 50), Levels: span(1, 3), Runs: 500}, true},
+		{"points past the bound", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: span(0, 51), Levels: span(1, 3), Runs: 500}, false},
 		{"axes past the bound at one run", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: make([]int, 400), Levels: make([]int, 400), Runs: 1}, false},
 		{"sensor at the shard bound", GridRequest{Kind: GridSensor, Sensor: onShards(sn, scenario.MaxShards), Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1}, true},
 		{"sensor past the shard bound", GridRequest{Kind: GridSensor, Sensor: onShards(sn, 150000), Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1}, false},
@@ -328,6 +337,44 @@ func TestGridRequestValidate(t *testing.T) {
 	})
 	if err := atCeiling.Validate(); err != nil {
 		t.Errorf("sensor at its ceilings: %v", err)
+	}
+}
+
+// TestGridAxesLeveledAndDistinct: every level of a grid is at least 1, and
+// no value repeats on the level axis or on the kind's column axis. A level
+// 0 row was labelled "IC, L=0" over replicas that ran another level (and a
+// churn grid's failed in node.Build); a repeated column value folded two
+// seed sets into one cell, narrowing its ± on duplicated data.
+func TestGridAxesLeveledAndDistinct(t *testing.T) {
+	edit := func(g *GridRequest, set func(g *GridRequest)) *GridRequest {
+		set(g)
+		return g
+	}
+	atLevels := func(g *GridRequest, levels ...int) *GridRequest {
+		return edit(g, func(g *GridRequest) { g.Levels = levels })
+	}
+	for _, tc := range []struct {
+		name string
+		g    *GridRequest
+		want string // in the error
+	}{
+		{"blackhole at level 0", atLevels(Fig7Grid(1, 1, true), 0), "levels must be between 1"},
+		{"sensor at level 0", atLevels(Fig8Grid(1, 1, true), 0), "levels must be between 1"},
+		{"campaign at level 0", atLevels(CoverageGrid(1, 1, true), 0), "levels must be between 1"},
+		{"churn at level 0", atLevels(ChurnGrid(1, 1, true), 0), "levels must be between 1"},
+		{"repeated level", atLevels(Fig8Grid(1, 1, true), 3, 5, 3), `row "IC, L=3" appears twice`},
+		{"repeated malicious count", edit(Fig7Grid(1, 1, true), func(g *GridRequest) { g.Malicious = []int{1, 1} }), `column "malicious=1" appears twice`},
+		{"repeated fault kind", edit(Fig8Grid(1, 1, true), func(g *GridRequest) {
+			g.Faults = []sensor.FaultKind{sensor.FaultNone, sensor.FaultPosition, sensor.FaultNone}
+		}), `column "fault=none" appears twice`},
+		{"repeated campaign", edit(CoverageGrid(1, 1, true), func(g *GridRequest) {
+			g.Campaigns = []faults.Campaign{faults.BlackholePreset(1), faults.BlackholePreset(1)}
+		}), `column "campaign=blackhole-1" appears twice`},
+		{"repeated churn rate", edit(ChurnGrid(1, 1, true), func(g *GridRequest) { g.Churns = []int{0, 2, 2} }), `column "churn=2" appears twice`},
+	} {
+		if err := tc.g.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -159,10 +159,6 @@ var gridKinds = map[string]gridKind{
 				}}
 		},
 		check: func(g *GridRequest) error {
-			// A Tracer belongs to one replica; a shared one races across workers.
-			if g.Blackhole.Tracer != nil {
-				return fmt.Errorf("experiment: grid %q: config must not carry a Tracer", g.Name)
-			}
 			if len(g.Malicious) == 0 {
 				return fmt.Errorf("experiment: grid %q: kind %q needs malicious counts", g.Name, g.Kind)
 			}
@@ -240,9 +236,6 @@ var gridKinds = map[string]gridKind{
 		check: func(g *GridRequest) error {
 			if len(g.Campaigns) == 0 {
 				return fmt.Errorf("grid %q: experiment: campaign sweep needs at least one campaign", g.Name)
-			}
-			if g.Blackhole.Tracer != nil {
-				return fmt.Errorf("grid %q: experiment: sweep config must not carry a Tracer — each replica needs its own (a shared one races across workers)", g.Name)
 			}
 			for i := range g.Campaigns {
 				if err := g.Campaigns[i].Validate(); err != nil {

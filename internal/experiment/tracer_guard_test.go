@@ -11,7 +11,8 @@ import (
 // TestSweepsRejectSharedTracer guards the tracer-ownership rule: a Tracer
 // belongs to exactly one replica, so a sweep base config carrying one —
 // which every parallel worker would copy by pointer and write into
-// concurrently — is rejected up front rather than racing at runtime.
+// concurrently — is rejected up front rather than racing at runtime, and
+// so is a replica spec carrying one, whose bytes cannot carry it.
 func TestSweepsRejectSharedTracer(t *testing.T) {
 	base := tinyCampaign()
 	base.Tracer = trace.New(0)
@@ -25,6 +26,11 @@ func TestSweepsRejectSharedTracer(t *testing.T) {
 		Campaigns: []faults.Campaign{faults.BlackholePreset(0)}, Levels: []int{1}, Runs: 1}, nil)
 	if err == nil || !strings.Contains(err.Error(), "Tracer") {
 		t.Fatalf("campaign grid accepted a shared tracer (err = %v)", err)
+	}
+
+	_, _, err = ReplicaSpec{Kind: ReplicaBlackhole, Blackhole: &base}.Run()
+	if err == nil || !strings.Contains(err.Error(), "Tracer") {
+		t.Fatalf("replica spec accepted a tracer (err = %v)", err)
 	}
 }
 

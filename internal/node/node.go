@@ -104,17 +104,14 @@ type Network struct {
 	// The cache is unsynchronized, hence one per shard, and since it only
 	// memoizes a pure function, per-shard caches cannot change results.
 	Memos []*sigcache.Cache
-	// BeaconMemos are the per-shard memos behind the topology services'
-	// beacon verification (nil unless beacons carry RSA signatures). They
-	// are instances of their own, never Memos: the voting services' hit
-	// count is reported in the campaign tables, so the far heavier beacon
-	// traffic must neither count into it nor evict its entries.
-	BeaconMemos []*sigcache.Cache
-	// SimBeaconMemos are the per-shard memos behind SimAuth beacon
-	// verification (nil unless beacons carry SimAuth MACs). Like
-	// BeaconMemos they are unsynchronized, so each is reached only from its
-	// own shard.
-	SimBeaconMemos []*sts.SimMemo
+	// BeaconMemos are the topology services' beacon memos, one per kernel
+	// and shared by every service on it (nil unless beacons are
+	// authenticated; index by Node.Shard). One memo type serves RSA
+	// signatures and SimAuth MACs alike. They are apart from Memos: the
+	// voting services' hit count is reported in the campaign tables, so the
+	// far heavier beacon traffic must neither count into it nor evict its
+	// entries.
+	BeaconMemos []*sts.Memo
 }
 
 // Config describes a deployment to build.
@@ -336,19 +333,16 @@ func Build(cfg Config) (*Network, error) {
 		net.Dealer = dealer
 	}
 
-	// Beacon authentication state shared by the topology services: with RSA
-	// keys one verification memo per shard, otherwise the SimAuth key table
-	// and one SimAuth memo per shard.
+	// Beacon authentication state shared by the topology services: one
+	// beacon memo per shard and, without RSA keys, the SimAuth key table.
 	var simKeys *sts.SimKeys
 	if cfg.STS.Period > 0 && cfg.STS.Authenticate {
-		if keys != nil {
-			net.BeaconMemos = newMemos(shards)
-		} else {
+		net.BeaconMemos = make([]*sts.Memo, shards)
+		for s := range net.BeaconMemos {
+			net.BeaconMemos[s] = sts.NewMemo(cfg.N)
+		}
+		if keys == nil {
 			simKeys = sts.NewSimKeys([]byte(fmt.Sprintf("sts-%d", cfg.Seed)), cfg.N)
-			net.SimBeaconMemos = make([]*sts.SimMemo, shards)
-			for s := range net.SimBeaconMemos {
-				net.SimBeaconMemos[s] = sts.NewSimMemo(simKeys)
-			}
 		}
 	}
 
@@ -402,10 +396,11 @@ func Build(cfg Config) (*Network, error) {
 				RNG:  nodeRNG.Split("sts"),
 			}
 			if cfg.STS.Authenticate {
+				stsDeps.Memo = net.BeaconMemos[shard]
 				if nd.SignKP != nil {
-					stsDeps.Auth = sts.NewRSAAuth(nd.SignKP, net.Dir, net.BeaconMemos[shard])
+					stsDeps.Auth = sts.NewRSAAuth(nd.SignKP, net.Dir)
 				} else {
-					stsDeps.Auth = sts.NewSimAuth(simKeys, nd.ID, cfg.SigWireBytes/2, net.SimBeaconMemos[shard])
+					stsDeps.Auth = sts.NewSimAuth(simKeys, nd.ID, cfg.SigWireBytes/2)
 				}
 			}
 			if cfg.STS.Handshake {
@@ -425,7 +420,12 @@ func Build(cfg Config) (*Network, error) {
 	// Voting services are built in a second pass so callbacks can close
 	// over the fully assembled node.
 	if cfg.IC {
-		net.Memos = newMemos(shards)
+		// All checkers of a flooded vote message run at one virtual instant
+		// or close to it, so the default capacity is ample.
+		net.Memos = make([]*sigcache.Cache, shards)
+		for s := range net.Memos {
+			net.Memos[s] = sigcache.New(sigcache.DefaultCap)
+		}
 		for i, nd := range net.Nodes {
 			var cbs vote.Callbacks
 			if cfg.Callbacks != nil {
@@ -470,17 +470,6 @@ func Build(cfg Config) (*Network, error) {
 		}
 	}
 	return net, nil
-}
-
-// newMemos returns one verification memo per shard. All receivers of a
-// broadcast, and all checkers of a flooded vote message, run at one virtual
-// instant or close to it, so the default capacity is ample.
-func newMemos(shards int) []*sigcache.Cache {
-	memos := make([]*sigcache.Cache, shards)
-	for i := range memos {
-		memos[i] = sigcache.New(sigcache.DefaultCap)
-	}
-	return memos
 }
 
 // StartSTS starts every node's topology service.

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"innercircle/internal/crypto/nsl"
-	"innercircle/internal/crypto/sigcache"
 	"innercircle/internal/geo"
 	"innercircle/internal/link"
 	"innercircle/internal/mobility"
@@ -20,11 +19,10 @@ import (
 // TestShardedBeaconMemoPerShard builds a static field on 2 and 4 shards,
 // once as the Fig. 8 stack (RSA beacon signatures, statistical voting) and
 // once with Fig. 7's SimAuth MACs and deterministic voting (no RSA keys),
-// and runs it on a goroutine per shard: every
-// shard's topology services must verify through that shard's beacon memo
-// and no other, and the RSA beacon memos must be instances apart from the
-// voting memos. Under -race this is also the check that no beacon memo is
-// reached from two shard goroutines.
+// and runs it on a goroutine per shard: every shard's topology services
+// must verify through that shard's beacon memo and no other, and no beacon
+// verdict may reach the voting memos. Under -race this is also the check
+// that no beacon memo is reached from two shard goroutines.
 func TestShardedBeaconMemoPerShard(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4) // four P for the four executor slots below
 	defer runtime.GOMAXPROCS(prev)
@@ -82,71 +80,50 @@ func TestShardedBeaconMemoPerShard(t *testing.T) {
 			return net
 		}
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			t.Run("rsa512", func(t *testing.T) {
-				net := build(t, keys, vote.Statistical)
-				if len(net.BeaconMemos) != shards || len(net.Memos) != shards || net.SimBeaconMemos != nil {
-					t.Fatalf("%d beacon memos, %d vote memos and %d SimAuth memos for %d shards",
-						len(net.BeaconMemos), len(net.Memos), len(net.SimBeaconMemos), shards)
-				}
-				seen := map[*sigcache.Cache]bool{}
-				for _, m := range append(append([]*sigcache.Cache(nil), net.BeaconMemos...), net.Memos...) {
-					if m == nil || seen[m] {
-						t.Fatal("a verification memo is missing or shared between shards or between beacons and votes")
+			for _, sc := range []struct {
+				name string
+				keys []*nsl.KeyPair
+				mode vote.Mode
+			}{{"rsa512", keys, vote.Statistical}, {"sim", nil, vote.Deterministic}} {
+				t.Run(sc.name, func(t *testing.T) {
+					net := build(t, sc.keys, sc.mode)
+					if len(net.BeaconMemos) != shards || len(net.Memos) != shards {
+						t.Fatalf("%d beacon memos and %d vote memos for %d shards", len(net.BeaconMemos), len(net.Memos), shards)
 					}
-					seen[m] = true
-				}
-				// Nothing is evicted in a run this short, so a memo holds one
-				// verdict per miss of the services wired to it: the counts
-				// match only if each shard's nodes filled their own shard's
-				// memo.
-				misses, hits := memoCounts(net, shards)
-				for s, memo := range net.BeaconMemos {
-					if misses[s] == 0 || uint64(memo.Len()) != misses[s] {
-						t.Errorf("shard %d: beacon memo holds %d verdicts, its nodes missed %d times", s, memo.Len(), misses[s])
+					seen := map[*sts.Memo]bool{}
+					for _, m := range net.BeaconMemos {
+						if m == nil || seen[m] {
+							t.Fatal("a beacon memo is missing or shared between shards")
+						}
+						seen[m] = true
 					}
-				}
-				if hits == 0 {
-					t.Error("no beacon check was answered from a memo")
-				}
-				for s, memo := range net.Memos {
-					if memo.Len() != 0 {
-						t.Errorf("shard %d: vote memo holds %d verdicts though no vote ran: beacon traffic leaked into it", s, memo.Len())
+					// A beacon memo holds an entry for each sender whose
+					// beacon the services wired to it accepted, and with
+					// ∆STS longer than the run every accepted sender is still
+					// in a service's view: the sets match only if each
+					// shard's nodes filled their own shard's memo.
+					heard := make([][]link.NodeID, shards)
+					for _, nd := range net.Nodes {
+						heard[nd.Shard] = append(heard[nd.Shard], nd.STS.Neighbors()...)
 					}
-				}
-			})
-			t.Run("sim", func(t *testing.T) {
-				net := build(t, nil, vote.Deterministic)
-				if len(net.SimBeaconMemos) != shards || net.BeaconMemos != nil {
-					t.Fatalf("%d SimAuth memos and %d RSA beacon memos for %d shards", len(net.SimBeaconMemos), len(net.BeaconMemos), shards)
-				}
-				seen := map[*sts.SimMemo]bool{}
-				for _, m := range net.SimBeaconMemos {
-					if m == nil || seen[m] {
-						t.Fatal("a SimAuth memo is missing or shared between shards")
+					misses, hits := memoCounts(net, shards)
+					for s, memo := range net.BeaconMemos {
+						slices.Sort(heard[s])
+						heard[s] = slices.Compact(heard[s])
+						if got := memo.Senders(); misses[s] == 0 || !slices.Equal(got, heard[s]) {
+							t.Errorf("shard %d: beacon memo holds senders %v, its nodes accepted %v (%d misses)", s, got, heard[s], misses[s])
+						}
 					}
-					seen[m] = true
-				}
-				// A SimAuth memo holds an entry for each sender whose beacon
-				// the services wired to it accepted, and with ∆STS longer
-				// than the run every accepted sender is still in a service's
-				// view: the sets match only if each shard's nodes filled
-				// their own shard's memo.
-				heard := make([][]link.NodeID, shards)
-				for _, nd := range net.Nodes {
-					heard[nd.Shard] = append(heard[nd.Shard], nd.STS.Neighbors()...)
-				}
-				misses, hits := memoCounts(net, shards)
-				for s, memo := range net.SimBeaconMemos {
-					slices.Sort(heard[s])
-					heard[s] = slices.Compact(heard[s])
-					if got := memo.Senders(); misses[s] == 0 || !slices.Equal(got, heard[s]) {
-						t.Errorf("shard %d: SimAuth memo holds senders %v, its nodes accepted %v (%d misses)", s, got, heard[s], misses[s])
+					if hits == 0 {
+						t.Error("no beacon check was answered from a memo")
 					}
-				}
-				if hits == 0 {
-					t.Error("no beacon check was answered from a memo")
-				}
-			})
+					for s, memo := range net.Memos {
+						if memo.Len() != 0 {
+							t.Errorf("shard %d: vote memo holds %d verdicts though no vote ran: beacon traffic leaked into it", s, memo.Len())
+						}
+					}
+				})
+			}
 		})
 	}
 }

@@ -1,7 +1,6 @@
 package sts
 
 import (
-	"bytes"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
@@ -10,7 +9,6 @@ import (
 
 	"innercircle/internal/crypto/keyedmac"
 	"innercircle/internal/crypto/nsl"
-	"innercircle/internal/crypto/sigcache"
 	"innercircle/internal/link"
 )
 
@@ -28,55 +26,73 @@ type BeaconAuth interface {
 	SigBytes() int
 }
 
+// Memo is a shard's memo of valid beacon verdicts: for each sender ID, its
+// own copies of the digest and signature last found valid. Every receiver
+// of one broadcast checks the same bytes and, under a replica's fixed key
+// material, gets the same verdict, so a shard's topology services check the
+// memo before their authenticator and all but the first check of a beacon
+// are a byte comparison, cheaper than hashing the bytes into a key. Only
+// valid verdicts are stored: a forged or corrupted beacon reaches the
+// authenticator at every receiver and never evicts the genuine entry. A
+// memo is unsynchronised: nodes on different kernels must not share one.
+type Memo struct {
+	ents []memoEntry // indexed by sender ID
+}
+
+type memoEntry struct {
+	valid       bool
+	digest, sig []byte
+}
+
+// NewMemo returns an empty memo for senders 0..n-1.
+func NewMemo(n int) *Memo {
+	return &Memo{ents: make([]memoEntry, n)}
+}
+
+// entry returns the sender's entry, nil for an ID outside the table.
+func (m *Memo) entry(id link.NodeID) *memoEntry {
+	if id < 0 || int(id) >= len(m.ents) {
+		return nil
+	}
+	return &m.ents[id]
+}
+
+// Senders returns, in ascending order, the senders the memo holds a valid
+// verdict for.
+func (m *Memo) Senders() []link.NodeID {
+	var ids []link.NodeID
+	for i := range m.ents {
+		if m.ents[i].valid {
+			ids = append(ids, link.NodeID(i))
+		}
+	}
+	return ids
+}
+
 // RSAAuth signs beacons with the node's RSA key pair and verifies against
-// the shared directory. Every receiver of one broadcast verifies the same
-// (key, digest, signature) triple, and the verdict is a pure function of
-// it, so Verify answers from a memo shared by the nodes of one shard: one
-// modular exponentiation per broadcast instead of one per receiver.
+// the shared directory.
 type RSAAuth struct {
-	kp   *nsl.KeyPair
-	dir  nsl.Directory
-	memo *sigcache.Cache
-	// stats receives the memo's hit/miss counts; New points it at the
-	// owning service's Stats.
-	stats *Stats
+	kp  *nsl.KeyPair
+	dir nsl.Directory
 }
 
 var _ BeaconAuth = (*RSAAuth)(nil)
 
-// NewRSAAuth returns the public-key beacon authenticator. memo is the
-// beacon-verification memo of the node's shard (the cache is
-// unsynchronised, so nodes on different kernels must not share one); nil
-// verifies every beacon afresh, which tests use as the reference.
-func NewRSAAuth(kp *nsl.KeyPair, dir nsl.Directory, memo *sigcache.Cache) *RSAAuth {
-	return &RSAAuth{kp: kp, dir: dir, memo: memo, stats: new(Stats)}
+// NewRSAAuth returns the public-key beacon authenticator.
+func NewRSAAuth(kp *nsl.KeyPair, dir nsl.Directory) *RSAAuth {
+	return &RSAAuth{kp: kp, dir: dir}
 }
 
 // Sign implements BeaconAuth.
 func (a *RSAAuth) Sign(msg []byte) []byte { return a.kp.Sign(msg) }
 
-// Verify implements BeaconAuth. Both verdicts are memoized, as the exact
-// error. The key holds the verifying key itself (two big.Int pointers, so
-// a re-keyed node is a different key), the digest and the signature:
-// leave any one out and a forgery could be answered with a genuine
-// beacon's verdict.
+// Verify implements BeaconAuth.
 func (a *RSAAuth) Verify(id link.NodeID, msg, sig []byte) error {
 	pk, err := a.dir.PublicKey(int64(id))
 	if err != nil {
 		return err
 	}
-	if a.memo == nil {
-		return nsl.Verify(pk, msg, sig)
-	}
-	k := sigcache.Key{Kind: sigcache.KindNSL, Scope: pk, Sum: sigcache.HashParts(msg, sig)}
-	if e, ok := a.memo.Get(k); ok {
-		a.stats.VerifyMemoHits++
-		return e.Err
-	}
-	a.stats.VerifyMemoMisses++
-	err = nsl.Verify(pk, msg, sig)
-	a.memo.Put(k, sigcache.Entry{Err: err})
-	return err
+	return nsl.Verify(pk, msg, sig)
 }
 
 // SigBytes implements BeaconAuth.
@@ -108,45 +124,6 @@ func NewSimKeys(seed []byte, n int) *SimKeys {
 	return t
 }
 
-// SimMemo is a shard's memo of valid SimAuth verdicts: for each sender, the
-// digest and MAC it last found valid under that sender's key. Every
-// receiver of one broadcast checks the same (sender, digest, MAC), so all
-// but the first check of a beacon on a shard are a byte comparison instead
-// of a MAC. The memo keeps the bytes themselves, not a hash of them:
-// hashing them would cost what the MAC costs.
-//
-// Only valid verdicts are stored, so a forged or corrupted beacon pays one
-// MAC and never evicts the genuine entry. The memo is bound to one key
-// table and is unsynchronised: nodes on different kernels must not share
-// one.
-type SimMemo struct {
-	keys *SimKeys
-	ents []simMemoEntry // indexed by sender ID
-}
-
-type simMemoEntry struct {
-	valid  bool
-	mac    [keyedmac.Size]byte
-	digest []byte // the memo's own copy; Verify's msg is borrowed
-}
-
-// NewSimMemo returns an empty memo for the senders of keys.
-func NewSimMemo(keys *SimKeys) *SimMemo {
-	return &SimMemo{keys: keys, ents: make([]simMemoEntry, len(keys.keys))}
-}
-
-// Senders returns, in ascending order, the senders the memo holds a valid
-// verdict for.
-func (m *SimMemo) Senders() []link.NodeID {
-	var ids []link.NodeID
-	for i := range m.ents {
-		if m.ents[i].valid {
-			ids = append(ids, link.NodeID(i))
-		}
-	}
-	return ids
-}
-
 // SimAuth is the sweep-scale stand-in: per-node keys derive from a network
 // seed, signatures are HMACs padded to the configured wire size. Like
 // thresh.SimScheme, it preserves the protocol semantics (a node can only
@@ -156,30 +133,21 @@ type SimAuth struct {
 	keys     *SimKeys
 	key      *[keyedmac.Size]byte // this node's entry in keys
 	sigBytes int
-	memo     *SimMemo
-	// stats receives the memo's hit/miss counts; New points it at the
-	// owning service's Stats.
-	stats *Stats
 }
 
 var _ BeaconAuth = (*SimAuth)(nil)
 
 // NewSimAuth returns the keyed-MAC beacon authenticator for node self,
 // which must have a key in the table. sigBytes sets the reported wire size
-// (e.g. 64 to emulate 512-bit RSA). memo is the SimAuth memo of the node's
-// shard, built for the same key table; nil verifies every beacon afresh,
-// which tests use as the reference.
-func NewSimAuth(keys *SimKeys, self link.NodeID, sigBytes int, memo *SimMemo) *SimAuth {
+// (e.g. 64 to emulate 512-bit RSA).
+func NewSimAuth(keys *SimKeys, self link.NodeID, sigBytes int) *SimAuth {
 	if self < 0 || int(self) >= len(keys.keys) {
 		panic(fmt.Sprintf("sts: node %d has no key in a table of %d", self, len(keys.keys)))
-	}
-	if memo != nil && memo.keys != keys {
-		panic("sts: SimAuth memo built for another key table")
 	}
 	if sigBytes < keyedmac.Size {
 		sigBytes = keyedmac.Size
 	}
-	return &SimAuth{keys: keys, key: &keys.keys[self], sigBytes: sigBytes, memo: memo, stats: new(Stats)}
+	return &SimAuth{keys: keys, key: &keys.keys[self], sigBytes: sigBytes}
 }
 
 // Sign implements BeaconAuth: the MAC, zero-padded to the emulated wire
@@ -193,28 +161,14 @@ func (a *SimAuth) Sign(msg []byte) []byte {
 
 // Verify implements BeaconAuth. Only the MAC is compared; the padding
 // carries nothing, so a bit flipped there still verifies. A sender
-// without a key in the table cannot have signed anything. With a memo, a
-// check whose sender, digest and MAC equal the sender's entry is answered
-// valid without computing the MAC; a MAC found valid replaces the entry.
+// without a key in the table cannot have signed anything.
 func (a *SimAuth) Verify(id link.NodeID, msg, sig []byte) error {
 	if len(sig) < keyedmac.Size || id < 0 || int(id) >= len(a.keys.keys) {
 		return ErrSimAuthBadSig
 	}
-	var ent *simMemoEntry
-	if a.memo != nil {
-		ent = &a.memo.ents[id]
-		if ent.valid && ent.mac == [keyedmac.Size]byte(sig) && bytes.Equal(ent.digest, msg) {
-			a.stats.VerifyMemoHits++
-			return nil
-		}
-		a.stats.VerifyMemoMisses++
-	}
 	mac := keyedmac.Sum(&a.keys.keys[id], msg)
 	if !hmac.Equal(mac[:], sig[:keyedmac.Size]) {
 		return ErrSimAuthBadSig
-	}
-	if ent != nil {
-		ent.valid, ent.mac, ent.digest = true, mac, append(ent.digest[:0], msg...)
 	}
 	return nil
 }

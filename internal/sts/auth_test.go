@@ -10,7 +10,7 @@ import (
 
 func TestSimAuthSignVerify(t *testing.T) {
 	keys := NewSimKeys([]byte("network-seed"), 8)
-	a := NewSimAuth(keys, 3, 64, nil)
+	a := NewSimAuth(keys, 3, 64)
 	msg := []byte("beacon contents")
 	sig := a.Sign(msg)
 	if len(sig) != 64 {
@@ -20,7 +20,7 @@ func TestSimAuthSignVerify(t *testing.T) {
 		t.Fatalf("SigBytes = %d", a.SigBytes())
 	}
 	// Any node's SimAuth can verify node 3's signature.
-	b := NewSimAuth(keys, 7, 64, nil)
+	b := NewSimAuth(keys, 7, 64)
 	if err := b.Verify(3, msg, sig); err != nil {
 		t.Fatalf("Verify: %v", err)
 	}
@@ -28,8 +28,8 @@ func TestSimAuthSignVerify(t *testing.T) {
 
 func TestSimAuthRejectsForgery(t *testing.T) {
 	keys := NewSimKeys([]byte("network-seed"), 8)
-	a := NewSimAuth(keys, 3, 64, nil)
-	b := NewSimAuth(keys, 7, 64, nil)
+	a := NewSimAuth(keys, 3, 64)
+	b := NewSimAuth(keys, 7, 64)
 	msg := []byte("beacon")
 	sig := a.Sign(msg)
 	// Wrong claimed identity.
@@ -47,7 +47,7 @@ func TestSimAuthRejectsForgery(t *testing.T) {
 }
 
 func TestSimAuthMinimumSize(t *testing.T) {
-	a := NewSimAuth(NewSimKeys([]byte("s"), 2), 1, 4, nil)
+	a := NewSimAuth(NewSimKeys([]byte("s"), 2), 1, 4)
 	if a.SigBytes() < 32 {
 		t.Fatalf("SigBytes = %d, want >= 32 (HMAC must fit)", a.SigBytes())
 	}
@@ -90,7 +90,7 @@ func TestSimAuthSignatureBytes(t *testing.T) {
 		{"", 12, "empty seed", 64, "575adda62e8c84143aae2edff659509c8081fe3903cc837bdfa872d5fe6a48840000000000000000000000000000000000000000000000000000000000000000"},
 	} {
 		keys := NewSimKeys([]byte(c.seed), int(c.id)+1)
-		got := hex.EncodeToString(NewSimAuth(keys, c.id, c.sigBytes, nil).Sign([]byte(c.msg)))
+		got := hex.EncodeToString(NewSimAuth(keys, c.id, c.sigBytes).Sign([]byte(c.msg)))
 		if got != c.want {
 			t.Errorf("seed %q node %d msg %q: signature %s, want %s", c.seed, c.id, c.msg, got, c.want)
 		}
@@ -100,33 +100,11 @@ func TestSimAuthSignatureBytes(t *testing.T) {
 func TestSimAuthVerifyDoesNotAllocate(t *testing.T) {
 	keys := NewSimKeys([]byte("sts-1"), 8)
 	msg := beaconDigest(nil, BeaconMsg{From: 3, Seq: 9, Neighbors: []link.NodeID{0, 1, 2, 4, 5, 6, 7}})
-	sig := NewSimAuth(keys, 3, 64, nil).Sign(msg)
-	b := NewSimAuth(keys, 7, 64, nil)
+	sig := NewSimAuth(keys, 3, 64).Sign(msg)
+	b := NewSimAuth(keys, 7, 64)
 	var err error
 	if n := testing.AllocsPerRun(100, func() { err = b.Verify(3, msg, sig) }); n != 0 || err != nil {
 		t.Fatalf("Verify: %.0f allocations per call (want 0), err %v", n, err)
-	}
-	// With a memo, hits and misses alike reuse the sender's entry once it
-	// has storage for a digest of this size.
-	memoized := NewSimAuth(keys, 7, 64, NewSimMemo(keys))
-	msgs := [][]byte{msg, beaconDigest(nil, BeaconMsg{From: 3, Seq: 10, Neighbors: []link.NodeID{0, 1, 2, 4, 5, 6, 7}})}
-	sigs := [][]byte{sig, NewSimAuth(keys, 3, 64, nil).Sign(msgs[1])}
-	for _, c := range []struct {
-		name string
-		next func(i int) int
-	}{{"hit", func(int) int { return 0 }}, {"miss", func(i int) int { return i % 2 }}} {
-		i := 0
-		n := testing.AllocsPerRun(100, func() {
-			j := c.next(i)
-			i++
-			err = memoized.Verify(3, msgs[j], sigs[j])
-		})
-		if n != 0 || err != nil {
-			t.Fatalf("memoized Verify (%s): %.0f allocations per call (want 0), err %v", c.name, n, err)
-		}
-	}
-	if st := memoized.stats; st.VerifyMemoHits == 0 || st.VerifyMemoMisses < 100 {
-		t.Fatalf("memo counts %+v: the calls did not take both paths", *st)
 	}
 }
 
@@ -136,8 +114,8 @@ func TestSimAuthVerifyDoesNotAllocate(t *testing.T) {
 func TestSimAuthIgnoresPadding(t *testing.T) {
 	keys := NewSimKeys([]byte("sts-1"), 8)
 	msg := []byte("beacon")
-	sig := NewSimAuth(keys, 3, 64, nil).Sign(msg)
-	b := NewSimAuth(keys, 7, 64, nil)
+	sig := NewSimAuth(keys, 3, 64).Sign(msg)
+	b := NewSimAuth(keys, 7, 64)
 	for _, bit := range []int{sha256.Size * 8, 64*8 - 1} {
 		if err := b.Verify(3, msg, flipSigBit(sig, bit)); err != nil {
 			t.Errorf("bit %d (padding) flipped: %v, want accepted", bit, err)
@@ -153,9 +131,9 @@ func TestSimAuthIgnoresPadding(t *testing.T) {
 func TestSimAuthUnknownNode(t *testing.T) {
 	keys := NewSimKeys([]byte("sts-1"), 4)
 	msg := []byte("beacon")
-	sig := NewSimAuth(keys, 3, 64, nil).Sign(msg)
+	sig := NewSimAuth(keys, 3, 64).Sign(msg)
 	for _, id := range []link.NodeID{-1, 4, link.BroadcastID} {
-		if err := NewSimAuth(keys, 0, 64, nil).Verify(id, msg, sig); err == nil {
+		if err := NewSimAuth(keys, 0, 64).Verify(id, msg, sig); err == nil {
 			t.Errorf("beacon verified for node %d, which has no key", id)
 		}
 	}
@@ -164,5 +142,5 @@ func TestSimAuthUnknownNode(t *testing.T) {
 			t.Error("NewSimAuth accepted a node outside the key table")
 		}
 	}()
-	NewSimAuth(keys, 4, 64, nil)
+	NewSimAuth(keys, 4, 64)
 }

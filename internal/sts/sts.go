@@ -11,19 +11,19 @@
 // links appear within a beacon period (the Accuracy properties).
 //
 // A beacon is signed once and checked by every neighbour that hears it, so
-// beacon verification is the repository's most-called verifier. Both
-// authenticators answer repeat checks of one broadcast from a memo that
-// node.Build creates per shard: RSAAuth from a verification memo
-// (sigcache), apart from the voting services' memo, and SimAuth from a
-// SimMemo, which compares the digest and MAC bytes it last found valid
-// for the sender. A SimAuth miss reads the sender's key from a
-// per-replica table and computes its MAC on the stack (package keyedmac).
-// The receive path keeps its digest and neighbour-list storage between
-// beacons, and the send path resends an unchanged neighbour list as the
-// same slice. See DESIGN.md §10.
+// beacon verification is the repository's most-called verifier. The
+// service answers repeat checks of one broadcast from a Memo that
+// node.Build creates per shard, whichever authenticator runs: the memo
+// compares the sender, digest and signature bytes last found valid for the
+// sender, and only a miss reaches the authenticator. A SimAuth check reads
+// the sender's key from a per-replica table and computes its MAC on the
+// stack (package keyedmac). The receive path keeps its digest and
+// neighbour-list storage between beacons, and the send path resends an
+// unchanged neighbour list as the same slice. See DESIGN.md §10.
 package sts
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -64,6 +64,9 @@ type Deps struct {
 	// Auth signs/verifies beacons; required when Config.Authenticate is
 	// set.
 	Auth BeaconAuth
+	// Memo is the beacon memo of the node's shard, checked before Auth;
+	// nil verifies every beacon afresh, which tests use as the reference.
+	Memo *Memo
 	// Party runs the NSL handshake; required when Config.Handshake is set.
 	Party *nsl.Party
 }
@@ -107,8 +110,8 @@ type Stats struct {
 	BeaconsRejected uint64 // bad signature or stale sequence
 	Handshakes      uint64 // completed link authentications
 	// VerifyMemoHits counts beacon signature checks answered from the
-	// shard's verification memo, VerifyMemoMisses the checks performed.
-	// Both stay zero without a memo (an authenticator built with nil).
+	// shard's memo (Deps.Memo), VerifyMemoMisses the checks it passed on
+	// to the authenticator. Both stay zero without a memo.
 	VerifyMemoHits   uint64
 	VerifyMemoMisses uint64
 }
@@ -152,14 +155,7 @@ func New(cfg Config, deps Deps) (*Service, error) {
 	if cfg.Handshake && (!cfg.Authenticate || deps.Party == nil) {
 		return nil, fmt.Errorf("sts: handshake requires Authenticate and Party")
 	}
-	s := &Service{cfg: cfg, deps: deps, neigh: make(map[link.NodeID]*neighEntry)}
-	switch a := deps.Auth.(type) {
-	case *RSAAuth:
-		a.stats = &s.Stats
-	case *SimAuth:
-		a.stats = &s.Stats
-	}
-	return s, nil
+	return &Service{cfg: cfg, deps: deps, neigh: make(map[link.NodeID]*neighEntry)}, nil
 }
 
 // OnChange registers a callback invoked whenever the neighbour set may have
@@ -255,7 +251,7 @@ func (s *Service) onBeacon(from link.NodeID, b BeaconMsg) {
 	}
 	if s.cfg.Authenticate {
 		s.digest = beaconDigest(s.digest[:0], b)
-		if err := s.deps.Auth.Verify(b.From, s.digest, b.Sig); err != nil {
+		if !s.verify(b.From, s.digest, b.Sig) {
 			s.Stats.BeaconsRejected++
 			return
 		}
@@ -288,6 +284,28 @@ func (s *Service) onBeacon(from link.NodeID, b BeaconMsg) {
 		}
 	}
 	s.changed()
+}
+
+// verify reports whether sig is id's valid signature over digest: from the
+// memo when it holds exactly these bytes as id's last valid pair, else
+// from the authenticator, storing only a valid verdict.
+func (s *Service) verify(id link.NodeID, digest, sig []byte) bool {
+	if s.deps.Memo == nil {
+		return s.deps.Auth.Verify(id, digest, sig) == nil
+	}
+	e := s.deps.Memo.entry(id)
+	if e != nil && e.valid && bytes.Equal(e.sig, sig) && bytes.Equal(e.digest, digest) {
+		s.Stats.VerifyMemoHits++
+		return true
+	}
+	s.Stats.VerifyMemoMisses++
+	if s.deps.Auth.Verify(id, digest, sig) != nil {
+		return false
+	}
+	if e != nil { // the memo keeps copies: digest is this service's scratch buffer
+		e.valid, e.digest, e.sig = true, append(e.digest[:0], digest...), append(e.sig[:0], sig...)
+	}
+	return true
 }
 
 func (s *Service) onHandshake(from link.NodeID, h HandshakeMsg) {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"innercircle/internal/crypto/nsl"
-	"innercircle/internal/crypto/sigcache"
 	"innercircle/internal/geo"
 	"innercircle/internal/link"
 	"innercircle/internal/mac"
@@ -41,23 +40,21 @@ func testKeys(t testing.TB, n int, src io.Reader) []*nsl.KeyPair {
 // buildSTS assembles n nodes with the given positions and starts their STS.
 func buildSTS(t *testing.T, positions []geo.Point, cfg Config, mobs []mobility.Model) *harness {
 	t.Helper()
-	return buildSTSKeyed(t, positions, cfg, mobs, testKeys(t, len(positions), nil), rsaAuths(nil))
+	return buildSTSKeyed(t, positions, cfg, mobs, testKeys(t, len(positions), nil), rsaAuth, nil)
 }
 
 // authFactory returns node id's beacon authenticator; keys and dir are the
 // harness's NSL key pairs and their directory.
 type authFactory func(id link.NodeID, keys []*nsl.KeyPair, dir nsl.Directory) BeaconAuth
 
-// rsaAuths builds RSAAuth authenticators verifying through memo.
-func rsaAuths(memo *sigcache.Cache) authFactory {
-	return func(id link.NodeID, keys []*nsl.KeyPair, dir nsl.Directory) BeaconAuth {
-		return NewRSAAuth(keys[id], dir, memo)
-	}
+// rsaAuth is the RSAAuth factory.
+func rsaAuth(id link.NodeID, keys []*nsl.KeyPair, dir nsl.Directory) BeaconAuth {
+	return NewRSAAuth(keys[id], dir)
 }
 
-// buildSTSKeyed is buildSTS with the key pairs and the beacon
-// authenticators chosen by the caller.
-func buildSTSKeyed(t *testing.T, positions []geo.Point, cfg Config, mobs []mobility.Model, keys []*nsl.KeyPair, auth authFactory) *harness {
+// buildSTSKeyed is buildSTS with the key pairs, the beacon authenticators
+// and the beacon memo (nil: none) chosen by the caller.
+func buildSTSKeyed(t *testing.T, positions []geo.Point, cfg Config, mobs []mobility.Model, keys []*nsl.KeyPair, auth authFactory, memo *Memo) *harness {
 	t.Helper()
 	k := sim.NewKernel()
 	ch := radio.NewChannel(k, radio.Default80211())
@@ -82,6 +79,7 @@ func buildSTSKeyed(t *testing.T, positions []geo.Point, cfg Config, mobs []mobil
 			Link:  l,
 			RNG:   rng.SplitN("sts", i),
 			Auth:  auth(l.ID(), keys, dir),
+			Memo:  memo,
 			Party: party,
 		})
 		if err != nil {
@@ -115,7 +113,7 @@ func buildSTSWithSimAuth(t *testing.T, positions []geo.Point, cfg Config) *harne
 			K:    k,
 			Link: l,
 			RNG:  rng.SplitN("sts", i),
-			Auth: NewSimAuth(keys, l.ID(), 64, nil),
+			Auth: NewSimAuth(keys, l.ID(), 64),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -154,6 +154,31 @@ var repoRules = []repoRule{
 		hit:     `	k.ScheduleFireArg(at, deliver, a)`,
 		miss:    `	k.ScheduleFireAt(at, deliver)`,
 	},
+	// A beacon verdict is memoized in one place: the topology service
+	// checks its shard's sts.Memo before either authenticator. No non-test
+	// Go may name the SimAuth-only memo it replaced or the Network field
+	// that held it.
+	{
+		name:    "Retired-SimAuth-memo",
+		pattern: regexp.MustCompile(`\b(New)?SimMemo\b|\bSimBeaconMemos\b`),
+		scopes:  programGo,
+		globs:   goGlob,
+		msg:     "a retired SimAuth beacon memo is still named; the topology service checks its shard's sts.Memo",
+		hit:     `	net.SimBeaconMemos[s] = sts.NewSimMemo(simKeys)`,
+		miss:    `	net.BeaconMemos[s] = sts.NewMemo(cfg.N)`,
+	},
+	// ... and the authenticators are pure verifiers: internal/sts's
+	// non-test Go does not import the LRU verification memo, which stays
+	// the voting services' alone.
+	{
+		name:    "Retired-beacon-sigcache",
+		pattern: regexp.MustCompile(`"innercircle/internal/crypto/sigcache"`),
+		scopes:  []scope{{"internal/sts", false, false}},
+		globs:   goGlob,
+		msg:     "internal/sts imports sigcache; beacon verdicts are memoized by sts.Memo in the topology service",
+		hit:     `	"innercircle/internal/crypto/sigcache"`,
+		miss:    `	"innercircle/internal/crypto/keyedmac"`,
+	},
 }
 
 // TestRepoRules enforces the repository's structural rules: each row keeps
