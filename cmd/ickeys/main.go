@@ -16,6 +16,8 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -65,28 +67,47 @@ func parseKN(spec string) (k, n int, err error) {
 	return k, n, nil
 }
 
-func epochOf(gk ic.GroupKey) uint64 {
-	if e, ok := gk.(ic.Epoched); ok {
-		return e.Epoch()
+// reportOldSignature reports the fate of the signature combined before an
+// epoch transition, which depends on the scheme: the RSA public key
+// survives a refresh or reshare, so old traffic stays checkable; the sim
+// scheme's share keys are its verification state, so its old signatures
+// expire with the epoch.
+func reportOldSignature(stdout io.Writer, scheme string, gk ic.GroupKey, msg []byte, sig ic.Signature) error {
+	switch err := gk.Verify(msg, sig); scheme {
+	case "rsa":
+		if err != nil {
+			return fmt.Errorf("pre-transition signature invalidated: %w", err)
+		}
+		fmt.Fprintln(stdout, "the earlier combined signature still verifies (old traffic stays checkable)")
+	default:
+		if err == nil {
+			return fmt.Errorf("sim signature unexpectedly survived the epoch bump")
+		}
+		fmt.Fprintln(stdout, "the earlier combined signature expired with the epoch (sim keys are the verification state)")
 	}
-	return 0
+	return nil
 }
 
-func run() error {
+// run parses args (without the program name) and writes the walkthrough
+// to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("ickeys", flag.ExitOnError)
 	var (
-		scheme    = flag.String("scheme", "rsa", "signature scheme: rsa (Shoup threshold RSA) or sim (keyed MAC)")
-		bits      = flag.Int("bits", 1024, "RSA modulus size")
-		level     = flag.Int("l", 2, "dependability level L (L+1 partials combine)")
-		n         = flag.Int("n", 5, "number of players")
-		signers   = flag.String("signers", "", "comma-separated 1-based share indices (default: first L+1 holding a share)")
-		msg       = flag.String("msg", "agreed value v", "message to sign")
-		dkg       = flag.Bool("dkg", false, "establish the key with dealerless keygen instead of the trusted dealer")
-		dkgFaults = flag.String("dkgfaults", "", "scripted DKG misbehaviour, e.g. 3:stubborn,5:silent (with -dkg)")
-		refresh   = flag.Bool("refresh", false, "demonstrate proactive share refresh after signing")
-		reshareKN = flag.String("reshare", "", "demonstrate a quorum reshare to k:n after signing, e.g. 3:7")
-		prof      = cliutil.AddProfileFlags(flag.CommandLine)
+		scheme    = fs.String("scheme", "rsa", "signature scheme: rsa (Shoup threshold RSA) or sim (keyed MAC)")
+		bits      = fs.Int("bits", 1024, "RSA modulus size")
+		level     = fs.Int("l", 2, "dependability level L (L+1 partials combine)")
+		n         = fs.Int("n", 5, "number of players")
+		signers   = fs.String("signers", "", "comma-separated 1-based share indices (default: first L+1 holding a share)")
+		msg       = fs.String("msg", "agreed value v", "message to sign")
+		dkg       = fs.Bool("dkg", false, "establish the key with dealerless keygen instead of the trusted dealer")
+		dkgFaults = fs.String("dkgfaults", "", "scripted DKG misbehaviour, e.g. 3:stubborn,5:silent (with -dkg)")
+		refresh   = fs.Bool("refresh", false, "demonstrate proactive share refresh after signing")
+		reshareKN = fs.String("reshare", "", "demonstrate a quorum reshare to k:n after signing, e.g. 3:7")
+		prof      = cliutil.AddProfileFlags(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	stop, err := prof.Start()
 	if err != nil {
@@ -107,35 +128,31 @@ func run() error {
 	var gk ic.GroupKey
 	var shares []ic.Signer
 	if *dkg {
-		gen, ok := dealer.(ic.KeyGenerator)
-		if !ok {
-			return fmt.Errorf("scheme %q does not support dealerless keygen", *scheme)
-		}
 		faults, err := parseDKGFaults(*dkgFaults, *n)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("dealerless keygen of K_%d with threshold %d among %d players (%s)...\n", *level, *level, *n, *scheme)
-		res, err := gen.DKG(ic.DKGConfig{K: *level, N: *n, Faults: faults})
+		fmt.Fprintf(stdout, "dealerless keygen of K_%d with threshold %d among %d players (%s)...\n", *level, *level, *n, *scheme)
+		res, err := dealer.DKG(ic.DKGConfig{K: *level, N: *n, Faults: faults})
 		if err != nil {
 			return err
 		}
-		fmt.Printf("qualification: %d complaints exchanged\n", res.Complaints)
+		fmt.Fprintf(stdout, "qualification: %d complaints exchanged\n", res.Complaints)
 		for _, b := range res.Blamed {
-			fmt.Printf("  player %d blamed with proof (opening contradicts commitment) and excluded\n", b)
+			fmt.Fprintf(stdout, "  player %d blamed with proof (opening contradicts commitment) and excluded\n", b)
 		}
 		for _, s := range res.Silent {
-			fmt.Printf("  player %d never dealt — excluded without proof (crash-indistinguishable)\n", s)
+			fmt.Fprintf(stdout, "  player %d never dealt — excluded without proof (crash-indistinguishable)\n", s)
 		}
 		gk, shares = res.Key, res.Signers
 	} else {
-		fmt.Printf("dealing K_%d with threshold %d among %d players (%s)...\n", *level, *level, *n, *scheme)
+		fmt.Fprintf(stdout, "dealing K_%d with threshold %d among %d players (%s)...\n", *level, *level, *n, *scheme)
 		gk, shares, err = dealer.Deal(*level, *n)
 		if err != nil {
 			return err
 		}
 	}
-	fmt.Printf("group key: %d+1 partials required, %d-byte signatures\n", gk.Threshold(), gk.SigBytes())
+	fmt.Fprintf(stdout, "group key: %d+1 partials required, %d-byte signatures\n", gk.Threshold(), gk.SigBytes())
 
 	var idx []int
 	if *signers == "" {
@@ -164,35 +181,46 @@ func run() error {
 			return err
 		}
 		partials = append(partials, p)
-		fmt.Printf("partial from share %d: %s...\n", i, hex.EncodeToString(p.Data[:min(8, len(p.Data))]))
+		fmt.Fprintf(stdout, "partial from share %d: %s...\n", i, hex.EncodeToString(p.Data[:min(8, len(p.Data))]))
 	}
 
 	sig, err := gk.Combine([]byte(*msg), partials)
 	if err != nil {
-		fmt.Printf("combine failed (as expected with < %d partials): %v\n", gk.Threshold()+1, err)
+		fmt.Fprintf(stdout, "combine failed (as expected with < %d partials): %v\n", gk.Threshold()+1, err)
 		return nil
 	}
-	fmt.Printf("combined signature (%d bytes): %s...\n", len(sig.Data), hex.EncodeToString(sig.Data[:min(16, len(sig.Data))]))
+	fmt.Fprintf(stdout, "combined signature (%d bytes): %s...\n", len(sig.Data), hex.EncodeToString(sig.Data[:min(16, len(sig.Data))]))
 	if err := gk.Verify([]byte(*msg), sig); err != nil {
 		return fmt.Errorf("verification failed: %w", err)
 	}
-	fmt.Println("verification: OK — any recipient can now check that", gk.Threshold()+1, "players co-signed")
+	fmt.Fprintln(stdout, "verification: OK — any recipient can now check that", gk.Threshold()+1, "players co-signed")
 
 	if *refresh {
-		refresher, ok := dealer.(ic.Refresher)
-		if !ok {
-			return fmt.Errorf("scheme %q does not support refresh", *scheme)
+		fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout, "proactive refresh: re-randomizing every share...")
+		// Only share holders refresh: players excluded during keygen hold
+		// none.
+		var holders []int
+		var old []ic.Signer
+		for i, s := range shares {
+			if s != nil {
+				holders = append(holders, i)
+				old = append(old, s)
+			}
 		}
-		fmt.Println()
-		fmt.Println("proactive refresh: re-randomizing every share...")
-		fresh, err := refresher.Refresh(gk, shares)
+		oldEpoch := gk.Epoch()
+		rotated, err := dealer.Refresh(gk, old)
 		if err != nil {
 			return err
 		}
-		if err := gk.Verify([]byte(*msg), sig); err != nil {
-			return fmt.Errorf("pre-refresh signature invalidated: %w", err)
+		fresh := make([]ic.Signer, len(shares))
+		for j, i := range holders {
+			fresh[i] = rotated[j]
 		}
-		fmt.Println("the earlier combined signature still verifies (public key unchanged)")
+		fmt.Fprintf(stdout, "key epoch %d -> %d; public key unchanged\n", oldEpoch, gk.Epoch())
+		if err := reportOldSignature(stdout, *scheme, gk, []byte(*msg), sig); err != nil {
+			return err
+		}
 		stale := partials[0]
 		freshParts := []ic.Partial{stale}
 		for i := 1; i <= *level; i++ {
@@ -203,12 +231,11 @@ func run() error {
 			freshParts = append(freshParts, p)
 		}
 		if _, err := gk.Combine([]byte(*msg), freshParts); err != nil {
-			fmt.Println("a stale (pre-refresh) share no longer combines with fresh ones:")
-			fmt.Println(" ", err)
+			fmt.Fprintln(stdout, "a stale (pre-refresh) share no longer combines with fresh ones:")
+			fmt.Fprintln(stdout, " ", err)
 		} else {
 			return fmt.Errorf("cross-epoch combination unexpectedly succeeded")
 		}
-		shares = fresh
 	}
 
 	if *reshareKN != "" {
@@ -216,33 +243,16 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		resharer, ok := dealer.(ic.Resharer)
-		if !ok {
-			return fmt.Errorf("scheme %q does not support reshare", *scheme)
-		}
-		fmt.Println()
-		fmt.Printf("quorum reshare: moving the key to threshold %d among %d players...\n", newK, newN)
-		oldEpoch := epochOf(gk)
-		newShares, err := resharer.Reshare(gk, newK, newN)
+		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "quorum reshare: moving the key to threshold %d among %d players...\n", newK, newN)
+		oldEpoch := gk.Epoch()
+		newShares, err := dealer.Reshare(gk, newK, newN)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("key epoch %d -> %d; public key unchanged\n", oldEpoch, epochOf(gk))
-		// Scheme-dependent fate of the pre-reshare signature: the RSA public
-		// key survives the reshare so old traffic stays checkable; the sim
-		// scheme's share keys ARE its verification state, so its old
-		// signatures expire with the epoch.
-		switch oldErr := gk.Verify([]byte(*msg), sig); *scheme {
-		case "rsa":
-			if oldErr != nil {
-				return fmt.Errorf("pre-reshare signature invalidated: %w", oldErr)
-			}
-			fmt.Println("the earlier combined signature still verifies (old traffic stays checkable)")
-		default:
-			if oldErr == nil {
-				return fmt.Errorf("sim signature unexpectedly survived the epoch bump")
-			}
-			fmt.Println("the earlier combined signature expired with the epoch (sim keys are the verification state)")
+		fmt.Fprintf(stdout, "key epoch %d -> %d; public key unchanged\n", oldEpoch, gk.Epoch())
+		if err := reportOldSignature(stdout, *scheme, gk, []byte(*msg), sig); err != nil {
+			return err
 		}
 		var fresh []ic.Partial
 		for i := 0; i <= newK; i++ {
@@ -259,11 +269,11 @@ func run() error {
 		if err := gk.Verify([]byte(*msg), sig2); err != nil {
 			return fmt.Errorf("post-reshare signature invalid: %w", err)
 		}
-		fmt.Printf("fresh %d+1 quorum signs under the same public key: OK\n", newK)
+		fmt.Fprintf(stdout, "fresh %d+1 quorum signs under the same public key: OK\n", newK)
 		mixed := append([]ic.Partial{partials[0]}, fresh[1:]...)
 		if _, err := gk.Combine([]byte(*msg), mixed); err != nil {
-			fmt.Println("a stale (pre-reshare) share does not combine with the new layout:")
-			fmt.Println(" ", err)
+			fmt.Fprintln(stdout, "a stale (pre-reshare) share does not combine with the new layout:")
+			fmt.Fprintln(stdout, " ", err)
 		} else {
 			return fmt.Errorf("cross-epoch combination unexpectedly succeeded")
 		}
@@ -272,5 +282,5 @@ func run() error {
 }
 
 func main() {
-	cliutil.Main("ickeys", run)
+	cliutil.Main("ickeys", func() error { return run(os.Args[1:], os.Stdout) })
 }

@@ -97,9 +97,13 @@ func WorstCaseError(f, n int, deltaC float64) float64 {
 
 // Threshold-signature types (see internal/crypto/thresh).
 type (
-	// Dealer creates group keys with threshold shares.
+	// Dealer runs a group key's lifecycle: Deal (§2's trusted dealer) or
+	// dealerless DKG, then proactive Refresh (§2's deferred extension)
+	// and membership Reshare. Both dealers implement all four.
 	Dealer = thresh.Dealer
-	// GroupKey is the public side of a dealt key: combine and verify.
+	// GroupKey is the public side of a dealt key: combine and verify. Its
+	// Epoch counts the refreshes and reshares it has lived through, and
+	// keys the verification memo so verdicts never cross an epoch.
 	GroupKey = thresh.GroupKey
 	// Signer is one node's share: it produces partial signatures.
 	Signer = thresh.Signer
@@ -119,27 +123,9 @@ func NewSimDealer(seed []byte, wireBytes int) Dealer {
 	return thresh.NewSimDealer(seed, wireBytes)
 }
 
-// Refresher is the proactive-share-refresh capability (§2's deferred
-// extension): shares re-randomize so captures from different epochs do
-// not combine. Both dealers implement it.
-type Refresher = thresh.Refresher
-
-// Resharer moves a group key to a new (k, n) share layout without
-// changing the public key — the membership-epoch transition primitive.
-// Both dealers implement it.
-type Resharer = thresh.Resharer
-
-// Epoched is implemented by every group key and signer: Epoch() counts
-// the reshare/refresh generations a key has lived through, and keys it
-// into the signature memo so verdicts never cross an epoch boundary.
-type Epoched = thresh.Epoched
-
-// Dealerless key generation (VSS with complaint/blame rounds).
+// Dealerless key generation (VSS with complaint/blame rounds), run by
+// Dealer.DKG.
 type (
-	// KeyGenerator is the dealerless-keygen capability both dealers
-	// implement: DKG runs the qualification protocol and deals only among
-	// the qualified participants.
-	KeyGenerator = thresh.KeyGenerator
 	// DKGConfig parameterizes one dealerless key generation.
 	DKGConfig = thresh.DKGConfig
 	// DKGResult reports the generated key plus the qualification outcome:
@@ -179,8 +165,8 @@ func DealRing(dealer Dealer, maxL, n int) (PublicRing, []NodeKeys, error) {
 // nodes with dealerless keygen, scripted faults optional. It returns the
 // ring, per-node signers (empty for excluded participants), and the
 // 0-based indices blamed with proof and excluded for silence.
-func DKGRing(gen KeyGenerator, maxL, n int, dkgFaults map[int]DKGFault) (PublicRing, []NodeKeys, []int, []int, error) {
-	return vote.DKGRing(gen, maxL, n, dkgFaults)
+func DKGRing(dealer Dealer, maxL, n int, dkgFaults map[int]DKGFault) (PublicRing, []NodeKeys, []int, []int, error) {
+	return vote.DKGRing(dealer, maxL, n, dkgFaults)
 }
 
 // LevelFor computes the §4.2 dependability level L = N − F − 1 for an

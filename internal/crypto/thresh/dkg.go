@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sort"
 
 	"innercircle/internal/crypto/keyedmac"
 	"innercircle/internal/crypto/shamir"
@@ -62,7 +63,8 @@ type DKGConfig struct {
 	// N is the number of participants (share indices 1..N).
 	N int
 	// Faults scripts misbehaviour by participant index (1-based); absent
-	// participants are honest.
+	// participants are honest. A key outside 1..N or a value that is no
+	// DKGFault fails the generation.
 	Faults map[int]DKGFault
 }
 
@@ -84,18 +86,6 @@ type DKGResult struct {
 	// Complaints counts complaint messages exchanged (diagnostics).
 	Complaints int
 }
-
-// KeyGenerator is the dealerless counterpart of Dealer: both schemes'
-// dealers implement it, with the dealer object standing in for the ideal
-// key-material functionality (see the package comment above).
-type KeyGenerator interface {
-	DKG(cfg DKGConfig) (*DKGResult, error)
-}
-
-var (
-	_ KeyGenerator = (*RSADealer)(nil)
-	_ KeyGenerator = (*SimDealer)(nil)
-)
 
 // dkgPrime is the fixed public 256-bit prime (2²⁵⁶ − 189) the
 // qualification round's throwaway pad VSS runs over. Its value carries no
@@ -152,7 +142,25 @@ type dkgTranscript struct {
 // commitments, mismatches trigger complaints, and the dealer's opening
 // either repairs the share (it matches the commitment) or convicts the
 // dealer (it does not). Scripted faults make every branch reachable.
-func dkgQualify(k, n int, faults map[int]DKGFault, rnd io.Reader) (*dkgTranscript, error) {
+//
+// It is both schemes' DKG entry, so it also checks cfg: an invalid
+// threshold, a fault entry it could not act on (keyed outside 1..N, or no
+// DKGFault), and fewer than K+1 qualified participants are errors.
+func dkgQualify(cfg DKGConfig, rnd io.Reader) (*dkgTranscript, error) {
+	k, n, faults := cfg.K, cfg.N, cfg.Faults
+	if k < 0 || n < 1 || k+1 > n {
+		return nil, fmt.Errorf("thresh: invalid threshold k=%d n=%d", k, n)
+	}
+	var bad []int
+	for i, f := range faults {
+		if i < 1 || i > n || f < DKGHonest || f > DKGSilent {
+			bad = append(bad, i)
+		}
+	}
+	if len(bad) > 0 {
+		sort.Ints(bad)
+		return nil, fmt.Errorf("thresh: dkg faults for participants %v: want an index in 1..%d and a known DKGFault", bad, n)
+	}
 	tr := &dkgTranscript{pads: make([]*big.Int, n+1)}
 	type dealing struct {
 		pad   *big.Int
@@ -231,10 +239,13 @@ func dkgQualify(k, n int, faults map[int]DKGFault, rnd io.Reader) (*dkgTranscrip
 			tr.pads[i] = dl.pad
 		}
 	}
+	if len(tr.qual) < k+1 {
+		return nil, fmt.Errorf("thresh: dkg left %d qualified participants, need at least %d", len(tr.qual), k+1)
+	}
 	return tr, nil
 }
 
-// DKG implements KeyGenerator for threshold RSA. After the (real)
+// DKG implements Dealer for threshold RSA. After the (real)
 // qualification round fixes QUAL, the modulus and exponents come from the
 // ideal functionality (see the package comment); each qualified
 // participant then contributes an additive piece of the private exponent,
@@ -242,17 +253,11 @@ func dkgQualify(k, n int, faults map[int]DKGFault, rnd io.Reader) (*dkgTranscrip
 // the sub-shares addressed to j — the Pedersen sum-of-dealings structure,
 // with disqualified participants receiving nothing.
 func (d *RSADealer) DKG(cfg DKGConfig) (*DKGResult, error) {
-	k, n := cfg.K, cfg.N
-	if k < 0 || n < 1 || k+1 > n {
-		return nil, fmt.Errorf("thresh: invalid threshold k=%d n=%d", k, n)
-	}
-	tr, err := dkgQualify(k, n, cfg.Faults, d.rand())
+	tr, err := dkgQualify(cfg, d.rand())
 	if err != nil {
 		return nil, err
 	}
-	if len(tr.qual) < k+1 {
-		return nil, fmt.Errorf("thresh: dkg left %d qualified participants, need at least %d", len(tr.qual), k+1)
-	}
+	k, n := cfg.K, cfg.N
 	N, e, lambda, err := d.keyMaterial(n)
 	if err != nil {
 		return nil, err
@@ -336,26 +341,19 @@ func (r *drbgReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// DKG implements KeyGenerator for the simulation scheme: the same real
+// DKG implements Dealer for the simulation scheme: the same real
 // qualification round, then a joint per-key root hashed from the
 // qualified participants' pads, from which the share keys derive —
 // keeping the protocol semantics (who is in, who is blamed, what a share
-// index means) identical to the RSA path at sweep-friendly cost.
+// index means) identical to the RSA path at sweep-friendly cost. A failed
+// generation consumes no key ID.
 func (d *SimDealer) DKG(cfg DKGConfig) (*DKGResult, error) {
-	k, n := cfg.K, cfg.N
-	if k < 0 || n < 1 || k+1 > n {
-		return nil, fmt.Errorf("thresh: invalid threshold k=%d n=%d", k, n)
-	}
-	d.counter++
-	keyID := d.counter
-	rnd := &drbgReader{key: simDerive(d.master, keyID, 0)}
-	tr, err := dkgQualify(k, n, cfg.Faults, rnd)
+	tr, err := dkgQualify(cfg, &drbgReader{key: simDerive(d.master, d.counter+1, 0)})
 	if err != nil {
 		return nil, err
 	}
-	if len(tr.qual) < k+1 {
-		return nil, fmt.Errorf("thresh: dkg left %d qualified participants, need at least %d", len(tr.qual), k+1)
-	}
+	d.counter++
+	k, n := cfg.K, cfg.N
 	h := sha256.New()
 	_, _ = h.Write([]byte("ic-dkg-root"))
 	for _, i := range tr.qual {

@@ -6,14 +6,6 @@ import (
 	"testing"
 )
 
-// keygens returns both dealers in their KeyGenerator role.
-func keygens() map[string]KeyGenerator {
-	return map[string]KeyGenerator{
-		"sim": NewSimDealer([]byte("dkg-test"), 128),
-		"rsa": &RSADealer{Bits: 512},
-	}
-}
-
 func signWith(t *testing.T, gk GroupKey, signers []Signer, idx []int, msg []byte) Signature {
 	t.Helper()
 	var partials []Partial
@@ -51,7 +43,7 @@ func TestDKGPrimeIsPrime(t *testing.T) {
 // signs, combines, and verifies through exactly the same GroupKey path as
 // a dealer-dealt key, with every participant qualified.
 func TestDKGHappyPath(t *testing.T) {
-	for name, g := range keygens() {
+	for name, g := range dealers() {
 		t.Run(name, func(t *testing.T) {
 			res, err := g.DKG(DKGConfig{K: 2, N: 5})
 			if err != nil {
@@ -70,12 +62,8 @@ func TestDKGHappyPath(t *testing.T) {
 				}
 			}
 			signWith(t, res.Key, res.Signers, []int{1, 3, 5}, []byte("dkg happy"))
-			ep, ok := res.Key.(Epoched)
-			if !ok {
-				t.Fatal("DKG key does not implement Epoched")
-			}
-			if ep.Epoch() != 0 {
-				t.Fatalf("fresh DKG key at epoch %d", ep.Epoch())
+			if ep := res.Key.Epoch(); ep != 0 {
+				t.Fatalf("fresh DKG key at epoch %d", ep)
 			}
 		})
 	}
@@ -84,7 +72,7 @@ func TestDKGHappyPath(t *testing.T) {
 // TestDKGStubbornCheaterBlamed: an opening that contradicts the
 // commitment is proof, so the cheater lands in Blamed without a signer.
 func TestDKGStubbornCheaterBlamed(t *testing.T) {
-	for name, g := range keygens() {
+	for name, g := range dealers() {
 		t.Run(name, func(t *testing.T) {
 			res, err := g.DKG(DKGConfig{K: 1, N: 5, Faults: map[int]DKGFault{2: DKGCheatStubborn}})
 			if err != nil {
@@ -108,7 +96,7 @@ func TestDKGStubbornCheaterBlamed(t *testing.T) {
 // complaint forces a public opening that matches the commitment, the
 // receiver adopts it, and the dealer stays qualified.
 func TestDKGCheatThenRevealSurvives(t *testing.T) {
-	for name, g := range keygens() {
+	for name, g := range dealers() {
 		t.Run(name, func(t *testing.T) {
 			res, err := g.DKG(DKGConfig{K: 1, N: 4, Faults: map[int]DKGFault{3: DKGCheatThenReveal}})
 			if err != nil {
@@ -129,7 +117,7 @@ func TestDKGCheatThenRevealSurvives(t *testing.T) {
 // TestDKGSilentExcluded: a participant that never deals is dropped
 // without proof of malice.
 func TestDKGSilentExcluded(t *testing.T) {
-	for name, g := range keygens() {
+	for name, g := range dealers() {
 		t.Run(name, func(t *testing.T) {
 			res, err := g.DKG(DKGConfig{K: 1, N: 4, Faults: map[int]DKGFault{4: DKGSilent}})
 			if err != nil {
@@ -152,7 +140,7 @@ func TestDKGSilentExcluded(t *testing.T) {
 // TestDKGTooFewQualified: when cheating leaves fewer than k+1 qualified
 // participants, the generation aborts rather than dealing an unusable key.
 func TestDKGTooFewQualified(t *testing.T) {
-	for name, g := range keygens() {
+	for name, g := range dealers() {
 		t.Run(name, func(t *testing.T) {
 			_, err := g.DKG(DKGConfig{K: 2, N: 4, Faults: map[int]DKGFault{
 				1: DKGCheatStubborn,
@@ -166,13 +154,42 @@ func TestDKGTooFewQualified(t *testing.T) {
 }
 
 func TestDKGInvalidParams(t *testing.T) {
-	for name, g := range keygens() {
+	for name, g := range dealers() {
 		t.Run(name, func(t *testing.T) {
 			if _, err := g.DKG(DKGConfig{K: 3, N: 3}); err == nil {
 				t.Fatal("accepted k+1 > n")
 			}
 			if _, err := g.DKG(DKGConfig{K: -1, N: 3}); err == nil {
 				t.Fatal("accepted negative k")
+			}
+		})
+	}
+}
+
+// TestDKGRejectsUnusableFaults: a fault entry the qualification round
+// cannot act on — keyed outside 1..N, or naming no DKGFault — fails the
+// generation instead of leaving its participant silently honest.
+func TestDKGRejectsUnusableFaults(t *testing.T) {
+	for name, g := range dealers() {
+		t.Run(name, func(t *testing.T) {
+			for _, faults := range []map[int]DKGFault{
+				{6: DKGSilent}, // a 0-based node 5 of five, shifted to 1-based
+				{0: DKGCheatStubborn},
+				{-1: DKGSilent},
+				{2: DKGSilent + 1},
+				{2: DKGHonest - 1},
+				{3: DKGSilent, 7: DKGCheatThenReveal},
+			} {
+				if _, err := g.DKG(DKGConfig{K: 1, N: 5, Faults: faults}); err == nil {
+					t.Errorf("DKG accepted faults %v among 5 participants", faults)
+				}
+			}
+			res, err := g.DKG(DKGConfig{K: 1, N: 5, Faults: map[int]DKGFault{1: DKGHonest, 5: DKGSilent}})
+			if err != nil {
+				t.Fatalf("in-range faults rejected: %v", err)
+			}
+			if len(res.Silent) != 1 || res.Silent[0] != 5 {
+				t.Fatalf("silent = %v, want [5]", res.Silent)
 			}
 		})
 	}

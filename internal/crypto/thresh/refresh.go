@@ -8,24 +8,7 @@ import (
 	"innercircle/internal/crypto/shamir"
 )
 
-// Refresher is the proactive-secret-sharing extension §2 of the paper
-// defers to Herzberg et al.: shares are periodically re-randomized so that
-// an adversary must compromise L+1 nodes within a single epoch — shares
-// stolen across epochs do not combine. The group key (and all previously
-// issued combined signatures) remain valid.
-type Refresher interface {
-	// Refresh re-randomizes the shares of a key this dealer dealt. Old
-	// signers' partials stop combining with new ones. The returned slice
-	// has one new signer per original share index.
-	Refresh(gk GroupKey, old []Signer) ([]Signer, error)
-}
-
-var (
-	_ Refresher = (*RSADealer)(nil)
-	_ Refresher = (*SimDealer)(nil)
-)
-
-// Refresh implements Refresher for the threshold RSA scheme
+// Refresh implements Dealer for the threshold RSA scheme
 // (dealer-assisted: the dealer, who retains λ(N), deals a random degree-k
 // polynomial with constant term zero and each new share is
 // s'_i = s_i + z_i mod λ(N); the shared exponent — and thus the public
@@ -58,7 +41,7 @@ func (d *RSADealer) Refresh(gk GroupKey, old []Signer) ([]Signer, error) {
 	return out, nil
 }
 
-// Refresh implements Refresher for the simulation scheme by re-deriving
+// Refresh implements Dealer for the simulation scheme by re-deriving
 // every share key under a bumped epoch. The group key object is updated in
 // place (it is the shared verification oracle), so stale signers' partials
 // stop verifying.

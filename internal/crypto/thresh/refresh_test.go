@@ -4,22 +4,8 @@ import (
 	"testing"
 )
 
-// refreshers returns both dealers (they both implement Refresher).
-func refreshers() map[string]interface {
-	Dealer
-	Refresher
-} {
-	return map[string]interface {
-		Dealer
-		Refresher
-	}{
-		"sim": NewSimDealer([]byte("refresh-test"), 128),
-		"rsa": &RSADealer{Bits: 512},
-	}
-}
-
 func TestRefreshPreservesGroupKey(t *testing.T) {
-	for name, d := range refreshers() {
+	for name, d := range dealers() {
 		t.Run(name, func(t *testing.T) {
 			gk, old, err := d.Deal(2, 5)
 			if err != nil {
@@ -71,7 +57,7 @@ func TestRefreshPreservesGroupKey(t *testing.T) {
 }
 
 func TestRefreshInvalidatesCrossEpochMixing(t *testing.T) {
-	for name, d := range refreshers() {
+	for name, d := range dealers() {
 		t.Run(name, func(t *testing.T) {
 			gk, old, err := d.Deal(2, 5)
 			if err != nil {

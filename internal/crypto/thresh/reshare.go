@@ -8,38 +8,7 @@ import (
 	"innercircle/internal/crypto/shamir"
 )
 
-// Resharer moves a dealt group key to a new (k, n) signer set without
-// changing the public key. Where Refresher re-randomizes shares inside a
-// fixed membership, Reshare is the membership-change primitive: the inner
-// circle shrinks when nodes depart (or are expelled by the suspicion
-// machinery) and grows when nodes join, and the signing quorum must follow.
-//
-// The group key object is mutated in place — it is the shared verification
-// oracle held by every node's public ring — and its epoch is bumped, so
-// verification memos keyed on Epoched roll over and partials produced by
-// pre-reshare signers stop combining. Previously issued combined
-// signatures remain valid under the threshold-RSA scheme (the modulus and
-// public exponent are untouched); the keyed-MAC SimScheme re-derives its
-// share keys, so its old "signatures" expire with the epoch, which is the
-// honest analogue of its refresh semantics.
-//
-// Callers must quiesce signing and verification against the key for the
-// duration of the call: the membership layer drains in-flight vote rounds
-// before resharing (node.Membership), and scenario churn runs transitions
-// on the single-threaded kernel loop.
-type Resharer interface {
-	// Reshare re-deals the key's secret with threshold newK among newN
-	// players and returns the new signers (index 1..newN). Old signers'
-	// partials no longer combine.
-	Reshare(gk GroupKey, newK, newN int) ([]Signer, error)
-}
-
-var (
-	_ Resharer = (*RSADealer)(nil)
-	_ Resharer = (*SimDealer)(nil)
-)
-
-// Reshare implements Resharer for the threshold RSA scheme. The dealer
+// Reshare implements Dealer for the threshold RSA scheme. The dealer
 // retains λ(N) (never d itself); d = e⁻¹ mod λ is recomputed and Shamir-
 // shared afresh with the new parameters. The key's Shoup precompute —
 // Δ = n!, 4Δ², the extended-Euclid pair a·4Δ² + b·e = 1, and the per-set
@@ -76,7 +45,7 @@ func (d *RSADealer) Reshare(gk GroupKey, newK, newN int) ([]Signer, error) {
 	return signers, nil
 }
 
-// Reshare implements Resharer for the simulation scheme: the share keys
+// Reshare implements Dealer for the simulation scheme: the share keys
 // are re-derived for the new player count from the key's deal-time root
 // under the bumped epoch, so stale signers' partials stop verifying
 // immediately.

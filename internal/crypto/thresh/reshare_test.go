@@ -4,20 +4,6 @@ import (
 	"testing"
 )
 
-// resharers returns both dealers in their Resharer role.
-func resharers() map[string]interface {
-	Dealer
-	Resharer
-} {
-	return map[string]interface {
-		Dealer
-		Resharer
-	}{
-		"sim": NewSimDealer([]byte("reshare-test"), 128),
-		"rsa": &RSADealer{Bits: 512},
-	}
-}
-
 // TestResharePreservesPublicKey pins the acceptance criterion: a reshare
 // to a new (k, n) keeps the public key — for threshold RSA, signatures
 // combined before the reshare still verify afterwards — while the new
@@ -25,7 +11,7 @@ func resharers() map[string]interface {
 // keys *are* its verification state, so its old signatures expire with
 // the epoch (the documented analogue of its refresh semantics).
 func TestResharePreservesPublicKey(t *testing.T) {
-	for name, d := range resharers() {
+	for name, d := range dealers() {
 		t.Run(name, func(t *testing.T) {
 			gk, old, err := d.Deal(2, 5)
 			if err != nil {
@@ -33,7 +19,7 @@ func TestResharePreservesPublicKey(t *testing.T) {
 			}
 			msg := []byte("reshare test")
 			oldSig := signWith(t, gk, old, []int{1, 2, 3}, msg)
-			before := gk.(Epoched).Epoch()
+			before := gk.Epoch()
 
 			fresh, err := d.Reshare(gk, 1, 3)
 			if err != nil {
@@ -42,7 +28,7 @@ func TestResharePreservesPublicKey(t *testing.T) {
 			if gk.Threshold() != 1 || gk.Players() != 3 {
 				t.Fatalf("key reports (%d, %d), want (1, 3)", gk.Threshold(), gk.Players())
 			}
-			if got := gk.(Epoched).Epoch(); got != before+1 {
+			if got := gk.Epoch(); got != before+1 {
 				t.Fatalf("epoch %d after reshare, want %d", got, before+1)
 			}
 			if name == "rsa" {
@@ -62,7 +48,7 @@ func TestResharePreservesPublicKey(t *testing.T) {
 // TestReshareGrowsQuorum: joins can raise both the player count and the
 // threshold; share indices beyond the original n become valid.
 func TestReshareGrowsQuorum(t *testing.T) {
-	for name, d := range resharers() {
+	for name, d := range dealers() {
 		t.Run(name, func(t *testing.T) {
 			gk, _, err := d.Deal(1, 3)
 			if err != nil {
@@ -88,7 +74,7 @@ func TestReshareGrowsQuorum(t *testing.T) {
 // before the reshare, so nothing is lost), while the sim scheme's rotated
 // share keys reject stale partials outright.
 func TestReshareStaleSharesRejected(t *testing.T) {
-	for name, d := range resharers() {
+	for name, d := range dealers() {
 		t.Run(name, func(t *testing.T) {
 			gk, old, err := d.Deal(1, 4)
 			if err != nil {
@@ -127,7 +113,7 @@ func TestReshareStaleSharesRejected(t *testing.T) {
 // TestRepeatedReshares drives the key through shrink/grow cycles,
 // exercising the Lagrange-memo and Shoup-constant rebuild each time.
 func TestRepeatedReshares(t *testing.T) {
-	for name, d := range resharers() {
+	for name, d := range dealers() {
 		t.Run(name, func(t *testing.T) {
 			gk, signers, err := d.Deal(2, 5)
 			if err != nil {
@@ -146,7 +132,7 @@ func TestRepeatedReshares(t *testing.T) {
 					quorum[i] = i + 1
 				}
 				signWith(t, gk, signers, quorum, msg)
-				if got := gk.(Epoched).Epoch(); got != uint64(step+1) {
+				if got := gk.Epoch(); got != uint64(step+1) {
 					t.Fatalf("step %d: epoch %d", step, got)
 				}
 			}
@@ -155,7 +141,7 @@ func TestRepeatedReshares(t *testing.T) {
 }
 
 func TestReshareInvalidParams(t *testing.T) {
-	for name, d := range resharers() {
+	for name, d := range dealers() {
 		t.Run(name, func(t *testing.T) {
 			gk, _, err := d.Deal(1, 3)
 			if err != nil {
@@ -167,7 +153,7 @@ func TestReshareInvalidParams(t *testing.T) {
 			if _, err := d.Reshare(gk, 1, 0); err == nil {
 				t.Fatal("accepted n=0")
 			}
-			if got := gk.(Epoched).Epoch(); got != 0 {
+			if got := gk.Epoch(); got != 0 {
 				t.Fatalf("failed reshare bumped the epoch to %d", got)
 			}
 		})
@@ -207,7 +193,7 @@ func TestReshareThenRefresh(t *testing.T) {
 		t.Fatalf("refresh after reshare: %v", err)
 	}
 	signWith(t, gk, refreshed, []int{2, 3}, []byte("composed"))
-	if got := gk.(Epoched).Epoch(); got != 2 {
+	if got := gk.Epoch(); got != 2 {
 		t.Fatalf("epoch %d after reshare+refresh, want 2", got)
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 // RSADealer deals Shoup-style threshold RSA keys. The dealer retains the
 // secret modulus totient of every key it deals so it can later run the
-// proactive share refresh (see Refresher).
+// proactive share refresh and reshare (see Dealer).
 type RSADealer struct {
 	// Bits is the modulus size; the paper uses 1024 (ad hoc) and 512
 	// (sensor) bit keys.
@@ -176,9 +176,7 @@ func (g *rsaGroupKey) Threshold() int { return g.k }
 func (g *rsaGroupKey) Players() int   { return g.n }
 func (g *rsaGroupKey) SigBytes() int  { return (g.modulus.BitLen() + 7) / 8 }
 
-// Epoch reports the proactive-refresh epoch (see Refresher). Verification
-// memos include it in their cache key so refreshed keys never serve stale
-// entries.
+// Epoch implements GroupKey.
 func (g *rsaGroupKey) Epoch() uint64 { return g.epoch }
 
 // precompute derives the per-key constants of Shoup's combination step:

@@ -20,6 +20,16 @@
 //     exponentiation. Its "signature" is the set of L+1 partials, each a
 //     MAC under a per-share key, so the combining/verification *protocol
 //     semantics* (L+1 distinct cooperating shares required) are identical.
+//
+// Both schemes carry the whole key lifecycle on two interfaces. A Dealer
+// establishes a key — Deal, as the paper's trusted dealer, or DKG, the
+// dealerless keygen with complaint and blame rounds — and later moves
+// its shares to a new epoch: Refresh re-randomizes them among the same
+// holders (the proactive refresh §2 defers), Reshare re-deals them to a
+// new (k, n) as membership changes. A GroupKey combines and verifies and
+// reports its Epoch, which both transitions bump and verification memos
+// key on. Signers carry no epoch. The one optional capability is
+// PartialVerifier: threshold RSA cannot check a partial on its own.
 package thresh
 
 import (
@@ -70,6 +80,12 @@ type GroupKey interface {
 	Verify(msg []byte, sig Signature) error
 	// SigBytes returns the wire size of signatures under this key.
 	SigBytes() int
+	// Epoch returns the key-material epoch: 0 when the key is dealt or
+	// generated, incremented by every Refresh and Reshare. The public key
+	// survives both, but the live share set does not, so the epoch is the
+	// one value verification memos must key on: a verdict cached at epoch
+	// E is never served at E+1.
+	Epoch() uint64
 }
 
 // PartialVerifier is the optional GroupKey capability of checking one
@@ -81,13 +97,51 @@ type PartialVerifier interface {
 	VerifyPartial(msg []byte, p Partial) bool
 }
 
-// Dealer deals group keys. The paper assumes shares are installed by a
-// trusted dealer at system initialization (§2).
+// Dealer runs a group key's whole lifecycle: it establishes the key —
+// dealt by the trusted dealer the paper assumes at system initialization
+// (§2), or generated dealerless — and later moves its shares to a new
+// epoch. Both schemes implement every method.
+//
+// Refresh and Reshare mutate the group key in place, since it is the
+// shared verification oracle every node's public ring holds, and bump its
+// Epoch. Callers must quiesce signing and verification against the key
+// for the duration of either call: the membership layer drains in-flight
+// vote rounds first (node.Membership), and scenario churn runs
+// transitions on the single-threaded kernel loop.
 type Dealer interface {
 	// Deal creates a key with threshold k among n players and returns the
 	// public group key plus one Signer per player (index 1..n).
 	Deal(k, n int) (GroupKey, []Signer, error)
+	// DKG is Deal's dealerless counterpart: the cfg.N participants run
+	// the qualification round (commitments, complaints, blame) and the
+	// key is shared among the qualified ones only, with the dealer object
+	// standing in for the ideal key-material functionality (see dkg.go).
+	DKG(cfg DKGConfig) (*DKGResult, error)
+	// Refresh is the proactive share refresh §2 of the paper defers to
+	// Herzberg et al.: it re-randomizes the shares of a key this dealer
+	// established, so an adversary must compromise k+1 nodes within one
+	// epoch — shares stolen across epochs do not combine. The returned
+	// slice has one new signer per entry of old, at the same share index;
+	// old signers' partials stop combining with new ones. The public key
+	// is unchanged; which earlier signatures stay valid follows the
+	// scheme, as for Reshare.
+	Refresh(gk GroupKey, old []Signer) ([]Signer, error)
+	// Reshare is the membership-change primitive: it re-deals the key's
+	// secret with threshold newK among newN players and returns the new
+	// signers (index 1..newN), so the signing quorum follows the inner
+	// circle as nodes depart, are expelled, or join. The public key is
+	// unchanged and old signers' partials no longer combine. Threshold-RSA
+	// signatures combined before stay valid (modulus and exponent are
+	// untouched); the keyed-MAC SimScheme re-derives its share keys, so
+	// its old signatures expire with the epoch, the honest analogue of its
+	// refresh.
+	Reshare(gk GroupKey, newK, newN int) ([]Signer, error)
 }
+
+var (
+	_ Dealer = (*RSADealer)(nil)
+	_ Dealer = (*SimDealer)(nil)
+)
 
 // Errors shared by both schemes.
 var (
@@ -163,7 +217,7 @@ func (s *simSigner) PartialSign(msg []byte) (Partial, error) {
 // simGroupKey is read by every node of a replica, on several shard
 // goroutines, so it stays read-only while a run signs and verifies under
 // it: only Refresh and Reshare write it, and their callers quiesce the key
-// first (see Resharer).
+// first (see Dealer).
 type simGroupKey struct {
 	k, n      int
 	sigSize   int
@@ -178,9 +232,8 @@ func (g *simGroupKey) Threshold() int { return g.k }
 func (g *simGroupKey) Players() int   { return g.n }
 func (g *simGroupKey) SigBytes() int  { return g.sigSize }
 
-// Epoch reports the proactive-refresh epoch (see Refresher). A refresh
-// re-derives every share key in place, changing which partials verify, so
-// verification memos must key on it.
+// Epoch implements GroupKey. A refresh or reshare re-derives every share
+// key in place, changing which partials verify.
 func (g *simGroupKey) Epoch() uint64 { return g.epoch }
 
 // Combine validates each partial against its share key and, given k+1

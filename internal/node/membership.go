@@ -36,11 +36,9 @@ type MembershipStats struct {
 // cares about (aborted rounds, re-announce traffic, reshare computation)
 // all land in the simulation.
 type Membership struct {
-	net       *Network
-	resharer  thresh.Resharer
-	refresher thresh.Refresher
-	active    []bool
-	Stats     MembershipStats
+	net    *Network
+	active []bool
+	Stats  MembershipStats
 }
 
 // Membership creates the lifecycle manager. Requires an IC network on a
@@ -57,8 +55,6 @@ func (net *Network) Membership() (*Membership, error) {
 	for i := range m.active {
 		m.active[i] = true
 	}
-	m.resharer, _ = net.Dealer.(thresh.Resharer)
-	m.refresher, _ = net.Dealer.(thresh.Refresher)
 	return m, nil
 }
 
@@ -150,9 +146,6 @@ func (m *Membership) Join(i int) {
 // though the key object remains for verifying old traffic; a later
 // Reshare with enough members re-arms them.
 func (m *Membership) Reshare() error {
-	if m.resharer == nil {
-		return fmt.Errorf("node: dealer %T cannot reshare", m.net.Dealer)
-	}
 	act := m.activeIDs()
 	if len(act) < 2 {
 		return fmt.Errorf("node: cannot reshare a circle of %d members", len(act))
@@ -167,7 +160,7 @@ func (m *Membership) Reshare() error {
 			m.Stats.LevelsRevoked++
 			continue
 		}
-		signers, err := m.resharer.Reshare(m.net.Ring[level], level, len(act))
+		signers, err := m.net.Dealer.Reshare(m.net.Ring[level], level, len(act))
 		if err != nil {
 			return fmt.Errorf("node: reshare level %d: %w", level, err)
 		}
@@ -185,9 +178,6 @@ func (m *Membership) Reshare() error {
 // holders (share rotation without membership change): public keys and
 // share indices are unchanged, old partials and memos die with the epoch.
 func (m *Membership) Refresh() error {
-	if m.refresher == nil {
-		return fmt.Errorf("node: dealer %T cannot refresh", m.net.Dealer)
-	}
 	m.drain("membership epoch transition: refresh")
 	fresh := make([]vote.NodeKeys, len(m.net.Nodes))
 	for i := range fresh {
@@ -210,7 +200,7 @@ func (m *Membership) Refresh() error {
 		if len(holders) == 0 {
 			continue // revoked level: nothing to rotate
 		}
-		rotated, err := m.refresher.Refresh(m.net.Ring[level], old)
+		rotated, err := m.net.Dealer.Refresh(m.net.Ring[level], old)
 		if err != nil {
 			return fmt.Errorf("node: refresh level %d: %w", level, err)
 		}

@@ -222,6 +222,26 @@ func TestMembershipRefreshRotatesShares(t *testing.T) {
 	agreeOn(t, net, agreed, 0, []byte("after"), []int{0, 1, 2, 3})
 }
 
+// TestDKGBuildRejectsFaultsOutsideNetwork: a scripted DKG fault keyed past
+// the last node (0-based index 5 of five) fails Build for either dealer
+// instead of leaving the network silently fault-free.
+func TestDKGBuildRejectsFaultsOutsideNetwork(t *testing.T) {
+	for name, d := range map[string]thresh.Dealer{
+		"sim": thresh.NewSimDealer([]byte("dkg-range"), 128),
+		"rsa": &thresh.RSADealer{Bits: 512},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := icConfig(5, 1)
+			cfg.Dealer = d
+			cfg.DKG = true
+			cfg.DKGFaults = map[int]thresh.DKGFault{5: thresh.DKGSilent}
+			if _, err := Build(cfg); err == nil {
+				t.Fatal("Build accepted a DKG fault for node 5 of a 5-node network")
+			}
+		})
+	}
+}
+
 func TestDKGBuildWiresBlameIntoSuspicion(t *testing.T) {
 	cfg := icConfig(6, 2)
 	cfg.DKG = true

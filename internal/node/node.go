@@ -143,10 +143,11 @@ type Config struct {
 	// from Seed.
 	Dealer thresh.Dealer
 	// DKG establishes the level keys with the dealerless protocol
-	// (thresh.KeyGenerator) instead of the trusted dealer's Deal: the nodes
-	// run qualification rounds, and misbehaving participants (DKGFaults,
+	// (Dealer.DKG) instead of the trusted dealer's Deal: the nodes run
+	// qualification rounds, and misbehaving participants (DKGFaults,
 	// keyed by 0-based node index) are excluded — blamed nodes enter every
 	// other node's permanent suspect list, silent ones the temporary list.
+	// A DKGFaults key that names no node fails Build.
 	DKG       bool
 	DKGFaults map[int]thresh.DKGFault
 	// Keys optionally supplies pre-generated per-node RSA key pairs
@@ -310,11 +311,7 @@ func Build(cfg Config) (*Network, error) {
 			maxL = 10
 		}
 		if cfg.DKG {
-			gen, ok := dealer.(thresh.KeyGenerator)
-			if !ok {
-				return nil, fmt.Errorf("node: dealer %T cannot run dealerless keygen", dealer)
-			}
-			ring, nk, blamed, silent, err := vote.DKGRing(gen, maxL, cfg.N, cfg.DKGFaults)
+			ring, nk, blamed, silent, err := vote.DKGRing(dealer, maxL, cfg.N, cfg.DKGFaults)
 			if err != nil {
 				return nil, fmt.Errorf("node: dealerless keygen: %w", err)
 			}

@@ -62,9 +62,13 @@ func (e Event) String() string {
 // points reject such configs; single-replica runs (RunBlackhole with a
 // hand-built config, the cmd tools' -trace flags) are the intended users.
 type Tracer struct {
-	now    func() sim.Time
-	cap    int
+	now func() sim.Time
+	cap int
+	// events is a ring of at most cap events. Until it fills it is the log
+	// in order; after that events[next] is the oldest event and the next
+	// one to be overwritten.
 	events []Event
+	next   int
 	counts map[string]uint64
 	bytes  map[string]uint64
 }
@@ -84,7 +88,8 @@ func New(capacity int) *Tracer {
 // SetClock binds the virtual clock used to timestamp events.
 func (t *Tracer) SetClock(now func() sim.Time) { t.now = now }
 
-// record adds one event.
+// record adds one event in O(1): once the log is full, the new event
+// overwrites the oldest.
 func (t *Tracer) record(node link.NodeID, dir Dir, peer link.NodeID, msg link.Message) {
 	name := fmt.Sprintf("%T", msg)
 	if dir == Out {
@@ -94,17 +99,19 @@ func (t *Tracer) record(node link.NodeID, dir Dir, peer link.NodeID, msg link.Me
 	if t.cap == 0 {
 		return
 	}
-	if len(t.events) >= t.cap {
-		copy(t.events, t.events[1:])
-		t.events = t.events[:len(t.events)-1]
+	e := Event{At: t.now(), Node: node, Dir: dir, Peer: peer, Type: name, Bytes: msg.Size()}
+	if len(t.events) < t.cap {
+		t.events = append(t.events, e)
+		return
 	}
-	t.events = append(t.events, Event{
-		At: t.now(), Node: node, Dir: dir, Peer: peer, Type: name, Bytes: msg.Size(),
-	})
+	t.events[t.next] = e
+	t.next = (t.next + 1) % t.cap
 }
 
 // Events returns the retained events, oldest first.
-func (t *Tracer) Events() []Event { return append([]Event(nil), t.events...) }
+func (t *Tracer) Events() []Event {
+	return append(append([]Event(nil), t.events[t.next:]...), t.events[:t.next]...)
+}
 
 // Counts returns transmissions per message type.
 func (t *Tracer) Counts() map[string]uint64 {
@@ -148,9 +155,9 @@ func (t *Tracer) WriteSummary(w io.Writer) {
 	}
 }
 
-// WriteEvents prints the retained event log.
+// WriteEvents prints the retained event log, oldest first.
 func (t *Tracer) WriteEvents(w io.Writer) {
-	for _, e := range t.events {
+	for _, e := range t.Events() {
 		fmt.Fprintln(w, e)
 	}
 }

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -78,16 +80,39 @@ func TestTracerCountsPerType(t *testing.T) {
 	}
 }
 
+// TestTracerCapacityBound: a full log keeps exactly the last cap events,
+// oldest first, in Events and WriteEvents alike — checked against an
+// uncapped log of the same run, at capacities that wrap the log at
+// different offsets.
 func TestTracerCapacityBound(t *testing.T) {
-	k, tr, svcs := buildTraced(t, 3)
-	for i := 0; i < 10; i++ {
-		_ = svcs[0].SendRaw(link.BroadcastID, msg{8})
+	traced := func(capacity int) *Tracer {
+		k, tr, svcs := buildTraced(t, capacity)
+		for i := 0; i < 10; i++ {
+			_ = svcs[0].SendRaw(link.BroadcastID, msg{8 + i}) // sizes tell events apart
+		}
+		if err := k.Run(1); err != nil {
+			t.Fatal(err)
+		}
+		return tr
 	}
-	if err := k.Run(1); err != nil {
-		t.Fatal(err)
+	all := traced(1000).Events()
+	if len(all) != 20 {
+		t.Fatalf("uncapped log holds %d events, want 10 tx + 10 rx", len(all))
 	}
-	if got := len(tr.Events()); got != 3 {
-		t.Fatalf("retained %d events, want capped 3", got)
+	for _, capacity := range []int{1, 3, 7, 20, 25} {
+		tr := traced(capacity)
+		want := all[max(0, len(all)-capacity):]
+		if got := tr.Events(); !slices.Equal(got, want) {
+			t.Fatalf("cap %d: retained %v, want the last %d events %v", capacity, got, len(want), want)
+		}
+		var sb, wantLog strings.Builder
+		tr.WriteEvents(&sb)
+		for _, e := range want {
+			fmt.Fprintln(&wantLog, e)
+		}
+		if sb.String() != wantLog.String() {
+			t.Fatalf("cap %d: WriteEvents printed\n%s\nwant\n%s", capacity, sb.String(), wantLog.String())
+		}
 	}
 }
 

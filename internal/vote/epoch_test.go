@@ -8,29 +8,22 @@ import (
 	"innercircle/internal/link"
 )
 
-// TestKeyEpochUsesEpochedInterface pins the keyEpoch promotion: group keys
-// expose their epoch through thresh.Epoched, and anything else (legacy or
-// foreign key types) reads as epoch 0.
+// TestKeyEpochUsesEpochedInterface pins the epoch the memo keys read:
+// GroupKey.Epoch, 0 for a dealt key and bumped by a refresh.
 func TestKeyEpochUsesEpochedInterface(t *testing.T) {
 	d := thresh.NewSimDealer([]byte("epoched"), 64)
 	gk, signers, err := d.Deal(1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := gk.(thresh.Epoched); !ok {
-		t.Fatal("sim group key does not implement thresh.Epoched")
-	}
-	if got := keyEpoch(gk); got != 0 {
+	if got := gk.Epoch(); got != 0 {
 		t.Fatalf("fresh key epoch = %d, want 0", got)
 	}
 	if _, err := d.Refresh(gk, signers); err != nil {
 		t.Fatal(err)
 	}
-	if got := keyEpoch(gk); got != 1 {
+	if got := gk.Epoch(); got != 1 {
 		t.Fatalf("post-refresh epoch = %d, want 1", got)
-	}
-	if got := keyEpoch(struct{}{}); got != 0 {
-		t.Fatalf("non-epoched value read epoch %d, want 0", got)
 	}
 }
 

@@ -58,7 +58,7 @@ func DealRing(dealer thresh.Dealer, maxL, n int) (PublicRing, []NodeKeys, error)
 }
 
 // DKGRing is DealRing's dealerless counterpart: the n nodes establish
-// every level key among themselves (thresh.KeyGenerator), with faults
+// every level key among themselves (Dealer.DKG), with faults
 // scripting misbehaviour by node ID (0-based). The returned blamed slice
 // lists nodes disqualified with proof during any level's qualification
 // round — callers feed these to the suspicion machinery as permanent
@@ -66,7 +66,7 @@ func DealRing(dealer thresh.Dealer, maxL, n int) (PublicRing, []NodeKeys, error)
 // silent lists nodes that dropped out without proof of malice. Excluded
 // nodes end up with no signer for the affected levels, so they can hold
 // the public ring and verify but never co-sign.
-func DKGRing(gen thresh.KeyGenerator, maxL, n int, faults map[int]thresh.DKGFault) (PublicRing, []NodeKeys, []int, []int, error) {
+func DKGRing(dealer thresh.Dealer, maxL, n int, faults map[int]thresh.DKGFault) (PublicRing, []NodeKeys, []int, []int, error) {
 	if maxL < 1 {
 		return nil, nil, nil, nil, fmt.Errorf("vote: maxL must be >= 1, got %d", maxL)
 	}
@@ -93,7 +93,7 @@ func DKGRing(gen thresh.KeyGenerator, maxL, n int, faults map[int]thresh.DKGFaul
 		if level+1 > n {
 			break
 		}
-		res, err := gen.DKG(thresh.DKGConfig{K: level, N: n, Faults: pf})
+		res, err := dealer.DKG(thresh.DKGConfig{K: level, N: n, Faults: pf})
 		if err != nil {
 			return nil, nil, nil, nil, fmt.Errorf("vote: dkg level %d: %w", level, err)
 		}

@@ -586,8 +586,9 @@ func (s *Service) onAck(from link.NodeID, m AckMsg) {
 	// corrupt share on arrival: the lie is rejected at the source and the
 	// liar permanently suspected. Threshold RSA lacks this capability and
 	// relies on tryComplete's leave-one-out fallback instead.
-	if pv, ok := s.deps.Ring[s.cfg.L].(thresh.PartialVerifier); ok {
-		if !s.verifyPartial(pv, s.digest(s.deps.ID, r.seq, s.cfg.L, r.value), m.Partial) {
+	gk := s.deps.Ring[s.cfg.L]
+	if pv, ok := gk.(thresh.PartialVerifier); ok {
+		if !s.verifyPartial(gk, pv, s.digest(s.deps.ID, r.seq, s.cfg.L, r.value), m.Partial) {
 			s.Stats.PartialsRejected++
 			if s.deps.Susp != nil {
 				s.deps.Susp.SuspectPermanent(m.Voter, "corrupt partial signature")
@@ -751,76 +752,56 @@ func (s *Service) VerifyAgreed(m AgreedMsg) error {
 		return fmt.Errorf("%w: L=%d", ErrNoLevelKey, m.L)
 	}
 	dig := s.digest(m.Center, m.Seq, m.L, m.Value)
-	memo := s.deps.Memo
-	if memo == nil {
+	return s.memoized(sigcache.KindThresh, gk, gk.Epoch(), func() error {
 		return gk.Verify(dig, m.Sig)
-	}
-	k := sigcache.Key{Kind: sigcache.KindThresh, Scope: gk, Epoch: keyEpoch(gk), Sum: sigcache.HashParts(dig, m.Sig.Data)}
-	if e, ok := memo.Get(k); ok {
-		s.Stats.MemoHits++
-		return e.Err
-	}
-	s.Stats.MemoMisses++
-	err := gk.Verify(dig, m.Sig)
-	memo.Put(k, sigcache.Entry{Err: err})
-	return err
+	}, dig, m.Sig.Data)
 }
 
 // verifyNSL checks an individual RSA signature through the verification
-// memo (when configured).
+// memo.
 func (s *Service) verifyNSL(pk nsl.PublicKey, dig, sig []byte) error {
-	memo := s.deps.Memo
-	if memo == nil {
+	return s.memoized(sigcache.KindNSL, pk, 0, func() error {
 		return nsl.Verify(pk, dig, sig)
-	}
-	k := sigcache.Key{Kind: sigcache.KindNSL, Scope: pk, Sum: sigcache.HashParts(dig, sig)}
-	if e, ok := memo.Get(k); ok {
-		s.Stats.MemoHits++
-		return e.Err
-	}
-	s.Stats.MemoMisses++
-	err := nsl.Verify(pk, dig, sig)
-	memo.Put(k, sigcache.Entry{Err: err})
-	return err
+	}, dig, sig)
 }
 
 // errBadPartialMemo is the memoized verdict for a rejected partial.
 var errBadPartialMemo = errors.New("vote: partial rejected")
 
-// verifyPartial checks one partial signature through the verification
-// memo. The partial's share index participates in the key: two voters'
-// partials over the same digest are distinct verifications.
-func (s *Service) verifyPartial(pv thresh.PartialVerifier, dig []byte, p thresh.Partial) bool {
-	memo := s.deps.Memo
-	if memo == nil {
-		return pv.VerifyPartial(dig, p)
-	}
+// verifyPartial checks one partial signature under gk, whose
+// PartialVerifier view is pv, through the verification memo. The
+// partial's share index participates in the key: two voters' partials
+// over the same digest are distinct verifications.
+func (s *Service) verifyPartial(gk thresh.GroupKey, pv thresh.PartialVerifier, dig []byte, p thresh.Partial) bool {
 	var idx [4]byte
 	binary.BigEndian.PutUint32(idx[:], uint32(p.Index))
-	k := sigcache.Key{Kind: sigcache.KindPartial, Scope: pv, Epoch: keyEpoch(pv), Sum: sigcache.HashParts(dig, p.Data, idx[:])}
-	if e, ok := memo.Get(k); ok {
-		s.Stats.MemoHits++
-		return e.Err == nil
-	}
-	s.Stats.MemoMisses++
-	ok := pv.VerifyPartial(dig, p)
-	e := sigcache.Entry{}
-	if !ok {
-		e.Err = errBadPartialMemo
-	}
-	memo.Put(k, e)
-	return ok
+	return s.memoized(sigcache.KindPartial, gk, gk.Epoch(), func() error {
+		if !pv.VerifyPartial(dig, p) {
+			return errBadPartialMemo
+		}
+		return nil
+	}, dig, p.Data, idx[:]) == nil
 }
 
-// keyEpoch reads a group key's key-material epoch through the first-class
-// thresh.Epoched capability, so memo entries die with the share epoch that
-// produced them — a refresh or reshare bumps the epoch and every cached
-// verdict keyed under the old one stops being served.
-func keyEpoch(gk any) uint64 {
-	if e, ok := gk.(thresh.Epoched); ok {
-		return e.Epoch()
+// memoized runs verify through the verification memo: a verdict memoized
+// under (kind, scope, epoch, parts) is served without verifying, and a
+// fresh verdict is memoized. The epoch is the verifying key's, so a
+// refresh or reshare retires every verdict cached before it. Without a
+// memo it only runs verify and hashes nothing.
+func (s *Service) memoized(kind sigcache.Kind, scope any, epoch uint64, verify func() error, parts ...[]byte) error {
+	memo := s.deps.Memo
+	if memo == nil {
+		return verify()
 	}
-	return 0
+	k := sigcache.Key{Kind: kind, Scope: scope, Epoch: epoch, Sum: sigcache.HashParts(parts...)}
+	if e, ok := memo.Get(k); ok {
+		s.Stats.MemoHits++
+		return e.Err
+	}
+	s.Stats.MemoMisses++
+	err := verify()
+	memo.Put(k, sigcache.Entry{Err: err})
+	return err
 }
 
 // SetKeys replaces this node's signer set, the per-node half of a

@@ -179,6 +179,21 @@ var repoRules = []repoRule{
 		hit:     `	"innercircle/internal/crypto/sigcache"`,
 		miss:    `	"innercircle/internal/crypto/keyedmac"`,
 	},
+	// Threshold keys have one interface: thresh.Dealer carries the whole
+	// lifecycle (Deal, DKG, Refresh, Reshare) and thresh.GroupKey its
+	// Epoch, which both schemes implement. No Go file and none of the
+	// repository's own guides may name the four optional capability
+	// interfaces they replaced, so no call site type-asserts a dealer or a
+	// key again. Whole words only, so a method such as Refresh passes.
+	{
+		name:    "Retired-thresh-capability",
+		pattern: regexp.MustCompile(`\b(Epoched|KeyGenerator|Refresher|Resharer)\b`),
+		scopes:  wholeTree,
+		globs:   []string{"*.go", "README.md", "DESIGN.md", "EXPERIMENTS.md", "SKILL.md"},
+		msg:     "a retired threshold-key capability interface is still named; call the method on thresh.Dealer or thresh.GroupKey",
+		hit:     `	gen, ok := dealer.(thresh.KeyGenerator)`,
+		miss:    `func (d *SimDealer) Refresh(gk GroupKey, old []Signer)`,
+	},
 }
 
 // TestRepoRules enforces the repository's structural rules: each row keeps
