@@ -22,12 +22,14 @@ import (
 //     forwarding is intercepted in turn, repeating the vote hop by hop
 //     back to the requester;
 //   - raw (un-voted) incoming RREPs are suppressed by the interceptor as
-//     unsigned, so a malicious node's forged reply never enters a correct
-//     node's routing table.
+//     unsigned: an RREP matches the template the adapter registers, and
+//     the interceptor drops a template match that carries no agreement, so
+//     a malicious node's forged reply never enters a correct node's
+//     routing table.
 type ICAdapter struct {
-	id     link.NodeID
-	router *Router
-	vs     *vote.Service
+	id      link.NodeID
+	router  *Router
+	propose func(value []byte) error
 
 	// fw maps (route destination, destination sequence number) to the
 	// nodes allowed to forward RREPs for that route, in the order they were
@@ -55,54 +57,29 @@ type ICStats struct {
 
 // NewICAdapter installs the adapter: it registers the RREP template with
 // the interceptor and returns the vote callbacks to use when constructing
-// the node's voting service. Call Bind afterwards to connect the
-// constructed service.
-func NewICAdapter(id link.NodeID, router *Router, ic *icnet.Interceptor) (*ICAdapter, vote.Callbacks) {
+// the node's voting service. propose starts a round on that service; the
+// adapter calls it only once the simulation runs, so it may read a service
+// built after the callbacks.
+func NewICAdapter(id link.NodeID, router *Router, ic *icnet.Interceptor, propose func(value []byte) error) (*ICAdapter, vote.Callbacks) {
 	a := &ICAdapter{
-		id:     id,
-		router: router,
-		fw:     make(map[fwKey][]link.NodeID),
+		id:      id,
+		router:  router,
+		propose: propose,
+		fw:      make(map[fwKey][]link.NodeID),
 	}
 	// Intercept outgoing RREPs: redirect into the voting service.
 	ic.Register(func(e link.Env) bool {
 		_, isRREP := e.Msg.(RREP)
 		return isRREP
 	}, func(e link.Env) {
-		rep, ok := e.Msg.(RREP)
-		if !ok || a.vs == nil {
-			return
-		}
 		a.Stats.RrepsProposed++
-		_ = a.vs.Propose(EncodeRREP(rep))
+		_ = a.propose(EncodeRREP(e.Msg.(RREP)))
 	})
 	cbs := vote.Callbacks{
 		Check:    a.check,
 		OnAgreed: a.onAgreed,
 	}
 	return a, cbs
-}
-
-// Bind connects the voting service (constructed after the callbacks).
-func (a *ICAdapter) Bind(vs *vote.Service) { a.vs = vs }
-
-// Verifier returns the interceptor signature check for this node: raw
-// RREPs claim inner-circle protection but carry no signature (always
-// invalid); agreed messages are checked against the level key.
-func (a *ICAdapter) Verifier() icnet.Verifier {
-	return func(e link.Env) (bool, bool) {
-		switch m := e.Msg.(type) {
-		case RREP:
-			return true, false // un-voted RREP: suppress
-		case vote.AgreedMsg:
-			if a.vs == nil {
-				return true, false
-			}
-			return true, a.vs.VerifyAgreed(m) == nil
-		default:
-			_ = m
-			return false, false
-		}
-	}
 }
 
 // check is the Inner-circle Callbacks' check method (Fig. 6): approve

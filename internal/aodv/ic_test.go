@@ -53,7 +53,7 @@ func buildICNet(t *testing.T, positions []geo.Point, level int) *icNet {
 			if err != nil {
 				t.Fatal(err)
 			}
-			adapter, cbs := aodv.NewICAdapter(nd.ID, r, nd.Intercept)
+			adapter, cbs := aodv.NewICAdapter(nd.ID, r, nd.Intercept, func(v []byte) error { return nd.Vote.Propose(v) })
 			out.routers[nd.Index] = r
 			out.adapters[nd.Index] = adapter
 			i := nd.Index
@@ -67,10 +67,6 @@ func buildICNet(t *testing.T, positions []geo.Point, level int) *icNet {
 		t.Fatal(err)
 	}
 	out.net = net
-	for i, nd := range net.Nodes {
-		out.adapters[i].Bind(nd.Vote)
-		nd.Intercept.SetVerifier(out.adapters[i].Verifier())
-	}
 	net.StartSTS()
 	return out
 }

@@ -108,18 +108,11 @@ type BlackholeResult struct {
 // IC-adapted when the inner circle is on, delivering application payloads
 // into the scenario sink tally.
 type aodvRouting struct {
-	routers  []*aodv.Router
-	adapters []*aodv.ICAdapter
+	routers []*aodv.Router
 }
 
 func newAODVRouting(n int) *aodvRouting {
-	if n < 0 {
-		n = 0
-	}
-	return &aodvRouting{
-		routers:  make([]*aodv.Router, n),
-		adapters: make([]*aodv.ICAdapter, n),
-	}
+	return &aodvRouting{routers: make([]*aodv.Router, max(n, 0))}
 }
 
 // Validate implements scenario.Validator: AODV route discovery needs a
@@ -171,20 +164,16 @@ func (rt *aodvRouting) Register(env *scenario.Env, nd *node.Node) vote.Callbacks
 	if r == nil {
 		return vote.Callbacks{}
 	}
-	adapter, cbs := aodv.NewICAdapter(nd.ID, r, nd.Intercept)
-	rt.adapters[nd.Index] = adapter
+	_, cbs := aodv.NewICAdapter(nd.ID, r, nd.Intercept, func(v []byte) error { return nd.Vote.Propose(v) })
 	return cbs
 }
 
-// Attach implements scenario.Component: IC mode binds the adapter to the
-// now-built voting service; the No-IC baseline builds its router here.
+// Attach implements scenario.Component: the No-IC baseline builds its
+// router here (IC mode built it in Register).
 func (rt *aodvRouting) Attach(env *scenario.Env, nd *node.Node) {
-	if env.Spec.Stack.IC {
-		rt.adapters[nd.Index].Bind(nd.Vote)
-		nd.Intercept.SetVerifier(rt.adapters[nd.Index].Verifier())
-		return
+	if !env.Spec.Stack.IC {
+		rt.build(env, nd)
 	}
-	rt.build(env, nd)
 }
 
 // blackholeSpec assembles the declarative Fig. 7 scenario.

@@ -51,7 +51,6 @@ func legacyRunBlackhole(cfg BlackholeConfig) (BlackholeResult, error) {
 	}
 
 	routers := make([]*aodv.Router, cfg.Nodes)
-	adapters := make([]*aodv.ICAdapter, cfg.Nodes)
 	received := 0
 	receivedCorrupt := 0
 
@@ -97,8 +96,7 @@ func legacyRunBlackhole(cfg BlackholeConfig) (BlackholeResult, error) {
 	if cfg.IC {
 		ncfg.Callbacks = func(nd *node.Node) vote.Callbacks {
 			r := buildRouter(nd)
-			adapter, cbs := aodv.NewICAdapter(nd.ID, r, nd.Intercept)
-			adapters[nd.Index] = adapter
+			_, cbs := aodv.NewICAdapter(nd.ID, r, nd.Intercept, func(v []byte) error { return nd.Vote.Propose(v) })
 			return cbs
 		}
 	}
@@ -107,12 +105,7 @@ func legacyRunBlackhole(cfg BlackholeConfig) (BlackholeResult, error) {
 	if err != nil {
 		return BlackholeResult{}, fmt.Errorf("experiment: build: %w", err)
 	}
-	if cfg.IC {
-		for i, nd := range net.Nodes {
-			adapters[i].Bind(nd.Vote)
-			nd.Intercept.SetVerifier(adapters[i].Verifier())
-		}
-	} else {
+	if !cfg.IC {
 		for _, nd := range net.Nodes {
 			buildRouter(nd)
 		}

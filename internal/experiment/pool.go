@@ -56,7 +56,10 @@ func Workers() int {
 }
 
 // RunJobs executes jobs on a pool of workers and returns the results
-// indexed by Job.Index. workers <= 0 selects Workers(). A job panic is
+// indexed by Job.Index. A positive workers runs that many workers, at most
+// one per job; workers <= 0 sizes the pool to the core budget instead: one
+// worker, plus one for each spare core token, up to Workers() and the job
+// count (see RunJobsCtx). A job panic is
 // captured and reported as that job's error. On the first failure the
 // engine cancels: queued jobs are skipped (in-flight replicas finish and
 // are discarded), and the enumeration-order first error among the replicas
@@ -78,8 +81,19 @@ func RunJobsCtx(ctx context.Context, jobs []Job, workers int, progress ProgressF
 	if len(jobs) == 0 {
 		return results, ctx.Err()
 	}
+	// Every in-flight replica is charged one core token, so the shard
+	// planner sizes a sharded replica's executor to the cores this pool is
+	// not already driving. A pool sized to the budget takes its extra
+	// workers' tokens up front and each of those workers holds its token
+	// until it exits; its first worker, like every worker of an explicitly
+	// sized pool, charges per replica. Advisory: a worker that gets no
+	// token still runs — the budget only stops a saturated pool's replicas
+	// from spawning shards-per-replica extra goroutines on top of the
+	// workers (they run on one kernel instead).
+	held := 0 // workers holding a core token for life
 	if workers <= 0 {
-		workers = Workers()
+		held = sim.AcquireCores(min(Workers(), len(jobs)) - 1)
+		workers = 1 + held
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)
@@ -101,8 +115,11 @@ func RunJobsCtx(ctx context.Context, jobs []Job, workers int, progress ProgressF
 		}
 	}
 
-	worker := func() {
+	worker := func(holds bool) {
 		defer wg.Done()
+		if holds {
+			defer sim.ReleaseCores(1)
+		}
 		for j := range jobCh {
 			select {
 			case <-cancelled:
@@ -111,13 +128,10 @@ func RunJobsCtx(ctx context.Context, jobs []Job, workers int, progress ProgressF
 				continue
 			default:
 			}
-			// Charge one core token per in-flight replica so the shard
-			// planner sizes sharded replicas' executors to the cores this
-			// pool is not already driving. Advisory: a worker that gets no
-			// token still runs — the budget only stops a saturated pool's
-			// replicas from spawning shards-per-replica extra goroutines
-			// on top of the workers (they run on one kernel instead).
-			got := sim.AcquireCores(1)
+			got := 0
+			if !holds {
+				got = sim.AcquireCores(1)
+			}
 			trackInflight(1)
 			res, err := runOne(j)
 			trackInflight(-1)
@@ -139,7 +153,7 @@ func RunJobsCtx(ctx context.Context, jobs []Job, workers int, progress ProgressF
 	}
 	wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		go worker()
+		go worker(i < held)
 	}
 
 feed:

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"innercircle/internal/sensor"
 )
 
 // TestRunJobsOrdersResultsByIndex pins the engine's core contract: results
@@ -153,5 +155,32 @@ func TestWorkersEnvOverride(t *testing.T) {
 	t.Setenv("IC_WORKERS", "bogus")
 	if w := Workers(); w < 1 {
 		t.Fatalf("Workers() = %d with bogus IC_WORKERS", w)
+	}
+}
+
+// TestRunGridKeepsWorkerOverride pins that the core budget does not shrink
+// an in-process sweep's pool: with IC_WORKERS=8 on two cores, RunGrid runs
+// eight replicas at once. The sweep-determinism tests compare IC_WORKERS=1
+// with IC_WORKERS=8 and rely on it. Each sensor replica takes far longer
+// than the eight workers need to pick up their first jobs, so all eight are
+// in flight before any finishes.
+func TestRunGridKeepsWorkerOverride(t *testing.T) {
+	withProcs(t, 2)
+	t.Setenv("IC_WORKERS", "8")
+	cfg := PaperSensorConfig()
+	cfg.SimTime = 100
+	g := &GridRequest{Kind: GridSensor, Sensor: &cfg, Levels: []int{3},
+		Faults: []sensor.FaultKind{sensor.FaultNone, sensor.FaultInterference}, Runs: 2}
+	points, err := g.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 8 {
+		t.Fatalf("%d replicas, want 8", len(points))
+	}
+	ResetPeakInFlight()
+	mustRunGrid(t, g)
+	if peak := PeakInFlightReplicas(); peak != 8 {
+		t.Fatalf("at most %d replicas in flight, want 8 (IC_WORKERS=8, GOMAXPROCS=2)", peak)
 	}
 }

@@ -28,7 +28,9 @@ func configRows(levels []int) []configRow {
 // RunGrid evaluates a grid in process — the one sweep runner, behind
 // cmd/icsweep and the library facade. It takes the same path icserved
 // takes through its store, minus the store: validate, enumerate the
-// points, run every replica from its wire spec on the worker pool, and
+// points, run every replica from its wire spec on a pool of Workers()
+// workers (IC_WORKERS overrides the core count; the core budget does not
+// shrink the pool), and
 // fold the result bytes strictly in enumeration order, so the tables are
 // byte-identical for any worker count. A non-nil progress receives one
 // line per finished replica, in completion order.
@@ -55,7 +57,7 @@ func RunGrid(g *GridRequest, progress io.Writer) ([]*stats.Table, error) {
 			fmt.Fprintf(progress, "[%d/%d] %s: %s\n", done, total, j.Label, line)
 		}
 	}
-	done, err := RunJobs(jobs, 0, report)
+	done, err := RunJobs(jobs, Workers(), report)
 	if err != nil {
 		return nil, err
 	}

@@ -147,10 +147,16 @@ func TestInterceptorSuppressesSuspectedSenders(t *testing.T) {
 	if !ic.Inbound(env(8, "beacon")) {
 		t.Fatal("non-matched message from suspected node suppressed (beacons must pass)")
 	}
-	if !ic.Inbound(env(9, "rrep")) {
-		t.Fatal("template-matched message from clean node suppressed")
+	// A template-matched message no verifier vouches for carries no
+	// agreement: it is suppressed as unsigned and its clean sender becomes
+	// a permanent suspect, as for an invalid signature.
+	if ic.Inbound(env(9, "rrep")) {
+		t.Fatal("unvoted template-matched message from clean node delivered")
 	}
-	if ic.Stats.SuppressedSuspect != 1 {
+	if !susp.Suspected(9) {
+		t.Fatal("sender of an unvoted template-matched message not suspected")
+	}
+	if ic.Stats.SuppressedSuspect != 1 || ic.Stats.SuppressedBadSig != 1 {
 		t.Fatalf("stats = %+v", ic.Stats)
 	}
 }

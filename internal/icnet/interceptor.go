@@ -16,9 +16,11 @@ type Verifier func(link.Env) (claims bool, valid bool)
 
 // Interceptor is the Inner-circle Interceptor of Fig. 1, realized as a
 // link.Filter. Outgoing messages matching a registered template are
-// redirected into the voting service (and swallowed); incoming messages are
-// suppressed when they originate from a suspected node or carry an invalid
-// inner-circle signature.
+// redirected into the voting service (and swallowed). An incoming message
+// that matches a template or claims inner-circle agreement is suppressed
+// when it originates from a suspected node or carries no valid agreement:
+// a template match that the verifier does not claim is as unsigned as a
+// claim with a bad signature.
 type Interceptor struct {
 	susp      *SuspicionManager
 	templates []templateEntry
@@ -58,46 +60,50 @@ func (ic *Interceptor) Register(match Template, redirect func(link.Env)) {
 // (supplied by the voting service).
 func (ic *Interceptor) SetVerifier(v Verifier) { ic.verify = v }
 
+// match returns the first registered template e matches, or nil.
+func (ic *Interceptor) match(e link.Env) *templateEntry {
+	for i := range ic.templates {
+		if ic.templates[i].match(e) {
+			return &ic.templates[i]
+		}
+	}
+	return nil
+}
+
 // Outbound implements link.Filter: redirect template matches to the
 // inner-circle services.
 func (ic *Interceptor) Outbound(e link.Env) bool {
-	for _, t := range ic.templates {
-		if t.match(e) {
-			ic.Stats.Redirected++
-			t.redirect(e)
-			return false
-		}
+	t := ic.match(e)
+	if t == nil {
+		return true
 	}
-	return true
+	ic.Stats.Redirected++
+	t.redirect(e)
+	return false
 }
 
 // Inbound implements link.Filter. Per §4, suppression applies to the
 // *template-matched* incoming messages (the application messages subject
 // to inner-circle checking) and to messages claiming inner-circle
-// agreement: those are dropped when the sender is suspected or the
-// signature is invalid. Other traffic — beacons, voting protocol
-// messages, data — passes through untouched.
+// agreement. Either kind is dropped when the sender is suspected or the
+// message carries no valid agreement; a template match the verifier does
+// not claim carries none, since a correct node's interceptor redirects
+// every such message into a vote and only the agreed result travels.
+// Other traffic — beacons, voting protocol messages, data — passes
+// through untouched.
 func (ic *Interceptor) Inbound(e link.Env) bool {
-	claims := false
-	valid := false
+	claims, valid := false, false
 	if ic.verify != nil {
 		claims, valid = ic.verify(e)
 	}
-	matched := false
-	for _, t := range ic.templates {
-		if t.match(e) {
-			matched = true
-			break
-		}
-	}
-	if !claims && !matched {
+	if !claims && ic.match(e) == nil {
 		return true
 	}
 	if ic.susp != nil && ic.susp.Suspected(e.From) {
 		ic.Stats.SuppressedSuspect++
 		return false
 	}
-	if claims && !valid {
+	if !valid {
 		ic.Stats.SuppressedBadSig++
 		if ic.susp != nil {
 			// A message that required inner-circle protection but carries

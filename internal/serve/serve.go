@@ -32,7 +32,6 @@ import (
 
 	"innercircle/internal/artifact"
 	"innercircle/internal/experiment"
-	"innercircle/internal/sim"
 )
 
 // Job states.
@@ -364,7 +363,7 @@ func (s *Server) setState(id, state string, mut func(*JobInfo)) {
 }
 
 // runJob executes one job: resolve every replica against the store, run
-// the misses on the worker pool (sized by the spare core-token budget),
+// the misses on the worker pool (sized to the core-token budget),
 // then rebuild the grid's tables from store bytes only.
 func (s *Server) runJob(ctx context.Context, id string) {
 	s.mu.Lock()
@@ -434,9 +433,6 @@ func (s *Server) runJob(ctx context.Context, id string) {
 	// Run the misses. Each replica persists its own result + manifest the
 	// moment it finishes — the unit of crash-recovery granularity.
 	if len(misses) > 0 {
-		maxW := experiment.Workers()
-		extra := sim.AcquireCores(maxW - 1)
-		workers := 1 + extra
 		jobs := make([]experiment.Job, len(misses))
 		for k, i := range misses {
 			i := i
@@ -471,14 +467,13 @@ func (s *Server) runJob(ctx context.Context, id string) {
 				},
 			}
 		}
-		_, err := experiment.RunJobsCtx(ctx, jobs, workers, func(nDone, _ int, jb experiment.Job, result any) {
+		_, err := experiment.RunJobsCtx(ctx, jobs, 0, func(nDone, _ int, jb experiment.Job, result any) {
 			i := misses[jb.Index]
 			rs[i].resultSHA = result.(string)
 			done++
 			ev.Emit(Event{Type: "point", Done: done, Total: len(points), Label: jb.Label,
 				SpecSHA: rs[i].specSHA, ResultSHA: rs[i].resultSHA})
 		})
-		sim.ReleaseCores(extra)
 		if ctx.Err() != nil {
 			// Drain: finished replicas are already in the store; hand the
 			// job back to the queue for the next process.

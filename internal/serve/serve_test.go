@@ -271,6 +271,40 @@ func TestServiceShardCountSharesStoreKey(t *testing.T) {
 	}
 }
 
+// TestServiceShardsLikeInProcess pins the service's core-token accounting
+// to the in-process pool's: a lone sharded replica holds one token for
+// itself, so with four cores its planner has the spare token a second
+// shard needs, as it does under experiment.RunJobs. Charging the job's
+// worker tokens on top of the pool's per-replica token left it none.
+func TestServiceShardsLikeInProcess(t *testing.T) {
+	t.Setenv("IC_WORKERS", "")
+	prev := runtime.GOMAXPROCS(4)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	srv, c := startServer(t, t.TempDir(), 1)
+	ctx := context.Background()
+
+	cfg := experiment.PaperSensorConfig()
+	cfg.Nodes, cfg.SimTime, cfg.Shards = 100, 20, 2
+	j, err := c.Submit(ctx, &experiment.GridRequest{Name: "shards-budget", Kind: experiment.GridChurn,
+		Sensor: &cfg, Levels: []int{3}, Churns: []int{0}, Runs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, err = c.Wait(ctx, j.ID, nil); err != nil {
+		t.Fatal(err)
+	}
+	if j.State != JobDone || j.Computed != 1 {
+		t.Fatalf("job state %q computed %d: %s", j.State, j.Computed, j.Error)
+	}
+	ms, err := srv.Store().Manifests()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 1 || ms[0].Shards != 2 {
+		t.Fatalf("manifests %+v, want one replica run on 2 shards", ms)
+	}
+}
+
 // TestServiceConcurrentClientsBudget pins the second acceptance
 // criterion: two clients submitting concurrently both complete with
 // correct tables, while the replica fan-out respects the core-token

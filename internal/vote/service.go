@@ -48,8 +48,8 @@ type Callbacks struct {
 	// OnAgreed runs at every inner-circle member (including the center)
 	// when a round completes with a valid agreed message.
 	OnAgreed func(a AgreedMsg)
-	// OnRoundFailed runs at the center when a round times out or cannot
-	// combine a signature.
+	// OnRoundFailed runs at the center when a round ends unsigned: refused
+	// for too few neighbours, timed out, or aborted (AbortInFlight).
 	OnRoundFailed func(value []byte, reason string)
 }
 
@@ -100,6 +100,9 @@ type Deps struct {
 
 // Stats counts voting activity.
 type Stats struct {
+	// RoundsStarted counts Propose calls. Each round ends once, agreed or
+	// failed, so RoundsStarted = RoundsAgreed + RoundsFailed + the rounds
+	// still in flight.
 	RoundsStarted   uint64
 	RoundsAgreed    uint64
 	RoundsFailed    uint64
@@ -160,13 +163,20 @@ type Service struct {
 	Stats Stats
 }
 
-// relayKey deduplicates two-hop relaying of acks and value messages.
+// relayKey names one voter's reply to one round: it deduplicates two-hop
+// relaying of acks and value messages.
 type relayKey struct {
 	center link.NodeID
 	seq    uint64
 	voter  link.NodeID
-	kind   byte
+	kind   byte // kindAck or kindValue
 }
+
+// Reply kinds: an ack answers a proposal, a value message a solicitation.
+const (
+	kindAck   byte = 'a'
+	kindValue byte = 'v'
+)
 
 // digest returns the round digest (see appendDigest) in the service's
 // scratch buffer, valueDigest a value message's. The bytes are borrowed:
@@ -225,13 +235,14 @@ func New(cfg Config, deps Deps, cbs Callbacks) (*Service, error) {
 // proposed as-is; in statistical mode the round first solicits the inner
 // circle's own observations and fuses them.
 func (s *Service) Propose(value []byte) error {
+	s.Stats.RoundsStarted++
 	circle := s.deps.Topo.NeighborCount()
 	if s.cfg.TwoHop {
 		circle += s.deps.Topo.TwoHopCount()
 	}
 	if circle < s.cfg.L {
-		s.Stats.RoundsFailed++
-		s.failRound(value, "fewer neighbours than dependability level")
+		// Refused before any message: no sequence number, no timer.
+		s.endRound(&roundState{value: value}, false, "fewer neighbours than dependability level")
 		return nil
 	}
 	s.nextSeq++
@@ -243,7 +254,6 @@ func (s *Service) Propose(value []byte) error {
 		proposing: s.cfg.Mode == Deterministic,
 	}
 	s.rounds[r.seq] = r
-	s.Stats.RoundsStarted++
 	r.timer = sim.NewTimer(s.deps.K, func() { s.onRoundTimeout(r) })
 	r.timer.Reset(s.cfg.RoundTimeout)
 	s.kickRound(r)
@@ -278,15 +288,29 @@ func (s *Service) onRoundTimeout(r *roundState) {
 		s.kickRound(r)
 		return
 	}
-	r.done = true
-	delete(s.rounds, r.seq)
-	s.Stats.RoundsFailed++
-	s.failRound(r.value, "timeout waiting for inner-circle approval")
+	s.endRound(r, false, "timeout waiting for inner-circle approval")
 }
 
-func (s *Service) failRound(value []byte, reason string) {
+// endRound ends round r at its center, as agreed or as failed for reason.
+// Every end of a round — agreement, timeout, abort, or a refusal for too
+// few neighbours before the round began — comes through here, so this is
+// the one place that counts a round out, stops its timer, forgets it and
+// reports its failure. A refused round never began: it has seq 0 (issued
+// sequence numbers start at 1, so no open round is keyed 0) and a nil
+// timer, which is why the timer is checked before it is stopped.
+func (s *Service) endRound(r *roundState, agreed bool, reason string) {
+	r.done = true
+	if r.timer != nil {
+		r.timer.Stop()
+	}
+	delete(s.rounds, r.seq)
+	if agreed {
+		s.Stats.RoundsAgreed++
+		return
+	}
+	s.Stats.RoundsFailed++
 	if s.cbs.OnRoundFailed != nil {
-		s.cbs.OnRoundFailed(value, reason)
+		s.cbs.OnRoundFailed(r.value, reason)
 	}
 }
 
@@ -312,38 +336,39 @@ func (s *Service) HandleEnv(e link.Env) bool {
 
 // ---- voter side ---------------------------------------------------------
 
-func (s *Service) onPropose(from link.NodeID, m ProposeMsg) {
-	if m.Center == s.deps.ID {
-		return
+// admit is the voter's one admission check for a round's opening message,
+// a proposal or a solicitation from center, received directly or, in a
+// two-hop circle, relayed by relayer. join reports whether this node takes
+// part in the round; relay whether it must relay the opening outward, as a
+// first-ring member does with each direct copy.
+func (s *Service) admit(from, center, relayer link.NodeID, relayed bool) (join, relay bool) {
+	if center == s.deps.ID {
+		return false, false
 	}
-	if m.Relayed {
+	if relayed {
 		// Two-hop participation: the relayer must be our neighbour and
 		// must (per our two-hop view) be a neighbour of the center.
-		if !s.cfg.TwoHop || from != m.Relayer {
-			return
-		}
-		if s.deps.Topo.IsNeighbor(m.Center) {
-			return // first-ring nodes act on the direct copy
-		}
-		if !s.deps.Topo.IsLink(m.Relayer, m.Center) {
-			return
-		}
-	} else {
-		if from != m.Center {
-			return
-		}
-		// Only vote in inner circles we belong to: the center must be an
-		// authenticated, timely neighbour.
-		if !s.deps.Topo.IsNeighbor(m.Center) {
-			return
-		}
-		if s.cfg.TwoHop {
-			// Relay the proposal outward once, marking ourselves.
-			relay := m
-			relay.Relayed = true
-			relay.Relayer = s.deps.ID
-			_ = s.deps.Link.SendRaw(link.BroadcastID, relay)
-		}
+		// First-ring nodes act on the direct copy.
+		return s.cfg.TwoHop && from == relayer &&
+			!s.deps.Topo.IsNeighbor(center) && s.deps.Topo.IsLink(relayer, center), false
+	}
+	// Only vote in inner circles we belong to: the center must be an
+	// authenticated, timely neighbour.
+	if from != center || !s.deps.Topo.IsNeighbor(center) {
+		return false, false
+	}
+	return true, s.cfg.TwoHop
+}
+
+func (s *Service) onPropose(from link.NodeID, m ProposeMsg) {
+	join, relay := s.admit(from, m.Center, m.Relayer, m.Relayed)
+	if !join {
+		return
+	}
+	if relay {
+		out := m
+		out.Relayed, out.Relayer = true, s.deps.ID
+		_ = s.deps.Link.SendRaw(link.BroadcastID, out)
 	}
 	if s.ackedSeq[m.Center] >= m.Seq {
 		// Re-proposal of an already-acked round: re-send the ack (the
@@ -353,11 +378,9 @@ func (s *Service) onPropose(from link.NodeID, m ProposeMsg) {
 		}
 		return
 	}
-	signer, ok := s.deps.Keys[m.L]
-	if !ok {
+	if _, ok := s.deps.Keys[m.L]; !ok {
 		return
 	}
-	_ = signer
 	switch m.Mode {
 	// A failed check means this voter declines to approve — it is not by
 	// itself provable misbehaviour (the voter may simply lack the local
@@ -459,29 +482,14 @@ func (s *Service) afterCrypto(delay sim.Duration, joules float64, fn func()) {
 }
 
 func (s *Service) onSolicit(from link.NodeID, m SolicitMsg) {
-	if m.Center == s.deps.ID {
+	join, relay := s.admit(from, m.Center, m.Relayer, m.Relayed)
+	if !join {
 		return
 	}
-	if m.Relayed {
-		if !s.cfg.TwoHop || from != m.Relayer {
-			return
-		}
-		if s.deps.Topo.IsNeighbor(m.Center) || !s.deps.Topo.IsLink(m.Relayer, m.Center) {
-			return
-		}
-	} else {
-		if from != m.Center {
-			return
-		}
-		if !s.deps.Topo.IsNeighbor(m.Center) {
-			return
-		}
-		if s.cfg.TwoHop {
-			relay := m
-			relay.Relayed = true
-			relay.Relayer = s.deps.ID
-			_ = s.deps.Link.SendRaw(link.BroadcastID, relay)
-		}
+	if relay {
+		out := m
+		out.Relayed, out.Relayer = true, s.deps.ID
+		_ = s.deps.Link.SendRaw(link.BroadcastID, out)
 	}
 	if s.cbs.LocalValue == nil || s.deps.SignKP == nil {
 		return
@@ -507,19 +515,37 @@ func (s *Service) onSolicit(from link.NodeID, m SolicitMsg) {
 
 // ---- center side --------------------------------------------------------
 
+// inward is the one path of a voter's reply, an ack or a value message,
+// toward its center. At the center it returns the open round the reply k
+// answers, if the round is in the phase that expects k's kind and k's
+// voter is in the circle, and nil otherwise. Elsewhere it returns nil and
+// whether to forward the reply: in a two-hop circle a first-ring member
+// forwards a ring-two voter's reply to the center, once. The caller sends
+// it, so a reply that is not forwarded is never boxed.
+func (s *Service) inward(from link.NodeID, k relayKey) (r *roundState, forward bool) {
+	if k.center != s.deps.ID {
+		if s.cfg.TwoHop && from == k.voter && s.deps.Topo.IsNeighbor(k.center) && !s.relayed[k] {
+			s.relayed[k] = true
+			return nil, true
+		}
+		return nil, false
+	}
+	if from != k.voter && !s.cfg.TwoHop {
+		return nil, false
+	}
+	r, ok := s.rounds[k.seq]
+	if !ok || r.proposing != (k.kind == kindAck) || !s.inCircle(k.voter) {
+		return nil, false
+	}
+	return r, false
+}
+
 func (s *Service) onValue(from link.NodeID, m ValueMsg) {
-	if m.Center != s.deps.ID {
-		s.maybeRelayValue(from, m)
-		return
+	r, fwd := s.inward(from, relayKey{center: m.Center, seq: m.Seq, voter: m.Voter, kind: kindValue})
+	if fwd {
+		_ = s.deps.Link.SendRaw(m.Center, m)
 	}
-	if from != m.Voter && !s.cfg.TwoHop {
-		return
-	}
-	r, ok := s.rounds[m.Seq]
-	if !ok || r.done || r.proposing {
-		return
-	}
-	if !s.inCircle(m.Voter) || r.from[m.Voter] {
+	if r == nil || r.from[m.Voter] {
 		return
 	}
 	// Verify the voter's individual signature before accepting its value.
@@ -565,18 +591,11 @@ func (s *Service) sendStatPropose(r *roundState) {
 }
 
 func (s *Service) onAck(from link.NodeID, m AckMsg) {
-	if m.Center != s.deps.ID {
-		s.maybeRelayAck(from, m)
-		return
+	r, fwd := s.inward(from, relayKey{center: m.Center, seq: m.Seq, voter: m.Voter, kind: kindAck})
+	if fwd {
+		_ = s.deps.Link.SendRaw(m.Center, m)
 	}
-	if from != m.Voter && !s.cfg.TwoHop {
-		return
-	}
-	r, ok := s.rounds[m.Seq]
-	if !ok || r.done || !r.proposing {
-		return
-	}
-	if !s.inCircle(m.Voter) {
+	if r == nil {
 		return
 	}
 	if _, dup := r.acks[m.Voter]; dup {
@@ -653,10 +672,7 @@ func (s *Service) tryComplete(r *roundState) {
 		// Not combinable yet; wait for more acks or the timeout.
 		return
 	}
-	r.done = true
-	r.timer.Stop()
-	delete(s.rounds, r.seq)
-	s.Stats.RoundsAgreed++
+	s.endRound(r, true, "")
 	agreed := AgreedMsg{Center: s.deps.ID, Seq: r.seq, L: s.cfg.L, Value: r.value, Sig: sig}
 	// Fig. 6: the center sends the agreed message to all its inner-circle
 	// nodes, then delivers it locally. The center paid one partial
@@ -699,39 +715,6 @@ func (s *Service) inCircle(voter link.NodeID) bool {
 		return true
 	}
 	return s.cfg.TwoHop && s.deps.Topo.IsTwoHop(voter)
-}
-
-// maybeRelayAck forwards a two-hop voter's ack toward its center, once.
-func (s *Service) maybeRelayAck(from link.NodeID, m AckMsg) {
-	if !s.cfg.TwoHop || from != m.Voter {
-		return
-	}
-	if !s.deps.Topo.IsNeighbor(m.Center) {
-		return
-	}
-	key := relayKey{center: m.Center, seq: m.Seq, voter: m.Voter, kind: 'a'}
-	if s.relayed[key] {
-		return
-	}
-	s.relayed[key] = true
-	_ = s.deps.Link.SendRaw(m.Center, m)
-}
-
-// maybeRelayValue forwards a two-hop voter's value message toward its
-// center, once.
-func (s *Service) maybeRelayValue(from link.NodeID, m ValueMsg) {
-	if !s.cfg.TwoHop || from != m.Voter {
-		return
-	}
-	if !s.deps.Topo.IsNeighbor(m.Center) {
-		return
-	}
-	key := relayKey{center: m.Center, seq: m.Seq, voter: m.Voter, kind: 'v'}
-	if s.relayed[key] {
-		return
-	}
-	s.relayed[key] = true
-	_ = s.deps.Link.SendRaw(m.Center, m)
 }
 
 func (s *Service) deliverAgreed(m AgreedMsg) {
@@ -832,12 +815,7 @@ func (s *Service) AbortInFlight(reason string) int {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 	for _, seq := range seqs {
-		r := s.rounds[seq]
-		r.done = true
-		r.timer.Stop()
-		delete(s.rounds, seq)
-		s.Stats.RoundsFailed++
-		s.failRound(r.value, reason)
+		s.endRound(s.rounds[seq], false, reason)
 	}
 	return len(seqs)
 }

@@ -52,9 +52,25 @@ type voteNet struct {
 	dealer *thresh.SimDealer
 	ring   PublicRing
 	keys   []NodeKeys
+	// kps are the nodes' individual signing keys (statistical values).
+	kps []*nsl.KeyPair
+}
+
+// checkRoundBook fails unless every node accounts for each round it
+// started exactly once: agreed, failed, or still in flight.
+func (n *voteNet) checkRoundBook(t *testing.T) {
+	t.Helper()
+	for i, s := range n.svcs {
+		st := s.Stats
+		if st.RoundsStarted != st.RoundsAgreed+st.RoundsFailed+uint64(len(s.rounds)) {
+			t.Errorf("node %d: %d rounds started, but %d agreed + %d failed + %d in flight",
+				i, st.RoundsStarted, st.RoundsAgreed, st.RoundsFailed, len(s.rounds))
+		}
+	}
 }
 
 // buildVote assembles the harness. cbs is instantiated per node via mkCbs.
+// When the test ends, every node's round book must balance (checkRoundBook).
 func buildVote(t *testing.T, n int, cfg Config, mkCbs func(i int) Callbacks) *voteNet {
 	t.Helper()
 	k := sim.NewKernel()
@@ -75,7 +91,8 @@ func buildVote(t *testing.T, n int, cfg Config, mkCbs func(i int) Callbacks) *vo
 		kps[i] = kp
 		dir[int64(i)] = kp.Pub
 	}
-	net := &voteNet{k: k, dealer: dealer, ring: ring, keys: keys}
+	net := &voteNet{k: k, dealer: dealer, ring: ring, keys: keys, kps: kps}
+	t.Cleanup(func() { net.checkRoundBook(t) })
 	for i := 0; i < n; i++ {
 		// All nodes within 100 m: single collision domain.
 		pos := geo.Point{X: float64(i%5) * 40, Y: float64(i/5) * 40}
@@ -192,8 +209,17 @@ func TestProposeWithTooFewNeighbors(t *testing.T) {
 	if !failed {
 		t.Fatal("round with L > |neighbours| did not fail immediately")
 	}
-	if net.svcs[0].Stats.RoundsFailed != 1 {
-		t.Fatalf("stats = %+v", net.svcs[0].Stats)
+	// The refused round counts as started and failed, but consumes no
+	// sequence number and schedules nothing.
+	svc := net.svcs[0]
+	if svc.Stats.RoundsStarted != 1 || svc.Stats.RoundsFailed != 1 || svc.nextSeq != 0 || len(svc.rounds) != 0 {
+		t.Fatalf("stats = %+v, next seq %d, %d rounds in flight", svc.Stats, svc.nextSeq, len(svc.rounds))
+	}
+	if err := net.k.Run(10); err != nil {
+		t.Fatal(err)
+	}
+	if n := net.k.Processed(); n != 0 {
+		t.Fatalf("refused round ran %d kernel events, want 0", n)
 	}
 }
 

@@ -194,6 +194,34 @@ var repoRules = []repoRule{
 		hit:     `	gen, ok := dealer.(thresh.KeyGenerator)`,
 		miss:    `func (d *SimDealer) Refresh(gk GroupKey, old []Signer)`,
 	},
+	// The interceptor enforces the template rule itself: a template match
+	// carrying no agreement is suppressed as unsigned. node.Build installs
+	// the one verifier, the voting service's agreed-message check, so no
+	// other program Go calls SetVerifier (its definition has no receiver
+	// dot before the name), and the AODV adapter has no verifier of its own
+	// and no late binding to a voting service.
+	{
+		name:    "Retired-adapter-verifier",
+		pattern: regexp.MustCompile(`\.SetVerifier\(|func \(a \*ICAdapter\) (Verifier|Bind)\b`),
+		scopes:  programGo,
+		globs:   goGlob,
+		allow:   []string{"internal/node/node.go"},
+		msg:     "a second interceptor verifier is installed; node.Build's vote verifier is the one, and the interceptor rejects unvoted template matches itself",
+		hit:     `		nd.Intercept.SetVerifier(rt.adapters[nd.Index].Verifier())`,
+		miss:    `func (ic *Interceptor) SetVerifier(v Verifier) { ic.verify = v }`,
+	},
+	// A voter's reply reaches its center through one inward path,
+	// vote.Service.inward, for acks and value messages alike. No Go file
+	// may name the two per-kind relay functions it replaced.
+	{
+		name:    "Retired-relay-twins",
+		pattern: regexp.MustCompile(`\b(maybeRelayAck|maybeRelayValue)\b`),
+		scopes:  wholeTree,
+		globs:   goGlob,
+		msg:     "a per-kind vote relay is back; route every reply through vote.Service.inward",
+		hit:     `		s.maybeRelayAck(from, m)`,
+		miss:    `	r := s.inward(from, relayKey{center: m.Center, seq: m.Seq, voter: m.Voter, kind: kindAck}, fwd)`,
+	},
 }
 
 // TestRepoRules enforces the repository's structural rules: each row keeps
