@@ -139,9 +139,10 @@ func (rt *aodvRouting) Wire(env *scenario.Env) {
 	env.SetMutate(corruptPayload)
 }
 
-// build assembles node nd's router and hooks its delivery upcall into the
-// scenario sink.
-func (rt *aodvRouting) build(env *scenario.Env, nd *node.Node) *aodv.Router {
+// Attach implements scenario.Component: build node nd's router, hook its
+// delivery upcall into the scenario sink and, with the inner circle on,
+// wrap it in the Fig. 6 adapter whose callbacks the voting service runs.
+func (rt *aodvRouting) Attach(env *scenario.Env, nd *node.Node) *vote.Callbacks {
 	r, err := aodv.New(aodv.DefaultConfig(), aodv.Deps{
 		ID: nd.ID, K: nd.K, Link: nd.Link, RNG: nd.RNG.Split("aodv"),
 	})
@@ -153,27 +154,11 @@ func (rt *aodvRouting) build(env *scenario.Env, nd *node.Node) *aodv.Router {
 	sink := &env.Sink
 	r.OnDeliver(func(d aodv.Data) { sink.Deliver(d.Payload) })
 	nd.Handle(r.HandleEnv)
-	return r
-}
-
-// Register implements scenario.Registrar (IC mode): the router is built
-// inside node.Build's voting pass so the IC adapter's callbacks can be
-// handed to the voting service.
-func (rt *aodvRouting) Register(env *scenario.Env, nd *node.Node) vote.Callbacks {
-	r := rt.build(env, nd)
-	if r == nil {
-		return vote.Callbacks{}
+	if nd.Intercept == nil {
+		return nil
 	}
 	_, cbs := aodv.NewICAdapter(nd.ID, r, nd.Intercept, func(v []byte) error { return nd.Vote.Propose(v) })
-	return cbs
-}
-
-// Attach implements scenario.Component: the No-IC baseline builds its
-// router here (IC mode built it in Register).
-func (rt *aodvRouting) Attach(env *scenario.Env, nd *node.Node) {
-	if !env.Spec.Stack.IC {
-		rt.build(env, nd)
-	}
+	return &cbs
 }
 
 // blackholeSpec assembles the declarative Fig. 7 scenario.

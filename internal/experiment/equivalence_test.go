@@ -6,6 +6,7 @@ import (
 	"innercircle/internal/node"
 	"innercircle/internal/scenario"
 	"innercircle/internal/sensor"
+	"innercircle/internal/vote"
 )
 
 // The radio's receiver tables (internal/radio) must be behaviorally
@@ -23,7 +24,7 @@ import (
 // brute-force reference.
 type referencePin struct{}
 
-func (referencePin) Attach(*scenario.Env, *node.Node) {}
+func (referencePin) Attach(*scenario.Env, *node.Node) *vote.Callbacks { return nil }
 
 func (referencePin) Wire(env *scenario.Env) { env.Net.Channel.SetIndexEnabled(false) }
 

@@ -5,14 +5,15 @@ import (
 
 	"innercircle/internal/node"
 	"innercircle/internal/scenario"
+	"innercircle/internal/vote"
 )
 
 // netProbe is a no-op scenario component that keeps the replica's network,
 // so a test can read the kernels' event counts after scenario.Run returns.
 type netProbe struct{ net *node.Network }
 
-func (p *netProbe) Wire(env *scenario.Env)           { p.net = env.Net }
-func (p *netProbe) Attach(*scenario.Env, *node.Node) {}
+func (p *netProbe) Wire(env *scenario.Env)                           { p.net = env.Net }
+func (p *netProbe) Attach(*scenario.Env, *node.Node) *vote.Callbacks { return nil }
 
 // runProbed runs spec with a probe attached and returns the replica's
 // executed shard count and its network.

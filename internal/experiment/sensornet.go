@@ -221,41 +221,24 @@ type sensorApp struct {
 
 // sensorNet is the Fig. 8 scenario component: sensing devices and
 // directed-diffusion dissemination per node, base-station bookkeeping at
-// node 0, and the epoch-driven sensing application.
+// node 0, and the epoch-driven sensing application. Each attempt of a
+// replica (a timestamp tie makes a second) builds its state afresh: Attach
+// every node's app, Wire the target schedule and the base-station log.
 type sensorNet struct {
 	cfg       SensorConfig
 	fuse      func(center link.NodeID, values [][]byte) []byte
 	targets   []sensor.Target
 	apps      []*sensorApp
-	baseDiff  *diffusion.Service
 	notifs    []baseNotif
 	perTarget map[int][]baseNotif
 }
 
 func newSensorNet(cfg SensorConfig) *sensorNet {
-	n := cfg.Nodes
-	if n < 0 {
-		n = 0
-	}
 	return &sensorNet{
-		cfg:       cfg,
-		fuse:      makeSensorFuse(cfg),
-		apps:      make([]*sensorApp, n),
-		perTarget: make(map[int][]baseNotif),
+		cfg:  cfg,
+		fuse: makeSensorFuse(cfg),
+		apps: make([]*sensorApp, max(cfg.Nodes, 0)),
 	}
-}
-
-// Reset implements scenario.Resetter: a sharded attempt that aborts on a
-// timestamp tie is followed by a second with the same component values, so
-// every piece of replica state accumulated by the abandoned attempt —
-// target schedule, app array, base-station log — must be dropped first.
-func (sc *sensorNet) Reset() {
-	n := len(sc.apps)
-	sc.targets = nil
-	sc.apps = make([]*sensorApp, n)
-	sc.baseDiff = nil
-	sc.notifs = nil
-	sc.perTarget = make(map[int][]baseNotif)
 }
 
 // Validate implements scenario.Validator: the population floor and the
@@ -279,11 +262,13 @@ func (sc *sensorNet) Validate(s *scenario.Spec) error {
 	return nil
 }
 
-// Wire implements scenario.Wirer: draw the target schedule. Onset is
-// uniformly random within a sensing period, so the first post-onset
-// sensing epoch lags the target by U(0, SensePeriod) — the sampling-phase
-// component of detection latency.
+// Wire implements scenario.Wirer: start the attempt's base-station log
+// empty and draw the target schedule. Onset is uniformly random within a
+// sensing period, so the first post-onset sensing epoch lags the target
+// by U(0, SensePeriod) — the sampling-phase component of detection
+// latency.
 func (sc *sensorNet) Wire(env *scenario.Env) {
+	sc.targets, sc.notifs, sc.perTarget = nil, nil, make(map[int][]baseNotif)
 	c := &sc.cfg
 	if c.NoTarget {
 		return
@@ -302,50 +287,46 @@ func (sc *sensorNet) Wire(env *scenario.Env) {
 	}
 }
 
-// Register implements scenario.Registrar (IC mode): the app is created in
-// node.Build's voting pass so its hooks become the vote callbacks.
-func (sc *sensorNet) Register(_ *scenario.Env, nd *node.Node) vote.Callbacks {
-	app := &sensorApp{nd: nd, cfg: &sc.cfg, covered: make(map[int64]bool)}
-	sc.apps[nd.Index] = app
-	return vote.Callbacks{
-		LocalValue: app.localValue,
-		Fuse:       sc.fuse,
-		OnAgreed:   app.onAgreed,
-	}
-}
-
 // Attach implements scenario.Component: diffusion dissemination on every
 // node — exploratory-flood (classic directed diffusion's first phase)
 // over an unacknowledged broadcast MAC; both configurations use the same
 // substrate, the inner-circle solution simply injects far fewer messages
-// into it — plus the sensing device (sensors) or sink bookkeeping (base).
-func (sc *sensorNet) Attach(env *scenario.Env, nd *node.Node) {
+// into it — plus the sensing device (sensors) or sink bookkeeping (base),
+// whose interest flooding starts shortly after t=0 on the base station's
+// own kernel (its home shard's when the replica is partitioned). With the
+// inner circle on, the node's app hooks are its vote callbacks.
+func (sc *sensorNet) Attach(env *scenario.Env, nd *node.Node) *vote.Callbacks {
 	diffCfg := diffusion.Config{InterestPeriod: 20, GradientTimeout: 60, Unreliable: true, FloodData: true}
 	ds, err := diffusion.New(diffCfg, diffusion.Deps{
 		ID: nd.ID, K: nd.K, Link: nd.Link, RNG: nd.RNG.Split("diffusion"),
 	})
 	if err != nil {
 		env.Fail(err)
-		return
+		return nil
 	}
 	nd.Handle(ds.HandleEnv)
-	i := nd.Index
-	if sc.apps[i] == nil { // No-IC path (IC callbacks already made one)
-		sc.apps[i] = &sensorApp{nd: nd, cfg: &sc.cfg, covered: make(map[int64]bool)}
-	}
-	sc.apps[i].diff = ds
-	if i == 0 {
+	app := &sensorApp{nd: nd, diff: ds, cfg: &sc.cfg, covered: make(map[int64]bool)}
+	sc.apps[nd.Index] = app
+	if nd.Index == 0 {
 		ds.SetSink(true)
-		sc.baseDiff = ds
-		sc.attachBase(env, nd, ds)
-		return
+		sc.attachBase(nd, ds)
+		nd.K.ScheduleFire(0.1, ds.Start)
+	} else {
+		app.dev = sensor.NewDevice(sc.cfg.Model, env.Positions[nd.Index], sc.cfg.Lambda, nd.RNG.Split("sensor"))
 	}
-	sc.apps[i].dev = sensor.NewDevice(sc.cfg.Model, env.Positions[i], sc.cfg.Lambda, nd.RNG.Split("sensor"))
+	if nd.Intercept == nil {
+		return nil
+	}
+	return &vote.Callbacks{
+		LocalValue: app.localValue,
+		Fuse:       sc.fuse,
+		OnAgreed:   app.onAgreed,
+	}
 }
 
 // attachBase hooks the base station's delivery upcall: decode, verify in
 // IC mode, classify against the target schedule, record.
-func (sc *sensorNet) attachBase(env *scenario.Env, baseNode *node.Node, ds *diffusion.Service) {
+func (sc *sensorNet) attachBase(baseNode *node.Node, ds *diffusion.Service) {
 	c := &sc.cfg
 	ds.OnDeliver(func(src link.NodeID, hops int, payload link.Message) {
 		// The base station's own kernel, not env.K(): under sharding the
@@ -407,13 +388,6 @@ func (sc *sensorNet) activeTarget(at sim.Time) *geo.Point {
 		}
 	}
 	return nil
-}
-
-// Start implements scenario.Starter: bring up the base station's interest
-// flooding shortly after t=0, on the base station's own kernel (its home
-// shard's when the replica is partitioned).
-func (sc *sensorNet) Start(env *scenario.Env) {
-	sc.apps[0].nd.K.ScheduleFire(0.1, func() { sc.baseDiff.Start() })
 }
 
 // onEpochNode is the traffic program's per-node epoch hook: one sensing
@@ -689,7 +663,7 @@ func (a *sensorApp) localValue(center link.NodeID, meta []byte) ([]byte, bool) {
 // to the base station.
 func (a *sensorApp) onAgreed(m vote.AgreedMsg) {
 	a.covered[a.epoch] = true
-	if m.Center == a.nd.ID && a.diff != nil {
+	if m.Center == a.nd.ID {
 		_ = a.diff.Send(agreedWrap{M: m})
 	}
 }

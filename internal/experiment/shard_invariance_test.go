@@ -13,6 +13,7 @@ import (
 	"innercircle/internal/scenario"
 	"innercircle/internal/sensor"
 	"innercircle/internal/sim"
+	"innercircle/internal/vote"
 )
 
 // shardSensorTables runs a small sensor sweep at the given shard count and
@@ -192,6 +193,64 @@ func TestSensorShardTieReruns(t *testing.T) {
 	}
 }
 
+// tiePlant plants the smallest ambiguous tie on a partitioned replica at
+// virtual time at: shard 0 posts a message to shard 1 at the bit-identical
+// instant of one of shard 1's own events. On one kernel it schedules
+// nothing.
+type tiePlant struct{ at sim.Time }
+
+func (tiePlant) Attach(*scenario.Env, *node.Node) *vote.Callbacks { return nil }
+
+func (p tiePlant) Wire(env *scenario.Env) {
+	set := env.Net.Set
+	if set == nil {
+		return
+	}
+	k0, k1 := set.Kernel(0), set.Kernel(1)
+	k0.ScheduleFireTx(p.at, func() { set.Post(k0, 1, k0.Now(), func(any) {}, nil) }, true)
+	k1.ScheduleFire(p.at, func() {})
+}
+
+// TestSensorShardTieRerunsIC is TestSensorShardTieReruns with the inner
+// circle on, so the rerun rebuilds a replica whose Attach returned vote
+// callbacks: the second attempt must compute what the one-shard replica
+// computes. IC-on sensor replicas send nothing at the epoch instants every
+// shard shares, and no seed tried tied on its own (150 of the 400-node
+// field, 16 of the paper's), so the tie is planted — after the target
+// window, so the abandoned attempt has logged notifications the second must
+// not inherit.
+func TestSensorShardTieRerunsIC(t *testing.T) {
+	withProcs(t, 2)
+	run := func(shards int) (*scenario.Result, SensorResult) {
+		cfg := PaperSensorConfig()
+		cfg.IC = true
+		cfg.SimTime = 100
+		cfg.Shards = shards
+		spec, sc, err := sensorSpec(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Stack.Components = append(spec.Stack.Components, tiePlant{at: 80})
+		res, err := scenario.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sc.result(res)
+	}
+	want, wantSensor := run(1)
+	got, gotSensor := run(4)
+	if got.Shards != 1 || got.ShardReason != scenario.ReasonTie {
+		t.Fatalf("ran on %d shards, reason %q; want 1, %q", got.Shards, got.ShardReason, scenario.ReasonTie)
+	}
+	if wantSensor.Notifications == 0 {
+		t.Fatal("no agreed notification reached the base station")
+	}
+	if outcome(got) != outcome(want) || gotSensor != wantSensor {
+		t.Errorf("the second attempt differs from the one-shard replica:\n%+v\n%+v\nvs\n%+v\n%+v",
+			*got, gotSensor, *want, wantSensor)
+	}
+}
+
 // TestBlackholeShardFallback: the blackhole scenario cannot shard (mobile
 // topology, CBR traffic, fault campaign — each alone rules it out), which
 // is why its config has no shard count. Asked through the Spec, the one
@@ -221,16 +280,17 @@ func TestBlackholeShardFallback(t *testing.T) {
 	}
 }
 
-// tokenProbe records, at each attempt's start, the core tokens in use —
-// the planner has taken its share by then — and can make the run fail.
+// tokenProbe records, at each attempt's wiring, the core tokens in use —
+// the planner has taken its share before the build — and can make the run
+// fail.
 type tokenProbe struct {
 	limit bool // set an event limit the run trips
 	held  []int
 }
 
-func (*tokenProbe) Attach(*scenario.Env, *node.Node) {}
+func (*tokenProbe) Attach(*scenario.Env, *node.Node) *vote.Callbacks { return nil }
 
-func (p *tokenProbe) Start(env *scenario.Env) {
+func (p *tokenProbe) Wire(env *scenario.Env) {
 	p.held = append(p.held, sim.CoresInUse())
 	if p.limit {
 		if env.Net.Set != nil {

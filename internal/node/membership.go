@@ -89,26 +89,27 @@ func (m *Membership) activeIDs() []int {
 // out of their topology views), drains its open rounds, and surrenders
 // its signers so it can no longer co-sign. Its old shares stay
 // mathematically valid until the next Reshare rotates the polynomials —
-// the reshare policy decides how quickly departed shares die.
-func (m *Membership) Leave(i int) {
-	if m.depart(i, "membership: left the circle") {
-		m.Stats.Departs++
-	}
+// the reshare policy decides how quickly departed shares die. It reports
+// whether i was a member, i.e. whether the leave took effect.
+func (m *Membership) Leave(i int) bool {
+	return m.depart(i, "membership: left the circle", &m.Stats.Departs)
 }
 
 // Crash fails node i abruptly. At this layer a crash and a graceful leave
 // look the same — the node stops participating; radio-level crash
 // semantics (dropped frames mid-flight) belong to the fault injector.
-func (m *Membership) Crash(i int) {
-	if m.depart(i, "membership: node crashed") {
-		m.Stats.Crashes++
-	}
+// It reports whether i was a member, i.e. whether the crash took effect.
+func (m *Membership) Crash(i int) bool {
+	return m.depart(i, "membership: node crashed", &m.Stats.Crashes)
 }
 
-func (m *Membership) depart(i int, reason string) bool {
+// depart removes member i and counts the departure in *count; it reports
+// whether i was a member.
+func (m *Membership) depart(i int, reason string, count *uint64) bool {
 	if !m.Active(i) {
 		return false
 	}
+	*count++
 	m.active[i] = false
 	nd := m.net.Nodes[i]
 	if nd.STS != nil {
@@ -125,16 +126,18 @@ func (m *Membership) depart(i int, reason string) bool {
 // Join admits node i (back) into the circle: STS restarts with an
 // immediate beacon, so neighbours hear it right away. The node only
 // regains signing capability at the next Reshare — that is the act by
-// which the quorum actually admits a member to the key.
-func (m *Membership) Join(i int) {
+// which the quorum actually admits a member to the key. It reports whether
+// i was a non-member, i.e. whether the join took effect.
+func (m *Membership) Join(i int) bool {
 	if i < 0 || i >= len(m.active) || m.active[i] {
-		return
+		return false
 	}
 	m.active[i] = true
 	if nd := m.net.Nodes[i]; nd.STS != nil {
 		nd.STS.Start()
 	}
 	m.Stats.Joins++
+	return true
 }
 
 // Reshare moves every level key to the current active set: member j in

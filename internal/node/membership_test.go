@@ -129,6 +129,52 @@ func TestMembershipLeaveReshareJoin(t *testing.T) {
 	agreeOn(t, net, agreed, 4, []byte("epoch-2"), []int{0, 1, 2, 3, 4})
 }
 
+// TestMembershipOpsReportEffect: Leave, Crash and Join report whether they
+// took effect, and each report equals the operation's delta on its Stats
+// count — the no-ops (leaving an absent node, crashing twice, joining an
+// active one, an index outside the circle) included.
+func TestMembershipOpsReportEffect(t *testing.T) {
+	net, _ := buildIC(t, icConfig(5, 2))
+	m, err := net.Membership()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := func() [3]uint64 { return [3]uint64{m.Stats.Departs, m.Stats.Crashes, m.Stats.Joins} }
+	for _, step := range []struct {
+		name string
+		op   func() bool
+		stat int // index into counts
+		want bool
+	}{
+		{"leave 1", func() bool { return m.Leave(1) }, 0, true},
+		{"leave 1 again", func() bool { return m.Leave(1) }, 0, false},
+		{"crash 1 after leaving", func() bool { return m.Crash(1) }, 1, false},
+		{"crash 2", func() bool { return m.Crash(2) }, 1, true},
+		{"crash 2 again", func() bool { return m.Crash(2) }, 1, false},
+		{"join active 3", func() bool { return m.Join(3) }, 2, false},
+		{"join 2", func() bool { return m.Join(2) }, 2, true},
+		{"join 2 again", func() bool { return m.Join(2) }, 2, false},
+		{"leave outside the circle", func() bool { return m.Leave(9) }, 0, false},
+		{"join outside the circle", func() bool { return m.Join(-1) }, 2, false},
+	} {
+		before := counts()
+		got := step.op()
+		after := counts()
+		delta := after[step.stat] - before[step.stat]
+		var wantDelta uint64
+		if got {
+			wantDelta = 1
+		}
+		if got != step.want || delta != wantDelta {
+			t.Errorf("%s: reported %v (want %v), stat moved by %d", step.name, got, step.want, delta)
+		}
+		after[step.stat] = before[step.stat]
+		if after != before {
+			t.Errorf("%s: moved another count: %v -> %v", step.name, before, counts())
+		}
+	}
+}
+
 func TestMembershipCrashAbortsRounds(t *testing.T) {
 	cfg := icConfig(4, 2)
 	// Nobody acks, so a proposed round stays open until crash drains it.

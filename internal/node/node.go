@@ -152,18 +152,17 @@ type Config struct {
 	DKGFaults map[int]thresh.DKGFault
 	// Keys optionally supplies pre-generated per-node RSA key pairs
 	// (benches cache them across runs — key material does not affect
-	// traffic). Required length N when set.
+	// traffic). Required length N when set; nil generates keyBits-bit
+	// keys when RSA material is needed (STS handshake, statistical voting).
 	Keys []*nsl.KeyPair
-	// KeyBits sets generated key size when Keys is nil and RSA material
-	// is needed (STS handshake or statistical voting). Default 512.
-	KeyBits int
 	// SigWireBytes is the emulated signature size for SimAuth/SimDealer
 	// (e.g. 128 for "1024-bit keys"). Default 128.
 	SigWireBytes int
-	// Callbacks builds each node's vote callbacks (IC mode); may be nil.
+	// Callbacks, when non-nil, is called for every node in node order, in
+	// both modes, once every node's link, interceptor and STS exist and
+	// before that node's voting service is built. What it returns is the
+	// node's vote callbacks (ignored with IC off).
 	Callbacks func(n *Node) vote.Callbacks
-	// TempSuspicion is the temporary-suspicion duration. Default 120 s.
-	TempSuspicion sim.Duration
 	// Shards partitions the deployment across that many kernels run under
 	// conservative-lookahead synchronization (sim.ShardSet). 0 or 1 builds
 	// the plain single-kernel network. Sharding requires static mobility
@@ -187,6 +186,13 @@ type Config struct {
 	Crypto vote.CryptoProfile
 }
 
+// Build generates keyBits-bit RSA node keys, and a temporary suspicion
+// lasts tempSuspicion.
+const (
+	keyBits                    = 512
+	tempSuspicion sim.Duration = 120
+)
+
 // GenerateKeySet creates n RSA key pairs for reuse across Build calls.
 func GenerateKeySet(n, bits int) ([]*nsl.KeyPair, error) {
 	return generateKeySet(n, bits, nil)
@@ -201,9 +207,6 @@ func GenerateKeySetSeeded(n, bits int, seed int64) ([]*nsl.KeyPair, error) {
 }
 
 func generateKeySet(n, bits int, randSrc io.Reader) ([]*nsl.KeyPair, error) {
-	if bits == 0 {
-		bits = 512
-	}
 	keys := make([]*nsl.KeyPair, n)
 	for i := range keys {
 		kp, err := nsl.GenerateKeyPair(bits, randSrc)
@@ -226,9 +229,6 @@ func Build(cfg Config) (*Network, error) {
 	}
 	if cfg.IC && cfg.STS.Period <= 0 {
 		return nil, fmt.Errorf("node: IC mode requires a running STS (Period > 0)")
-	}
-	if cfg.TempSuspicion == 0 {
-		cfg.TempSuspicion = 120
 	}
 	if cfg.SigWireBytes == 0 {
 		cfg.SigWireBytes = 128
@@ -286,7 +286,7 @@ func Build(cfg Config) (*Network, error) {
 	keys := cfg.Keys
 	if needRSA && keys == nil {
 		var err error
-		keys, err = GenerateKeySet(cfg.N, cfg.KeyBits)
+		keys, err = GenerateKeySet(cfg.N, keyBits)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +300,7 @@ func Build(cfg Config) (*Network, error) {
 		}
 	}
 
-	// Threshold key material (IC mode only).
+	// Threshold key material and the voting services' memos (IC mode only).
 	if cfg.IC {
 		dealer := cfg.Dealer
 		if dealer == nil {
@@ -328,6 +328,12 @@ func Build(cfg Config) (*Network, error) {
 			net.NodeKeys = nk
 		}
 		net.Dealer = dealer
+		// All checkers of a flooded vote message run at one virtual instant
+		// or close to it, so the default capacity is ample.
+		net.Memos = make([]*sigcache.Cache, shards)
+		for s := range net.Memos {
+			net.Memos[s] = sigcache.New(sigcache.DefaultCap)
+		}
 	}
 
 	// Beacon authentication state shared by the topology services: one
@@ -380,7 +386,7 @@ func Build(cfg Config) (*Network, error) {
 		}
 
 		if cfg.IC {
-			nd.Susp = icnet.NewSuspicionManager(nk, cfg.TempSuspicion)
+			nd.Susp = icnet.NewSuspicionManager(nk, tempSuspicion)
 			nd.Intercept = icnet.NewInterceptor(nd.Susp)
 			l.AddFilter(nd.Intercept)
 		}
@@ -414,40 +420,37 @@ func Build(cfg Config) (*Network, error) {
 		net.Nodes = append(net.Nodes, nd)
 	}
 
-	// Voting services are built in a second pass so callbacks can close
-	// over the fully assembled node.
+	// Second pass, node by node: the callbacks, which can close over the
+	// assembled node, then (IC mode) the voting service they configure.
+	for i, nd := range net.Nodes {
+		var cbs vote.Callbacks
+		if cfg.Callbacks != nil {
+			cbs = cfg.Callbacks(nd)
+		}
+		if !cfg.IC {
+			continue
+		}
+		vs, err := vote.New(cfg.Vote, vote.Deps{
+			ID:     nd.ID,
+			K:      nd.K,
+			Link:   nd.Link,
+			Topo:   nd.STS,
+			Ring:   net.Ring,
+			Keys:   net.NodeKeys[i],
+			Susp:   nd.Susp,
+			SignKP: nd.SignKP,
+			Dir:    net.Dir,
+			Crypto: cfg.Crypto,
+			Energy: nd.Meter,
+			Memo:   net.Memos[nd.Shard],
+		}, cbs)
+		if err != nil {
+			return nil, fmt.Errorf("node %d: vote: %w", i, err)
+		}
+		nd.Vote = vs
+		nd.Intercept.SetVerifier(vs.VerifierFor())
+	}
 	if cfg.IC {
-		// All checkers of a flooded vote message run at one virtual instant
-		// or close to it, so the default capacity is ample.
-		net.Memos = make([]*sigcache.Cache, shards)
-		for s := range net.Memos {
-			net.Memos[s] = sigcache.New(sigcache.DefaultCap)
-		}
-		for i, nd := range net.Nodes {
-			var cbs vote.Callbacks
-			if cfg.Callbacks != nil {
-				cbs = cfg.Callbacks(nd)
-			}
-			vs, err := vote.New(cfg.Vote, vote.Deps{
-				ID:     nd.ID,
-				K:      nd.K,
-				Link:   nd.Link,
-				Topo:   nd.STS,
-				Ring:   net.Ring,
-				Keys:   net.NodeKeys[i],
-				Susp:   nd.Susp,
-				SignKP: nd.SignKP,
-				Dir:    net.Dir,
-				Crypto: cfg.Crypto,
-				Energy: nd.Meter,
-				Memo:   net.Memos[nd.Shard],
-			}, cbs)
-			if err != nil {
-				return nil, fmt.Errorf("node %d: vote: %w", i, err)
-			}
-			nd.Vote = vs
-			nd.Intercept.SetVerifier(vs.VerifierFor())
-		}
 		// Dealerless-keygen verdicts carry network-wide: a blame is backed
 		// by an opened sub-share contradicting its broadcast commitment, a
 		// proof any member can check, so every node records the suspicion —

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"testing"
 
 	"innercircle/internal/energy"
@@ -45,6 +46,38 @@ func TestBuildPlainNetwork(t *testing.T) {
 		}
 		if nd.STS != nil || nd.Vote != nil || nd.Intercept != nil {
 			t.Fatal("plain network has IC components")
+		}
+	}
+}
+
+// TestCallbacksRunInBothModes: Build calls Config.Callbacks once per node,
+// in node order, with or without the inner circle, after every node's link
+// exists and before the node's voting service does.
+func TestCallbacksRunInBothModes(t *testing.T) {
+	for _, ic := range []bool{false, true} {
+		cfg := baseConfig(4)
+		if ic {
+			cfg.IC = true
+			cfg.STS = sts.Config{Period: 0.9, Delta: 2, Authenticate: true, BeaconBaseBytes: 28}
+			cfg.Vote = vote.Config{Mode: vote.Deterministic, L: 1, RoundTimeout: 0.2, Retries: 1}
+		}
+		var order []int
+		cfg.Callbacks = func(nd *Node) vote.Callbacks {
+			order = append(order, nd.Index)
+			if nd.Link == nil || nd.Vote != nil {
+				t.Errorf("IC=%v node %d: callbacks saw Link %v, Vote %v", ic, nd.Index, nd.Link != nil, nd.Vote != nil)
+			}
+			return vote.Callbacks{}
+		}
+		net, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(order, []int{0, 1, 2, 3}) {
+			t.Errorf("IC=%v: callbacks called for nodes %v, want [0 1 2 3]", ic, order)
+		}
+		if hasVote := net.Nodes[0].Vote != nil; hasVote != ic {
+			t.Errorf("IC=%v: node 0 has a voting service: %v", ic, hasVote)
 		}
 	}
 }

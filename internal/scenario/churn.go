@@ -108,13 +108,11 @@ func (c *Churn) validate(s *Spec) error {
 	return nil
 }
 
-// churnDriver owns a replica's scheduled membership lifecycle.
+// churnDriver owns a replica's scheduled membership lifecycle; the
+// membership manager keeps the counts.
 type churnDriver struct {
-	m         *node.Membership
-	policy    string
-	events    uint64
-	reshares  uint64
-	refreshes uint64
+	m      *node.Membership
+	policy string
 }
 
 // applyChurn schedules the churn events on the replica's kernel; call
@@ -158,23 +156,18 @@ func applyChurn(c *Churn, env *Env) (*churnDriver, error) {
 	pick := func() int { return protect + rng.Intn(s.Nodes-protect) }
 	for i := 0; i < c.Leaves; i++ {
 		victim, at := pick(), sim.Time(rng.Uniform(float64(start), float64(start+window)))
-		k.ScheduleFire(at, func() {
-			d.transition(func() bool { return d.depart(victim, d.m.Leave) })
-		})
+		k.ScheduleFire(at, func() { d.transition(d.m.Leave(victim)) })
 	}
 	for i := 0; i < c.CrashRejoin; i++ {
 		victim, at := pick(), sim.Time(rng.Uniform(float64(start), float64(start+window)))
 		crashed := false
-		k.ScheduleFire(at, func() {
-			crashed = d.transition(func() bool { return d.depart(victim, d.m.Crash) })
-		})
+		k.ScheduleFire(at, func() { crashed = d.transition(d.m.Crash(victim)) })
 		k.ScheduleFire(at+downtime, func() {
 			// Rejoin only what this cycle actually crashed: a no-op crash
 			// (victim already out) must not resurrect a permanent leaver.
-			if !crashed {
-				return
+			if crashed {
+				d.transition(d.m.Join(victim))
 			}
-			d.transition(func() bool { d.m.Join(victim); return true })
 		})
 	}
 	if policy == ReshareEvery {
@@ -190,50 +183,32 @@ func applyChurn(c *Churn, env *Env) (*churnDriver, error) {
 	return d, nil
 }
 
-// depart applies a leave/crash operation and reports whether it took
-// effect.
-func (d *churnDriver) depart(victim int, op func(int)) bool {
-	if !d.m.Active(victim) {
-		return false
-	}
-	op(victim)
-	return true
-}
-
-// transition wraps one membership operation: count it if effective and
-// apply the per-event reshare policy.
-func (d *churnDriver) transition(op func() bool) bool {
-	if !op() {
-		return false
-	}
-	d.events++
-	if d.policy == ReshareOnEvent {
+// transition applies the per-event reshare policy after a membership
+// operation; effective is whether the operation took effect, and is
+// returned.
+func (d *churnDriver) transition(effective bool) bool {
+	if effective && d.policy == ReshareOnEvent {
 		d.reshare()
 	}
-	return true
+	return effective
 }
 
 // reshare moves the keys to the current active set; a circle too small
 // to reshare is left degraded (level revocation already limits what the
 // survivors can sign).
 func (d *churnDriver) reshare() {
-	if d.m.ActiveCount() < 2 {
-		return
-	}
-	if d.m.Reshare() == nil {
-		d.reshares++
+	if d.m.ActiveCount() >= 2 {
+		_ = d.m.Reshare()
 	}
 }
 
 // refresh rotates the current shares in place.
-func (d *churnDriver) refresh() {
-	if d.m.Refresh() == nil {
-		d.refreshes++
-	}
-}
+func (d *churnDriver) refresh() { _ = d.m.Refresh() }
 
-// outcome reports what the schedule did; read it after the run.
+// outcome reports what the schedule did, from the membership manager's
+// counts; read it after the run.
 func (d *churnDriver) outcome() ChurnOutcome {
-	return ChurnOutcome{Events: d.events, Reshares: d.reshares, Refreshes: d.refreshes,
-		RoundsAborted: d.m.Stats.RoundsAborted, Epoch: d.m.Stats.Epoch}
+	st := d.m.Stats
+	return ChurnOutcome{Events: st.Departs + st.Crashes + st.Joins, Reshares: st.Reshares,
+		Refreshes: st.Refreshes, RoundsAborted: st.RoundsAborted, Epoch: st.Epoch}
 }

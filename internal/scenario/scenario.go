@@ -3,6 +3,11 @@
 // turns it into one deterministic replica — build, wire, inject, run,
 // harvest — the exact sequence the hand-wired harnesses used to repeat.
 //
+// A component reaches each node through one hook, Component.Attach, run
+// inside node.Build in both modes; what it returns is the node's
+// Inner-circle Callbacks (the paper's check, fuseVal, onAgreed). Validator
+// and Wirer are the optional replica-wide hooks.
+//
 // Determinism contract (the RNG-stream naming convention every scenario
 // relies on): all replica randomness derives from sim.NewRNG(Spec.Seed)
 // by pure label splits, so streams are independent and their creation
@@ -102,9 +107,9 @@ type Stack struct {
 	STSStart STSStart
 
 	// Components are the scenario's application-layer parts, attached to
-	// every node in order. A component may additionally implement
-	// Registrar, Wirer, Starter, Resetter or Validator, and keeps its own
-	// metrics: the Result holds only what the runner measures.
+	// every node in order. A component may additionally implement Wirer
+	// or Validator, and keeps its own metrics: the Result holds only what
+	// the runner measures.
 	Components []Component
 }
 
@@ -118,33 +123,23 @@ type STSStart struct {
 }
 
 // Component is a per-node application part of a scenario (a router, a
-// sensing app). Attach is called for every node, in node order, after the
-// network is built.
+// sensing app). node.Build calls Attach for every node in node order (all
+// components, in Spec order, per node), in both modes, once every node's
+// link, interceptor and topology service exist and before the node's
+// voting service does. env.Net is nil during Attach: use nd.K. Each
+// attempt of a replica (see Run) calls it afresh. The result is the node's
+// vote callbacks, nil for none; a second component returning callbacks for
+// the same node fails the replica, and with Stack.IC off they are ignored.
 type Component interface {
-	Attach(env *Env, nd *node.Node)
+	Attach(env *Env, nd *node.Node) *vote.Callbacks
 }
 
-// Registrar components hook into node.Build's voting pass (IC mode): the
-// returned callbacks become the node's vote callbacks, and the hook runs
-// while the node is being assembled — the only point where application
-// state can be closed over by the voting service. At most one component
-// per Spec may implement Registrar, and it is only invoked when Stack.IC
-// is set.
-type Registrar interface {
-	Register(env *Env, nd *node.Node) vote.Callbacks
-}
-
-// Wirer components get a once-per-replica hook right after the network is
-// built, before any Attach call — the place to publish replica-wide
-// wiring (the unicast send path, fault-control surfaces).
+// Wirer components get a once-per-attempt hook after the network is built
+// and every Attach has run, before the traffic plan — the place to
+// publish replica-wide wiring (the unicast send path, fault-control
+// surfaces) and to set per-attempt state afresh.
 type Wirer interface {
 	Wire(env *Env)
-}
-
-// Starter components schedule their startup events after the adversary is
-// wired and the topology services are started, before the traffic plan.
-type Starter interface {
-	Start(env *Env)
 }
 
 // Validator components veto invalid Specs (population floors, parameter
@@ -153,18 +148,10 @@ type Validator interface {
 	Validate(s *Spec) error
 }
 
-// Resetter components drop all replica state at the start of each run
-// attempt. A component holding harvest state across hooks must implement
-// it if its Spec can run sharded: after a sim.ErrShardTie abort Run makes a
-// second attempt with the same Spec — and the same component values — and
-// state from the abandoned attempt must not leak into it.
-type Resetter interface {
-	Reset()
-}
-
 // Env is the replica context the runner threads through every hook.
 type Env struct {
-	Spec      *Spec
+	Spec *Spec
+	// Net is the replica's network; nil during Component.Attach.
 	Net       *node.Network
 	Positions []geo.Point
 	// Sink tallies application-sink deliveries; sink components feed it
@@ -199,9 +186,9 @@ func (e *Env) SetRouterCtl(fn func(i int) faults.RouterCtl) { e.routerCtl = fn }
 // hand to the fault fabric.
 func (e *Env) SetMutate(fn func(e link.Env, rng *sim.RNG) (link.Env, bool)) { e.mutate = fn }
 
-// Fail records a component failure. Hooks without an error return
-// (Register, Attach) report through it; the runner checks after each
-// phase and aborts the replica.
+// Fail records a component failure. Attach, which has no error return,
+// reports through it; the runner checks once the build returns and aborts
+// the replica with the first recorded error.
 func (e *Env) Fail(err error) {
 	if e.err == nil {
 		e.err = err
@@ -227,19 +214,12 @@ func (s *Spec) Validate() error {
 	if err := s.Churn.validate(s); err != nil {
 		return fmt.Errorf("scenario %q: churn: %w", s.Name, err)
 	}
-	registrars := 0
 	for _, c := range s.Stack.Components {
 		if v, ok := c.(Validator); ok {
 			if err := v.Validate(s); err != nil {
 				return fmt.Errorf("scenario %q: %w", s.Name, err)
 			}
 		}
-		if _, ok := c.(Registrar); ok {
-			registrars++
-		}
-	}
-	if registrars > 1 {
-		return fmt.Errorf("scenario %q: at most one component may provide vote callbacks, got %d", s.Name, registrars)
 	}
 	reserved := 0
 	if s.Traffic != nil {
@@ -267,17 +247,18 @@ func (s *Spec) Validate() error {
 // Run executes one replica of the scenario and returns its harvest.
 //
 // Phase order — load-bearing, because it fixes kernel event insertion
-// order: validate, place, build (Registrar hooks fire inside the build's
-// voting pass), wire, attach, plan traffic, apply the adversary, start
-// the topology services, run component starters, start the traffic plan,
-// drive the kernel, harvest.
+// order: validate, place, plan shards, build (every component's Attach
+// for each node in turn, inside node.Build), wire, plan traffic, apply
+// the adversary, start the topology services, start the traffic plan,
+// schedule churn, drive the kernel, harvest.
 //
 // A sharded attempt that aborts on sim.ErrShardTie is run again with the
 // tie reported to planShards, which answers it with a single kernel — one
-// cannot tie — and that attempt's result is returned. Sharding therefore
-// never changes results, only wall-clock time. The core tokens planShards
-// takes for a sharded attempt's executor are held until Run returns, tie
-// rerun included, whatever the outcome.
+// cannot tie — and that attempt's result is returned; it rebuilds the
+// network, so every Attach and Wire runs again on the same component
+// values. Sharding therefore never changes results, only wall-clock time.
+// The core tokens planShards takes for a sharded attempt's executor are
+// held until Run returns, tie rerun included, whatever the outcome.
 func Run(s *Spec) (*Result, error) {
 	var cores int
 	defer func() { sim.ReleaseCores(cores) }()
@@ -295,11 +276,6 @@ func runOnce(s *Spec, tied bool, cores *int) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	for _, c := range s.Stack.Components {
-		if r, ok := c.(Resetter); ok {
-			r.Reset()
-		}
-	}
 	seed := sim.NewRNG(s.Seed)
 	positions := s.Topology.Place(s.Nodes, seed.Split("placement"))
 	if len(positions) != s.Nodes {
@@ -309,12 +285,6 @@ func runOnce(s *Spec, tied bool, cores *int) (*Result, error) {
 	*cores += shard.slots - 1
 	env := &Env{Spec: s, Positions: positions, seed: seed}
 
-	var registrar Registrar
-	for _, c := range s.Stack.Components {
-		if r, ok := c.(Registrar); ok {
-			registrar = r
-		}
-	}
 	ncfg := node.Config{
 		N:      s.Nodes,
 		Seed:   s.Seed,
@@ -334,11 +304,7 @@ func runOnce(s *Spec, tied bool, cores *int) (*Result, error) {
 		Shards:       shard.shards,
 		ShardOf:      shard.ownerOf,
 		ShardBorder:  shard.borderOf,
-	}
-	if s.Stack.IC && registrar != nil {
-		ncfg.Callbacks = func(nd *node.Node) vote.Callbacks {
-			return registrar.Register(env, nd)
-		}
+		Callbacks:    func(nd *node.Node) vote.Callbacks { return attach(env, nd) },
 	}
 	net, err := node.Build(ncfg)
 	if err != nil {
@@ -351,14 +317,6 @@ func runOnce(s *Spec, tied bool, cores *int) (*Result, error) {
 	for _, c := range s.Stack.Components {
 		if w, ok := c.(Wirer); ok {
 			w.Wire(env)
-		}
-	}
-	for _, c := range s.Stack.Components {
-		for _, nd := range net.Nodes {
-			c.Attach(env, nd)
-		}
-		if env.err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", s.Name, env.err)
 		}
 	}
 
@@ -395,11 +353,6 @@ func runOnce(s *Spec, tied bool, cores *int) (*Result, error) {
 		net.StartSTSJittered(seed.Split("starts"), s.Stack.STSStart.Jitter)
 	} else {
 		net.StartSTS()
-	}
-	for _, c := range s.Stack.Components {
-		if st, ok := c.(Starter); ok {
-			st.Start(env)
-		}
 	}
 	if plan != nil {
 		plan.Start()
@@ -448,4 +401,24 @@ func runOnce(s *Spec, tied bool, cores *int) (*Result, error) {
 		writeShardStats(s.ShardStats, s.Name, res, s.Shards, util)
 	}
 	return res, nil
+}
+
+// attach runs every component's Attach on node nd, in Spec order, and
+// returns the node's vote callbacks: the one component's that returned
+// any, or none. A second component returning callbacks for the same node
+// fails the replica.
+func attach(env *Env, nd *node.Node) vote.Callbacks {
+	var cbs *vote.Callbacks
+	for _, c := range env.Spec.Stack.Components {
+		switch got := c.Attach(env, nd); {
+		case got != nil && cbs != nil:
+			env.Fail(fmt.Errorf("node %d: more than one component returns vote callbacks", nd.Index))
+		case got != nil:
+			cbs = got
+		}
+	}
+	if cbs == nil {
+		return vote.Callbacks{}
+	}
+	return *cbs
 }

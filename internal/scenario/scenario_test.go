@@ -1,16 +1,20 @@
 package scenario
 
 import (
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"innercircle/internal/energy"
 	"innercircle/internal/faults"
 	"innercircle/internal/geo"
+	"innercircle/internal/link"
 	"innercircle/internal/mac"
 	"innercircle/internal/node"
 	"innercircle/internal/radio"
 	"innercircle/internal/sim"
+	"innercircle/internal/sts"
 	"innercircle/internal/traffic"
 	"innercircle/internal/vote"
 )
@@ -18,7 +22,7 @@ import (
 // nopComponent attaches nothing; used to exercise optional interfaces.
 type nopComponent struct{}
 
-func (nopComponent) Attach(*Env, *node.Node) {}
+func (nopComponent) Attach(*Env, *node.Node) *vote.Callbacks { return nil }
 
 // floorComponent vetoes populations below its floor.
 type floorComponent struct {
@@ -38,11 +42,6 @@ var errFloor = &floorError{}
 type floorError struct{}
 
 func (*floorError) Error() string { return "population below floor" }
-
-// registrarComponent implements Registrar.
-type registrarComponent struct{ nopComponent }
-
-func (registrarComponent) Register(*Env, *node.Node) vote.Callbacks { return vote.Callbacks{} }
 
 func validSpec() *Spec {
 	return &Spec{
@@ -83,9 +82,6 @@ func TestSpecValidate(t *testing.T) {
 		{"component floor met", func(s *Spec) {
 			s.Stack.Components = []Component{floorComponent{floor: 5}}
 		}, ""},
-		{"two registrars", func(s *Spec) {
-			s.Stack.Components = []Component{registrarComponent{}, registrarComponent{}}
-		}, "at most one component"},
 		{"traffic invalid", func(s *Spec) {
 			s.Traffic = &traffic.CBR{Connections: 2, Rate: 0, PacketBytes: 1}
 		}, "rate"},
@@ -193,4 +189,129 @@ func TestRunSmokeDeterministic(t *testing.T) {
 	if *a != *b || aFired != bFired {
 		t.Fatalf("same seed diverged:\n%+v, %d epochs\nvs\n%+v, %d epochs", *a, aFired, *b, bFired)
 	}
+}
+
+// callbacksAt returns (empty) vote callbacks for one node, or for every
+// node when node is negative.
+type callbacksAt struct{ node int }
+
+func (c callbacksAt) Attach(_ *Env, nd *node.Node) *vote.Callbacks {
+	if c.node >= 0 && nd.Index != c.node {
+		return nil
+	}
+	return &vote.Callbacks{}
+}
+
+// TestRunRejectsTwoCallbackProviders: at most one component may return
+// vote callbacks for a node. Two that do for the same node fail the
+// replica, and the error names that node; two that do for different nodes
+// do not.
+func TestRunRejectsTwoCallbackProviders(t *testing.T) {
+	s := validSpec()
+	s.Stack.Components = []Component{callbacksAt{2}, callbacksAt{-1}}
+	_, err := Run(s)
+	if err == nil || !strings.Contains(err.Error(), "node 2: more than one component returns vote callbacks") {
+		t.Fatalf("err = %v, want one naming node 2", err)
+	}
+	s.Stack.Components = []Component{callbacksAt{2}, callbacksAt{3}}
+	if _, err := Run(s); err != nil {
+		t.Fatalf("callbacks for different nodes: %v", err)
+	}
+}
+
+// attachRecorder records the nodes Attach is called for, in call order,
+// and checks what each call sees. With IC on it returns a Check per node
+// that counts its calls, and proposes one value from node 0 once the
+// topology services have converged.
+type attachRecorder struct {
+	t      *testing.T
+	ic     bool
+	order  []int
+	checks []int
+}
+
+func (r *attachRecorder) Attach(env *Env, nd *node.Node) *vote.Callbacks {
+	r.order = append(r.order, nd.Index)
+	if env.Net != nil || nd.Link == nil || nd.STS == nil || nd.Vote != nil || (nd.Intercept != nil) != r.ic {
+		r.t.Errorf("node %d: Attach saw Net set %v, Link %v, STS %v, Vote %v, Intercept %v",
+			nd.Index, env.Net != nil, nd.Link != nil, nd.STS != nil, nd.Vote != nil, nd.Intercept != nil)
+	}
+	if !r.ic {
+		return nil
+	}
+	if nd.Index == 0 {
+		r.checks = make([]int, env.Spec.Nodes)
+	}
+	return &vote.Callbacks{Check: func(link.NodeID, []byte) bool {
+		r.checks[nd.Index]++
+		return true
+	}}
+}
+
+func (r *attachRecorder) Wire(env *Env) {
+	if r.ic {
+		center := env.Net.Nodes[0]
+		center.K.ScheduleFire(5, func() { _ = center.Vote.Propose([]byte("value")) })
+	}
+}
+
+// TestAttachContract pins the one per-node hook: Attach runs once per node
+// and attempt, in node order, inside node.Build — each node's link,
+// topology service and (IC) interceptor exist, its voting service and the
+// replica's network do not — and the Check it returns is the one the
+// voting service calls.
+func TestAttachContract(t *testing.T) {
+	seq := func(n, attempts int) []int {
+		var out []int
+		for range attempts {
+			for i := range n {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	hellos := sts.Config{Period: 0.9, Delta: 2, BeaconBaseBytes: 28}
+	t.Run("IC off, tie rerun", func(t *testing.T) {
+		prev := runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+		rec := &attachRecorder{t: t}
+		s := fieldSpec()
+		s.Stack.STS = hellos
+		s.Stack.Components = append(s.Stack.Components, tieMaker{}, rec)
+		res, err := Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ShardReason != ReasonTie {
+			t.Fatalf("ran on %d shards, reason %q; want the tie rerun", res.Shards, res.ShardReason)
+		}
+		if want := seq(s.Nodes, 2); !slices.Equal(rec.order, want) {
+			t.Errorf("Attach called for nodes %v, want %v", rec.order, want)
+		}
+	})
+	t.Run("IC on", func(t *testing.T) {
+		rec := &attachRecorder{t: t, ic: true}
+		s := validSpec()
+		s.SimTime = 8
+		s.Topology = RandomWaypoint{Region: geo.Square(200), MinSpeed: 1, MaxSpeed: 1}
+		s.Stack.IC = true
+		s.Stack.STS = hellos
+		s.Stack.STS.Authenticate = true
+		s.Stack.Vote = vote.Config{Mode: vote.Deterministic, L: 2, RoundTimeout: 0.5, Retries: 1}
+		s.Stack.MaxL = 2
+		s.Stack.Components = []Component{rec}
+		if _, err := Run(s); err != nil {
+			t.Fatal(err)
+		}
+		if want := seq(s.Nodes, 1); !slices.Equal(rec.order, want) {
+			t.Errorf("Attach called for nodes %v, want %v", rec.order, want)
+		}
+		checked := 0
+		for _, n := range rec.checks {
+			checked += n
+		}
+		if checked == 0 {
+			t.Errorf("no voting service called a Check returned by Attach (per node: %v)", rec.checks)
+		}
+	})
 }

@@ -36,7 +36,7 @@ type chatter struct {
 	heard  []uint64
 }
 
-func (c *chatter) Attach(_ *Env, nd *node.Node) {
+func (c *chatter) Attach(_ *Env, nd *node.Node) *vote.Callbacks {
 	if nd.Index == 0 { // a new attempt: drop the last one's nodes
 		c.nodes, c.jitter, c.heard = nil, nil, nil
 	}
@@ -50,6 +50,7 @@ func (c *chatter) Attach(_ *Env, nd *node.Node) {
 		}
 		return false
 	})
+	return nil
 }
 
 func (c *chatter) onEpoch(_ int64, _ sim.Time, i int) {
@@ -79,7 +80,7 @@ func outcome(r *Result) Result {
 // shard 1's own events. On one kernel it schedules nothing.
 type tieMaker struct{ nopComponent }
 
-func (tieMaker) Start(env *Env) {
+func (tieMaker) Wire(env *Env) {
 	set := env.Net.Set
 	if set == nil {
 		return

@@ -222,6 +222,20 @@ var repoRules = []repoRule{
 		hit:     `		s.maybeRelayAck(from, m)`,
 		miss:    `	r := s.inward(from, relayKey{center: m.Center, seq: m.Seq, voter: m.Voter, kind: kindAck}, fwd)`,
 	},
+	// A scenario component reaches a node through one hook,
+	// Component.Attach, which node.Build calls for every node in both
+	// modes; a Wirer sets per-attempt state. No Go file may declare or name
+	// the three hooks that made a second construction path: the IC-only
+	// registration, the start hook and the per-attempt reset.
+	{
+		name:    "Retired-scenario-hooks",
+		pattern: regexp.MustCompile(`type (Registrar|Starter|Resetter) interface|scenario\.(Registrar|Starter|Resetter)\b`),
+		scopes:  wholeTree,
+		globs:   goGlob,
+		msg:     "a retired scenario hook is back; build per-node state in Component.Attach and per-attempt state in Wire",
+		hit:     `type Resetter interface {`,
+		miss:    `func (s *Service) Start() {`,
+	},
 }
 
 // TestRepoRules enforces the repository's structural rules: each row keeps
