@@ -72,6 +72,26 @@ type RunManifest struct {
 	CreatedAt    string            `json:"created_at"`
 }
 
+// NewRunManifest is the one RunManifest constructor, for the service and the
+// -manifest flag alike: the provenance of a run of grid, named name with
+// base seed seed, that started at start and rendered tables.
+func NewRunManifest(name string, grid any, seed int64, tables string, start time.Time) (RunManifest, error) {
+	spec, err := Canonical(grid)
+	if err != nil {
+		return RunManifest{}, err
+	}
+	return RunManifest{
+		Name:         name,
+		SpecSHA256:   Sum(spec),
+		TablesSHA256: Sum([]byte(tables)),
+		Seed:         seed,
+		GitRev:       GitRev(),
+		Knobs:        KnobSnapshot(),
+		WallMs:       float64(time.Since(start)) / float64(time.Millisecond),
+		CreatedAt:    Now(),
+	}, nil
+}
+
 // Store is a content-addressed result store rooted at a directory. It
 // holds nothing but the path and every file lands by atomic rename, so
 // concurrent writers, in one process or several, need no lock: objects

@@ -167,19 +167,9 @@ func AddManifestFlag(fs *flag.FlagSet) func(grid *experiment.GridRequest, render
 		if *path == "" {
 			return nil
 		}
-		spec, err := artifact.Canonical(grid)
+		m, err := artifact.NewRunManifest(grid.Name, grid, grid.BaseSeed(), renderedTables, start)
 		if err != nil {
 			return err
-		}
-		m := artifact.RunManifest{
-			Name:         grid.Name,
-			SpecSHA256:   artifact.Sum(spec),
-			TablesSHA256: artifact.Sum([]byte(renderedTables)),
-			Seed:         grid.BaseSeed(),
-			GitRev:       artifact.GitRev(),
-			Knobs:        artifact.KnobSnapshot(),
-			WallMs:       float64(time.Since(start)) / float64(time.Millisecond),
-			CreatedAt:    artifact.Now(),
 		}
 		b, err := json.MarshalIndent(m, "", "  ")
 		if err != nil {

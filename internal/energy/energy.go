@@ -66,8 +66,8 @@ func (m *Meter) Consumed(elapsed sim.Duration) float64 {
 	if elapsed < 0 {
 		elapsed = 0
 	}
-	idle := m.params.IdlePower * float64(elapsed)
-	tx := (m.params.TxPower - m.params.IdlePower) * float64(m.txTime)
-	rx := (m.params.RxPower - m.params.IdlePower) * float64(m.rxTime)
+	idle := float64(m.params.IdlePower * float64(elapsed))
+	tx := float64((m.params.TxPower - m.params.IdlePower) * float64(m.txTime))
+	rx := float64((m.params.RxPower - m.params.IdlePower) * float64(m.rxTime))
 	return idle + tx + rx + m.extra
 }

@@ -24,8 +24,6 @@ import (
 	"innercircle/internal/sim"
 	"innercircle/internal/sts"
 	"innercircle/internal/vote"
-
-	"innercircle/internal/crypto/nsl"
 )
 
 func legacyRunBlackhole(cfg BlackholeConfig) (BlackholeResult, error) {
@@ -249,7 +247,6 @@ func legacyRunSensor(cfg SensorConfig) (SensorResult, error) {
 
 	stsCfg := sts.Config{}
 	voteCfg := vote.Config{}
-	var keys []*nsl.KeyPair
 	if cfg.IC {
 		stsCfg = sts.Config{
 			Period:          45,
@@ -259,11 +256,6 @@ func legacyRunSensor(cfg SensorConfig) (SensorResult, error) {
 			BeaconBaseBytes: 28,
 		}
 		voteCfg = vote.Config{Mode: vote.Statistical, L: cfg.L, RoundTimeout: 0.5, Retries: 1}
-		var err error
-		keys, err = cachedSensorKeys(cfg.Nodes)
-		if err != nil {
-			return SensorResult{}, err
-		}
 	}
 
 	apps := make([]*sensorApp, cfg.Nodes)
@@ -282,7 +274,6 @@ func legacyRunSensor(cfg SensorConfig) (SensorResult, error) {
 		STS:          stsCfg,
 		Vote:         voteCfg,
 		MaxL:         max(cfg.L, 2),
-		Keys:         keys,
 		SigWireBytes: 64,
 	}
 	if cfg.IC {

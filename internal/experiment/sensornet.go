@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	mrand "math/rand"
-	"sync"
 
 	"innercircle/internal/diffusion"
 	"innercircle/internal/energy"
@@ -21,8 +19,6 @@ import (
 	"innercircle/internal/sts"
 	"innercircle/internal/traffic"
 	"innercircle/internal/vote"
-
-	"innercircle/internal/crypto/nsl"
 )
 
 // SensorConfig parameterizes one Fig. 8 run. Node 0 is the base station at
@@ -164,45 +160,6 @@ type agreedWrap struct {
 
 // Size implements link.Message.
 func (w agreedWrap) Size() int { return w.M.Size() }
-
-// sensorKeySeed seeds the sensor scenario's RSA key stream.
-const sensorKeySeed = 0x5EED0C
-
-// sensorKeys caches the sensor scenario's RSA key set across runs:
-// generating it dominates run setup otherwise. The keys are drawn one after
-// another from one seeded stream (node.GenerateKeySetSeeded's order) —
-// modulus bit lengths feed beacon-signature wire sizes, so key material
-// must be identical across processes for sweeps to reproduce exactly — and
-// the cache keeps the stream where the last key left it, so a replica
-// larger than any before it draws only the keys that are missing: the first
-// n keys are the same whatever sizes were asked for, in whatever order. The
-// mutex guards growth; replicas on the parallel engine only ever read the
-// finished key pairs.
-var sensorKeys struct {
-	sync.Mutex
-	stream *mrand.Rand
-	keys   []*nsl.KeyPair
-}
-
-func cachedSensorKeys(n int) ([]*nsl.KeyPair, error) {
-	c := &sensorKeys
-	c.Lock()
-	defer c.Unlock()
-	if c.stream == nil {
-		c.stream = mrand.New(mrand.NewSource(sensorKeySeed))
-	}
-	for len(c.keys) < n {
-		kp, err := nsl.GenerateKeyPair(512, c.stream)
-		if err != nil {
-			err = fmt.Errorf("experiment: sensor key %d: %w", len(c.keys), err)
-			// The stream stopped mid-key: start over next time.
-			c.stream, c.keys = nil, nil
-			return nil, err
-		}
-		c.keys = append(c.keys, kp)
-	}
-	return c.keys[:n:n], nil
-}
 
 // sensorApp is the per-node application state for the sensor scenario.
 type sensorApp struct {
@@ -409,7 +366,7 @@ func (sc *sensorNet) result(res *scenario.Result) SensorResult {
 		Targets:         len(sc.targets),
 		Notifications:   len(sc.notifs),
 		EnergyPerNode:   res.EnergyPerNode,
-		TrafficEnergy:   res.EnergyPerNode - energy.NS2Default().IdlePower*float64(c.SimTime),
+		TrafficEnergy:   res.EnergyPerNode - float64(energy.NS2Default().IdlePower*float64(c.SimTime)),
 		ChurnEvents:     int(res.Churn.Events),
 		ChurnReshares:   int(res.Churn.Reshares),
 		ChurnRefreshes:  int(res.Churn.Refreshes),
@@ -499,7 +456,6 @@ func (d deviceFaults) Apply(env *scenario.Env, _ []int) error {
 func sensorSpec(cfg SensorConfig) (*scenario.Spec, *sensorNet, error) {
 	stsCfg := sts.Config{}
 	voteCfg := vote.Config{}
-	var keys []*nsl.KeyPair
 	if cfg.IC {
 		stsCfg = sts.Config{
 			Period:          45, // τ < ∆STS/2 with ∆STS = 100 s (Fig. 8 box)
@@ -509,11 +465,6 @@ func sensorSpec(cfg SensorConfig) (*scenario.Spec, *sensorNet, error) {
 			BeaconBaseBytes: 28,
 		}
 		voteCfg = vote.Config{Mode: vote.Statistical, L: cfg.L, RoundTimeout: 0.5, Retries: 1}
-		var err error
-		keys, err = cachedSensorKeys(cfg.Nodes)
-		if err != nil {
-			return nil, nil, err
-		}
 	}
 	sc := newSensorNet(cfg)
 	spec := &scenario.Spec{
@@ -536,7 +487,6 @@ func sensorSpec(cfg SensorConfig) (*scenario.Spec, *sensorNet, error) {
 			STS:          stsCfg,
 			Vote:         voteCfg,
 			MaxL:         max(cfg.L, 2),
-			Keys:         keys,
 			SigWireBytes: 64, // 512-bit keys per the Fig. 8 box
 			// STS starts are jittered to avoid a synchronized beacon
 			// collision storm at t=0.

@@ -27,21 +27,21 @@ func Trilaterate(a1, a2, a3 geo.Point, d1, d2, d3 float64) (geo.Point, error) {
 	// (3) − (1):  2(a1−a3)·x = d3² − d1² + ‖a1‖² − ‖a3‖²
 	ax := 2 * (a1.X - a2.X)
 	ay := 2 * (a1.Y - a2.Y)
-	b1 := d2*d2 - d1*d1 + a1.X*a1.X + a1.Y*a1.Y - a2.X*a2.X - a2.Y*a2.Y
+	b1 := float64(d2*d2) - float64(d1*d1) + float64(a1.X*a1.X) + float64(a1.Y*a1.Y) - float64(a2.X*a2.X) - float64(a2.Y*a2.Y)
 	cx := 2 * (a1.X - a3.X)
 	cy := 2 * (a1.Y - a3.Y)
-	b2 := d3*d3 - d1*d1 + a1.X*a1.X + a1.Y*a1.Y - a3.X*a3.X - a3.Y*a3.Y
+	b2 := float64(d3*d3) - float64(d1*d1) + float64(a1.X*a1.X) + float64(a1.Y*a1.Y) - float64(a3.X*a3.X) - float64(a3.Y*a3.Y)
 
-	det := ax*cy - ay*cx
+	det := float64(ax*cy) - float64(ay*cx)
 	// Scale-aware singularity test: compare the determinant against the
 	// magnitude of the coefficients.
 	norm := math.Max(math.Abs(ax)+math.Abs(ay), math.Abs(cx)+math.Abs(cy))
-	if math.Abs(det) <= 1e-9*norm*norm+1e-12 {
+	if math.Abs(det) <= float64(1e-9*norm*norm)+1e-12 {
 		return geo.Point{}, ErrDegenerate
 	}
 	return geo.Point{
-		X: (b1*cy - b2*ay) / det,
-		Y: (ax*b2 - cx*b1) / det,
+		X: (float64(b1*cy) - float64(b2*ay)) / det,
+		Y: (float64(ax*b2) - float64(cx*b1)) / det,
 	}, nil
 }
 

@@ -36,7 +36,7 @@ func (v Vec) Dist(w Vec) float64 {
 	var sum float64
 	for i := range v {
 		d := v[i] - w[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum)
 }

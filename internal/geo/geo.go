@@ -24,13 +24,37 @@ func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
 
 // Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
+func (p Point) Scale(s float64) Point { return Point{float64(p.X * s), float64(p.Y * s)} }
 
 // Dist returns the Euclidean distance between p and q.
-func (p Point) Dist(q Point) float64 { return math.Hypot(p.X-q.X, p.Y-q.Y) }
+func (p Point) Dist(q Point) float64 { return hypot(p.X-q.X, p.Y-q.Y) }
 
 // Norm returns the Euclidean norm of p viewed as a vector.
-func (p Point) Norm() float64 { return math.Hypot(p.X, p.Y) }
+func (p Point) Norm() float64 { return hypot(p.X, p.Y) }
+
+// hypot is math.Hypot as amd64 computes it (math/hypot_amd64.s):
+// max·√(1+(min/max)²) with every step rounded. math.Hypot's pure-Go
+// fallback, which the other ports run, leaves 1+q*q to a compiler that may
+// fuse it, so distances would depend on the port.
+func hypot(p, q float64) float64 {
+	p, q = math.Abs(p), math.Abs(q)
+	switch {
+	case math.IsInf(p, 1) || math.IsInf(q, 1):
+		return math.Inf(1)
+	case math.IsNaN(p) || math.IsNaN(q):
+		return math.NaN()
+	}
+	if p < q {
+		p, q = q, p
+	}
+	if p == 0 {
+		return 0
+	}
+	q = q / p
+	// The outer conversion keeps an inlined call from fusing the last
+	// product into a caller's sum.
+	return float64(p * math.Sqrt(1+float64(q*q)))
+}
 
 // Centroid returns the arithmetic mean of the points. It returns the zero
 // point for an empty slice.

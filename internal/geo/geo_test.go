@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -143,4 +144,27 @@ func TestVectorOps(t *testing.T) {
 	if got := (Point{3, 4}).Norm(); !almostEqual(got, 5) {
 		t.Fatalf("Norm = %v", got)
 	}
+}
+
+// FuzzHypot: the in-repo hypot is a transcription of math/hypot_amd64.s,
+// so on amd64 it must return math.Hypot's bits for every pair of inputs,
+// zeros, subnormals, infinities and NaNs included. Elsewhere math.Hypot
+// runs a fallback the compiler may fuse, so there is nothing to compare.
+func FuzzHypot(f *testing.F) {
+	if runtime.GOARCH != "amd64" {
+		f.Skip("math.Hypot is hypot_amd64.s only on amd64")
+	}
+	for _, s := range [][2]float64{
+		{0, 0}, {3, 4}, {-3, 4}, {math.Copysign(0, -1), 0}, {1e-320, 3e-321},
+		{math.MaxFloat64, math.MaxFloat64}, {math.SmallestNonzeroFloat64, 1},
+		{math.Inf(1), math.NaN()}, {math.NaN(), math.Inf(-1)}, {math.NaN(), 1},
+		{0.1, 0.7}, {1e300, 1e-300}, {12.5, 12.5},
+	} {
+		f.Add(s[0], s[1])
+	}
+	f.Fuzz(func(t *testing.T, p, q float64) {
+		if got, want := hypot(p, q), math.Hypot(p, q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("hypot(%v, %v) = %v (%#x), math.Hypot = %v (%#x)", p, q, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	})
 }

@@ -272,7 +272,8 @@ func (m *MAC) startNext() {
 // contend waits DIFS plus a random backoff, then transmits if the channel
 // is clear, otherwise backs off again with a doubled window.
 func (m *MAC) contend() {
-	backoff := m.params.DIFS + sim.Duration(m.rng.Intn(m.cw+1))*m.params.SlotTime
+	slots := sim.Duration(m.rng.Intn(m.cw + 1))
+	backoff := m.params.DIFS + sim.Duration(slots*m.params.SlotTime)
 	m.k.ScheduleFireTx(backoff, m.backoffExpired, m.border)
 }
 
@@ -306,7 +307,7 @@ func (m *MAC) transmitCur() {
 	}
 	// Await ACK: airtime + SIFS + ACK airtime + scheduling margin.
 	ackAir := m.ch.TxDuration(m.params.AckBytes + m.params.HeaderBytes)
-	m.ackTimer.Reset(d + m.params.SIFS + ackAir + 4*m.params.SlotTime)
+	m.ackTimer.Reset(d + m.params.SIFS + ackAir + sim.Duration(4*m.params.SlotTime))
 }
 
 func (m *MAC) ackTimeout() {

@@ -174,8 +174,8 @@ func GridPlacement(region geo.Rect, n int, jitter float64, rng *sim.RNG) []geo.P
 	for i := 0; i < n; i++ {
 		r, c := i/cols, i%cols
 		p := geo.Point{
-			X: region.MinX + (float64(c)+0.5)*dx + rng.Uniform(-jitter, jitter),
-			Y: region.MinY + (float64(r)+0.5)*dy + rng.Uniform(-jitter, jitter),
+			X: region.MinX + float64((float64(c)+0.5)*dx) + rng.Uniform(-jitter, jitter),
+			Y: region.MinY + float64((float64(r)+0.5)*dy) + rng.Uniform(-jitter, jitter),
 		}
 		pts = append(pts, region.Clamp(p))
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	mrand "math/rand"
+	"sync"
 
 	"innercircle/internal/crypto/nsl"
 	"innercircle/internal/crypto/sigcache"
@@ -150,10 +151,11 @@ type Config struct {
 	// A DKGFaults key that names no node fails Build.
 	DKG       bool
 	DKGFaults map[int]thresh.DKGFault
-	// Keys optionally supplies pre-generated per-node RSA key pairs
-	// (benches cache them across runs — key material does not affect
-	// traffic). Required length N when set; nil generates keyBits-bit
-	// keys when RSA material is needed (STS handshake, statistical voting).
+	// Keys overrides the per-node RSA key pairs. Required length N when
+	// set. Nil draws key i from one fixed seeded stream (the same key for
+	// node i in every network) when RSA material is needed (STS handshake,
+	// statistical voting). Key material does affect traffic: the moduli's
+	// bit lengths set signature wire sizes.
 	Keys []*nsl.KeyPair
 	// SigWireBytes is the emulated signature size for SimAuth/SimDealer
 	// (e.g. 128 for "1024-bit keys"). Default 128.
@@ -186,34 +188,60 @@ type Config struct {
 	Crypto vote.CryptoProfile
 }
 
-// Build generates keyBits-bit RSA node keys, and a temporary suspicion
-// lasts tempSuspicion.
+// Build draws keyBits-bit RSA node keys from the nodeKeySeed stream, and a
+// temporary suspicion lasts tempSuspicion.
 const (
 	keyBits                    = 512
+	nodeKeySeed                = 0x5EED0C
 	tempSuspicion sim.Duration = 120
 )
 
-// GenerateKeySet creates n RSA key pairs for reuse across Build calls.
-func GenerateKeySet(n, bits int) ([]*nsl.KeyPair, error) {
-	return generateKeySet(n, bits, nil)
+// keyCache holds the node keys drawn so far from the nodeKeySeed stream,
+// and the stream where the last key left it: key i is the same whatever
+// the seed, the network size or the order of earlier builds, and a network
+// larger than any before it draws only the keys that are missing. The
+// moduli's bit lengths set signature wire sizes, so runs reproduce only
+// with reproducible keys. The mutex guards growth; networks only read.
+var keyCache struct {
+	sync.Mutex
+	stream *mrand.Rand
+	keys   []*nsl.KeyPair
+}
+
+// seededKeys returns the first n node keys of the nodeKeySeed stream.
+func seededKeys(n int) ([]*nsl.KeyPair, error) {
+	c := &keyCache
+	c.Lock()
+	defer c.Unlock()
+	if c.stream == nil {
+		c.stream = mrand.New(mrand.NewSource(nodeKeySeed))
+	}
+	keys, err := drawKeys(c.keys, n, keyBits, c.stream)
+	if err != nil {
+		// The stream stopped mid-key: start over next time.
+		c.stream, c.keys = nil, nil
+		return nil, err
+	}
+	c.keys = keys
+	return keys[:n:n], nil
 }
 
 // GenerateKeySetSeeded creates n RSA key pairs from a seeded deterministic
-// stream, so repeated processes derive identical key material. Simulation
-// use only: the moduli's exact bit lengths feed wire-size accounting
-// (beacon signatures), so reproducible sweeps need reproducible keys.
+// stream, so repeated processes derive identical key material, for callers
+// that supply Config.Keys themselves. Simulation use only.
 func GenerateKeySetSeeded(n, bits int, seed int64) ([]*nsl.KeyPair, error) {
-	return generateKeySet(n, bits, mrand.New(mrand.NewSource(seed)))
+	return drawKeys(make([]*nsl.KeyPair, 0, n), n, bits, mrand.New(mrand.NewSource(seed)))
 }
 
-func generateKeySet(n, bits int, randSrc io.Reader) ([]*nsl.KeyPair, error) {
-	keys := make([]*nsl.KeyPair, n)
-	for i := range keys {
-		kp, err := nsl.GenerateKeyPair(bits, randSrc)
+// drawKeys appends bits-bit key pairs drawn from stream to keys until it
+// holds n.
+func drawKeys(keys []*nsl.KeyPair, n, bits int, stream io.Reader) ([]*nsl.KeyPair, error) {
+	for len(keys) < n {
+		kp, err := nsl.GenerateKeyPair(bits, stream)
 		if err != nil {
-			return nil, fmt.Errorf("node: generate key %d: %w", i, err)
+			return nil, fmt.Errorf("node: generate key %d: %w", len(keys), err)
 		}
-		keys[i] = kp
+		keys = append(keys, kp)
 	}
 	return keys, nil
 }
@@ -286,7 +314,7 @@ func Build(cfg Config) (*Network, error) {
 	keys := cfg.Keys
 	if needRSA && keys == nil {
 		var err error
-		keys, err = GenerateKeySet(cfg.N, keyBits)
+		keys, err = seededKeys(cfg.N)
 		if err != nil {
 			return nil, err
 		}
@@ -407,7 +435,7 @@ func Build(cfg Config) (*Network, error) {
 				}
 			}
 			if cfg.STS.Handshake {
-				stsDeps.Party = nsl.NewParty(int64(i), nd.SignKP, net.Dir, nil)
+				stsDeps.Party = nsl.NewParty(int64(i), nd.SignKP, net.Dir, nodeRNG.Split("nsl"))
 			}
 			svc, err := sts.New(cfg.STS, stsDeps)
 			if err != nil {

@@ -1,6 +1,8 @@
 package node
 
 import (
+	"hash/fnv"
+	"math"
 	"slices"
 	"testing"
 
@@ -168,7 +170,7 @@ func TestBuildValidation(t *testing.T) {
 }
 
 func TestKeyCountMismatch(t *testing.T) {
-	keys, err := GenerateKeySet(2, 512)
+	keys, err := GenerateKeySetSeeded(2, 512, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,17 +195,109 @@ func TestTotalEnergyAccumulates(t *testing.T) {
 	}
 }
 
-func TestGenerateKeySet(t *testing.T) {
-	keys, err := GenerateKeySet(3, 512)
+// resetSeededKeys empties the node-key cache, as a fresh process finds it.
+func resetSeededKeys() {
+	keyCache.Lock()
+	keyCache.stream, keyCache.keys = nil, nil
+	keyCache.Unlock()
+}
+
+// TestSeededKeysPrefix: node key i is a constant of the index. The cache
+// grows on demand, and because the keys come off one seeded stream in
+// order, the first n are GenerateKeySetSeeded's first n for the node-key
+// seed whatever sizes were asked for before, in whatever order.
+func TestSeededKeysPrefix(t *testing.T) {
+	t.Cleanup(resetSeededKeys)
+	whole, err := GenerateKeySetSeeded(12, keyBits, nodeKeySeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 3 {
-		t.Fatalf("got %d keys", len(keys))
+	resetSeededKeys()
+	for _, n := range []int{5, 12, 3, 12} {
+		keys, err := seededKeys(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) != n || cap(keys) != n {
+			t.Fatalf("asked for %d keys, got len %d cap %d", n, len(keys), cap(keys))
+		}
+		for i, kp := range keys {
+			if kp.Pub.N.Cmp(whole[i].Pub.N) != 0 {
+				t.Fatalf("key %d of %d differs from the seeded set's", i, n)
+			}
+		}
 	}
-	for i, kp := range keys {
-		if kp == nil || kp.Pub.N == nil {
-			t.Fatalf("key %d is incomplete", i)
+}
+
+// TestKeylessBuildDeterministic: a network that needs RSA material but is
+// given no Config.Keys is still a function of its Config. Node keys come
+// from the seeded key stream and handshake nonces from each node's "nsl"
+// stream, so three builds of one Config send the same frames and the same
+// handshake ciphertexts, agree the same rounds and spend the same energy to
+// the bit.
+func TestKeylessBuildDeterministic(t *testing.T) {
+	type outcome struct {
+		energy     uint64
+		frames     uint64
+		agreed     int
+		handshakes int
+		ciphers    uint64 // FNV-1a of every handshake ciphertext sent
+	}
+	for _, handshake := range []bool{false, true} {
+		run := func() outcome {
+			cfg := baseConfig(5)
+			cfg.Mobility = func(i int, _ *sim.RNG) mobility.Model {
+				return mobility.Static(geo.Point{X: float64(i) * 40, Y: float64(i%2) * 30})
+			}
+			cfg.IC = true
+			cfg.STS = sts.Config{Period: 0.9, Delta: 2, Authenticate: true, Handshake: handshake, BeaconBaseBytes: 28}
+			cfg.Vote = vote.Config{Mode: vote.Statistical, L: 2, RoundTimeout: 0.5, Retries: 1}
+			agreed := 0
+			cfg.Callbacks = func(nd *Node) vote.Callbacks {
+				return vote.Callbacks{
+					LocalValue: func(link.NodeID, []byte) ([]byte, bool) { return []byte{byte(nd.Index)}, true },
+					Fuse: func(_ link.NodeID, values [][]byte) []byte {
+						return []byte{byte(len(values))}
+					},
+					OnAgreed: func(vote.AgreedMsg) { agreed++ },
+				}
+			}
+			net, err := Build(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var handshakes int
+			ciphers := fnv.New64a()
+			for _, nd := range net.Nodes {
+				nd.Link.SetObserver(func(outbound bool, e link.Env) {
+					if m, ok := e.Msg.(sts.HandshakeMsg); ok && outbound {
+						handshakes++
+						ciphers.Write(m.Cipher)
+					}
+				})
+			}
+			net.StartSTS()
+			if err := net.Run(4); err != nil {
+				t.Fatal(err)
+			}
+			for _, nd := range net.Nodes[1:3] {
+				if err := nd.Vote.Propose([]byte{9}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := net.Run(100); err != nil {
+				t.Fatal(err)
+			}
+			return outcome{math.Float64bits(net.TotalEnergy()), net.Channel.Stats.FramesSent, agreed, handshakes, ciphers.Sum64()}
+		}
+		first := run()
+		if first.agreed == 0 || (first.handshakes > 0) != handshake {
+			t.Fatalf("handshake=%v: %d rounds agreed, %d handshake messages", handshake, first.agreed, first.handshakes)
+		}
+		for i := 1; i < 3; i++ {
+			if got := run(); got != first {
+				t.Errorf("handshake=%v build %d: %+v, first build %+v", handshake, i, got, first)
+			}
 		}
 	}
 }

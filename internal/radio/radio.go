@@ -403,7 +403,7 @@ func (c *Channel) receivers(sc *chanShard, tr *Transceiver, src geo.Point, now s
 	} else {
 		// Expiry comes a relative 1e-9 early, so that rounding in a model's
 		// interpolation cannot carry a node past its bound in a table's life.
-		until = now + c.horizon()*(1-1e-9)
+		until = now + sim.Duration(c.horizon()*(1-1e-9))
 		for _, i := range sc.candidates(c, src, c.params.Range+c.closing(tr.speed)) {
 			r := c.trs[i]
 			switch {

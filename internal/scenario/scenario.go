@@ -45,8 +45,6 @@ import (
 	"innercircle/internal/trace"
 	"innercircle/internal/traffic"
 	"innercircle/internal/vote"
-
-	"innercircle/internal/crypto/nsl"
 )
 
 // Spec declares one simulation scenario. Specs are cheap values: sweeps
@@ -96,8 +94,6 @@ type Stack struct {
 	Vote vote.Config
 	MaxL int
 
-	// Keys optionally supplies pre-generated RSA key pairs (length Nodes).
-	Keys []*nsl.KeyPair
 	// SigWireBytes is the emulated signature wire size.
 	SigWireBytes int
 	// Tracer, when non-nil, taps all wire traffic. A tracer belongs to
@@ -298,7 +294,6 @@ func runOnce(s *Spec, tied bool, cores *int) (*Result, error) {
 		STS:          s.Stack.STS,
 		Vote:         s.Stack.Vote,
 		MaxL:         s.Stack.MaxL,
-		Keys:         s.Stack.Keys,
 		SigWireBytes: s.Stack.SigWireBytes,
 		Tracer:       s.Stack.Tracer,
 		Shards:       shard.shards,

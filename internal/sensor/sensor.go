@@ -201,7 +201,7 @@ func (d *Device) Sample(target *geo.Point) Reading {
 		signal = d.model.SignalAt(d.truePos.Dist(*target))
 	}
 	n := d.rng.Normal(0, d.model.SigmaN)
-	noise := n * n
+	noise := float64(n * n)
 	var e float64
 	switch d.fault {
 	case FaultStuckAtZero:
@@ -209,7 +209,7 @@ func (d *Device) Sample(target *geo.Point) Reading {
 	case FaultCalibration:
 		e = d.params.Eclbr * (signal + noise)
 	case FaultInterference:
-		e = signal + d.params.Eintf*noise
+		e = signal + float64(d.params.Eintf*noise)
 	default: // FaultNone, FaultPosition: the reading itself is healthy
 		e = signal + noise
 	}

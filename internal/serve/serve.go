@@ -504,7 +504,6 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		return
 	}
 	rendered := grid.Render(tables)
-	tablesSHA := artifact.Sum([]byte(rendered))
 	if err := artifact.WriteAtomic(s.tablesPath(id), []byte(rendered)); err != nil {
 		s.fail(id, ev, err)
 		return
@@ -513,21 +512,12 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		s.fail(id, ev, err)
 		return
 	}
-	gridSpec, err := artifact.Canonical(grid)
+	manifest, err := artifact.NewRunManifest(grid.Name, grid, grid.BaseSeed(), rendered, start)
 	if err != nil {
 		s.fail(id, ev, err)
 		return
 	}
-	manifest := artifact.RunManifest{
-		Name:         grid.Name,
-		SpecSHA256:   artifact.Sum(gridSpec),
-		TablesSHA256: tablesSHA,
-		Seed:         grid.BaseSeed(),
-		GitRev:       artifact.GitRev(),
-		Knobs:        artifact.KnobSnapshot(),
-		WallMs:       float64(time.Since(start)) / float64(time.Millisecond),
-		CreatedAt:    artifact.Now(),
-	}
+	tablesSHA := manifest.TablesSHA256
 	mb, err := json.Marshal(manifest)
 	if err != nil {
 		s.fail(id, ev, err)

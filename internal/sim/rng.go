@@ -88,7 +88,7 @@ func (g *RNG) SplitN(label string, n int) *RNG {
 func (g *RNG) Float64() float64 { return g.src().Float64() }
 
 // Uniform returns a uniform draw in [lo, hi).
-func (g *RNG) Uniform(lo, hi float64) float64 { return lo + (hi-lo)*g.src().Float64() }
+func (g *RNG) Uniform(lo, hi float64) float64 { return lo + float64((hi-lo)*g.src().Float64()) }
 
 // Intn returns a uniform draw in [0, n). n must be positive.
 func (g *RNG) Intn(n int) int { return g.src().Intn(n) }
@@ -101,7 +101,7 @@ func (g *RNG) NormFloat64() float64 { return g.src().NormFloat64() }
 
 // Normal returns a normal draw with the given mean and standard deviation.
 func (g *RNG) Normal(mean, stddev float64) float64 {
-	return mean + stddev*g.src().NormFloat64()
+	return mean + float64(stddev*g.src().NormFloat64())
 }
 
 // ExpFloat64 returns an exponential draw with rate 1.
@@ -118,3 +118,6 @@ func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.src().Shuffle(n, swap) }
 func (g *RNG) Jitter(max Duration) Duration {
 	return Duration(g.Uniform(0, float64(max)))
 }
+
+// Read fills p from the stream, so a stream serves as an io.Reader.
+func (g *RNG) Read(p []byte) (int, error) { return g.src().Read(p) }

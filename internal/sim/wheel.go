@@ -63,7 +63,7 @@ const wheelInv = float64(uint64(1) << wheelTickBits)
 
 // wheelTickOf maps a timestamp to its tick index.
 func wheelTickOf(at Time) uint64 {
-	f := float64(at) * wheelInv
+	f := float64(float64(at) * wheelInv)
 	if f >= float64(wheelMaxTick) {
 		return wheelMaxTick
 	}

@@ -30,31 +30,11 @@ type NodeKeys map[int]thresh.Signer
 // index i+1 of every level key — matching the paper's trusted-dealer
 // initialization (§2).
 func DealRing(dealer thresh.Dealer, maxL, n int) (PublicRing, []NodeKeys, error) {
-	if maxL < 1 {
-		return nil, nil, fmt.Errorf("vote: maxL must be >= 1, got %d", maxL)
-	}
-	if n < 2 {
-		return nil, nil, fmt.Errorf("vote: need at least 2 nodes, got %d", n)
-	}
-	ring := make(PublicRing, maxL)
-	nodeKeys := make([]NodeKeys, n)
-	for i := range nodeKeys {
-		nodeKeys[i] = make(NodeKeys, maxL)
-	}
-	for level := 1; level <= maxL; level++ {
-		if level+1 > n {
-			break // not enough players to ever reach this level
-		}
+	ring, nodeKeys, _, _, err := establishRing(maxL, n, "deal", func(level int) (*thresh.DKGResult, error) {
 		gk, signers, err := dealer.Deal(level, n)
-		if err != nil {
-			return nil, nil, fmt.Errorf("vote: deal level %d: %w", level, err)
-		}
-		ring[level] = gk
-		for i, s := range signers {
-			nodeKeys[i][level] = s
-		}
-	}
-	return ring, nodeKeys, nil
+		return &thresh.DKGResult{Key: gk, Signers: signers}, err
+	})
+	return ring, nodeKeys, err
 }
 
 // DKGRing is DealRing's dealerless counterpart: the n nodes establish
@@ -67,12 +47,6 @@ func DealRing(dealer thresh.Dealer, maxL, n int) (PublicRing, []NodeKeys, error)
 // nodes end up with no signer for the affected levels, so they can hold
 // the public ring and verify but never co-sign.
 func DKGRing(dealer thresh.Dealer, maxL, n int, faults map[int]thresh.DKGFault) (PublicRing, []NodeKeys, []int, []int, error) {
-	if maxL < 1 {
-		return nil, nil, nil, nil, fmt.Errorf("vote: maxL must be >= 1, got %d", maxL)
-	}
-	if n < 2 {
-		return nil, nil, nil, nil, fmt.Errorf("vote: need at least 2 nodes, got %d", n)
-	}
 	// Shift the 0-based node fault map to the 1-based participant indices
 	// the DKG speaks.
 	var pf map[int]thresh.DKGFault
@@ -81,6 +55,23 @@ func DKGRing(dealer thresh.Dealer, maxL, n int, faults map[int]thresh.DKGFault) 
 		for id, f := range faults {
 			pf[id+1] = f
 		}
+	}
+	return establishRing(maxL, n, "dkg", func(level int) (*thresh.DKGResult, error) {
+		return dealer.DKG(thresh.DKGConfig{K: level, N: n, Faults: pf})
+	})
+}
+
+// establishRing is the one key-establishment loop behind DealRing and
+// DKGRing: it establishes one key per level 1..maxL that n nodes can reach
+// (level+1 <= n) through establish, hands participant i's signer to node
+// i-1 (none where establish excluded it), and folds every level's blamed
+// and silent participants into ascending 0-based node lists.
+func establishRing(maxL, n int, verb string, establish func(level int) (*thresh.DKGResult, error)) (PublicRing, []NodeKeys, []int, []int, error) {
+	if maxL < 1 {
+		return nil, nil, nil, nil, fmt.Errorf("vote: maxL must be >= 1, got %d", maxL)
+	}
+	if n < 2 {
+		return nil, nil, nil, nil, fmt.Errorf("vote: need at least 2 nodes, got %d", n)
 	}
 	ring := make(PublicRing, maxL)
 	nodeKeys := make([]NodeKeys, n)
@@ -91,11 +82,11 @@ func DKGRing(dealer thresh.Dealer, maxL, n int, faults map[int]thresh.DKGFault) 
 	silentSet := make(map[int]bool)
 	for level := 1; level <= maxL; level++ {
 		if level+1 > n {
-			break
+			break // not enough players to ever reach this level
 		}
-		res, err := dealer.DKG(thresh.DKGConfig{K: level, N: n, Faults: pf})
+		res, err := establish(level)
 		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("vote: dkg level %d: %w", level, err)
+			return nil, nil, nil, nil, fmt.Errorf("vote: %s level %d: %w", verb, level, err)
 		}
 		ring[level] = res.Key
 		for i, s := range res.Signers {
@@ -110,9 +101,7 @@ func DKGRing(dealer thresh.Dealer, maxL, n int, faults map[int]thresh.DKGFault) 
 			silentSet[p-1] = true
 		}
 	}
-	blamed := sortedIDs(blamedSet)
-	silent := sortedIDs(silentSet)
-	return ring, nodeKeys, blamed, silent, nil
+	return ring, nodeKeys, sortedIDs(blamedSet), sortedIDs(silentSet), nil
 }
 
 // sortedIDs flattens an ID set into ascending order.

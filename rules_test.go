@@ -236,6 +236,21 @@ var repoRules = []repoRule{
 		hit:     `type Resetter interface {`,
 		miss:    `func (s *Service) Start() {`,
 	},
+	// Key material is a function of the node.Config: node.Build draws every
+	// node key from one seeded stream and every handshake nonce from the
+	// node's "nsl" stream. No program Go may name the crypto/rand key
+	// generator or the sensor scenario's private key cache, or hand a
+	// handshake party a nil reader (which means crypto/rand). The argument
+	// list may hold one level of parentheses, as int64(i) does.
+	{
+		name:    "Unseeded-build-randomness",
+		pattern: regexp.MustCompile(`GenerateKeySet\(|cachedSensorKeys|NewParty\((?:[^()]|\([^()]*\))*,\s*nil\)`),
+		scopes:  programGo,
+		globs:   goGlob,
+		msg:     "unseeded key material in the program; draw node keys and nonces from node.Build's seeded streams",
+		hit:     `	stsDeps.Party = nsl.NewParty(int64(i), kp, dir, nil)`,
+		miss:    `	stsDeps.Party = nsl.NewParty(int64(i), kp, dir, rng)`,
+	},
 }
 
 // TestRepoRules enforces the repository's structural rules: each row keeps
