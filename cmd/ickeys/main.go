@@ -13,6 +13,7 @@
 package main
 
 import (
+	"crypto/rand"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -118,7 +119,7 @@ func run(args []string, stdout io.Writer) error {
 	var dealer ic.Dealer
 	switch *scheme {
 	case "rsa":
-		dealer = ic.NewRSADealer(*bits)
+		dealer = ic.NewRSADealer(*bits, rand.Reader) // real keys want real entropy
 	case "sim":
 		dealer = ic.NewSimDealer([]byte("ickeys-demo"), *bits/8)
 	default:

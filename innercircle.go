@@ -114,8 +114,10 @@ type (
 )
 
 // NewRSADealer returns the faithful Shoup-style threshold RSA dealer with
-// the given modulus size (the paper uses 1024- and 512-bit keys).
-func NewRSADealer(bits int) Dealer { return &thresh.RSADealer{Bits: bits} }
+// the given modulus size (the paper uses 1024- and 512-bit keys), drawing
+// every prime and share from rand: a seeded rand deals the same keys in
+// every process, and a nil rand makes every deal fail.
+func NewRSADealer(bits int, rand io.Reader) Dealer { return &thresh.RSADealer{Bits: bits, Rand: rand} }
 
 // NewSimDealer returns the keyed-MAC stand-in dealer used for large
 // parameter sweeps; signatures report wireBytes as their transport size.

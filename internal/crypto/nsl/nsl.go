@@ -28,7 +28,6 @@ package nsl
 
 import (
 	"bytes"
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -131,29 +130,21 @@ func (kp *KeyPair) privExp(x []big.Word) *big.Int {
 	return h.Add(h, m2)
 }
 
-// GenerateKeyPair creates an RSA key pair of the given modulus size.
-// randSrc nil means crypto/rand.Reader. A non-nil randSrc yields a key
-// pair that is a pure function of the stream: seeded streams reproduce
-// identical keys across processes (crypto/rand.Prime deliberately
-// perturbs its stream consumption, so it cannot be used for this).
+// GenerateKeyPair creates an RSA key pair of the given modulus size whose
+// primes come from Prime: the key pair is a pure function of randSrc, so
+// seeded streams reproduce identical keys across processes.
 func GenerateKeyPair(bits int, randSrc io.Reader) (*KeyPair, error) {
 	if bits < 256 {
 		return nil, errors.New("nsl: modulus too small")
 	}
-	prime := func(bits int) (*big.Int, error) {
-		if randSrc == nil {
-			return rand.Prime(rand.Reader, bits)
-		}
-		return streamPrime(randSrc, bits)
-	}
 	one := big.NewInt(1)
 	e := big.NewInt(65537)
 	for {
-		p, err := prime(bits / 2)
+		p, err := Prime(randSrc, bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("nsl: prime: %w", err)
 		}
-		q, err := prime(bits - bits/2)
+		q, err := Prime(randSrc, bits-bits/2)
 		if err != nil {
 			return nil, fmt.Errorf("nsl: prime: %w", err)
 		}
@@ -177,18 +168,20 @@ func GenerateKeyPair(bits int, randSrc io.Reader) (*KeyPair, error) {
 	}
 }
 
-// streamPrime returns a prime of exactly bits bits whose candidates are
-// drawn verbatim from r: unlike crypto/rand.Prime it consumes the stream
-// deterministically, and ProbablyPrime derives its Miller-Rabin bases from
-// the candidate itself, so the result is reproducible for a seeded r.
-func streamPrime(r io.Reader, bits int) (*big.Int, error) {
+// Prime returns a prime of exactly bits bits whose candidates are drawn
+// verbatim from r. It is the program's one prime search: unlike
+// crypto/rand.Prime, which reads one extra byte at random
+// (randutil.MaybeReadByte), it consumes the stream deterministically, and
+// ProbablyPrime derives its Miller-Rabin bases from the candidate itself,
+// so the result is reproducible for a seeded r.
+func Prime(r io.Reader, bits int) (*big.Int, error) {
 	if bits < 16 {
 		return nil, errors.New("nsl: prime size too small")
 	}
 	buf := make([]byte, (bits+7)/8)
 	p := new(big.Int)
 	for {
-		if _, err := io.ReadFull(r, buf); err != nil {
+		if err := read(r, buf); err != nil {
 			return nil, err
 		}
 		// Trim to exactly bits bits, force the top bit (exact length) and
@@ -203,19 +196,26 @@ func streamPrime(r io.Reader, bits int) (*big.Int, error) {
 	}
 }
 
+// read fills buf from r, the caller's stream: there is no default source,
+// so a nil r is an error.
+func read(r io.Reader, buf []byte) error {
+	if r == nil {
+		return errors.New("nsl: nil random source")
+	}
+	_, err := io.ReadFull(r, buf)
+	return err
+}
+
 // encrypt RSA-encrypts plain (must be shorter than the modulus minus the
 // pad) with randomized padding 0x02 ‖ r[8] ‖ 0x00 ‖ plain.
 func encrypt(pub PublicKey, plain []byte, randSrc io.Reader) ([]byte, error) {
-	if randSrc == nil {
-		randSrc = rand.Reader
-	}
 	max := (pub.N.BitLen()+7)/8 - 1
 	if len(plain)+10 > max {
 		return nil, fmt.Errorf("nsl: plaintext too long (%d bytes for %d-bit key)", len(plain), pub.N.BitLen())
 	}
 	padded := make([]byte, 10+len(plain))
 	padded[0] = 0x02
-	if _, err := io.ReadFull(randSrc, padded[1:9]); err != nil {
+	if err := read(randSrc, padded[1:9]); err != nil {
 		return nil, fmt.Errorf("nsl: pad: %w", err)
 	}
 	padded[9] = 0x00
@@ -311,12 +311,9 @@ type Party struct {
 	pendingResp map[int64]*respState
 }
 
-// NewParty creates a protocol participant. randSrc nil means
-// crypto/rand.Reader.
+// NewParty creates a protocol participant that draws its nonces and
+// padding from randSrc; with a nil randSrc every handshake step fails.
 func NewParty(id int64, kp *KeyPair, dir Directory, randSrc io.Reader) *Party {
-	if randSrc == nil {
-		randSrc = rand.Reader
-	}
 	return &Party{
 		id:          id,
 		kp:          kp,
@@ -332,7 +329,7 @@ func (p *Party) ID() int64 { return p.id }
 
 func (p *Party) nonce() ([]byte, error) {
 	n := make([]byte, NonceSize)
-	if _, err := io.ReadFull(p.randSrc, n); err != nil {
+	if err := read(p.randSrc, n); err != nil {
 		return nil, fmt.Errorf("nsl: nonce: %w", err)
 	}
 	return n, nil

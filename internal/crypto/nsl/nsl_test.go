@@ -12,12 +12,12 @@ func setup(t *testing.T) (a, b, m *Party) {
 	t.Helper()
 	dir := DirectoryMap{}
 	mk := func(id int64) *Party {
-		kp, err := GenerateKeyPair(512, nil)
+		kp, err := GenerateKeyPair(512, mrand.New(mrand.NewSource(id)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		dir[id] = kp.Pub
-		return NewParty(id, kp, dir, nil)
+		return NewParty(id, kp, dir, mrand.New(mrand.NewSource(100+id)))
 	}
 	return mk(1), mk(2), mk(3)
 }
@@ -130,7 +130,7 @@ func TestWrongNonceInMsg3Rejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Forge an M3 with the wrong nonce.
-	bad, err := encrypt(b.kp.Pub, make([]byte, NonceSize), nil)
+	bad, err := encrypt(b.kp.Pub, make([]byte, NonceSize), mrand.New(mrand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +163,13 @@ func TestUnknownDirectoryEntry(t *testing.T) {
 }
 
 func TestEncryptRoundTrip(t *testing.T) {
-	kp, err := GenerateKeyPair(512, nil)
+	rnd := mrand.New(mrand.NewSource(1))
+	kp, err := GenerateKeyPair(512, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	msg := []byte("round trip payload")
-	c, err := encrypt(kp.Pub, msg, nil)
+	c, err := encrypt(kp.Pub, msg, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +183,12 @@ func TestEncryptRoundTrip(t *testing.T) {
 }
 
 func TestEncryptTooLong(t *testing.T) {
-	kp, err := GenerateKeyPair(256, nil)
+	rnd := mrand.New(mrand.NewSource(2))
+	kp, err := GenerateKeyPair(256, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := encrypt(kp.Pub, make([]byte, 100), nil); err == nil {
+	if _, err := encrypt(kp.Pub, make([]byte, 100), rnd); err == nil {
 		t.Fatal("oversized plaintext accepted")
 	}
 }
@@ -216,5 +218,25 @@ func TestGenerateKeyPairSeededDeterministic(t *testing.T) {
 	}
 	if a.Pub.N.Cmp(c.Pub.N) == 0 {
 		t.Fatal("different seeds produced the same modulus (suspicious)")
+	}
+}
+
+// TestNilReaderIsAnError pins that randomness always comes from the
+// caller's stream: every draw given a nil reader fails instead of falling
+// back to a default source.
+func TestNilReaderIsAnError(t *testing.T) {
+	if _, err := Prime(nil, 256); err == nil {
+		t.Error("Prime(nil) succeeded")
+	}
+	if _, err := GenerateKeyPair(512, nil); err == nil {
+		t.Error("GenerateKeyPair(nil) succeeded")
+	}
+	a, b, _ := setup(t)
+	if _, err := encrypt(b.kp.Pub, []byte("x"), nil); err == nil {
+		t.Error("encrypt(nil) succeeded")
+	}
+	a.randSrc = nil
+	if _, err := a.Initiate(b.ID()); err == nil {
+		t.Error("Initiate by a party with a nil reader succeeded")
 	}
 }

@@ -4,12 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	mrand "math/rand"
 	"sync"
 	"testing"
 )
 
 func TestSignVerify(t *testing.T) {
-	kp, err := GenerateKeyPair(512, nil)
+	kp, err := GenerateKeyPair(512, mrand.New(mrand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +22,7 @@ func TestSignVerify(t *testing.T) {
 }
 
 func TestVerifyRejectsTampering(t *testing.T) {
-	kp, err := GenerateKeyPair(512, nil)
+	kp, err := GenerateKeyPair(512, mrand.New(mrand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +41,11 @@ func TestVerifyRejectsTampering(t *testing.T) {
 }
 
 func TestVerifyRejectsWrongKey(t *testing.T) {
-	kp1, err := GenerateKeyPair(512, nil)
+	kp1, err := GenerateKeyPair(512, mrand.New(mrand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	kp2, err := GenerateKeyPair(512, nil)
+	kp2, err := GenerateKeyPair(512, mrand.New(mrand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestVerifyRejectsWrongKey(t *testing.T) {
 }
 
 func TestSigBytes(t *testing.T) {
-	kp, err := GenerateKeyPair(512, nil)
+	kp, err := GenerateKeyPair(512, mrand.New(mrand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestVerifyLiteralPublicKey(t *testing.T) {
 	if err := Verify(even, msg, sig); !errors.Is(err, ErrBadSig) {
 		t.Fatalf("even modulus: err = %v, want ErrBadSig", err)
 	}
-	c, err := encrypt(lit, []byte("nonce"), nil)
+	c, err := encrypt(lit, []byte("nonce"), mrand.New(mrand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
 	}

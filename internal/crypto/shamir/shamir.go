@@ -44,7 +44,7 @@ func Split(secret *big.Int, k, n int, mod *big.Int, rand io.Reader) ([]Share, er
 	coeffs := make([]*big.Int, k+1)
 	coeffs[0] = new(big.Int).Mod(secret, mod)
 	for i := 1; i <= k; i++ {
-		c, err := randInt(rand, mod)
+		c, err := RandInt(rand, mod)
 		if err != nil {
 			return nil, fmt.Errorf("shamir: draw coefficient: %w", err)
 		}
@@ -118,8 +118,13 @@ func dedupe(shares []Share) []Share {
 	return out
 }
 
-// randInt draws a uniform integer in [0, mod).
-func randInt(rand io.Reader, mod *big.Int) (*big.Int, error) {
+// RandInt draws a uniform integer in [0, mod) from rand by masked
+// rejection. It is the program's one uniform sampler: a nil rand is an
+// error, never a default source.
+func RandInt(rand io.Reader, mod *big.Int) (*big.Int, error) {
+	if rand == nil {
+		return nil, errors.New("shamir: nil random source")
+	}
 	bitLen := mod.BitLen()
 	bytes := (bitLen + 7) / 8
 	buf := make([]byte, bytes)

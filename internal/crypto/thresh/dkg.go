@@ -107,24 +107,6 @@ func dkgCommit(dealer, receiver int, v *big.Int) [sha256.Size]byte {
 	return out
 }
 
-// dkgRandInt draws a uniform integer in [0, mod) by masked rejection.
-func dkgRandInt(rnd io.Reader, mod *big.Int) (*big.Int, error) {
-	bitLen := mod.BitLen()
-	buf := make([]byte, (bitLen+7)/8)
-	for {
-		if _, err := io.ReadFull(rnd, buf); err != nil {
-			return nil, err
-		}
-		if excess := len(buf)*8 - bitLen; excess > 0 {
-			buf[0] &= 0xFF >> excess
-		}
-		v := new(big.Int).SetBytes(buf)
-		if v.Cmp(mod) < 0 {
-			return v, nil
-		}
-	}
-}
-
 // dkgTranscript is what the qualification round establishes: who is in,
 // who is out and why, and each qualified participant's pad (the joint
 // entropy contribution the later rounds consume).
@@ -174,7 +156,7 @@ func dkgQualify(cfg DKGConfig, rnd io.Reader) (*dkgTranscript, error) {
 			tr.silent = append(tr.silent, i)
 			continue
 		}
-		pad, err := dkgRandInt(rnd, dkgPrime)
+		pad, err := shamir.RandInt(rnd, dkgPrime)
 		if err != nil {
 			return nil, fmt.Errorf("thresh: dkg pad: %w", err)
 		}
@@ -253,7 +235,7 @@ func dkgQualify(cfg DKGConfig, rnd io.Reader) (*dkgTranscript, error) {
 // the sub-shares addressed to j — the Pedersen sum-of-dealings structure,
 // with disqualified participants receiving nothing.
 func (d *RSADealer) DKG(cfg DKGConfig) (*DKGResult, error) {
-	tr, err := dkgQualify(cfg, d.rand())
+	tr, err := dkgQualify(cfg, d.Rand)
 	if err != nil {
 		return nil, err
 	}
@@ -279,14 +261,14 @@ func (d *RSADealer) DKG(cfg DKGConfig) (*DKGResult, error) {
 			contrib = new(big.Int).Sub(dExp, sum)
 			contrib.Mod(contrib, lambda)
 		} else {
-			contrib, err = dkgRandInt(d.rand(), lambda)
+			contrib, err = shamir.RandInt(d.Rand, lambda)
 			if err != nil {
 				return nil, fmt.Errorf("thresh: dkg contribution: %w", err)
 			}
 		}
 		sum.Add(sum, contrib)
 		sum.Mod(sum, lambda)
-		shares, err := shamir.Split(contrib, k, n, lambda, d.rand())
+		shares, err := shamir.Split(contrib, k, n, lambda, d.Rand)
 		if err != nil {
 			return nil, fmt.Errorf("thresh: dkg sub-sharing by %d: %w", i, err)
 		}

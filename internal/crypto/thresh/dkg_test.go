@@ -199,7 +199,7 @@ func TestDKGRejectsUnusableFaults(t *testing.T) {
 // secret state as Deal, so the full key lifecycle works on a dealerless
 // key.
 func TestDKGKeySupportsRefreshAndReshare(t *testing.T) {
-	d := &RSADealer{Bits: 512}
+	d := seededRSA(512, 2)
 	res, err := d.DKG(DKGConfig{K: 1, N: 4})
 	if err != nil {
 		t.Fatal(err)

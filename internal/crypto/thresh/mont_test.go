@@ -1,21 +1,23 @@
 package thresh
 
 import (
-	"crypto/rand"
 	"math/big"
 	mrand "math/rand"
 	"testing"
+
+	"innercircle/internal/crypto/nsl"
 )
 
 // randomOddModulus returns an odd modulus of roughly the given bit size
 // built from two primes, matching how dealt keys look.
 func randomOddModulus(t *testing.T, bits int) *big.Int {
 	t.Helper()
-	p, err := rand.Prime(rand.Reader, bits/2)
+	rnd := mrand.New(mrand.NewSource(int64(bits)))
+	p, err := nsl.Prime(rnd, bits/2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := rand.Prime(rand.Reader, bits-bits/2)
+	q, err := nsl.Prime(rnd, bits-bits/2)
 	if err != nil {
 		t.Fatal(err)
 	}

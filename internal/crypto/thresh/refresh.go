@@ -22,7 +22,7 @@ func (d *RSADealer) Refresh(gk GroupKey, old []Signer) ([]Signer, error) {
 	if !ok {
 		return nil, fmt.Errorf("thresh: this dealer did not deal the given key")
 	}
-	zeroShares, err := shamir.Split(big.NewInt(0), rk.k, rk.n, lambda, d.rand())
+	zeroShares, err := shamir.Split(big.NewInt(0), rk.k, rk.n, lambda, d.Rand)
 	if err != nil {
 		return nil, fmt.Errorf("thresh: refresh polynomial: %w", err)
 	}

@@ -90,8 +90,8 @@ func TestRefreshInvalidatesCrossEpochMixing(t *testing.T) {
 }
 
 func TestRefreshForeignKeyRejected(t *testing.T) {
-	rsa1 := &RSADealer{Bits: 512}
-	rsa2 := &RSADealer{Bits: 512}
+	rsa1 := seededRSA(512, 3)
+	rsa2 := seededRSA(512, 4)
 	gk, signers, err := rsa1.Deal(1, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestRefreshForeignKeyRejected(t *testing.T) {
 }
 
 func TestRepeatedRefreshes(t *testing.T) {
-	d := &RSADealer{Bits: 512}
+	d := seededRSA(512, 5)
 	gk, shares, err := d.Deal(1, 3)
 	if err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func (d *RSADealer) Reshare(gk GroupKey, newK, newN int) ([]Signer, error) {
 	if dExp == nil {
 		return nil, fmt.Errorf("thresh: e not invertible mod lambda")
 	}
-	shares, err := shamir.Split(dExp, newK, newN, lambda, d.rand())
+	shares, err := shamir.Split(dExp, newK, newN, lambda, d.Rand)
 	if err != nil {
 		return nil, fmt.Errorf("thresh: reshare private exponent: %w", err)
 	}

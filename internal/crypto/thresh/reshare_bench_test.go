@@ -8,7 +8,7 @@ import "testing"
 // scripts/bench times the whole reshare (thresh.reshare_us) and the
 // dealerless keygen (thresh.dkg_rsa_ms); no probe times this part alone.
 func BenchmarkPrecomputeRebuild(b *testing.B) {
-	gk, _, err := (&RSADealer{Bits: 1024}).Deal(2, 5)
+	gk, _, err := seededRSA(1024, 11).Deal(2, 5)
 	if err != nil {
 		b.Fatal(err)
 	}

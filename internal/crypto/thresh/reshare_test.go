@@ -161,8 +161,8 @@ func TestReshareInvalidParams(t *testing.T) {
 }
 
 func TestReshareForeignKeyRejected(t *testing.T) {
-	rsa1 := &RSADealer{Bits: 512}
-	rsa2 := &RSADealer{Bits: 512}
+	rsa1 := seededRSA(512, 6)
+	rsa2 := seededRSA(512, 7)
 	gk, _, err := rsa1.Deal(1, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestReshareForeignKeyRejected(t *testing.T) {
 // TestReshareThenRefresh: the two lifecycle operations compose — a
 // proactive refresh keeps working at the post-reshare shape.
 func TestReshareThenRefresh(t *testing.T) {
-	d := &RSADealer{Bits: 512}
+	d := seededRSA(512, 8)
 	gk, _, err := d.Deal(2, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package thresh
 
 import (
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 	"sync"
 
 	"innercircle/internal/crypto/mont"
+	"innercircle/internal/crypto/nsl"
 	"innercircle/internal/crypto/shamir"
 )
 
@@ -20,18 +20,13 @@ type RSADealer struct {
 	// Bits is the modulus size; the paper uses 1024 (ad hoc) and 512
 	// (sensor) bit keys.
 	Bits int
-	// Rand is the entropy source; nil means crypto/rand.Reader.
+	// Rand is the entropy source every prime and share is drawn from. It
+	// is required: with a nil Rand, Deal, DKG, Refresh and Reshare fail.
+	// A seeded Rand deals the same keys in every process.
 	Rand io.Reader
 
 	// secrets maps dealt keys to λ(N), needed for Refresh.
 	secrets map[*rsaGroupKey]*big.Int
-}
-
-func (d *RSADealer) rand() io.Reader {
-	if d.Rand != nil {
-		return d.Rand
-	}
-	return rand.Reader
 }
 
 // Deal implements Dealer. It generates a fresh RSA modulus, shares the
@@ -49,7 +44,7 @@ func (d *RSADealer) Deal(k, n int) (GroupKey, []Signer, error) {
 	if dExp == nil {
 		return nil, nil, fmt.Errorf("thresh: e not invertible mod lambda")
 	}
-	shares, err := shamir.Split(dExp, k, n, lambda, d.rand())
+	shares, err := shamir.Split(dExp, k, n, lambda, d.Rand)
 	if err != nil {
 		return nil, nil, fmt.Errorf("thresh: share private exponent: %w", err)
 	}
@@ -82,26 +77,20 @@ func (d *RSADealer) keyMaterial(n int) (N, e, lambda *big.Int, err error) {
 	}
 	one := big.NewInt(1)
 	var p, q *big.Int
-	for {
-		p, err = rand.Prime(d.rand(), bits/2)
+	for p == nil || p.Cmp(q) == 0 {
+		if p, err = nsl.Prime(d.Rand, bits/2); err == nil {
+			q, err = nsl.Prime(d.Rand, bits-bits/2)
+		}
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("thresh: generate prime: %w", err)
 		}
-		q, err = rand.Prime(d.rand(), bits-bits/2)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("thresh: generate prime: %w", err)
-		}
-		if p.Cmp(q) == 0 {
-			continue
-		}
-		N = new(big.Int).Mul(p, q)
-		pm1 := new(big.Int).Sub(p, one)
-		qm1 := new(big.Int).Sub(q, one)
-		gcd := new(big.Int).GCD(nil, nil, pm1, qm1)
-		lambda = new(big.Int).Mul(pm1, qm1)
-		lambda.Div(lambda, gcd)
-		break
 	}
+	N = new(big.Int).Mul(p, q)
+	pm1 := new(big.Int).Sub(p, one)
+	qm1 := new(big.Int).Sub(q, one)
+	gcd := new(big.Int).GCD(nil, nil, pm1, qm1)
+	lambda = new(big.Int).Mul(pm1, qm1)
+	lambda.Div(lambda, gcd)
 	// Public exponent e must be a prime larger than n (so gcd(e, 4Δ²) = 1
 	// with Δ = n!) and coprime to λ(N).
 	e = big.NewInt(65537)

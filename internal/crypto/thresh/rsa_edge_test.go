@@ -9,7 +9,7 @@ import (
 
 func dealRSA(t *testing.T, k, n int) (GroupKey, []Signer, *rsaGroupKey) {
 	t.Helper()
-	d := &RSADealer{Bits: 512}
+	d := seededRSA(512, 9)
 	gk, signers, err := d.Deal(k, n)
 	if err != nil {
 		t.Fatal(err)

@@ -71,7 +71,7 @@ func referenceCombine(g *rsaGroupKey, msg []byte, partials []Partial) (Signature
 // reference transcription for several key shapes, messages, and rotated
 // co-signer sets: signatures must be byte-identical and verify.
 func TestCombineMatchesReference(t *testing.T) {
-	d := &RSADealer{Bits: 512}
+	d := seededRSA(512, 10)
 	for _, kn := range [][2]int{{0, 1}, {1, 3}, {2, 5}, {3, 7}} {
 		gk, signers, err := d.Deal(kn[0], kn[1])
 		if err != nil {

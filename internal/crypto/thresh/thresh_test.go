@@ -12,8 +12,14 @@ import (
 func dealers() map[string]Dealer {
 	return map[string]Dealer{
 		"sim": NewSimDealer([]byte("test-seed"), 128),
-		"rsa": &RSADealer{Bits: 512},
+		"rsa": seededRSA(512, 1),
 	}
+}
+
+// seededRSA returns an RSA dealer drawing from a stream seeded with seed;
+// dealers in one test take distinct seeds so their keys differ.
+func seededRSA(bits int, seed int64) *RSADealer {
+	return &RSADealer{Bits: bits, Rand: rand.New(rand.NewSource(seed))}
 }
 
 func TestSignCombineVerify(t *testing.T) {

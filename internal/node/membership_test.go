@@ -1,6 +1,8 @@
 package node
 
 import (
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"innercircle/internal/crypto/thresh"
@@ -274,7 +276,7 @@ func TestMembershipRefreshRotatesShares(t *testing.T) {
 func TestDKGBuildRejectsFaultsOutsideNetwork(t *testing.T) {
 	for name, d := range map[string]thresh.Dealer{
 		"sim": thresh.NewSimDealer([]byte("dkg-range"), 128),
-		"rsa": &thresh.RSADealer{Bits: 512},
+		"rsa": &thresh.RSADealer{Bits: 512, Rand: sim.NewRNG(5)},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := icConfig(5, 1)
@@ -330,4 +332,43 @@ func TestDKGBuildWiresBlameIntoSuspicion(t *testing.T) {
 		t.Fatal(err)
 	}
 	agreeOn(t, net, agreed, 0, []byte("dkg-reshared"), []int{0, 1, 2, 4})
+}
+
+// TestSeededRSADealerBuildDeterministic builds one deterministic-voting
+// network three times with a seeded threshold-RSA dealer and requires the
+// same energy bits, frame count, agreed rounds and signatures: the
+// dealer's primes come from the stream alone, so the keys, the combined
+// signatures and with them the frame sizes do not move between builds.
+// Over 120 proposals a different modulus shows in the energy too, through
+// the signatures' varying byte lengths.
+func TestSeededRSADealerBuildDeterministic(t *testing.T) {
+	type outcome struct {
+		energy uint64
+		frames uint64
+		agreed int
+		sigs   uint64 // FNV-1a of every agreed signature
+	}
+	run := func() outcome {
+		cfg := icConfig(5, 2)
+		cfg.Dealer = &thresh.RSADealer{Bits: 512, Rand: sim.NewRNG(7)}
+		net, agreed := buildIC(t, cfg)
+		n, sigs := 0, fnv.New64a()
+		for round := 0; round < 120; round++ {
+			from := round % cfg.N
+			agreeOn(t, net, agreed, from, []byte{byte(round)}, []int{from})
+			for _, a := range agreed {
+				if a.Value != nil {
+					n++
+					sigs.Write(a.Sig.Data)
+				}
+			}
+		}
+		return outcome{math.Float64bits(net.TotalEnergy()), net.Channel.Stats.FramesSent, n, sigs.Sum64()}
+	}
+	first := run()
+	for i := 1; i < 3; i++ {
+		if got := run(); got != first {
+			t.Errorf("build %d: %+v, first build %+v", i, got, first)
+		}
+	}
 }

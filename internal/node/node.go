@@ -129,9 +129,9 @@ type Config struct {
 	Mobility func(i int, rng *sim.RNG) mobility.Model
 
 	// IC installs the inner-circle components (interceptor, suspicions
-	// manager, voting service). STS runs in both modes; with IC off it
-	// runs unauthenticated (plain hellos), matching the paper's "No IC"
-	// baselines.
+	// manager, voting service). STS runs in either mode when STS.Period
+	// is set; the paper's "No IC" baselines leave STS zero and so run no
+	// topology service.
 	IC bool
 	// STS configures the topology service. A zero Period disables STS
 	// entirely.

@@ -39,8 +39,8 @@ type Config struct {
 	Period sim.Duration
 	// Delta is ∆STS: links with no beacon for Delta are excluded.
 	Delta sim.Duration
-	// Authenticate enables beacon signatures. The "No IC" baselines run
-	// with it off (plain hello beacons).
+	// Authenticate enables beacon signatures; without it beacons are plain
+	// hellos. The "No IC" baselines run no STS at all (a zero Config).
 	Authenticate bool
 	// Handshake additionally runs the NSL link-authentication handshake
 	// before a neighbour is trusted. Large sweeps may disable it (beacons

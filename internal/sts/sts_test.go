@@ -21,9 +21,8 @@ type harness struct {
 	mobs []mobility.Model
 }
 
-// testKeys generates n 512-bit key pairs from src (nil: crypto/rand). A
-// seeded src makes the keys, and so the signature bytes, repeat across
-// harnesses.
+// testKeys generates n 512-bit key pairs from src. A seeded src makes the
+// keys, and so the signature bytes, repeat across harnesses.
 func testKeys(t testing.TB, n int, src io.Reader) []*nsl.KeyPair {
 	t.Helper()
 	keys := make([]*nsl.KeyPair, n)
@@ -40,7 +39,7 @@ func testKeys(t testing.TB, n int, src io.Reader) []*nsl.KeyPair {
 // buildSTS assembles n nodes with the given positions and starts their STS.
 func buildSTS(t *testing.T, positions []geo.Point, cfg Config, mobs []mobility.Model) *harness {
 	t.Helper()
-	return buildSTSKeyed(t, positions, cfg, mobs, testKeys(t, len(positions), nil), rsaAuth, nil)
+	return buildSTSKeyed(t, positions, cfg, mobs, testKeys(t, len(positions), sim.NewRNG(2)), rsaAuth, nil)
 }
 
 // authFactory returns node id's beacon authenticator; keys and dir are the
@@ -72,7 +71,7 @@ func buildSTSKeyed(t *testing.T, positions []geo.Point, cfg Config, mobs []mobil
 		h.mobs = append(h.mobs, mob)
 		m := mac.New(k, ch, mob, nil, rng.SplitN("mac", i), mac.Default80211())
 		l := link.NewService(m)
-		party := nsl.NewParty(int64(i), keys[i], dir, nil)
+		party := nsl.NewParty(int64(i), keys[i], dir, rng.SplitN("nsl", i))
 		svc, err := New(cfg, Deps{
 			ID:    l.ID(),
 			K:     k,

@@ -6,6 +6,7 @@ import (
 	"innercircle/internal/crypto/nsl"
 	"innercircle/internal/crypto/sigcache"
 	"innercircle/internal/crypto/thresh"
+	"innercircle/internal/sim"
 )
 
 // TestMemoAllocs pins the heap allocations of one memoized verification of
@@ -39,7 +40,7 @@ func TestMemoAllocs(t *testing.T) {
 	}
 	a1, a2 := agreed(1), agreed(2)
 
-	kp, err := nsl.GenerateKeyPair(512, nil)
+	kp, err := nsl.GenerateKeyPair(512, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}

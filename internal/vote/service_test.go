@@ -84,7 +84,7 @@ func buildVote(t *testing.T, n int, cfg Config, mkCbs func(i int) Callbacks) *vo
 	dir := nsl.DirectoryMap{}
 	kps := make([]*nsl.KeyPair, n)
 	for i := 0; i < n; i++ {
-		kp, err := nsl.GenerateKeyPair(512, nil)
+		kp, err := nsl.GenerateKeyPair(512, rng.SplitN("nsl", i))
 		if err != nil {
 			t.Fatal(err)
 		}

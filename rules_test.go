@@ -240,8 +240,8 @@ var repoRules = []repoRule{
 	// node key from one seeded stream and every handshake nonce from the
 	// node's "nsl" stream. No program Go may name the crypto/rand key
 	// generator or the sensor scenario's private key cache, or hand a
-	// handshake party a nil reader (which means crypto/rand). The argument
-	// list may hold one level of parentheses, as int64(i) does.
+	// handshake party a nil reader (with which every handshake fails). The
+	// argument list may hold one level of parentheses, as int64(i) does.
 	{
 		name:    "Unseeded-build-randomness",
 		pattern: regexp.MustCompile(`GenerateKeySet\(|cachedSensorKeys|NewParty\((?:[^()]|\([^()]*\))*,\s*nil\)`),
@@ -250,6 +250,20 @@ var repoRules = []repoRule{
 		msg:     "unseeded key material in the program; draw node keys and nonces from node.Build's seeded streams",
 		hit:     `	stsDeps.Party = nsl.NewParty(int64(i), kp, dir, nil)`,
 		miss:    `	stsDeps.Party = nsl.NewParty(int64(i), kp, dir, rng)`,
+	},
+	// Every draw in the library reads a caller's stream: primes come from
+	// nsl.Prime, uniform integers from shamir.RandInt, and neither has a
+	// default source. Only a command may name crypto/rand (cmd/ickeys
+	// deals real keys from it), so no non-test Go under internal/ or in the
+	// module root may import it.
+	{
+		name:    "Crypto-rand-outside-cmd",
+		pattern: regexp.MustCompile(`"crypto/rand"`),
+		scopes:  []scope{{"internal", true, false}, {".", false, false}},
+		globs:   goGlob,
+		msg:     "crypto/rand imported by the library; take an io.Reader from the caller and leave real entropy to cmd/",
+		hit:     `	"crypto/rand"`,
+		miss:    `	"crypto/sha256"`,
 	},
 }
 
