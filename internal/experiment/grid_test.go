@@ -204,7 +204,7 @@ func TestGridRequestValidate(t *testing.T) {
 		{"campaign at a huge speed", GridRequest{Kind: GridCampaign, Blackhole: atSpeed(bh, 1e300), Campaigns: []faults.Campaign{faults.BlackholePreset(1)}, Runs: 1}, false},
 		{"runs at the seed stride", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: []int{0}, Runs: seedStride}, true},
 		{"runs past the seed stride", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: []int{0}, Runs: seedStride + 1}, false},
-		{"sensor runs past the seed stride", GridRequest{Kind: GridSensor, Sensor: &sn, Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: 1 << 40}, false},
+		{"sensor runs past the seed stride", GridRequest{Kind: GridSensor, Sensor: &sn, Faults: []sensor.FaultKind{sensor.FaultNone}, Runs: math.MaxInt}, false},
 		{"points at the bound", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: span(0, 50), Levels: span(1, 3), Runs: 500}, true},
 		{"points past the bound", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: span(0, 51), Levels: span(1, 3), Runs: 500}, false},
 		{"axes past the bound at one run", GridRequest{Kind: GridBlackhole, Blackhole: &bh, Malicious: make([]int, 400), Levels: make([]int, 400), Runs: 1}, false},
@@ -267,7 +267,7 @@ func TestGridRequestValidate(t *testing.T) {
 	bhField("region zero", func(c *BlackholeConfig) { c.Region = 0 })
 	bhField("speed", func(c *BlackholeConfig) { c.Speed = nan })
 	bhField("pause", func(c *BlackholeConfig) { c.Pause = -1 })
-	bhField("connections", func(c *BlackholeConfig) { c.Connections = 1 << 62 })
+	bhField("connections", func(c *BlackholeConfig) { c.Connections = math.MaxInt })
 	bhField("rate", func(c *BlackholeConfig) { c.Rate = 1e300 })
 	bhField("packet_bytes", func(c *BlackholeConfig) { c.PacketBytes = 2000000000 })
 	bhField("sim_time", func(c *BlackholeConfig) { c.SimTime = 1e308 })

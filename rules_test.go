@@ -265,6 +265,19 @@ var repoRules = []repoRule{
 		hit:     `	"crypto/rand"`,
 		miss:    `	"crypto/sha256"`,
 	},
+	// The one assembly in the repository is mont's four-word Montgomery
+	// kernel on amd64, held word for word to the Go loop every other
+	// GOARCH builds. No assembly routine may appear anywhere else.
+	{
+		name:    "Assembly-outside-mont",
+		pattern: regexp.MustCompile(`^\s*TEXT\s`),
+		scopes:  wholeTree,
+		globs:   []string{"*.s"},
+		allow:   []string{"internal/crypto/mont/"},
+		msg:     "an assembly routine outside internal/crypto/mont; write it in Go, or in mont with a differential test against its Go twin",
+		hit:     `TEXT ·mul4(SB), NOSPLIT, $0-40`,
+		miss:    `	MOVQ x+8(FP), SI`,
+	},
 }
 
 // TestRepoRules enforces the repository's structural rules: each row keeps
