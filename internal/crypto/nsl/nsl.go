@@ -168,34 +168,6 @@ func GenerateKeyPair(bits int, randSrc io.Reader) (*KeyPair, error) {
 	}
 }
 
-// Prime returns a prime of exactly bits bits whose candidates are drawn
-// verbatim from r. It is the program's one prime search: unlike
-// crypto/rand.Prime, which reads one extra byte at random
-// (randutil.MaybeReadByte), it consumes the stream deterministically, and
-// ProbablyPrime derives its Miller-Rabin bases from the candidate itself,
-// so the result is reproducible for a seeded r.
-func Prime(r io.Reader, bits int) (*big.Int, error) {
-	if bits < 16 {
-		return nil, errors.New("nsl: prime size too small")
-	}
-	buf := make([]byte, (bits+7)/8)
-	p := new(big.Int)
-	for {
-		if err := read(r, buf); err != nil {
-			return nil, err
-		}
-		// Trim to exactly bits bits, force the top bit (exact length) and
-		// the low bit (odd).
-		buf[0] &= 0xFF >> (uint(len(buf)*8 - bits))
-		p.SetBytes(buf)
-		p.SetBit(p, bits-1, 1)
-		p.SetBit(p, 0, 1)
-		if p.ProbablyPrime(20) {
-			return new(big.Int).Set(p), nil
-		}
-	}
-}
-
 // read fills buf from r, the caller's stream: there is no default source,
 // so a nil r is an error.
 func read(r io.Reader, buf []byte) error {

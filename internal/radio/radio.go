@@ -189,6 +189,10 @@ type Channel struct {
 	topSpeed float64
 	useIndex bool
 
+	// farSq is farBound(params.Range): reach rejects a receiver whose
+	// squared distance exceeds it without measuring the distance.
+	farSq float64
+
 	// Stats counts physical-layer activity for the whole channel: live on a
 	// single-kernel channel, folded from the per-shard counters by
 	// MergeShardStats on a sharded one.
@@ -213,7 +217,7 @@ const tableSlack = 0.25
 
 // NewChannel returns an empty channel on kernel k.
 func NewChannel(k *sim.Kernel, params Params) *Channel {
-	c := &Channel{params: params}
+	c := &Channel{params: params, farSq: farBound(params.Range)}
 	c.shards = []*chanShard{newChanShard(k, &c.Stats)}
 	if params.Range > 0 {
 		c.grid = newGridIndex(params.Range)
@@ -442,9 +446,15 @@ func (c *Channel) closing(v float64) float64 {
 
 // reach returns the propagation delay of a transmission from src to r at
 // now; ok is false if r is out of range. A receiver on another kernel is
-// necessarily static, so this reads an immutable position.
+// necessarily static, so this reads an immutable position. A receiver past
+// the squared-distance bound is out of range without a square root; the
+// others take the exact distance, which also sets the delay.
 func (c *Channel) reach(r *Transceiver, src geo.Point, now sim.Time) (prop sim.Duration, ok bool) {
-	dist := c.posAt(r, now).Dist(src)
+	pos := c.posAt(r, now)
+	if beyond(pos, src, c.farSq) {
+		return 0, false
+	}
+	dist := pos.Dist(src)
 	if dist > c.params.Range {
 		return 0, false
 	}
@@ -452,6 +462,26 @@ func (c *Channel) reach(r *Transceiver, src geo.Point, now sim.Time) (prop sim.D
 		prop = sim.Duration(dist / c.params.PropSpeed)
 	}
 	return prop, true
+}
+
+// farBound is the squared distance past which a pair is out of range rng
+// by Dist as well: rng² widened by a relative 1e-9, far more than the
+// rounding of the two squares, their sum and hypot can take from it. A
+// range below 1e-100, or NaN, gets +Inf, so that no pair is rejected
+// there: near underflow the squares round too coarsely to decide.
+func farBound(rng float64) float64 {
+	if !(rng >= 1e-100) {
+		return math.Inf(1)
+	}
+	return float64(rng*rng) * (1 + 1e-9)
+}
+
+// beyond reports whether the squared distance between a and b exceeds far,
+// a farBound. The products are rounded where they are formed, so no port
+// fuses them into the sum.
+func beyond(a, b geo.Point, far float64) bool {
+	dx, dy := a.X-b.X, a.Y-b.Y
+	return float64(dx*dx)+float64(dy*dy) > far
 }
 
 // applyHalfDuplex marks arr collided when its receiver's own transmission

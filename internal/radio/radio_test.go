@@ -2,6 +2,7 @@ package radio
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"innercircle/internal/energy"
@@ -255,4 +256,40 @@ type linear struct {
 
 func (l *linear) Pos(t sim.Time) geo.Point {
 	return geo.Point{X: l.start.X + l.vx*float64(t), Y: l.start.Y}
+}
+
+// FuzzReachRejectSound checks reach's square-root-free reject: beyond may
+// only turn away a pair whose exact distance exceeds the range, whatever
+// the coordinates and the range, NaN, ±Inf, zero and negative values
+// included. The seeds put points at Range·(1±2⁻⁵²) along an axis and a
+// diagonal, at the paper's 250 m and at ranges near underflow and
+// overflow; a pair whose squares sum past 250² while hypot rounds to
+// 250; and a pair whose squares round up to the least subnormal each while
+// the range's square rounds down to it.
+func FuzzReachRejectSound(f *testing.F) {
+	const eps = 0x1p-52
+	for _, rng := range []float64{250, 40, 1, 1e-100, 1e-160, 5e-324, 1e154, 1.3e154, 1e300} {
+		for _, s := range []float64{1 - eps, 1, 1 + eps} {
+			f.Add(0.0, 0.0, rng*s, 0.0, rng)
+			f.Add(-rng*s/2, 3.0, rng*s/2, 3.0, rng)
+			f.Add(0.0, 0.0, rng*s*math.Sqrt2/2, rng*s*math.Sqrt2/2, rng)
+		}
+	}
+	f.Add(0.0, 0.0, 89.98712039017707, 233.24304526369866, 250.0)
+	d := math.Sqrt(0.6) * 0x1p-537 // d² is 0.6 of the least subnormal
+	f.Add(0.0, 0.0, d, d, geo.Point{X: d, Y: d}.Norm())
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, rng := range []float64{0, -250, nan, inf, -inf} {
+		f.Add(0.0, 0.0, 0.0, 0.0, rng)
+		f.Add(1.0, 2.0, 3.0, 4.0, rng)
+		f.Add(nan, 0.0, 1.0, 1.0, rng)
+		f.Add(inf, 0.0, -inf, 0.0, rng)
+		f.Add(inf, 0.0, 1.0, 0.0, rng)
+	}
+	f.Fuzz(func(t *testing.T, ax, ay, bx, by, rng float64) {
+		a, b := geo.Point{X: ax, Y: ay}, geo.Point{X: bx, Y: by}
+		if far := farBound(rng); beyond(a, b, far) && a.Dist(b) <= rng {
+			t.Fatalf("range %v: rejected %v–%v at distance %v (bound %v)", rng, a, b, a.Dist(b), far)
+		}
+	})
 }

@@ -88,6 +88,7 @@ func NewChannelSharded(set *sim.ShardSet, params Params, ownerOf func(geo.Point)
 	}
 	c := &Channel{
 		params:   params,
+		farSq:    farBound(params.Range),
 		grid:     newGridIndex(params.Range),
 		useIndex: true,
 		set:      set,
