@@ -1,9 +1,9 @@
 // Command ickeys is the key-lifecycle substrate of §2 as a command-line
 // tool: it establishes an (L+1)-threshold signing key among n players —
 // through the trusted dealer or dealerless keygen (-dkg) — produces
-// partial signatures with chosen shares, combines them, verifies the
-// result, and optionally demonstrates the epoch transitions (proactive
-// refresh, quorum reshare) that dynamic membership is built on.
+// partial signatures with chosen shares, checks each one, combines them,
+// verifies the result, and optionally demonstrates the epoch transitions
+// (proactive refresh, quorum reshare) that dynamic membership is built on.
 //
 // Usage:
 //
@@ -87,6 +87,19 @@ func reportOldSignature(stdout io.Writer, scheme string, gk ic.GroupKey, msg []b
 		fmt.Fprintln(stdout, "the earlier combined signature expired with the epoch (sim keys are the verification state)")
 	}
 	return nil
+}
+
+// checkPartials runs every partial through the group key's own check —
+// the check a center applies to each ack before it combines — and prints
+// each verdict.
+func checkPartials(stdout io.Writer, gk ic.GroupKey, msg []byte, parts []ic.Partial) {
+	for _, p := range parts {
+		verdict := "verifies"
+		if !gk.VerifyPartial(msg, p) {
+			verdict = "REJECTED"
+		}
+		fmt.Fprintf(stdout, "  check: partial %d %s\n", p.Index, verdict)
+	}
 }
 
 // run parses args (without the program name) and writes the walkthrough
@@ -185,6 +198,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "partial from share %d: %s...\n", i, hex.EncodeToString(p.Data[:min(8, len(p.Data))]))
 	}
 
+	checkPartials(stdout, gk, []byte(*msg), partials)
 	sig, err := gk.Combine([]byte(*msg), partials)
 	if err != nil {
 		fmt.Fprintf(stdout, "combine failed (as expected with < %d partials): %v\n", gk.Threshold()+1, err)
@@ -231,6 +245,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 			freshParts = append(freshParts, p)
 		}
+		checkPartials(stdout, gk, []byte(*msg), freshParts)
 		if _, err := gk.Combine([]byte(*msg), freshParts); err != nil {
 			fmt.Fprintln(stdout, "a stale (pre-refresh) share no longer combines with fresh ones:")
 			fmt.Fprintln(stdout, " ", err)
@@ -263,6 +278,7 @@ func run(args []string, stdout io.Writer) error {
 			}
 			fresh = append(fresh, p)
 		}
+		checkPartials(stdout, gk, []byte(*msg), fresh)
 		sig2, err := gk.Combine([]byte(*msg), fresh)
 		if err != nil {
 			return fmt.Errorf("fresh quorum failed to sign after reshare: %w", err)
@@ -272,6 +288,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "fresh %d+1 quorum signs under the same public key: OK\n", newK)
 		mixed := append([]ic.Partial{partials[0]}, fresh[1:]...)
+		checkPartials(stdout, gk, []byte(*msg), mixed)
 		if _, err := gk.Combine([]byte(*msg), mixed); err != nil {
 			fmt.Fprintln(stdout, "a stale (pre-reshare) share does not combine with the new layout:")
 			fmt.Fprintln(stdout, " ", err)

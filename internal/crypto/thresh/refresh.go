@@ -12,7 +12,8 @@ import (
 // (dealer-assisted: the dealer, who retains λ(N), deals a random degree-k
 // polynomial with constant term zero and each new share is
 // s'_i = s_i + z_i mod λ(N); the shared exponent — and thus the public
-// key — is unchanged).
+// key — is unchanged). Only the refreshed shares have verification keys
+// afterwards, so no partial of the old epoch verifies.
 func (d *RSADealer) Refresh(gk GroupKey, old []Signer) ([]Signer, error) {
 	rk, ok := gk.(*rsaGroupKey)
 	if !ok {
@@ -26,14 +27,16 @@ func (d *RSADealer) Refresh(gk GroupKey, old []Signer) ([]Signer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("thresh: refresh polynomial: %w", err)
 	}
-	out := make([]Signer, len(old))
 	for i, s := range old {
-		rs, ok := s.(*rsaSigner)
-		if !ok || rs.gk != rk {
+		if rs, ok := s.(*rsaSigner); !ok || rs.gk != rk {
 			return nil, fmt.Errorf("thresh: signer %d does not belong to this key", i)
 		}
-		z := zeroShares[rs.index-1]
-		sum := new(big.Int).Add(rs.share, z.Y)
+	}
+	rk.vk = make([]*big.Int, rk.n+1)
+	out := make([]Signer, len(old))
+	for i, s := range old {
+		rs := s.(*rsaSigner)
+		sum := new(big.Int).Add(rs.share, zeroShares[rs.index-1].Y)
 		sum.Mod(sum, lambda)
 		out[i] = newRSASigner(rk, rs.index, sum)
 	}

@@ -12,9 +12,10 @@ import (
 // retains λ(N) (never d itself); d = e⁻¹ mod λ is recomputed and Shamir-
 // shared afresh with the new parameters. The key's Shoup precompute —
 // Δ = n!, 4Δ², the extended-Euclid pair a·4Δ² + b·e = 1, and the per-set
-// Lagrange memo — is rebuilt for the new (k, n); the Montgomery context
-// survives untouched because the modulus does, which is exactly the
-// "public key preserved" half of the contract.
+// Lagrange memo — is rebuilt for the new (k, n), and each new share
+// publishes its verification key, so only the new layout's partials
+// verify; the Montgomery context survives untouched because the modulus
+// does, which is exactly the "public key preserved" half of the contract.
 func (d *RSADealer) Reshare(gk GroupKey, newK, newN int) ([]Signer, error) {
 	rk, ok := gk.(*rsaGroupKey)
 	if !ok {

@@ -148,10 +148,17 @@ type rsaGroupKey struct {
 	// everything but H(m)^exp can be reused between messages).
 	// aAbs/bAbs are stored as magnitudes plus sign flags so concurrent
 	// Combine calls never mutate the shared big.Ints.
+	fourDelta   *big.Int // 4Δ, the exponent of x̃ = H(m)^(4Δ) in partial proofs
 	fourDeltaSq *big.Int // 4Δ²
 	aAbs, bAbs  *big.Int // |a|, |b| where a·4Δ² + b·e = 1
 	aNeg, bNeg  bool
 	mont        montCtx // fixed-modulus Montgomery arithmetic
+
+	// Shoup's verification keys: the base v = H(N)² mod N, hashed from the
+	// modulus, and vk[i] = v^(s_i) for the share index i holds this epoch,
+	// published by newRSASigner; nil where no share was dealt.
+	v  *big.Int
+	vk []*big.Int // index 1..n
 
 	// lag memoizes the 2λ^S_{0,i} Lagrange-coefficient vectors per
 	// co-signer set: vote rounds reuse the same k+1 neighbours constantly.
@@ -173,6 +180,7 @@ func (g *rsaGroupKey) Epoch() uint64 { return g.epoch }
 // context for the fixed modulus. Dealt keys always satisfy
 // gcd(4Δ², e) = 1 because e is a prime > n.
 func (g *rsaGroupKey) precompute() error {
+	g.fourDelta = new(big.Int).Lsh(g.delta, 2)
 	g.fourDeltaSq = new(big.Int).Mul(g.delta, g.delta)
 	g.fourDeltaSq.Lsh(g.fourDeltaSq, 2)
 	a := new(big.Int)
@@ -186,16 +194,18 @@ func (g *rsaGroupKey) precompute() error {
 	g.aAbs = a.Abs(a)
 	g.bAbs = b.Abs(b)
 	g.mont = newMontCtx(g.modulus)
+	g.v = proofBase(g.modulus)
+	g.vk = make([]*big.Int, g.n+1)
 	return nil
 }
 
 // reshare repoints the key at a new (k, n): Δ becomes n'!, the dependent
-// Shoup constants (4Δ², the extended-Euclid pair) are rebuilt, the per-set
-// Lagrange memo is dropped, and the epoch is bumped so verification memos
-// roll over. The modulus — and with it the Montgomery context and every
-// previously issued signature — is untouched. All new state is computed
-// before any field is assigned, so a failed rebuild leaves the key as it
-// was.
+// Shoup constants (4Δ, 4Δ², the extended-Euclid pair) are rebuilt, the
+// per-set Lagrange memo and the verification keys are dropped, and the
+// epoch is bumped so verification memos roll over. The modulus — and with
+// it the Montgomery context, the proof base v and every previously issued
+// signature — is untouched. All new state is computed before any field is
+// assigned, so a failed rebuild leaves the key as it was.
 func (g *rsaGroupKey) reshare(newK, newN int) error {
 	delta := factorial(newN)
 	fds := new(big.Int).Mul(delta, delta)
@@ -209,7 +219,9 @@ func (g *rsaGroupKey) reshare(newK, newN int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.k, g.n, g.delta = newK, newN, delta
+	g.fourDelta = new(big.Int).Lsh(delta, 2)
 	g.fourDeltaSq = fds
+	g.vk = make([]*big.Int, newN+1)
 	g.aNeg, g.bNeg = a.Sign() < 0, b.Sign() < 0
 	g.aAbs, g.bAbs = a.Abs(a), b.Abs(b)
 	g.lag = nil
@@ -283,26 +295,30 @@ type rsaSigner struct {
 	index int
 	share *big.Int
 	exp   *big.Int // 2Δ·s_i, the fixed PartialSign exponent
+	vk    *big.Int // v^(s_i), this share's verification key
 }
 
-// newRSASigner precomputes the signer's fixed exponent 2Δ·s_i — it never
-// changes between messages, so both Deal and Refresh hoist it here.
+// newRSASigner is the one constructor of a share holder, which Deal, DKG,
+// Refresh and Reshare share. It precomputes the exponent 2Δ·s_i, which
+// never changes between messages, and publishes the share's verification
+// key v^(s_i) on gk.
 func newRSASigner(gk *rsaGroupKey, index int, share *big.Int) *rsaSigner {
 	exp := new(big.Int).Lsh(gk.delta, 1) // 2Δ
 	exp.Mul(exp, share)
-	return &rsaSigner{gk: gk, index: index, share: share, exp: exp}
+	vk := new(big.Int).Exp(gk.v, share, gk.modulus)
+	gk.vk[index] = vk
+	return &rsaSigner{gk: gk, index: index, share: share, exp: exp, vk: vk}
 }
 
 func (s *rsaSigner) Index() int { return s.index }
 
-// PartialSign computes x_i = H(m)^(2Δ·s_i) mod N. The ~modulus-sized
-// exponent keeps this in math/big's Exp (whose assembly inner loops win
-// at that size); the precomputed exponent and in-place reuse of the
-// hashed base trim the per-call overhead.
+// PartialSign computes x_i = H(m)^(2Δ·s_i) mod N and its proof (see
+// prove). The ~modulus-sized exponents keep this in math/big's Exp (whose
+// assembly inner loops win at that size).
 func (s *rsaSigner) PartialSign(msg []byte) (Partial, error) {
 	x := hashToModulus(msg, s.gk.modulus)
-	xi := x.Exp(x, s.exp, s.gk.modulus)
-	return Partial{Index: s.index, Data: xi.Bytes()}, nil
+	xi := new(big.Int).Exp(x, s.exp, s.gk.modulus)
+	return Partial{Index: s.index, Data: xi.Bytes(), Proof: s.prove(msg, x, xi)}, nil
 }
 
 // lagrangeNumerator computes λ^S_{0,i} = Δ · Π_{j∈S, j≠i} j / (j − i),
@@ -418,7 +434,7 @@ func (g *rsaGroupKey) Combine(msg []byte, partials []Partial) (Signature, error)
 		mc.Mul(dx, den, xm, ms.t)
 		inv := sc.t.ModInverse(mc.fromMont(ms, &sc.q, dx), g.modulus)
 		if inv == nil {
-			return Signature{}, g.diagnoseCombine(sc, lag, use, set)
+			return Signature{}, errCorruptSet(set)
 		}
 		im := mc.toMont(ms, inv) // (den·x)⁻¹
 		dinv := ms.alloc(mc.K())
@@ -430,7 +446,7 @@ func (g *rsaGroupKey) Combine(msg []byte, partials []Partial) (Signature, error)
 	} else { // a < 0, b > 0: sig = (den/num)^|a| · x^b
 		inv := sc.t.ModInverse(mc.fromMont(ms, &sc.q, num), g.modulus)
 		if inv == nil {
-			return Signature{}, g.diagnoseCombine(sc, lag, use, set)
+			return Signature{}, errCorruptSet(set)
 		}
 		im := mc.toMont(ms, inv)
 		mc.Mul(u, im, den, ms.t)
@@ -440,21 +456,16 @@ func (g *rsaGroupKey) Combine(msg []byte, partials []Partial) (Signature, error)
 	chk := ms.alloc(mc.K())
 	mc.expChain(ms, chk, [][]big.Word{sigm}, []*big.Int{g.e})
 	if !mont.Equal(chk, xm) {
-		return Signature{}, fmt.Errorf("%w: combined signature invalid (corrupt partial among %v)", ErrBadPartial, set)
+		return Signature{}, errCorruptSet(set)
 	}
 	sig := mc.fromMont(ms, &sc.t, sigm)
 	return Signature{Data: sig.Bytes()}, nil
 }
 
-// diagnoseCombine explains a failed inversion during Combine: a partial
-// that is itself non-invertible mod N is reported by name; anything else
-// surfaces as a failed combined signature over the whole co-signer set.
-func (g *rsaGroupKey) diagnoseCombine(sc *combineScratch, lag *lagEntry, use []Partial, set []int) error {
-	for i, p := range use {
-		if new(big.Int).GCD(nil, nil, &sc.xi[i], g.modulus).Cmp(big.NewInt(1)) != 0 {
-			return fmt.Errorf("%w: partial %d not invertible", ErrBadPartial, p.Index)
-		}
-	}
+// errCorruptSet is Combine's one failure over k+1 partials: some partial
+// of the co-signer set is not what its share makes. Partials that passed
+// VerifyPartial never cause it; VerifyPartial names the culprit.
+func errCorruptSet(set []int) error {
 	return fmt.Errorf("%w: combined signature invalid (corrupt partial among %v)", ErrBadPartial, set)
 }
 

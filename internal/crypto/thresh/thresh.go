@@ -5,21 +5,24 @@
 //
 // Two interchangeable schemes are provided:
 //
-//   - RSAScheme: a Shoup-style threshold RSA signature (practical threshold
+//   - RSAScheme: Shoup's threshold RSA signature (practical threshold
 //     signatures, EUROCRYPT 2000) built on math/big: partial signatures
-//     x_i = H(m)^(2Δ·s_i) mod N with Δ = n!, combined with integer Lagrange
-//     coefficients and finished with the extended-Euclid step, verified as
-//     ordinary RSA. This is the faithful implementation. (Deviation from
-//     Shoup: we omit the zero-knowledge proofs of partial-signature
-//     correctness — a bad partial is detected because the combined
-//     signature fails verification.)
+//     x_i = H(m)^(2Δ·s_i) mod N with Δ = n!, each carrying Shoup's proof
+//     that it used share i, combined with integer Lagrange coefficients
+//     and finished with the extended-Euclid step, verified as ordinary
+//     RSA. This is the faithful implementation. Its one departure from
+//     Shoup: N's primes are not safe primes, so the proof catches any
+//     altered partial, but its soundness against a signer who crafts a
+//     partial from a small-order factor of Z_N* is below Shoup's.
 //
 //   - SimScheme: a keyed-MAC stand-in with the same interface and the same
-//     wire sizes, used by default in the large parameter sweeps so that a
-//     50-run × 11-point experiment does not spend its time in modular
-//     exponentiation. Its "signature" is the set of L+1 partials, each a
-//     MAC under a per-share key, so the combining/verification *protocol
-//     semantics* (L+1 distinct cooperating shares required) are identical.
+//     signature wire size, used by default in the large parameter sweeps
+//     so that a 50-run × 11-point experiment does not spend its time in
+//     modular exponentiation. Its "signature" is the set of L+1 partials,
+//     each a MAC under a per-share key, so the combining/verification
+//     *protocol semantics* (L+1 distinct cooperating shares required, each
+//     partial checkable on its own) are identical. Its partials carry no
+//     proof, so they are smaller on the wire than RSA's.
 //
 // Both schemes carry the whole key lifecycle on two interfaces. A Dealer
 // establishes a key — Deal, as the paper's trusted dealer, or DKG, the
@@ -28,8 +31,7 @@
 // holders (the proactive refresh §2 defers), Reshare re-deals them to a
 // new (k, n) as membership changes. A GroupKey combines and verifies and
 // reports its Epoch, which both transitions bump and verification memos
-// key on. Signers carry no epoch. The one optional capability is
-// PartialVerifier: threshold RSA cannot check a partial on its own.
+// key on. Signers carry no epoch.
 package thresh
 
 import (
@@ -47,6 +49,10 @@ import (
 type Partial struct {
 	Index int // share index, >= 1
 	Data  []byte
+	// Proof shows that Data was made with share Index (threshold RSA:
+	// Shoup's proof of correctness). It is nil for the keyed-MAC scheme,
+	// whose Data checks itself.
+	Proof []byte
 }
 
 // Signature is a combined threshold signature.
@@ -78,6 +84,10 @@ type GroupKey interface {
 	Combine(msg []byte, partials []Partial) (Signature, error)
 	// Verify checks a combined signature for msg.
 	Verify(msg []byte, sig Signature) error
+	// VerifyPartial reports whether p is the partial signature on msg
+	// of share p.Index as the current epoch dealt it. A partial that
+	// passes combines with any k others that pass.
+	VerifyPartial(msg []byte, p Partial) bool
 	// SigBytes returns the wire size of signatures under this key.
 	SigBytes() int
 	// Epoch returns the key-material epoch: 0 when the key is dealt or
@@ -86,15 +96,6 @@ type GroupKey interface {
 	// one value verification memos must key on: a verdict cached at epoch
 	// E is never served at E+1.
 	Epoch() uint64
-}
-
-// PartialVerifier is the optional GroupKey capability of checking one
-// partial signature in isolation. The keyed-MAC SimScheme implements it;
-// threshold RSA cannot without share-verification proofs, so its corrupt
-// partials are only identified at combine time (the voting service's
-// leave-one-out fallback).
-type PartialVerifier interface {
-	VerifyPartial(msg []byte, p Partial) bool
 }
 
 // Dealer runs a group key's whole lifecycle: it establishes the key —
@@ -267,11 +268,10 @@ func (g *simGroupKey) Combine(msg []byte, partials []Partial) (Signature, error)
 	return Signature{Data: buf.Bytes()}, nil
 }
 
-// VerifyPartial implements PartialVerifier: keyed-MAC partials are
-// individually checkable, so a corrupt share is identified the moment it
-// arrives rather than at combine time.
+// VerifyPartial implements GroupKey: a keyed-MAC partial is its own
+// proof, so it carries none.
 func (g *simGroupKey) VerifyPartial(msg []byte, p Partial) bool {
-	return p.Index >= 1 && p.Index <= g.n && g.checkPartial(msg, p)
+	return p.Index >= 1 && p.Index <= g.n && len(p.Proof) == 0 && g.checkPartial(msg, p)
 }
 
 // checkPartial allocates nothing: the MAC is computed on the stack and

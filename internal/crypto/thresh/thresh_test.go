@@ -268,14 +268,13 @@ func TestSimPartialAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pv := gk.(PartialVerifier)
 	msg := make([]byte, 60)
 	var p Partial
 	if n := testing.AllocsPerRun(100, func() { p, _ = signers[1].PartialSign(msg) }); n != 1 {
 		t.Errorf("PartialSign: %.0f allocations per call, want 1", n)
 	}
 	ok := false
-	if n := testing.AllocsPerRun(100, func() { ok = pv.VerifyPartial(msg, p) }); n != 0 || !ok {
+	if n := testing.AllocsPerRun(100, func() { ok = gk.VerifyPartial(msg, p) }); n != 0 || !ok {
 		t.Errorf("VerifyPartial: %.0f allocations per call (want 0), verdict %v", n, ok)
 	}
 }

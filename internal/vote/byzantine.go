@@ -9,14 +9,14 @@ import (
 // (internal/faults) for the paper's Byzantine-voter class of attacks:
 // instead of dropping or mangling traffic on the wire, the node runs the
 // protocol but feeds it false inputs. The inner circle is supposed to
-// neutralize all three lies — corrupt partials through the center's
-// leave-one-out combine (Stats.PartialsRejected plus permanent
+// neutralize all three lies — corrupt partials through the center's check
+// of every partial on arrival (Stats.PartialsRejected plus permanent
 // suspicion), colluding acks because a single voter below the threshold
 // cannot complete a signature alone, and false observations through the
 // fusion function's outlier tolerance.
 type Byzantine struct {
 	// CorruptAcks flips one bit of the partial signature in every ack the
-	// node sends, poisoning the center's combine step.
+	// node sends; the center's partial check rejects each one.
 	CorruptAcks bool
 	// AckAll approves deterministic proposals even when the application
 	// check rejects them (a colluding voter).

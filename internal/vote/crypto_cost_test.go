@@ -34,7 +34,7 @@ func TestCryptoProfilesOrdering(t *testing.T) {
 func cryptoNet(t *testing.T, profile CryptoProfile) (*voteNet, []*jouleCounter, *int) {
 	t.Helper()
 	agreed := new(int)
-	net := buildVote(t, 4, detConfig(2), func(i int) Callbacks {
+	net := buildVote(t, 4, detConfig(2), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			Check:    func(link.NodeID, []byte) bool { return true },
 			OnAgreed: func(AgreedMsg) { *agreed++ },

@@ -86,7 +86,7 @@ func TestMemoNeverCrossesEpochBoundary(t *testing.T) {
 	const n, level = 5, 2
 	memo := sigcache.New(0)
 	agreed := make([]AgreedMsg, n)
-	net := buildVote(t, n, detConfig(level), func(i int) Callbacks {
+	net := buildVote(t, n, detConfig(level), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			Check:    func(link.NodeID, []byte) bool { return true },
 			OnAgreed: func(a AgreedMsg) { agreed[i] = a },
@@ -155,7 +155,7 @@ func TestMemoNeverCrossesEpochBoundary(t *testing.T) {
 // application.
 func TestAbortInFlightDrainsRounds(t *testing.T) {
 	var failed []string
-	net := buildVote(t, 4, detConfig(2), func(i int) Callbacks {
+	net := buildVote(t, 4, detConfig(2), simDealer(), func(i int) Callbacks {
 		if i != 0 {
 			// Voters decline every proposal, so the center's rounds stay
 			// open until they time out — or are aborted.

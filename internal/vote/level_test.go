@@ -95,7 +95,7 @@ func TestCrashToleranceEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	agreed := 0
-	net := buildVote(t, n, detConfig(l), func(i int) Callbacks {
+	net := buildVote(t, n, detConfig(l), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			Check:    func(link.NodeID, []byte) bool { return true },
 			OnAgreed: func(AgreedMsg) { agreed++ },
@@ -122,7 +122,7 @@ func TestCrashToleranceEndToEnd(t *testing.T) {
 func TestTerminationOnTooManyCrashes(t *testing.T) {
 	const n = 5
 	var failed int
-	net := buildVote(t, n, detConfig(4), func(i int) Callbacks {
+	net := buildVote(t, n, detConfig(4), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			Check:         func(link.NodeID, []byte) bool { return true },
 			OnRoundFailed: func([]byte, string) { failed++ },

@@ -47,7 +47,6 @@ func TestMemoAllocs(t *testing.T) {
 	d1, d2 := []byte("value digest one"), []byte("value digest two")
 	s1, s2 := kp.Sign(d1), kp.Sign(d2)
 
-	pv := gk.(thresh.PartialVerifier)
 	p1, err := signers[0].PartialSign(d1)
 	if err != nil {
 		t.Fatal(err)
@@ -75,9 +74,9 @@ func TestMemoAllocs(t *testing.T) {
 		}},
 		{"partial", 0, 2, func(s *Service, i int) bool {
 			if i == 0 {
-				return s.verifyPartial(gk, pv, d1, p1)
+				return s.verifyPartial(gk, d1, p1)
 			}
-			return s.verifyPartial(gk, pv, d1, p2)
+			return s.verifyPartial(gk, d1, p2)
 		}},
 	}
 	for _, c := range cases {

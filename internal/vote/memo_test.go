@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"innercircle/internal/crypto/sigcache"
+	"innercircle/internal/crypto/thresh"
 	"innercircle/internal/link"
+	"innercircle/internal/sim"
 )
 
 // runAgreementRound drives one deterministic round over n nodes under the
@@ -16,7 +18,7 @@ import (
 func runAgreementRound(t *testing.T, memo *sigcache.Cache) ([]AgreedMsg, uint64, uint64, []float64) {
 	t.Helper()
 	agreed := make([]AgreedMsg, 5)
-	net := buildVote(t, 5, detConfig(2), func(i int) Callbacks {
+	net := buildVote(t, 5, detConfig(2), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			Check:    func(link.NodeID, []byte) bool { return true },
 			OnAgreed: func(a AgreedMsg) { agreed[i] = a },
@@ -90,7 +92,7 @@ func TestMemoDoesNotChangeOutcomes(t *testing.T) {
 func TestMemoCachesRejections(t *testing.T) {
 	memo := sigcache.New(0)
 	agreed, _, _, _ := runAgreementRound(t, memo)
-	net := buildVote(t, 5, detConfig(2), func(int) Callbacks { return Callbacks{} })
+	net := buildVote(t, 5, detConfig(2), simDealer(), func(int) Callbacks { return Callbacks{} })
 	svc := net.svcs[1]
 	svc.deps.Memo = memo
 	bad := agreed[0]
@@ -105,5 +107,37 @@ func TestMemoCachesRejections(t *testing.T) {
 	}
 	if svc.Stats.MemoHits != before+1 {
 		t.Fatalf("second rejection not served from memo: hits %d -> %d", before, svc.Stats.MemoHits)
+	}
+}
+
+// TestMemoKeysPartialProof checks that a partial's proof is part of its
+// memo key: after an honest threshold-RSA partial is verified and
+// memoized, the same x_i under an altered proof is verified afresh and
+// rejected, never served the honest verdict.
+func TestMemoKeysPartialProof(t *testing.T) {
+	gk, signers, err := (&thresh.RSADealer{Bits: 512, Rand: sim.NewRNG(11)}).Deal(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dig := appendDigest(nil, 1, 1, 1, []byte("route-to-D"))
+	p, err := signers[0].PartialSign(dig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := p
+	forged.Proof = append([]byte(nil), p.Proof...)
+	forged.Proof[len(forged.Proof)-1] ^= 1
+	s := &Service{deps: Deps{Memo: sigcache.New(0)}}
+	if !s.verifyPartial(gk, dig, p) {
+		t.Fatal("honest partial rejected")
+	}
+	if s.verifyPartial(gk, dig, forged) {
+		t.Fatal("honest x_i with an altered proof verified")
+	}
+	if s.Stats.MemoHits != 0 || s.Stats.MemoMisses != 2 {
+		t.Fatalf("memo hits %d, misses %d; want 0 and 2", s.Stats.MemoHits, s.Stats.MemoMisses)
+	}
+	if !s.verifyPartial(gk, dig, p) || s.Stats.MemoHits != 1 {
+		t.Fatalf("honest partial not served from the memo: hits %d", s.Stats.MemoHits)
 	}
 }

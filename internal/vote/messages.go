@@ -98,7 +98,8 @@ func (m ProposeMsg) Size() int {
 }
 
 // AckMsg is a voter's approval: its partial signature over the round
-// digest with its share of K_L.
+// digest with its share of K_L, and the partial's proof where the scheme
+// has one.
 type AckMsg struct {
 	Center  link.NodeID
 	Seq     uint64
@@ -107,7 +108,9 @@ type AckMsg struct {
 }
 
 // Size implements link.Message.
-func (m AckMsg) Size() int { return headerBytes + 8 + len(m.Partial.Data) }
+func (m AckMsg) Size() int {
+	return headerBytes + 8 + len(m.Partial.Data) + len(m.Partial.Proof)
+}
 
 // AgreedMsg is the self-checking output of a completed round: value v,
 // dependability level L, and the combined threshold signature σ_KL. Any

@@ -40,7 +40,7 @@ func TestPropertiesRandomizedScenarios(t *testing.T) {
 			agreed := 0
 			failed := 0
 			var delivered []AgreedMsg
-			net := buildVote(t, n, detConfig(l), func(i int) Callbacks {
+			net := buildVote(t, n, detConfig(l), simDealer(), func(i int) Callbacks {
 				return Callbacks{
 					Check: func(link.NodeID, []byte) bool { return true },
 					OnAgreed: func(m AgreedMsg) {

@@ -101,7 +101,7 @@ func TestReplayedVotesChangeNothing(t *testing.T) {
 			cfg := detConfig(level)
 			cfg.TwoHop = twoHop
 			var agreed []AgreedMsg
-			net := buildVote(t, 5, cfg, func(i int) Callbacks {
+			net := buildVote(t, 5, cfg, simDealer(), func(i int) Callbacks {
 				return Callbacks{
 					Check: func(link.NodeID, []byte) bool { return true },
 					OnAgreed: func(a AgreedMsg) {
@@ -142,7 +142,7 @@ func TestReplayedVotesChangeNothing(t *testing.T) {
 			cfg := statConfig(level)
 			cfg.TwoHop = twoHop
 			observe := func(i int) []byte { return []byte{byte(10 + i)} }
-			net := buildVote(t, 5, cfg, func(i int) Callbacks {
+			net := buildVote(t, 5, cfg, simDealer(), func(i int) Callbacks {
 				return Callbacks{
 					LocalValue: func(link.NodeID, []byte) ([]byte, bool) { return observe(i), true },
 					Fuse:       func(_ link.NodeID, vals [][]byte) []byte { return bytes.Join(vals, nil) },
@@ -187,7 +187,7 @@ func TestInwardPathBoxesOnlyRelayedReplies(t *testing.T) {
 	for _, twoHop := range []bool{false, true} {
 		cfg := detConfig(2)
 		cfg.TwoHop = twoHop
-		net := buildVote(t, 4, cfg, func(int) Callbacks { return Callbacks{} })
+		net := buildVote(t, 4, cfg, simDealer(), func(int) Callbacks { return Callbacks{} })
 		e := env(1, AckMsg{Center: 0, Seq: 1, Voter: 1, Partial: thresh.Partial{Index: 2, Data: []byte{1}}})
 		s := net.svcs[2]
 		s.HandleEnv(e) // a two-hop bystander forwards it here, once

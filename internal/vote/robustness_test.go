@@ -12,7 +12,7 @@ import (
 // panic nor deliver an agreed message whose signature it cannot verify.
 func TestRobustnessRandomEnvelopes(t *testing.T) {
 	agreedCount := 0
-	net := buildVote(t, 4, detConfig(1), func(i int) Callbacks {
+	net := buildVote(t, 4, detConfig(1), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			Check:    func(link.NodeID, []byte) bool { return true },
 			OnAgreed: func(AgreedMsg) { agreedCount++ },
@@ -63,7 +63,7 @@ func TestRobustnessRandomEnvelopes(t *testing.T) {
 // wrong message; the round must not complete.
 func TestRobustnessForgedAckCannotCompleteRound(t *testing.T) {
 	agreed := 0
-	net := buildVote(t, 4, detConfig(3), func(i int) Callbacks {
+	net := buildVote(t, 4, detConfig(3), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			Check:    func(link.NodeID, []byte) bool { return i == 0 }, // only the center approves
 			OnAgreed: func(AgreedMsg) { agreed++ },

@@ -111,8 +111,9 @@ type Stats struct {
 	ChecksRejected  uint64
 	AgreedDelivered uint64
 	AgreedInvalid   uint64
-	// PartialsRejected counts acks the center's leave-one-out combine
-	// identified as corrupt (a Byzantine voter neutralized).
+	// PartialsRejected counts acks whose partial signature failed the
+	// center's check on arrival (GroupKey.VerifyPartial): each is a
+	// Byzantine voter neutralized and permanently suspected.
 	PartialsRejected uint64
 	// MemoHits counts signature verifications answered from the shared
 	// verification memo (each one is a modular exponentiation avoided);
@@ -462,7 +463,9 @@ func (s *Service) sendAck(m ProposeMsg) {
 	if m.Relayed {
 		dst = m.Relayer // the relayer forwards it inward
 	}
-	ack := AckMsg{Center: m.Center, Seq: m.Seq, Voter: s.deps.ID, Partial: p}
+	// Boxed once here, so the closure below carries an interface value,
+	// not a copy of the message.
+	var ack link.Message = AckMsg{Center: m.Center, Seq: m.Seq, Voter: s.deps.ID, Partial: p}
 	s.afterCrypto(s.deps.Crypto.SignDelay, s.deps.Crypto.SignEnergy, func() {
 		_ = s.deps.Link.SendRaw(dst, ack)
 	})
@@ -601,19 +604,15 @@ func (s *Service) onAck(from link.NodeID, m AckMsg) {
 	if _, dup := r.acks[m.Voter]; dup {
 		return
 	}
-	// Schemes with individually checkable partials (keyed MAC) identify a
-	// corrupt share on arrival: the lie is rejected at the source and the
-	// liar permanently suspected. Threshold RSA lacks this capability and
-	// relies on tryComplete's leave-one-out fallback instead.
-	gk := s.deps.Ring[s.cfg.L]
-	if pv, ok := gk.(thresh.PartialVerifier); ok {
-		if !s.verifyPartial(gk, pv, s.digest(s.deps.ID, r.seq, s.cfg.L, r.value), m.Partial) {
-			s.Stats.PartialsRejected++
-			if s.deps.Susp != nil {
-				s.deps.Susp.SuspectPermanent(m.Voter, "corrupt partial signature")
-			}
-			return
+	// A corrupt partial is identified on arrival: the lie is rejected at
+	// the source and the liar permanently suspected, so the combine only
+	// ever sees verified partials.
+	if !s.verifyPartial(s.deps.Ring[s.cfg.L], s.digest(s.deps.ID, r.seq, s.cfg.L, r.value), m.Partial) {
+		s.Stats.PartialsRejected++
+		if s.deps.Susp != nil {
+			s.deps.Susp.SuspectPermanent(m.Voter, "corrupt partial signature")
 		}
+		return
 	}
 	r.acks[m.Voter] = m.Partial
 	if len(r.acks) >= s.cfg.L {
@@ -621,10 +620,8 @@ func (s *Service) onAck(from link.NodeID, m AckMsg) {
 	}
 }
 
-// tryComplete combines the collected partials with the center's own share.
-// On a combine failure (a corrupt partial poisoning the batch) it retries
-// leaving out one ack at a time, so a single Byzantine voter cannot block
-// an otherwise complete round.
+// tryComplete combines the collected partials, each verified on arrival,
+// with the center's own share.
 func (s *Service) tryComplete(r *roundState) {
 	signer, ok := s.deps.Keys[s.cfg.L]
 	if !ok {
@@ -649,25 +646,6 @@ func (s *Service) tryComplete(r *roundState) {
 		partials = append(partials, r.acks[v])
 	}
 	sig, err := gk.Combine(dig, partials)
-	if err != nil && len(r.acks) > s.cfg.L {
-		// Leave-one-out: drop each suspect ack in turn.
-		for skip := range voters {
-			subset := []thresh.Partial{own}
-			for i, v := range voters {
-				if i == skip {
-					continue
-				}
-				subset = append(subset, r.acks[v])
-			}
-			if sig, err = gk.Combine(dig, subset); err == nil {
-				s.Stats.PartialsRejected++
-				if s.deps.Susp != nil {
-					s.deps.Susp.SuspectPermanent(voters[skip], "corrupt partial signature")
-				}
-				break
-			}
-		}
-	}
 	if err != nil {
 		// Not combinable yet; wait for more acks or the timeout.
 		return
@@ -751,19 +729,19 @@ func (s *Service) verifyNSL(pk nsl.PublicKey, dig, sig []byte) error {
 // errBadPartialMemo is the memoized verdict for a rejected partial.
 var errBadPartialMemo = errors.New("vote: partial rejected")
 
-// verifyPartial checks one partial signature under gk, whose
-// PartialVerifier view is pv, through the verification memo. The
-// partial's share index participates in the key: two voters' partials
-// over the same digest are distinct verifications.
-func (s *Service) verifyPartial(gk thresh.GroupKey, pv thresh.PartialVerifier, dig []byte, p thresh.Partial) bool {
+// verifyPartial checks one partial signature under gk through the
+// verification memo. The partial's share index and proof participate in
+// the key: two voters' partials over the same digest are distinct
+// verifications, and a verdict on one proof is never served for another.
+func (s *Service) verifyPartial(gk thresh.GroupKey, dig []byte, p thresh.Partial) bool {
 	var idx [4]byte
 	binary.BigEndian.PutUint32(idx[:], uint32(p.Index))
 	return s.memoized(sigcache.KindPartial, gk, gk.Epoch(), func() error {
-		if !pv.VerifyPartial(dig, p) {
+		if !gk.VerifyPartial(dig, p) {
 			return errBadPartialMemo
 		}
 		return nil
-	}, dig, p.Data, idx[:]) == nil
+	}, dig, p.Data, idx[:], p.Proof) == nil
 }
 
 // memoized runs verify through the verification memo: a verdict memoized

@@ -49,7 +49,7 @@ type voteNet struct {
 	susp  []*icnet.SuspicionManager
 	// Key lifecycle handles, retained so epoch-transition tests can
 	// refresh/reshare mid-run.
-	dealer *thresh.SimDealer
+	dealer thresh.Dealer
 	ring   PublicRing
 	keys   []NodeKeys
 	// kps are the nodes' individual signing keys (statistical values).
@@ -69,14 +69,18 @@ func (n *voteNet) checkRoundBook(t *testing.T) {
 	}
 }
 
-// buildVote assembles the harness. cbs is instantiated per node via mkCbs.
-// When the test ends, every node's round book must balance (checkRoundBook).
-func buildVote(t *testing.T, n int, cfg Config, mkCbs func(i int) Callbacks) *voteNet {
+// simDealer is the harness's default dealer, the keyed-MAC scheme every
+// replica deals.
+func simDealer() thresh.Dealer { return thresh.NewSimDealer([]byte("vote-test"), 128) }
+
+// buildVote assembles the harness, dealing the level keys with dealer. cbs
+// is instantiated per node via mkCbs. When the test ends, every node's
+// round book must balance (checkRoundBook).
+func buildVote(t *testing.T, n int, cfg Config, dealer thresh.Dealer, mkCbs func(i int) Callbacks) *voteNet {
 	t.Helper()
 	k := sim.NewKernel()
 	ch := radio.NewChannel(k, radio.Default80211())
 	rng := sim.NewRNG(1)
-	dealer := thresh.NewSimDealer([]byte("vote-test"), 128)
 	ring, keys, err := DealRing(dealer, 10, n)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +137,7 @@ func statConfig(l int) Config {
 
 func TestDeterministicAgreementHappyPath(t *testing.T) {
 	agreed := make([][]AgreedMsg, 5)
-	net := buildVote(t, 5, detConfig(2), func(i int) Callbacks {
+	net := buildVote(t, 5, detConfig(2), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			Check:    func(center link.NodeID, value []byte) bool { return true },
 			OnAgreed: func(a AgreedMsg) { agreed[i] = append(agreed[i], a) },
@@ -166,7 +170,7 @@ func TestDeterministicAgreementHappyPath(t *testing.T) {
 func TestDeterministicCheckRejectsInvalidValue(t *testing.T) {
 	var failures []string
 	agreedCount := 0
-	net := buildVote(t, 4, detConfig(1), func(i int) Callbacks {
+	net := buildVote(t, 4, detConfig(1), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			Check: func(center link.NodeID, value []byte) bool {
 				return !bytes.Equal(value, []byte("malicious"))
@@ -198,7 +202,7 @@ func TestDeterministicCheckRejectsInvalidValue(t *testing.T) {
 
 func TestProposeWithTooFewNeighbors(t *testing.T) {
 	var failed bool
-	net := buildVote(t, 4, detConfig(2), func(i int) Callbacks {
+	net := buildVote(t, 4, detConfig(2), simDealer(), func(i int) Callbacks {
 		return Callbacks{OnRoundFailed: func([]byte, string) { failed = true }}
 	})
 	// Shrink node 0's view to a single neighbour: fewer than L=2.
@@ -223,25 +227,26 @@ func TestProposeWithTooFewNeighbors(t *testing.T) {
 	}
 }
 
-func TestStatisticalVotingFusesValues(t *testing.T) {
-	// Values are single bytes; fusion is the max (deterministic and easy
-	// to reason about).
-	fuse := func(center link.NodeID, values [][]byte) []byte {
-		var max byte
-		for _, v := range values {
-			if len(v) == 1 && v[0] > max {
-				max = v[0]
-			}
+// fuseMax is the statistical tests' fusion of single-byte values: their
+// maximum, deterministic and easy to reason about.
+func fuseMax(_ link.NodeID, values [][]byte) []byte {
+	var max byte
+	for _, v := range values {
+		if len(v) == 1 && v[0] > max {
+			max = v[0]
 		}
-		return []byte{max}
 	}
+	return []byte{max}
+}
+
+func TestStatisticalVotingFusesValues(t *testing.T) {
 	agreed := make([][]AgreedMsg, 5)
-	net := buildVote(t, 5, statConfig(3), func(i int) Callbacks {
+	net := buildVote(t, 5, statConfig(3), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			LocalValue: func(center link.NodeID, meta []byte) ([]byte, bool) {
 				return []byte{byte(10 * (i + 1))}, true
 			},
-			Fuse:     fuse,
+			Fuse:     fuseMax,
 			OnAgreed: func(a AgreedMsg) { agreed[i] = append(agreed[i], a) },
 		}
 	})
@@ -270,7 +275,7 @@ func TestStatisticalVotingFusesValues(t *testing.T) {
 
 func TestStatisticalForgedProposeRejected(t *testing.T) {
 	agreedCount := 0
-	net := buildVote(t, 4, statConfig(2), func(i int) Callbacks {
+	net := buildVote(t, 4, statConfig(2), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			LocalValue: func(link.NodeID, []byte) ([]byte, bool) { return []byte{1}, true },
 			Fuse: func(_ link.NodeID, values [][]byte) []byte {
@@ -296,7 +301,7 @@ func TestStatisticalForgedProposeRejected(t *testing.T) {
 
 func TestByzantinePartialDoesNotBlockAgreement(t *testing.T) {
 	agreed := 0
-	net := buildVote(t, 6, detConfig(2), func(i int) Callbacks {
+	net := buildVote(t, 6, detConfig(2), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			Check:    func(link.NodeID, []byte) bool { return true },
 			OnAgreed: func(AgreedMsg) { agreed++ },
@@ -332,7 +337,7 @@ func TestByzantinePartialDoesNotBlockAgreement(t *testing.T) {
 
 func TestVerifyAgreedRejectsTampering(t *testing.T) {
 	var captured *AgreedMsg
-	net := buildVote(t, 4, detConfig(1), func(i int) Callbacks {
+	net := buildVote(t, 4, detConfig(1), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			Check:    func(link.NodeID, []byte) bool { return true },
 			OnAgreed: func(a AgreedMsg) { captured = &a },
@@ -373,7 +378,7 @@ func TestVerifyAgreedRejectsTampering(t *testing.T) {
 func TestAgreedDeliveredOnce(t *testing.T) {
 	count := 0
 	var captured *AgreedMsg
-	net := buildVote(t, 4, detConfig(1), func(i int) Callbacks {
+	net := buildVote(t, 4, detConfig(1), simDealer(), func(i int) Callbacks {
 		cb := Callbacks{Check: func(link.NodeID, []byte) bool { return true }}
 		if i == 1 {
 			cb.OnAgreed = func(a AgreedMsg) { count++; captured = &a }
@@ -404,7 +409,7 @@ func TestRetryRecoversFromLoss(t *testing.T) {
 	// should still complete despite MAC-level contention, possibly via
 	// retries.
 	agreed := 0
-	net := buildVote(t, 3, detConfig(2), func(i int) Callbacks {
+	net := buildVote(t, 3, detConfig(2), simDealer(), func(i int) Callbacks {
 		return Callbacks{
 			Check:    func(link.NodeID, []byte) bool { return true },
 			OnAgreed: func(AgreedMsg) { agreed++ },

@@ -53,7 +53,7 @@ func (t lineTopo) TwoHopCount() int {
 // with the given vote config, using the lineTopo fake.
 func buildLine(t *testing.T, cfg Config, mkCbs func(i int) Callbacks) *voteNet {
 	t.Helper()
-	net := buildVote(t, 3, cfg, mkCbs)
+	net := buildVote(t, 3, cfg, simDealer(), mkCbs)
 	for i, svc := range net.svcs {
 		svc.deps.Topo = lineTopo{self: link.NodeID(i)}
 	}

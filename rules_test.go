@@ -181,17 +181,18 @@ var repoRules = []repoRule{
 	},
 	// Threshold keys have one interface: thresh.Dealer carries the whole
 	// lifecycle (Deal, DKG, Refresh, Reshare) and thresh.GroupKey its
-	// Epoch, which both schemes implement. No Go file and none of the
-	// repository's own guides may name the four optional capability
-	// interfaces they replaced, so no call site type-asserts a dealer or a
-	// key again. Whole words only, so a method such as Refresh passes.
+	// Epoch and VerifyPartial, which both schemes implement. No Go file
+	// and none of the repository's own guides may name the five optional
+	// capability interfaces they replaced, so no call site type-asserts a
+	// dealer or a key again. Whole words only, so a method such as Refresh
+	// or VerifyPartial passes.
 	{
 		name:    "Retired-thresh-capability",
-		pattern: regexp.MustCompile(`\b(Epoched|KeyGenerator|Refresher|Resharer)\b`),
+		pattern: regexp.MustCompile(`\b(Epoched|KeyGenerator|Refresher|Resharer|PartialVerifier)\b`),
 		scopes:  wholeTree,
 		globs:   []string{"*.go", "README.md", "DESIGN.md", "EXPERIMENTS.md", "SKILL.md"},
 		msg:     "a retired threshold-key capability interface is still named; call the method on thresh.Dealer or thresh.GroupKey",
-		hit:     `	gen, ok := dealer.(thresh.KeyGenerator)`,
+		hit:     `	pv, ok := gk.(thresh.PartialVerifier)`,
 		miss:    `func (d *SimDealer) Refresh(gk GroupKey, old []Signer)`,
 	},
 	// The interceptor enforces the template rule itself: a template match
