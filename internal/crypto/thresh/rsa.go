@@ -363,21 +363,9 @@ var scratchPool = sync.Pool{New: func() any { return new(combineScratch) }}
 // The signature value is identical to the per-factor evaluation — only
 // the operation count changes.
 func (g *rsaGroupKey) Combine(msg []byte, partials []Partial) (Signature, error) {
-	// Select k+1 distinct candidate partials.
-	seen := make(map[int]bool)
-	var use []Partial
-	for _, p := range partials {
-		if p.Index < 1 || p.Index > g.n || seen[p.Index] || len(p.Data) == 0 {
-			continue
-		}
-		seen[p.Index] = true
-		use = append(use, p)
-		if len(use) == g.k+1 {
-			break
-		}
-	}
-	if len(use) < g.k+1 {
-		return Signature{}, fmt.Errorf("%w: have %d, need %d", ErrTooFewPartials, len(use), g.k+1)
+	use, err := coSigners(partials, g.k, g.n)
+	if err != nil {
+		return Signature{}, err
 	}
 	set := make([]int, len(use))
 	for i, p := range use {
@@ -434,7 +422,7 @@ func (g *rsaGroupKey) Combine(msg []byte, partials []Partial) (Signature, error)
 		mc.Mul(dx, den, xm, ms.t)
 		inv := sc.t.ModInverse(mc.fromMont(ms, &sc.q, dx), g.modulus)
 		if inv == nil {
-			return Signature{}, errCorruptSet(set)
+			return Signature{}, errCorruptSet(use)
 		}
 		im := mc.toMont(ms, inv) // (den·x)⁻¹
 		dinv := ms.alloc(mc.K())
@@ -446,7 +434,7 @@ func (g *rsaGroupKey) Combine(msg []byte, partials []Partial) (Signature, error)
 	} else { // a < 0, b > 0: sig = (den/num)^|a| · x^b
 		inv := sc.t.ModInverse(mc.fromMont(ms, &sc.q, num), g.modulus)
 		if inv == nil {
-			return Signature{}, errCorruptSet(set)
+			return Signature{}, errCorruptSet(use)
 		}
 		im := mc.toMont(ms, inv)
 		mc.Mul(u, im, den, ms.t)
@@ -456,17 +444,10 @@ func (g *rsaGroupKey) Combine(msg []byte, partials []Partial) (Signature, error)
 	chk := ms.alloc(mc.K())
 	mc.expChain(ms, chk, [][]big.Word{sigm}, []*big.Int{g.e})
 	if !mont.Equal(chk, xm) {
-		return Signature{}, errCorruptSet(set)
+		return Signature{}, errCorruptSet(use)
 	}
 	sig := mc.fromMont(ms, &sc.t, sigm)
 	return Signature{Data: sig.Bytes()}, nil
-}
-
-// errCorruptSet is Combine's one failure over k+1 partials: some partial
-// of the co-signer set is not what its share makes. Partials that passed
-// VerifyPartial never cause it; VerifyPartial names the culprit.
-func errCorruptSet(set []int) error {
-	return fmt.Errorf("%w: combined signature invalid (corrupt partial among %v)", ErrBadPartial, set)
 }
 
 // powSigned computes base^exp mod m for possibly negative exp. It inverts

@@ -151,3 +151,61 @@ func TestPowSigned(t *testing.T) {
 		t.Fatalf("exponent mutated on error path: %v", exp)
 	}
 }
+
+// TestCombineRuleSharedBySchemes: both schemes combine the same co-signer
+// set — the first k+1 partials with distinct indexes in 1..n — and answer
+// each input with the same error kind. A bad partial inside the set fails
+// the combine, naming the set, even when a good partial with its index
+// comes later; partials outside the set are never looked at.
+func TestCombineRuleSharedBySchemes(t *testing.T) {
+	msg := []byte("one combine rule")
+	for _, sc := range []struct {
+		name string
+		d    Dealer
+	}{{"sim", NewSimDealer([]byte("rule"), 128)}, {"rsa", seededRSA(512, 9)}} {
+		t.Run(sc.name, func(t *testing.T) {
+			gk, signers, err := sc.d.Deal(2, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := signAll(t, signers, msg)
+			fresh, err := sc.d.Refresh(gk, signers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := signAll(t, fresh, msg)
+			zero, past := p[0], p[1]
+			zero.Index, past.Index = 0, 6
+			for _, tc := range []struct {
+				name string
+				in   []Partial
+				want error // nil: combines into a signature that verifies
+			}{
+				{"all verified", p[:3], nil},
+				{"one stale share", []Partial{p[0], old[1], p[2]}, ErrBadPartial},
+				{"stale share before its fresh one", []Partial{old[0], p[0], p[1], p[2]}, ErrBadPartial},
+				{"empty partial", []Partial{{Index: 1}, p[1], p[2], p[3]}, ErrBadPartial},
+				{"stale share past the set", []Partial{p[0], p[1], p[2], old[3]}, nil},
+				{"duplicate index", []Partial{p[0], p[0], p[1], p[2]}, nil},
+				{"duplicate index short", []Partial{p[0], p[0], p[1]}, ErrTooFewPartials},
+				{"index 0 and n+1", []Partial{zero, past, p[2], p[3], p[4]}, nil},
+				{"index 0 and n+1 short", []Partial{zero, past, p[2], p[3]}, ErrTooFewPartials},
+				{"only k partials", p[:2], ErrTooFewPartials},
+			} {
+				sig, err := gk.Combine(msg, tc.in)
+				switch {
+				case tc.want == nil && err != nil:
+					t.Errorf("%s: %v", tc.name, err)
+				case tc.want == nil:
+					if err := gk.Verify(msg, sig); err != nil {
+						t.Errorf("%s: combined signature does not verify: %v", tc.name, err)
+					}
+				case !errors.Is(err, tc.want):
+					t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+				case tc.want == ErrBadPartial && !strings.Contains(err.Error(), "[1 2 3]"):
+					t.Errorf("%s: %q does not name the co-signer set [1 2 3]", tc.name, err)
+				}
+			}
+		})
+	}
+}

@@ -41,6 +41,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"innercircle/internal/crypto/keyedmac"
 )
@@ -80,7 +81,11 @@ type GroupKey interface {
 	Threshold() int
 	// Players returns n, the number of dealt shares.
 	Players() int
-	// Combine assembles a signature from partials (at least k+1 distinct).
+	// Combine assembles a signature from the co-signer set: the first
+	// k+1 partials, in the order given, whose indexes are distinct and in
+	// 1..n; the rest are ignored. Fewer such partials is
+	// ErrTooFewPartials; a set holding a partial that VerifyPartial
+	// rejects is ErrBadPartial, naming the set.
 	Combine(msg []byte, partials []Partial) (Signature, error)
 	// Verify checks a combined signature for msg.
 	Verify(msg []byte, sig Signature) error
@@ -150,6 +155,32 @@ var (
 	ErrBadSignature   = errors.New("thresh: signature verification failed")
 	ErrBadPartial     = errors.New("thresh: invalid partial signature")
 )
+
+// coSigners picks the co-signer set both schemes combine: the first k+1
+// partials whose indexes are distinct and in 1..n.
+func coSigners(partials []Partial, k, n int) ([]Partial, error) {
+	use := make([]Partial, 0, k+1)
+	for _, p := range partials {
+		if p.Index < 1 || p.Index > n || slices.ContainsFunc(use, func(q Partial) bool { return q.Index == p.Index }) {
+			continue
+		}
+		if use = append(use, p); len(use) == k+1 {
+			return use, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: have %d, need %d", ErrTooFewPartials, len(use), k+1)
+}
+
+// errCorruptSet is Combine's one failure over a full co-signer set: some
+// partial of it is not what its share makes. Partials that passed
+// VerifyPartial never cause it; VerifyPartial names the culprit.
+func errCorruptSet(set []Partial) error {
+	idx := make([]int, len(set))
+	for i, p := range set {
+		idx[i] = p.Index
+	}
+	return fmt.Errorf("%w: combined signature invalid (corrupt partial among %v)", ErrBadPartial, idx)
+}
 
 // ---- SimScheme ----------------------------------------------------------
 
@@ -237,29 +268,18 @@ func (g *simGroupKey) SigBytes() int  { return g.sigSize }
 // key in place, changing which partials verify.
 func (g *simGroupKey) Epoch() uint64 { return g.epoch }
 
-// Combine validates each partial against its share key and, given k+1
-// distinct valid ones, emits a signature encoding those partials.
+// Combine implements GroupKey: the signature encodes the co-signer set's
+// partials, each checked against its share key.
 func (g *simGroupKey) Combine(msg []byte, partials []Partial) (Signature, error) {
-	valid := make([]Partial, 0, len(partials))
-	seen := make(map[int]bool)
-	for _, p := range partials {
-		if p.Index < 1 || p.Index > g.n || seen[p.Index] {
-			continue
-		}
-		if !g.checkPartial(msg, p) {
-			continue
-		}
-		seen[p.Index] = true
-		valid = append(valid, p)
-		if len(valid) == g.k+1 {
-			break
-		}
-	}
-	if len(valid) < g.k+1 {
-		return Signature{}, fmt.Errorf("%w: have %d, need %d", ErrTooFewPartials, len(valid), g.k+1)
+	use, err := coSigners(partials, g.k, g.n)
+	if err != nil {
+		return Signature{}, err
 	}
 	var buf bytes.Buffer
-	for _, p := range valid {
+	for _, p := range use {
+		if !g.checkPartial(msg, p) {
+			return Signature{}, errCorruptSet(use)
+		}
 		var idx [4]byte
 		binary.BigEndian.PutUint32(idx[:], uint32(p.Index))
 		buf.Write(idx[:])

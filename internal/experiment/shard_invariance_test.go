@@ -2,11 +2,13 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"innercircle/internal/node"
@@ -284,7 +286,7 @@ func TestBlackholeShardFallback(t *testing.T) {
 // the planner has taken its share before the build — and can make the run
 // fail.
 type tokenProbe struct {
-	limit bool // set an event limit the run trips
+	limit bool // install an event limit the run trips
 	held  []int
 }
 
@@ -292,12 +294,24 @@ func (*tokenProbe) Attach(*scenario.Env, *node.Node) *vote.Callbacks { return ni
 
 func (p *tokenProbe) Wire(env *scenario.Env) {
 	p.held = append(p.held, sim.CoresInUse())
-	if p.limit {
-		if env.Net.Set != nil {
-			env.Net.Set.SetEventLimit(1000)
-		} else {
-			env.K().SetEventLimit(1000)
+	if !p.limit {
+		return
+	}
+	// One observer over one counter on every kernel: the limit counts the
+	// replica's events, however many shards run them.
+	var fired atomic.Uint64
+	stop := func(at sim.Time) error {
+		if fired.Add(1) >= 1000 {
+			return fmt.Errorf("event limit 1000 reached at %v", at)
 		}
+		return nil
+	}
+	if set := env.Net.Set; set != nil {
+		for i := 0; i < set.Shards(); i++ {
+			set.Kernel(i).OnFire(stop)
+		}
+	} else {
+		env.K().OnFire(stop)
 	}
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // LinkPort is the slice of link.Service a campaign needs: somewhere to
-// install the wire-fault tap.
+// add the wire-fault tap.
 type LinkPort interface {
-	SetTap(link.Tap)
+	AddTap(link.Tap)
 }
 
 // RouterCtl is the routing-layer attack surface, satisfied by
@@ -113,7 +113,7 @@ func Apply(fab Fabric, c *Campaign) (*Applied, error) {
 				if !ok {
 					inj = &Injector{k: fab.K, injected: a.injected, mutate: fab.Mutate}
 					injectors[node] = inj
-					port.SetTap(inj)
+					port.AddTap(inj)
 				}
 				st := &stage{
 					entry:    ei,

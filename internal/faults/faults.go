@@ -43,8 +43,11 @@ const (
 	// Reorder holds a message until the next one overtakes it (or the
 	// Hold deadline expires).
 	Reorder Kind = "reorder"
-	// Crash silences the node entirely — nothing in, nothing out — while
-	// the schedule window is active; outside it the node recovers.
+	// Crash swallows the node's traffic at the link layer, both ways,
+	// while the schedule window is active; outside it the node recovers.
+	// The radio and MAC below stay up: the node still receives, and its
+	// MAC still ACKs every unicast data frame addressed to it, so its
+	// senders see delivery and routing sees no link break.
 	Crash Kind = "crash"
 	// Spoof rewrites outgoing STS beacons to impersonate another node,
 	// with a forged far-future sequence number (a replay-counter attack).

@@ -25,6 +25,7 @@ func (m wireMsg) Size() int { return m.size }
 // testNet is a small chain of link services plus a fabric for Apply.
 type testNet struct {
 	k    *sim.Kernel
+	macs []*mac.MAC
 	svcs []*link.Service
 }
 
@@ -32,12 +33,12 @@ func buildNet(n int) *testNet {
 	k := sim.NewKernel()
 	ch := radio.NewChannel(k, radio.Default80211())
 	rng := sim.NewRNG(1)
-	svcs := make([]*link.Service, n)
+	tn := &testNet{k: k, macs: make([]*mac.MAC, n), svcs: make([]*link.Service, n)}
 	for i := 0; i < n; i++ {
-		m := mac.New(k, ch, mobility.Static(geo.Point{X: float64(100 * i)}), nil, rng.SplitN("mac", i), mac.Default80211())
-		svcs[i] = link.NewService(m)
+		tn.macs[i] = mac.New(k, ch, mobility.Static(geo.Point{X: float64(100 * i)}), nil, rng.SplitN("mac", i), mac.Default80211())
+		tn.svcs[i] = link.NewService(tn.macs[i])
 	}
-	return &testNet{k: k, svcs: svcs}
+	return tn
 }
 
 func (tn *testNet) fabric(seed int64) Fabric {
@@ -250,6 +251,41 @@ func TestApplyCrashWindow(t *testing.T) {
 	}
 	if inj := a.Report().Entries[0].Injected; inj != 1 {
 		t.Fatalf("injected = %d, want 1", inj)
+	}
+}
+
+// TestCrashStillAcks pins where a crash acts: at the link layer only.
+// The crashed node delivers nothing upward, yet its radio still receives
+// and its MAC still ACKs each unicast addressed to it, so the sender sees
+// every message delivered and no send failure — no link break for
+// routing to notice.
+func TestCrashStillAcks(t *testing.T) {
+	tn := buildNet(2)
+	up, failed := 0, 0
+	tn.svcs[0].OnRecv(func(link.Env) { up++ })
+	tn.svcs[1].OnSendFailed(func(link.Env) { failed++ })
+	a := tn.apply(t, Campaign{Entries: []Entry{
+		{Fault: Crash, Targets: Selector{Nodes: []int{0}}, Schedule: Window{From: 1, To: 3}},
+	}})
+	const sends = 3
+	tn.k.ScheduleFire(sim.Duration(1.5), func() {
+		for i := 0; i < sends; i++ {
+			if err := tn.svcs[1].Send(tn.svcs[0].ID(), wireMsg{"x", 50}); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err := tn.k.Run(2.5); err != nil {
+		t.Fatal(err)
+	}
+	if up != 0 || a.Report().Entries[0].Injected != sends {
+		t.Fatalf("crashed node delivered %d, injected %d; want 0, %d", up, a.Report().Entries[0].Injected, sends)
+	}
+	if acks := tn.macs[0].Stats.AcksSent; acks != sends {
+		t.Errorf("crashed node's MAC sent %d ACKs, want %d", acks, sends)
+	}
+	if got := tn.macs[1].Stats.DataDelivered; got != sends || failed != 0 {
+		t.Errorf("sender saw %d delivered, %d failed; want %d, 0", got, failed, sends)
 	}
 }
 

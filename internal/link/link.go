@@ -1,8 +1,8 @@
 // Package link provides the paper's "Single-hop Communication Service": a
-// best-effort unicast/broadcast message service over the MAC, plus the
-// filter hook points through which the Inner-circle Interceptor (Fig. 1)
-// observes and redirects traffic between the link layer and the services
-// above it.
+// best-effort unicast/broadcast message service over the MAC. Filters
+// (AddFilter) sit between it and the protocols above, where the
+// Inner-circle Interceptor (Fig. 1) plugs in; taps (AddTap) stack up from
+// the MAC and see every message, for the tracer and fault injection.
 package link
 
 import (
@@ -40,12 +40,12 @@ type Filter interface {
 
 // Tap intercepts traffic at the link/MAC boundary — below the filters, so
 // it sees every message, including the raw protocol traffic that bypasses
-// them. It is the fault-injection hook (internal/faults). Outbound runs
-// as a message is handed to the MAC; Inbound runs after the radio
-// delivers one and before the filter chain. A tap forwards each envelope
-// by calling emit: zero times to drop it, twice to duplicate it, later
-// (via a kernel event) to delay it, or with a mutated copy to corrupt it.
-// emit stays valid after the call returns, so deferred emission is safe.
+// them. Outbound runs on the way down to the MAC, Inbound on the way up
+// from the radio. A tap forwards each envelope by calling emit — the next
+// tap's entry, or the MAC or the filter chain past the last one: zero
+// times to drop it, twice to duplicate it, later (via a kernel event) to
+// delay it, or with a mutated copy to corrupt it. emit stays valid after
+// the call returns, so deferred emission is safe.
 type Tap interface {
 	Outbound(e Env, emit func(Env))
 	Inbound(e Env, emit func(Env))
@@ -53,11 +53,15 @@ type Tap interface {
 
 // Service is one node's single-hop communication service.
 type Service struct {
-	mac      *mac.MAC
-	id       NodeID
-	filters  []Filter
-	tap      Tap
-	observer func(outbound bool, e Env)
+	mac     *mac.MAC
+	id      NodeID
+	filters []Filter
+	// down and up enter the tap chain: down at its top for outbound
+	// traffic, up at its bottom for inbound. Both are nil without taps.
+	// top points at the top tap's inbound continuation (at up before any
+	// tap), for AddTap to redirect to the tap it adds.
+	down, up func(Env)
+	top      *func(Env)
 	onRecv   func(Env)
 	onFailed func(Env)
 }
@@ -65,6 +69,7 @@ type Service struct {
 // NewService wraps m. The service installs itself as m's receive handler.
 func NewService(m *mac.MAC) *Service {
 	s := &Service{mac: m, id: NodeID(m.Addr())}
+	s.top = &s.up
 	m.OnRecv(s.recv)
 	m.OnSendFailed(s.sendFailed)
 	return s
@@ -80,20 +85,23 @@ func (s *Service) AddFilter(f Filter) { s.filters = append(s.filters, f) }
 // OnRecv registers the upward delivery handler.
 func (s *Service) OnRecv(fn func(Env)) { s.onRecv = fn }
 
-// SetObserver registers a tap that sees every message this node transmits
-// (including raw protocol traffic that bypasses the filters) and every
-// message the radio delivers, before filtering. Used by the tracer.
-func (s *Service) SetObserver(fn func(outbound bool, e Env)) { s.observer = fn }
-
 // OnSendFailed registers the handler invoked when a unicast exhausts MAC
 // retries (the link-breakage signal).
 func (s *Service) OnSendFailed(fn func(Env)) { s.onFailed = fn }
 
-// SetTap installs the fault-injection tap; nil restores the direct path.
-// With a tap installed, the outbound observer sees what actually reaches
-// the MAC (post-fault), while the inbound observer still sees what the
-// radio delivered (pre-fault).
-func (s *Service) SetTap(t Tap) { s.tap = t }
+// AddTap stacks t on top of the taps already added, below every filter:
+// the first tap sits next to the MAC. Outbound traffic runs the taps
+// top-down, inbound traffic bottom-up. Each level's continuation is built
+// here, once, so crossing a tap allocates nothing.
+func (s *Service) AddTap(t Tap) {
+	down, up := s.down, s.deliver
+	if down == nil {
+		down = func(e Env) { _ = s.transmit(e) }
+	}
+	s.down = func(e Env) { t.Outbound(e, down) }
+	*s.top = func(e Env) { t.Inbound(e, up) }
+	s.top = &up
+}
 
 // Send transmits msg to the given destination (BroadcastID for broadcast).
 // Outbound filters may swallow the message, which is not an error: the
@@ -114,23 +122,17 @@ func (s *Service) Send(to NodeID, msg Message) error {
 // re-intercepted).
 func (s *Service) SendRaw(to NodeID, msg Message) error {
 	env := Env{From: s.id, To: to, Msg: msg}
-	if s.tap == nil {
+	if s.down == nil {
 		return s.transmit(env)
 	}
-	s.tap.Outbound(env, s.emitOut)
+	s.down(env)
 	return nil
 }
-
-// emitOut is the tap's outbound continuation.
-func (s *Service) emitOut(e Env) { _ = s.transmit(e) }
 
 // transmit hands one envelope to the MAC. An envelope whose From differs
 // from this node — identity spoofing injected by a tap — goes out with a
 // forged link-layer source.
 func (s *Service) transmit(e Env) error {
-	if s.observer != nil {
-		s.observer(true, e)
-	}
 	if e.From != s.id {
 		return s.mac.SendAs(mac.Addr(e.From), mac.Addr(e.To), e.Msg, e.Msg.Size())
 	}
@@ -143,17 +145,15 @@ func (s *Service) recv(p mac.Packet) {
 		return
 	}
 	env := Env{From: NodeID(p.Src), To: NodeID(p.Dst), Msg: msg}
-	if s.observer != nil {
-		s.observer(false, env)
-	}
-	if s.tap == nil {
+	if s.up == nil {
 		s.deliver(env)
 		return
 	}
-	s.tap.Inbound(env, s.deliver)
+	s.up(env)
 }
 
-// deliver runs the inbound filter chain and the upward handler.
+// deliver runs the inbound filter chain and the upward handler; it is
+// the top tap's inbound continuation.
 func (s *Service) deliver(e Env) {
 	for _, f := range s.filters {
 		if !f.Inbound(e) {

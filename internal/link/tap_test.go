@@ -1,9 +1,11 @@
 package link
 
 import (
+	"slices"
 	"testing"
 
 	"innercircle/internal/geo"
+	"innercircle/internal/mac"
 	"innercircle/internal/sim"
 )
 
@@ -35,7 +37,7 @@ func TestTapOutboundDropAndDuplicate(t *testing.T) {
 	var got []Env
 	svcs[1].OnRecv(func(e Env) { got = append(got, e) })
 
-	svcs[0].SetTap(fnTap{out: func(e Env, emit func(Env)) {
+	svcs[0].AddTap(fnTap{out: func(e Env, emit func(Env)) {
 		switch e.Msg.(testMsg).body {
 		case "drop":
 			// swallowed: zero emits
@@ -75,7 +77,7 @@ func TestTapSeesRawTraffic(t *testing.T) {
 	k := sim.NewKernel()
 	svcs := buildLinks(k, []geo.Point{{X: 0}, {X: 100}})
 	tapped := 0
-	svcs[0].SetTap(fnTap{out: func(e Env, emit func(Env)) {
+	svcs[0].AddTap(fnTap{out: func(e Env, emit func(Env)) {
 		tapped++
 		emit(e)
 	}})
@@ -92,7 +94,7 @@ func TestTapInboundDeferredEmit(t *testing.T) {
 	svcs := buildLinks(k, []geo.Point{{X: 0}, {X: 100}})
 	var at sim.Time
 	svcs[1].OnRecv(func(e Env) { at = k.Now() })
-	svcs[1].SetTap(fnTap{in: func(e Env, emit func(Env)) {
+	svcs[1].AddTap(fnTap{in: func(e Env, emit func(Env)) {
 		// emit stays valid after Inbound returns: hold the message half a
 		// second.
 		k.ScheduleFire(sim.Duration(0.5), func() { emit(e) })
@@ -116,7 +118,7 @@ func TestTapSpoofedSource(t *testing.T) {
 	victim := svcs[2].ID()
 	var got []Env
 	svcs[1].OnRecv(func(e Env) { got = append(got, e) })
-	svcs[0].SetTap(fnTap{out: func(e Env, emit func(Env)) {
+	svcs[0].AddTap(fnTap{out: func(e Env, emit func(Env)) {
 		e.From = victim
 		emit(e)
 	}})
@@ -130,3 +132,66 @@ func TestTapSpoofedSource(t *testing.T) {
 		t.Fatalf("got %+v, want one envelope from victim %d", got, victim)
 	}
 }
+
+// TestPassThroughTapAllocs: a tap that only forwards adds no allocation to
+// a send or a receive — every level's continuation was built once, in
+// AddTap. The MAC queue is full first, so the MAC refuses each send
+// without allocating and what is counted is the link layer's own cost.
+func TestPassThroughTapAllocs(t *testing.T) {
+	k := sim.NewKernel()
+	s := buildLinks(k, []geo.Point{{X: 0}, {X: 100}})[0]
+	msg := Message(testMsg{"x", 50})
+	for s.mac.QueueLen() < mac.Default80211().QueueLimit {
+		_ = s.SendRaw(1, msg)
+	}
+	s.OnRecv(func(Env) {})
+	pkt := mac.Packet{Src: 1, Dst: mac.Addr(s.ID()), Payload: msg, Bytes: msg.Size()}
+	send := func() { _ = s.SendRaw(1, msg) }
+	recv := func() { s.recv(pkt) }
+	for taps := 0; taps <= 2; taps++ {
+		if n := testing.AllocsPerRun(100, send); n != 0 {
+			t.Errorf("%d pass-through taps: %.0f allocations per send, want 0", taps, n)
+		}
+		if n := testing.AllocsPerRun(100, recv); n != 0 {
+			t.Errorf("%d pass-through taps: %.0f allocations per receive, want 0", taps, n)
+		}
+		s.AddTap(fnTap{})
+	}
+}
+
+// TestTapChainOrder: taps stack upward from the MAC in the order they are
+// added. Outbound traffic meets the last-added tap first, inbound traffic
+// the first-added one; Send's filters run above every tap.
+func TestTapChainOrder(t *testing.T) {
+	k := sim.NewKernel()
+	svcs := buildLinks(k, []geo.Point{{X: 0}, {X: 100}})
+	var log []string
+	for _, name := range []string{"a", "b"} {
+		svcs[0].AddTap(fnTap{out: func(e Env, emit func(Env)) {
+			log = append(log, name+" out")
+			emit(e)
+		}})
+		svcs[1].AddTap(fnTap{in: func(e Env, emit func(Env)) {
+			log = append(log, name+" in")
+			emit(e)
+		}})
+	}
+	svcs[0].AddFilter(&recordFilter{log: &log})
+	svcs[1].OnRecv(func(Env) { log = append(log, "delivered") })
+	if err := svcs[0].Send(svcs[1].ID(), testMsg{"m", 50}); err != nil {
+		t.Fatal(err)
+	}
+	if err := k.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"filter out", "b out", "a out", "a in", "b in", "delivered"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("order %v, want %v", log, want)
+	}
+}
+
+// recordFilter logs the outbound filter step and passes everything.
+type recordFilter struct{ log *[]string }
+
+func (f *recordFilter) Outbound(Env) bool { *f.log = append(*f.log, "filter out"); return true }
+func (f *recordFilter) Inbound(Env) bool  { return true }

@@ -96,8 +96,9 @@ func (m *Membership) Leave(i int) bool {
 }
 
 // Crash fails node i abruptly. At this layer a crash and a graceful leave
-// look the same — the node stops participating; radio-level crash
-// semantics (dropped frames mid-flight) belong to the fault injector.
+// look the same — the node stops participating. Nothing here touches the
+// node's radio or MAC, and neither does the fault injector's crash, which
+// swallows traffic at the link layer only: the MAC still ACKs unicasts.
 // It reports whether i was a member, i.e. whether the crash took effect.
 func (m *Membership) Crash(i int) bool {
 	return m.depart(i, "membership: node crashed", &m.Stats.Crashes)

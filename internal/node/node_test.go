@@ -195,6 +195,13 @@ func TestTotalEnergyAccumulates(t *testing.T) {
 	}
 }
 
+// sendTap is a link tap that shows fn every envelope on its way to the
+// MAC and forwards everything unchanged.
+type sendTap func(link.Env)
+
+func (f sendTap) Outbound(e link.Env, emit func(link.Env)) { f(e); emit(e) }
+func (sendTap) Inbound(e link.Env, emit func(link.Env))    { emit(e) }
+
 // resetSeededKeys empties the node-key cache, as a fresh process finds it.
 func resetSeededKeys() {
 	keyCache.Lock()
@@ -269,12 +276,12 @@ func TestKeylessBuildDeterministic(t *testing.T) {
 			var handshakes int
 			ciphers := fnv.New64a()
 			for _, nd := range net.Nodes {
-				nd.Link.SetObserver(func(outbound bool, e link.Env) {
-					if m, ok := e.Msg.(sts.HandshakeMsg); ok && outbound {
+				nd.Link.AddTap(sendTap(func(e link.Env) {
+					if m, ok := e.Msg.(sts.HandshakeMsg); ok {
 						handshakes++
 						ciphers.Write(m.Cipher)
 					}
-				})
+				}))
 			}
 			net.StartSTS()
 			if err := net.Run(4); err != nil {

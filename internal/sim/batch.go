@@ -19,7 +19,7 @@ import "fmt"
 // still sorts before the queue head, and goes back into the queue under
 // its own key the first time something queued comes first. Whatever drives
 // the kernel (Run, Step, a shard pump) sees that entry through peekLive
-// like any other, so its bound, Stop, event limit and tie check apply to
+// like any other, so its bound, Stop, observer and tie check apply to
 // every item. Every item is one event in every count.
 //
 // A batch is single-use: NewBatch, Add its items, then Schedule. The

@@ -142,11 +142,10 @@ type Kernel struct {
 	// so hot, when set, is the earliest pending event.
 	hot *event
 
-	// processed counts events executed, for diagnostics and run limits.
+	// processed counts events executed, for diagnostics.
 	processed uint64
-	// limit, when non-zero, aborts Run after this many events as a
-	// runaway-loop backstop.
-	limit uint64
+	// observer, when set, sees every event Run executes (OnFire).
+	observer func(at Time) error
 
 	// pool is a free list of event structs recycled on pop. A simulation
 	// schedules millions of short-lived events; recycling them keeps the
@@ -226,9 +225,12 @@ func (k *Kernel) Now() Time { return k.now }
 // Processed reports the number of events executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
-// SetEventLimit sets a backstop: Run returns an error after n events.
-// n == 0 disables the limit.
-func (k *Kernel) SetEventLimit(n uint64) { k.limit = n }
+// OnFire sets the kernel's one observer (nil: none). Run and a shard set's
+// Run call fn after every event they execute, with its time; an error ends
+// the run with that error, stopping the whole shard set. Step does not
+// call it. Shards run their observers concurrently, so one shared by the
+// kernels of a set must be safe for concurrent use.
+func (k *Kernel) OnFire(fn func(at Time) error) { k.observer = fn }
 
 // ScheduleFire runs fn after delay. The event cannot be cancelled; use
 // ScheduleFireHandle for one that may be. It panics on a negative delay: a
@@ -427,21 +429,24 @@ func (k *Kernel) fire(ev *event) {
 	}
 }
 
-// Run executes events until the queue is empty, the clock passes until, or
-// Stop is called. The clock is left at min(until, last event time); if the
+// Run executes events until the queue is empty, the clock passes until,
+// Stop is called, or the observer (OnFire) returns an error, which Run
+// returns. The clock is left at min(until, last event time); if the
 // queue drains before until, the clock advances to until so that callers
 // measuring elapsed time (e.g. idle energy) see the full window.
 func (k *Kernel) Run(until Time) error {
 	k.stopped = false
 	for !k.stopped {
-		if k.limit > 0 && k.processed >= k.limit {
-			return fmt.Errorf("sim: event limit %d reached at %v", k.limit, k.now)
-		}
 		next := k.peekLive()
 		if next == nil || next.at > until {
 			break
 		}
 		k.fire(next)
+		if k.observer != nil {
+			if err := k.observer(k.now); err != nil {
+				return err
+			}
+		}
 	}
 	if k.now < until && until != Never && !k.stopped {
 		k.now = until

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -175,14 +176,43 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	}
 }
 
+// limitEvents makes the runs of the given kernels fail once n events have
+// fired on them together: every kernel gets one observer over one atomic
+// counter, so the limit holds across the shards of a set. It returns the
+// counter.
+func limitEvents(n uint64, ks ...*Kernel) *atomic.Uint64 {
+	fired := new(atomic.Uint64)
+	stop := func(at Time) error {
+		if fired.Add(1) >= n {
+			return fmt.Errorf("event limit %d reached at %v", n, at)
+		}
+		return nil
+	}
+	for _, k := range ks {
+		k.OnFire(stop)
+	}
+	return fired
+}
+
+// TestEventLimitBackstop: an observer's error ends Run after exactly the
+// event that tripped it, with the clock at that event; removing the
+// observer lets the next Run go on.
 func TestEventLimitBackstop(t *testing.T) {
 	k := NewKernel()
-	k.SetEventLimit(100)
+	limitEvents(100, k)
 	var loop func()
 	loop = func() { k.ScheduleFire(1, loop) }
 	k.ScheduleFire(1, loop)
-	if err := k.RunAll(); err == nil {
-		t.Fatal("RunAll with runaway loop returned nil, want limit error")
+	err := k.RunAll()
+	if err == nil || !strings.Contains(err.Error(), "event limit 100") {
+		t.Fatalf("RunAll with runaway loop: err = %v, want the limit's error", err)
+	}
+	if k.Processed() != 100 || k.Now() != 100 {
+		t.Fatalf("stopped after %d events at %v, want 100 at 100s", k.Processed(), k.Now())
+	}
+	k.OnFire(nil)
+	if err := k.Run(150); err != nil || k.Processed() != 150 {
+		t.Fatalf("Run without observer: err = %v after %d events, want nil after 150", err, k.Processed())
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -30,7 +31,7 @@ const (
 	opBatch                          // NewBatch, 1–8 items, Schedule
 	opBatchStop                      // opBatch whose chosen item calls Stop
 	opStep                           // one bare Step
-	opRunLimit                       // Run(now + horizon) under an event limit that may trip mid-batch
+	opRunLimit                       // Run(now + horizon) under an observer that ends it after n events, maybe mid-batch
 	numDiffOps
 )
 
@@ -53,7 +54,8 @@ type diffOp struct {
 	// the item whose callback calls Stop (opBatchStop only).
 	items  []Duration
 	stopAt int
-	// limit is opRunLimit's event budget: the limit is Processed()+limit.
+	// limit is opRunLimit's event budget: its observer fails the run on
+	// the limit-th event.
 	limit uint64
 }
 
@@ -122,8 +124,8 @@ func diffScript(seed int64, n int) []byte {
 
 // diffBatchScript is diffScript with batches in the mix: batches of 1–8
 // items spread over the delay table or stacked on one timestamp, some
-// stopping the run from inside an item, bare Steps, and Runs under an event
-// limit, among the standing single events and cancels a batch must order
+// stopping the run from inside an item, bare Steps, and Runs an observer
+// ends after a few events, among the standing single events and cancels a batch must order
 // against.
 func diffBatchScript(seed int64, n int) []byte {
 	rng := rand.New(rand.NewSource(seed))
@@ -195,8 +197,8 @@ var diffBatchCases = []struct {
 		{int(opRun), 2, 0},
 		{int(opRun), 10, 0},
 	}},
-	// An event limit of three: it trips after the standing event and two of
-	// eight items stacked on one timestamp.
+	// An observer ending the run on its third event: it trips after the
+	// standing event and two of eight items stacked on one timestamp.
 	{"limit-mid-batch", [][3]int{
 		{int(opBatch), 4, batchArg(8, 0, 0)},
 		{int(opFire), 3, 0},
@@ -225,8 +227,8 @@ func encodeOps(ops [][3]int) []byte {
 }
 
 // refEvent and refKernel are the reference model: a slice kept sorted by
-// (time, seq), cancellation by tombstone, the clock, Stop and event-limit
-// rules of Kernel.Run. A batch item is one refEvent; stops names the items
+// (time, seq), cancellation by tombstone, the clock, Stop and the
+// observer rules of Kernel.Run. A batch item is one refEvent; stops names the items
 // whose callback calls Stop.
 type refEvent struct {
 	at    Time
@@ -238,7 +240,7 @@ type refKernel struct {
 	now       Time
 	q         []*refEvent
 	processed uint64
-	limit     uint64
+	budget    uint64 // events opRunLimit's observer lets run; 0 for no observer
 	stops     map[string]bool
 }
 
@@ -281,23 +283,29 @@ func (r *refKernel) step(fire func(label string)) (stop bool) {
 	return r.stops[ev.label]
 }
 
-// run mirrors Kernel.Run and reports whether the event limit ended it.
+// run mirrors Kernel.Run and reports whether the observer's error ended
+// it: the observer sees every event after it ran, a Stop's included.
 func (r *refKernel) run(until Time, fire func(label string)) (limited bool) {
 	stopped := false
 	for !stopped {
-		if r.limit > 0 && r.processed >= r.limit {
-			return true
-		}
 		if ev := r.head(); ev == nil || ev.at > until {
 			break
 		}
 		stopped = r.step(fire)
+		if r.budget > 0 {
+			if r.budget--; r.budget == 0 {
+				return true
+			}
+		}
 	}
 	if r.now < until && until != Never && !stopped {
 		r.now = until
 	}
 	return false
 }
+
+// errDiffLimit is opRunLimit's observer error.
+var errDiffLimit = errors.New("event budget spent")
 
 // diffReplay applies the script to a fresh kernel and to the reference in
 // lockstep. Every scheduled callback logs a label unique to its issuing op
@@ -385,15 +393,21 @@ func diffReplay(t *testing.T, ops []diffOp) {
 		case opRun, opRunLimit:
 			until := k.Now() + op.delay
 			if op.kind == opRunLimit {
-				k.SetEventLimit(k.Processed() + op.limit)
-				ref.limit = ref.processed + op.limit
+				left := op.limit
+				k.OnFire(func(Time) error {
+					if left--; left == 0 {
+						return errDiffLimit
+					}
+					return nil
+				})
+				ref.budget = op.limit
 			}
 			err := k.Run(until)
 			if limited := ref.run(until, refFire); limited != (err != nil) {
 				t.Fatalf("op %d: Run error %v, reference limited=%t", i, err, limited)
 			}
-			k.SetEventLimit(0)
-			ref.limit = 0
+			k.OnFire(nil)
+			ref.budget = 0
 			compare(i)
 		}
 	}

@@ -315,12 +315,6 @@ type ShardSet struct {
 	stopped atomic.Bool
 	errMu   sync.Mutex
 	err     error
-
-	// limit, when non-zero, aborts Run after this many events summed across
-	// all shards; processed is the shared counter it is checked against.
-	// Per-kernel Processed/SetEventLimit remain per-shard accounting.
-	limit     uint64
-	processed atomic.Uint64
 }
 
 // NewShardSet returns n shards with fresh kernels. lookahead is the minimum
@@ -393,11 +387,6 @@ func (s *ShardSet) Kernel(i int) *Kernel { return s.shards[i].k }
 
 // Lookahead returns the set's lookahead bound.
 func (s *ShardSet) Lookahead() Duration { return s.lookahead }
-
-// SetEventLimit sets an aggregate backstop: Run fails after n events summed
-// across all shards. n == 0 disables the limit. Per-kernel limits
-// (Kernel.SetEventLimit) stay per-shard and are honored too.
-func (s *ShardSet) SetEventLimit(n uint64) { s.limit = n }
 
 // Processed reports the total number of events executed across all shards.
 func (s *ShardSet) Processed() uint64 {
@@ -503,30 +492,15 @@ func (s *ShardSet) failure() error {
 	return s.err
 }
 
-// countEvent applies the per-kernel and aggregate event limits after one
-// event executed on sh; it reports whether the run should continue.
-func (s *ShardSet) countEvent(sh *Shard) bool {
-	k := sh.k
-	if k.limit > 0 && k.processed >= k.limit {
-		s.fail(fmt.Errorf("sim: event limit %d reached at %v (shard %d)", k.limit, k.now, sh.idx))
-		return false
-	}
-	if s.limit > 0 && s.processed.Add(1) >= s.limit {
-		s.fail(fmt.Errorf("sim: aggregate event limit %d reached at %v (shard %d)", s.limit, k.now, sh.idx))
-		return false
-	}
-	return true
-}
-
 // Run executes all shards until each has drained its events up to until (the
 // clocks are then advanced to until, mirroring Kernel.Run), Stop is called,
-// a limit trips, or an ambiguous timestamp tie is detected (ErrShardTie).
-// With one shard it is exactly Kernel.Run. Like Kernel.Run it may be called
-// repeatedly: after a Run that returned nil, schedule more events on the
-// shards' kernels and Run again to a later bound. Unlike Kernel.Run, more
-// than one shard needs a finite bound, a Stop or an event limit to return:
-// horizons rise one lookahead per null round and cannot prove a drained set
-// quiescent.
+// a kernel's observer (Kernel.OnFire) returns an error, or an ambiguous
+// timestamp tie is detected (ErrShardTie). With one shard it is exactly
+// Kernel.Run. Like Kernel.Run it may be called repeatedly: after a Run
+// that returned nil, schedule more events on the shards' kernels and Run
+// again to a later bound. Unlike Kernel.Run, more than one shard needs a
+// finite bound, a Stop or an observer's error to return: horizons rise one
+// lookahead per null round and cannot prove a drained set quiescent.
 //
 // slots is the executor slot count, clamped to [1, shards]: each slot is a
 // contiguous run of shards, so most neighbor horizons are published by the
@@ -667,8 +641,11 @@ func (sh *Shard) pump(until Time) bool {
 		}
 		k.fire(ev)
 		progressed = true
-		if !s.countEvent(sh) {
-			return progressed
+		if k.observer != nil {
+			if err := k.observer(k.now); err != nil {
+				s.fail(err)
+				return progressed
+			}
 		}
 		sh.publish()
 	}

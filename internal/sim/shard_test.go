@@ -219,35 +219,40 @@ func TestScheduleFireTxLookaheadContract(t *testing.T) {
 	}()
 }
 
-// TestShardSetAggregateEventLimit: the aggregate limit must abort all
-// shards cleanly — an error from Run, and no shard goroutine left behind.
+// TestShardSetAggregateEventLimit: an observer shared by every shard's
+// kernel, counting events across the set, must abort all shards cleanly —
+// its error from Run, and no shard goroutine left behind.
 func TestShardSetAggregateEventLimit(t *testing.T) {
 	eachSlotCount(t, 4, func(t *testing.T, slots int) {
 		before := runtime.NumGoroutine()
 		cs := newChainSpec(4)
-		cs.set.SetEventLimit(500)
-		err := cs.set.Run(Never, slots)
-		if err == nil || !strings.Contains(err.Error(), "aggregate event limit") {
-			t.Fatalf("Run with aggregate limit: err = %v, want aggregate limit error", err)
+		var ks []*Kernel
+		for i := 0; i < cs.set.Shards(); i++ {
+			ks = append(ks, cs.set.Kernel(i))
 		}
-		if got := cs.set.Processed(); got < 500 {
-			t.Fatalf("Processed() = %d, want >= limit 500", got)
+		fired := limitEvents(500, ks...)
+		err := cs.set.Run(Never, slots)
+		if err == nil || !strings.Contains(err.Error(), "event limit 500") {
+			t.Fatalf("Run with aggregate limit: err = %v, want the limit's error", err)
+		}
+		if got := cs.set.Processed(); got < 500 || got != fired.Load() {
+			t.Fatalf("Processed() = %d, observer saw %d, want the same count >= 500", got, fired.Load())
 		}
 		waitGoroutines(t, before)
 	})
 }
 
-// TestShardSetPerKernelEventLimit: Kernel.SetEventLimit stays per-shard
-// accounting; one shard tripping its own limit aborts the whole set.
+// TestShardSetPerKernelEventLimit: an observer on one shard's kernel sees
+// that shard's events only; its error aborts the whole set.
 func TestShardSetPerKernelEventLimit(t *testing.T) {
 	cs := newChainSpec(2)
-	cs.set.Kernel(1).SetEventLimit(100)
+	fired := limitEvents(100, cs.set.Kernel(1))
 	err := cs.set.Run(Never, 2)
-	if err == nil || !strings.Contains(err.Error(), "(shard 1)") {
-		t.Fatalf("Run with per-kernel limit: err = %v, want shard 1 limit error", err)
+	if err == nil || !strings.Contains(err.Error(), "event limit 100") {
+		t.Fatalf("Run with per-kernel limit: err = %v, want the limit's error", err)
 	}
-	if p := cs.set.Kernel(1).Processed(); p < 100 {
-		t.Fatalf("shard 1 processed %d events, want >= 100", p)
+	if p := cs.set.Kernel(1).Processed(); p != fired.Load() || p != 100 {
+		t.Fatalf("shard 1 processed %d events, observer saw %d, want 100", p, fired.Load())
 	}
 }
 

@@ -1,7 +1,9 @@
 package sts
 
 import (
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"innercircle/internal/crypto/nsl"
@@ -268,39 +270,73 @@ func TestForgedBeaconRejected(t *testing.T) {
 	}
 }
 
+// sniffTap is a link tap that shows fn every envelope crossing its level
+// of the chain, with the continuation that forwards it, then forwards it.
+type sniffTap func(e link.Env, outbound bool, emit func(link.Env))
+
+func (f sniffTap) Outbound(e link.Env, emit func(link.Env)) { f(e, true, emit); emit(e) }
+func (f sniffTap) Inbound(e link.Env, emit func(link.Env))  { f(e, false, emit); emit(e) }
+
+// TestReplayedBeaconRejected: node 0's genuinely signed beacons, captured
+// by a receive tap at node 1 and delivered through it again, carry valid
+// signatures but stale sequence numbers, so node 1 rejects each replay and
+// its view of node 0 stays as it was. With the shard's beacon memo, the
+// replayed last beacon is the memo's own pair — one hit, no miss — and the
+// replayed first one is not — one miss, checked by the authenticator;
+// without a memo neither is counted.
 func TestReplayedBeaconRejected(t *testing.T) {
-	h := buildSTS(t, line(2), DefaultConfig(), nil)
-	if err := h.k.Run(3); err != nil {
-		t.Fatal(err)
+	for _, withMemo := range []bool{false, true} {
+		t.Run(fmt.Sprintf("memo=%t", withMemo), func(t *testing.T) {
+			var memo *Memo
+			if withMemo {
+				memo = NewMemo(2)
+			}
+			h := buildSTSKeyed(t, line(2), DefaultConfig(), nil, testKeys(t, 2, sim.NewRNG(2)), rsaAuth, memo)
+			var captured []link.Env
+			var replay func(link.Env)
+			h.lnks[1].AddTap(sniffTap(func(e link.Env, outbound bool, emit func(link.Env)) {
+				if _, ok := e.Msg.(BeaconMsg); ok && !outbound && e.From == 0 {
+					captured, replay = append(captured, e), emit
+				}
+			}))
+			if err := h.k.Run(3); err != nil {
+				t.Fatal(err)
+			}
+			s := h.svcs[1]
+			if len(captured) < 2 || !s.IsNeighbor(0) {
+				t.Fatalf("node 1 captured %d beacons of node 0, neighbour %t; want at least 2, true", len(captured), s.IsNeighbor(0))
+			}
+			ent := s.neigh[0]
+			seq, list := ent.lastSeq, slices.Clone(ent.theirNeigh)
+			for _, tc := range []struct {
+				name         string
+				env          link.Env
+				hits, misses uint64 // with the memo
+			}{
+				{"last beacon", captured[len(captured)-1], 1, 0},
+				{"first beacon", captured[0], 0, 1},
+			} {
+				before := s.Stats
+				replay(tc.env)
+				got := s.Stats
+				if got.BeaconsRejected != before.BeaconsRejected+1 || got.BeaconsReceived != before.BeaconsReceived {
+					t.Errorf("%s replayed: rejected %d -> %d, received %d -> %d; want one more rejected, none received",
+						tc.name, before.BeaconsRejected, got.BeaconsRejected, before.BeaconsReceived, got.BeaconsReceived)
+				}
+				hits, misses := got.VerifyMemoHits-before.VerifyMemoHits, got.VerifyMemoMisses-before.VerifyMemoMisses
+				if !withMemo {
+					tc.hits, tc.misses = 0, 0
+				}
+				if hits != tc.hits || misses != tc.misses {
+					t.Errorf("%s replayed: %d memo hits, %d misses; want %d, %d", tc.name, hits, misses, tc.hits, tc.misses)
+				}
+				if ent.lastSeq != seq || !slices.Equal(ent.theirNeigh, list) || !s.IsNeighbor(0) {
+					t.Errorf("%s replayed: view of node 0 moved: seq %d -> %d, list %v -> %v, neighbour %t",
+						tc.name, seq, ent.lastSeq, list, ent.theirNeigh, s.IsNeighbor(0))
+				}
+			}
+		})
 	}
-	// Capture node 0's genuine beacon and replay it. The sequence number
-	// check must reject the replay.
-	genuine := BeaconMsg{
-		From:      0,
-		Seq:       1, // already seen: first beacon had seq 1
-		Neighbors: nil,
-		Base:      28,
-	}
-	// Reconstruct a validly signed old beacon is impossible without the
-	// key, so replay the exact first beacon: sign with node 0's key via
-	// its own service (simulate capture by signing the same digest).
-	// Instead, verify the seq check directly with an unsigned config.
-	cfg := DefaultConfig()
-	cfg.Authenticate = false
-	cfg.Handshake = false
-	h2 := buildSTS(t, line(2), cfg, nil)
-	if err := h2.k.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	before := h2.svcs[1].Stats.BeaconsRejected
-	_ = h2.lnks[0].SendRaw(link.BroadcastID, genuine)
-	if err := h2.k.Run(4); err != nil {
-		t.Fatal(err)
-	}
-	if h2.svcs[1].Stats.BeaconsRejected <= before {
-		t.Fatal("replayed (stale-seq) beacon was not rejected")
-	}
-	_ = h
 }
 
 func TestOnChangeFires(t *testing.T) {
@@ -384,11 +420,11 @@ func TestBeaconNeighborListReused(t *testing.T) {
 	cfg.Handshake = false
 	h := buildSTSWithSimAuth(t, line(3), cfg)
 	var sent [][]link.NodeID
-	h.lnks[1].SetObserver(func(outbound bool, e link.Env) {
+	h.lnks[1].AddTap(sniffTap(func(e link.Env, outbound bool, _ func(link.Env)) {
 		if b, ok := e.Msg.(BeaconMsg); ok && outbound {
 			sent = append(sent, b.Neighbors)
 		}
-	})
+	}))
 	if err := h.k.Run(4); err != nil {
 		t.Fatal(err)
 	}

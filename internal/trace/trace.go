@@ -1,7 +1,8 @@
 // Package trace provides wire-level event tracing for simulated networks:
-// a bounded in-memory event log fed by link-layer observers, with
-// per-message-type counters. It exists for debugging protocol runs and for
-// the cmd tools' -trace flags; tracing off (a nil Tracer) costs nothing.
+// a bounded in-memory event log fed by a record-and-forward link tap on
+// each node, with per-message-type counters. It exists for debugging
+// protocol runs and for the cmd tools' -trace flags; tracing off (a nil
+// Tracer) costs nothing.
 package trace
 
 import (
@@ -162,15 +163,24 @@ func (t *Tracer) WriteEvents(w io.Writer) {
 	}
 }
 
-// Attach taps a node's link service: every transmission (including raw
-// protocol traffic) and every radio delivery is recorded.
-func (t *Tracer) Attach(l *link.Service) {
-	node := l.ID()
-	l.SetObserver(func(outbound bool, e link.Env) {
-		if outbound {
-			t.record(node, Out, e.To, e.Msg)
-		} else {
-			t.record(node, In, e.From, e.Msg)
-		}
-	})
+// Attach adds a record-and-forward tap to a node's link service: every
+// transmission (including raw protocol traffic) and every radio delivery
+// is recorded. Taps added later sit above it, so the tracer sees outbound
+// traffic after their faults and inbound traffic before them.
+func (t *Tracer) Attach(l *link.Service) { l.AddTap(recorder{t, l.ID()}) }
+
+// recorder is the tracer's tap on one node.
+type recorder struct {
+	t    *Tracer
+	node link.NodeID
+}
+
+func (r recorder) Outbound(e link.Env, emit func(link.Env)) {
+	r.t.record(r.node, Out, e.To, e.Msg)
+	emit(e)
+}
+
+func (r recorder) Inbound(e link.Env, emit func(link.Env)) {
+	r.t.record(r.node, In, e.From, e.Msg)
+	emit(e)
 }

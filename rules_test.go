@@ -195,6 +195,19 @@ var repoRules = []repoRule{
 		hit:     `	pv, ok := gk.(thresh.PartialVerifier)`,
 		miss:    `func (d *SimDealer) Refresh(gk GroupKey, old []Signer)`,
 	},
+	// Observation attaches one way per layer: a link tap chain
+	// (link.Service.AddTap) and one kernel observer (sim.Kernel.OnFire).
+	// The link's observer func, its single tap slot and the kernel's and
+	// shard set's event limits are gone; an event limit is an observer.
+	{
+		name:    "Retired-link-hooks",
+		pattern: regexp.MustCompile(`\b(SetObserver|SetTap|SetEventLimit)\(`),
+		scopes:  wholeTree,
+		globs:   []string{"*.go", "*.yml", "README.md", "DESIGN.md", "EXPERIMENTS.md", "SKILL.md"},
+		msg:     "a retired observation hook is called; add a link tap with AddTap, or observe the kernel with OnFire",
+		hit:     `		env.Net.Set.SetEventLimit(1000)`,
+		miss:    `func (t *Tracer) Attach(l *link.Service) { l.AddTap(recorder{t, l.ID()}) }`,
+	},
 	// The interceptor enforces the template rule itself: a template match
 	// carrying no agreement is suppressed as unsigned. node.Build installs
 	// the one verifier, the voting service's agreed-message check, so no
