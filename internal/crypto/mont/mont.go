@@ -1,6 +1,7 @@
 // Package mont is the repository's one Montgomery-arithmetic kernel: a
-// per-modulus context under both the node keys (nsl: every signed beacon
-// and sensed value) and the threshold keys (thresh: combination and
+// per-modulus context under the node keys (nsl: every signed beacon and
+// sensed value), the primality test of their prime search (nsl: one
+// context per candidate) and the threshold keys (thresh: combination and
 // verification). math/big's Exp rebuilds its Montgomery state — R² mod N
 // by long division, a 16-entry power table on the heap — on every call;
 // for the four-word primes of the paper's 512-bit sensor keys that setup
@@ -214,6 +215,26 @@ func (c *Ctx) addMod(z, y []big.Word) {
 	}
 	if carry != 0 || !Less(z, c.mod) {
 		sub(z, c.mod)
+	}
+}
+
+// SubMod computes z = x − y mod N for reduced x, y. z may alias x or y.
+// On Montgomery forms it is the subtraction of the values they represent,
+// since x·R − y·R ≡ (x − y)·R.
+func (c *Ctx) SubMod(z, x, y []big.Word) {
+	var borrow uint
+	for i := range z {
+		d, b := bits.Sub(uint(x[i]), uint(y[i]), borrow)
+		z[i] = big.Word(d)
+		borrow = b
+	}
+	if borrow != 0 {
+		var carry uint
+		for i := range z {
+			s, cc := bits.Add(uint(z[i]), uint(c.mod[i]), carry)
+			z[i] = big.Word(s)
+			carry = cc
+		}
 	}
 }
 

@@ -64,8 +64,8 @@ func diffTable() []diffCase {
 	return cases
 }
 
-// checkDiff runs Mul, the window exponentiation and the short-exponent
-// chain on one case and compares each with math/big.
+// checkDiff runs Mul, SubMod, the window exponentiation and the
+// short-exponent chain on one case and compares each with math/big.
 func checkDiff(t *testing.T, tc diffCase) {
 	t.Helper()
 	c := New(tc.n)
@@ -91,6 +91,24 @@ func checkDiff(t *testing.T, tc diffCase) {
 	want.Mod(want, tc.n)
 	if got := toInt(zm); got.Cmp(want) != 0 {
 		t.Fatalf("%s k=%d: Mul(%x, %x) = %x, want %x", tc.name, k, tc.x, tc.y, got, want)
+	}
+
+	want.Sub(tc.x, tc.y)
+	want.Mod(want, tc.n)
+	c.SubMod(zm, xm, ym)
+	if got := toInt(zm); got.Cmp(want) != 0 {
+		t.Fatalf("%s k=%d: SubMod(%x, %x) = %x, want %x", tc.name, k, tc.x, tc.y, got, want)
+	}
+	// In place: z may alias either operand.
+	copy(zm, xm)
+	c.SubMod(zm, zm, ym)
+	if got := toInt(zm); got.Cmp(want) != 0 {
+		t.Fatalf("%s k=%d: SubMod with z aliasing x differs", tc.name, k)
+	}
+	copy(zm, ym)
+	c.SubMod(zm, xm, zm)
+	if got := toInt(zm); got.Cmp(want) != 0 {
+		t.Fatalf("%s k=%d: SubMod with z aliasing y differs", tc.name, k)
 	}
 
 	want.Exp(xr, tc.e, tc.n)

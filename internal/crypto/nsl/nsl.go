@@ -16,14 +16,16 @@
 //
 // The same keys sign STS beacons and sensed values (sign.go), which is what
 // a sensor replica spends its crypto time on. Every exponentiation — Sign,
-// Verify, the handshake's encrypt and decrypt — runs on Montgomery contexts
-// (package mont) built once by GenerateKeyPair: one per CRT prime for the
-// private operation, one for N for the public one, the latter carried by
-// the PublicKey itself so a verifier holding only the directory entry
-// reaches it. The contexts are immutable, so keys and directories are
-// shared across simulator shards; math/big remains for key generation, the
-// Garner recombination and byte conversion. Results are bit-identical to
-// c^d mod N and s^e mod N computed directly (crt_test.go, pinned_test.go).
+// Verify, the handshake's encrypt and decrypt, and the primality test of
+// the prime search (prime.go) — runs on Montgomery contexts (package
+// mont). GenerateKeyPair builds a key's contexts once: one per CRT prime
+// for the private operation, one for N for the public one, the latter
+// carried by the PublicKey itself so a verifier holding only the directory
+// entry reaches it. The contexts are immutable, so keys and directories
+// are shared across simulator shards; math/big remains for the key's
+// products and inverses, the Garner recombination and byte conversion.
+// Results are bit-identical to c^d mod N and s^e mod N computed directly
+// (crt_test.go, pinned_test.go).
 package nsl
 
 import (

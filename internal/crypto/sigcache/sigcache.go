@@ -81,9 +81,10 @@ const DefaultCap = 1024
 
 // Cache is a bounded LRU of verification verdicts.
 type Cache struct {
-	cap int
-	ll  *list.List
-	m   map[Key]*list.Element
+	cap       int
+	ll        *list.List
+	m         map[Key]*list.Element
+	evictions uint64
 }
 
 type lruItem struct {
@@ -122,6 +123,7 @@ func (c *Cache) Put(k Key, e Entry) {
 		if back != nil {
 			c.ll.Remove(back)
 			delete(c.m, back.Value.(*lruItem).key)
+			c.evictions++
 		}
 	}
 	c.m[k] = c.ll.PushFront(&lruItem{key: k, entry: e})
@@ -133,4 +135,14 @@ func (c *Cache) Len() int {
 		return 0
 	}
 	return c.ll.Len()
+}
+
+// Evictions reports how many entries Put has dropped to stay within the
+// capacity. While it reads zero, the memo has answered exactly as an
+// unbounded one would.
+func (c *Cache) Evictions() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.evictions
 }

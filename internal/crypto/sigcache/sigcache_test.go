@@ -46,10 +46,15 @@ func TestCacheLRUEviction(t *testing.T) {
 	if c.Len() != 2 {
 		t.Fatalf("len = %d, want 2", c.Len())
 	}
-	// A nil receiver (services built without a memo) has length zero.
+	c.Put(key(1, 0), Entry{}) // an update of a held key evicts nothing
+	if c.Evictions() != 1 {
+		t.Fatalf("evictions = %d, want 1", c.Evictions())
+	}
+	// A nil receiver (services built without a memo) has length zero and
+	// has evicted nothing.
 	var none *Cache
-	if none.Len() != 0 {
-		t.Fatal("nil cache Len")
+	if none.Len() != 0 || none.Evictions() != 0 {
+		t.Fatal("nil cache Len or Evictions")
 	}
 }
 

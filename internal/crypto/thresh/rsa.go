@@ -92,11 +92,12 @@ func (d *RSADealer) keyMaterial(n int) (N, e, lambda *big.Int, err error) {
 	lambda = new(big.Int).Mul(pm1, qm1)
 	lambda.Div(lambda, gcd)
 	// Public exponent e must be a prime larger than n (so gcd(e, 4Δ²) = 1
-	// with Δ = n!) and coprime to λ(N).
+	// with Δ = n!) and coprime to λ(N). e stays far below 2^64, where the
+	// primality test is exact.
 	e = big.NewInt(65537)
 	for int(e.Int64()) <= n || new(big.Int).GCD(nil, nil, e, lambda).Cmp(one) != 0 {
 		e.Add(e, big.NewInt(2))
-		for !e.ProbablyPrime(32) {
+		for !nsl.IsProbablePrime(e) {
 			e.Add(e, big.NewInt(2))
 		}
 	}

@@ -279,6 +279,19 @@ var repoRules = []repoRule{
 		hit:     `	"crypto/rand"`,
 		miss:    `	"crypto/sha256"`,
 	},
+	// A primality verdict comes from one test: nsl.IsProbablePrime, math/big's
+	// ProbablyPrime(20) run on the mont kernel. No program Go may call
+	// math/big's ProbablyPrime, so a second, slower check with other
+	// rounds cannot come back; tests compare against it freely.
+	{
+		name:    "Primality-one-way",
+		pattern: regexp.MustCompile(`\.ProbablyPrime\(`),
+		scopes:  programGo,
+		globs:   goGlob,
+		msg:     "math/big's ProbablyPrime is called; use nsl.IsProbablePrime, the one primality test",
+		hit:     `		for !e.ProbablyPrime(32) {`,
+		miss:    `		for !nsl.IsProbablePrime(e) {`,
+	},
 	// The one assembly in the repository is mont's four-word Montgomery
 	// kernel on amd64, held word for word to the Go loop every other
 	// GOARCH builds. No assembly routine may appear anywhere else.
