@@ -26,19 +26,32 @@ func BenchmarkMontMul(b *testing.B) {
 }
 
 // BenchmarkMontExp measures a full-width window exponentiation, the
-// private-key operation under one CRT prime.
+// private-key operation under one CRT prime. Each width has a twin,
+// words=N-mathbig, that runs the same exponentiation through math/big's
+// Exp, so `-bench 'MontExp/words=8'` times both sides of the comparison
+// DESIGN.md §10 states for eight-word moduli.
 func BenchmarkMontExp(b *testing.B) {
 	for _, words := range []int{4, 8} {
+		n := topSetModulus(words)
+		c := New(n)
+		e := new(big.Int).Sub(n, big.NewInt(2))
 		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) {
-			n := topSetModulus(words)
-			c := New(n)
-			e := new(big.Int).Sub(n, big.NewInt(2)).Bits()
+			eb := e.Bits()
 			z := make([]big.Word, c.k)
 			scratch := make([]big.Word, c.ExpScratch())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.Exp(z, c.r2, e, scratch)
+				c.Exp(z, c.r2, eb, scratch)
+			}
+		})
+		b.Run(fmt.Sprintf("words=%d-mathbig", words), func(b *testing.B) {
+			x := new(big.Int).SetBits(append([]big.Word(nil), c.r2...))
+			z := new(big.Int)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				z.Exp(x, e, n)
 			}
 		})
 	}

@@ -249,15 +249,10 @@ type (
 	}
 )
 
-// Directory resolves a party's public key.
-type Directory interface {
-	PublicKey(id int64) (PublicKey, error)
-}
-
-// DirectoryMap is a static Directory.
+// DirectoryMap is the static table of the parties' public keys.
 type DirectoryMap map[int64]PublicKey
 
-// PublicKey implements Directory.
+// PublicKey resolves a party's public key.
 func (d DirectoryMap) PublicKey(id int64) (PublicKey, error) {
 	pk, ok := d[id]
 	if !ok {
@@ -276,7 +271,7 @@ var (
 type Party struct {
 	id      int64
 	kp      *KeyPair
-	dir     Directory
+	dir     DirectoryMap
 	randSrc io.Reader
 
 	// initiator state: peer -> Na
@@ -287,7 +282,7 @@ type Party struct {
 
 // NewParty creates a protocol participant that draws its nonces and
 // padding from randSrc; with a nil randSrc every handshake step fails.
-func NewParty(id int64, kp *KeyPair, dir Directory, randSrc io.Reader) *Party {
+func NewParty(id int64, kp *KeyPair, dir DirectoryMap, randSrc io.Reader) *Party {
 	return &Party{
 		id:          id,
 		kp:          kp,

@@ -30,7 +30,9 @@ import (
 type Kind uint8
 
 const (
-	// KindNSL is an nsl.Verify verdict (plain RSA signature).
+	// KindNSL is an individual signature's verdict: a statistical value
+	// checked through the signer's sts.Auth (an RSA signature, or the
+	// SimAuth stand-in's MAC).
 	KindNSL Kind = iota + 1
 	// KindThresh is a thresh GroupKey.Verify verdict (combined signature).
 	KindThresh
@@ -39,9 +41,10 @@ const (
 )
 
 // Key identifies one verification exactly. Scope holds a comparable
-// identity for the verifying key — the GroupKey interface value or the
-// nsl.PublicKey struct — and Epoch its proactive-refresh epoch, so
-// refreshing a key invalidates all of its entries without a sweep.
+// identity for the verifying key — the GroupKey interface value, or the
+// signer's node ID for an individual signature (an ID names one key for
+// a whole replica) — and Epoch its proactive-refresh epoch, so refreshing
+// a key invalidates all of its entries without a sweep.
 type Key struct {
 	Kind  Kind
 	Scope any

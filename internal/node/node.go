@@ -47,9 +47,11 @@ type Node struct {
 	STS       *sts.Service
 	Vote      *vote.Service
 
-	// SignKP is the node's individual key pair (nil in SimAuth-only
-	// networks without statistical voting).
-	SignKP *nsl.KeyPair
+	// Auth is the node's individual authenticator, shared by its topology
+	// service (beacons) and its voting service (statistical values):
+	// RSAAuth over the node's key pair when the network has node keys,
+	// else SimAuth when beacons are authenticated, else nil.
+	Auth sts.Auth
 
 	handlers []func(link.Env) bool
 }
@@ -82,7 +84,6 @@ type Network struct {
 	Channel *radio.Channel
 	Nodes   []*Node
 	Ring    vote.PublicRing
-	Dir     nsl.DirectoryMap
 	RNG     *sim.RNG
 	// Dealer is the threshold-key authority the network was built with and
 	// NodeKeys the per-node signer sets it produced (both nil/empty without
@@ -308,10 +309,11 @@ func Build(cfg Config) (*Network, error) {
 	if cfg.Tracer != nil {
 		cfg.Tracer.SetClock(k.Now)
 	}
-	net := &Network{K: k, Channel: ch, RNG: rng, Set: set, Dir: nsl.DirectoryMap{}}
+	net := &Network{K: k, Channel: ch, RNG: rng, Set: set}
 
 	needRSA := cfg.STS.Handshake || (cfg.IC && cfg.Vote.Mode == vote.Statistical)
 	keys := cfg.Keys
+	var dir nsl.DirectoryMap
 	if needRSA && keys == nil {
 		var err error
 		keys, err = seededKeys(cfg.N)
@@ -323,8 +325,9 @@ func Build(cfg Config) (*Network, error) {
 		if len(keys) != cfg.N {
 			return nil, fmt.Errorf("node: got %d keys for %d nodes", len(keys), cfg.N)
 		}
+		dir = make(nsl.DirectoryMap, len(keys))
 		for i, kp := range keys {
-			net.Dir[int64(i)] = kp.Pub
+			dir[int64(i)] = kp.Pub
 		}
 	}
 
@@ -410,7 +413,9 @@ func Build(cfg Config) (*Network, error) {
 			RNG:   nodeRNG,
 		}
 		if keys != nil {
-			nd.SignKP = keys[i]
+			nd.Auth = sts.NewRSAAuth(keys[i], dir)
+		} else if simKeys != nil {
+			nd.Auth = sts.NewSimAuth(simKeys, nd.ID, cfg.SigWireBytes/2)
 		}
 
 		if cfg.IC {
@@ -428,14 +433,10 @@ func Build(cfg Config) (*Network, error) {
 			}
 			if cfg.STS.Authenticate {
 				stsDeps.Memo = net.BeaconMemos[shard]
-				if nd.SignKP != nil {
-					stsDeps.Auth = sts.NewRSAAuth(nd.SignKP, net.Dir)
-				} else {
-					stsDeps.Auth = sts.NewSimAuth(simKeys, nd.ID, cfg.SigWireBytes/2)
-				}
+				stsDeps.Auth = nd.Auth
 			}
 			if cfg.STS.Handshake {
-				stsDeps.Party = nsl.NewParty(int64(i), nd.SignKP, net.Dir, nodeRNG.Split("nsl"))
+				stsDeps.Party = nsl.NewParty(int64(i), keys[i], dir, nodeRNG.Split("nsl"))
 			}
 			svc, err := sts.New(cfg.STS, stsDeps)
 			if err != nil {
@@ -466,8 +467,7 @@ func Build(cfg Config) (*Network, error) {
 			Ring:   net.Ring,
 			Keys:   net.NodeKeys[i],
 			Susp:   nd.Susp,
-			SignKP: nd.SignKP,
-			Dir:    net.Dir,
+			Auth:   nd.Auth,
 			Crypto: cfg.Crypto,
 			Energy: nd.Meter,
 			Memo:   net.Memos[nd.Shard],

@@ -12,12 +12,16 @@ import (
 	"innercircle/internal/link"
 )
 
-// BeaconAuth signs and verifies STS beacons. Two implementations exist,
-// mirroring the two threshold-signature schemes: RSAAuth is the faithful
-// public-key implementation, SimAuth is a keyed-MAC stand-in with the same
-// wire size for large parameter sweeps (the figures depend on beacon
-// *bytes*, which both produce identically).
-type BeaconAuth interface {
+// Auth is a node's individual authenticator: it signs the node's STS
+// beacons (§4.1) and, in statistical voting, the values it hands a center
+// (§4.2), and verifies either by the claimed signer's node ID. node.Build
+// gives each node one Auth and hands it to both services. Two
+// implementations exist, mirroring the two threshold-signature schemes:
+// RSAAuth is the faithful public-key implementation, SimAuth is a
+// keyed-MAC stand-in with the same wire size for large parameter sweeps
+// (the figures depend on signature sizes, not on what they cost to
+// compute).
+type Auth interface {
 	// Sign produces this node's signature over msg.
 	Sign(msg []byte) []byte
 	// Verify checks a signature allegedly produced by node id.
@@ -69,24 +73,24 @@ func (m *Memo) Senders() []link.NodeID {
 	return ids
 }
 
-// RSAAuth signs beacons with the node's RSA key pair and verifies against
-// the shared directory.
+// RSAAuth signs with the node's RSA key pair and verifies against the
+// shared directory.
 type RSAAuth struct {
 	kp  *nsl.KeyPair
-	dir nsl.Directory
+	dir nsl.DirectoryMap
 }
 
-var _ BeaconAuth = (*RSAAuth)(nil)
+var _ Auth = (*RSAAuth)(nil)
 
-// NewRSAAuth returns the public-key beacon authenticator.
-func NewRSAAuth(kp *nsl.KeyPair, dir nsl.Directory) *RSAAuth {
+// NewRSAAuth returns the public-key authenticator.
+func NewRSAAuth(kp *nsl.KeyPair, dir nsl.DirectoryMap) *RSAAuth {
 	return &RSAAuth{kp: kp, dir: dir}
 }
 
-// Sign implements BeaconAuth.
+// Sign implements Auth.
 func (a *RSAAuth) Sign(msg []byte) []byte { return a.kp.Sign(msg) }
 
-// Verify implements BeaconAuth.
+// Verify implements Auth.
 func (a *RSAAuth) Verify(id link.NodeID, msg, sig []byte) error {
 	pk, err := a.dir.PublicKey(int64(id))
 	if err != nil {
@@ -95,17 +99,18 @@ func (a *RSAAuth) Verify(id link.NodeID, msg, sig []byte) error {
 	return nsl.Verify(pk, msg, sig)
 }
 
-// SigBytes implements BeaconAuth.
+// SigBytes implements Auth.
 func (a *RSAAuth) SigBytes() int { return nsl.SigBytes(a.kp.Pub) }
 
 // ErrSimAuthBadSig is returned by SimAuth.Verify for invalid signatures.
-var ErrSimAuthBadSig = errors.New("sts: bad beacon MAC")
+var ErrSimAuthBadSig = errors.New("sts: bad MAC")
 
 // SimKeys is a replica's table of SimAuth node keys: entry i is
-// HMAC-SHA256(seed, i), the key node i signs its beacons with. It is built
-// once per replica and shared read-only by every node's SimAuth (also
-// across shards), so verifying a beacon costs a table read where it used to
-// cost a key derivation, and the replica holds 32 B per node.
+// HMAC-SHA256(seed, i), the key node i signs its beacons and values with.
+// It is built once per replica and shared read-only by every node's
+// SimAuth (also across shards), so verifying a signature costs a table
+// read where it used to cost a key derivation, and the replica holds 32 B
+// per node.
 type SimKeys struct {
 	keys [][keyedmac.Size]byte
 }
@@ -135,9 +140,9 @@ type SimAuth struct {
 	sigBytes int
 }
 
-var _ BeaconAuth = (*SimAuth)(nil)
+var _ Auth = (*SimAuth)(nil)
 
-// NewSimAuth returns the keyed-MAC beacon authenticator for node self,
+// NewSimAuth returns the keyed-MAC authenticator for node self,
 // which must have a key in the table. sigBytes sets the reported wire size
 // (e.g. 64 to emulate 512-bit RSA).
 func NewSimAuth(keys *SimKeys, self link.NodeID, sigBytes int) *SimAuth {
@@ -150,7 +155,7 @@ func NewSimAuth(keys *SimKeys, self link.NodeID, sigBytes int) *SimAuth {
 	return &SimAuth{keys: keys, key: &keys.keys[self], sigBytes: sigBytes}
 }
 
-// Sign implements BeaconAuth: the MAC, zero-padded to the emulated wire
+// Sign implements Auth: the MAC, zero-padded to the emulated wire
 // size.
 func (a *SimAuth) Sign(msg []byte) []byte {
 	mac := keyedmac.Sum(a.key, msg)
@@ -159,7 +164,7 @@ func (a *SimAuth) Sign(msg []byte) []byte {
 	return out
 }
 
-// Verify implements BeaconAuth. Only the MAC is compared; the padding
+// Verify implements Auth. Only the MAC is compared; the padding
 // carries nothing, so a bit flipped there still verifies. A sender
 // without a key in the table cannot have signed anything.
 func (a *SimAuth) Verify(id link.NodeID, msg, sig []byte) error {
@@ -173,5 +178,5 @@ func (a *SimAuth) Verify(id link.NodeID, msg, sig []byte) error {
 	return nil
 }
 
-// SigBytes implements BeaconAuth.
+// SigBytes implements Auth.
 func (a *SimAuth) SigBytes() int { return a.sigBytes }

@@ -21,7 +21,7 @@ import (
 // check found valid.
 func FuzzBeaconMemoDifferential(f *testing.F) {
 	const nodes = 4
-	auths := make([][]BeaconAuth, len(memoSchemes))
+	auths := make([][]Auth, len(memoSchemes))
 	for i, sc := range memoSchemes {
 		auths[i] = sc.auths(f, nodes)
 	}
@@ -39,7 +39,7 @@ func FuzzBeaconMemoDifferential(f *testing.F) {
 	})
 }
 
-func fuzzMemoStream(t *testing.T, auths []BeaconAuth, stream []byte) {
+func fuzzMemoStream(t *testing.T, auths []Auth, stream []byte) {
 	nodes := len(auths)
 	cfg := DefaultConfig()
 	cfg.Handshake = false

@@ -21,7 +21,7 @@ import (
 // material fixed by the scheme.
 type memoScheme struct {
 	name  string
-	auths func(t testing.TB, n int) []BeaconAuth
+	auths func(t testing.TB, n int) []Auth
 	// padded says the signature carries bytes the verdict ignores.
 	padded bool
 }
@@ -29,21 +29,21 @@ type memoScheme struct {
 // memoSchemes are both authenticators: RSAAuth over seeded 512-bit keys and
 // SimAuth emulating their 64-byte wire size.
 var memoSchemes = []memoScheme{
-	{name: "rsa512", auths: func(t testing.TB, n int) []BeaconAuth {
+	{name: "rsa512", auths: func(t testing.TB, n int) []Auth {
 		keys := testKeys(t, n, mrand.New(mrand.NewSource(11)))
 		dir := nsl.DirectoryMap{}
 		for i, kp := range keys {
 			dir[int64(i)] = kp.Pub
 		}
-		auths := make([]BeaconAuth, n)
+		auths := make([]Auth, n)
 		for i := range auths {
 			auths[i] = NewRSAAuth(keys[i], dir)
 		}
 		return auths
 	}},
-	{name: "sim", padded: true, auths: func(t testing.TB, n int) []BeaconAuth {
+	{name: "sim", padded: true, auths: func(t testing.TB, n int) []Auth {
 		keys := NewSimKeys([]byte("sts-11"), n)
-		auths := make([]BeaconAuth, n)
+		auths := make([]Auth, n)
 		for i := range auths {
 			auths[i] = NewSimAuth(keys, link.NodeID(i), 64)
 		}
@@ -81,7 +81,7 @@ func TestBeaconMemoDoesNotChangeViews(t *testing.T) {
 				auth authFactory
 			}{
 				{"rsa512", rsaAuth},
-				{"sim", func(id link.NodeID, _ []*nsl.KeyPair, _ nsl.Directory) BeaconAuth {
+				{"sim", func(id link.NodeID, _ []*nsl.KeyPair, _ nsl.DirectoryMap) Auth {
 					return NewSimAuth(simKeys, id, 64)
 				}},
 			}
@@ -167,12 +167,12 @@ func sameService(p, m *Service, n int) error {
 // driven by calling onBeacon directly, plus every node's authenticator to
 // sign with.
 type memoFixture struct {
-	auths []BeaconAuth
+	auths []Auth
 	memo  *Memo
 	recv  []*Service
 }
 
-func newMemoFixture(t *testing.T, auths []BeaconAuth) *memoFixture {
+func newMemoFixture(t *testing.T, auths []Auth) *memoFixture {
 	t.Helper()
 	f := &memoFixture{auths: auths, memo: NewMemo(len(auths))}
 	cfg := DefaultConfig()
@@ -342,7 +342,7 @@ func TestBeaconMemoSoundness(t *testing.T) {
 			}
 		}},
 	}
-	auths := make([][]BeaconAuth, len(memoSchemes))
+	auths := make([][]Auth, len(memoSchemes))
 	for i, sc := range memoSchemes {
 		auths[i] = sc.auths(t, 5)
 	}
@@ -482,7 +482,7 @@ func TestShardedAuthSharesOnlyReadOnlyState(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Handshake = false
 	msg := beaconDigest(nil, BeaconMsg{From: 0, Seq: 1, Neighbors: []link.NodeID{1, 2}})
-	auths := make([][]BeaconAuth, len(memoSchemes))
+	auths := make([][]Auth, len(memoSchemes))
 	sigs := make([][]byte, len(memoSchemes))
 	for i, sc := range memoSchemes {
 		auths[i] = sc.auths(t, nodes)

@@ -6,9 +6,11 @@
 // Authentication has two parts, per the paper: a Needham–Schroeder–Lowe
 // handshake (package nsl) authenticates a newly discovered neighbour link,
 // and every beacon is signed by its sender, so neighbour lists cannot be
-// forged on behalf of other nodes. Links without a beacon in the last
-// ∆STS are excluded (the Completeness property); fresh one- and two-hop
-// links appear within a beacon period (the Accuracy properties).
+// forged on behalf of other nodes. The signer is the node's one Auth, the
+// same value its voting service signs statistical values with. Links
+// without a beacon in the last ∆STS are excluded (the Completeness
+// property); fresh one- and two-hop links appear within a beacon period
+// (the Accuracy properties).
 //
 // A beacon is signed once and checked by every neighbour that hears it, so
 // beacon verification is the repository's most-called verifier. The
@@ -62,8 +64,9 @@ type Deps struct {
 	Link *link.Service
 	RNG  *sim.RNG
 	// Auth signs/verifies beacons; required when Config.Authenticate is
-	// set.
-	Auth BeaconAuth
+	// set. It is the node's one authenticator, shared with its voting
+	// service.
+	Auth Auth
 	// Memo is the beacon memo of the node's shard, checked before Auth;
 	// nil verifies every beacon afresh, which tests use as the reference.
 	Memo *Memo

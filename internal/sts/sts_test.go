@@ -46,10 +46,10 @@ func buildSTS(t *testing.T, positions []geo.Point, cfg Config, mobs []mobility.M
 
 // authFactory returns node id's beacon authenticator; keys and dir are the
 // harness's NSL key pairs and their directory.
-type authFactory func(id link.NodeID, keys []*nsl.KeyPair, dir nsl.Directory) BeaconAuth
+type authFactory func(id link.NodeID, keys []*nsl.KeyPair, dir nsl.DirectoryMap) Auth
 
 // rsaAuth is the RSAAuth factory.
-func rsaAuth(id link.NodeID, keys []*nsl.KeyPair, dir nsl.Directory) BeaconAuth {
+func rsaAuth(id link.NodeID, keys []*nsl.KeyPair, dir nsl.DirectoryMap) Auth {
 	return NewRSAAuth(keys[id], dir)
 }
 

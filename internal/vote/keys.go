@@ -6,7 +6,9 @@
 // dependability level L: agreement requires L neighbours to co-sign with
 // their shares of the level key K_L, and the resulting agreed message is
 // self-checking — any remote recipient verifies the threshold signature to
-// confirm L+1 nodes cooperated.
+// confirm L+1 nodes cooperated. A statistical voter signs its value
+// individually, through Deps.Auth: the node's one sts.Auth, which also
+// signs its beacons.
 package vote
 
 import (

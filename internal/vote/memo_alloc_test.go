@@ -3,10 +3,9 @@ package vote
 import (
 	"testing"
 
-	"innercircle/internal/crypto/nsl"
 	"innercircle/internal/crypto/sigcache"
 	"innercircle/internal/crypto/thresh"
-	"innercircle/internal/sim"
+	"innercircle/internal/sts"
 )
 
 // TestMemoAllocs pins the heap allocations of one memoized verification of
@@ -40,12 +39,19 @@ func TestMemoAllocs(t *testing.T) {
 	}
 	a1, a2 := agreed(1), agreed(2)
 
-	kp, err := nsl.GenerateKeyPair(512, sim.NewRNG(1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Voter 1's value signatures under either authenticator. The memo
+	// keys a value verdict by the voter's ID, boxed into the key's scope;
+	// the runtime boxes an ID below 256 without allocating, and an ID at
+	// or above it costs one 8-byte allocation per lookup.
+	const voter = 1
 	d1, d2 := []byte("value digest one"), []byte("value digest two")
-	s1, s2 := kp.Sign(d1), kp.Sign(d2)
+	rsa, simAuth := rsaAuths(t, 2)[voter], simAuths(t, 2)[voter]
+	value := func(auth sts.Auth) func(s *Service, i int) bool {
+		sigs := [][]byte{auth.Sign(d1), auth.Sign(d2)}
+		return func(s *Service, i int) bool {
+			return s.verifyValue(voter, [][]byte{d1, d2}[i], sigs[i]) == nil
+		}
+	}
 
 	p1, err := signers[0].PartialSign(d1)
 	if err != nil {
@@ -58,21 +64,18 @@ func TestMemoAllocs(t *testing.T) {
 
 	cases := []struct {
 		name string
-		hit  float64 // allocations per memo hit
-		miss float64 // allocations per memo miss, verification included
+		auth sts.Auth // the service's authenticator (value signatures)
+		hit  float64  // allocations per memo hit
+		miss float64  // allocations per memo miss, verification included
 		// verify runs the i-th of two distinct verifications of the kind.
 		verify func(s *Service, i int) bool
 	}{
-		{"agreed", 0, 2, func(s *Service, i int) bool {
+		{"agreed", nil, 0, 2, func(s *Service, i int) bool {
 			return s.VerifyAgreed([]AgreedMsg{a1, a2}[i]) == nil
 		}},
-		{"nsl", 1, 3, func(s *Service, i int) bool {
-			if i == 0 {
-				return s.verifyNSL(kp.Pub, d1, s1) == nil
-			}
-			return s.verifyNSL(kp.Pub, d2, s2) == nil
-		}},
-		{"partial", 0, 2, func(s *Service, i int) bool {
+		{"nsl", rsa, 0, 2, value(rsa)},
+		{"nsl-simauth", simAuth, 0, 2, value(simAuth)},
+		{"partial", nil, 0, 2, func(s *Service, i int) bool {
 			if i == 0 {
 				return s.verifyPartial(gk, d1, p1)
 			}
@@ -81,7 +84,7 @@ func TestMemoAllocs(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s := &Service{deps: Deps{Ring: PublicRing{level: gk}, Memo: sigcache.New(sigcache.DefaultCap)}}
+			s := &Service{deps: Deps{Ring: PublicRing{level: gk}, Auth: c.auth, Memo: sigcache.New(sigcache.DefaultCap)}}
 			if !c.verify(s, 0) {
 				t.Fatal("genuine signature rejected")
 			}
@@ -90,7 +93,7 @@ func TestMemoAllocs(t *testing.T) {
 				t.Fatalf("hit loop missed the memo: %d misses", s.Stats.MemoMisses)
 			}
 
-			s = &Service{deps: Deps{Ring: PublicRing{level: gk}, Memo: sigcache.New(1)}}
+			s = &Service{deps: Deps{Ring: PublicRing{level: gk}, Auth: c.auth, Memo: sigcache.New(1)}}
 			c.verify(s, 0)
 			c.verify(s, 1)
 			pair := testing.AllocsPerRun(100, func() {

@@ -159,7 +159,7 @@ func TestReplayedVotesChangeNothing(t *testing.T) {
 
 			val := func(voter link.NodeID) ValueMsg {
 				v := observe(int(voter))
-				sig := net.kps[voter].Sign(appendValueDigest(nil, 0, 1, voter, v))
+				sig := net.auths[voter].Sign(appendValueDigest(nil, 0, 1, voter, v))
 				return ValueMsg{Center: 0, Seq: 1, Voter: voter, Value: v, Sig: sig}
 			}
 			deliverTwice(t, net.svcs[0], env(1, val(1)), env(3, val(1)), nil)

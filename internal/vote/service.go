@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"sort"
 
-	"innercircle/internal/crypto/nsl"
 	"innercircle/internal/crypto/sigcache"
 	"innercircle/internal/crypto/thresh"
 	"innercircle/internal/icnet"
 	"innercircle/internal/link"
 	"innercircle/internal/sim"
+	"innercircle/internal/sts"
 )
 
 // Topology is the slice of the Secure Topology Service the voting service
@@ -80,10 +80,10 @@ type Deps struct {
 	Ring PublicRing
 	Keys NodeKeys
 	Susp *icnet.SuspicionManager
-	// SignKP and Dir provide the voters' individual signatures on
-	// statistical value messages.
-	SignKP *nsl.KeyPair
-	Dir    nsl.Directory
+	// Auth is the node's individual authenticator, the one its topology
+	// service signs beacons with: it signs this node's statistical value
+	// messages and verifies other voters' by their node ID.
+	Auth sts.Auth
 	// Crypto models signing/verification latency and energy (zero value:
 	// instantaneous and free). Energy receives the per-operation charges;
 	// may be nil.
@@ -183,7 +183,7 @@ const (
 // scratch buffer, valueDigest a value message's. The bytes are borrowed:
 // they stay valid until this service's next digest or valueDigest call,
 // and every consumer — a Signer's PartialSign, a GroupKey's VerifyPartial,
-// Combine and Verify, nsl.Sign and nsl.Verify, sigcache.HashParts — reads
+// Combine and Verify, an Auth's Sign and Verify, sigcache.HashParts — reads
 // them during the call and keeps none of them.
 func (s *Service) digest(center link.NodeID, seq uint64, level int, value []byte) []byte {
 	s.scratch = appendDigest(s.scratch[:0], center, seq, level, value)
@@ -218,8 +218,8 @@ func New(cfg Config, deps Deps, cbs Callbacks) (*Service, error) {
 	if _, ok := deps.Ring[cfg.L]; !ok {
 		return nil, fmt.Errorf("%w: L=%d", ErrNoLevelKey, cfg.L)
 	}
-	if cfg.Mode == Statistical && (deps.SignKP == nil || deps.Dir == nil) {
-		return nil, fmt.Errorf("vote: statistical mode requires SignKP and Dir")
+	if cfg.Mode == Statistical && deps.Auth == nil {
+		return nil, fmt.Errorf("vote: statistical mode requires Auth")
 	}
 	return &Service{
 		cfg:      cfg,
@@ -411,7 +411,7 @@ func (s *Service) onPropose(from link.NodeID, m ProposeMsg) {
 
 // verifyStatPropose re-derives the fused value from the signed inputs.
 func (s *Service) verifyStatPropose(m ProposeMsg) bool {
-	if s.cbs.Fuse == nil || s.deps.Dir == nil {
+	if s.cbs.Fuse == nil || s.deps.Auth == nil {
 		return false
 	}
 	if len(m.Values) < m.L+1 {
@@ -430,14 +430,8 @@ func (s *Service) verifyStatPropose(m ProposeMsg) bool {
 			if sv.Voter != m.Center {
 				return false
 			}
-		} else {
-			pk, err := s.deps.Dir.PublicKey(int64(sv.Voter))
-			if err != nil {
-				return false
-			}
-			if s.verifyNSL(pk, s.valueDigest(m.Center, m.Seq, sv.Voter, sv.Value), sv.Sig) != nil {
-				return false
-			}
+		} else if s.verifyValue(sv.Voter, s.valueDigest(m.Center, m.Seq, sv.Voter, sv.Value), sv.Sig) != nil {
+			return false
 		}
 		vals = append(vals, sv.Value)
 	}
@@ -494,7 +488,7 @@ func (s *Service) onSolicit(from link.NodeID, m SolicitMsg) {
 		out.Relayed, out.Relayer = true, s.deps.ID
 		_ = s.deps.Link.SendRaw(link.BroadcastID, out)
 	}
-	if s.cbs.LocalValue == nil || s.deps.SignKP == nil {
+	if s.cbs.LocalValue == nil || s.deps.Auth == nil {
 		return
 	}
 	val, ok := s.cbs.LocalValue(m.Center, m.Meta)
@@ -505,7 +499,7 @@ func (s *Service) onSolicit(from link.NodeID, m SolicitMsg) {
 		val = s.byz.LieValue(m.Center, m.Meta, val)
 		s.byz.lie()
 	}
-	sig := s.deps.SignKP.Sign(s.valueDigest(m.Center, m.Seq, s.deps.ID, val))
+	sig := s.deps.Auth.Sign(s.valueDigest(m.Center, m.Seq, s.deps.ID, val))
 	s.Stats.ValuesSent++
 	dst := m.Center
 	if m.Relayed {
@@ -552,11 +546,7 @@ func (s *Service) onValue(from link.NodeID, m ValueMsg) {
 		return
 	}
 	// Verify the voter's individual signature before accepting its value.
-	pk, err := s.deps.Dir.PublicKey(int64(m.Voter))
-	if err != nil {
-		return
-	}
-	if s.verifyNSL(pk, s.valueDigest(m.Center, m.Seq, m.Voter, m.Value), m.Sig) != nil {
+	if s.verifyValue(m.Voter, s.valueDigest(m.Center, m.Seq, m.Voter, m.Value), m.Sig) != nil {
 		if s.deps.Susp != nil {
 			s.deps.Susp.SuspectTemporary(m.Voter, "bad signature on value message")
 		}
@@ -718,11 +708,12 @@ func (s *Service) VerifyAgreed(m AgreedMsg) error {
 	}, dig, m.Sig.Data)
 }
 
-// verifyNSL checks an individual RSA signature through the verification
-// memo.
-func (s *Service) verifyNSL(pk nsl.PublicKey, dig, sig []byte) error {
-	return s.memoized(sigcache.KindNSL, pk, 0, func() error {
-		return nsl.Verify(pk, dig, sig)
+// verifyValue checks voter's individual signature on a value digest
+// through the verification memo. The verdict is keyed by the voter's ID:
+// within a replica an ID names one key, fixed for the whole run.
+func (s *Service) verifyValue(voter link.NodeID, dig, sig []byte) error {
+	return s.memoized(sigcache.KindNSL, voter, 0, func() error {
+		return s.deps.Auth.Verify(voter, dig, sig)
 	}, dig, sig)
 }
 

@@ -14,6 +14,7 @@ import (
 	"innercircle/internal/mobility"
 	"innercircle/internal/radio"
 	"innercircle/internal/sim"
+	"innercircle/internal/sts"
 )
 
 // clique is a fake Topology in which every node neighbours every other.
@@ -52,8 +53,8 @@ type voteNet struct {
 	dealer thresh.Dealer
 	ring   PublicRing
 	keys   []NodeKeys
-	// kps are the nodes' individual signing keys (statistical values).
-	kps []*nsl.KeyPair
+	// auths are the nodes' individual authenticators (statistical values).
+	auths []sts.Auth
 }
 
 // checkRoundBook fails unless every node accounts for each round it
@@ -73,21 +74,23 @@ func (n *voteNet) checkRoundBook(t *testing.T) {
 // replica deals.
 func simDealer() thresh.Dealer { return thresh.NewSimDealer([]byte("vote-test"), 128) }
 
-// buildVote assembles the harness, dealing the level keys with dealer. cbs
-// is instantiated per node via mkCbs. When the test ends, every node's
-// round book must balance (checkRoundBook).
-func buildVote(t *testing.T, n int, cfg Config, dealer thresh.Dealer, mkCbs func(i int) Callbacks) *voteNet {
-	t.Helper()
-	k := sim.NewKernel()
-	ch := radio.NewChannel(k, radio.Default80211())
+// authScheme builds the individual authenticators of nodes 0..n-1, each
+// signing as its node.
+type authScheme struct {
+	name  string
+	auths func(t testing.TB, n int) []sts.Auth
+}
+
+// authSchemes are both authenticators a node can sign values with:
+// RSAAuth over seeded 512-bit keys, and SimAuth emulating their 64-byte
+// wire size.
+var authSchemes = []authScheme{{"rsa512", rsaAuths}, {"sim", simAuths}}
+
+func rsaAuths(t testing.TB, n int) []sts.Auth {
 	rng := sim.NewRNG(1)
-	ring, keys, err := DealRing(dealer, 10, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := nsl.DirectoryMap{}
 	kps := make([]*nsl.KeyPair, n)
-	for i := 0; i < n; i++ {
+	dir := nsl.DirectoryMap{}
+	for i := range kps {
 		kp, err := nsl.GenerateKeyPair(512, rng.SplitN("nsl", i))
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +98,43 @@ func buildVote(t *testing.T, n int, cfg Config, dealer thresh.Dealer, mkCbs func
 		kps[i] = kp
 		dir[int64(i)] = kp.Pub
 	}
-	net := &voteNet{k: k, dealer: dealer, ring: ring, keys: keys, kps: kps}
+	auths := make([]sts.Auth, n)
+	for i, kp := range kps {
+		auths[i] = sts.NewRSAAuth(kp, dir)
+	}
+	return auths
+}
+
+func simAuths(_ testing.TB, n int) []sts.Auth {
+	keys := sts.NewSimKeys([]byte("vote-test"), n)
+	auths := make([]sts.Auth, n)
+	for i := range auths {
+		auths[i] = sts.NewSimAuth(keys, link.NodeID(i), 64)
+	}
+	return auths
+}
+
+// buildVote assembles the harness, dealing the level keys with dealer and
+// giving each node an RSAAuth. cbs is instantiated per node via mkCbs.
+// When the test ends, every node's round book must balance
+// (checkRoundBook).
+func buildVote(t *testing.T, n int, cfg Config, dealer thresh.Dealer, mkCbs func(i int) Callbacks) *voteNet {
+	t.Helper()
+	return buildVoteAuth(t, cfg, dealer, rsaAuths(t, n), mkCbs)
+}
+
+// buildVoteAuth is buildVote with one node per authenticator in auths.
+func buildVoteAuth(t *testing.T, cfg Config, dealer thresh.Dealer, auths []sts.Auth, mkCbs func(i int) Callbacks) *voteNet {
+	t.Helper()
+	n := len(auths)
+	k := sim.NewKernel()
+	ch := radio.NewChannel(k, radio.Default80211())
+	rng := sim.NewRNG(1)
+	ring, keys, err := DealRing(dealer, 10, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := &voteNet{k: k, dealer: dealer, ring: ring, keys: keys, auths: auths}
 	t.Cleanup(func() { net.checkRoundBook(t) })
 	for i := 0; i < n; i++ {
 		// All nodes within 100 m: single collision domain.
@@ -104,15 +143,14 @@ func buildVote(t *testing.T, n int, cfg Config, dealer thresh.Dealer, mkCbs func
 		l := link.NewService(m)
 		susp := icnet.NewSuspicionManager(k, 120)
 		svc, err := New(cfg, Deps{
-			ID:     l.ID(),
-			K:      k,
-			Link:   l,
-			Topo:   clique{self: l.ID(), n: n},
-			Ring:   ring,
-			Keys:   keys[i],
-			Susp:   susp,
-			SignKP: kps[i],
-			Dir:    dir,
+			ID:   l.ID(),
+			K:    k,
+			Link: l,
+			Topo: clique{self: l.ID(), n: n},
+			Ring: ring,
+			Keys: keys[i],
+			Susp: susp,
+			Auth: auths[i],
 		}, mkCbs(i))
 		if err != nil {
 			t.Fatal(err)

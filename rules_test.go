@@ -179,6 +179,20 @@ var repoRules = []repoRule{
 		hit:     `	"innercircle/internal/crypto/sigcache"`,
 		miss:    `	"innercircle/internal/crypto/keyedmac"`,
 	},
+	// A node signs with one authenticator: the voting service signs and
+	// checks statistical values through vote.Deps.Auth, the sts.Auth its
+	// topology service signs beacons with. No non-test Go under
+	// internal/vote may import the NSL package, so a raw key pair or a key
+	// directory cannot come back beside it.
+	{
+		name:    "Vote-signs-through-Auth",
+		pattern: regexp.MustCompile(`"innercircle/internal/crypto/nsl"`),
+		scopes:  []scope{{"internal/vote", true, false}},
+		globs:   goGlob,
+		msg:     "internal/vote imports nsl; sign and verify values through vote.Deps.Auth, the node's sts.Auth",
+		hit:     `	"innercircle/internal/crypto/nsl"`,
+		miss:    `	"innercircle/internal/crypto/sigcache"`,
+	},
 	// Threshold keys have one interface: thresh.Dealer carries the whole
 	// lifecycle (Deal, DKG, Refresh, Reshare) and thresh.GroupKey its
 	// Epoch and VerifyPartial, which both schemes implement. No Go file
