@@ -1,16 +1,18 @@
 // Package artifact is the provenance layer of the experiment service: a
-// content-addressed, write-once store of canonical-JSON replica results,
-// plus the run manifests that make every stored table re-derivable —
+// content-addressed, write-once store of objects — canonical-JSON replica
+// results and the rendered tables and CSVs the service folds from them —
+// plus the manifests that make every stored table re-derivable —
 // spec hash, seed, git revision, IC_* knob snapshot, the shard count the
 // replica actually executed with, and wall-clock cost.
 //
 // Layout under the store root:
 //
-//	objects/ab/cdef…   result bytes, named by their own SHA-256
+//	objects/ab/cdef…   object bytes, named by their own SHA-256
 //	manifests/<spec-sha256>.json   one Manifest per replica spec
 //
-// Objects and manifests are written tmp+fsync+rename, so a crash leaves
-// either the complete file or nothing; Verify re-hashes the whole tree.
+// Objects and manifests are written tmp+fsync+rename+directory fsync
+// (WriteAtomic), so a crash leaves either the complete file or nothing,
+// and an acknowledged write survives it; Verify re-hashes the whole tree.
 // Determinism (PRs 1–7) guarantees that the same spec and seed produce
 // the same result bytes — the store is what makes that claim checkable:
 // resubmitting a grid must land on the same digests, and a manifest that
@@ -19,6 +21,7 @@
 package artifact
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -140,12 +143,13 @@ func (s *Store) manifestPath(specSHA string) string {
 }
 
 // PutResult stores b under its own SHA-256 and returns the digest.
-// Write-once: an existing object with the same digest is kept as is
-// (identical content by construction).
+// Write-once: an existing object that holds b is kept as is, so putting
+// bytes the store has writes nothing; one the disk changed under its
+// address is rewritten, so putting its bytes again repairs it.
 func (s *Store) PutResult(b []byte) (string, error) {
 	digest := Sum(b)
 	path := s.objectPath(digest)
-	if _, err := os.Stat(path); err == nil {
+	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, b) {
 		return digest, nil
 	}
 	if err := WriteAtomic(path, b); err != nil {
@@ -304,14 +308,21 @@ func (s *Store) Verify() error {
 	return nil
 }
 
-// WriteAtomic writes b to path via tmp+fsync+rename so a crash leaves
-// either the complete file or nothing, creating path's directory if it is
-// missing. The store and the experiment service (job records, tables,
-// manifests) both persist through it.
+// WriteAtomic writes b to path via tmp+fsync+rename, then syncs path's
+// directory, so a crash leaves either the complete file or nothing, and a
+// write it acknowledged survives one: a rename is durable only once its
+// directory is synced. A missing directory is created, and its parent
+// synced for the same reason. The store and the experiment service (job
+// records, run manifests) both persist through it.
 func WriteAtomic(path string, b []byte) error {
 	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("artifact: %w", err)
+	if _, err := os.Stat(dir); os.IsNotExist(err) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("artifact: %w", err)
+		}
+		if err := syncDir(filepath.Dir(dir)); err != nil {
+			return err
+		}
 	}
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
@@ -334,6 +345,20 @@ func WriteAtomic(path string, b []byte) error {
 	}
 	if err := os.Rename(name, path); err != nil {
 		os.Remove(name)
+		return fmt.Errorf("artifact: %w", err)
+	}
+	return syncDir(dir)
+}
+
+// syncDir makes the entries of directory dir durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("artifact: %w", err)
+	}
+	err = d.Sync()
+	d.Close()
+	if err != nil {
 		return fmt.Errorf("artifact: %w", err)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package artifact
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -73,6 +74,45 @@ func TestManifestWriteOnce(t *testing.T) {
 	m.ResultSHA256 = other
 	if err := s.PutManifest(m); err == nil {
 		t.Fatal("remapping a spec to a new result must fail")
+	}
+}
+
+// TestPutResultRepairsCorruptObject: putting bytes whose object the disk
+// changed rewrites the object; putting bytes the store holds leaves the
+// file as it is.
+func TestPutResultRepairsCorruptObject(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := []byte("rendered tables")
+	digest, err := s.PutResult(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	objPath := filepath.Join(dir, "objects", digest[:2], digest[2:])
+	before, err := os.Stat(objPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutResult(body); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.Stat(objPath); err != nil || !os.SameFile(before, after) {
+		t.Fatalf("re-putting intact bytes replaced the object (err %v)", err)
+	}
+	if err := os.WriteFile(objPath, []byte("rendered tablez"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GetResult(digest); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("GetResult of a flipped object: %v, want ErrCorrupt", err)
+	}
+	if again, err := s.PutResult(body); err != nil || again != digest {
+		t.Fatalf("re-put over a flipped object: %s, %v", again, err)
+	}
+	if got, err := s.GetResult(digest); err != nil || string(got) != string(body) {
+		t.Fatalf("after the re-put: %q, %v; want %q", got, err, body)
 	}
 }
 

@@ -43,34 +43,26 @@ func decodeError(resp *http.Response) error {
 
 // Submit posts a grid and returns the queued job.
 func (c *Client) Submit(ctx context.Context, g *experiment.GridRequest) (JobInfo, error) {
-	body, err := json.Marshal(g)
+	b, err := json.Marshal(g)
 	if err != nil {
 		return JobInfo{}, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+"/jobs", bytes.NewReader(body))
-	if err != nil {
-		return JobInfo{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return JobInfo{}, err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return JobInfo{}, decodeError(resp)
-	}
-	defer resp.Body.Close()
-	var j JobInfo
-	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
-		return JobInfo{}, err
-	}
-	return j, nil
+	return readJob(c.do(ctx, http.MethodPost, "/jobs", bytes.NewReader(b), http.StatusAccepted))
 }
 
 // Job fetches one job's record.
 func (c *Client) Job(ctx context.Context, id string) (JobInfo, error) {
+	return readJob(c.get(ctx, "/jobs/"+id))
+}
+
+// readJob decodes the job record a response body holds.
+func readJob(body io.ReadCloser, err error) (JobInfo, error) {
 	var j JobInfo
-	err := c.getJSON(ctx, "/jobs/"+id, &j)
+	if err != nil {
+		return j, err
+	}
+	defer body.Close()
+	err = json.NewDecoder(body).Decode(&j)
 	return j, err
 }
 
@@ -79,42 +71,30 @@ func (c *Client) Job(ctx context.Context, id string) (JobInfo, error) {
 // A stream that ends without that line (the service drained the job's
 // attempt) is an error.
 func (c *Client) Wait(ctx context.Context, id string, onEvent func(Event)) (JobInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/jobs/"+id+"/events", nil)
+	body, err := c.get(ctx, "/jobs/"+id+"/events")
 	if err != nil {
 		return JobInfo{}, err
 	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return JobInfo{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return JobInfo{}, decodeError(resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
+	defer body.Close()
+	sc := bufio.NewScanner(body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	sawEnd := false
 	for sc.Scan() {
 		var e Event
 		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			resp.Body.Close()
 			return JobInfo{}, fmt.Errorf("serve: event line %q: %w", sc.Text(), err)
 		}
 		if onEvent != nil {
 			onEvent(e)
 		}
 		if e.Type == "end" {
-			sawEnd = true
-			break
+			body.Close()
+			return c.Job(ctx, id)
 		}
 	}
-	resp.Body.Close()
 	if err := sc.Err(); err != nil {
 		return JobInfo{}, err
 	}
-	if !sawEnd {
-		return JobInfo{}, fmt.Errorf("serve: job %s event stream ended without a terminal line", id)
-	}
-	return c.Job(ctx, id)
+	return JobInfo{}, fmt.Errorf("serve: job %s event stream ended without a terminal line", id)
 }
 
 // Tables fetches a done job's rendered tables (CLI-identical text).
@@ -139,38 +119,40 @@ func (c *Client) Artifact(ctx context.Context, digest string) ([]byte, error) {
 	return []byte(t), err
 }
 
-func (c *Client) getText(ctx context.Context, path string) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
+// do sends a request for path, with a JSON body when body is not nil, and
+// returns the response body when the status is want, else the service's
+// error.
+func (c *Client) do(ctx context.Context, method, path string, body io.Reader, want int) (io.ReadCloser, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, body)
 	if err != nil {
-		return "", err
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http().Do(req)
 	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != want {
+		return nil, decodeError(resp)
+	}
+	return resp.Body, nil
+}
+
+func (c *Client) get(ctx context.Context, path string) (io.ReadCloser, error) {
+	return c.do(ctx, http.MethodGet, path, nil, http.StatusOK)
+}
+
+func (c *Client) getText(ctx context.Context, path string) (string, error) {
+	body, err := c.get(ctx, path)
+	if err != nil {
 		return "", err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return "", decodeError(resp)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
+	defer body.Close()
+	b, err := io.ReadAll(body)
 	if err != nil {
 		return "", err
 	}
 	return string(b), nil
-}
-
-func (c *Client) getJSON(ctx context.Context, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return decodeError(resp)
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
 }

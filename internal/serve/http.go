@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"os"
 
-	"innercircle/internal/artifact"
 	"innercircle/internal/experiment"
 )
 
@@ -27,9 +26,11 @@ import (
 //	GET  /jobs/{id}/tables  rendered figure tables (text, CLI-identical)
 //	GET  /jobs/{id}/tables.csv  long-form CSV of the same tables
 //	GET  /jobs/{id}/manifest    run manifest (artifact.RunManifest JSON)
-//	GET  /artifacts/{digest}    raw result bytes from the store (500 when
-//	                            the bytes no longer match the digest)
+//	GET  /artifacts/{digest}    raw result bytes from the store
 //	GET  /healthz           liveness probe
+//
+// Tables, CSVs and artifacts are store objects, hashed on the way out. A
+// done job's output that cannot be read, corrupt or missing, is a 500.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -45,21 +46,16 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, j)
 	})
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /jobs/{id}/tables", s.handleJobFile(s.tablesPath, "text/plain; charset=utf-8"))
-	mux.HandleFunc("GET /jobs/{id}/tables.csv", s.handleJobFile(s.csvPath, "text/csv; charset=utf-8"))
-	mux.HandleFunc("GET /jobs/{id}/manifest", s.handleJobFile(s.manifestPath, "application/json"))
+	mux.HandleFunc("GET /jobs/{id}/tables", s.handleJobOutput(s.readTables, "text/plain; charset=utf-8"))
+	mux.HandleFunc("GET /jobs/{id}/tables.csv", s.handleJobOutput(s.readCSV, "text/csv; charset=utf-8"))
+	mux.HandleFunc("GET /jobs/{id}/manifest", s.handleJobOutput(s.readManifest, "application/json"))
 	mux.HandleFunc("GET /artifacts/{digest}", func(w http.ResponseWriter, r *http.Request) {
+		if !s.store.HasResult(r.PathValue("digest")) {
+			httpError(w, http.StatusNotFound, "no such object")
+			return
+		}
 		b, err := s.store.GetResult(r.PathValue("digest"))
-		if errors.Is(err, artifact.ErrCorrupt) {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		if err != nil {
-			httpError(w, http.StatusNotFound, err.Error())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(b)
+		writeBytes(w, b, err, "application/json")
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
@@ -213,26 +209,37 @@ func (es *eventStream) copyEvents(w io.Writer) (n int, terminal bool, err error)
 	}
 }
 
-// handleJobFile serves one of a job's result files, 404 until it exists.
-func (s *Server) handleJobFile(path func(id string) string, contentType string) http.HandlerFunc {
+// handleJobOutput serves one output of a done job: 404 before it is done,
+// 500 when an output its record names cannot be read.
+func (s *Server) handleJobOutput(read func(JobInfo) ([]byte, error), contentType string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		if _, ok := s.Job(id); !ok {
+		j, ok := s.Job(r.PathValue("id"))
+		if !ok {
 			httpError(w, http.StatusNotFound, "no such job")
 			return
 		}
-		b, err := os.ReadFile(path(id))
-		if os.IsNotExist(err) {
+		if j.State != JobDone {
 			httpError(w, http.StatusNotFound, "not available yet (job not done)")
 			return
 		}
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		w.Header().Set("Content-Type", contentType)
-		w.Write(b)
+		b, err := read(j)
+		writeBytes(w, b, err, contentType)
 	}
+}
+
+func (s *Server) readTables(j JobInfo) ([]byte, error)   { return s.store.GetResult(j.TablesSHA256) }
+func (s *Server) readCSV(j JobInfo) ([]byte, error)      { return s.store.GetResult(j.CSVSHA256) }
+func (s *Server) readManifest(j JobInfo) ([]byte, error) { return os.ReadFile(s.manifestPath(j.ID)) }
+
+// writeBytes answers with b, or 500 with the error that kept it from being
+// read.
+func writeBytes(w http.ResponseWriter, b []byte, err error, contentType string) {
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Write(b)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

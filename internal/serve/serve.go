@@ -6,15 +6,19 @@
 // rebuilt from store bytes only — so a finished job's output is
 // re-derivable, dedupable, and byte-identical to the corresponding CLI's.
 //
-// Durability model. Job records live at jobs/<id>.json (atomic writes)
-// and replica results are persisted replica-by-replica as they finish, so
-// a crash or SIGTERM loses at most the in-flight replicas' work: on
-// restart, queued and running jobs re-enter the queue, and every replica
-// already in the store is a manifest hit that is never recomputed. A
-// job's JSONL event stream (jobs/<id>.events.jsonl) is rewritten on each
-// attempt, truncated before the attempt turns running, and terminates with
-// an "end" line — the signal clients follow. Every write to a job's stream
-// or record wakes that job's followers; nothing polls.
+// Durability model. A job writes what recovery reads back, nothing more.
+// Its record (jobs/<id>.json, atomic writes) is written at submission and
+// at the end; the running state lives in memory. Replica results persist
+// one by one as they finish, and a done job's tables and CSV are store
+// objects its record names by digest, so a warm job adds nothing to the
+// store. A crash or SIGTERM loses at most the in-flight replicas' work: on
+// restart every record that has not ended re-enters the queue, and every
+// replica already in the store is a manifest hit; a done record whose
+// tables or CSV object is missing or corrupt has both rebuilt in place. A
+// job's JSONL event stream (jobs/<id>.events.jsonl) is truncated by each
+// attempt before it turns running and ends with an "end" line, synced
+// before the terminal record — the signal clients follow. Every write to a
+// job's stream or record wakes that job's followers; nothing polls.
 package serve
 
 import (
@@ -59,8 +63,10 @@ type JobInfo struct {
 	Total    int `json:"total,omitempty"`
 	Computed int `json:"computed,omitempty"`
 	Cached   int `json:"cached,omitempty"`
-	// TablesSHA256 digests the rendered tables of a done job.
+	// TablesSHA256 and CSVSHA256 address a done job's rendered tables and
+	// their CSV in the artifact store.
 	TablesSHA256 string `json:"tables_sha256,omitempty"`
+	CSVSHA256    string `json:"csv_sha256,omitempty"`
 	Error        string `json:"error,omitempty"`
 }
 
@@ -86,8 +92,9 @@ type Event struct {
 
 // Options configures a Server.
 type Options struct {
-	// Dir is the service's state root: Dir/store holds the artifact store,
-	// Dir/jobs the job records, event streams and rendered tables.
+	// Dir is the service's state root: Dir/store holds the artifact store
+	// (replica results, rendered tables, CSVs), Dir/jobs the job records,
+	// event streams and run manifests.
 	Dir string
 	// Parallel is how many jobs run concurrently (default 1). Replicas
 	// within a job always run on the worker pool; Parallel only overlaps
@@ -116,8 +123,8 @@ type Server struct {
 	queue chan string
 }
 
-// New opens (creating if needed) the service state under opts.Dir and
-// requeues any job a previous process left queued or running.
+// New opens (creating if needed) the service state under opts.Dir, requeues
+// the jobs a previous process left unfinished and rebuilds lost outputs.
 func New(opts Options) (*Server, error) {
 	if opts.Parallel <= 0 {
 		opts.Parallel = 1
@@ -161,21 +168,17 @@ func (s *Server) eventsPath(id string) string {
 	return filepath.Join(jobsDir(s.opts.Dir), id+".events.jsonl")
 }
 
-func (s *Server) tablesPath(id string) string {
-	return filepath.Join(jobsDir(s.opts.Dir), id+".tables.txt")
-}
-
-func (s *Server) csvPath(id string) string {
-	return filepath.Join(jobsDir(s.opts.Dir), id+".tables.csv")
-}
-
 func (s *Server) manifestPath(id string) string {
 	return filepath.Join(jobsDir(s.opts.Dir), id+".manifest.json")
 }
 
 // loadJobs restores job records from disk. Jobs found queued or running
 // (the process died under them) re-enter the queue in ID order — IDs are
-// sequence-numbered, so the order of their original submission holds.
+// sequence-numbered, so the order of their original submission holds. A
+// done job whose tables or CSV object is missing or corrupt (lost, or never
+// named: the record predates csv_sha256) has both rebuilt from its replica
+// results without taking a queue slot; failing that it stays done, and
+// reading the lost output answers 500.
 func (s *Server) loadJobs() error {
 	entries, err := os.ReadDir(jobsDir(s.opts.Dir))
 	if err != nil {
@@ -200,20 +203,19 @@ func (s *Server) loadJobs() error {
 		if n, ok := seqOf(j.ID); ok && n >= s.seq {
 			s.seq = n + 1
 		}
+		if err := s.rebuild(&j); err != nil {
+			s.opts.Logf("serve: job %s: rebuilding its tables: %v", j.ID, err)
+		}
 		if j.State == JobQueued || j.State == JobRunning {
+			j.State = JobQueued
 			resume = append(resume, j.ID)
 		}
 	}
 	sort.Strings(resume)
 	for _, id := range resume {
-		j := s.jobs[id]
-		j.State = JobQueued
-		if err := s.persist(j); err != nil {
-			return err
-		}
 		select {
 		case s.queue <- id:
-			s.opts.Logf("serve: resuming job %s (%s)", id, j.Name)
+			s.opts.Logf("serve: resuming job %s (%s)", id, s.jobs[id].Name)
 		default:
 			return fmt.Errorf("serve: queue too small to resume %d jobs (cap %d)", len(resume), s.opts.QueueCap)
 		}
@@ -221,15 +223,32 @@ func (s *Server) loadJobs() error {
 	return nil
 }
 
-func seqOf(id string) (int, bool) {
-	if !strings.HasPrefix(id, "j") {
-		return 0, false
+// rebuild republishes a done job whose tables or CSV object is missing or
+// corrupt from its replica results in the store — tables, CSV and run
+// manifest — and records the tables' digests. Other jobs it leaves alone.
+func (s *Server) rebuild(j *JobInfo) error {
+	_, terr := s.store.GetResult(j.TablesSHA256)
+	if _, cerr := s.store.GetResult(j.CSVSHA256); j.State != JobDone || terr == nil && cerr == nil {
+		return nil
 	}
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "j"))
+	points, _, resultSHAs, misses, err := s.resolve(j.Grid)
 	if err != nil {
-		return 0, false
+		return err
 	}
-	return n, true
+	if len(misses) > 0 {
+		return fmt.Errorf("%d of %d replica results are not in the store", len(misses), len(points))
+	}
+	tablesSHA, csvSHA, err := s.publish(j.ID, j.Grid, resultSHAs, time.Now())
+	if err != nil {
+		return err
+	}
+	j.TablesSHA256, j.CSVSHA256 = tablesSHA, csvSHA
+	return s.persist(j)
+}
+
+func seqOf(id string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "j"))
+	return n, err == nil && strings.HasPrefix(id, "j")
 }
 
 // persist writes a job record atomically. Callers must hold s.mu or own
@@ -246,10 +265,7 @@ func (s *Server) persist(j *JobInfo) error {
 // It fails with ErrQueueFull when the queue is full (bounded FIFO, no
 // unbounded buffering).
 func (s *Server) Submit(g *experiment.GridRequest) (JobInfo, error) {
-	if err := g.Validate(); err != nil {
-		return JobInfo{}, err
-	}
-	points, err := g.Points()
+	points, err := g.Points() // validates g
 	if err != nil {
 		return JobInfo{}, err
 	}
@@ -343,8 +359,8 @@ func (s *Server) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// setState transitions a job, persists the record and wakes the job's
-// followers.
+// setState transitions a job and wakes its followers. Only a terminal
+// state is persisted: loadJobs requeues every record that has not ended.
 func (s *Server) setState(id, state string, mut func(*JobInfo)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -356,15 +372,17 @@ func (s *Server) setState(id, state string, mut func(*JobInfo)) {
 	if mut != nil {
 		mut(j)
 	}
-	if err := s.persist(j); err != nil {
-		s.opts.Logf("serve: persisting job %s: %v", id, err)
+	if state == JobDone || state == JobFailed {
+		if err := s.persist(j); err != nil {
+			s.opts.Logf("serve: persisting job %s: %v", id, err)
+		}
 	}
 	s.wakes[id].wake()
 }
 
 // runJob executes one job: resolve every replica against the store, run
-// the misses on the worker pool (sized to the core-token budget),
-// then rebuild the grid's tables from store bytes only.
+// the misses on the worker pool (sized to the core-token budget), then
+// publish the grid's tables.
 func (s *Server) runJob(ctx context.Context, id string) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -372,8 +390,7 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		s.mu.Unlock()
 		return
 	}
-	grid := j.Grid
-	wake := s.wakes[id]
+	grid, wake := j.Grid, s.wakes[id]
 	s.mu.Unlock()
 	start := time.Now()
 
@@ -385,48 +402,20 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		s.fail(id, nil, err)
 		return
 	}
-	defer ev.Close()
+	defer ev.f.Close()
 	s.setState(id, JobRunning, nil)
 
-	points, err := grid.Points()
+	points, specSHAs, resultSHAs, misses, err := s.resolve(grid)
 	if err != nil {
 		s.fail(id, ev, err)
 		return
 	}
-
-	// Resolve each point against the store: a manifest whose result object
-	// exists is a cache hit and is never recomputed.
-	type resolved struct {
-		spec      []byte
-		specSHA   string
-		resultSHA string
-		cached    bool
-	}
-	rs := make([]resolved, len(points))
-	var misses []int
-	for i, p := range points {
-		spec, err := p.Spec.Canonical()
-		if err != nil {
-			s.fail(id, ev, err)
-			return
-		}
-		rs[i] = resolved{spec: spec, specSHA: artifact.Sum(spec)}
-		if m, ok, err := s.store.GetManifest(rs[i].specSHA); err != nil {
-			s.fail(id, ev, err)
-			return
-		} else if ok && s.store.HasResult(m.ResultSHA256) {
-			rs[i].resultSHA = m.ResultSHA256
-			rs[i].cached = true
-		} else {
-			misses = append(misses, i)
-		}
-	}
 	done := 0
 	for i, p := range points {
-		if rs[i].cached {
+		if resultSHAs[i] != "" {
 			done++
 			ev.Emit(Event{Type: "point", Done: done, Total: len(points), Label: p.Label,
-				SpecSHA: rs[i].specSHA, ResultSHA: rs[i].resultSHA, FromCache: true})
+				SpecSHA: specSHAs[i], ResultSHA: resultSHAs[i], FromCache: true})
 		}
 	}
 
@@ -435,7 +424,6 @@ func (s *Server) runJob(ctx context.Context, id string) {
 	if len(misses) > 0 {
 		jobs := make([]experiment.Job, len(misses))
 		for k, i := range misses {
-			i := i
 			p := points[i]
 			jobs[k] = experiment.Job{
 				Index: k,
@@ -451,7 +439,7 @@ func (s *Server) runJob(ctx context.Context, id string) {
 						return nil, err
 					}
 					err = s.store.PutManifest(artifact.Manifest{
-						SpecSHA256:   rs[i].specSHA,
+						SpecSHA256:   specSHAs[i],
 						ResultSHA256: resultSHA,
 						Seed:         p.Spec.Seed(),
 						GitRev:       artifact.GitRev(),
@@ -469,10 +457,10 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		}
 		_, err := experiment.RunJobsCtx(ctx, jobs, 0, func(nDone, _ int, jb experiment.Job, result any) {
 			i := misses[jb.Index]
-			rs[i].resultSHA = result.(string)
+			resultSHAs[i] = result.(string)
 			done++
 			ev.Emit(Event{Type: "point", Done: done, Total: len(points), Label: jb.Label,
-				SpecSHA: rs[i].specSHA, ResultSHA: rs[i].resultSHA})
+				SpecSHA: specSHAs[i], ResultSHA: resultSHAs[i]})
 		})
 		if ctx.Err() != nil {
 			// Drain: finished replicas are already in the store; hand the
@@ -487,43 +475,8 @@ func (s *Server) runJob(ctx context.Context, id string) {
 		}
 	}
 
-	// Rebuild the tables from the store only: every result byte folded
-	// below was read back by digest, cached and computed alike.
-	results := make([][]byte, len(points))
-	for i := range points {
-		b, err := s.store.GetResult(rs[i].resultSHA)
-		if err != nil {
-			s.fail(id, ev, err)
-			return
-		}
-		results[i] = b
-	}
-	tables, err := grid.Tables(results)
+	tablesSHA, csvSHA, err := s.publish(id, grid, resultSHAs, start)
 	if err != nil {
-		s.fail(id, ev, err)
-		return
-	}
-	rendered := grid.Render(tables)
-	if err := artifact.WriteAtomic(s.tablesPath(id), []byte(rendered)); err != nil {
-		s.fail(id, ev, err)
-		return
-	}
-	if err := artifact.WriteAtomic(s.csvPath(id), []byte(grid.CSV(tables))); err != nil {
-		s.fail(id, ev, err)
-		return
-	}
-	manifest, err := artifact.NewRunManifest(grid.Name, grid, grid.BaseSeed(), rendered, start)
-	if err != nil {
-		s.fail(id, ev, err)
-		return
-	}
-	tablesSHA := manifest.TablesSHA256
-	mb, err := json.Marshal(manifest)
-	if err != nil {
-		s.fail(id, ev, err)
-		return
-	}
-	if err := artifact.WriteAtomic(s.manifestPath(id), mb); err != nil {
 		s.fail(id, ev, err)
 		return
 	}
@@ -534,9 +487,69 @@ func (s *Server) runJob(ctx context.Context, id string) {
 			j.Computed = computed
 			j.Cached = cached
 			j.TablesSHA256 = tablesSHA
+			j.CSVSHA256 = csvSHA
 			j.Error = ""
 		})
 	s.opts.Logf("serve: job %s done (%d computed, %d cached, tables %s)", id, computed, cached, tablesSHA[:12])
+}
+
+// resolve looks each point of a grid up in the store: a manifest whose
+// result object exists is a cache hit, never recomputed, and fills in the
+// point's result digest; misses lists the other points in order.
+func (s *Server) resolve(grid *experiment.GridRequest) (points []experiment.ReplicaPoint, specSHAs, resultSHAs []string, misses []int, err error) {
+	if points, err = grid.Points(); err != nil {
+		return nil, nil, nil, nil, err
+	}
+	specSHAs = make([]string, len(points))
+	resultSHAs = make([]string, len(points))
+	for i, p := range points {
+		spec, err := p.Spec.Canonical()
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		specSHAs[i] = artifact.Sum(spec)
+		if m, ok, err := s.store.GetManifest(specSHAs[i]); err != nil {
+			return nil, nil, nil, nil, err
+		} else if ok && s.store.HasResult(m.ResultSHA256) {
+			resultSHAs[i] = m.ResultSHA256
+		} else {
+			misses = append(misses, i)
+		}
+	}
+	return points, specSHAs, resultSHAs, misses, nil
+}
+
+// publish rebuilds a job's tables from the store only — every result byte
+// folded is read back by digest, cached and computed alike — and puts the
+// tables and their CSV into the store, so a warm job writes neither. The
+// run manifest is the one output it writes as a job file.
+func (s *Server) publish(id string, grid *experiment.GridRequest, resultSHAs []string, start time.Time) (tablesSHA, csvSHA string, err error) {
+	results := make([][]byte, len(resultSHAs))
+	for i, d := range resultSHAs {
+		if results[i], err = s.store.GetResult(d); err != nil {
+			return "", "", err
+		}
+	}
+	tables, err := grid.Tables(results)
+	if err != nil {
+		return "", "", err
+	}
+	rendered := grid.Render(tables)
+	manifest, err := artifact.NewRunManifest(grid.Name, grid, grid.BaseSeed(), rendered, start)
+	if err != nil {
+		return "", "", err
+	}
+	mb, err := json.Marshal(manifest)
+	if err != nil {
+		return "", "", err
+	}
+	if tablesSHA, err = s.store.PutResult([]byte(rendered)); err == nil {
+		csvSHA, err = s.store.PutResult([]byte(grid.CSV(tables)))
+	}
+	if err != nil {
+		return "", "", err
+	}
+	return tablesSHA, csvSHA, artifact.WriteAtomic(s.manifestPath(id), mb)
 }
 
 // fail marks a job failed and terminates its event stream.
@@ -548,10 +561,10 @@ func (s *Server) fail(id string, ev *eventLog, err error) {
 
 // finish moves a job to the terminal state end names and terminates its
 // event stream (ev may be nil when the stream could not be opened). The
-// "end" line is written before the job record: a crash between the two
-// leaves a running record, and the rerun truncates the stream. Both happen
-// inside one setState, so under s.mu with the in-memory state already
-// terminal — a reader that has seen "end" finds a terminal record
+// "end" line is written and synced before the job record: a crash between
+// the two leaves a record loadJobs requeues, and the rerun truncates the
+// stream. Both happen inside one setState, so under s.mu with the
+// in-memory state already terminal — a reader that has seen "end" finds a terminal record
 // (Client.Wait fetches it next), and a reader that finds a terminal record
 // finds "end" in the stream (handleEvents reads to EOF and stops).
 func (s *Server) finish(id string, ev *eventLog, end Event, mut func(*JobInfo)) {
@@ -583,8 +596,9 @@ func newEventLog(path string, wake *wakeSignal) (*eventLog, error) {
 	return &eventLog{f: f, wake: wake}, nil
 }
 
-// Emit appends one event line, syncs it to disk and wakes the job's
-// followers.
+// Emit appends one event line and wakes the job's followers. Only the
+// "end" line is synced, and with it the whole stream: a rerun truncates the
+// stream, so no line of an attempt that died is ever read.
 func (l *eventLog) Emit(e Event) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -592,14 +606,11 @@ func (l *eventLog) Emit(e Event) {
 	if err != nil {
 		return
 	}
-	if _, err := l.f.Write(append(b, '\n')); err == nil {
+	if _, err := l.f.Write(append(b, '\n')); err == nil && e.Type == "end" {
 		l.f.Sync()
 	}
 	l.wake.wake()
 }
-
-// Close closes the stream file.
-func (l *eventLog) Close() { l.f.Close() }
 
 // wakeSignal is how a job's writers reach its followers: a channel that is
 // closed and replaced on each wake. A follower takes the channel before it

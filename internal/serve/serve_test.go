@@ -7,11 +7,13 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,6 +56,15 @@ func inProcessTables(t *testing.T, g *experiment.GridRequest) string {
 // returns a client; everything stops at test cleanup.
 func startServer(t *testing.T, dir string, parallel int) (*Server, *Client) {
 	t.Helper()
+	srv, c, stop := openServer(t, dir, parallel)
+	t.Cleanup(stop)
+	return srv, c
+}
+
+// openServer is startServer for a test that restarts the service: stop
+// shuts the HTTP front and the queue down.
+func openServer(t *testing.T, dir string, parallel int) (srv *Server, c *Client, stop func()) {
+	t.Helper()
 	srv, err := New(Options{Dir: dir, Parallel: parallel, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
@@ -65,12 +76,42 @@ func startServer(t *testing.T, dir string, parallel int) (*Server, *Client) {
 		srv.Run(ctx)
 	}()
 	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
+	return srv, &Client{Base: hs.URL}, func() {
 		hs.Close()
 		cancel()
 		<-done
-	})
-	return srv, &Client{Base: hs.URL}
+	}
+}
+
+// runDone submits g, follows the job to its end and returns its record and
+// tables; the job must end done.
+func runDone(t testing.TB, c *Client, g *experiment.GridRequest) (JobInfo, string) {
+	t.Helper()
+	ctx := context.Background()
+	j, err := c.Submit(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return waitDone(t, c, j.ID)
+}
+
+// waitDone follows job id to its end and returns its record and tables;
+// the job must end done.
+func waitDone(t testing.TB, c *Client, id string) (JobInfo, string) {
+	t.Helper()
+	ctx := context.Background()
+	j, err := c.Wait(ctx, id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.State != JobDone {
+		t.Fatalf("job %s state %q: %s", j.ID, j.State, j.Error)
+	}
+	tables, err := c.Tables(ctx, j.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j, tables
 }
 
 // TestServiceDedup pins the tentpole acceptance criterion: submitting the
@@ -447,6 +488,262 @@ func TestServiceDrainResume(t *testing.T) {
 	}
 }
 
+// TestWarmJobFootprint pins what a warm job writes: resubmitting a done
+// grid adds its own record, event stream and run manifest under jobs/ and
+// changes nothing else — no store object or manifest, no other job's file —
+// and serves byte-identical tables from zero computed replicas.
+func TestWarmJobFootprint(t *testing.T) {
+	dir := t.TempDir()
+	_, c := startServer(t, dir, 1)
+	_, coldTables := runDone(t, c, quickGrid("footprint", 71))
+	before := snapshotTree(t, dir)
+	warm, warmTables := runDone(t, c, quickGrid("footprint", 71))
+	after := snapshotTree(t, dir)
+	if warm.Computed != 0 || warmTables != coldTables {
+		t.Fatalf("warm job computed %d replicas, tables identical %v; want 0 and true", warm.Computed, warmTables == coldTables)
+	}
+	var touched []string
+	for path, st := range after {
+		if prev, ok := before[path]; !ok || prev != st {
+			touched = append(touched, path)
+		}
+	}
+	for path := range before {
+		if _, ok := after[path]; !ok {
+			touched = append(touched, path)
+		}
+	}
+	sort.Strings(touched)
+	want := []string{"jobs/" + warm.ID + ".events.jsonl", "jobs/" + warm.ID + ".json", "jobs/" + warm.ID + ".manifest.json"}
+	if strings.Join(touched, " ") != strings.Join(want, " ") {
+		t.Fatalf("warm job added, changed or removed %q; want only %q", touched, want)
+	}
+}
+
+// fileState is what snapshotTree records of one path.
+type fileState struct {
+	dir   bool
+	size  int64
+	mtime time.Time
+	sum   string
+}
+
+// snapshotTree records every path under root, slash-separated and relative
+// to it, with the size, mtime and content digest of each file.
+func snapshotTree(t testing.TB, root string) map[string]fileState {
+	t.Helper()
+	out := map[string]fileState{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || path == root {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			out[filepath.ToSlash(rel)] = fileState{dir: true}
+			return nil
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		out[filepath.ToSlash(rel)] = fileState{size: info.Size(), mtime: info.ModTime(), sum: artifact.Sum(b)}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestServiceRefusesCorruptTables: a done job's tables are a store object,
+// read back by digest, so a byte flipped on disk is refused like a flipped
+// result (TestServiceRefusesCorruptObject) — 500, naming the corruption.
+// Resubmitting the grid puts the tables again, which repairs the object.
+func TestServiceRefusesCorruptTables(t *testing.T) {
+	srv, c := startServer(t, t.TempDir(), 1)
+	j, tables := runDone(t, c, quickGrid("corrupt-tables", 81))
+	path := filepath.Join(srv.Store().Root(), "objects", j.TablesSHA256[:2], j.TablesSHA256[2:])
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 1
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(c.Base + "/jobs/" + j.ID + "/tables")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), artifact.ErrCorrupt.Error()) {
+		t.Fatalf("GET /tables of a flipped object: status %d body %s; want 500 naming %q", resp.StatusCode, body, artifact.ErrCorrupt)
+	}
+	again, _ := runDone(t, c, quickGrid("corrupt-tables", 81))
+	for _, id := range []string{j.ID, again.ID} {
+		if got, err := c.Tables(context.Background(), id); err != nil || got != tables {
+			t.Fatalf("job %s after the resubmit: tables identical %v, err %v", id, got == tables, err)
+		}
+	}
+	// An object the store never held is absent, not a fault.
+	if resp, err = http.Get(c.Base + "/artifacts/" + artifact.Sum([]byte("absent"))); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /artifacts of an absent object: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServiceRebuildsLostTables: on restart, a done record whose tables or
+// CSV object is missing or corrupt — deleted, flipped, or never named
+// because the record predates csv_sha256 — has both rebuilt in place from
+// the replica results in the store. The rebuild takes no queue slot, so a
+// state dir holding more such records than QueueCap starts clean, and it
+// computes nothing. A job whose replica results are gone too stays done,
+// and its lost output answers 500.
+func TestServiceRebuildsLostTables(t *testing.T) {
+	dir := t.TempDir()
+	_, c, stop := openServer(t, dir, 1)
+	var jobs []JobInfo
+	var tables, csv string
+	for i := 0; i < 3; i++ {
+		j, got := runDone(t, c, quickGrid("lost-object", 91))
+		if i == 0 {
+			var err error
+			tables = got
+			if csv, err = c.TablesCSV(context.Background(), j.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		jobs = append(jobs, j)
+	}
+	stop()
+	first := jobs[0]
+	object := func(digest string) string {
+		return filepath.Join(dir, "store", "objects", digest[:2], digest[2:])
+	}
+	results := func() int {
+		ms, err := os.ReadDir(filepath.Join(dir, "store", "manifests"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ms)
+	}
+	replicas := results()
+	// restart opens the state dir with a queue of one, fewer slots than done
+	// records, and serves it over HTTP without running the queue.
+	restart := func() (*Server, *Client) {
+		srv, err := New(Options{Dir: dir, QueueCap: 1, Logf: t.Logf})
+		if err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		if n := len(srv.queue); n != 0 {
+			t.Fatalf("restart queued %d jobs, want 0", n)
+		}
+		hs := httptest.NewServer(srv.Handler())
+		t.Cleanup(hs.Close)
+		return srv, &Client{Base: hs.URL}
+	}
+	for _, lose := range []struct {
+		name string
+		do   func() error
+	}{
+		{"CSV object deleted", func() error { return os.Remove(object(first.CSVSHA256)) }},
+		{"tables object flipped", func() error {
+			b, err := os.ReadFile(object(first.TablesSHA256))
+			if err != nil {
+				return err
+			}
+			b[len(b)/2] ^= 1
+			return os.WriteFile(object(first.TablesSHA256), b, 0o644)
+		}},
+		{"records without csv_sha256", func() error {
+			for _, j := range jobs {
+				record := filepath.Join(dir, "jobs", j.ID+".json")
+				b, err := os.ReadFile(record)
+				if err != nil {
+					return err
+				}
+				var m map[string]any
+				if err := json.Unmarshal(b, &m); err != nil {
+					return err
+				}
+				delete(m, "csv_sha256")
+				if b, err = json.Marshal(m); err != nil {
+					return err
+				}
+				if err := os.WriteFile(record, b, 0o644); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		if err := lose.do(); err != nil {
+			t.Fatal(err)
+		}
+		srv, c := restart()
+		for _, want := range jobs {
+			j, ok := srv.Job(want.ID)
+			if !ok || j.State != JobDone || j.Computed != want.Computed || j.TablesSHA256 != first.TablesSHA256 || j.CSVSHA256 != first.CSVSHA256 {
+				t.Fatalf("%s: job %s after the restart: %+v; want done, computed %d, tables %s, csv %s",
+					lose.name, want.ID, j, want.Computed, first.TablesSHA256, first.CSVSHA256)
+			}
+			gotTables, err := c.Tables(context.Background(), j.ID)
+			if err != nil || gotTables != tables {
+				t.Fatalf("%s: job %s tables identical %v, err %v", lose.name, j.ID, gotTables == tables, err)
+			}
+			gotCSV, err := c.TablesCSV(context.Background(), j.ID)
+			if err != nil || gotCSV != csv {
+				t.Fatalf("%s: job %s CSV identical %v, err %v", lose.name, j.ID, gotCSV == csv, err)
+			}
+		}
+		if n := results(); n != replicas {
+			t.Fatalf("%s: the restart stored %d replica manifests, want %d", lose.name, n, replicas)
+		}
+	}
+
+	// Lose the tables and a replica result the rebuild would fold.
+	st, err := artifact.Open(filepath.Join(dir, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := st.Manifests()
+	if err != nil || len(ms) == 0 {
+		t.Fatalf("manifests: %d, %v", len(ms), err)
+	}
+	for _, path := range []string{object(first.TablesSHA256), object(ms[0].ResultSHA256)} {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, c := restart()
+	// The CSV digest a rebuild named is in the record on disk.
+	if j, _ := srv.Job(first.ID); j.State != JobDone || j.TablesSHA256 != first.TablesSHA256 || j.CSVSHA256 != first.CSVSHA256 {
+		t.Fatalf("unrebuildable job after the restart: %+v; want done, naming tables %s and csv %s", j, first.TablesSHA256, first.CSVSHA256)
+	}
+	resp, err := http.Get(c.Base + "/jobs/" + first.ID + "/tables")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("GET /tables of a done job whose tables object is gone: status %d, want 500", resp.StatusCode)
+	}
+}
+
 // TestSubmitRejectsBadGrids: the HTTP layer must reject malformed,
 // unknown-field and oversized submissions before anything queues, and
 // answer a full queue with 429.
@@ -604,7 +901,7 @@ func TestSubmitRejectsBadGrids(t *testing.T) {
 // was written, so a follower landing in between (after an earlier read had
 // consumed the last "point" line) closed the stream early. The test forces
 // exactly that order: the job is made to fail after its last point (its
-// tables path is a directory), the service's log hook first lets the
+// run manifest path is a directory), the service's log hook first lets the
 // follower consume every point line, then — called from inside the
 // terminal state transition, because the job record's path is a directory
 // too and the persist fails — holds the transition open until the
@@ -632,7 +929,7 @@ func TestEventStreamEndsWithEndLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Mkdir(srv.tablesPath(job.ID), 0o755); err != nil {
+	if err := os.Mkdir(srv.manifestPath(job.ID), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(srv.jobPath(job.ID)); err != nil {

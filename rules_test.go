@@ -126,6 +126,18 @@ var repoRules = []repoRule{
 		hit:     `	case <-time.After(100 * time.Millisecond):`,
 		miss:    `	stop := time.AfterFunc(d, cancel)`,
 	},
+	// A done job's tables and CSV are store objects its record names by
+	// digest, read back hash-checked. No Go in internal/serve may name the
+	// job files that held them.
+	{
+		name:    "Retired-job-table-files",
+		pattern: regexp.MustCompile(`\.tables\.(txt|csv)"|\b(tablesPath|csvPath)\b`),
+		scopes:  []scope{{"internal/serve", false, true}},
+		globs:   goGlob,
+		msg:     "a job's tables or CSV is written as a job file; put it in the store (store.PutResult) and name it in the record",
+		hit:     `	return filepath.Join(jobsDir(s.opts.Dir), id+".tables.txt")`,
+		miss:    `	mux.HandleFunc("GET /jobs/{id}/tables.csv", s.handleJobOutput(s.readCSV, "text/csv; charset=utf-8"))`,
+	},
 	// A replica's outcome is typed fields (scenario.Result and the
 	// experiment result structs), and the artifact store's manifests are
 	// its only spec→result map. No non-test Go may name the retired
