@@ -13,12 +13,17 @@
 //	POST /jobs                  submit a grid (experiment.GridRequest JSON)
 //	GET  /jobs                  list jobs
 //	GET  /jobs/{id}             job record
-//	GET  /jobs/{id}/events      JSONL progress, follows until terminal
+//	GET  /jobs/{id}/events      JSONL progress of the current attempt, held
+//	                            in memory; follows until terminal (after a
+//	                            restart a done job streams its end line)
 //	GET  /jobs/{id}/tables      rendered tables (CLI-identical text)
 //	GET  /jobs/{id}/tables.csv  long-form CSV
 //	GET  /jobs/{id}/manifest    run manifest (provenance)
 //	GET  /artifacts/{digest}    raw result bytes
 //	GET  /healthz               liveness probe
+//
+// A job's record (<dir>/jobs/<id>.json) is the only file it owns; its
+// tables, CSV and run manifest are store objects the record names.
 //
 // On SIGTERM/SIGINT the service drains: in-flight replicas finish and
 // persist, interrupted jobs return to the queue, and the next start

@@ -14,7 +14,8 @@ import (
 // then each op resubmits it and does what a client does — follow the
 // events to "end", fetch the tables, the CSV and the run manifest. Every
 // replica is a store hit, so the op is the service's own cost. Besides
-// ns/op it reports the files each job leaves under the state directory.
+// ns/op it reports the files each job leaves under the state directory:
+// its record and its run manifest, a store object.
 //
 //	go test -run '^$' -bench ServeWarmJob ./internal/serve
 func BenchmarkServeWarmJob(b *testing.B) {

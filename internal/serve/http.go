@@ -4,14 +4,11 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 
 	"innercircle/internal/experiment"
 )
@@ -21,16 +18,19 @@ import (
 //	POST /jobs              submit a grid (experiment.GridRequest JSON) → JobInfo
 //	GET  /jobs              list jobs
 //	GET  /jobs/{id}         one job's record
-//	GET  /jobs/{id}/events  JSONL progress; follows until the "end" line
-//	                        (add ?follow=0 for a non-blocking snapshot)
+//	GET  /jobs/{id}/events  JSONL progress of the current attempt; follows
+//	                        until the "end" line (add ?follow=0 for a
+//	                        non-blocking snapshot)
 //	GET  /jobs/{id}/tables  rendered figure tables (text, CLI-identical)
 //	GET  /jobs/{id}/tables.csv  long-form CSV of the same tables
 //	GET  /jobs/{id}/manifest    run manifest (artifact.RunManifest JSON)
 //	GET  /artifacts/{digest}    raw result bytes from the store
 //	GET  /healthz           liveness probe
 //
-// Tables, CSVs and artifacts are store objects, hashed on the way out. A
-// done job's output that cannot be read, corrupt or missing, is a 500.
+// Tables, CSVs, run manifests and artifacts are store objects, hashed on
+// the way out. A done job's output that cannot be read, corrupt or
+// missing, is a 500. Event lines live in memory: a job loaded at restart
+// streams only its "end" line.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -46,9 +46,9 @@ func (s *Server) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, j)
 	})
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /jobs/{id}/tables", s.handleJobOutput(s.readTables, "text/plain; charset=utf-8"))
-	mux.HandleFunc("GET /jobs/{id}/tables.csv", s.handleJobOutput(s.readCSV, "text/csv; charset=utf-8"))
-	mux.HandleFunc("GET /jobs/{id}/manifest", s.handleJobOutput(s.readManifest, "application/json"))
+	mux.HandleFunc("GET /jobs/{id}/tables", s.handleJobOutput(func(j JobInfo) string { return j.TablesSHA256 }, "text/plain; charset=utf-8"))
+	mux.HandleFunc("GET /jobs/{id}/tables.csv", s.handleJobOutput(func(j JobInfo) string { return j.CSVSHA256 }, "text/csv; charset=utf-8"))
+	mux.HandleFunc("GET /jobs/{id}/manifest", s.handleJobOutput(func(j JobInfo) string { return j.ManifestSHA256 }, "application/json"))
 	mux.HandleFunc("GET /artifacts/{digest}", func(w http.ResponseWriter, r *http.Request) {
 		if !s.store.HasResult(r.PathValue("digest")) {
 			httpError(w, http.StatusNotFound, "no such object")
@@ -94,21 +94,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEvents serves a job's JSONL stream. By default it follows: lines
-// are flushed as they land and the response ends when the terminal "end"
-// line is written (or the client goes away). ?follow=0 returns what the
-// current attempt has written so far.
+// are flushed as they land and the response ends with the terminal "end"
+// line (or when the client goes away). ?follow=0 returns what the current
+// attempt has emitted so far.
 //
-// A follower reads one attempt. It opens the stream once the job has left
-// the queue — runJob truncates the stream before the job turns running —
-// and keeps that one reader for the request. Between reads it blocks on
-// the job's wake signal, which every Emit and setState fires. Besides the
-// "end" line, two states end the response once a read reaches EOF: a
-// terminal job, whose "end" is on disk before its state turns
-// (Server.finish), so a stream that still has none is legacy and must not
-// hang the client; and a job back in the queue, whose attempt was drained.
+// A follower reads one attempt: nothing while the job is queued, then the
+// lines of the attempt that took it. Between reads it blocks on the job's
+// wake channel, which every line and every state change closes. Each read
+// takes the new lines and the state under one lock, so the "end" line
+// arrives with the terminal state; a job back in the queue after it ran
+// had its attempt drained, which ends the response without one.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	state, wake, ok := s.watch(id)
+	lines, state, wake, ok := s.follow(id, 0)
 	if !ok {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
@@ -122,28 +120,19 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		flusher.Flush()
 	}
-	var es *eventStream
-	defer func() {
-		if es != nil {
-			es.f.Close()
-		}
-	}()
+	sent, attached := 0, false
 	for {
-		if es == nil && state != JobQueued {
-			if es = openEventStream(s.eventsPath(id)); es == nil {
+		attached = attached || state != JobQueued
+		if attached && len(lines) > 0 {
+			if _, err := w.Write(lines); err != nil {
 				return
 			}
-		}
-		if es != nil {
-			n, terminal, err := es.copyEvents(w)
-			if n > 0 && flusher != nil {
+			if flusher != nil {
 				flusher.Flush()
 			}
-			if err != nil || terminal {
-				return
-			}
+			sent += len(lines)
 		}
-		if !follow || (es != nil && state != JobRunning) {
+		if !follow || state == JobDone || state == JobFailed || attached && state == JobQueued {
 			return
 		}
 		select {
@@ -151,67 +140,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-wake:
 		}
-		state, wake, _ = s.watch(id)
+		lines, state, wake, _ = s.follow(id, sent)
 	}
 }
 
-// eventStream is one follower's reader over one attempt's stream file.
-type eventStream struct {
-	f  *os.File
-	br *bufio.Reader
-	// tail is the start of a line whose newline has not landed yet.
-	tail []byte
-}
-
-// openEventStream opens a job's stream file for one follower; it returns
-// nil when the file cannot be opened (a job that failed before its stream
-// existed has none).
-func openEventStream(path string) *eventStream {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil
-	}
-	return &eventStream{f: f, br: bufio.NewReader(f)}
-}
-
-// copyEvents streams the complete lines written since its last call,
-// reporting how many bytes it wrote and whether the terminal "end" line
-// passed through. Only newline-terminated lines count: an unterminated tail
-// is an event still being written, so it is held back and goes out whole
-// once a later call reads its newline.
-func (es *eventStream) copyEvents(w io.Writer) (n int, terminal bool, err error) {
-	for {
-		chunk, err := es.br.ReadSlice('\n')
-		if err == io.EOF || err == bufio.ErrBufferFull {
-			es.tail = append(es.tail, chunk...)
-			if err == io.EOF {
-				return n, false, nil
-			}
-			continue
-		}
-		if err != nil {
-			return n, false, err
-		}
-		line := chunk
-		if len(es.tail) > 0 {
-			es.tail = append(es.tail, chunk...)
-			line = es.tail
-		}
-		m, err := w.Write(line)
-		n += m
-		es.tail = es.tail[:0]
-		if err != nil {
-			return n, false, err
-		}
-		if bytes.Contains(line, []byte(`"type":"end"`)) {
-			return n, true, nil
-		}
-	}
-}
-
-// handleJobOutput serves one output of a done job: 404 before it is done,
-// 500 when an output its record names cannot be read.
-func (s *Server) handleJobOutput(read func(JobInfo) ([]byte, error), contentType string) http.HandlerFunc {
+// handleJobOutput serves the store object digest names of a done job: 404
+// before it is done, 500 when the object its record names cannot be read.
+func (s *Server) handleJobOutput(digest func(JobInfo) string, contentType string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		j, ok := s.Job(r.PathValue("id"))
 		if !ok {
@@ -222,14 +157,10 @@ func (s *Server) handleJobOutput(read func(JobInfo) ([]byte, error), contentType
 			httpError(w, http.StatusNotFound, "not available yet (job not done)")
 			return
 		}
-		b, err := read(j)
+		b, err := s.store.GetResult(digest(j))
 		writeBytes(w, b, err, contentType)
 	}
 }
-
-func (s *Server) readTables(j JobInfo) ([]byte, error)   { return s.store.GetResult(j.TablesSHA256) }
-func (s *Server) readCSV(j JobInfo) ([]byte, error)      { return s.store.GetResult(j.CSVSHA256) }
-func (s *Server) readManifest(j JobInfo) ([]byte, error) { return os.ReadFile(s.manifestPath(j.ID)) }
 
 // writeBytes answers with b, or 500 with the error that kept it from being
 // read.

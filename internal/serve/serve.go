@@ -7,18 +7,19 @@
 // re-derivable, dedupable, and byte-identical to the corresponding CLI's.
 //
 // Durability model. A job writes what recovery reads back, nothing more.
-// Its record (jobs/<id>.json, atomic writes) is written at submission and
-// at the end; the running state lives in memory. Replica results persist
-// one by one as they finish, and a done job's tables and CSV are store
-// objects its record names by digest, so a warm job adds nothing to the
-// store. A crash or SIGTERM loses at most the in-flight replicas' work: on
+// Its record (jobs/<id>.json, atomic writes) is the only file it owns,
+// written at submission and at the end; the running state lives in memory.
+// Replica results persist one by one as they finish, and a done job's
+// tables, CSV and run manifest are store objects its record names by
+// digest. A crash or SIGTERM loses at most the in-flight replicas' work: on
 // restart every record that has not ended re-enters the queue, and every
 // replica already in the store is a manifest hit; a done record whose
-// tables or CSV object is missing or corrupt has both rebuilt in place. A
-// job's JSONL event stream (jobs/<id>.events.jsonl) is truncated by each
-// attempt before it turns running and ends with an "end" line, synced
-// before the terminal record — the signal clients follow. Every write to a
-// job's stream or record wakes that job's followers; nothing polls.
+// outputs are missing or corrupt has them rebuilt in place. A job's JSONL
+// progress stream lives in memory, so it holds only this process's
+// attempt, and the "end" line is appended in the critical section that
+// makes the state terminal. A job loaded at restart holds only its end
+// line, read off its record. Every change to a job's stream or state wakes
+// its followers; nothing polls.
 package serve
 
 import (
@@ -63,11 +64,12 @@ type JobInfo struct {
 	Total    int `json:"total,omitempty"`
 	Computed int `json:"computed,omitempty"`
 	Cached   int `json:"cached,omitempty"`
-	// TablesSHA256 and CSVSHA256 address a done job's rendered tables and
-	// their CSV in the artifact store.
-	TablesSHA256 string `json:"tables_sha256,omitempty"`
-	CSVSHA256    string `json:"csv_sha256,omitempty"`
-	Error        string `json:"error,omitempty"`
+	// TablesSHA256, CSVSHA256 and ManifestSHA256 address a done job's
+	// rendered tables, their CSV and its run manifest in the artifact store.
+	TablesSHA256   string `json:"tables_sha256,omitempty"`
+	CSVSHA256      string `json:"csv_sha256,omitempty"`
+	ManifestSHA256 string `json:"manifest_sha256,omitempty"`
+	Error          string `json:"error,omitempty"`
 }
 
 // Event is one line of a job's JSONL progress stream. Type "point"
@@ -90,11 +92,18 @@ type Event struct {
 	Error        string `json:"error,omitempty"`
 }
 
+// endEvent is the line that closes a job's stream, read off its record:
+// finish appends it, and a job loaded at restart holds it alone.
+func endEvent(j *JobInfo) Event {
+	return Event{Type: "end", State: j.State, Computed: j.Computed, Cached: j.Cached,
+		TablesSHA256: j.TablesSHA256, Error: j.Error}
+}
+
 // Options configures a Server.
 type Options struct {
 	// Dir is the service's state root: Dir/store holds the artifact store
-	// (replica results, rendered tables, CSVs), Dir/jobs the job records,
-	// event streams and run manifests.
+	// (replica results, rendered tables, CSVs, run manifests), Dir/jobs the
+	// job records.
 	Dir string
 	// Parallel is how many jobs run concurrently (default 1). Replicas
 	// within a job always run on the worker pool; Parallel only overlaps
@@ -114,13 +123,38 @@ type Server struct {
 	store *artifact.Store
 
 	mu   sync.Mutex
-	jobs map[string]*JobInfo
-	// wakes holds each job's wake signal, created with its record and
-	// fired by every write to its event stream or record.
-	wakes map[string]*wakeSignal
-	seq   int
+	jobs map[string]*job
+	seq  int
 
+	// queue holds QueueCap submitted jobs on top of the jobs New resumed.
 	queue chan string
+}
+
+// job is one job's in-memory state, guarded by Server.mu.
+type job struct {
+	info JobInfo
+	// events is the job's progress stream, whole JSONL lines. A job runs at
+	// most one attempt per process (a drained job does not go back on the
+	// queue), so the stream is that attempt's. It is only appended to, so
+	// the bytes a follower took under the lock are never written again.
+	events []byte
+	// wake is closed, and replaced, by every change to info or events.
+	wake chan struct{}
+}
+
+func newJob(info JobInfo) *job { return &job{info: info, wake: make(chan struct{})} }
+
+// changed wakes the job's followers.
+func (j *job) changed() {
+	close(j.wake)
+	j.wake = make(chan struct{})
+}
+
+// emit appends one line to the job's stream and wakes its followers.
+func (j *job) emit(e Event) {
+	b, _ := json.Marshal(e) // an Event is strings, ints and a bool
+	j.events = append(append(j.events, b...), '\n')
+	j.changed()
 }
 
 // New opens (creating if needed) the service state under opts.Dir, requeues
@@ -142,13 +176,7 @@ func New(opts Options) (*Server, error) {
 	if err := os.MkdirAll(jobsDir(opts.Dir), 0o755); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s := &Server{
-		opts:  opts,
-		store: store,
-		jobs:  make(map[string]*JobInfo),
-		wakes: make(map[string]*wakeSignal),
-		queue: make(chan string, opts.QueueCap),
-	}
+	s := &Server{opts: opts, store: store, jobs: make(map[string]*job)}
 	if err := s.loadJobs(); err != nil {
 		return nil, err
 	}
@@ -164,21 +192,15 @@ func (s *Server) jobPath(id string) string {
 	return filepath.Join(jobsDir(s.opts.Dir), id+".json")
 }
 
-func (s *Server) eventsPath(id string) string {
-	return filepath.Join(jobsDir(s.opts.Dir), id+".events.jsonl")
-}
-
-func (s *Server) manifestPath(id string) string {
-	return filepath.Join(jobsDir(s.opts.Dir), id+".manifest.json")
-}
-
-// loadJobs restores job records from disk. Jobs found queued or running
-// (the process died under them) re-enter the queue in ID order — IDs are
-// sequence-numbered, so the order of their original submission holds. A
-// done job whose tables or CSV object is missing or corrupt (lost, or never
-// named: the record predates csv_sha256) has both rebuilt from its replica
-// results without taking a queue slot; failing that it stays done, and
-// reading the lost output answers 500.
+// loadJobs restores job records from disk — the files named <id>.json for a
+// job ID — and makes the queue. Jobs found queued or running (the process
+// died under them) re-enter the queue in ID order — IDs are
+// sequence-numbered, so the order of their original submission holds — in
+// room of their own, so any backlog resumes. A done job whose tables, CSV
+// or run manifest object is missing or corrupt (lost, or never named: the
+// record predates its digest) has them rebuilt from its replica results
+// without taking a queue slot; failing that it stays done, and reading the
+// lost output answers 500.
 func (s *Server) loadJobs() error {
 	entries, err := os.ReadDir(jobsDir(s.opts.Dir))
 	if err != nil {
@@ -186,49 +208,46 @@ func (s *Server) loadJobs() error {
 	}
 	var resume []string
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".manifest.json") {
+		stem, isRecord := strings.CutSuffix(e.Name(), ".json")
+		n, ok := seqOf(stem)
+		if !isRecord || !ok {
 			continue
 		}
-		b, err := os.ReadFile(filepath.Join(jobsDir(s.opts.Dir), name))
+		b, err := os.ReadFile(filepath.Join(jobsDir(s.opts.Dir), e.Name()))
 		if err != nil {
 			return fmt.Errorf("serve: %w", err)
 		}
-		var j JobInfo
-		if err := json.Unmarshal(b, &j); err != nil {
-			return fmt.Errorf("serve: job record %s: %w", name, err)
+		var info JobInfo
+		if err := json.Unmarshal(b, &info); err != nil {
+			return fmt.Errorf("serve: job record %s: %w", e.Name(), err)
 		}
-		s.jobs[j.ID] = &j
-		s.wakes[j.ID] = newWakeSignal()
-		if n, ok := seqOf(j.ID); ok && n >= s.seq {
-			s.seq = n + 1
+		s.seq = max(s.seq, n+1)
+		if err := s.rebuild(&info); err != nil {
+			s.opts.Logf("serve: job %s: rebuilding its outputs: %v", info.ID, err)
 		}
-		if err := s.rebuild(&j); err != nil {
-			s.opts.Logf("serve: job %s: rebuilding its tables: %v", j.ID, err)
+		j := newJob(info)
+		if info.State == JobQueued || info.State == JobRunning {
+			j.info.State = JobQueued
+			resume = append(resume, info.ID)
+		} else {
+			j.emit(endEvent(&j.info))
 		}
-		if j.State == JobQueued || j.State == JobRunning {
-			j.State = JobQueued
-			resume = append(resume, j.ID)
-		}
+		s.jobs[info.ID] = j
 	}
 	sort.Strings(resume)
+	s.queue = make(chan string, s.opts.QueueCap+len(resume))
 	for _, id := range resume {
-		select {
-		case s.queue <- id:
-			s.opts.Logf("serve: resuming job %s (%s)", id, s.jobs[id].Name)
-		default:
-			return fmt.Errorf("serve: queue too small to resume %d jobs (cap %d)", len(resume), s.opts.QueueCap)
-		}
+		s.queue <- id
+		s.opts.Logf("serve: resuming job %s (%s)", id, s.jobs[id].info.Name)
 	}
 	return nil
 }
 
-// rebuild republishes a done job whose tables or CSV object is missing or
-// corrupt from its replica results in the store — tables, CSV and run
-// manifest — and records the tables' digests. Other jobs it leaves alone.
+// rebuild republishes a done job whose tables, CSV or run manifest object
+// is missing or corrupt from its replica results in the store, and records
+// the new digests. Other jobs it leaves alone.
 func (s *Server) rebuild(j *JobInfo) error {
-	_, terr := s.store.GetResult(j.TablesSHA256)
-	if _, cerr := s.store.GetResult(j.CSVSHA256); j.State != JobDone || terr == nil && cerr == nil {
+	if j.State != JobDone || s.intact(j.TablesSHA256, j.CSVSHA256, j.ManifestSHA256) {
 		return nil
 	}
 	points, _, resultSHAs, misses, err := s.resolve(j.Grid)
@@ -238,12 +257,22 @@ func (s *Server) rebuild(j *JobInfo) error {
 	if len(misses) > 0 {
 		return fmt.Errorf("%d of %d replica results are not in the store", len(misses), len(points))
 	}
-	tablesSHA, csvSHA, err := s.publish(j.ID, j.Grid, resultSHAs, time.Now())
+	tablesSHA, csvSHA, manifestSHA, err := s.publish(j.Grid, resultSHAs, time.Now())
 	if err != nil {
 		return err
 	}
-	j.TablesSHA256, j.CSVSHA256 = tablesSHA, csvSHA
+	j.TablesSHA256, j.CSVSHA256, j.ManifestSHA256 = tablesSHA, csvSHA, manifestSHA
 	return s.persist(j)
+}
+
+// intact reports whether every object digests names reads back whole.
+func (s *Server) intact(digests ...string) bool {
+	for _, d := range digests {
+		if _, err := s.store.GetResult(d); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 func seqOf(id string) (int, bool) {
@@ -262,7 +291,7 @@ func (s *Server) persist(j *JobInfo) error {
 }
 
 // Submit validates a grid, persists a queued job for it and enqueues it.
-// It fails with ErrQueueFull when the queue is full (bounded FIFO, no
+// It fails with ErrQueueFull while QueueCap jobs wait (bounded FIFO, no
 // unbounded buffering).
 func (s *Server) Submit(g *experiment.GridRequest) (JobInfo, error) {
 	points, err := g.Points() // validates g
@@ -270,32 +299,30 @@ func (s *Server) Submit(g *experiment.GridRequest) (JobInfo, error) {
 		return JobInfo{}, err
 	}
 	s.mu.Lock()
-	id := fmt.Sprintf("j%06d", s.seq)
-	s.seq++
-	j := &JobInfo{
-		ID:        id,
+	if len(s.queue) >= s.opts.QueueCap {
+		s.mu.Unlock()
+		return JobInfo{}, fmt.Errorf("%w (%d queued)", ErrQueueFull, s.opts.QueueCap)
+	}
+	j := newJob(JobInfo{
+		ID:        fmt.Sprintf("j%06d", s.seq),
 		Name:      g.Name,
 		State:     JobQueued,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 		Grid:      g,
 		Total:     len(points),
+	})
+	err = s.persist(&j.info)
+	if err == nil {
+		s.seq++
+		s.jobs[j.info.ID] = j
+		s.queue <- j.info.ID // never blocks: fewer than QueueCap wait, and only Submit sends, under s.mu
 	}
-	select {
-	case s.queue <- id:
-	default:
-		s.seq-- // the job never existed
-		s.mu.Unlock()
-		return JobInfo{}, fmt.Errorf("%w (%d queued)", ErrQueueFull, s.opts.QueueCap)
-	}
-	s.jobs[id] = j
-	s.wakes[id] = newWakeSignal()
-	err = s.persist(j)
-	info := *j
+	info := j.info
 	s.mu.Unlock()
 	if err != nil {
 		return JobInfo{}, err
 	}
-	s.opts.Logf("serve: queued job %s (%s, %d replicas)", id, g.Name, len(points))
+	s.opts.Logf("serve: queued job %s (%s, %d replicas)", info.ID, g.Name, len(points))
 	return info, nil
 }
 
@@ -307,20 +334,20 @@ func (s *Server) Job(id string) (JobInfo, bool) {
 	if !ok {
 		return JobInfo{}, false
 	}
-	return *j, true
+	return j.info, true
 }
 
-// watch returns a job's state and the channel its next write closes, both
-// under s.mu: a write after this call closes the channel, whether it lands
-// in the record (setState) or in the event stream (eventLog.Emit).
-func (s *Server) watch(id string) (state string, wake <-chan struct{}, ok bool) {
+// follow returns the lines of job id's stream past its first n bytes, the
+// job's state and the channel its next change closes, all under one lock:
+// the stream holds its "end" line exactly when the state is terminal.
+func (s *Server) follow(id string, n int) (lines []byte, state string, wake <-chan struct{}, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
 	if !ok {
-		return "", nil, false
+		return nil, "", nil, false
 	}
-	return j.State, s.wakes[id].wait(), true
+	return j.events[n:], j.info.State, j.wake, true
 }
 
 // Jobs returns snapshots of every job, in ID (= submission) order.
@@ -329,7 +356,7 @@ func (s *Server) Jobs() []JobInfo {
 	defer s.mu.Unlock()
 	out := make([]JobInfo, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		out = append(out, *j)
+		out = append(out, j.info)
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
@@ -359,25 +386,11 @@ func (s *Server) Run(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// setState transitions a job and wakes its followers. Only a terminal
-// state is persisted: loadJobs requeues every record that has not ended.
-func (s *Server) setState(id, state string, mut func(*JobInfo)) {
+// emit appends one line to a running job's stream.
+func (s *Server) emit(j *job, e Event) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return
-	}
-	j.State = state
-	if mut != nil {
-		mut(j)
-	}
-	if state == JobDone || state == JobFailed {
-		if err := s.persist(j); err != nil {
-			s.opts.Logf("serve: persisting job %s: %v", id, err)
-		}
-	}
-	s.wakes[id].wake()
+	j.emit(e)
+	s.mu.Unlock()
 }
 
 // runJob executes one job: resolve every replica against the store, run
@@ -386,35 +399,28 @@ func (s *Server) setState(id, state string, mut func(*JobInfo)) {
 func (s *Server) runJob(ctx context.Context, id string) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
-	if !ok || j.State != JobQueued {
+	if !ok || j.info.State != JobQueued {
 		s.mu.Unlock()
 		return
 	}
-	grid, wake := j.Grid, s.wakes[id]
+	// The running state is not persisted: loadJobs requeues every record
+	// that has not ended.
+	j.info.State = JobRunning
+	j.changed()
+	grid := j.info.Grid
 	s.mu.Unlock()
 	start := time.Now()
 
-	// Truncate the stream while the job is still queued: a follower reads
-	// nothing until the job turns running, so it reads this attempt's lines
-	// and never a previous process's.
-	ev, err := newEventLog(s.eventsPath(id), wake)
-	if err != nil {
-		s.fail(id, nil, err)
-		return
-	}
-	defer ev.f.Close()
-	s.setState(id, JobRunning, nil)
-
 	points, specSHAs, resultSHAs, misses, err := s.resolve(grid)
 	if err != nil {
-		s.fail(id, ev, err)
+		s.fail(j, err)
 		return
 	}
 	done := 0
 	for i, p := range points {
 		if resultSHAs[i] != "" {
 			done++
-			ev.Emit(Event{Type: "point", Done: done, Total: len(points), Label: p.Label,
+			s.emit(j, Event{Type: "point", Done: done, Total: len(points), Label: p.Label,
 				SpecSHA: specSHAs[i], ResultSHA: resultSHAs[i], FromCache: true})
 		}
 	}
@@ -459,37 +465,41 @@ func (s *Server) runJob(ctx context.Context, id string) {
 			i := misses[jb.Index]
 			resultSHAs[i] = result.(string)
 			done++
-			ev.Emit(Event{Type: "point", Done: done, Total: len(points), Label: jb.Label,
+			s.emit(j, Event{Type: "point", Done: done, Total: len(points), Label: jb.Label,
 				SpecSHA: specSHAs[i], ResultSHA: resultSHAs[i]})
 		})
 		if ctx.Err() != nil {
 			// Drain: finished replicas are already in the store; hand the
 			// job back to the queue for the next process.
-			s.setState(id, JobQueued, nil)
+			s.mu.Lock()
+			j.info.State = JobQueued
+			j.changed()
+			s.mu.Unlock()
 			s.opts.Logf("serve: job %s interrupted, requeued", id)
 			return
 		}
 		if err != nil {
-			s.fail(id, ev, err)
+			s.fail(j, err)
 			return
 		}
 	}
 
-	tablesSHA, csvSHA, err := s.publish(id, grid, resultSHAs, start)
+	tablesSHA, csvSHA, manifestSHA, err := s.publish(grid, resultSHAs, start)
 	if err != nil {
-		s.fail(id, ev, err)
+		s.fail(j, err)
 		return
 	}
 	computed := len(misses)
 	cached := len(points) - computed
-	s.finish(id, ev, Event{Type: "end", State: JobDone, Computed: computed, Cached: cached, TablesSHA256: tablesSHA},
-		func(j *JobInfo) {
-			j.Computed = computed
-			j.Cached = cached
-			j.TablesSHA256 = tablesSHA
-			j.CSVSHA256 = csvSHA
-			j.Error = ""
-		})
+	s.finish(j, func(j *JobInfo) {
+		j.State = JobDone
+		j.Computed = computed
+		j.Cached = cached
+		j.TablesSHA256 = tablesSHA
+		j.CSVSHA256 = csvSHA
+		j.ManifestSHA256 = manifestSHA
+		j.Error = ""
+	})
 	s.opts.Logf("serve: job %s done (%d computed, %d cached, tables %s)", id, computed, cached, tablesSHA[:12])
 }
 
@@ -521,118 +531,57 @@ func (s *Server) resolve(grid *experiment.GridRequest) (points []experiment.Repl
 
 // publish rebuilds a job's tables from the store only — every result byte
 // folded is read back by digest, cached and computed alike — and puts the
-// tables and their CSV into the store, so a warm job writes neither. The
-// run manifest is the one output it writes as a job file.
-func (s *Server) publish(id string, grid *experiment.GridRequest, resultSHAs []string, start time.Time) (tablesSHA, csvSHA string, err error) {
+// tables, their CSV and the run manifest into the store. A warm job's
+// tables and CSV are there already, so its manifest is all it writes.
+func (s *Server) publish(grid *experiment.GridRequest, resultSHAs []string, start time.Time) (tablesSHA, csvSHA, manifestSHA string, err error) {
 	results := make([][]byte, len(resultSHAs))
 	for i, d := range resultSHAs {
 		if results[i], err = s.store.GetResult(d); err != nil {
-			return "", "", err
+			return "", "", "", err
 		}
 	}
 	tables, err := grid.Tables(results)
 	if err != nil {
-		return "", "", err
+		return "", "", "", err
 	}
 	rendered := grid.Render(tables)
 	manifest, err := artifact.NewRunManifest(grid.Name, grid, grid.BaseSeed(), rendered, start)
 	if err != nil {
-		return "", "", err
+		return "", "", "", err
 	}
 	mb, err := json.Marshal(manifest)
 	if err != nil {
-		return "", "", err
+		return "", "", "", err
 	}
-	if tablesSHA, err = s.store.PutResult([]byte(rendered)); err == nil {
-		csvSHA, err = s.store.PutResult([]byte(grid.CSV(tables)))
+	if tablesSHA, err = s.store.PutResult([]byte(rendered)); err != nil {
+		return "", "", "", err
 	}
-	if err != nil {
-		return "", "", err
+	if csvSHA, err = s.store.PutResult([]byte(grid.CSV(tables))); err != nil {
+		return "", "", "", err
 	}
-	return tablesSHA, csvSHA, artifact.WriteAtomic(s.manifestPath(id), mb)
+	manifestSHA, err = s.store.PutResult(mb)
+	return tablesSHA, csvSHA, manifestSHA, err
 }
 
 // fail marks a job failed and terminates its event stream.
-func (s *Server) fail(id string, ev *eventLog, err error) {
-	s.opts.Logf("serve: job %s failed: %v", id, err)
-	s.finish(id, ev, Event{Type: "end", State: JobFailed, Error: err.Error()},
-		func(j *JobInfo) { j.Error = err.Error() })
-}
-
-// finish moves a job to the terminal state end names and terminates its
-// event stream (ev may be nil when the stream could not be opened). The
-// "end" line is written and synced before the job record: a crash between
-// the two leaves a record loadJobs requeues, and the rerun truncates the
-// stream. Both happen inside one setState, so under s.mu with the
-// in-memory state already terminal — a reader that has seen "end" finds a terminal record
-// (Client.Wait fetches it next), and a reader that finds a terminal record
-// finds "end" in the stream (handleEvents reads to EOF and stops).
-func (s *Server) finish(id string, ev *eventLog, end Event, mut func(*JobInfo)) {
-	s.setState(id, end.State, func(j *JobInfo) {
-		mut(j)
-		if ev != nil {
-			ev.Emit(end)
-		}
+func (s *Server) fail(j *job, err error) {
+	s.opts.Logf("serve: job %s failed: %v", j.info.ID, err)
+	s.finish(j, func(j *JobInfo) {
+		j.State = JobFailed
+		j.Error = err.Error()
 	})
 }
 
-// eventLog appends JSONL events to a job's stream file. Emit is
-// serialized by the pool's progress contract plus the cached-prefix loop
-// running before the pool starts; a mutex keeps it safe regardless.
-type eventLog struct {
-	mu   sync.Mutex
-	f    *os.File
-	wake *wakeSignal
-}
-
-// newEventLog truncates and reopens a job's event stream — each run
-// attempt rewrites the stream from its own cache-resolution state. Every
-// Emit fires wake.
-func newEventLog(path string, wake *wakeSignal) (*eventLog, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
+// finish moves a job to the terminal state mut sets, persists its record
+// and appends the "end" line read off it, all in one critical section: a
+// follower finds "end" in the stream exactly when it finds the state
+// terminal, and the record is on disk before anyone reads "end".
+func (s *Server) finish(j *job, mut func(*JobInfo)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mut(&j.info)
+	if err := s.persist(&j.info); err != nil {
+		s.opts.Logf("serve: persisting job %s: %v", j.info.ID, err)
 	}
-	return &eventLog{f: f, wake: wake}, nil
-}
-
-// Emit appends one event line and wakes the job's followers. Only the
-// "end" line is synced, and with it the whole stream: a rerun truncates the
-// stream, so no line of an attempt that died is ever read.
-func (l *eventLog) Emit(e Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	b, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	if _, err := l.f.Write(append(b, '\n')); err == nil && e.Type == "end" {
-		l.f.Sync()
-	}
-	l.wake.wake()
-}
-
-// wakeSignal is how a job's writers reach its followers: a channel that is
-// closed and replaced on each wake. A follower takes the channel before it
-// reads, so a write its read missed closes the channel it blocks on.
-type wakeSignal struct {
-	mu sync.Mutex
-	ch chan struct{}
-}
-
-func newWakeSignal() *wakeSignal { return &wakeSignal{ch: make(chan struct{})} }
-
-// wait returns the channel the next wake closes.
-func (w *wakeSignal) wait() <-chan struct{} {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.ch
-}
-
-// wake releases every follower blocked on the current channel.
-func (w *wakeSignal) wake() {
-	w.mu.Lock()
-	close(w.ch)
-	w.ch = make(chan struct{})
-	w.mu.Unlock()
+	j.emit(endEvent(&j.info))
 }

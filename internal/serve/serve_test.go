@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -69,6 +68,13 @@ func openServer(t *testing.T, dir string, parallel int) (srv *Server, c *Client,
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, stop = serveAll(srv)
+	return srv, c, stop
+}
+
+// serveAll runs srv's queue and serves its HTTP front; stop shuts both
+// down.
+func serveAll(srv *Server) (c *Client, stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -76,7 +82,7 @@ func openServer(t *testing.T, dir string, parallel int) (srv *Server, c *Client,
 		srv.Run(ctx)
 	}()
 	hs := httptest.NewServer(srv.Handler())
-	return srv, &Client{Base: hs.URL}, func() {
+	return &Client{Base: hs.URL}, func() {
 		hs.Close()
 		cancel()
 		<-done
@@ -489,9 +495,11 @@ func TestServiceDrainResume(t *testing.T) {
 }
 
 // TestWarmJobFootprint pins what a warm job writes: resubmitting a done
-// grid adds its own record, event stream and run manifest under jobs/ and
-// changes nothing else — no store object or manifest, no other job's file —
-// and serves byte-identical tables from zero computed replicas.
+// grid adds its own record under jobs/ and one store object, its run
+// manifest (and that object's directory if it is the first under its
+// prefix), and changes nothing else — no replica result or manifest, no
+// tables or CSV object, no other job's file — and serves byte-identical
+// tables from zero computed replicas.
 func TestWarmJobFootprint(t *testing.T) {
 	dir := t.TempDir()
 	_, c := startServer(t, dir, 1)
@@ -514,7 +522,15 @@ func TestWarmJobFootprint(t *testing.T) {
 		}
 	}
 	sort.Strings(touched)
-	want := []string{"jobs/" + warm.ID + ".events.jsonl", "jobs/" + warm.ID + ".json", "jobs/" + warm.ID + ".manifest.json"}
+	if len(warm.ManifestSHA256) != 64 {
+		t.Fatalf("warm job names run manifest %q", warm.ManifestSHA256)
+	}
+	prefix := "store/objects/" + warm.ManifestSHA256[:2]
+	want := []string{"jobs/" + warm.ID + ".json", prefix + "/" + warm.ManifestSHA256[2:]}
+	if _, ok := before[prefix]; !ok {
+		want = append(want, prefix)
+	}
+	sort.Strings(want)
 	if strings.Join(touched, " ") != strings.Join(want, " ") {
 		t.Fatalf("warm job added, changed or removed %q; want only %q", touched, want)
 	}
@@ -895,31 +911,32 @@ func TestSubmitRejectsBadGrids(t *testing.T) {
 }
 
 // TestEventStreamEndsWithEndLine is the regression test for a followed
-// event stream closing without its "end" line. The follower returns when a
-// read reaching EOF follows a look at the job that found it no longer
-// queued or running; a job used to turn done/failed before its "end" line
-// was written, so a follower landing in between (after an earlier read had
-// consumed the last "point" line) closed the stream early. The test forces
-// exactly that order: the job is made to fail after its last point (its
-// run manifest path is a directory), the service's log hook first lets the
-// follower consume every point line, then — called from inside the
-// terminal state transition, because the job record's path is a directory
-// too and the persist fails — holds the transition open until the
-// follower, woken by the end line's write, is parked on the server lock to
-// look at the job. Its last read comes after the state turned.
+// event stream closing without its "end" line: a follower that has read
+// every point line of a job must get the job's end line, and then find the
+// terminal record (Client.Wait fetches it next). A follower once read the
+// stream and looked at the job's state apart, and closed early when the
+// job turned terminal in between; it now takes both under one lock. The
+// job is made to fail after its last point — a warm resubmission whose
+// tables object has become a directory, so publishing fails — and the
+// service's log hook holds the failure until the follower has consumed
+// every point line.
 func TestEventStreamEndsWithEndLine(t *testing.T) {
-	var failing atomic.Bool
+	dir := t.TempDir()
+	_, c, stop := openServer(t, dir, 1)
+	first, _ := runDone(t, c, quickGrid("early-close", 41))
+	stop()
+	tables := filepath.Join(dir, "store", "objects", first.TablesSHA256[:2], first.TablesSHA256[2:])
+	if err := os.Remove(tables); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(tables, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	consumed := make(chan struct{})
-	srv, err := New(Options{Dir: t.TempDir(), Logf: func(format string, args ...any) {
+	srv, err := New(Options{Dir: dir, Logf: func(format string, args ...any) {
 		t.Logf(format, args...)
-		switch {
-		case strings.Contains(format, "failed:"):
+		if strings.Contains(format, "failed:") {
 			<-consumed
-			failing.Store(true)
-		case strings.Contains(format, "persisting job") && failing.Load():
-			if !waitFollowerParked() {
-				t.Error("the follower never came back for the job's state after the end line was written")
-			}
 		}
 	}})
 	if err != nil {
@@ -929,29 +946,10 @@ func TestEventStreamEndsWithEndLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Mkdir(srv.manifestPath(job.ID), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(srv.jobPath(job.ID)); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Mkdir(srv.jobPath(job.ID), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Run(ctx)
-	}()
-	hs := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		cancel()
-		<-done
-	})
+	c, stop = serveAll(srv)
+	t.Cleanup(stop)
 
-	resp, err := http.Get(hs.URL + "/jobs/" + job.ID + "/events")
+	resp, err := http.Get(c.Base + "/jobs/" + job.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -976,37 +974,19 @@ func TestEventStreamEndsWithEndLine(t *testing.T) {
 	if last.Type != "end" || last.State != JobFailed {
 		t.Fatalf("stream closed after %d of %d point lines with last line %+v, want the failed job's end line", points, job.Total, last)
 	}
-	// Whoever has read "end" must find the terminal record (Client.Wait
-	// fetches it next).
+	// Whoever has read "end" must find the terminal record.
 	if j, _ := srv.Job(job.ID); j.State != JobFailed {
 		t.Fatalf("job state %q after the end line, want %q", j.State, JobFailed)
 	}
 }
 
-// waitFollowerParked reports whether, within 30 s, some goroutine is
-// blocked on the server lock inside Server.watch — a follower about to
-// look at its job.
-func waitFollowerParked() bool {
-	buf := make([]byte, 1<<20)
-	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			if strings.Contains(g, "serve.(*Server).watch(") && strings.Contains(g, "sync.(*Mutex).Lock(") {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // TestFollowerReadsOnlyTheCurrentAttempt pins a follower to one attempt
-// of a job. A process that dies mid-job leaves its record running and its
-// event stream without an "end" line; the next process requeues the job
-// and reruns it, truncating the stream. A follower that attached to the
-// requeued job used to read the dead attempt's lines at once and then,
-// past the truncation, read the new attempt from the old attempt's
-// offset: stale lines, then a torn line or none, and no "end". Here the
-// follower is attached before the new process starts its queue, and the
-// stale stream is longer than the new attempt's.
+// of a job. A process that dies mid-job leaves its record running; the
+// next process requeues the job and reruns it. A follower attached to the
+// requeued job before the new process starts its queue reads nothing until
+// the rerun takes the job, then that attempt's lines only: every point
+// once, in order and served from the store, then the done job's end line.
+// ?follow=0 on the done job returns the same stream at once.
 func TestFollowerReadsOnlyTheCurrentAttempt(t *testing.T) {
 	dir := t.TempDir()
 	grid := quickGrid("stale-stream", 51)
@@ -1014,27 +994,9 @@ func TestFollowerReadsOnlyTheCurrentAttempt(t *testing.T) {
 
 	// A first process runs the job to done, which leaves every replica in
 	// the store; then the job is made to look killed mid-attempt.
-	srv1, err := New(Options{Dir: dir, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx1, cancel1 := context.WithCancel(context.Background())
-	run1 := make(chan struct{})
-	go func() {
-		defer close(run1)
-		srv1.Run(ctx1)
-	}()
-	hs1 := httptest.NewServer(srv1.Handler())
-	job, err := srv1.Submit(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j, err := (&Client{Base: hs1.URL}).Wait(context.Background(), job.ID, nil); err != nil || j.State != JobDone {
-		t.Fatalf("first attempt: state %q err %v", j.State, err)
-	}
-	hs1.Close()
-	cancel1()
-	<-run1
+	srv1, c1, stop1 := openServer(t, dir, 1)
+	job, _ := runDone(t, c1, grid)
+	stop1()
 	j, _ := srv1.Job(job.ID)
 	j.State = JobRunning
 	b, err := json.Marshal(j)
@@ -1042,14 +1004,6 @@ func TestFollowerReadsOnlyTheCurrentAttempt(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(srv1.jobPath(job.ID), b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var stale bytes.Buffer
-	for i := 1; i <= 20; i++ {
-		line, _ := json.Marshal(Event{Type: "point", Done: i, Total: 20, Label: "stale attempt"})
-		stale.Write(append(line, '\n'))
-	}
-	if err := os.WriteFile(srv1.eventsPath(job.ID), stale.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -1080,13 +1034,6 @@ func TestFollowerReadsOnlyTheCurrentAttempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	onDisk, err := os.ReadFile(srv2.eventsPath(job.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(body, onDisk) {
-		t.Fatalf("follower read\n%s\nwant the new attempt's stream\n%s", body, onDisk)
-	}
 	var last Event
 	points := 0
 	for _, line := range strings.SplitAfter(string(body), "\n") {
@@ -1100,11 +1047,10 @@ func TestFollowerReadsOnlyTheCurrentAttempt(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &last); err != nil {
 			t.Fatalf("event line %q: %v", line, err)
 		}
-		if last.Label == "stale attempt" {
-			t.Fatalf("stale line %q", line)
-		}
 		if last.Type == "point" {
-			points++
+			if points++; last.Done != points || !last.FromCache {
+				t.Fatalf("point line %d is %q; want point %d of the rerun, from the store", points, line, points)
+			}
 		}
 	}
 	if last.Type != "end" || last.State != JobDone || points != job.Total {
@@ -1117,8 +1063,8 @@ func TestFollowerReadsOnlyTheCurrentAttempt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer snap.Body.Close()
-	if b, err := io.ReadAll(snap.Body); err != nil || !bytes.Equal(b, onDisk) {
-		t.Fatalf("snapshot of the done job read %q (err %v), want its stream", b, err)
+	if b, err := io.ReadAll(snap.Body); err != nil || !bytes.Equal(b, body) {
+		t.Fatalf("snapshot of the done job read %q (err %v), want its stream %q", b, err, body)
 	}
 }
 
@@ -1186,52 +1132,221 @@ func TestQueuedFollowerLeavesOnDisconnect(t *testing.T) {
 	}
 }
 
-// TestCopyEventsLeavesTornLine pins the follower against a half-written
-// event: the writer's append is not atomic with respect to a reader, so a
-// read can land between the two halves of one line. The unterminated tail
-// must be held back — also when it is longer than the reader's buffer —
-// and the next read delivers the line intact, each byte exactly once.
-func TestCopyEventsLeavesTornLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "torn.events.jsonl")
-	first := `{"type":"point","done":1}` + "\n"
-	head, tail := `{"type":"point","label":"`+strings.Repeat("x", 10000), `","done":2}`+"\n"
-	end := `{"type":"end"}` + "\n"
-	appendFile := func(s string) {
-		t.Helper()
-		f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
+// TestServiceResumesBacklogPastQueueCap: a service drained with one job
+// running and its queue full restarts with the same QueueCap. The running
+// job's record still reads queued (the running state is never written), so
+// the restart resumes more jobs than QueueCap holds. Resumed jobs have room
+// of their own: New succeeds, Submit keeps its bound while they wait, and
+// both jobs end done.
+func TestServiceResumesBacklogPastQueueCap(t *testing.T) {
+	dir := t.TempDir()
+	srv1, err := New(Options{Dir: dir, QueueCap: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx1, cancel1 := context.WithCancel(context.Background())
+	run1 := make(chan struct{})
+	go func() {
+		defer close(run1)
+		srv1.Run(ctx1)
+	}()
+	// Job A has 80 replicas, so the drain below lands long before it ends.
+	long := quickGrid("backlog-a", 101)
+	long.Runs = 20
+	a, err := srv1.Submit(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if j, _ := srv1.Job(a.ID); j.State == JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job A never left the queue")
+		}
+	}
+	b, err := srv1.Submit(quickGrid("backlog-b", 102))
+	if err != nil {
+		t.Fatalf("job B into the emptied queue: %v", err)
+	}
+	cancel1()
+	<-run1
+	for _, id := range []string{a.ID, b.ID} {
+		if j, _ := srv1.Job(id); j.State != JobQueued {
+			t.Fatalf("job %s after the drain: state %q, want queued", id, j.State)
+		}
+	}
+
+	srv2, err := New(Options{Dir: dir, QueueCap: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatalf("restart with 2 jobs to resume and QueueCap 1: %v", err)
+	}
+	if _, err := srv2.Submit(quickGrid("backlog-c", 103)); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("Submit while 2 resumed jobs wait with QueueCap 1 returned %v, want ErrQueueFull", err)
+	}
+	c, stop := serveAll(srv2)
+	t.Cleanup(stop)
+	for _, id := range []string{a.ID, b.ID} {
+		waitDone(t, c, id)
+	}
+}
+
+// replicaManifests counts the replica manifests in dir's store.
+func replicaManifests(t *testing.T, dir string) int {
+	t.Helper()
+	ms, err := os.ReadDir(filepath.Join(dir, "store", "manifests"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ms)
+}
+
+// TestServiceImportsParentLayout: a state dir written before run manifests
+// were store objects — done records without manifest_sha256, no run
+// manifest in the store, and the events and manifest files a job then left
+// under jobs/ (testdata/parent-jobs holds a pair that layout wrote for
+// this test's first job) — is imported once, through the rebuild. New
+// succeeds; every job serves its original tables and CSV byte for byte and
+// a rebuilt manifest that names those tables; no replica is recomputed and
+// the store stays Verify-clean. The left-over files are neither job records
+// nor streams: event lines live in memory, so each job loaded at restart
+// streams its end line alone (checkEndLineAlone). A second restart
+// rebuilds nothing.
+func TestServiceImportsParentLayout(t *testing.T) {
+	dir := t.TempDir()
+	_, c, stop := openServer(t, dir, 1)
+	var jobs []JobInfo
+	var tables, csvs []string
+	for range 2 {
+		j, tb := runDone(t, c, quickGrid("import", 111))
+		csv, err := c.TablesCSV(context.Background(), j.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.WriteString(s); err != nil {
+		jobs, tables, csvs = append(jobs, j), append(tables, tb), append(csvs, csv)
+	}
+	stop()
+	replicas := replicaManifests(t, dir)
+
+	for _, j := range jobs {
+		record := filepath.Join(dir, "jobs", j.ID+".json")
+		b, err := os.ReadFile(record)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := f.Close(); err != nil {
+		var m map[string]any
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		delete(m, "manifest_sha256")
+		if b, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(record, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, "store", "objects", j.ManifestSHA256[:2], j.ManifestSHA256[2:])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leftovers, err := os.ReadDir("testdata/parent-jobs")
+	if err != nil || len(leftovers) == 0 {
+		t.Fatalf("testdata/parent-jobs: %d files, err %v", len(leftovers), err)
+	}
+	for _, e := range leftovers {
+		b, err := os.ReadFile(filepath.Join("testdata/parent-jobs", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(e.Name(), jobs[0].ID+".") {
+			t.Fatalf("leftover %s is not the first job's (%s)", e.Name(), jobs[0].ID)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "jobs", e.Name()), b, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	appendFile(first + head)
-	es := openEventStream(path)
-	if es == nil {
-		t.Fatal("stream did not open")
+	srv, c, stop := openServer(t, dir, 1)
+	manifests := map[string]string{}
+	for i, want := range jobs {
+		j, ok := srv.Job(want.ID)
+		if !ok || j.State != JobDone || j.Computed != want.Computed || j.TablesSHA256 != want.TablesSHA256 ||
+			j.CSVSHA256 != want.CSVSHA256 || len(j.ManifestSHA256) != 64 {
+			t.Fatalf("job %s after the import: %+v; want done, computed %d, the same tables and CSV and a manifest", want.ID, j, want.Computed)
+		}
+		gotTables, err := c.Tables(context.Background(), j.ID)
+		if err != nil || gotTables != tables[i] {
+			t.Fatalf("job %s tables identical %v, err %v", j.ID, gotTables == tables[i], err)
+		}
+		gotCSV, err := c.TablesCSV(context.Background(), j.ID)
+		if err != nil || gotCSV != csvs[i] {
+			t.Fatalf("job %s CSV identical %v, err %v", j.ID, gotCSV == csvs[i], err)
+		}
+		b, err := c.Manifest(context.Background(), j.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m artifact.RunManifest
+		if err := json.Unmarshal(b, &m); err != nil || m.TablesSHA256 != j.TablesSHA256 || artifact.Sum(b) != j.ManifestSHA256 {
+			t.Fatalf("job %s manifest %s (err %v); want one naming tables %s, stored as %s", j.ID, b, err, j.TablesSHA256, j.ManifestSHA256)
+		}
+		manifests[j.ID] = j.ManifestSHA256
+		checkEndLineAlone(t, c, j)
 	}
-	defer es.f.Close()
-	var out strings.Builder
-	n, terminal, err := es.copyEvents(&out)
-	if err != nil || terminal {
-		t.Fatalf("first read: terminal=%v err=%v", terminal, err)
+	if n := len(srv.Jobs()); n != len(jobs) {
+		t.Fatalf("the import loaded %d jobs, want %d", n, len(jobs))
 	}
-	if out.String() != first || n != len(first) {
-		t.Fatalf("first read streamed %q and reported %d bytes, want %q and %d", out.String(), n, first, len(first))
+	if n := replicaManifests(t, dir); n != replicas {
+		t.Fatalf("the import stored %d replica manifests, want %d", n, replicas)
 	}
+	if err := srv.Store().Verify(); err != nil {
+		t.Fatal(err)
+	}
+	stop()
 
-	appendFile(tail + end)
-	out.Reset()
-	n, terminal, err = es.copyEvents(&out)
-	if err != nil || !terminal {
-		t.Fatalf("second read: terminal=%v err=%v", terminal, err)
+	again, err := New(Options{Dir: dir, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if want := head + tail + end; out.String() != want || n != len(want) {
-		t.Fatalf("second read streamed %d bytes (reported %d), want the torn line whole and the end line: %d bytes", out.Len(), n, len(want))
+	for id, digest := range manifests {
+		if j, _ := again.Job(id); j.ManifestSHA256 != digest {
+			t.Fatalf("job %s: a second restart changed its manifest %s to %s", id, digest, j.ManifestSHA256)
+		}
+	}
+}
+
+// checkEndLineAlone: a done job loaded at restart streams exactly one
+// line, its end line read off its record — followed and with ?follow=0
+// alike — and Client.Wait returns the record.
+func checkEndLineAlone(t *testing.T, c *Client, record JobInfo) {
+	t.Helper()
+	ctx := context.Background()
+	var stream string
+	for _, query := range []string{"", "?follow=0"} {
+		got, err := c.getText(ctx, "/jobs/"+record.ID+"/events"+query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stream == "" {
+			stream = got
+		}
+		if got != stream || strings.Count(got, "\n") != 1 || !strings.HasSuffix(got, "\n") {
+			t.Fatalf("events%s of restarted job %s: %q; want one line, the same as followed (%q)", query, record.ID, got, stream)
+		}
+	}
+	var end Event
+	if err := json.Unmarshal([]byte(stream), &end); err != nil {
+		t.Fatal(err)
+	}
+	want := Event{Type: "end", State: record.State, Computed: record.Computed, Cached: record.Cached,
+		TablesSHA256: record.TablesSHA256, Error: record.Error}
+	if end != want {
+		t.Fatalf("end line of restarted job %s: %+v, want %+v", record.ID, end, want)
+	}
+	waited, err := c.Wait(ctx, record.ID, nil)
+	a, _ := json.Marshal(waited)
+	b, _ := json.Marshal(record)
+	if err != nil || !bytes.Equal(a, b) {
+		t.Fatalf("Wait on restarted job %s: %s, err %v; want %s", record.ID, a, err, b)
 	}
 }

@@ -126,17 +126,19 @@ var repoRules = []repoRule{
 		hit:     `	case <-time.After(100 * time.Millisecond):`,
 		miss:    `	stop := time.AfterFunc(d, cancel)`,
 	},
-	// A done job's tables and CSV are store objects its record names by
-	// digest, read back hash-checked. No Go in internal/serve may name the
-	// job files that held them.
+	// A job's record is the only file it owns: its tables, CSV and run
+	// manifest are store objects the record names by digest, read back
+	// hash-checked, and its event lines live in memory. No Go in
+	// internal/serve may name the job files that held them or the stream
+	// file's writer and reader.
 	{
-		name:    "Retired-job-table-files",
-		pattern: regexp.MustCompile(`\.tables\.(txt|csv)"|\b(tablesPath|csvPath)\b`),
+		name:    "Retired-job-files",
+		pattern: regexp.MustCompile(`\.(tables\.(txt|csv)|events\.jsonl|manifest\.json)"|\b(tablesPath|csvPath|eventsPath|manifestPath|eventLog|openEventStream)\b`),
 		scopes:  []scope{{"internal/serve", false, true}},
 		globs:   goGlob,
-		msg:     "a job's tables or CSV is written as a job file; put it in the store (store.PutResult) and name it in the record",
-		hit:     `	return filepath.Join(jobsDir(s.opts.Dir), id+".tables.txt")`,
-		miss:    `	mux.HandleFunc("GET /jobs/{id}/tables.csv", s.handleJobOutput(s.readCSV, "text/csv; charset=utf-8"))`,
+		msg:     "a job's tables, CSV, event stream or run manifest is kept as a job file; outputs go in the store (store.PutResult) named by the record, and event lines stay in memory",
+		hit:     `	return filepath.Join(jobsDir(s.opts.Dir), id+".events.jsonl")`,
+		miss:    `	mux.HandleFunc("GET /jobs/{id}/manifest", s.handleJobOutput(func(j JobInfo) string { return j.ManifestSHA256 }, "application/json"))`,
 	},
 	// A replica's outcome is typed fields (scenario.Result and the
 	// experiment result structs), and the artifact store's manifests are

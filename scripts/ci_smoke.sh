@@ -3,7 +3,10 @@
 # scratch state dir, submit a tiny 2-point grid twice through the repro
 # client (which follows the JSONL event stream until its terminal line),
 # assert the second submission is a pure artifact-store hit, then SIGTERM
-# the daemon and require a clean drain exit.
+# the daemon and require a clean drain exit. Then restart it on the same
+# state dir: the grid submitted again must be fully cached, the first job's
+# event stream must be its end line alone ("done"), and the daemon must
+# drain cleanly once more.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,27 +21,51 @@ trap cleanup EXIT
 
 go build -o "$work/icserved" ./cmd/icserved
 
-"$work/icserved" -addr "127.0.0.1:$port" -dir "$work/state" &
-pid=$!
+start() {
+    "$work/icserved" -addr "127.0.0.1:$port" -dir "$work/state" &
+    pid=$!
+    for _ in $(seq 1 100); do
+        if curl -fsS "http://127.0.0.1:$port/healthz" >/dev/null 2>&1; then
+            break
+        fi
+        if ! kill -0 "$pid" 2>/dev/null; then
+            echo "icserved exited before becoming healthy" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+    curl -fsS "http://127.0.0.1:$port/healthz" >/dev/null
+}
 
-for _ in $(seq 1 100); do
-    if curl -fsS "http://127.0.0.1:$port/healthz" >/dev/null 2>&1; then
-        break
-    fi
-    if ! kill -0 "$pid" 2>/dev/null; then
-        echo "icserved exited before becoming healthy" >&2
+drain() {
+    kill -TERM "$pid"
+    if ! wait "$pid"; then
+        echo "icserved did not drain cleanly on SIGTERM ($1)" >&2
         exit 1
     fi
-    sleep 0.1
-done
-curl -fsS "http://127.0.0.1:$port/healthz" >/dev/null
+    pid=""
+}
 
+start
 go run ./scripts/repro -addr "http://127.0.0.1:$port" -smoke
+drain "first start"
 
-kill -TERM "$pid"
-if ! wait "$pid"; then
-    echo "icserved did not drain cleanly on SIGTERM" >&2
+# The restart: jobs j000000 and j000001 are done records, and the rerun's
+# two jobs (j000002, j000003) compute nothing.
+start
+go run ./scripts/repro -addr "http://127.0.0.1:$port" -smoke
+for id in j000002 j000003; do
+    record="$(curl -fsS "http://127.0.0.1:$port/jobs/$id")"
+    if ! grep -q '"cached":2' <<<"$record" || grep -q '"computed"' <<<"$record"; then
+        echo "job $id after the restart is not fully cached: $record" >&2
+        exit 1
+    fi
+done
+events="$(curl -fsS "http://127.0.0.1:$port/jobs/j000000/events?follow=0")"
+if [ "$(wc -l <<<"$events")" -ne 1 ] || ! grep -q '"type":"end"' <<<"$events" ||
+    ! grep -q '"state":"done"' <<<"$events"; then
+    echo "events of j000000 after the restart: want its done end line alone, got: $events" >&2
     exit 1
 fi
-pid=""
+drain "after the restart"
 echo "ci_smoke: ok"
