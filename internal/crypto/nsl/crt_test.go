@@ -8,13 +8,16 @@ import (
 	"testing"
 )
 
-// hashInt is hashToModulusN as a big.Int, for the direct-form references.
-func hashInt(msg []byte, pub PublicKey) *big.Int {
+// hashWords is hashToModulusN's k limbs for msg under pub.
+func hashWords(msg []byte, pub PublicKey) []big.Word {
 	mc := pub.context()
 	h := make([]big.Word, mc.K())
 	hashToModulusN(h, msg, mc, make([]big.Word, mc.ShortScratch()))
-	return new(big.Int).SetBits(h)
+	return h
 }
+
+// hashInt is hashToModulusN as a big.Int, for the direct-form references.
+func hashInt(msg []byte, pub PublicKey) *big.Int { return new(big.Int).SetBits(hashWords(msg, pub)) }
 
 // TestCRTMatchesDirectExponentiation checks that the CRT/Montgomery
 // private-key path produces bit-identical results to the direct c^d mod N

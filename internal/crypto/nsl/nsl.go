@@ -21,8 +21,9 @@
 // mont). GenerateKeyPair builds a key's contexts once: one per CRT prime
 // for the private operation, one for N for the public one, the latter
 // carried by the PublicKey itself so a verifier holding only the directory
-// entry reaches it. The contexts are immutable, so keys and directories
-// are shared across simulator shards; math/big remains for the key's
+// entry reaches it. The contexts are immutable and a key's signature memo
+// (sign.go) is locked, so keys and directories are shared across simulator
+// shards; math/big remains for the key's
 // products and inverses, the Garner recombination and byte conversion.
 // Results are bit-identical to c^d mod N and s^e mod N computed directly
 // (crt_test.go, pinned_test.go).
@@ -81,6 +82,8 @@ type KeyPair struct {
 	d    *big.Int // the tests' direct-exponentiation reference
 	p, q crtFactor
 	qinv *big.Int // q⁻¹ mod p
+
+	memo signMemo // Sign's recent signatures (sign.go)
 }
 
 // crtFactor is one prime factor of N with what exponentiating under it

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"errors"
 	"math/big"
+	"math/bits"
+	"sync"
 
 	"innercircle/internal/crypto/mont"
 )
@@ -22,7 +24,72 @@ func (kp *KeyPair) Sign(msg []byte) []byte {
 	}
 	h, scratch := arena[:k], arena[k:]
 	hashToModulusN(h, msg, mc, scratch)
-	return kp.privExp(h).Bytes()
+	return kp.sign(h)
+}
+
+// sign returns h^d mod N as bytes, from the key's memo when it signed h
+// before.
+func (kp *KeyPair) sign(h []big.Word) []byte {
+	if sig := kp.memo.lookup(h); sig != nil {
+		return sig
+	}
+	sig := kp.privExp(h).Bytes()
+	kp.memo.store(h, sig)
+	return sig
+}
+
+// signMemoSlots is how many signatures a key remembers; a power of two.
+// At 64, the 100 keys of a Fig. 8 network hold under 1 MB.
+const signMemoSlots = 64
+
+// signMemo maps a hash-to-modulus value to its signature, for Sign: §4.1
+// has a node sign the same beacon and value bytes again across the runs
+// and rows of a sweep that share a seed. It is direct-mapped on h's low
+// word and compares the whole of h, so it is exact: a signature is a pure
+// function of the key and h. The mutex makes a key shareable across
+// shards and workers.
+type signMemo struct {
+	mu     sync.Mutex
+	k      int        // words per h
+	h      []big.Word // slot i: h[i*k : (i+1)*k]
+	sig    []byte     // slot i: sig[i*width : i*width+sigLen[i]]
+	sigLen []int      // 0 marks an empty slot; no signature is empty
+	width  int        // bytes a slot holds: k words, room for any value below N
+}
+
+// slot returns h's slot index.
+func slot(h []big.Word) int { return int(h[0] & (signMemoSlots - 1)) }
+
+// lookup returns a fresh copy of h's signature, or nil when h is not held.
+func (m *signMemo) lookup(h []big.Word) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.h == nil {
+		return nil
+	}
+	i := slot(h)
+	n := m.sigLen[i]
+	if n == 0 || !mont.Equal(m.h[i*m.k:(i+1)*m.k], h) {
+		return nil
+	}
+	return append([]byte(nil), m.sig[i*m.width:i*m.width+n]...)
+}
+
+// store puts sig in h's slot, evicting what was there. The backing arrays
+// are allocated on the first store, sized by h's k words.
+func (m *signMemo) store(h []big.Word, sig []byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.h == nil {
+		m.k = len(h)
+		m.width = len(h) * bits.UintSize / 8
+		m.h = make([]big.Word, signMemoSlots*m.k)
+		m.sig = make([]byte, signMemoSlots*m.width)
+		m.sigLen = make([]int, signMemoSlots)
+	}
+	i := slot(h)
+	copy(m.h[i*m.k:(i+1)*m.k], h)
+	m.sigLen[i] = copy(m.sig[i*m.width:(i+1)*m.width], sig)
 }
 
 // ErrBadSig is returned by Verify for invalid signatures.

@@ -128,15 +128,28 @@ func TestVerifyLiteralPublicKey(t *testing.T) {
 }
 
 // TestSignVerifyAllocs holds the allocation ceilings the per-key contexts
-// bought (math/big's Exp cost 55 and 12): Sign allocates the two CRT
-// residues, the Garner temporaries and the signature bytes; Verify nothing
-// beyond what the runtime may round up.
+// bought (math/big's Exp cost 55 and 12): Sign of a message the key has
+// not signed allocates the two CRT residues, the Garner temporaries and
+// the signature bytes; Sign of one it has, from the memo, the signature
+// bytes alone; Verify nothing beyond what the runtime may round up.
 func TestSignVerifyAllocs(t *testing.T) {
 	kp := pinnedKey(t, 512, 1)
-	msg := []byte("allocs")
+	msgs := make([][]byte, 64)
+	for i := range msgs {
+		msgs[i] = []byte(fmt.Sprintf("allocs-%d", i))
+	}
+	next := 0
+	miss := testing.AllocsPerRun(50, func() {
+		kp.Sign(msgs[next])
+		next++
+	})
+	if miss > 20 {
+		t.Errorf("Sign, not memoized: %.0f allocs, want ≤ 20", miss)
+	}
+	msg := msgs[0]
 	sig := kp.Sign(msg)
-	if n := testing.AllocsPerRun(50, func() { kp.Sign(msg) }); n > 20 {
-		t.Errorf("Sign: %.0f allocs, want ≤ 20", n)
+	if hit := testing.AllocsPerRun(50, func() { kp.Sign(msg) }); hit > 1 || hit > miss {
+		t.Errorf("Sign, memoized: %.0f allocs, want ≤ 1 and ≤ a miss's %.0f", hit, miss)
 	}
 	if n := testing.AllocsPerRun(50, func() {
 		if err := Verify(kp.Pub, msg, sig); err != nil {
@@ -149,7 +162,8 @@ func TestSignVerifyAllocs(t *testing.T) {
 
 // TestKeyPairSharedAcrossGoroutines signs and verifies with one key pair
 // from four goroutines; under -race it shows the key's contexts are
-// read-only (the sharded simulator shares the directory across kernels).
+// read-only and its signature memo locked (the sharded simulator shares
+// the keys across kernels).
 func TestKeyPairSharedAcrossGoroutines(t *testing.T) {
 	kp := pinnedKey(t, 512, 1)
 	var wg sync.WaitGroup

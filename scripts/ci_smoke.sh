@@ -2,8 +2,9 @@
 # CI smoke for the experiment service: build icserved, start it on a
 # scratch state dir, submit a tiny 2-point grid twice through the repro
 # client (which follows the JSONL event stream until its terminal line),
-# assert the second submission is a pure artifact-store hit, then SIGTERM
-# the daemon and require a clean drain exit. Then restart it on the same
+# require the first submission to compute both points on the fresh store
+# and the second to be a pure artifact-store hit, then SIGTERM the daemon
+# and require a clean drain exit. Then restart it on the same
 # state dir: the grid submitted again must be fully cached, the first job's
 # event stream must be its end line alone ("done"), and the daemon must
 # drain cleanly once more.
@@ -48,6 +49,11 @@ drain() {
 
 start
 go run ./scripts/repro -addr "http://127.0.0.1:$port" -smoke
+record="$(curl -fsS "http://127.0.0.1:$port/jobs/j000000")"
+if ! grep -q '"computed":2[,}]' <<<"$record" || grep -q '"cached"' <<<"$record"; then
+    echo "job j000000 on the fresh store did not compute both points: $record" >&2
+    exit 1
+fi
 drain "first start"
 
 # The restart: jobs j000000 and j000001 are done records, and the rerun's

@@ -126,7 +126,9 @@ func run() error {
 // runSmoke is the CI smoke path: one tiny 2-point grid, submitted twice.
 // It asserts the whole service loop — submission, JSONL progress that
 // terminates, table rendering — and that the second, identical submission
-// is a pure artifact-store hit with zero recomputed replicas.
+// is a pure artifact-store hit with zero recomputed replicas. It prints
+// both jobs' computed and cached counts: the first job computes both
+// points only on a fresh store, which the caller knows and this does not.
 func runSmoke(addr string, seed int64) error {
 	cfg := experiment.PaperBlackholeConfig()
 	cfg.Nodes = 30
@@ -177,7 +179,8 @@ func runSmoke(addr string, seed int64) error {
 	if first.TablesSHA256 != second.TablesSHA256 {
 		return fmt.Errorf("rerun tables hash %s != first %s", second.TablesSHA256, first.TablesSHA256)
 	}
-	fmt.Printf("smoke ok: 2 points computed once, rerun fully cached, tables %s\n", first.TablesSHA256[:12])
+	fmt.Printf("smoke ok: first computed=%d cached=%d, rerun computed=%d cached=%d, tables %s\n",
+		first.Computed, first.Cached, second.Computed, second.Cached, first.TablesSHA256[:12])
 	return nil
 }
 
