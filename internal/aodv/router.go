@@ -280,7 +280,9 @@ func (r *Router) HandleEnv(e link.Env) bool {
 }
 
 // updateRoute installs or refreshes a table entry if the new information is
-// fresher (higher sequence) or equally fresh but shorter.
+// fresher (higher sequence) or equally fresh but shorter. A known entry is
+// rewritten in place: every reader looks its entry up afresh and keeps no
+// *route across a call that may update it.
 func (r *Router) updateRoute(dst, nextHop link.NodeID, dstSeq uint32, seqKnown bool, hops int) {
 	now := r.deps.K.Now()
 	rt, ok := r.routes[dst]
@@ -289,7 +291,11 @@ func (r *Router) updateRoute(dst, nextHop link.NodeID, dstSeq uint32, seqKnown b
 			return // stale or no better
 		}
 	}
-	r.routes[dst] = &route{
+	if !ok {
+		rt = new(route)
+		r.routes[dst] = rt
+	}
+	*rt = route{
 		nextHop:  nextHop,
 		dstSeq:   dstSeq,
 		seqKnown: seqKnown,

@@ -222,15 +222,30 @@ func (d *SimDealer) Deal(k, n int) (GroupKey, []Signer, error) {
 }
 
 // simDerive is HMAC-SHA256(master, keyID‖index), the derivation of every
-// sim-scheme key. It runs once per key, never per message.
-func simDerive(master []byte, keyID uint64, index int) (key [keyedmac.Size]byte) {
+// sim-scheme key: one per share of every level key of every network. HMAC
+// zero-pads a key shorter than its block, so a master of at most
+// keyedmac.Size bytes copied into a zeroed array is the same key, and
+// keyedmac.Sum derives it off the heap. A longer master, which HMAC
+// hashes first, takes crypto/hmac.
+func simDerive(master []byte, keyID uint64, index int) [keyedmac.Size]byte {
+	var msg [16]byte
+	binary.BigEndian.PutUint64(msg[:8], keyID)
+	binary.BigEndian.PutUint64(msg[8:], uint64(index))
+	if len(master) > keyedmac.Size {
+		return hmacSum(master, msg)
+	}
+	var key [keyedmac.Size]byte
+	copy(key[:], master)
+	return keyedmac.Sum(&key, msg[:])
+}
+
+// hmacSum is HMAC-SHA256(master, msg) through crypto/hmac. msg is a copy,
+// so only this path's copy escapes to the heap.
+func hmacSum(master []byte, msg [16]byte) (sum [keyedmac.Size]byte) {
 	mac := hmac.New(sha256.New, master)
-	var buf [16]byte
-	binary.BigEndian.PutUint64(buf[:8], keyID)
-	binary.BigEndian.PutUint64(buf[8:], uint64(index))
-	_, _ = mac.Write(buf[:])
-	mac.Sum(key[:0])
-	return key
+	_, _ = mac.Write(msg[:])
+	mac.Sum(sum[:0])
+	return sum
 }
 
 type simSigner struct {

@@ -622,18 +622,29 @@ func (a *sensorApp) onAgreed(m vote.AgreedMsg) {
 // FT-cluster fusion of the notifications, with the target position derived
 // by trilateration over all anchor triples and filtered by the FT-cluster
 // algorithm (η from the config).
+//
+// The center runs it once per round and every voter again to check the
+// proposal, so each call builds its observations in place: the scalar
+// observations are capped one-element views of one backing array sized
+// from len(values), the position observations of one sized from the
+// trilateration estimates.
 func makeSensorFuse(cfg SensorConfig) func(center link.NodeID, values [][]byte) []byte {
 	return func(center link.NodeID, values [][]byte) []byte {
-		var times, energies []fusion.Vec
-		var anchors []geo.Point
-		var dists []float64
+		nv := len(values)
+		flat := make([]float64, 2*nv)
+		vecs := make([]fusion.Vec, 2*nv)
+		times, energies := vecs[:0:nv], vecs[nv:nv]
+		anchors := make([]geo.Point, 0, nv)
+		dists := make([]float64, 0, nv)
 		for _, v := range values {
 			n, err := sensor.DecodeNotification(v)
 			if err != nil {
 				continue
 			}
-			times = append(times, fusion.V1(float64(n.Time)))
-			energies = append(energies, fusion.V1(n.Energy))
+			i := len(times)
+			flat[2*i], flat[2*i+1] = float64(n.Time), n.Energy
+			times = append(times, flat[2*i:2*i+1:2*i+1])
+			energies = append(energies, flat[2*i+1:2*i+2:2*i+2])
 			if d, err := cfg.Model.DistanceFor(n.Energy); err == nil {
 				anchors = append(anchors, n.Pos)
 				dists = append(dists, d)
@@ -651,11 +662,14 @@ func makeSensorFuse(cfg SensorConfig) func(center link.NodeID, values [][]byte) 
 		// FT-cluster algorithm.
 		pos := geo.Centroid(anchors)
 		region := geo.Square(cfg.Region)
-		ests := fusion.TrilaterateAll(anchors, dists, 3*len(values))
-		var obs []fusion.Vec
+		ests := fusion.TrilaterateAll(anchors, dists, 3*nv)
+		pflat := make([]float64, 2*len(ests))
+		obs := make([]fusion.Vec, 0, len(ests))
 		for _, e := range ests {
 			if region.Contains(e) {
-				obs = append(obs, fusion.V2(e.X, e.Y))
+				i := 2 * len(obs)
+				pflat[i], pflat[i+1] = e.X, e.Y
+				obs = append(obs, pflat[i:i+2:i+2])
 			}
 		}
 		if len(obs) > 0 {

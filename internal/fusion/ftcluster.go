@@ -49,8 +49,10 @@ func FTCluster(points []Vec, eta float64) (FTClusterResult, error) {
 	var removed []int
 
 	// Maintain the running coordinate sum so each leave-one-out centroid
-	// is O(dim) instead of O(n·dim).
-	sum := make(Vec, dim)
+	// is O(dim) instead of O(n·dim); every centroid is built in the one
+	// scratch vector loo, so a pass allocates nothing.
+	buf := make(Vec, 2*dim)
+	sum, loo := buf[:dim:dim], buf[dim:]
 	for _, p := range points {
 		sum.add(p)
 	}
@@ -63,7 +65,7 @@ func FTCluster(points []Vec, eta float64) (FTClusterResult, error) {
 		var worstDist float64
 		for pos, idx := range kept {
 			p := points[idx]
-			loo := sum.Clone()
+			copy(loo, sum)
 			loo.sub(p)
 			loo.scale(1 / float64(len(kept)-1))
 			d := p.Dist(loo)
@@ -80,9 +82,8 @@ func FTCluster(points []Vec, eta float64) (FTClusterResult, error) {
 		}
 	}
 
-	est := sum.Clone()
-	est.scale(1 / float64(len(kept)))
-	return FTClusterResult{Estimate: est, Kept: kept, Removed: removed}, nil
+	sum.scale(1 / float64(len(kept)))
+	return FTClusterResult{Estimate: sum, Kept: kept, Removed: removed}, nil
 }
 
 // WorstCaseRemovalSeparation returns the minimum ratio δF/δC that

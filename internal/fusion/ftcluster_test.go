@@ -275,3 +275,23 @@ func TestDeterministicTieBreak(t *testing.T) {
 		}
 	}
 }
+
+// TestFTClusterAllocs pins FTCluster's allocations to a count independent
+// of the number of points when nothing is removed: every leave-one-out
+// centroid is built in one scratch vector, so 21 points cost what 4 do.
+func TestFTClusterAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		points := make([]Vec, n)
+		for i := range points {
+			points[i] = V2(1+0.01*float64(i%5), 1-0.01*float64(i%3))
+		}
+		return testing.AllocsPerRun(100, func() {
+			if res, err := FTCluster(points, 1); err != nil || len(res.Removed) != 0 {
+				t.Fatalf("FTCluster over %d close points: removed %v, err %v", n, res.Removed, err)
+			}
+		})
+	}
+	if four, many := allocs(4), allocs(21); four != many {
+		t.Fatalf("FTCluster allocates %v times for 4 points and %v for 21, want the same", four, many)
+	}
+}

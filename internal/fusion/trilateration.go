@@ -54,7 +54,14 @@ func TrilaterateAll(anchors []geo.Point, dists []float64, maxTriples int) []geo.
 	if len(dists) != n || n < 3 {
 		return nil
 	}
-	var out []geo.Point
+	// Size the output once, for every triple the loop may visit: C(n, 3),
+	// or maxTriples when that is fewer. C(n, 3) is formed in float64: as
+	// an int it overflows on 32-bit ports from n ≈ 1 300.
+	size := float64(n) * float64(n-1) * float64(n-2) / 6
+	if maxTriples > 0 && float64(maxTriples) < size {
+		size = float64(maxTriples)
+	}
+	out := make([]geo.Point, 0, int(size))
 	count := 0
 	for i := 0; i < n-2; i++ {
 		for j := i + 1; j < n-1; j++ {

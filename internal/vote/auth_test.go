@@ -91,7 +91,7 @@ func TestValueClaimedByOtherVoterRejected(t *testing.T) {
 			}
 			misses := memoizeA(center)
 			center.HandleEnv(env(b, ValueMsg{Center: 0, Seq: 1, Voter: b, Value: forged.Value, Sig: forged.Sig}))
-			if r := center.rounds[1]; r == nil || r.from[b] || len(r.values) != 0 {
+			if r := center.rounds[1]; r == nil || r.hasValue(b) || len(r.values) != 0 {
 				t.Fatalf("center accepted B's name on A's signature: round %+v", r)
 			}
 			if center.Stats.MemoMisses != misses+1 {

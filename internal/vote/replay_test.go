@@ -14,9 +14,8 @@ import (
 // roundView is a copy of one round's bookkeeping at the center.
 type roundView struct {
 	Value     []byte
-	Acks      map[link.NodeID]thresh.Partial
+	Acks      []voterAck
 	Values    []SignedValue
-	From      map[link.NodeID]bool
 	Retries   int
 	Proposing bool
 	Done      bool
@@ -45,16 +44,16 @@ func snapshot(s *Service) serviceState {
 		Relayed:  maps.Clone(s.relayed),
 	}
 	for seq, r := range s.rounds {
-		acks := make(map[link.NodeID]thresh.Partial, len(r.acks))
-		for v, p := range r.acks {
-			acks[v] = thresh.Partial{Index: p.Index, Data: bytes.Clone(p.Data)}
+		acks := make([]voterAck, len(r.acks))
+		for i, a := range r.acks {
+			acks[i] = voterAck{voter: a.voter, partial: thresh.Partial{Index: a.partial.Index, Data: bytes.Clone(a.partial.Data)}}
 		}
 		values := make([]SignedValue, len(r.values))
 		for i, sv := range r.values {
 			values[i] = SignedValue{Voter: sv.Voter, Value: bytes.Clone(sv.Value), Sig: bytes.Clone(sv.Sig)}
 		}
 		st.Rounds[seq] = roundView{
-			Value: bytes.Clone(r.value), Acks: acks, Values: values, From: maps.Clone(r.from),
+			Value: bytes.Clone(r.value), Acks: acks, Values: values,
 			Retries: r.retries, Proposing: r.proposing, Done: r.done,
 			Armed: r.timer.Active(), Deadline: r.timer.Deadline(),
 		}

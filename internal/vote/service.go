@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"innercircle/internal/crypto/sigcache"
@@ -125,17 +126,45 @@ type Stats struct {
 
 // roundState is the center's per-round bookkeeping.
 type roundState struct {
-	seq     uint64
-	value   []byte // current value (original, or fused once computed)
-	acks    map[link.NodeID]thresh.Partial
-	values  []SignedValue // statistical: collected voter inputs
-	from    map[link.NodeID]bool
+	seq   uint64
+	value []byte // current value (original, or fused once computed)
+	// acks holds the verified partials, one per voter, in ascending voter
+	// order: tryComplete hands them to Combine in that order after the
+	// center's own, so which co-signers a combine picks depends on who
+	// acked, not on the order the acks arrived in.
+	acks []voterAck
+	// values holds a statistical round's collected voter inputs, one per
+	// voter, in arrival order.
+	values  []SignedValue
 	timer   *sim.Timer
 	retries int
 	// proposing is false while a statistical round is still collecting
 	// values; deterministic rounds start in the proposing phase.
 	proposing bool
 	done      bool
+}
+
+// voterAck is one voter's verified partial signature.
+type voterAck struct {
+	voter   link.NodeID
+	partial thresh.Partial
+}
+
+// ackPos returns the index of voter's ack in r.acks, or the index where
+// it belongs, and whether it is there. A round holds at most a few more
+// acks than its level, so a scan is enough.
+func (r *roundState) ackPos(voter link.NodeID) (int, bool) {
+	for i, a := range r.acks {
+		if a.voter >= voter {
+			return i, a.voter == voter
+		}
+	}
+	return len(r.acks), false
+}
+
+// hasValue reports whether voter's value is already collected.
+func (r *roundState) hasValue(voter link.NodeID) bool {
+	return slices.ContainsFunc(r.values, func(sv SignedValue) bool { return sv.Voter == voter })
 }
 
 // Service is one node's inner-circle voting service.
@@ -250,8 +279,7 @@ func (s *Service) Propose(value []byte) error {
 	r := &roundState{
 		seq:       s.nextSeq,
 		value:     append([]byte(nil), value...),
-		acks:      make(map[link.NodeID]thresh.Partial),
-		from:      make(map[link.NodeID]bool),
+		acks:      make([]voterAck, 0, s.cfg.L),
 		proposing: s.cfg.Mode == Deterministic,
 	}
 	s.rounds[r.seq] = r
@@ -542,7 +570,7 @@ func (s *Service) onValue(from link.NodeID, m ValueMsg) {
 	if fwd {
 		_ = s.deps.Link.SendRaw(m.Center, m)
 	}
-	if r == nil || r.from[m.Voter] {
+	if r == nil || r.hasValue(m.Voter) {
 		return
 	}
 	// Verify the voter's individual signature before accepting its value.
@@ -552,7 +580,6 @@ func (s *Service) onValue(from link.NodeID, m ValueMsg) {
 		}
 		return
 	}
-	r.from[m.Voter] = true
 	r.values = append(r.values, SignedValue{Voter: m.Voter, Value: m.Value, Sig: m.Sig})
 	if len(r.values) >= s.cfg.L {
 		s.buildStatPropose(r)
@@ -591,7 +618,8 @@ func (s *Service) onAck(from link.NodeID, m AckMsg) {
 	if r == nil {
 		return
 	}
-	if _, dup := r.acks[m.Voter]; dup {
+	at, dup := r.ackPos(m.Voter)
+	if dup {
 		return
 	}
 	// A corrupt partial is identified on arrival: the lie is rejected at
@@ -604,7 +632,7 @@ func (s *Service) onAck(from link.NodeID, m AckMsg) {
 		}
 		return
 	}
-	r.acks[m.Voter] = m.Partial
+	r.acks = slices.Insert(r.acks, at, voterAck{voter: m.Voter, partial: m.Partial})
 	if len(r.acks) >= s.cfg.L {
 		s.tryComplete(r)
 	}
@@ -623,17 +651,10 @@ func (s *Service) tryComplete(r *roundState) {
 	if err != nil {
 		return
 	}
-	// Deterministic voter order (map iteration would vary the chosen
-	// partial subset — and therefore the trace — between identical runs).
-	voters := make([]link.NodeID, 0, len(r.acks))
-	for v := range r.acks {
-		voters = append(voters, v)
-	}
-	sort.Slice(voters, func(i, j int) bool { return voters[i] < voters[j] })
 	partials := make([]thresh.Partial, 0, len(r.acks)+1)
 	partials = append(partials, own)
-	for _, v := range voters {
-		partials = append(partials, r.acks[v])
+	for _, a := range r.acks {
+		partials = append(partials, a.partial)
 	}
 	sig, err := gk.Combine(dig, partials)
 	if err != nil {
