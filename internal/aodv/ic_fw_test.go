@@ -1,6 +1,7 @@
 package aodv
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -39,5 +40,28 @@ func TestForwarderSetFirstApprovedOrder(t *testing.T) {
 	got[0] = 99
 	if a.AllowedForwarders(5, 7)[0] != 5 {
 		t.Fatal("AllowedForwarders exposed the adapter's own storage")
+	}
+}
+
+// TestCheckRefusesPaddedRREP: a proposal whose value differs from an
+// honest RREP's only in the padding EncodeRREP leaves zero is refused, even
+// from the route's destination, so one RREP has exactly one voted value.
+func TestCheckRefusesPaddedRREP(t *testing.T) {
+	a := &ICAdapter{id: 9, fw: make(map[fwKey][]link.NodeID)}
+	honest := EncodeRREP(RREP{Orig: 0, Dst: 5, DstSeq: 7, HopCount: 1, NextHop: 4})
+	if !a.check(5, honest) {
+		t.Fatal("the destination's honest proposal refused")
+	}
+	for i := 32; i < len(honest); i++ {
+		for _, v := range []byte{1, 0x80, 0xff} {
+			padded := bytes.Clone(honest)
+			padded[i] = v
+			if a.check(5, padded) {
+				t.Fatalf("proposal with padding byte %d = %#x accepted", i, v)
+			}
+		}
+	}
+	if a.Stats.ChecksAccepted != 1 || a.Stats.ChecksRejected != 24 {
+		t.Fatalf("check stats %+v, want 1 accepted and 24 rejected", a.Stats)
 	}
 }

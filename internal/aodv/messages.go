@@ -19,7 +19,9 @@ import (
 	"innercircle/internal/link"
 )
 
-// RREQ is a route request, flooded toward the destination.
+// RREQ is a route request, flooded toward the destination. Its hop count
+// is the envelope's (link.Env.Hops): every forwarder re-sends the request
+// it received unchanged.
 type RREQ struct {
 	Orig     link.NodeID
 	OrigSeq  uint32
@@ -27,10 +29,10 @@ type RREQ struct {
 	DstSeq   uint32
 	SeqKnown bool // whether DstSeq is meaningful
 	ID       uint32
-	HopCount int
 }
 
-// Size implements link.Message.
+// Size implements link.Message. It counts RFC 3561's hop-count field,
+// which travels in the envelope.
 func (RREQ) Size() int { return 24 }
 
 // RREP is a route reply, unicast hop by hop along the reverse path. In the
@@ -61,14 +63,14 @@ type RERR struct {
 // Size implements link.Message.
 func (RERR) Size() int { return 12 }
 
-// Data is an application payload routed over AODV.
+// Data is an application payload routed over AODV. The hops it has
+// travelled are the envelope's count (link.Env.Hops).
 type Data struct {
 	Src     link.NodeID
 	Dst     link.NodeID
 	Seq     uint64
 	Payload any
 	Bytes   int
-	Hops    int
 }
 
 // Size implements link.Message.
@@ -87,16 +89,35 @@ func EncodeRREP(r RREP) []byte {
 	return buf
 }
 
-// DecodeRREP reverses EncodeRREP.
+// DecodeRREP reverses EncodeRREP. It is strict: it accepts exactly the
+// values EncodeRREP produces, so one RREP has one voted value. It rejects
+// non-zero padding (bytes 32-39) and, where an int is 32 bits, a node ID
+// whose high word is not the sign extension of its low word.
 func DecodeRREP(b []byte) (RREP, error) {
 	if len(b) != 40 {
 		return RREP{}, fmt.Errorf("aodv: bad encoded RREP length %d", len(b))
 	}
+	if binary.BigEndian.Uint64(b[32:]) != 0 {
+		return RREP{}, fmt.Errorf("aodv: encoded RREP has non-zero padding")
+	}
+	orig, ok1 := decodeNodeID(b[0:])
+	dst, ok2 := decodeNodeID(b[8:])
+	next, ok3 := decodeNodeID(b[24:])
+	if !ok1 || !ok2 || !ok3 {
+		return RREP{}, fmt.Errorf("aodv: encoded RREP node ID out of range")
+	}
 	return RREP{
-		Orig:     link.NodeID(binary.BigEndian.Uint64(b[0:])),
-		Dst:      link.NodeID(binary.BigEndian.Uint64(b[8:])),
+		Orig:     orig,
+		Dst:      dst,
 		DstSeq:   binary.BigEndian.Uint32(b[16:]),
 		HopCount: int(binary.BigEndian.Uint32(b[20:])),
-		NextHop:  link.NodeID(binary.BigEndian.Uint64(b[24:])),
+		NextHop:  next,
 	}, nil
+}
+
+// decodeNodeID reads an 8-byte node ID and reports whether a NodeID holds
+// it exactly.
+func decodeNodeID(b []byte) (link.NodeID, bool) {
+	v := int64(binary.BigEndian.Uint64(b))
+	return link.NodeID(v), int64(link.NodeID(v)) == v
 }

@@ -266,13 +266,13 @@ func (r *Router) deliver(d Data) {
 func (r *Router) HandleEnv(e link.Env) bool {
 	switch m := e.Msg.(type) {
 	case RREQ:
-		r.onRREQ(e.From, m)
+		r.onRREQ(e, m)
 	case RREP:
 		r.onRREP(e.From, m)
 	case RERR:
 		r.onRERR(e.From, m)
 	case Data:
-		r.onData(e.From, m)
+		r.onData(e, m)
 	default:
 		return false
 	}
@@ -305,7 +305,10 @@ func (r *Router) updateRoute(dst, nextHop link.NodeID, dstSeq uint32, seqKnown b
 	}
 }
 
-func (r *Router) onRREQ(from link.NodeID, m RREQ) {
+// onRREQ handles request m, the message of envelope e, whose hop count is
+// the number of times m was re-flooded before e.
+func (r *Router) onRREQ(e link.Env, m RREQ) {
+	from := e.From
 	if !r.seen.Mark(m.Orig, uint64(m.ID)) {
 		return
 	}
@@ -330,7 +333,7 @@ func (r *Router) onRREQ(from link.NodeID, m RREQ) {
 	}
 
 	// Reverse route toward the originator.
-	r.updateRoute(m.Orig, from, m.OrigSeq, true, m.HopCount+1)
+	r.updateRoute(m.Orig, from, m.OrigSeq, true, e.Hops+1)
 
 	if m.Dst == r.deps.ID {
 		// Destination-only replies: bump our sequence number and answer.
@@ -347,10 +350,9 @@ func (r *Router) onRREQ(from link.NodeID, m RREQ) {
 		})
 		return
 	}
-	// Re-flood.
-	m.HopCount++
+	// Re-flood the request as received.
 	r.Stats.RreqForwarded++
-	_ = r.deps.Link.SendRaw(link.BroadcastID, m)
+	_ = r.deps.Link.Forward(link.BroadcastID, e)
 }
 
 // sendRREP emits an RREP through the filtered link path, so the
@@ -401,7 +403,9 @@ func (r *Router) flushPending(dst link.NodeID) {
 	}
 }
 
-func (r *Router) onData(from link.NodeID, d Data) {
+// onData handles data packet d, the message of envelope e, forwarding it
+// as received when this node is not its destination.
+func (r *Router) onData(e link.Env, d Data) {
 	if d.Dst == r.deps.ID {
 		r.deliver(d)
 		return
@@ -418,9 +422,8 @@ func (r *Router) onData(from link.NodeID, d Data) {
 		return
 	}
 	rt.expires = r.deps.K.Now() + r.cfg.ActiveRouteTimeout
-	d.Hops++
 	r.Stats.DataForwarded++
-	_ = r.deps.Link.SendRaw(rt.nextHop, d)
+	_ = r.deps.Link.Forward(rt.nextHop, e)
 }
 
 // onRERR invalidates the route through the reporting neighbour and

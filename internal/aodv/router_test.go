@@ -18,6 +18,9 @@ type plainNet struct {
 	links   []*link.Service
 	macs    []*mac.MAC
 	got     [][]Data
+	// hops holds, per node, the envelope hop count of every data packet
+	// that arrived addressed to it.
+	hops [][]int
 }
 
 func buildPlain(t *testing.T, positions []geo.Point) *plainNet {
@@ -25,7 +28,7 @@ func buildPlain(t *testing.T, positions []geo.Point) *plainNet {
 	k := sim.NewKernel()
 	ch := radio.NewChannel(k, radio.Default80211())
 	rng := sim.NewRNG(1)
-	net := &plainNet{k: k, got: make([][]Data, len(positions))}
+	net := &plainNet{k: k, got: make([][]Data, len(positions)), hops: make([][]int, len(positions))}
 	for i, p := range positions {
 		m := mac.New(k, ch, mobility.Static(p), nil, rng.SplitN("mac", i), mac.Default80211())
 		l := link.NewService(m)
@@ -36,7 +39,12 @@ func buildPlain(t *testing.T, positions []geo.Point) *plainNet {
 		i := i
 		r.OnDeliver(func(d Data) { net.got[i] = append(net.got[i], d) })
 		rr := r
-		l.OnRecv(func(e link.Env) { rr.HandleEnv(e) })
+		l.OnRecv(func(e link.Env) {
+			if d, ok := e.Msg.(Data); ok && d.Dst == rr.deps.ID {
+				net.hops[i] = append(net.hops[i], e.Hops)
+			}
+			rr.HandleEnv(e)
+		})
 		net.routers = append(net.routers, r)
 		net.links = append(net.links, l)
 		net.macs = append(net.macs, m)
@@ -65,8 +73,8 @@ func TestRouteDiscoveryAndDelivery(t *testing.T) {
 		t.Fatalf("destination received %d packets, want 1", len(net.got[3]))
 	}
 	d := net.got[3][0]
-	if d.Src != 0 || d.Payload != "payload" || d.Hops != 2 {
-		t.Fatalf("delivered = %+v, want src=0 hops=2", d)
+	if d.Src != 0 || d.Payload != "payload" || len(net.hops[3]) != 1 || net.hops[3][0] != 2 {
+		t.Fatalf("delivered = %+v with envelope hops %v, want src=0 hops=2", d, net.hops[3])
 	}
 	if !net.routers[0].HasRoute(3) {
 		t.Fatal("originator has no route after delivery")
@@ -247,7 +255,7 @@ func TestRobustnessMalformedTraffic(t *testing.T) {
 	net := buildPlain(t, linePts(2))
 	r := net.routers[0]
 	envs := []link.Env{
-		{From: 99, Msg: RREQ{Orig: 99, Dst: 0, ID: 1, HopCount: -5}},
+		{From: 99, Msg: RREQ{Orig: 99, Dst: 0, ID: 1}, Hops: -5},
 		{From: -1, Msg: RREQ{Orig: -1, Dst: -1, ID: 0}},
 		{From: 5, Msg: RREP{Orig: 0, Dst: 5, DstSeq: ^uint32(0), HopCount: 1 << 30, NextHop: 0}},
 		{From: 5, Msg: RREP{}},
@@ -258,6 +266,11 @@ func TestRobustnessMalformedTraffic(t *testing.T) {
 	}
 	for _, e := range envs {
 		r.HandleEnv(e) // must not panic
+	}
+	// The hostile hop count is read from the envelope, as sent: the
+	// reverse route toward 99 is one hop more.
+	if rt := r.routes[99]; rt == nil || rt.hops != -4 {
+		t.Fatalf("reverse route toward 99: %+v, want hops -4", rt)
 	}
 	// The forged high-seq RREP from node 5 installs a route (that is
 	// AODV's inherent trust model, the very weakness the inner circle

@@ -19,7 +19,7 @@ func TestFloodRepeatDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetSink(true)
-	env := link.Env{From: 3, To: link.BroadcastID, Msg: DataMsg{Src: 70, Seq: 130, Payload: payload{size: 8}, Hops: 2}}
+	env := link.Env{From: 3, To: link.BroadcastID, Msg: DataMsg{Src: 70, Seq: 130, Payload: payload{size: 8}}, Hops: 1}
 	s.HandleEnv(env)
 	if allocs := testing.AllocsPerRun(100, func() { s.HandleEnv(env) }); allocs != 0 {
 		t.Errorf("%v allocations per repeated reception, want 0", allocs)

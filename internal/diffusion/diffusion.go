@@ -15,11 +15,12 @@ import (
 	"innercircle/internal/sim"
 )
 
-// InterestMsg is the sink's periodic flooded interest.
+// InterestMsg is the sink's periodic flooded interest. Its hop count is
+// the envelope's (link.Env.Hops): the sink sends it at 0 and every node
+// re-floods the interest it received unchanged.
 type InterestMsg struct {
 	Sink link.NodeID
 	Seq  uint64
-	Hops int
 }
 
 // Size implements link.Message.
@@ -27,14 +28,15 @@ func (InterestMsg) Size() int { return 16 }
 
 // DataMsg carries an application message toward the sink. Via names the
 // intended next hop when the message travels as an unreliable broadcast
-// (see Config.Unreliable); other receivers ignore it.
+// (see Config.Unreliable); other receivers ignore it. The radio
+// transmissions it took are one more than its envelope's hop count
+// (link.Env.Hops), which counts forwards only.
 type DataMsg struct {
 	Src     link.NodeID
 	Sink    link.NodeID
 	Via     link.NodeID
 	Seq     uint64
 	Payload link.Message
-	Hops    int
 }
 
 // Size implements link.Message.
@@ -181,24 +183,22 @@ func (s *Service) Send(payload link.Message) error {
 	}
 	s.dataSeq++
 	s.Stats.DataSent++
-	// Hops counts radio transmissions; the originating send is the first.
-	m := DataMsg{
-		Src: s.deps.ID, Sink: s.sinkID, Via: s.parent, Seq: s.dataSeq, Payload: payload, Hops: 1,
-	}
+	m := DataMsg{Src: s.deps.ID, Sink: s.sinkID, Via: s.parent, Seq: s.dataSeq, Payload: payload}
 	if s.cfg.FloodData {
 		// Never re-forward copies of our own flood echoed back by neighbours.
 		s.seen.Mark(s.deps.ID, s.dataSeq)
 	}
-	return s.transmit(m)
+	return s.deps.Link.SendRaw(s.linkDst(m), m)
 }
 
-// transmit sends a data message to its Via next hop, reliably (unicast
-// with MAC ARQ) or unreliably (broadcast) per configuration.
-func (s *Service) transmit(m DataMsg) error {
+// linkDst is the link destination of data message m: its Via next hop
+// (unicast with MAC ARQ), or a broadcast when data floods or travels
+// unreliably.
+func (s *Service) linkDst(m DataMsg) link.NodeID {
 	if s.cfg.FloodData || s.cfg.Unreliable {
-		return s.deps.Link.SendRaw(link.BroadcastID, m)
+		return link.BroadcastID
 	}
-	return s.deps.Link.SendRaw(m.Via, m)
+	return m.Via
 }
 
 // HandleEnv processes diffusion traffic; it reports whether the envelope
@@ -206,43 +206,46 @@ func (s *Service) transmit(m DataMsg) error {
 func (s *Service) HandleEnv(e link.Env) bool {
 	switch m := e.Msg.(type) {
 	case InterestMsg:
-		s.onInterest(e.From, m)
+		s.onInterest(e, m)
 		return true
 	case DataMsg:
-		s.onData(e.From, m)
+		s.onData(e, m)
 		return true
 	default:
 		return false
 	}
 }
 
-func (s *Service) onInterest(from link.NodeID, m InterestMsg) {
+// onInterest handles interest m, the message of envelope e: e.Hops
+// forwards after the sink's send, so this node is e.Hops+1 hops away.
+func (s *Service) onInterest(e link.Env, m InterestMsg) {
 	if s.sink {
 		return
 	}
 	now := s.deps.K.Now()
 	fresh := m.Seq > s.gradientSeq
-	better := m.Seq == s.gradientSeq && m.Hops+1 < s.hops
+	better := m.Seq == s.gradientSeq && e.Hops+1 < s.hops
 	if !fresh && !better {
 		return
 	}
-	s.parent = from
-	s.hops = m.Hops + 1
+	s.parent = e.From
+	s.hops = e.Hops + 1
 	s.gradientAt = now
 	s.gradientSeq = m.Seq
 	s.gradientOK = true
 	s.sinkID = m.Sink
 	if fresh {
-		// Re-flood once per sequence.
-		m.Hops++
+		// Re-flood once per sequence, as received.
 		s.Stats.InterestsForwarded++
-		_ = s.deps.Link.SendRaw(link.BroadcastID, m)
+		_ = s.deps.Link.Forward(link.BroadcastID, e)
 	}
 }
 
-func (s *Service) onData(_ link.NodeID, m DataMsg) {
+// onData handles data message m, the message of envelope e. The sink
+// passes up e.Hops+1: the originating send plus every forward.
+func (s *Service) onData(e link.Env, m DataMsg) {
 	if s.cfg.FloodData {
-		s.onFloodData(m)
+		s.onFloodData(e, m)
 		return
 	}
 	if m.Via != s.deps.ID {
@@ -251,7 +254,7 @@ func (s *Service) onData(_ link.NodeID, m DataMsg) {
 	if s.sink && m.Sink == s.deps.ID {
 		s.Stats.DataDelivered++
 		if s.onDeliver != nil {
-			s.onDeliver(m.Src, m.Hops, m.Payload)
+			s.onDeliver(m.Src, e.Hops+1, m.Payload)
 		}
 		return
 	}
@@ -259,26 +262,27 @@ func (s *Service) onData(_ link.NodeID, m DataMsg) {
 		s.Stats.DataDropped++
 		return
 	}
-	m.Hops++
+	// The next hop is part of the message, so a gradient forward sends a
+	// new one.
 	m.Via = s.parent
+	e.Msg = m
 	s.Stats.DataForwarded++
-	_ = s.transmit(m)
+	_ = s.deps.Link.Forward(s.linkDst(m), e)
 }
 
 // onFloodData handles exploratory-flood dissemination: deliver at the
-// sink, rebroadcast exactly once elsewhere.
-func (s *Service) onFloodData(m DataMsg) {
+// sink, rebroadcast exactly once, as received, elsewhere.
+func (s *Service) onFloodData(e link.Env, m DataMsg) {
 	if !s.seen.Mark(m.Src, m.Seq) {
 		return
 	}
 	if s.sink {
 		s.Stats.DataDelivered++
 		if s.onDeliver != nil {
-			s.onDeliver(m.Src, m.Hops, m.Payload)
+			s.onDeliver(m.Src, e.Hops+1, m.Payload)
 		}
 		return
 	}
-	m.Hops++
 	s.Stats.DataForwarded++
-	_ = s.transmit(m)
+	_ = s.deps.Link.Forward(link.BroadcastID, e)
 }

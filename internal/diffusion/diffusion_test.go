@@ -58,6 +58,7 @@ func buildDiff(t *testing.T, positions []geo.Point) *diffNet {
 		s := svc
 		l.OnRecv(func(e link.Env) { s.HandleEnv(e) })
 		net.svcs = append(net.svcs, svc)
+		net.links = append(net.links, l)
 	}
 	net.svcs[0].Start()
 	return net

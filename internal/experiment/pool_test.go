@@ -168,7 +168,7 @@ func TestRunGridKeepsWorkerOverride(t *testing.T) {
 	withProcs(t, 2)
 	t.Setenv("IC_WORKERS", "8")
 	cfg := PaperSensorConfig()
-	cfg.SimTime = 100
+	cfg.SimTime = 400
 	g := &GridRequest{Kind: GridSensor, Sensor: &cfg, Levels: []int{3},
 		Faults: []sensor.FaultKind{sensor.FaultNone, sensor.FaultInterference}, Runs: 2}
 	points, err := g.Points()

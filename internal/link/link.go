@@ -23,10 +23,17 @@ type Message interface {
 }
 
 // Env is a message envelope with its single-hop addressing.
+//
+// Hops counts how many times the message has been forwarded: Send and
+// SendRaw originate it at 0, and Forward re-sends a received message with
+// its count advanced by one. The count crosses the air in the MAC header
+// (mac.Packet.Hops, radio.Header.Hops), so a forward re-sends the
+// received Msg as it is and boxes nothing.
 type Env struct {
 	From NodeID
 	To   NodeID // BroadcastID for broadcasts
 	Msg  Message
+	Hops int
 }
 
 // Filter intercepts traffic. Outbound runs before a message is handed to
@@ -121,11 +128,23 @@ func (s *Service) Send(to NodeID, msg Message) error {
 // use it to emit their own protocol traffic (which must not be
 // re-intercepted).
 func (s *Service) SendRaw(to NodeID, msg Message) error {
-	env := Env{From: s.id, To: to, Msg: msg}
+	return s.out(Env{From: s.id, To: to, Msg: msg})
+}
+
+// Forward re-sends received envelope e to the next hop, without running
+// outbound filters: the same Msg, its hop count advanced by one. Nothing
+// is boxed, so a protocol that forwards what it received unchanged
+// allocates nothing per hop.
+func (s *Service) Forward(to NodeID, e Env) error {
+	return s.out(Env{From: s.id, To: to, Msg: e.Msg, Hops: e.Hops + 1})
+}
+
+// out enters the tap chain at its top, or hands e to the MAC without taps.
+func (s *Service) out(e Env) error {
 	if s.down == nil {
-		return s.transmit(env)
+		return s.transmit(e)
 	}
-	s.down(env)
+	s.down(e)
 	return nil
 }
 
@@ -133,10 +152,7 @@ func (s *Service) SendRaw(to NodeID, msg Message) error {
 // from this node — identity spoofing injected by a tap — goes out with a
 // forged link-layer source.
 func (s *Service) transmit(e Env) error {
-	if e.From != s.id {
-		return s.mac.SendAs(mac.Addr(e.From), mac.Addr(e.To), e.Msg, e.Msg.Size())
-	}
-	return s.mac.Send(mac.Addr(e.To), e.Msg, e.Msg.Size())
+	return s.mac.SendPacket(mac.Packet{Src: mac.Addr(e.From), Dst: mac.Addr(e.To), Payload: e.Msg, Bytes: e.Msg.Size(), Hops: e.Hops})
 }
 
 func (s *Service) recv(p mac.Packet) {
@@ -144,7 +160,7 @@ func (s *Service) recv(p mac.Packet) {
 	if !ok {
 		return
 	}
-	env := Env{From: NodeID(p.Src), To: NodeID(p.Dst), Msg: msg}
+	env := Env{From: NodeID(p.Src), To: NodeID(p.Dst), Msg: msg, Hops: p.Hops}
 	if s.up == nil {
 		s.deliver(env)
 		return
@@ -171,6 +187,6 @@ func (s *Service) sendFailed(p mac.Packet) {
 		return
 	}
 	if s.onFailed != nil {
-		s.onFailed(Env{From: NodeID(p.Src), To: NodeID(p.Dst), Msg: msg})
+		s.onFailed(Env{From: NodeID(p.Src), To: NodeID(p.Dst), Msg: msg, Hops: p.Hops})
 	}
 }

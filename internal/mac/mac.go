@@ -28,6 +28,10 @@ type Packet struct {
 	Dst     Addr
 	Payload any
 	Bytes   int // payload size; the MAC adds HeaderBytes of overhead
+	// Hops is the network layer's hop count. It travels in the frame
+	// header (radio.Header.Hops), inside the HeaderBytes already charged,
+	// so it costs no airtime and the payload need not change per hop.
+	Hops int
 }
 
 // Params configure the MAC.
@@ -226,20 +230,16 @@ func (m *MAC) OnSendFailed(fn func(Packet)) { m.onSendFailed = fn }
 
 // Send queues a packet for transmission.
 func (m *MAC) Send(dst Addr, payload any, bytes int) error {
-	return m.enqueue(Packet{Src: m.addr, Dst: dst, Payload: payload, Bytes: bytes})
+	return m.SendPacket(Packet{Src: m.addr, Dst: dst, Payload: payload, Bytes: bytes})
 }
 
-// SendAs queues a packet whose link-layer source is forged as src. It is
-// the identity-spoofing hook of the fault-injection subsystem
-// (internal/faults); correct stacks never call it. Receivers acknowledge
-// the claimed source, so a spoofed unicast never sees its ACK and burns
-// its whole retry budget — spoofing is meant for broadcast frames (STS
-// beacons).
-func (m *MAC) SendAs(src, dst Addr, payload any, bytes int) error {
-	return m.enqueue(Packet{Src: src, Dst: dst, Payload: payload, Bytes: bytes})
-}
-
-func (m *MAC) enqueue(pkt Packet) error {
+// SendPacket queues pkt as given, its hop count included. A Src other
+// than Addr() forges the link-layer source: the identity-spoofing hook of
+// the fault-injection subsystem (internal/faults); correct stacks never
+// set one. Receivers acknowledge the claimed source, so a spoofed
+// unicast never sees its ACK and burns its whole retry budget — spoofing
+// is meant for broadcast frames (STS beacons).
+func (m *MAC) SendPacket(pkt Packet) error {
 	if m.queue.n >= m.params.QueueLimit {
 		m.Stats.DataDropped++
 		return ErrQueueFull
@@ -287,8 +287,8 @@ func (m *MAC) growCW() {
 func (m *MAC) transmitCur() {
 	pkt := m.cur.pkt
 	f := radio.Frame{
-		// Src is m.addr, unless forged via SendAs.
-		Header:  radio.Header{Kind: frameData, Src: int32(pkt.Src), Dst: int32(pkt.Dst), Seq: m.cur.seq},
+		// Src is m.addr, unless forged via SendPacket.
+		Header:  radio.Header{Kind: frameData, Src: int32(pkt.Src), Dst: int32(pkt.Dst), Seq: m.cur.seq, Hops: pkt.Hops},
 		Bytes:   pkt.Bytes + m.params.HeaderBytes,
 		Payload: pkt.Payload,
 	}
@@ -355,7 +355,7 @@ func (m *MAC) radioRecv(rf radio.Frame, _ radio.ID) {
 			m.lastSeq[src] = h.Seq
 		}
 		if m.onRecv != nil {
-			m.onRecv(Packet{Src: src, Dst: dst, Payload: rf.Payload, Bytes: rf.Bytes - m.params.HeaderBytes})
+			m.onRecv(Packet{Src: src, Dst: dst, Payload: rf.Payload, Bytes: rf.Bytes - m.params.HeaderBytes, Hops: h.Hops})
 		}
 	}
 }

@@ -247,14 +247,14 @@ func TestMACDoesNotAllocate(t *testing.T) {
 }
 
 // TestHeaderCarriesForgedSourceAndPayloadSize checks the header fields that
-// travel in radio.Frame: a SendAs broadcast arrives with the forged source,
-// and every receiver's Packet.Bytes is the payload size the sender passed,
-// without the MAC header.
+// travel in radio.Frame: a SendPacket broadcast arrives with the forged
+// source and its hop count, and every receiver's Packet.Bytes is the
+// payload size the sender passed, without the MAC header.
 func TestHeaderCarriesForgedSourceAndPayloadSize(t *testing.T) {
 	k := sim.NewKernel()
 	macs, got := build(k, []geo.Point{{X: 0}, {X: 100}, {X: 200}})
 	const forged Addr = 1 << 20
-	if err := macs[0].SendAs(forged, Broadcast, "spoof", 77); err != nil {
+	if err := macs[0].SendPacket(Packet{Src: forged, Dst: Broadcast, Payload: "spoof", Bytes: 77, Hops: -3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Run(1); err != nil {
@@ -267,8 +267,8 @@ func TestHeaderCarriesForgedSourceAndPayloadSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[int][]Packet{
-		1: {{Src: forged, Dst: Broadcast, Payload: "spoof", Bytes: 77}},
-		2: {{Src: forged, Dst: Broadcast, Payload: "spoof", Bytes: 77}, {Src: macs[0].Addr(), Dst: macs[2].Addr(), Payload: "direct", Bytes: 333}},
+		1: {{Src: forged, Dst: Broadcast, Payload: "spoof", Bytes: 77, Hops: -3}},
+		2: {{Src: forged, Dst: Broadcast, Payload: "spoof", Bytes: 77, Hops: -3}, {Src: macs[0].Addr(), Dst: macs[2].Addr(), Payload: "direct", Bytes: 333}},
 	}
 	for i, w := range want {
 		if len(got[i]) != len(w) {

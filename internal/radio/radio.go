@@ -50,10 +50,15 @@ type Frame struct {
 // Dst, or to every receiver when Dst is negative (Broadcast); an addressed
 // transceiver (Transceiver.Addressed) overhears a frame addressed to
 // another. A frame whose Kind is zero is unaddressed and reaches everyone.
+//
+// Hops is the network layer's per-hop count (link.Env.Hops), carried here
+// so that a forwarded message crosses the air unchanged; the radio never
+// reads it. It is an int, so whatever value a sender sets arrives exactly.
 type Header struct {
 	Kind     uint8
 	Src, Dst int32
 	Seq      uint32
+	Hops     int
 }
 
 // Broadcast is the Header.Dst of a frame addressed to every receiver.

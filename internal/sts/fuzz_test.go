@@ -1,9 +1,15 @@
 package sts
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
+	"innercircle/internal/geo"
 	"innercircle/internal/link"
+	"innercircle/internal/mac"
+	"innercircle/internal/mobility"
+	"innercircle/internal/radio"
 	"innercircle/internal/sim"
 )
 
@@ -116,6 +122,111 @@ func fuzzMemoStream(t *testing.T, auths []Auth, stream []byte) {
 			if st := memoized[i].Stats; st.VerifyMemoHits+st.VerifyMemoMisses != checks[i] {
 				t.Fatalf("receiver %d: %d memo hits + %d misses for %d checks", i, st.VerifyMemoHits, st.VerifyMemoMisses, checks[i])
 			}
+		}
+	}
+}
+
+// FuzzBeaconNoAlias drives one topology service (node 0) through fuzzed
+// neighbour churn and holds every beacon it sends, as taps, the tracer and
+// delayed fault copies do. The service builds each beacon's view and
+// digest in buffers it reuses, so after the run every held beacon must
+// still carry the neighbour list and signature it went out with; its
+// digest, recomputed from the held message, must be the one signed at the
+// time, and the signature must verify over it. Each two-byte step is one
+// event: a neighbour's beacon (sender and listed nodes from the second
+// byte), time passing (up to 12.75 s, past ∆STS = 2 s, so neighbours
+// expire and scheduled beacons go out), or an out-of-schedule Announce.
+func FuzzBeaconNoAlias(f *testing.F) {
+	const nodes = 6
+	auths := make([][]Auth, len(memoSchemes))
+	for i, sc := range memoSchemes {
+		auths[i] = sc.auths(f, nodes)
+	}
+	f.Add([]byte{1, 4, 0, 1, 0, 2, 2, 0, 1, 20, 0, 3, 2, 0, 1, 60, 2, 0})
+	f.Add([]byte{1, 4, 0, 0x21, 0, 0x42, 1, 5, 0, 0x63, 1, 5, 2, 0, 0, 0x21, 1, 255, 2, 0})
+	f.Add([]byte{1, 2, 0, 1, 0, 2, 0, 3, 0, 4, 2, 0, 1, 10, 0, 1, 2, 0, 1, 30, 2, 0, 0, 2, 1, 50, 2, 0})
+	f.Fuzz(func(t *testing.T, steps []byte) {
+		if len(steps) > 2*128 {
+			steps = steps[:2*128]
+		}
+		for i, sc := range memoSchemes {
+			t.Run(sc.name, func(t *testing.T) { fuzzBeaconNoAlias(t, auths[i], steps) })
+		}
+	})
+}
+
+// heldBeacon is a sent beacon as held by a tap, beside copies of what it
+// carried when it was sent.
+type heldBeacon struct {
+	msg             BeaconMsg
+	view, neighbors []link.NodeID
+	sig, digest     []byte
+}
+
+func fuzzBeaconNoAlias(t *testing.T, auths []Auth, steps []byte) {
+	nodes := len(auths)
+	cfg := DefaultConfig()
+	cfg.Handshake = false
+	k := sim.NewKernel()
+	m := mac.New(k, radio.NewChannel(k, radio.Default80211()), mobility.Static(geo.Point{}), nil, sim.NewRNG(1), mac.Default80211())
+	l := link.NewService(m)
+	svc, err := New(cfg, Deps{ID: l.ID(), K: k, Link: l, RNG: sim.NewRNG(2), Auth: auths[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []heldBeacon
+	l.AddTap(sniffTap(func(e link.Env, outbound bool, _ func(link.Env)) {
+		if b, ok := e.Msg.(BeaconMsg); ok && outbound {
+			held = append(held, heldBeacon{
+				msg:       b,
+				view:      svc.Neighbors(),
+				neighbors: slices.Clone(b.Neighbors),
+				sig:       bytes.Clone(b.Sig),
+				digest:    bytes.Clone(svc.digest),
+			})
+		}
+	}))
+	svc.Start()
+	seqs := make([]uint64, nodes)
+	for ; len(steps) >= 2; steps = steps[2:] {
+		op, arg := steps[0]%3, steps[1]
+		switch op {
+		case 0:
+			from := link.NodeID(1 + int(arg)%(nodes-1))
+			seqs[from]++
+			b := BeaconMsg{From: from, Seq: seqs[from], Base: cfg.BeaconBaseBytes}
+			for id := range link.NodeID(nodes) {
+				if id != from && arg>>(3+id%5)&1 != 0 {
+					b.Neighbors = append(b.Neighbors, id)
+				}
+			}
+			b.Sig = auths[from].Sign(beaconDigest(nil, b))
+			svc.HandleEnv(link.Env{From: from, To: link.BroadcastID, Msg: b})
+		case 1:
+			if err := k.Run(k.Now() + sim.Duration(arg)*0.05); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			svc.Announce()
+		}
+	}
+	if len(held) == 0 {
+		t.Fatal("the service sent no beacon")
+	}
+	for i, h := range held {
+		b := h.msg
+		if !slices.Equal(h.neighbors, h.view) {
+			t.Fatalf("beacon %d went out listing %v, but the view was %v", i, h.neighbors, h.view)
+		}
+		if !slices.Equal(b.Neighbors, h.neighbors) || !bytes.Equal(b.Sig, h.sig) {
+			t.Fatalf("held beacon %d now lists %v with signature %x; it was sent listing %v with %x", i, b.Neighbors, b.Sig, h.neighbors, h.sig)
+		}
+		digest := beaconDigest(nil, b)
+		if !bytes.Equal(digest, h.digest) {
+			t.Fatalf("held beacon %d digests to %x; %x was signed", i, digest, h.digest)
+		}
+		if err := auths[0].Verify(b.From, digest, b.Sig); err != nil {
+			t.Fatalf("held beacon %d: %v", i, err)
 		}
 	}
 }

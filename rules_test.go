@@ -264,6 +264,20 @@ var repoRules = []repoRule{
 		hit:     `		s.maybeRelayAck(from, m)`,
 		miss:    `	r := s.inward(from, relayKey{center: m.Center, seq: m.Seq, voter: m.Voter, kind: kindAck}, fwd)`,
 	},
+	// A forwarded message is the message received: the hop count is the
+	// link envelope's, advanced by link.Service.Forward, and travels in the
+	// MAC header. No program Go bumps a hop field of its own message (a
+	// forward that boxes a copy), and the MAC's one queueing entry for a
+	// forged source is SendPacket.
+	{
+		name:    "Forward-re-sends-received",
+		pattern: regexp.MustCompile(`\.Hops\+\+|\bSendAs\(`),
+		scopes:  programGo,
+		globs:   goGlob,
+		msg:     "a forward re-boxes its message to bump a hop field; forward the received envelope with link.Service.Forward",
+		hit:     `	m.Hops++`,
+		miss:    `	return s.out(Env{From: s.id, To: to, Msg: e.Msg, Hops: e.Hops + 1})`,
+	},
 	// A scenario component reaches a node through one hook,
 	// Component.Attach, which node.Build calls for every node in both
 	// modes; a Wirer sets per-attempt state. No Go file may declare or name
