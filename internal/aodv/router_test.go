@@ -249,12 +249,31 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// injectTap replaces the first envelope its link receives with envs, which
+// then take the path of a received frame: the link's hop check, its
+// filters and the handler.
+type injectTap struct{ envs []link.Env }
+
+func (t *injectTap) Outbound(e link.Env, emit func(link.Env)) { emit(e) }
+
+func (t *injectTap) Inbound(e link.Env, emit func(link.Env)) {
+	if t.envs == nil {
+		emit(e)
+		return
+	}
+	for _, x := range t.envs {
+		emit(x)
+	}
+	t.envs = nil
+}
+
 // TestRobustnessMalformedTraffic storms a router with adversarial and
-// malformed protocol messages: no panics, no phantom routes.
+// malformed protocol messages, received through its link: no panics, no
+// phantom routes.
 func TestRobustnessMalformedTraffic(t *testing.T) {
 	net := buildPlain(t, linePts(2))
 	r := net.routers[0]
-	envs := []link.Env{
+	net.links[0].AddTap(&injectTap{envs: []link.Env{
 		{From: 99, Msg: RREQ{Orig: 99, Dst: 0, ID: 1}, Hops: -5},
 		{From: -1, Msg: RREQ{Orig: -1, Dst: -1, ID: 0}},
 		{From: 5, Msg: RREP{Orig: 0, Dst: 5, DstSeq: ^uint32(0), HopCount: 1 << 30, NextHop: 0}},
@@ -263,20 +282,24 @@ func TestRobustnessMalformedTraffic(t *testing.T) {
 		{From: 5, Msg: RERR{}},
 		{From: 5, Msg: Data{Src: 5, Dst: 42, Bytes: -1}},
 		{From: 5, Msg: Data{Src: 5, Dst: 0, Payload: nil}},
-	}
-	for _, e := range envs {
-		r.HandleEnv(e) // must not panic
-	}
-	// The hostile hop count is read from the envelope, as sent: the
-	// reverse route toward 99 is one hop more.
-	if rt := r.routes[99]; rt == nil || rt.hops != -4 {
-		t.Fatalf("reverse route toward 99: %+v, want hops -4", rt)
+	}})
+	// Node 1's frame is the one the tap replaces.
+	if err := net.links[1].SendRaw(0, RERR{}); err != nil {
+		t.Fatal(err)
 	}
 	// The forged high-seq RREP from node 5 installs a route (that is
 	// AODV's inherent trust model, the very weakness the inner circle
 	// fixes); but the malformed ones must not corrupt state further.
 	if err := net.k.Run(1); err != nil {
 		t.Fatal(err)
+	}
+	// A negative hop count is no forward's count: the link drops the RREQ
+	// carrying it, so no reverse route toward 99 exists.
+	if rt := r.routes[99]; rt != nil {
+		t.Fatalf("reverse route toward 99 from a -5 hop RREQ: %+v", rt)
+	}
+	if rt := r.routes[5]; rt == nil || !rt.valid {
+		t.Fatalf("the forged RREP installed no route toward 5: %+v", rt)
 	}
 	if net.routers[0].Stats.DataDelivered != 1 {
 		t.Fatalf("local delivery miscounted: %+v", net.routers[0].Stats)

@@ -8,7 +8,8 @@ import (
 
 // BenchmarkMontMul measures one Montgomery multiplication at the widths the
 // simulator runs: 4 and 8 words (the primes of 512- and 1024-bit node
-// keys) and 16 (a 1024-bit threshold modulus).
+// keys) and 16 (the modulus N of a 1024-bit node key, which Verify runs
+// on).
 func BenchmarkMontMul(b *testing.B) {
 	for _, words := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("words=%d", words), func(b *testing.B) {

@@ -1,13 +1,15 @@
-// Package mont is the repository's one Montgomery-arithmetic kernel: a
-// per-modulus context under the node keys (nsl: every signed beacon and
-// sensed value), the primality test of their prime search (nsl: one
-// context per candidate) and the threshold keys (thresh: combination and
-// verification). math/big's Exp rebuilds its Montgomery state — R² mod N
-// by long division, a 16-entry power table on the heap — on every call;
-// for the four-word primes of the paper's 512-bit sensor keys that setup
-// and the per-call overhead of its vector primitives cost nearly as much as
-// the arithmetic. A Ctx pays the setup once per key, and every operation
-// after it is a sequence of Mul calls over caller-owned fixed-width limbs.
+// Package mont is the repository's one Montgomery-arithmetic kernel, and
+// it serves the node keys alone: a per-modulus context under their
+// signatures (nsl: every signed beacon and sensed value) and the
+// primality test of their prime search (nsl: one context per candidate).
+// No other package imports it (TestRepoRules, row Mont-serves-node-keys);
+// threshold RSA runs on math/big. math/big's Exp rebuilds its Montgomery
+// state — R² mod N by long division, a 16-entry power table on the heap —
+// on every call; for the four-word primes of the paper's 512-bit sensor
+// keys that setup and the per-call overhead of its vector primitives cost
+// nearly as much as the arithmetic. A Ctx pays the setup once per key, and
+// every operation after it is a sequence of Mul calls over caller-owned
+// fixed-width limbs.
 //
 // Invariants:
 //

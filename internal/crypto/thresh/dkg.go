@@ -277,8 +277,8 @@ func (d *RSADealer) DKG(cfg DKGConfig) (*DKGResult, error) {
 			shareSum[s.X].Mod(shareSum[s.X], lambda)
 		}
 	}
-	gk := &rsaGroupKey{k: k, n: n, modulus: N, e: e, delta: factorial(n)}
-	if err := gk.precompute(); err != nil {
+	gk, err := newRSAGroupKey(k, n, N, e)
+	if err != nil {
 		return nil, err
 	}
 	if d.secrets == nil {

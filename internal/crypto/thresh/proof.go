@@ -100,9 +100,9 @@ func (g *rsaGroupKey) challenge(dst []byte, xt, vi, xi2, a, b *big.Int) {
 // verification key of share p.Index. Data must be the canonical encoding
 // of an x_i in 1..N−1 and Proof exactly proofBytes long, so no two byte
 // strings pass for one partial. One ModInverse, of v_i^c·x_i^(2c), yields
-// both negative powers. The |N|+257-bit exponent z keeps the check in
-// math/big's Exp, whose assembly inner loops run it in half the time of
-// the key's Montgomery chains (which win on Combine's short exponents).
+// both negative powers. Like Combine and Verify, the check runs on
+// math/big's Exp, whose assembly inner loops suit the |N|+257-bit
+// exponent z.
 func (g *rsaGroupKey) VerifyPartial(msg []byte, p Partial) bool {
 	if p.Index < 1 || p.Index >= len(g.vk) || g.vk[p.Index] == nil ||
 		len(p.Proof) != g.proofBytes() || len(p.Data) == 0 || p.Data[0] == 0 {

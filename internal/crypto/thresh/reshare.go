@@ -10,12 +10,12 @@ import (
 
 // Reshare implements Dealer for the threshold RSA scheme. The dealer
 // retains λ(N) (never d itself); d = e⁻¹ mod λ is recomputed and Shamir-
-// shared afresh with the new parameters. The key's Shoup precompute —
-// Δ = n!, 4Δ², the extended-Euclid pair a·4Δ² + b·e = 1, and the per-set
-// Lagrange memo — is rebuilt for the new (k, n), and each new share
-// publishes its verification key, so only the new layout's partials
-// verify; the Montgomery context survives untouched because the modulus
-// does, which is exactly the "public key preserved" half of the contract.
+// shared afresh with the new parameters. The key's Shoup constants —
+// Δ = n!, 4Δ and the extended-Euclid pair a·4Δ² + b·e = 1 — are rebuilt
+// for the new (k, n) (setShape), and each new share publishes its
+// verification key, so only the new layout's partials verify; the modulus
+// and the proof base v survive untouched, which is exactly the "public key
+// preserved" half of the contract.
 func (d *RSADealer) Reshare(gk GroupKey, newK, newN int) ([]Signer, error) {
 	rk, ok := gk.(*rsaGroupKey)
 	if !ok {
@@ -36,9 +36,10 @@ func (d *RSADealer) Reshare(gk GroupKey, newK, newN int) ([]Signer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("thresh: reshare private exponent: %w", err)
 	}
-	if err := rk.reshare(newK, newN); err != nil {
+	if err := rk.setShape(newK, newN); err != nil {
 		return nil, err
 	}
+	rk.epoch++
 	signers := make([]Signer, newN)
 	for i, s := range shares {
 		signers[i] = newRSASigner(rk, s.X, s.Y)

@@ -2,9 +2,10 @@ package thresh
 
 import "testing"
 
-// BenchmarkPrecomputeRebuild isolates the Shoup-context rebuild (Δ = n!,
-// 4Δ², extended-Euclid pair, Lagrange memo drop) a reshare performs on
-// the group key, without the Shamir resplit or signer construction.
+// BenchmarkPrecomputeRebuild isolates the rebuild of the Shoup constants
+// (Δ = n!, 4Δ, the extended-Euclid pair, the emptied verification keys)
+// a reshare performs on the group key, without the Shamir resplit or
+// signer construction.
 // scripts/bench times the whole reshare (thresh.reshare_us) and the
 // dealerless keygen (thresh.dkg_rsa_ms); no probe times this part alone.
 func BenchmarkPrecomputeRebuild(b *testing.B) {
@@ -16,7 +17,7 @@ func BenchmarkPrecomputeRebuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := rk.reshare(2, 5); err != nil {
+		if err := rk.setShape(2, 5); err != nil {
 			b.Fatal(err)
 		}
 	}

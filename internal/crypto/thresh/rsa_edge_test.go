@@ -1,13 +1,16 @@
 package thresh
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math/big"
+	"math/rand"
 	"strings"
 	"testing"
 )
 
-func dealRSA(t *testing.T, k, n int) (GroupKey, []Signer, *rsaGroupKey) {
+func dealRSA(t testing.TB, k, n int) (GroupKey, []Signer, *rsaGroupKey) {
 	t.Helper()
 	d := seededRSA(512, 9)
 	gk, signers, err := d.Deal(k, n)
@@ -17,7 +20,7 @@ func dealRSA(t *testing.T, k, n int) (GroupKey, []Signer, *rsaGroupKey) {
 	return gk, signers, gk.(*rsaGroupKey)
 }
 
-func signAll(t *testing.T, signers []Signer, msg []byte) []Partial {
+func signAll(t testing.TB, signers []Signer, msg []byte) []Partial {
 	t.Helper()
 	parts := make([]Partial, len(signers))
 	for i, s := range signers {
@@ -114,8 +117,8 @@ func TestVerifyPartialWrongMessage(t *testing.T) {
 	}
 }
 
-// powSigned is the reference scalar helper behind the Montgomery fast
-// path (and referenceCombine's workhorse): b^e mod m for signed e.
+// powSigned is Combine's (and referenceCombine's) signed-exponent step:
+// b^e mod m for signed e.
 func TestPowSigned(t *testing.T) {
 	m := big.NewInt(101) // prime modulus: everything nonzero is invertible
 	base := big.NewInt(7)
@@ -136,7 +139,7 @@ func TestPowSigned(t *testing.T) {
 	if check.Int64() != 1 {
 		t.Fatalf("b^-3 * b^3 = %v, want 1", check)
 	}
-	// The exponent is negated in place and must be restored on return.
+	// The exponent is shared (a key's a and b) and must not be written.
 	if exp.Int64() != -3 {
 		t.Fatalf("caller's exponent mutated: %v", exp)
 	}
@@ -150,6 +153,108 @@ func TestPowSigned(t *testing.T) {
 	if exp.Int64() != -3 {
 		t.Fatalf("exponent mutated on error path: %v", exp)
 	}
+}
+
+// TestConcurrentCombine has several goroutines combine under one key, as
+// the shards of a sharded replica do: each works through every co-signer
+// set of a 2-of-5 key, a different message per set, starting at its own
+// set. Every result must verify and equal the serial run byte for byte;
+// under -race it also shows that Combine writes nothing the key shares.
+func TestConcurrentCombine(t *testing.T) {
+	gk, signers, _ := dealRSA(t, 2, 5)
+	msgOf := func(i int) []byte { return []byte(fmt.Sprintf("concurrent-%d", i)) }
+	var sets [][]Partial
+	for i := 0; i < 5; i++ {
+		for j := i + 1; j < 5; j++ {
+			for k := j + 1; k < 5; k++ {
+				var set []Partial
+				for _, s := range []int{i, j, k} {
+					p, err := signers[s].PartialSign(msgOf(len(sets)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					set = append(set, p)
+				}
+				sets = append(sets, set)
+			}
+		}
+	}
+	serial := make([][]byte, len(sets))
+	for i, set := range sets {
+		sig, err := gk.Combine(msgOf(i), set)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = sig.Data
+	}
+	const workers = 4
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			for n := range sets {
+				i := (w*3 + n) % len(sets)
+				sig, err := gk.Combine(msgOf(i), sets[i])
+				switch {
+				case err != nil:
+				case !bytes.Equal(sig.Data, serial[i]):
+					err = fmt.Errorf("set %d: concurrent signature differs from the serial one", i)
+				default:
+					err = gk.Verify(msgOf(i), sig)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("worker %d: %w", w, err)
+					return
+				}
+			}
+			errs <- nil
+		}(w)
+	}
+	for w := 0; w < workers; w++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// FuzzCombine replaces the Data of partial 2 in the co-signer set {1, 2, 3}
+// of a 2-of-5 key: Combine must never panic, and either return the honest
+// signature, which Verify accepts, or fail with ErrBadPartial naming the
+// set. Data that is x_2 modulo N (x_2 + N among the seeds) must combine.
+func FuzzCombine(f *testing.F) {
+	gk, signers, g := dealRSA(f, 2, 5)
+	msg := []byte("fuzz-combine")
+	parts := signAll(f, signers, msg)[:3]
+	honest, err := gk.Combine(msg, parts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	x2 := new(big.Int).SetBytes(parts[1].Data)
+	f.Add(parts[1].Data)
+	f.Add([]byte{})
+	f.Add([]byte{0})
+	f.Add(new(big.Int).Add(x2, g.modulus).Bytes())
+	f.Add(new(big.Int).Sub(g.modulus, x2).Bytes())
+	f.Add(g.modulus.Bytes())
+	random := make([]byte, gk.SigBytes())
+	rand.New(rand.NewSource(1)).Read(random)
+	f.Add(random)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := append([]Partial(nil), parts...)
+		in[1].Data = data
+		sig, err := gk.Combine(msg, in)
+		mustCombine := new(big.Int).Mod(new(big.Int).SetBytes(data), g.modulus).Cmp(x2) == 0
+		switch {
+		case err == nil && !bytes.Equal(sig.Data, honest.Data):
+			t.Fatalf("Data %x combined to a signature other than the honest one", data)
+		case err == nil && gk.Verify(msg, sig) != nil:
+			t.Fatalf("Data %x: the combined signature does not verify", data)
+		case err == nil:
+		case mustCombine:
+			t.Fatalf("Data %x is x_2 modulo N but did not combine: %v", data, err)
+		case !errors.Is(err, ErrBadPartial) || !strings.Contains(err.Error(), "[1 2 3]"):
+			t.Fatalf("Data %x: err = %v, want ErrBadPartial naming [1 2 3]", data, err)
+		}
+	})
 }
 
 // TestCombineRuleSharedBySchemes: both schemes combine the same co-signer

@@ -10,7 +10,10 @@
 //     x_i = H(m)^(2Δ·s_i) mod N with Δ = n!, each carrying Shoup's proof
 //     that it used share i, combined with integer Lagrange coefficients
 //     and finished with the extended-Euclid step, verified as ordinary
-//     RSA. This is the faithful implementation. Its one departure from
+//     RSA. Every step is a plain math/big transcription: no sweep deals
+//     this scheme, so it carries no arithmetic of its own (Montgomery
+//     contexts are the node keys', package mont). This is the faithful
+//     implementation. Its one departure from
 //     Shoup: N's primes are not safe primes, so the proof catches any
 //     altered partial, but its soundness against a signer who crafts a
 //     partial from a small-order factor of Z_N* is below Shoup's.

@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"math"
 	"testing"
 
 	"innercircle/internal/geo"
@@ -191,6 +192,50 @@ func TestPeriodicRefloodRefreshesGradient(t *testing.T) {
 	}
 	if net.svcs[0].Stats.InterestsSent < 3 {
 		t.Fatalf("interests sent = %d, want several", net.svcs[0].Stats.InterestsSent)
+	}
+}
+
+// sinkHopsTap sets the hop count of every interest its link receives
+// from the sink (node 0), below the link's own check.
+type sinkHopsTap int
+
+func (h sinkHopsTap) Outbound(e link.Env, emit func(link.Env)) { emit(e) }
+
+func (h sinkHopsTap) Inbound(e link.Env, emit func(link.Env)) {
+	if _, ok := e.Msg.(InterestMsg); ok && e.From == 0 {
+		e.Hops = int(h)
+	}
+	emit(e)
+}
+
+// TestInterestHopsAtIntEnd: on a chain sink–1–2, node 1 receives the
+// sink's interests at a set hop count. At math.MaxInt the interest sets
+// no gradient — node 1's link drops it before e.Hops+1 can wrap. At
+// MaxInt−1 node 1 is MaxInt hops from the sink, and its re-flood, at
+// MaxInt, is dropped by node 2's link in turn.
+func TestInterestHopsAtIntEnd(t *testing.T) {
+	for _, tc := range []struct {
+		hops int
+		want []int // HopsToSink of nodes 1 and 2; -1: no gradient
+	}{
+		{math.MaxInt, []int{-1, -1}},
+		{math.MaxInt - 1, []int{math.MaxInt, -1}},
+		{0, []int{1, 2}},
+	} {
+		net := buildDiff(t, chain(3))
+		net.links[1].AddTap(sinkHopsTap(tc.hops))
+		if err := net.k.Run(2); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range tc.want {
+			hops, ok := net.svcs[i+1].HopsToSink()
+			if !ok {
+				hops = -1
+			}
+			if hops != want {
+				t.Errorf("interest at %d hops: node %d is %d hops from the sink, want %d", tc.hops, i+1, hops, want)
+			}
+		}
 	}
 }
 

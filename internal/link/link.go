@@ -6,6 +6,8 @@
 package link
 
 import (
+	"math"
+
 	"innercircle/internal/mac"
 )
 
@@ -28,7 +30,9 @@ type Message interface {
 // SendRaw originate it at 0, and Forward re-sends a received message with
 // its count advanced by one. The count crosses the air in the MAC header
 // (mac.Packet.Hops, radio.Header.Hops), so a forward re-sends the
-// received Msg as it is and boxes nothing.
+// received Msg as it is and boxes nothing. A received count is checked in
+// one place: deliver drops an envelope whose count is negative, which no
+// forward makes, or math.MaxInt, which one more forward would wrap.
 type Env struct {
 	From NodeID
 	To   NodeID // BroadcastID for broadcasts
@@ -169,8 +173,12 @@ func (s *Service) recv(p mac.Packet) {
 }
 
 // deliver runs the inbound filter chain and the upward handler; it is
-// the top tap's inbound continuation.
+// the top tap's inbound continuation. It first drops an envelope whose hop
+// count is out of range (see Env).
 func (s *Service) deliver(e Env) {
+	if e.Hops < 0 || e.Hops == math.MaxInt {
+		return
+	}
 	for _, f := range s.filters {
 		if !f.Inbound(e) {
 			return

@@ -334,6 +334,20 @@ var repoRules = []repoRule{
 		hit:     `		for !e.ProbablyPrime(32) {`,
 		miss:    `		for !nsl.IsProbablePrime(e) {`,
 	},
+	// Montgomery arithmetic is a node-key concern: mont serves nsl's
+	// signatures and prime search, and nothing else. Threshold RSA combines
+	// and verifies on math/big, so no second Montgomery layer can grow on
+	// top of mont outside nsl.
+	{
+		name:    "Mont-serves-node-keys",
+		pattern: regexp.MustCompile(`"innercircle/internal/crypto/mont"`),
+		scopes:  wholeTree,
+		globs:   goGlob,
+		allow:   []string{"internal/crypto/mont/", "internal/crypto/nsl/"},
+		msg:     "a package other than nsl imports internal/crypto/mont; compute on math/big, or move the arithmetic into nsl",
+		hit:     `	"innercircle/internal/crypto/mont"`,
+		miss:    `	"innercircle/internal/crypto/nsl"`,
+	},
 	// The one assembly in the repository is mont's four-word Montgomery
 	// kernel on amd64, held word for word to the Go loop every other
 	// GOARCH builds. No assembly routine may appear anywhere else.
